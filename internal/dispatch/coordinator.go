@@ -6,8 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -30,7 +30,11 @@ type Options struct {
 	// StallTimeout bounds the time between heartbeat progress advances; a
 	// worker whose CellsDone stops moving for this long is presumed hung.
 	StallTimeout time.Duration
-	// PollInterval is the heartbeat period (default 200ms).
+	// PollInterval is the heartbeat period (default 200ms): the longest one
+	// status request may hang at a worker before it must answer. It is a
+	// ceiling on how stale the coordinator's view of a running task gets,
+	// not a floor on completion latency — a worker answers the moment its
+	// task finishes or advances.
 	PollInterval time.Duration
 	// MaxAttempts is the per-task attempt cap, first run included
 	// (default 3).
@@ -104,6 +108,13 @@ type Result struct {
 	Deduped int
 }
 
+// completion is one verified shard result: the bytes as the worker sent
+// them, and the file decoded from them on arrival.
+type completion struct {
+	blob exp.ShardBlob
+	file exp.ShardEncoder
+}
+
 // workerConn is the coordinator's view of one worker.
 type workerConn struct {
 	addr string
@@ -139,7 +150,7 @@ type coordinator struct {
 	nAlive  int
 
 	mu         sync.Mutex
-	completed  map[string]exp.ShardBlob
+	completed  map[string]completion
 	reassigned int
 	deduped    int
 
@@ -154,12 +165,34 @@ func (c *coordinator) logf(format string, args ...any) {
 	}
 }
 
+// newCoordinator returns a coordinator over o.Workers, all idle. o must
+// have its defaults resolved.
+func newCoordinator(o Options) *coordinator {
+	c := &coordinator{
+		opts:      o,
+		client:    &http.Client{},
+		idle:      make(chan *workerConn, len(o.Workers)),
+		allDead:   make(chan struct{}),
+		completed: make(map[string]completion),
+		nAlive:    len(o.Workers),
+	}
+	for _, addr := range o.Workers {
+		base := addr
+		if !strings.Contains(base, "://") {
+			base = "http://" + base
+		}
+		c.idle <- &workerConn{addr: addr, base: strings.TrimRight(base, "/")}
+	}
+	return c
+}
+
 // Dispatch runs the named campaign across the workers in opts: it derives
 // the canonical config locally, partitions the cell space into shard
 // tasks, schedules them with heartbeat supervision, retry, and
-// reassignment, verifies the config hash on every returned manifest, and
-// merges the shard files through exp.MergeShardBlobs. The merged result is
-// byte-identical to an unsharded run of the same campaign and params.
+// reassignment, decodes each returned shard file as it arrives and verifies
+// the config hash on its manifest, and merges the decoded files through
+// exp.MergeShards. The merged result is byte-identical to an unsharded run
+// of the same campaign and params.
 func Dispatch(campaign string, p exp.RunParams, opts Options) (*Result, error) {
 	if len(opts.Workers) == 0 {
 		return nil, fmt.Errorf("dispatch: no workers given")
@@ -182,34 +215,11 @@ func Dispatch(campaign string, p exp.RunParams, opts Options) (*Result, error) {
 	o := opts.withDefaults((cells+shards-1)/shards, p)
 	o.Shards = shards
 
-	c := &coordinator{
-		opts:      o,
-		client:    &http.Client{},
-		idle:      make(chan *workerConn, len(o.Workers)),
-		allDead:   make(chan struct{}),
-		completed: make(map[string]exp.ShardBlob),
-		nAlive:    len(o.Workers),
-	}
-	for _, addr := range o.Workers {
-		base := addr
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		c.idle <- &workerConn{addr: addr, base: strings.TrimRight(base, "/")}
-	}
+	c := newCoordinator(o)
 
 	tasks := make([]Task, o.Shards)
 	for i := range tasks {
-		shard := exp.ShardSpec{Index: i, Count: o.Shards}
-		tasks[i] = Task{
-			ID:         TaskID(campaign, hash, shard),
-			Campaign:   campaign,
-			Params:     p,
-			ShardIndex: i,
-			ShardCount: o.Shards,
-			Config:     desc,
-			ConfigHash: hash,
-		}
+		tasks[i] = newTask(campaign, p, desc, hash, exp.ShardSpec{Index: i, Count: o.Shards})
 	}
 	c.logf("campaign %s: %d cells as %d shard tasks across %d workers (config %.12s)",
 		campaign, cells, len(tasks), len(o.Workers), hash)
@@ -234,23 +244,24 @@ func Dispatch(campaign string, p exp.RunParams, opts Options) (*Result, error) {
 		}
 	}
 
+	// Tasks are in shard order, so the artifacts and the merge input are too.
+	res := &Result{Blobs: make([]exp.ShardBlob, len(tasks))}
+	files := make([]exp.ShardEncoder, len(tasks))
 	c.mu.Lock()
-	blobs := make([]exp.ShardBlob, 0, len(tasks))
-	for _, t := range tasks {
-		blob, ok := c.completed[t.ID]
+	res.Reassigned, res.Deduped = c.reassigned, c.deduped
+	for i, t := range tasks {
+		done, ok := c.completed[t.ID]
 		if !ok {
 			c.mu.Unlock()
 			return nil, fmt.Errorf("dispatch: task %s finished without a recorded result", t.ID)
 		}
-		blobs = append(blobs, blob)
+		res.Blobs[i], files[i] = done.blob, done.file
 	}
-	res := &Result{Blobs: blobs, Reassigned: c.reassigned, Deduped: c.deduped}
 	c.mu.Unlock()
-	sort.Slice(res.Blobs, func(i, j int) bool { return res.Blobs[i].Name < res.Blobs[j].Name })
 
-	merged, err := exp.MergeShardBlobs(res.Blobs)
+	merged, err := exp.MergeShards(files)
 	if err != nil {
-		return nil, fmt.Errorf("dispatch: merging %d shards: %v", len(res.Blobs), err)
+		return nil, fmt.Errorf("dispatch: merging %d shards: %v", len(files), err)
 	}
 	res.Merged = merged
 	return res, nil
@@ -282,10 +293,10 @@ func (c *coordinator) taskLoop(t *Task) error {
 			return fmt.Errorf("no live workers left (last error: %v)", lastErr)
 		}
 		c.logf("task %s attempt %d -> %s", t.ID, attempt, w.addr)
-		blob, err := c.runAttempt(w, t)
+		done, err := c.runAttempt(w, t)
 		if err == nil {
 			c.release(w)
-			c.record(t, blob, w.addr)
+			c.record(t, done, w.addr)
 			return nil
 		}
 		lastErr = fmt.Errorf("worker %s: %v", w.addr, err)
@@ -377,30 +388,30 @@ func asAttemptFailure(err error, out **attemptFailure) bool {
 }
 
 // runAttempt submits the task to one worker and supervises it to
-// completion: heartbeat polling with stall detection, an overall deadline,
+// completion: hanging heartbeats with stall detection, an overall deadline,
 // and result verification.
-func (c *coordinator) runAttempt(w *workerConn, t *Task) (exp.ShardBlob, error) {
+func (c *coordinator) runAttempt(w *workerConn, t *Task) (completion, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.opts.TaskTimeout)
 	defer cancel()
 
 	if err := c.submit(ctx, w, t); err != nil {
-		return exp.ShardBlob{}, err
+		return completion{}, err
 	}
 
-	lastDone := -1
+	lastDone := 0
 	lastAdvance := time.Now()
 	for {
-		select {
-		case <-ctx.Done():
-			return exp.ShardBlob{}, &attemptFailure{
+		st, err := c.heartbeat(ctx, w, t.ID, lastDone)
+		if ctx.Err() != nil {
+			// The deadline, not the worker, ended the wait: the worker may
+			// well still be running the shard.
+			return completion{}, &attemptFailure{
 				err:        fmt.Errorf("task timeout after %v", c.opts.TaskTimeout),
 				workerDead: true, lingering: true,
 			}
-		case <-time.After(c.opts.PollInterval):
 		}
-		st, err := c.status(ctx, w, t.ID)
 		if err != nil {
-			return exp.ShardBlob{}, &attemptFailure{
+			return completion{}, &attemptFailure{
 				err:        fmt.Errorf("heartbeat lost: %v", err),
 				workerDead: true,
 			}
@@ -410,19 +421,42 @@ func (c *coordinator) runAttempt(w *workerConn, t *Task) (exp.ShardBlob, error) 
 			return c.fetchResult(ctx, w, t)
 		case StateFailed:
 			// The campaign itself errored; the worker is healthy.
-			return exp.ShardBlob{}, &attemptFailure{err: fmt.Errorf("task failed on worker: %s", st.Error)}
+			return completion{}, &attemptFailure{err: fmt.Errorf("task failed on worker: %s", st.Error)}
 		}
 		if st.CellsDone > lastDone {
 			lastDone = st.CellsDone
 			lastAdvance = time.Now()
 		} else if time.Since(lastAdvance) > c.opts.StallTimeout {
-			return exp.ShardBlob{}, &attemptFailure{
+			return completion{}, &attemptFailure{
 				err: fmt.Errorf("stalled: no progress past %d/%d cells for %v",
 					st.CellsDone, st.CellsTotal, c.opts.StallTimeout),
 				workerDead: true, lingering: true,
 			}
 		}
 	}
+}
+
+// heartbeat is one beat of supervision: a status request the worker holds
+// until the task is done, failed or past seen cells, or PollInterval has
+// gone by. It returns as soon as there is news and never sooner than
+// PollInterval without: a worker that ignores wait and answers "nothing
+// new" at once is asked again only after the rest of the period.
+func (c *coordinator) heartbeat(ctx context.Context, w *workerConn, id string, seen int) (TaskStatus, error) {
+	asked := time.Now()
+	st, err := c.status(ctx, w, id, seen)
+	if err != nil || st.State != StateRunning || st.CellsDone > seen {
+		return st, err
+	}
+	if rest := c.opts.PollInterval - time.Since(asked); rest > 0 {
+		timer := time.NewTimer(rest)
+		defer timer.Stop()
+		select {
+		case <-ctx.Done():
+			return st, ctx.Err()
+		case <-timer.C:
+		}
+	}
+	return st, nil
 }
 
 func (c *coordinator) submit(ctx context.Context, w *workerConn, t *Task) error {
@@ -452,8 +486,13 @@ func (c *coordinator) submit(ctx context.Context, w *workerConn, t *Task) error 
 	return nil
 }
 
-func (c *coordinator) status(ctx context.Context, w *workerConn, id string) (TaskStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/task/"+id, nil)
+// status asks for the task's status, letting the worker hold the request
+// for up to PollInterval while there is nothing past seen cells to report.
+func (c *coordinator) status(ctx context.Context, w *workerConn, id string, seen int) (TaskStatus, error) {
+	// Rounded up: a sub-millisecond period must still ask the worker to wait.
+	waitMs := (c.opts.PollInterval + time.Millisecond - 1) / time.Millisecond
+	url := fmt.Sprintf("%s/task/%s?wait=%d&seen=%d", w.base, id, waitMs, seen)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return TaskStatus{}, err
 	}
@@ -472,36 +511,43 @@ func (c *coordinator) status(ctx context.Context, w *workerConn, id string) (Tas
 	return st, nil
 }
 
-// fetchResult downloads and verifies a finished shard file. A manifest
-// whose config hash does not match the task is a stale worker's output:
-// the attempt fails and the worker is retired.
-func (c *coordinator) fetchResult(ctx context.Context, w *workerConn, t *Task) (exp.ShardBlob, error) {
+// fetchResult downloads a finished shard file, decodes it — here, in the
+// task's own goroutine, while the other workers simulate — and verifies
+// the decoded manifest. A manifest whose config hash does not match the
+// task is a stale worker's output: the attempt fails and the worker is
+// retired.
+func (c *coordinator) fetchResult(ctx context.Context, w *workerConn, t *Task) (completion, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/task/"+t.ID+"/result", nil)
 	if err != nil {
-		return exp.ShardBlob{}, err
+		return completion{}, err
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return exp.ShardBlob{}, &attemptFailure{err: fmt.Errorf("result: %v", err), workerDead: true}
+		return completion{}, &attemptFailure{err: fmt.Errorf("result: %v", err), workerDead: true}
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return exp.ShardBlob{}, &attemptFailure{err: fmt.Errorf("result: %s", readError(resp))}
+		return completion{}, &attemptFailure{err: fmt.Errorf("result: %s", readError(resp))}
 	}
-	data, err := io.ReadAll(resp.Body)
+	// A shard file is megabytes: sized from the announced length it is read
+	// into one allocation instead of a chain of doublings (the length is a
+	// hint from the worker, so only a plausible one is believed).
+	var body bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n < 1<<30 {
+		body.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		return completion{}, &attemptFailure{err: fmt.Errorf("result: %v", err), workerDead: true}
+	}
+	blob := exp.ShardBlob{Name: fmt.Sprintf("shard-%d.json", t.ShardIndex), Data: body.Bytes()}
+	file, err := exp.DecodeShard(blob)
 	if err != nil {
-		return exp.ShardBlob{}, &attemptFailure{err: fmt.Errorf("result: %v", err), workerDead: true}
+		return completion{}, &attemptFailure{err: fmt.Errorf("result: %v", err), workerDead: true}
 	}
-	var peek struct {
-		Manifest exp.ShardManifest `json:"manifest"`
+	if err := verifyManifest(t, file.ShardManifest()); err != nil {
+		return completion{}, &attemptFailure{err: err, workerDead: true}
 	}
-	if err := json.Unmarshal(data, &peek); err != nil {
-		return exp.ShardBlob{}, &attemptFailure{err: fmt.Errorf("result: %v", err), workerDead: true}
-	}
-	if err := verifyManifest(t, peek.Manifest); err != nil {
-		return exp.ShardBlob{}, &attemptFailure{err: err, workerDead: true}
-	}
-	return exp.ShardBlob{Name: fmt.Sprintf("shard-%d.json", t.ShardIndex), Data: data}, nil
+	return completion{blob: blob, file: file}, nil
 }
 
 func readError(resp *http.Response) string {
@@ -515,7 +561,7 @@ func readError(resp *http.Response) string {
 
 // record stores a verified completion; duplicate completions for the same
 // task ID are discarded, keeping the first.
-func (c *coordinator) record(t *Task, blob exp.ShardBlob, from string) {
+func (c *coordinator) record(t *Task, done completion, from string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.completed[t.ID]; dup {
@@ -525,7 +571,7 @@ func (c *coordinator) record(t *Task, blob exp.ShardBlob, from string) {
 		}
 		return
 	}
-	c.completed[t.ID] = blob
+	c.completed[t.ID] = done
 	if c.opts.Log != nil {
 		fmt.Fprintf(c.opts.Log, "dispatch: task %s (shard %d/%d) completed by %s\n", t.ID, t.ShardIndex, t.ShardCount, from)
 	}
@@ -542,29 +588,25 @@ func (c *coordinator) isCompleted(id string) bool {
 // elsewhere: if the slow worker eventually finishes, the result is
 // collected (it may be the only copy if every retry fails) and otherwise
 // deduplicated. Bounded by one further TaskTimeout; any transport error
-// ends it — a crashed worker exits on the first poll.
+// ends it — a crashed worker exits on the first heartbeat.
 func (c *coordinator) lingerPoll(w *workerConn, t *Task) {
 	defer c.linger.Done()
 	ctx, cancel := context.WithTimeout(context.Background(), c.opts.TaskTimeout)
 	defer cancel()
 	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(c.opts.PollInterval):
-		}
-		st, err := c.status(ctx, w, t.ID)
+		// No cell count is news here, only the task ending.
+		st, err := c.heartbeat(ctx, w, t.ID, math.MaxInt32)
 		if err != nil {
 			return
 		}
 		switch st.State {
 		case StateDone:
-			blob, err := c.fetchResult(ctx, w, t)
+			done, err := c.fetchResult(ctx, w, t)
 			if err != nil {
 				c.logf("task %s: late result from %s rejected: %v", t.ID, w.addr, err)
 				return
 			}
-			c.record(t, blob, w.addr+" (late)")
+			c.record(t, done, w.addr+" (late)")
 			return
 		case StateFailed:
 			return

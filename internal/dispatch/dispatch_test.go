@@ -121,21 +121,29 @@ func (c *crashable) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	c.h.ServeHTTP(rw, r)
 }
 
+// startVictim serves a worker that crashes — every connection severed,
+// nothing answered again — when its first task completes its first cell.
+func startVictim(t *testing.T) *httptest.Server {
+	t.Helper()
+	victim := NewWorker()
+	victim.KillAfterTasks = 1
+	crash := &crashable{h: victim}
+	srv := httptest.NewServer(crash)
+	t.Cleanup(srv.Close)
+	victim.Kill = func() {
+		crash.dead.Store(true)
+		srv.CloseClientConnections()
+	}
+	return srv
+}
+
 // TestDispatchWorkerKilledMidShard kills a worker after its first task
 // completes one cell — genuinely mid-shard — and requires the shard to be
 // reassigned and the merged output to stay byte-identical to serial.
 func TestDispatchWorkerKilledMidShard(t *testing.T) {
 	want := serialRender(t)
 
-	victim := NewWorker()
-	victim.KillAfterTasks = 1
-	crash := &crashable{h: victim}
-	srvA := httptest.NewServer(crash)
-	t.Cleanup(srvA.Close)
-	victim.Kill = func() {
-		crash.dead.Store(true)
-		srvA.CloseClientConnections()
-	}
+	srvA := startVictim(t)
 	srvB := startWorker(t, NewWorker())
 
 	opts := fastOpts([]string{addrOf(srvA), addrOf(srvB)})
@@ -172,15 +180,7 @@ func TestDispatchRobustnessKilledMidShard(t *testing.T) {
 	var want bytes.Buffer
 	serial.Render(&want)
 
-	victim := NewWorker()
-	victim.KillAfterTasks = 1
-	crash := &crashable{h: victim}
-	srvA := httptest.NewServer(crash)
-	t.Cleanup(srvA.Close)
-	victim.Kill = func() {
-		crash.dead.Store(true)
-		srvA.CloseClientConnections()
-	}
+	srvA := startVictim(t)
 	srvB := startWorker(t, NewWorker())
 
 	opts := fastOpts([]string{addrOf(srvA), addrOf(srvB)})
@@ -200,12 +200,31 @@ func TestDispatchRobustnessKilledMidShard(t *testing.T) {
 	}
 }
 
+// isStatusRequest picks the heartbeat out of a worker's traffic.
+func isStatusRequest(r *http.Request) bool {
+	return r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/task/") &&
+		!strings.HasSuffix(r.URL.Path, "/result")
+}
+
 // stallServer accepts any task and then reports zero progress forever — a
-// hung worker with a live TCP stack. done() flips it to 404 so the
-// coordinator's linger poll terminates promptly.
-func stallServer(t *testing.T) (srv *httptest.Server, done func()) {
+// hung worker with a live TCP stack, and one that predates the hanging
+// heartbeat: it ignores wait and seen and answers at once. It counts the
+// status requests it receives and when the first and last arrived. done()
+// flips it to 404 so the coordinator's linger poll terminates promptly.
+type stallServer struct {
+	*httptest.Server
+	gone atomic.Bool
+
+	mu          sync.Mutex
+	statusCalls int
+	first, last time.Time
+}
+
+func (s *stallServer) done() { s.gone.Store(true) }
+
+func newStallServer(t *testing.T) *stallServer {
 	t.Helper()
-	var gone atomic.Bool
+	s := &stallServer{}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /task", func(rw http.ResponseWriter, r *http.Request) {
 		var task Task
@@ -213,51 +232,155 @@ func stallServer(t *testing.T) (srv *httptest.Server, done func()) {
 		writeStatus(rw, http.StatusAccepted, TaskStatus{ID: task.ID, State: StateRunning})
 	})
 	mux.HandleFunc("GET /task/{id}", func(rw http.ResponseWriter, r *http.Request) {
-		if gone.Load() {
+		s.mu.Lock()
+		s.statusCalls++
+		s.last = time.Now()
+		if s.statusCalls == 1 {
+			s.first = s.last
+		}
+		s.mu.Unlock()
+		if s.gone.Load() {
 			httpError(rw, http.StatusNotFound, "unknown task")
 			return
 		}
 		writeStatus(rw, http.StatusOK, TaskStatus{ID: r.PathValue("id"), State: StateRunning})
 	})
-	srv = httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv, func() { gone.Store(true) }
+	s.Server = httptest.NewServer(mux)
+	t.Cleanup(s.Close)
+	return s
 }
 
-// TestDispatchStalledWorkerTimesOut submits to a worker whose heartbeat
-// never advances: the coordinator must detect the stall, retire the worker,
-// and retry on the healthy one.
+// holdProxy fronts a real worker but sits on every status request until
+// released or hung up on — a worker whose shard runs far longer than the
+// coordinator is prepared to wait, seen through a hanging heartbeat.
+type holdProxy struct {
+	w       *Worker
+	release chan struct{}
+	taskID  atomic.Value // the (one) task it was given
+}
+
+// postedTaskID reads the task ID off a submission, leaving the body intact.
+func postedTaskID(r *http.Request) string {
+	body, _ := io.ReadAll(r.Body)
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	var task Task
+	json.Unmarshal(body, &task)
+	return task.ID
+}
+
+func (p *holdProxy) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodPost {
+		p.taskID.Store(postedTaskID(r))
+	}
+	if isStatusRequest(r) {
+		select {
+		case <-p.release:
+		case <-r.Context().Done():
+			return
+		}
+	}
+	p.w.ServeHTTP(rw, r)
+}
+
+// TestDispatchStalledWorkerTimesOut covers the two ways a live worker
+// stops being waited for, and that both keep following it for a late
+// result.
 func TestDispatchStalledWorkerTimesOut(t *testing.T) {
 	want := serialRender(t)
-	staller, stallerGone := stallServer(t)
-	// The staller starts returning 404 once the healthy worker has the
-	// task, so the linger poll (which outlives the attempt) exits quickly.
-	inner := NewWorker()
-	healthy := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost {
-			stallerGone()
-		}
-		inner.ServeHTTP(rw, r)
-	}))
-	t.Cleanup(healthy.Close)
 
-	opts := fastOpts([]string{addrOf(staller), addrOf(healthy)})
-	opts.Shards = 1
-	var log bytes.Buffer
-	opts.Log = &log
-	res, err := Dispatch(testCampaign, testParams(), opts)
-	if err != nil {
-		t.Fatalf("dispatch: %v\nlog:\n%s", err, log.String())
-	}
-	if got := renderResult(t, res); got != want {
-		t.Errorf("output after stall diverges from serial")
-	}
-	if res.Reassigned != 1 {
-		t.Errorf("reassigned = %d, want 1\nlog:\n%s", res.Reassigned, log.String())
-	}
-	if !strings.Contains(log.String(), "stalled") {
-		t.Errorf("log does not mention the stall:\n%s", log.String())
-	}
+	// A worker whose heartbeat never advances: the coordinator must detect
+	// the stall, retire the worker, and retry on the healthy one — and,
+	// since this worker answers every heartbeat at once, must still ask it
+	// only once per PollInterval.
+	t.Run("stall", func(t *testing.T) {
+		staller := newStallServer(t)
+		// The staller starts returning 404 once the healthy worker has the
+		// task, so the linger poll (which outlives the attempt) exits quickly.
+		inner := NewWorker()
+		healthy := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost {
+				staller.done()
+			}
+			inner.ServeHTTP(rw, r)
+		}))
+		t.Cleanup(healthy.Close)
+
+		opts := fastOpts([]string{addrOf(staller.Server), addrOf(healthy)})
+		opts.Shards = 1
+		var log bytes.Buffer
+		opts.Log = &log
+		res, err := Dispatch(testCampaign, testParams(), opts)
+		if err != nil {
+			t.Fatalf("dispatch: %v\nlog:\n%s", err, log.String())
+		}
+		if got := renderResult(t, res); got != want {
+			t.Errorf("output after stall diverges from serial")
+		}
+		if res.Reassigned != 1 {
+			t.Errorf("reassigned = %d, want 1\nlog:\n%s", res.Reassigned, log.String())
+		}
+		if !strings.Contains(log.String(), "stalled") {
+			t.Errorf("log does not mention the stall:\n%s", log.String())
+		}
+		staller.mu.Lock()
+		calls, elapsed := staller.statusCalls, staller.last.Sub(staller.first)
+		staller.mu.Unlock()
+		if max := int(elapsed/opts.PollInterval) + 2; calls > max {
+			t.Errorf("%d status requests in %v at PollInterval %v, want <= %d: a worker that ignores wait is being hammered",
+				calls, elapsed, opts.PollInterval, max)
+		}
+	})
+
+	// A worker that is simply slower than TaskTimeout, the deadline falling
+	// while a status request hangs at it: that is a task timeout, not a lost
+	// heartbeat, and the result it delivers afterwards is still collected.
+	t.Run("task timeout mid-heartbeat", func(t *testing.T) {
+		slow := &holdProxy{w: NewWorker(), release: make(chan struct{})}
+		srvSlow := httptest.NewServer(slow)
+		t.Cleanup(srvSlow.Close)
+		// The hold lifts once the slow worker's task has been reassigned:
+		// its shard, long finished behind the proxy, surfaces late.
+		inner := NewWorker()
+		srvFast := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && postedTaskID(r) == slow.taskID.Load() {
+				close(slow.release)
+			}
+			inner.ServeHTTP(rw, r)
+		}))
+		t.Cleanup(srvFast.Close)
+
+		// One one-cell task through the task loop itself, so the healthy
+		// worker is idle when the reassignment comes and its attempt fits
+		// the short deadline with room to spare, also under -race.
+		opts := fastOpts([]string{addrOf(srvSlow), addrOf(srvFast)}) // idle order: slow first
+		opts.TaskTimeout = time.Second
+		opts.PollInterval = 2 * opts.TaskTimeout // the deadline falls inside the first heartbeat
+		opts.StallTimeout = time.Minute
+		var log bytes.Buffer
+		opts.Log = &log
+		c := newCoordinator(opts.withDefaults(1, testParams()))
+		task := oneCellTask(t, 0)
+		err := c.taskLoop(task)
+		c.linger.Wait()
+		if err != nil {
+			t.Fatalf("task loop: %v\nlog:\n%s", err, log.String())
+		}
+		if !c.isCompleted(task.ID) {
+			t.Errorf("task not recorded as completed\nlog:\n%s", log.String())
+		}
+		if c.reassigned != 1 || c.deduped != 1 {
+			t.Errorf("reassigned = %d, deduped = %d, want 1 and 1 (timed-out task rerun, late original collected)\nlog:\n%s",
+				c.reassigned, c.deduped, log.String())
+		}
+		for _, phrase := range []string{"task timeout after 1s", "(late)"} {
+			if !strings.Contains(log.String(), phrase) {
+				t.Errorf("log does not mention %q:\n%s", phrase, log.String())
+			}
+		}
+		if strings.Contains(log.String(), "heartbeat lost") {
+			t.Errorf("deadline during a hanging heartbeat reported as a lost heartbeat:\n%s", log.String())
+		}
+	})
 }
 
 // freezeProxy fronts a real worker but reports frozen zero-progress
@@ -270,8 +393,7 @@ type freezeProxy struct {
 }
 
 func (p *freezeProxy) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
-	if p.frozen.Load() && r.Method == http.MethodGet &&
-		strings.HasPrefix(r.URL.Path, "/task/") && !strings.HasSuffix(r.URL.Path, "/result") {
+	if p.frozen.Load() && isStatusRequest(r) {
 		writeStatus(rw, http.StatusOK, TaskStatus{State: StateRunning})
 		return
 	}
@@ -378,20 +500,9 @@ func TestDispatchRejectsMismatchedResult(t *testing.T) {
 // with 409 before any simulation runs.
 func TestWorkerRejectsForeignConfigHash(t *testing.T) {
 	srv := startWorker(t, NewWorker())
-	desc, _, _, err := exp.CampaignProbe(testCampaign, testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard := exp.Unsharded
-	task := Task{
-		ID:         TaskID(testCampaign, exp.HashConfig("not the real config"), shard),
-		Campaign:   testCampaign,
-		Params:     testParams(),
-		ShardIndex: shard.Index,
-		ShardCount: shard.Count,
-		Config:     desc,
-		ConfigHash: exp.HashConfig("not the real config"),
-	}
+	task := shardTask(t, exp.Unsharded)
+	task.ConfigHash = exp.HashConfig("not the real config")
+	task.ID = TaskID(testCampaign, task.ConfigHash, task.Shard())
 	body, _ := json.Marshal(task)
 	resp, err := http.Post(srv.URL+"/task", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -412,21 +523,7 @@ func TestWorkerRejectsForeignConfigHash(t *testing.T) {
 func TestWorkerIdempotentResubmission(t *testing.T) {
 	w := NewWorker()
 	srv := startWorker(t, w)
-	desc, hash, _, err := exp.CampaignProbe(testCampaign, testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard := exp.Unsharded
-	task := Task{
-		ID:         TaskID(testCampaign, hash, shard),
-		Campaign:   testCampaign,
-		Params:     testParams(),
-		ShardIndex: shard.Index,
-		ShardCount: shard.Count,
-		Config:     desc,
-		ConfigHash: hash,
-	}
-	body, _ := json.Marshal(task)
+	body, _ := json.Marshal(shardTask(t, exp.Unsharded))
 	post := func() int {
 		resp, err := http.Post(srv.URL+"/task", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -460,5 +557,90 @@ func TestDispatchAllWorkersDead(t *testing.T) {
 	_, err := Dispatch(testCampaign, testParams(), opts)
 	if err == nil {
 		t.Fatal("dispatch succeeded with no live workers")
+	}
+}
+
+// shardTask builds the task for one shard of the test campaign, as Dispatch
+// would.
+func shardTask(t *testing.T, shard exp.ShardSpec) *Task {
+	t.Helper()
+	p := testParams().WithDefaults()
+	desc, hash, _, err := exp.CampaignProbe(testCampaign, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := newTask(testCampaign, p, desc, hash, shard)
+	return &task
+}
+
+// oneCellTask builds the task for cell i of the test campaign.
+func oneCellTask(t *testing.T, i int) *Task {
+	t.Helper()
+	_, _, cells, err := exp.CampaignProbe(testCampaign, testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shardTask(t, exp.ShardSpec{Index: i, Count: cells})
+}
+
+// TestAttemptCompletesWithinPollInterval pins that completion is an event,
+// not a poll result: with a 2 s heartbeat period a one-cell task (tens of
+// milliseconds of simulation) is submitted, finished, fetched, decoded and
+// verified in a fraction of one period.
+func TestAttemptCompletesWithinPollInterval(t *testing.T) {
+	srv := startWorker(t, NewWorker())
+	opts := fastOpts([]string{addrOf(srv)})
+	opts.PollInterval = 2 * time.Second
+	c := newCoordinator(opts)
+	task := oneCellTask(t, 0)
+
+	start := time.Now()
+	done, err := c.runAttempt(<-c.idle, task)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("attempt: %v", err)
+	}
+	if m := done.file.ShardManifest(); len(m.CellIndices) != 1 || m.ShardIndex != 0 {
+		t.Errorf("result manifest %+v is not the one-cell shard 0", m)
+	}
+	if elapsed > opts.PollInterval/2 {
+		t.Errorf("one-cell task took %v at PollInterval %v: completion waited for a poll tick", elapsed, opts.PollInterval)
+	}
+}
+
+// TestDispatchBrokenConnectionMidWait tears a worker down while the
+// coordinator's heartbeat hangs at it, with a PollInterval far longer than
+// the whole campaign: the broken connection itself must retire the worker
+// and move the shard, not the next poll.
+func TestDispatchBrokenConnectionMidWait(t *testing.T) {
+	want := serialRender(t)
+
+	srvA := startVictim(t)
+	srvB := startWorker(t, NewWorker())
+
+	opts := fastOpts([]string{addrOf(srvA), addrOf(srvB)})
+	opts.Shards = 2
+	opts.PollInterval = time.Minute
+	opts.StallTimeout = 2 * time.Minute
+	var log bytes.Buffer
+	opts.Log = &log
+	start := time.Now()
+	res, err := Dispatch(testCampaign, testParams(), opts)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("dispatch: %v\nlog:\n%s", err, log.String())
+	}
+	if got := renderResult(t, res); got != want {
+		t.Errorf("output after worker teardown diverges from serial")
+	}
+	if res.Reassigned != 1 {
+		t.Errorf("reassigned = %d, want 1\nlog:\n%s", res.Reassigned, log.String())
+	}
+	if !strings.Contains(log.String(), "heartbeat lost") {
+		t.Errorf("log does not mention the lost heartbeat:\n%s", log.String())
+	}
+	if elapsed > opts.PollInterval/2 {
+		t.Errorf("campaign took %v at PollInterval %v: the torn-down worker was noticed by a poll, not by its broken connection",
+			elapsed, opts.PollInterval)
 	}
 }

@@ -1,17 +1,27 @@
 // Package dispatch turns any sharded campaign into a distributed run: a
 // coordinator partitions the campaign's cell space into shard tasks,
 // assigns them to workers over an HTTP/JSON protocol, survives worker
-// crashes and stalls by reassigning tasks, and merges the returned shard
-// files through exp.MergeShardBlobs — so the final output is byte-identical
-// to an unsharded run regardless of worker count, assignment order, or
-// mid-run failures.
+// crashes and stalls by reassigning tasks, decodes each returned shard file
+// as it arrives and merges them through exp.MergeShards — so the final
+// output is byte-identical to an unsharded run regardless of worker count,
+// assignment order, or mid-run failures.
 //
-// The protocol is three endpoints on each worker:
+// The protocol is three endpoints on each worker, plus a probe:
 //
-//	POST /task            accept a shard task (idempotent by task ID)
-//	GET  /task/{id}       status: state, cells done/total (the heartbeat)
+//	POST /task             accept a shard task (idempotent by task ID)
+//	GET  /task/{id}        status: state, cells done/total (the heartbeat)
 //	GET  /task/{id}/result the finished shard file's bytes
-//	GET  /healthz         liveness probe
+//	GET  /healthz          liveness probe
+//
+// The heartbeat is event-driven. The coordinator asks
+// GET /task/{id}?wait=<ms>&seen=<cells>, and the worker holds the request
+// until the task is done or failed or has finished more than seen cells,
+// answering "nothing new" only when wait (Options.PollInterval) runs out.
+// So a finished shard is fetched when it finishes rather than at the next
+// poll tick, a healthy idle task costs one request per PollInterval, a
+// connection that breaks mid-wait is a lost heartbeat at once, and a worker
+// that ignores the parameters and answers immediately is still asked only
+// once per PollInterval. Without wait the endpoint answers at once.
 //
 // Determinism contract: a task names its campaign by registry name and
 // carries the canonical config plus its SHA-256. The worker re-derives the
@@ -45,6 +55,20 @@ type Task struct {
 	// derivation disagrees must reject the task.
 	Config     string `json:"config"`
 	ConfigHash string `json:"config_hash"`
+}
+
+// newTask addresses one shard of a probed campaign: desc and hash are the
+// canonical config CampaignProbe derived for (campaign, p).
+func newTask(campaign string, p exp.RunParams, desc, hash string, shard exp.ShardSpec) Task {
+	return Task{
+		ID:         TaskID(campaign, hash, shard),
+		Campaign:   campaign,
+		Params:     p,
+		ShardIndex: shard.Index,
+		ShardCount: shard.Count,
+		Config:     desc,
+		ConfigHash: hash,
+	}
 }
 
 // Shard returns the task's shard spec.

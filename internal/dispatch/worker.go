@@ -6,8 +6,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"xmp/internal/exp"
 )
@@ -33,13 +34,28 @@ type Worker struct {
 	accepted int
 }
 
+// workerTask is one accepted task. Everything past task and total is
+// guarded by Worker.mu.
 type workerTask struct {
 	task   Task
-	state  string
-	done   atomic.Int64 // cells finished, observed by the status handler
 	total  int
+	state  string
+	done   int // cells finished
 	errMsg string
 	result []byte
+	// changed is closed and replaced whenever done or state moves: what a
+	// hanging status request waits on.
+	changed chan struct{}
+}
+
+// update applies fn to the task under the worker's lock and wakes every
+// status request hanging on it.
+func (w *Worker) update(wt *workerTask, fn func()) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	fn()
+	close(wt.changed)
+	wt.changed = make(chan struct{})
 }
 
 // NewWorker returns an idle worker.
@@ -114,20 +130,21 @@ func (w *Worker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 		writeStatus(rw, http.StatusOK, st)
 		return
 	}
-	wt := &workerTask{task: t, state: StateRunning, total: len(shard.Owned(cells))}
+	wt := &workerTask{task: t, state: StateRunning, total: len(shard.Owned(cells)), changed: make(chan struct{})}
 	w.tasks[t.ID] = wt
 	w.accepted++
 	ordinal := w.accepted
+	st := wt.status()
 	w.mu.Unlock()
 
 	w.logf("task %s accepted: campaign %s shard %s (%d cells)", t.ID, t.Campaign, shard, wt.total)
 	go w.run(wt, ordinal)
-	writeStatus(rw, http.StatusAccepted, wt.status())
+	writeStatus(rw, http.StatusAccepted, st)
 }
 
 // run executes the shard and records the outcome.
 func (w *Worker) run(wt *workerTask, ordinal int) {
-	progress := &cellCounter{wt: wt}
+	progress := &cellCounter{cellDone: func() { w.update(wt, func() { wt.done++ }) }}
 	if w.KillAfterTasks > 0 && ordinal == w.KillAfterTasks {
 		kill := w.Kill
 		if kill == nil {
@@ -136,16 +153,12 @@ func (w *Worker) run(wt *workerTask, ordinal int) {
 		progress.onFirstCell = kill
 	}
 	data, _, err := exp.RunCampaignShard(wt.task.Campaign, wt.task.Params, wt.task.Shard(), progress)
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if err != nil {
-		wt.state = StateFailed
-		wt.errMsg = err.Error()
+		w.update(wt, func() { wt.state, wt.errMsg = StateFailed, err.Error() })
 		w.logf("task %s failed: %v", wt.task.ID, err)
 		return
 	}
-	wt.result = data
-	wt.state = StateDone
+	w.update(wt, func() { wt.state, wt.result = StateDone, data })
 	w.logf("task %s done (%d cells, %d bytes)", wt.task.ID, wt.total, len(data))
 }
 
@@ -154,7 +167,7 @@ func (w *Worker) run(wt *workerTask, ordinal int) {
 // progress line as each cell's done callback fires, so counting newlines
 // counts finished cells without touching the runner signatures.
 type cellCounter struct {
-	wt          *workerTask
+	cellDone    func()
 	onFirstCell func()
 	fired       bool
 }
@@ -162,7 +175,7 @@ type cellCounter struct {
 func (c *cellCounter) Write(p []byte) (int, error) {
 	for _, b := range p {
 		if b == '\n' {
-			c.wt.done.Add(1)
+			c.cellDone()
 			if !c.fired && c.onFirstCell != nil {
 				c.fired = true
 				c.onFirstCell()
@@ -176,7 +189,7 @@ func (wt *workerTask) status() TaskStatus {
 	return TaskStatus{
 		ID:         wt.task.ID,
 		State:      wt.state,
-		CellsDone:  int(wt.done.Load()),
+		CellsDone:  wt.done,
 		CellsTotal: wt.total,
 		Error:      wt.errMsg,
 	}
@@ -188,39 +201,70 @@ func writeStatus(rw http.ResponseWriter, code int, st TaskStatus) {
 	json.NewEncoder(rw).Encode(st)
 }
 
-func (w *Worker) lookup(id string) (*workerTask, bool) {
+// snapshot reads a task under one lock: its status, its result (nil until
+// done) and the channel that closes at its next change.
+func (w *Worker) snapshot(id string) (st TaskStatus, result []byte, changed <-chan struct{}, ok bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	wt, ok := w.tasks[id]
-	return wt, ok
+	if !ok {
+		return TaskStatus{}, nil, nil, false
+	}
+	return wt.status(), wt.result, wt.changed, true
 }
 
+// handleStatus is the heartbeat. Bare, it reports the task's status at
+// once. With ?wait=<ms>&seen=<cells> it hangs until the task is done or
+// failed or has finished more than seen cells, and otherwise answers when
+// wait runs out — so a coordinator learns of completion when it happens,
+// not at its next poll, and an idle heartbeat costs one request per wait.
 func (w *Worker) handleStatus(rw http.ResponseWriter, r *http.Request) {
-	wt, ok := w.lookup(r.PathValue("id"))
-	if !ok {
-		httpError(rw, http.StatusNotFound, "unknown task %q", r.PathValue("id"))
-		return
+	id := r.PathValue("id")
+	q := r.URL.Query()
+	waitMs, _ := strconv.Atoi(q.Get("wait"))
+	seen, _ := strconv.Atoi(q.Get("seen"))
+	hang := waitMs > 0
+	var expired <-chan time.Time
+	if hang {
+		timer := time.NewTimer(time.Duration(waitMs) * time.Millisecond)
+		defer timer.Stop()
+		expired = timer.C
 	}
-	w.mu.Lock()
-	st := wt.status()
-	w.mu.Unlock()
-	writeStatus(rw, http.StatusOK, st)
+	for {
+		st, _, changed, ok := w.snapshot(id)
+		if !ok {
+			httpError(rw, http.StatusNotFound, "unknown task %q", id)
+			return
+		}
+		if !hang || st.State != StateRunning || st.CellsDone > seen {
+			writeStatus(rw, http.StatusOK, st)
+			return
+		}
+		select {
+		case <-changed:
+		case <-expired:
+			hang = false
+		case <-r.Context().Done():
+			// The coordinator hung up (its task deadline, or it died).
+			return
+		}
+	}
 }
 
 func (w *Worker) handleResult(rw http.ResponseWriter, r *http.Request) {
-	wt, ok := w.lookup(r.PathValue("id"))
+	id := r.PathValue("id")
+	st, result, _, ok := w.snapshot(id)
 	if !ok {
-		httpError(rw, http.StatusNotFound, "unknown task %q", r.PathValue("id"))
+		httpError(rw, http.StatusNotFound, "unknown task %q", id)
 		return
 	}
-	w.mu.Lock()
-	state, result := wt.state, wt.result
-	w.mu.Unlock()
-	if state != StateDone {
-		httpError(rw, http.StatusConflict, "task %s is %s, no result yet", wt.task.ID, state)
+	if st.State != StateDone {
+		httpError(rw, http.StatusConflict, "task %s is %s, no result yet", id, st.State)
 		return
 	}
 	rw.Header().Set("Content-Type", "application/json")
+	// Announced, so the coordinator reads into one buffer of the right size.
+	rw.Header().Set("Content-Length", strconv.Itoa(len(result)))
 	rw.Write(result)
 }
 

@@ -63,8 +63,9 @@ func (p RunParams) scaleT(d sim.Duration) sim.Duration {
 	return sim.Duration(float64(d) * p.Timescale)
 }
 
-// ShardEncoder is what every Run*Shard runner returns: a shard file that
-// can report its manifest and encode itself.
+// ShardEncoder is what every Run*Shard runner and DecodeShard return: a
+// shard file, its cell type erased, that can report its manifest and
+// encode itself.
 type ShardEncoder interface {
 	ShardManifest() ShardManifest
 	Encode(io.Writer) error

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -55,16 +56,108 @@ type ShardBlob struct {
 	Data []byte
 }
 
-func decodeShards[T any](blobs []ShardBlob) ([]*ShardFile[T], error) {
-	files := make([]*ShardFile[T], 0, len(blobs))
-	for _, b := range blobs {
-		var f ShardFile[T]
-		if err := json.Unmarshal(b.Data, &f); err != nil {
-			return nil, fmt.Errorf("%s: %v", b.Name, err)
-		}
-		files = append(files, &f)
+// peekManifest reads a shard file's "manifest" member and stops: Encode
+// writes it first, so choosing the cell type for a multi-megabyte file costs
+// a few hundred bytes of scanning instead of a whole-blob Unmarshal.
+func peekManifest(data []byte) (ShardManifest, error) {
+	var m ShardManifest
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err != nil {
+		return m, err
+	} else if tok != json.Delim('{') {
+		return m, fmt.Errorf("shard file is not a JSON object")
 	}
-	return files, nil
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return m, err
+		}
+		if k, _ := key.(string); strings.EqualFold(k, "manifest") {
+			return m, dec.Decode(&m)
+		}
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			return m, err
+		}
+	}
+	return m, nil
+}
+
+// shardFormat is how one campaign's shard files decode and reassemble.
+type shardFormat struct {
+	decode func(data []byte) (ShardEncoder, error)
+	merge  func(res *MergeResult, files []ShardEncoder) error
+}
+
+// formatOf builds the format of a campaign whose cells are T and whose
+// shard set assembles into a MergeResult field.
+func formatOf[T any](assemble func(res *MergeResult, files []*ShardFile[T]) error) shardFormat {
+	return shardFormat{
+		decode: func(data []byte) (ShardEncoder, error) {
+			f := new(ShardFile[T])
+			return f, json.Unmarshal(data, f)
+		},
+		merge: func(res *MergeResult, files []ShardEncoder) error {
+			typed := make([]*ShardFile[T], len(files))
+			for i, f := range files {
+				tf, ok := f.(*ShardFile[T])
+				if !ok {
+					return fmt.Errorf("shard %d/%d: %T is not a %s shard file",
+						f.ShardManifest().ShardIndex, f.ShardManifest().ShardCount, f, res.Campaign)
+				}
+				typed[i] = tf
+			}
+			return assemble(res, typed)
+		},
+	}
+}
+
+// listFormat is formatOf for the list-shaped campaigns: the result is the
+// cell payloads in campaign cell order.
+func listFormat[T any](field func(*MergeResult) *[]T) shardFormat {
+	return formatOf(func(res *MergeResult, files []*ShardFile[T]) (err error) {
+		*field(res), err = MergeShardCells(files)
+		return err
+	})
+}
+
+var shardFormats = map[string]shardFormat{
+	CampaignMatrix: formatOf(func(res *MergeResult, files []*ShardFile[*FatTreeResult]) (err error) {
+		res.Matrix, err = MergeMatrixShards(files)
+		return err
+	}),
+	CampaignTable2: formatOf(func(res *MergeResult, files []*ShardFile[Table2Cell]) (err error) {
+		res.Table2, err = MergeTable2Shards(files)
+		return err
+	}),
+	CampaignParams:     listFormat(func(r *MergeResult) *[]ParamPoint { return &r.Params }),
+	CampaignIncast:     listFormat(func(r *MergeResult) *[]IncastSweepPoint { return &r.Incast }),
+	CampaignSACK:       listFormat(func(r *MergeResult) *[]SACKAblationResult { return &r.SACK }),
+	CampaignSubflow:    listFormat(func(r *MergeResult) *[]SubflowSweepResult { return &r.Subflow }),
+	CampaignAblation:   listFormat(func(r *MergeResult) *[]AblationResult { return &r.Ablation }),
+	CampaignVL2:        listFormat(func(r *MergeResult) *[]VL2Point { return &r.VL2 }),
+	CampaignFCT:        listFormat(func(r *MergeResult) *[]FCTPoint { return &r.FCT }),
+	CampaignRobustness: listFormat(func(r *MergeResult) *[]RobustnessPoint { return &r.Robust }),
+}
+
+// DecodeShard decodes one shard file into its campaign's cell type — the
+// expensive half of a merge, and independent per file, so a caller that
+// receives files one at a time (the dispatch coordinator) decodes each on
+// arrival and hands the set to MergeShards.
+func DecodeShard(b ShardBlob) (ShardEncoder, error) {
+	m, err := peekManifest(b.Data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %v", b.Name, err)
+	}
+	format, ok := shardFormats[m.Campaign]
+	if !ok {
+		return nil, fmt.Errorf("%s: unknown campaign %q", b.Name, m.Campaign)
+	}
+	f, err := format.decode(b.Data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %v", b.Name, err)
+	}
+	return f, nil
 }
 
 // ValidateShardSet checks that a set of manifests describes an exact
@@ -167,14 +260,6 @@ func MergeShardCells[T any](files []*ShardFile[T]) ([]T, error) {
 	return out, nil
 }
 
-func mergeList[T any](blobs []ShardBlob) ([]T, error) {
-	files, err := decodeShards[T](blobs)
-	if err != nil {
-		return nil, err
-	}
-	return MergeShardCells(files)
-}
-
 // MergeResult is a reassembled campaign: exactly one field (matching
 // Campaign) is populated.
 type MergeResult struct {
@@ -195,54 +280,41 @@ type MergeResult struct {
 	Robust   []RobustnessPoint
 }
 
-// MergeShardBlobs decodes, validates and reassembles a set of shard files
-// (any campaign, any shard count) into the full campaign result.
-func MergeShardBlobs(blobs []ShardBlob) (*MergeResult, error) {
-	if len(blobs) == 0 {
-		return nil, fmt.Errorf("no shard files given")
+// MergeShards validates a set of decoded shard files (any campaign, any
+// shard count; from DecodeShard or straight from a runner) and reassembles
+// the full campaign result.
+func MergeShards(files []ShardEncoder) (*MergeResult, error) {
+	ms := make([]ShardManifest, len(files))
+	for i, f := range files {
+		ms[i] = f.ShardManifest()
 	}
-	var peek struct {
-		Manifest ShardManifest `json:"manifest"`
+	// Up front, so that a mixed-campaign set is refused as such rather
+	// than as a cell-type mismatch.
+	if err := ValidateShardSet(ms); err != nil {
+		return nil, err
 	}
-	if err := json.Unmarshal(blobs[0].Data, &peek); err != nil {
-		return nil, fmt.Errorf("%s: %v", blobs[0].Name, err)
+	format, ok := shardFormats[ms[0].Campaign]
+	if !ok {
+		return nil, fmt.Errorf("unknown campaign %q", ms[0].Campaign)
 	}
-	res := &MergeResult{Campaign: peek.Manifest.Campaign, Config: peek.Manifest.Config}
-	var err error
-	switch peek.Manifest.Campaign {
-	case CampaignMatrix:
-		var files []*ShardFile[*FatTreeResult]
-		if files, err = decodeShards[*FatTreeResult](blobs); err == nil {
-			res.Matrix, err = MergeMatrixShards(files)
-		}
-	case CampaignTable2:
-		var files []*ShardFile[Table2Cell]
-		if files, err = decodeShards[Table2Cell](blobs); err == nil {
-			res.Table2, err = MergeTable2Shards(files)
-		}
-	case CampaignParams:
-		res.Params, err = mergeList[ParamPoint](blobs)
-	case CampaignIncast:
-		res.Incast, err = mergeList[IncastSweepPoint](blobs)
-	case CampaignSACK:
-		res.SACK, err = mergeList[SACKAblationResult](blobs)
-	case CampaignSubflow:
-		res.Subflow, err = mergeList[SubflowSweepResult](blobs)
-	case CampaignAblation:
-		res.Ablation, err = mergeList[AblationResult](blobs)
-	case CampaignVL2:
-		res.VL2, err = mergeList[VL2Point](blobs)
-	case CampaignFCT:
-		res.FCT, err = mergeList[FCTPoint](blobs)
-	case CampaignRobustness:
-		res.Robust, err = mergeList[RobustnessPoint](blobs)
-	default:
-		err = fmt.Errorf("%s: unknown campaign %q", blobs[0].Name, peek.Manifest.Campaign)
-	}
-	if err != nil {
+	res := &MergeResult{Campaign: ms[0].Campaign, Config: ms[0].Config}
+	if err := format.merge(res, files); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// MergeShardBlobs decodes, validates and reassembles a set of shard files
+// (any campaign, any shard count) into the full campaign result.
+func MergeShardBlobs(blobs []ShardBlob) (*MergeResult, error) {
+	files := make([]ShardEncoder, len(blobs))
+	for i, b := range blobs {
+		var err error
+		if files[i], err = DecodeShard(b); err != nil {
+			return nil, err
+		}
+	}
+	return MergeShards(files)
 }
 
 // Render prints the merged campaign exactly as the unsharded xmpsim

@@ -2,10 +2,13 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
+	"xmp/internal/metrics"
 	"xmp/internal/sim"
 	"xmp/internal/workload"
 )
@@ -316,5 +319,130 @@ func TestMergeRejectsCellManifestDisagreement(t *testing.T) {
 	f.Cells = []ShardCell[SubflowSweepResult]{{Cell: 1}, {Cell: 0}}
 	if _, err := MergeShardCells([]*ShardFile[SubflowSweepResult]{f}); err == nil {
 		t.Fatal("misordered cell list accepted")
+	}
+}
+
+// refDist is metrics.Dist's wire form spelled as a plain struct, so that
+// encoding/json alone — no Marshaler — produces the reference bytes.
+type refDist struct {
+	Sum     float64   `json:"sum"`
+	Samples []float64 `json:"samples"`
+}
+
+// TestShardFileBytesThroughDistCodec pins the property that lets the Dist
+// codec change without a schema bump: a shard file carrying Dists encodes,
+// indentation included, to exactly the bytes encoding/json writes for the
+// same numbers in plain structs, and decoding and re-encoding it changes
+// nothing.
+func TestShardFileBytesThroughDistCodec(t *testing.T) {
+	type cell struct {
+		Label string
+		D     *metrics.Dist
+		ByCat map[string]*metrics.Dist
+	}
+	type refCell struct {
+		Label string
+		D     *refDist
+		ByCat map[string]*refDist
+	}
+	samples := [][]float64{
+		{0.25, 1e-7, 3, 1e21, 0.1 + 0.2, 123456.789e-3, 5e-324},
+		{42},
+		nil,
+	}
+	pair := func(vs []float64) (*metrics.Dist, *refDist) {
+		// A Dist that never saw a sample carries nil samples ("null"), as
+		// does the refDist never appended to.
+		d, ref := &metrics.Dist{}, &refDist{}
+		for _, v := range vs {
+			d.Add(v)
+			ref.Sum += v
+			ref.Samples = append(ref.Samples, v)
+		}
+		return d, ref
+	}
+	m := newManifest(CampaignSubflow, "codec pin", Unsharded, len(samples))
+	got := &ShardFile[cell]{Manifest: m}
+	want := &ShardFile[refCell]{Manifest: m}
+	for i, vs := range samples {
+		d, ref := pair(vs)
+		d2, ref2 := pair(samples[0][:i])
+		got.Cells = append(got.Cells, ShardCell[cell]{i, cell{"c", d, map[string]*metrics.Dist{"inter-pod": d2}}})
+		want.Cells = append(want.Cells, ShardCell[refCell]{i, refCell{"c", ref, map[string]*refDist{"inter-pod": ref2}}})
+	}
+	gotBytes := encodeBlobs(t, []*ShardFile[cell]{got})[0].Data
+	wantBytes := encodeBlobs(t, []*ShardFile[refCell]{want})[0].Data
+	if !bytes.Equal(gotBytes, wantBytes) {
+		t.Fatalf("shard file with Dists encodes differently from plain encoding/json:\n--- Dist ---\n%s\n--- reference ---\n%s", gotBytes, wantBytes)
+	}
+
+	var back ShardFile[cell]
+	if err := json.Unmarshal(gotBytes, &back); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	again := encodeBlobs(t, []*ShardFile[cell]{&back})[0].Data
+	if !bytes.Equal(again, gotBytes) {
+		t.Errorf("decode + re-encode changed the shard file:\n--- first ---\n%s\n--- second ---\n%s", gotBytes, again)
+	}
+}
+
+// TestDecodeOnArrivalMatchesMergeShardBlobs pins the dispatch
+// coordinator's merge path against the one `xmpsim merge` takes: shard
+// files decoded one at a time, concurrently and out of order, then handed
+// to MergeShards, render the same bytes as MergeShardBlobs over the set.
+func TestDecodeOnArrivalMatchesMergeShardBlobs(t *testing.T) {
+	base := FatTreeConfig{K: 4, Duration: 10 * sim.Millisecond, SizeScale: 1024}
+	patterns := []Pattern{Permutation}
+	schemes := []workload.Scheme{SchemeDCTCP, SchemeXMP2}
+	const count = 2
+	files := make([]*ShardFile[*FatTreeResult], count)
+	for i := range files {
+		files[i] = RunMatrixShard(base, patterns, schemes, ShardSpec{i, count}, 1, nil)
+	}
+	blobs := encodeBlobs(t, files)
+
+	whole, err := MergeShardBlobs(blobs)
+	if err != nil {
+		t.Fatalf("MergeShardBlobs: %v", err)
+	}
+	var want bytes.Buffer
+	whole.Render(&want)
+
+	decoded := make([]ShardEncoder, count)
+	errs := make([]error, count)
+	var wg sync.WaitGroup
+	for i := range blobs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			// Reversed: arrival order is not shard order.
+			decoded[count-1-i], errs[i] = DecodeShard(blobs[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("DecodeShard(%s): %v", blobs[i].Name, err)
+		}
+	}
+	merged, err := MergeShards(decoded)
+	if err != nil {
+		t.Fatalf("MergeShards: %v", err)
+	}
+	var got bytes.Buffer
+	merged.Render(&got)
+	if got.String() != want.String() || want.Len() == 0 {
+		t.Errorf("decode-on-arrival render diverges from MergeShardBlobs:\n--- blobs ---\n%s\n--- on arrival ---\n%s", want.String(), got.String())
+	}
+
+	// What DecodeShard refuses, and how it names the file.
+	for _, bad := range []ShardBlob{
+		{Name: "array.json", Data: []byte(`[]`)},
+		{Name: "truncated.json", Data: blobs[0].Data[:len(blobs[0].Data)/2]},
+		{Name: "nameless.json", Data: []byte(`{"cells": [], "manifest": {"campaign": "nope"}}`)},
+	} {
+		if _, err := DecodeShard(bad); err == nil || !strings.Contains(err.Error(), bad.Name) {
+			t.Errorf("DecodeShard(%s) = %v, want an error naming the file", bad.Name, err)
+		}
 	}
 }

@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -114,35 +113,6 @@ func (d *Dist) CDFAt(x float64) float64 {
 	d.sortSamples()
 	idx := sort.SearchFloat64s(d.samples, math.Nextafter(x, math.Inf(1)))
 	return float64(idx) / float64(len(d.samples))
-}
-
-// distWire is the serialized form of a Dist. Sum travels alongside the
-// samples because Mean divides the insertion-order floating-point sum: a
-// deserialized Dist must answer Mean() bit-identically even though the
-// samples may have been sorted (and would re-sum in a different order).
-type distWire struct {
-	Sum     float64   `json:"sum"`
-	Samples []float64 `json:"samples"`
-}
-
-// MarshalJSON serializes the full sample set, so a Dist survives a
-// shard-export/merge round trip answering every query (mean, percentiles,
-// CDF points) bit-identically. encoding/json emits float64s in their
-// shortest round-trippable form, so no precision is lost.
-func (d *Dist) MarshalJSON() ([]byte, error) {
-	return json.Marshal(distWire{Sum: d.sum, Samples: d.samples})
-}
-
-// UnmarshalJSON restores a Dist serialized by MarshalJSON.
-func (d *Dist) UnmarshalJSON(b []byte) error {
-	var w distWire
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	d.samples = w.Samples
-	d.sum = w.Sum
-	d.sorted = false
-	return nil
 }
 
 // Summary renders "mean p10/p50/p90 [min,max] (n)" for logs.
