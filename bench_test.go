@@ -331,24 +331,30 @@ func BenchmarkEngineCancel(b *testing.B) {
 	eng.Run(sim.MaxTime)
 }
 
+// countTarget is the cheapest typed receiver: it counts its fires.
+type countTarget struct{ n int }
+
+func (t *countTarget) OnEvent(sim.Op, any) { t.n++ }
+
 // BenchmarkBucketDrain is the spill-bucket design in isolation: each
 // round appends 32 same-window events to one ring bucket (plain appends,
 // no comparisons) and drains it (one drain sort + 32 tail truncations).
 // Reported per event. The parked far-future events keep the calendar in
 // dense mode so every operation takes the ring path.
+// Events are typed targets, not closures: the benchmark measures the
+// bucket, not the funcTarget adapter's extra call.
 func BenchmarkBucketDrain(b *testing.B) {
 	eng := sim.NewEngine()
 	for i := 0; i < 65; i++ {
 		eng.Schedule(3600*sim.Second, func() {})
 	}
-	n := 0
-	fn := func() { n++ }
+	t := &countTarget{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += 32 {
 		base := (eng.Now() + 512) &^ 255 // next-but-one 256 ns window
 		for j := 0; j < 32; j++ {
-			eng.ScheduleAt(base+sim.Time(j), fn)
+			eng.ScheduleTargetAt(base+sim.Time(j), t, 0, nil)
 		}
 		eng.Run(base + 31)
 	}
@@ -415,7 +421,11 @@ func BenchmarkMatrixParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			var m *exp.Matrix
 			for i := 0; i < b.N; i++ {
-				m = exp.RunMatrix(base, patterns, exp.Table1Schemes, jobs, nil)
+				f := exp.RunMatrixShard("bench mini-matrix", base, patterns, exp.Table1Schemes, exp.Unsharded, jobs, nil)
+				var err error
+				if m, err = exp.MergeMatrixShards([]*exp.ShardFile[*exp.FatTreeResult]{f}); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(m.Get(exp.Random, exp.SchemeXMP2).Collector.Goodput.Mean(), "xmp2-random-Mbps")
 		})
@@ -429,6 +439,11 @@ func BenchmarkMatrixParallel(b *testing.B) {
 // event hooks (queue drains on SetDown, Lossy re-arming, per-delivery
 // extra-delay reads) under load.
 func BenchmarkChaosCell(b *testing.B) {
+	robustness, err := scenario.CompileCampaign(scenario.FamilyRobustness, exp.RunParams{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched := robustness.Spec.Chaos.Schedule()
 	var goodput, faults float64
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
@@ -453,7 +468,7 @@ func BenchmarkChaosCell(b *testing.B) {
 			ParetoMaxBytes:  48 << 20,
 			MaxFlowsPerDst:  4,
 		})
-		inj, err := chaos.New(ft.Network, exp.RobustnessSchedule())
+		inj, err := chaos.New(ft.Network, sched)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -72,6 +72,13 @@ shard i of n; the shard file written by -json is the output, and
 unsharded run. merge also accepts glob patterns and directories (every
 *.json inside, e.g. the dispatch -outdir).
 
+matrix, fct and robustness are the specs scenarios/<name>.json, embedded
+in the binary: "xmpsim matrix" is "xmpsim run scenarios/matrix.json" with
+-timescale, -sizescale, -seed and -k overlaid (fct and robustness take
+-timescale only), and at default flags their shard files merge with the
+spec file's. table1, table3 and fig8-11 are that spec with one table
+selected.
+
 Flags (after the subcommand):
 `)
 	flag.PrintDefaults()
@@ -170,8 +177,9 @@ func main() {
 
 	stopProfiling := startProfiling()
 	start := time.Now()
-	// run manages -shard itself (its campaign comes from the spec file, not
-	// the subcommand name), so it bypasses the shardSpec dispatch below.
+	// run's campaign comes from the spec file, not the subcommand name, so
+	// it applies -shard itself (runCompiled) instead of through the registry
+	// dispatch below.
 	if cmd == "run" {
 		runRun()
 		stopProfiling()
@@ -193,8 +201,8 @@ func main() {
 		runFig6()
 	case "fig7":
 		runFig7()
-	case "table1", "table3", "fig8", "fig9", "fig10", "fig11", "matrix":
-		runMatrix(cmd)
+	case "table1", "table3", "fig8", "fig9", "fig10", "fig11", "matrix", "fct", "robustness":
+		runSpecCampaign(cmd)
 	case "table2":
 		runTable2()
 	case "ablation":
@@ -209,10 +217,6 @@ func main() {
 		exp.RenderSACKAblation(os.Stdout, exp.RunSACKAblation(scaleT(100*sim.Millisecond), *jobs, progress()))
 	case "vl2":
 		exp.RenderVL2(os.Stdout, exp.RunVL2Comparison(nil, scaleT(100*sim.Millisecond), *jobs, progress()))
-	case "fct":
-		exp.RenderFCT(os.Stdout, exp.RunFCT(scaleT(40*sim.Millisecond), *jobs, progress()))
-	case "robustness":
-		exp.RenderRobustness(os.Stdout, exp.RunRobustness(scaleT(40*sim.Millisecond), *jobs, progress()))
 	case "campaigns":
 		runCampaigns()
 	case "merge":
@@ -226,7 +230,7 @@ func main() {
 		runFig4()
 		runFig6()
 		runFig7()
-		runMatrix("matrix")
+		runSpecCampaign("matrix")
 		runTable2()
 		runAblation()
 		runSweep()
@@ -234,8 +238,8 @@ func main() {
 		exp.RenderIncastSweep(os.Stdout, exp.RunIncastSweep(nil, scaleT(200*sim.Millisecond), *jobs, progress()))
 		exp.RenderSACKAblation(os.Stdout, exp.RunSACKAblation(scaleT(100*sim.Millisecond), *jobs, progress()))
 		exp.RenderVL2(os.Stdout, exp.RunVL2Comparison(nil, scaleT(100*sim.Millisecond), *jobs, progress()))
-		exp.RenderFCT(os.Stdout, exp.RunFCT(scaleT(40*sim.Millisecond), *jobs, progress()))
-		exp.RenderRobustness(os.Stdout, exp.RunRobustness(scaleT(40*sim.Millisecond), *jobs, progress()))
+		runSpecCampaign("fct")
+		runSpecCampaign("robustness")
 	default:
 		usage()
 		os.Exit(2)
@@ -293,46 +297,6 @@ func runFig7() {
 	}
 }
 
-func matrixBase() exp.FatTreeConfig {
-	return exp.FatTreeConfig{
-		K:         *kary,
-		SizeScale: *sizescale,
-		Seed:      *seed,
-	}
-}
-
-func runMatrix(cmd string) {
-	base := matrixBase()
-	if *timescale != 1 {
-		// Durations default per pattern inside RunFatTree; apply the
-		// multiplier by setting them explicitly.
-		base.Duration = scaleT(200 * sim.Millisecond)
-	}
-	m := exp.RunMatrix(base, exp.MatrixPatterns, exp.Table1Schemes, *jobs, progress())
-	writeJSON(func(w *os.File) error { return m.WriteJSON(w) })
-	if cmd == "matrix" {
-		// The full campaign layout is shared with `xmpsim merge`, which
-		// must reproduce it byte for byte.
-		m.RenderCampaign(os.Stdout)
-		return
-	}
-	fmt.Println()
-	switch cmd {
-	case "table1":
-		m.RenderTable1(os.Stdout)
-	case "table3":
-		m.RenderTable3(os.Stdout)
-	case "fig8":
-		m.RenderFig8(os.Stdout)
-	case "fig9":
-		m.RenderFig9(os.Stdout)
-	case "fig10":
-		m.RenderFig10(os.Stdout)
-	case "fig11":
-		m.RenderFig11(os.Stdout)
-	}
-}
-
 func runTable2() {
 	// Both switch models for non-ECT traffic: the coexistence outcome
 	// hinges on whether loss-based flows may fill the buffer past K (see
@@ -378,15 +342,15 @@ func runAblation() {
 }
 
 // shardSpec parses -shard. It rejects the flag on subcommands that are
-// not campaigns (one-off figures, the derived table1/fig8-11 views, all,
-// merge) and insists on -json: a shard run's product is the shard file,
+// neither campaigns nor run (one-off figures, the derived table1/fig8-11
+// views, all, merge) and insists on -json: a shard run's product is the shard file,
 // not a partial table.
 func shardSpec(cmd string) (exp.ShardSpec, bool) {
 	if *shardStr == "" {
 		return exp.Unsharded, false
 	}
 	switch cmd {
-	case "matrix", "table2", "ablation", "sweep", "params", "incastsweep", "sack", "vl2", "fct", "robustness":
+	case "matrix", "table2", "ablation", "sweep", "params", "incastsweep", "sack", "vl2", "fct", "robustness", "run":
 	default:
 		fmt.Fprintf(os.Stderr, "xmpsim: -shard applies to campaign subcommands (matrix, table2, ablation, sweep, params, incastsweep, sack, vl2, fct, robustness), not %q\n", cmd)
 		os.Exit(2)

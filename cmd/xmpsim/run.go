@@ -1,14 +1,13 @@
 package main
 
-// xmpsim run / xmpsim campaigns: the declarative scenario entry points.
-// `run` compiles a JSON spec (internal/scenario) and executes it through
-// the same campaign registry path as the hand-written subcommands, so
-// -shard/-jobs/-json, merge and dispatch behave identically; `campaigns`
-// lists everything the registry can execute, probing each campaign's
-// config hash and cell count without running simulations.
+// xmpsim run / matrix / fct / robustness / campaigns: the declarative
+// scenario entry points. `run` compiles a JSON spec (internal/scenario)
+// and executes it; the three campaign subcommands are aliases for running
+// their embedded spec, through the same function. `campaigns` lists
+// everything the registry can execute, probing each campaign's config hash
+// and cell count without running simulations.
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -20,9 +19,9 @@ import (
 var validateRun = flag.Bool("validate", false, "run: dry-run — parse, validate, resolve chaos targets, print the cell enumeration and config hash without executing")
 
 // runRun executes `xmpsim run [flags] scenario.json`. Unsharded, it
-// renders the scenario's tables to stdout — byte-identical to the
-// hand-written campaign when the spec reproduces one. With -shard i/n the
-// product is the -json shard file, mergeable by `xmpsim merge`.
+// renders the scenario's tables to stdout and -json receives the 0/1 shard
+// file. With -shard i/n the product is the -json shard file, mergeable by
+// `xmpsim merge`.
 func runRun() {
 	args := flag.Args()
 	if len(args) != 1 {
@@ -42,39 +41,59 @@ func runRun() {
 		renderCompiled(c)
 		return
 	}
-	shard := exp.Unsharded
-	if *shardStr != "" {
-		if shard, err = exp.ParseShardSpec(*shardStr); err != nil {
-			fmt.Fprintf(os.Stderr, "xmpsim run: %v\n", err)
-			os.Exit(2)
-		}
-		if *jsonOut == "" {
-			fmt.Fprintln(os.Stderr, "xmpsim run: -shard requires -json FILE to receive the shard file")
-			os.Exit(2)
-		}
+	runCompiled("run", c, false)
+}
+
+// runSpecCampaign executes matrix, fct or robustness — aliases for `xmpsim
+// run scenarios/<cmd>.json` with the scale flags overlaid on the embedded
+// spec (scenario.CompileCampaign) — or one of the matrix table views,
+// which are the matrix spec with a one-table metrics selection. It is the
+// unsharded path: main sends -shard runs through the campaign registry,
+// which compiles the same spec the same way. -json receives what it always
+// has on these subcommands: the matrix plot schema (nothing for fct and
+// robustness).
+func runSpecCampaign(cmd string) {
+	name := cmd
+	if cmd != "fct" && cmd != "robustness" {
+		name = "matrix"
 	}
+	c, err := scenario.CompileCampaign(name, campaignParams())
+	if err == nil && cmd != name {
+		view := *c.Spec
+		view.Metrics = []string{cmd}
+		c, err = scenario.Compile(&view, "")
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "xmpsim %s: %v\n", cmd, err)
+		os.Exit(1)
+	}
+	runCompiled(cmd, c, true)
+}
+
+// runCompiled is the one execution path of every spec-backed subcommand:
+// run the cells -shard owns and — unsharded — render the tables to stdout.
+// -json receives the shard file, or with plotJSON the matrix plot schema.
+func runCompiled(cmd string, c *scenario.Compiled, plotJSON bool) {
+	shard, sharded := shardSpec(cmd)
 	enc, err := c.RunShard(shard, *jobs, progress())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "xmpsim run: %v\n", err)
+		fmt.Fprintf(os.Stderr, "xmpsim %s: %v\n", cmd, err)
 		os.Exit(1)
 	}
-	var buf bytes.Buffer
-	if err := enc.Encode(&buf); err != nil {
-		fmt.Fprintf(os.Stderr, "xmpsim run: %v\n", err)
-		os.Exit(1)
+	if !plotJSON {
+		writeJSON(func(w *os.File) error { return enc.Encode(w) })
 	}
-	writeJSON(func(w *os.File) error {
-		_, err := w.Write(buf.Bytes())
-		return err
-	})
-	if *shardStr != "" {
+	if sharded {
 		// A shard run's product is the shard file, not a partial table.
 		return
 	}
-	res, err := exp.MergeShardBlobs([]exp.ShardBlob{{Name: args[0], Data: buf.Bytes()}})
+	res, err := exp.MergeShards([]exp.ShardEncoder{enc})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "xmpsim run: %v\n", err)
+		fmt.Fprintf(os.Stderr, "xmpsim %s: %v\n", cmd, err)
 		os.Exit(1)
+	}
+	if plotJSON && res.Matrix != nil {
+		writeJSON(func(w *os.File) error { return res.WriteJSON(w) })
 	}
 	res.Render(os.Stdout)
 }

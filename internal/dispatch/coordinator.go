@@ -198,10 +198,15 @@ func Dispatch(campaign string, p exp.RunParams, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("dispatch: no workers given")
 	}
 	p = p.WithDefaults()
-	desc, hash, cells, err := exp.CampaignProbe(campaign, p)
+	m, err := exp.ProbeManifest(campaign, p)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %v", err)
 	}
+	// Tasks name the campaign shard files will carry: for the "scenario"
+	// registry name that is the inline spec's family, so the worker's
+	// probe and verifyManifest compare one name everywhere.
+	campaign = m.Campaign
+	desc, hash, cells := m.Config, m.ConfigHash, m.TotalCells
 	shards := opts.Shards
 	if shards == 0 {
 		shards = len(opts.Workers)

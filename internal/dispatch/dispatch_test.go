@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"xmp/internal/exp"
+	"xmp/internal/scenario"
 )
 
 // The tests dispatch the ablation campaign: its dumbbell cells run in
@@ -442,56 +443,138 @@ func TestDispatchDuplicateCompletionDeduped(t *testing.T) {
 	}
 }
 
-// TestDispatchRejectsMismatchedResult gives the first worker a forged
-// result whose manifest carries a foreign config hash: the coordinator must
-// refuse to merge it, retire the worker, and recover on the healthy one.
-func TestDispatchRejectsMismatchedResult(t *testing.T) {
-	want := serialRender(t)
-	evil := http.NewServeMux()
-	var taskID atomic.Value
-	evil.HandleFunc("POST /task", func(rw http.ResponseWriter, r *http.Request) {
-		var task Task
-		json.NewDecoder(r.Body).Decode(&task)
-		taskID.Store(task.ID)
-		writeStatus(rw, http.StatusAccepted, TaskStatus{ID: task.ID, State: StateRunning})
-	})
-	evil.HandleFunc("GET /task/{id}", func(rw http.ResponseWriter, r *http.Request) {
-		writeStatus(rw, http.StatusOK, TaskStatus{ID: r.PathValue("id"), State: StateDone})
-	})
-	evil.HandleFunc("GET /task/{id}/result", func(rw http.ResponseWriter, r *http.Request) {
-		// Internally consistent (hash matches desc) but not the config the
-		// coordinator asked for — a stale binary's output.
-		forged := struct {
-			Manifest exp.ShardManifest `json:"manifest"`
-		}{exp.ShardManifest{
-			Campaign:   testCampaign,
-			Config:     "evil config",
-			ConfigHash: exp.HashConfig("evil config"),
-			ShardIndex: 0,
-			ShardCount: 1,
-		}}
-		json.NewEncoder(rw).Encode(forged)
-	})
-	srvEvil := httptest.NewServer(evil)
-	t.Cleanup(srvEvil.Close)
-	srvGood := startWorker(t, NewWorker())
-
-	opts := fastOpts([]string{addrOf(srvEvil), addrOf(srvGood)})
-	opts.Shards = 1
-	var log bytes.Buffer
-	opts.Log = &log
-	res, err := Dispatch(testCampaign, testParams(), opts)
+// miniScenario is a one-cell k=4 matrix spec, compiled: the cheapest
+// campaign that goes through the "scenario" registry name.
+func miniScenario(t *testing.T) *scenario.Compiled {
+	t.Helper()
+	c, err := scenario.Compile(&scenario.Spec{
+		Name:       "dispatch-mini",
+		Family:     scenario.FamilyMatrix,
+		Topology:   &scenario.TopologySpec{K: 4},
+		Scale:      &scenario.ScaleSpec{SizeScale: 1024},
+		DurationMS: 5,
+		Workloads:  []scenario.WorkloadSpec{{Kind: "permutation"}},
+		Schemes:    []string{"DCTCP"},
+	}, "")
 	if err != nil {
-		t.Fatalf("dispatch: %v\nlog:\n%s", err, log.String())
+		t.Fatal(err)
 	}
-	if got := renderResult(t, res); got != want {
-		t.Errorf("output after forged result diverges from serial")
+	return c
+}
+
+// TestDispatchRejectsMismatchedResult gives the first worker a forged
+// result the coordinator must refuse to merge, retiring the worker and
+// recovering on the healthy one. Two forgeries: a manifest carrying a
+// foreign config hash (a stale binary's output), and — for a dispatched
+// scenario, whose tasks and manifests carry the spec's family name — a
+// manifest with the right config under the wrong campaign name.
+func TestDispatchRejectsMismatchedResult(t *testing.T) {
+	mini := miniScenario(t)
+	for _, tc := range []struct {
+		name, campaign string
+		params         exp.RunParams
+		taskCampaign   string // the name tasks and manifests must carry
+		forge          func(task Task) exp.ShardManifest
+		wantLog        string
+	}{
+		{
+			name: "foreign config hash", campaign: testCampaign, params: testParams(), taskCampaign: testCampaign,
+			forge: func(task Task) exp.ShardManifest {
+				// Internally consistent (hash matches desc) but not the
+				// config the coordinator asked for.
+				return exp.ShardManifest{Campaign: task.Campaign, Config: "evil config", ConfigHash: exp.HashConfig("evil config"), ShardCount: 1}
+			},
+			wantLog: "config hash mismatch",
+		},
+		{
+			name: "scenario under a foreign campaign name", campaign: exp.CampaignScenario,
+			params: exp.RunParams{Jobs: 2, Scenario: mini.JSON}, taskCampaign: exp.CampaignMatrix,
+			forge: func(task Task) exp.ShardManifest {
+				return exp.ShardManifest{Campaign: exp.CampaignFCT, Config: task.Config, ConfigHash: task.ConfigHash, ShardCount: 1}
+			},
+			wantLog: `result for campaign "fct"`,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, _, err := exp.RunCampaignShard(tc.campaign, tc.params, exp.Unsharded, nil)
+			if err != nil {
+				t.Fatalf("serial run: %v", err)
+			}
+			serial, err := exp.MergeShardBlobs([]exp.ShardBlob{{Name: "serial.json", Data: data}})
+			if err != nil {
+				t.Fatalf("serial merge: %v", err)
+			}
+			var want bytes.Buffer
+			serial.Render(&want)
+
+			evil := http.NewServeMux()
+			var posted atomic.Value
+			evil.HandleFunc("POST /task", func(rw http.ResponseWriter, r *http.Request) {
+				var task Task
+				json.NewDecoder(r.Body).Decode(&task)
+				posted.Store(task)
+				writeStatus(rw, http.StatusAccepted, TaskStatus{ID: task.ID, State: StateRunning})
+			})
+			evil.HandleFunc("GET /task/{id}", func(rw http.ResponseWriter, r *http.Request) {
+				writeStatus(rw, http.StatusOK, TaskStatus{ID: r.PathValue("id"), State: StateDone})
+			})
+			evil.HandleFunc("GET /task/{id}/result", func(rw http.ResponseWriter, r *http.Request) {
+				json.NewEncoder(rw).Encode(struct {
+					Manifest exp.ShardManifest `json:"manifest"`
+				}{tc.forge(posted.Load().(Task))})
+			})
+			srvEvil := httptest.NewServer(evil)
+			t.Cleanup(srvEvil.Close)
+			srvGood := startWorker(t, NewWorker())
+
+			opts := fastOpts([]string{addrOf(srvEvil), addrOf(srvGood)})
+			opts.Shards = 1
+			var log bytes.Buffer
+			opts.Log = &log
+			res, err := Dispatch(tc.campaign, tc.params, opts)
+			if err != nil {
+				t.Fatalf("dispatch: %v\nlog:\n%s", err, log.String())
+			}
+			if got := renderResult(t, res); got != want.String() {
+				t.Errorf("output after forged result diverges from serial")
+			}
+			if res.Reassigned != 1 {
+				t.Errorf("reassigned = %d, want 1\nlog:\n%s", res.Reassigned, log.String())
+			}
+			if !strings.Contains(log.String(), tc.wantLog) {
+				t.Errorf("log does not mention %q:\n%s", tc.wantLog, log.String())
+			}
+			if got := posted.Load().(Task).Campaign; got != tc.taskCampaign {
+				t.Errorf("task names campaign %q, want %q", got, tc.taskCampaign)
+			}
+			enc, err := exp.DecodeShard(res.Blobs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := enc.ShardManifest().Campaign; got != tc.taskCampaign {
+				t.Errorf("returned manifest names campaign %q, want %q", got, tc.taskCampaign)
+			}
+		})
 	}
-	if res.Reassigned != 1 {
-		t.Errorf("reassigned = %d, want 1\nlog:\n%s", res.Reassigned, log.String())
+}
+
+// TestWorkerRejectsMisnamedCampaign pins the worker side of the same
+// rule: a task addressed to "scenario" — whose shard files would carry
+// the family name, which the coordinator refuses — is rejected before any
+// simulation runs.
+func TestWorkerRejectsMisnamedCampaign(t *testing.T) {
+	srv := startWorker(t, NewWorker())
+	mini := miniScenario(t)
+	task := newTask(exp.CampaignScenario, exp.RunParams{Scenario: mini.JSON}, mini.Desc, mini.Hash, exp.Unsharded)
+	body, _ := json.Marshal(task)
+	resp, err := http.Post(srv.URL+"/task", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(log.String(), "config hash mismatch") {
-		t.Errorf("log does not mention the hash mismatch:\n%s", log.String())
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "whose shard files carry") {
+		t.Fatalf("status = %d (%s), want 400 naming the family", resp.StatusCode, msg)
 	}
 }
 

@@ -114,12 +114,7 @@ type errorBody struct {
 // stale or differently-flagged worker binary; its result must be rejected
 // rather than silently merged.
 func verifyManifest(t *Task, m exp.ShardManifest) error {
-	// Scenario tasks are exempt from the campaign-name check: a compiled
-	// scenario's shard files carry the lowered family's campaign name
-	// ("matrix", ...) so `xmpsim merge` renders them with the family
-	// machinery. The config-hash equality below still pins the exact
-	// resolved spec.
-	if m.Campaign != t.Campaign && t.Campaign != exp.CampaignScenario {
+	if m.Campaign != t.Campaign {
 		return fmt.Errorf("result for campaign %q where task %s wants %q", m.Campaign, t.ID, t.Campaign)
 	}
 	if m.ShardIndex != t.ShardIndex || m.ShardCount != t.ShardCount {

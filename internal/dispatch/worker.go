@@ -97,11 +97,19 @@ func (w *Worker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 		httpError(rw, http.StatusBadRequest, "bad task: %v", err)
 		return
 	}
-	desc, hash, cells, err := exp.CampaignProbe(t.Campaign, t.Params)
+	m, err := exp.ProbeManifest(t.Campaign, t.Params)
 	if err != nil {
 		httpError(rw, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// A task must name the campaign its shard file will carry (for a
+	// scenario, the spec's family): the coordinator refuses any other
+	// manifest, so refuse the work up front.
+	if m.Campaign != t.Campaign {
+		httpError(rw, http.StatusBadRequest, "task %s names campaign %q, whose shard files carry %q", t.ID, t.Campaign, m.Campaign)
+		return
+	}
+	desc, hash, cells := m.Config, m.ConfigHash, m.TotalCells
 	// The config-hash precheck: this binary derives the canonical config
 	// for the shipped params itself. Disagreement means this worker would
 	// produce cells the coordinator must refuse — fail now, loudly,

@@ -16,7 +16,9 @@ import (
 // the wire. The registry replicates exactly the flag-to-config mapping of
 // the xmpsim subcommands — which themselves now run through it — so a
 // shard executed on a worker host is indistinguishable from one run by
-// `xmpsim <campaign> -shard i/n`.
+// `xmpsim <campaign> -shard i/n`. The campaigns below exist only as Go
+// runners; matrix, robustness and fct exist only as the specs in
+// scenarios/ and are registered by internal/scenario.
 
 // RunParams carries the CLI-level knobs that shape a campaign's
 // results, in a JSON-serializable form a coordinator can ship to workers.
@@ -30,16 +32,20 @@ type RunParams struct {
 	Jobs      int     `json:"jobs,omitempty"`
 	// Scenario, when non-empty, is a fully-resolved declarative scenario
 	// spec (internal/scenario) and is the entire configuration of the
-	// CampaignScenario runner, which ignores the scalar knobs above except
-	// Jobs. Carrying the spec inline is what lets a dispatch coordinator
-	// ship a scenario to workers that have no access to the spec file.
+	// spec-backed runners (CampaignScenario, and matrix/robustness/fct in
+	// place of their embedded spec), which then ignore the scalar knobs
+	// above except Jobs. Carrying the spec inline is what lets a dispatch
+	// coordinator ship a scenario to workers that have no access to the
+	// spec file.
 	Scenario json.RawMessage `json:"scenario,omitempty"`
 }
 
 // CampaignScenario is the registry name of the declarative scenario
-// runner; the compiled spec rides in RunParams.Scenario. It is registered
-// by internal/scenario's init, so it exists in any binary that imports
-// that package (cmd/xmpsim does).
+// runner; the compiled spec rides in RunParams.Scenario, and shard files
+// carry the spec's family ("matrix", ...) as their campaign. It is
+// registered by internal/scenario's init — with the spec-backed matrix,
+// robustness and fct — so it exists in any binary that imports that
+// package (cmd/xmpsim does).
 const CampaignScenario = "scenario"
 
 // WithDefaults resolves zero fields to the xmpsim flag defaults.
@@ -102,15 +108,6 @@ func RegisterCampaign(name string, run CampaignRunner) {
 // one without the other shifts the config hash and makes merges refuse the
 // mix, so drift fails loudly rather than silently.
 var campaignRunners = map[string]CampaignRunner{
-	CampaignMatrix: infallible(func(p RunParams, shard ShardSpec, progress io.Writer) ShardEncoder {
-		base := FatTreeConfig{K: p.K, SizeScale: p.SizeScale, Seed: p.Seed}
-		if p.Timescale != 1 {
-			// Durations default per pattern inside RunFatTree; apply the
-			// multiplier by setting them explicitly.
-			base.Duration = p.scaleT(200 * sim.Millisecond)
-		}
-		return RunMatrixShard(base, MatrixPatterns, Table1Schemes, shard, p.Jobs, progress)
-	}),
 	CampaignTable2: infallible(func(p RunParams, shard ShardSpec, progress io.Writer) ShardEncoder {
 		return RunTable2Campaign(Table2Config{
 			KAry:      p.K,
@@ -138,12 +135,6 @@ var campaignRunners = map[string]CampaignRunner{
 	CampaignVL2: infallible(func(p RunParams, shard ShardSpec, progress io.Writer) ShardEncoder {
 		return RunVL2ComparisonShard(nil, p.scaleT(100*sim.Millisecond), shard, p.Jobs, progress)
 	}),
-	CampaignFCT: infallible(func(p RunParams, shard ShardSpec, progress io.Writer) ShardEncoder {
-		return RunFCTShard(p.scaleT(40*sim.Millisecond), shard, p.Jobs, progress)
-	}),
-	CampaignRobustness: infallible(func(p RunParams, shard ShardSpec, progress io.Writer) ShardEncoder {
-		return RunRobustnessShard(p.scaleT(40*sim.Millisecond), shard, p.Jobs, progress)
-	}),
 }
 
 // CampaignNames returns the registered campaign names, sorted.
@@ -165,20 +156,28 @@ const probeCount = 1 << 30
 
 var probeSpec = ShardSpec{Index: probeCount - 1, Count: probeCount}
 
+// ProbeManifest stamps the manifest a shard of the named campaign would
+// carry for the given params, without running any simulation. Its
+// Campaign field is the name shard files carry, which for the "scenario"
+// registry name is the inline spec's family.
+func ProbeManifest(name string, p RunParams) (ShardManifest, error) {
+	run, ok := campaignRunners[name]
+	if !ok {
+		return ShardManifest{}, fmt.Errorf("unknown campaign %q (have %v)", name, CampaignNames())
+	}
+	enc, err := run(p.WithDefaults(), probeSpec, nil)
+	if err != nil {
+		return ShardManifest{}, err
+	}
+	return enc.ShardManifest(), nil
+}
+
 // CampaignProbe resolves a campaign's canonical config description, its
 // SHA-256 hash and the campaign-wide cell count for the given params,
 // without running any simulation.
 func CampaignProbe(name string, p RunParams) (desc, hash string, cells int, err error) {
-	run, ok := campaignRunners[name]
-	if !ok {
-		return "", "", 0, fmt.Errorf("unknown campaign %q (have %v)", name, CampaignNames())
-	}
-	enc, err := run(p.WithDefaults(), probeSpec, nil)
-	if err != nil {
-		return "", "", 0, err
-	}
-	m := enc.ShardManifest()
-	return m.Config, m.ConfigHash, m.TotalCells, nil
+	m, err := ProbeManifest(name, p)
+	return m.Config, m.ConfigHash, m.TotalCells, err
 }
 
 // RunCampaignShard executes one shard of the named campaign and returns

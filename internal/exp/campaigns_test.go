@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"xmp/internal/sim"
 )
 
 func TestRunParamsWithDefaults(t *testing.T) {
@@ -29,6 +27,7 @@ func TestCampaignNamesComplete(t *testing.T) {
 	for _, want := range []string{
 		CampaignMatrix, CampaignTable2, CampaignAblation, CampaignSubflow,
 		CampaignParams, CampaignIncast, CampaignSACK, CampaignVL2, CampaignFCT,
+		CampaignRobustness, CampaignScenario,
 	} {
 		found := false
 		for _, n := range names {
@@ -55,21 +54,18 @@ func TestCampaignUnknownName(t *testing.T) {
 // (which runs zero cells) stamps exactly the config description, hash, and
 // cell count that a real shard of the same campaign and params produces.
 func TestCampaignProbeMatchesRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real campaign shard")
-	}
-	p := RunParams{Timescale: 0.1}
-	desc, hash, cells, err := CampaignProbe(CampaignSubflow, p)
+	p := RunParams{}
+	desc, hash, cells, err := CampaignProbe(CampaignAblation, p)
 	if err != nil {
 		t.Fatalf("probe: %v", err)
 	}
 	if hash != HashConfig(desc) {
 		t.Fatalf("probe hash %s is not the hash of its own desc", hash)
 	}
-	if cells != 4 {
-		t.Fatalf("sweep cell count = %d, want 4", cells)
+	if cells != 5 {
+		t.Fatalf("ablation cell count = %d, want 5", cells)
 	}
-	data, m, err := RunCampaignShard(CampaignSubflow, p, ShardSpec{Index: 0, Count: 4}, nil)
+	data, m, err := RunCampaignShard(CampaignAblation, p, ShardSpec{Index: 0, Count: 4}, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -82,21 +78,21 @@ func TestCampaignProbeMatchesRun(t *testing.T) {
 	}
 }
 
-// TestCampaignShardMatchesDirectRunner pins that the registry's sweep entry
-// produces byte-for-byte the same shard file as calling the runner the way
-// the xmpsim subcommand does.
+// TestCampaignShardMatchesDirectRunner pins that the registry's ablation
+// entry produces byte-for-byte the same shard file as calling the runner
+// the way the xmpsim subcommand does. The registry plumbing is the same for
+// every Go campaign, so these tests use the cheapest one (5 dumbbell
+// cells); TestSubflowSweep and TestSweepShardMergeByteIdentical still run
+// the k=8 sweep itself.
 func TestCampaignShardMatchesDirectRunner(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fat-tree runs are slow")
-	}
-	p := RunParams{Timescale: 0.4}.WithDefaults()
+	p := RunParams{}.WithDefaults()
 	shard := ShardSpec{Index: 1, Count: 4}
-	got, _, err := RunCampaignShard(CampaignSubflow, p, shard, nil)
+	got, _, err := RunCampaignShard(CampaignAblation, p, shard, nil)
 	if err != nil {
 		t.Fatalf("registry run: %v", err)
 	}
 	var want bytes.Buffer
-	direct := RunSubflowSweepShard(nil, p.scaleT(50*sim.Millisecond), shard, p.Jobs, nil)
+	direct := RunAblationsShard(10, shard, p.Jobs, nil)
 	if err := direct.Encode(&want); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -106,12 +102,8 @@ func TestCampaignShardMatchesDirectRunner(t *testing.T) {
 }
 
 func TestCampaignProgressCountsCells(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fat-tree runs are slow")
-	}
 	var progress bytes.Buffer
-	p := RunParams{Timescale: 0.1}
-	_, m, err := RunCampaignShard(CampaignSubflow, p, Unsharded, &progress)
+	_, m, err := RunCampaignShard(CampaignAblation, RunParams{}, Unsharded, &progress)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -45,9 +45,6 @@ var (
 // Table1Schemes is the scheme column of Tables 1 and 3.
 var Table1Schemes = []workload.Scheme{SchemeDCTCP, SchemeLIA2, SchemeLIA4, SchemeXMP2, SchemeXMP4}
 
-// MatrixPatterns is the canonical pattern axis of the matrix campaign.
-var MatrixPatterns = []Pattern{Permutation, Random, Incast}
-
 // table renders fixed-width rows.
 type table struct {
 	w      io.Writer

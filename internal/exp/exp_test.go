@@ -149,7 +149,7 @@ func TestMatrixSmall(t *testing.T) {
 		SizeScale: 256,
 	}
 	schemes := []workload.Scheme{SchemeDCTCP, SchemeXMP2}
-	m := RunMatrix(base, []Pattern{Permutation, Incast}, schemes, 1, nil)
+	m := miniMatrix(t, base, []Pattern{Permutation, Incast}, schemes, 1, nil)
 	for _, p := range []Pattern{Permutation, Incast} {
 		for _, s := range schemes {
 			r := m.Get(p, s)

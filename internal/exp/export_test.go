@@ -12,7 +12,7 @@ import (
 
 func TestMatrixWriteJSON(t *testing.T) {
 	base := FatTreeConfig{K: 4, Duration: 30 * sim.Millisecond, SizeScale: 256}
-	m := RunMatrix(base, []Pattern{Permutation}, []workload.Scheme{SchemeXMP2}, 1, nil)
+	m := miniMatrix(t, base, []Pattern{Permutation}, []workload.Scheme{SchemeXMP2}, 1, nil)
 	var buf bytes.Buffer
 	if err := m.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

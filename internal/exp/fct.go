@@ -11,13 +11,21 @@ import (
 	"xmp/internal/workload"
 )
 
-// This file is the short-flow FCT campaign: the million-short-flow regime
-// the flow-graph arena exists for. Two bounded-Pareto closed-loop cells
-// (web-search and data-mining size tails) plus a scaled incast burst with
-// ten thousand concurrent senders on the k=8 fat-tree, reported as
-// flow-completion-time percentiles. The burst runs under three transfer
-// schemes — plain TCP, DCTCP and XMP-2 — so the campaign contrasts incast
-// mitigations instead of only demonstrating the collapse.
+// This file is the short-flow FCT cell: the million-short-flow regime the
+// flow-graph arena exists for, reported as flow-completion-time
+// percentiles.
+//
+// The fct campaign itself is scenarios/fct.json and nothing else: two
+// bounded-Pareto closed loops sketching the published DCN traces at the
+// simulator's reduced scale (web-search: mostly tens of kilobytes with a
+// bounded heavy tail; data-mining: an order of magnitude heavier in mean
+// and bound), and a 10,240-sender incast burst — 80-81 worker processes
+// on each of the k=8 fabric's 127 non-client hosts — under plain TCP,
+// DCTCP and XMP-2, so the campaign contrasts incast mitigations instead
+// of only demonstrating the collapse. The burst cells are one
+// synchronized round each: duration does not gate them (Rounds does), so
+// their cost is fan-in-driven and timescale-independent, like the paper's
+// fixed-size jobs.
 
 // FCTPoint is one FCT cell's outcome.
 type FCTPoint struct {
@@ -40,16 +48,6 @@ type FCTPoint struct {
 type FCTBinPoint struct {
 	Flows                float64
 	P50Ms, P99Ms, P999Ms float64
-}
-
-// fctSenders is the incast-burst fan-in: with 127 non-client hosts on the
-// k=8 fabric, 10240 senders is 80-81 worker processes per machine.
-const fctSenders = 10240
-
-// fctCell is one registered cell of the FCT campaign.
-type fctCell struct {
-	name string
-	run  func(duration sim.Duration) FCTPoint
 }
 
 // fctPoint runs the engine dry and folds the collector into a point.
@@ -83,17 +81,17 @@ func fctPoint(name string, eng *sim.Engine, ft *topo.FatTree, base workload.Conf
 
 // FCTCellConfig parameterizes one short-flow cell: a fat-tree, a scheme,
 // and exactly one generator — a bounded-Pareto closed loop (Short) or a
-// synchronized incast burst (Incast). Both the built-in fct campaign and
-// the declarative scenario compiler lower onto RunFCTCell.
+// synchronized incast burst (Incast). The scenario compiler's fct family
+// lowers onto RunFCTCell.
 type FCTCellConfig struct {
 	Name     string
 	Duration sim.Duration // simulated horizon; 0 means 40 ms
 	Seed     int64        // cell RNG seed; 0 means 1
 	// Fat-tree shape; zero fields mean the campaign defaults (8, 10, 100).
 	K, MarkThreshold, QueueLimit int
-	// Scheme is the base transfer scheme. Short-flow loops always run it;
-	// incast senders use it only when Incast.UseScheme is set (matching
-	// the built-in cells' plain-TCP baseline).
+	// Scheme is the incast senders' transfer scheme, used only when
+	// Incast.UseScheme is set (unset is the plain-TCP baseline).
+	// Short-flow loops are always plain TCP and ignore it.
 	Scheme workload.Scheme
 	// Exactly one of Short / Incast must be non-nil; its embedded
 	// workload.Config is overwritten with the cell's.
@@ -145,80 +143,6 @@ func RunFCTCell(cfg FCTCellConfig) FCTPoint {
 		panic("exp: FCTCellConfig wants exactly one of Short / Incast")
 	}
 	return fctPoint(cfg.Name, eng, ft, base, launched)
-}
-
-// fctCells returns the campaign's cells. The Pareto parameters sketch the
-// published DCN traces at the simulator's reduced scale: the web-search
-// tail is mostly tens of kilobytes with a bounded heavy tail, the
-// data-mining tail is an order of magnitude heavier in both mean and
-// bound.
-func fctCells() []fctCell {
-	shortCell := func(name string, short workload.ShortFlowsConfig) fctCell {
-		return fctCell{name: name, run: func(d sim.Duration) FCTPoint {
-			return RunFCTCell(FCTCellConfig{Name: name, Duration: d, Short: &short})
-		}}
-	}
-	return []fctCell{
-		shortCell("websearch", workload.ShortFlowsConfig{
-			Alpha:     1.1,
-			MeanBytes: 48 << 10,
-			MinBytes:  1 << 10,
-			MaxBytes:  2 << 20,
-			PerHost:   4,
-		}),
-		shortCell("datamining", workload.ShortFlowsConfig{
-			Alpha:     1.05,
-			MeanBytes: 256 << 10,
-			MinBytes:  1 << 10,
-			MaxBytes:  16 << 20,
-			PerHost:   2,
-		}),
-		// The burst cells are one synchronized round each: duration does
-		// not gate them (Rounds does), so their cost is fan-in-driven and
-		// timescale-independent, like the paper's fixed-size jobs. The
-		// three cells differ only in the senders' transfer scheme.
-		incastCell("incast10k", workload.Scheme{}, false),
-		incastCell("incast-dctcp", SchemeDCTCP, true),
-		incastCell("incast-xmp2", SchemeXMP2, true),
-	}
-}
-
-// incastCell builds one 10k-sender burst cell. useScheme false is the
-// plain-TCP baseline; true runs every sender under scheme — the mitigation
-// axis of the incast comparison.
-func incastCell(name string, scheme workload.Scheme, useScheme bool) fctCell {
-	return fctCell{name: name, run: func(d sim.Duration) FCTPoint {
-		return RunFCTCell(FCTCellConfig{Name: name, Duration: d, Scheme: scheme, Incast: &workload.IncastBurstConfig{
-			Senders:       fctSenders,
-			ResponseBytes: 4 << 10,
-			Rounds:        1,
-			UseScheme:     useScheme,
-		}})
-	}}
-}
-
-// RunFCT runs the whole FCT campaign and returns its cells in order.
-func RunFCT(duration sim.Duration, jobs int, progress io.Writer) []FCTPoint {
-	return cellData(RunFCTShard(duration, Unsharded, jobs, progress).Cells)
-}
-
-// RunFCTShard is the sharded campaign entry behind RunFCT; cell i is
-// fctCells()[i].
-func RunFCTShard(duration sim.Duration, shard ShardSpec, jobs int, progress io.Writer) *ShardFile[FCTPoint] {
-	if duration == 0 {
-		duration = 40 * sim.Millisecond
-	}
-	cells := fctCells()
-	desc := fmt.Sprintf("fct cells=[websearch datamining incast10k incast-dctcp incast-xmp2] senders=%d duration=%d", fctSenders, int64(duration))
-	out := RunShard(len(cells), jobs, shard,
-		func(i int) FCTPoint { return cells[i].run(duration) },
-		func(_ int, p FCTPoint) {
-			if progress != nil {
-				fmt.Fprintf(progress, "fct %-10s flows=%-6d p50=%7.3fms p99=%8.3fms p999=%8.3fms drops=%d\n",
-					p.Cell, p.Flows, p.P50Ms, p.P99Ms, p.P999Ms, p.Drops)
-			}
-		})
-	return &ShardFile[FCTPoint]{Manifest: newManifest(CampaignFCT, desc, shard, len(cells)), Cells: out}
 }
 
 // RenderFCT prints the percentile table, then the per-size-bin slicing of

@@ -1,35 +1,38 @@
 package exp
 
 import (
-	"bytes"
-	"os"
 	"testing"
 )
 
 // TestGoldenFCTViaShards regenerates the FCT campaign through the sharded
-// path — three shards of one cell each, exported, merged — and diffs the
-// rendered table against the checked-in golden. Unlike the matrix golden
-// this campaign finishes in about a second, so the test runs ungated
-// (skipped only under -short).
+// path — three shards, exported, merged — and diffs the rendered table
+// against the checked-in golden. Unlike the matrix golden this campaign
+// finishes in about a second, so the test runs ungated (skipped only under
+// -short).
 func TestGoldenFCTViaShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full FCT campaign (~1s per shard set)")
 	}
-	golden, err := os.ReadFile("../../results_fct.txt")
+	goldenViaRegistry(t, CampaignFCT, 3, "results_fct.txt")
+}
+
+// soleCell runs shard i/count of a spec-backed campaign that owns exactly
+// one cell and returns its payload.
+func soleCell[T any](t *testing.T, campaign string, i, count int) T {
+	t.Helper()
+	data, _, err := RunCampaignShard(campaign, RunParams{}, ShardSpec{Index: i, Count: count}, nil)
+	if err != nil {
+		t.Fatalf("%s shard %d/%d: %v", campaign, i, count, err)
+	}
+	enc, err := DecodeShard(ShardBlob{Name: campaign, Data: data})
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := make([]*ShardFile[FCTPoint], 3)
-	for i := range files {
-		files[i] = RunFCTShard(0, ShardSpec{Index: i, Count: 3}, 0, nil)
+	f := enc.(*ShardFile[T])
+	if len(f.Cells) != 1 {
+		t.Fatalf("%s shard %d/%d owns %d cells, want 1", campaign, i, count, len(f.Cells))
 	}
-	res, err := MergeShardBlobs(encodeBlobs(t, files))
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	var got bytes.Buffer
-	res.Render(&got)
-	diffLines(t, "results_fct.txt", stripTrailer(string(golden)), stripTrailer(got.String()))
+	return f.Cells[0].Data
 }
 
 // TestFCTIncastBurstScale pins the headline acceptance numbers of the
@@ -39,17 +42,9 @@ func TestFCTIncastBurstScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the 10k-sender incast cell")
 	}
-	cells := fctCells()
-	var pt FCTPoint
-	found := false
-	for _, c := range cells {
-		if c.name == "incast10k" {
-			pt = c.run(0)
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("incast10k cell missing from the FCT campaign")
+	pt := soleCell[FCTPoint](t, CampaignFCT, 2, 5)
+	if pt.Cell != "incast10k" {
+		t.Fatalf("cell 2 of the FCT campaign is %q, want incast10k", pt.Cell)
 	}
 	if pt.Launched < 10000 {
 		t.Errorf("incast burst launched %d senders, want >= 10000", pt.Launched)

@@ -8,13 +8,16 @@ import (
 	"testing"
 )
 
-// The golden files at the repo root are the full-scale `xmpsim matrix -q`
-// and `xmpsim table2 -q` outputs (stdout plus the stderr timing trailer).
-// These tests regenerate them through the sharded path — run in two shards,
-// exported through the real JSON encoding, merged — and fail with a
-// line-level diff on drift. A full-scale matrix takes minutes, so they only
-// run when XMP_GOLDEN=1 is set (CI's merge job covers the same contract by
-// diffing merged shard artifacts against the goldens).
+// The golden files at the repo root are the full-scale `xmpsim <campaign>
+// -q` outputs (stdout plus the stderr timing trailer). These tests
+// regenerate them through the sharded path — run in shards through the
+// campaign registry, exported through the real JSON encoding, merged — and
+// fail with a line-level diff on drift. There is one golden test per
+// campaign: matrix, fct and robustness exist only as the specs in
+// scenarios/, which register_test.go links into this test binary. A
+// full-scale matrix or table2 takes minutes, so those two only run when
+// XMP_GOLDEN=1 is set (CI's merge job covers the same contract by diffing
+// merged shard artifacts against the goldens).
 
 // stripTrailer drops the stderr timing trailer — the final blank line and
 // "[<cmd> completed in <dur>]" — which is not reproducible.
@@ -65,25 +68,35 @@ func goldenEnabled(t *testing.T) {
 	}
 }
 
-func TestGoldenMatrixViaShards(t *testing.T) {
-	goldenEnabled(t)
-	golden, err := os.ReadFile("../../results_matrix.txt")
+// goldenViaRegistry runs the named campaign at default params in count
+// shards through the registry, merges the shard files and diffs the render
+// against the golden file at the repo root.
+func goldenViaRegistry(t *testing.T, campaign string, count int, goldenName string) {
+	t.Helper()
+	golden, err := os.ReadFile("../../" + goldenName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := FatTreeConfig{K: 8, SizeScale: 16, Seed: 1}
-	patterns := []Pattern{Permutation, Random, Incast}
-	files := make([]*ShardFile[*FatTreeResult], 2)
-	for i := range files {
-		files[i] = RunMatrixShard(base, patterns, Table1Schemes, ShardSpec{i, 2}, 0, nil)
+	blobs := make([]ShardBlob, count)
+	for i := range blobs {
+		data, _, err := RunCampaignShard(campaign, RunParams{}, ShardSpec{Index: i, Count: count}, nil)
+		if err != nil {
+			t.Fatalf("shard %d/%d: %v", i, count, err)
+		}
+		blobs[i] = ShardBlob{Name: fmt.Sprintf("shard-%d.json", i), Data: data}
 	}
-	res, err := MergeShardBlobs(encodeBlobs(t, files))
+	res, err := MergeShardBlobs(blobs)
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
 	var got bytes.Buffer
 	res.Render(&got)
-	diffLines(t, "results_matrix.txt", stripTrailer(string(golden)), stripTrailer(got.String()))
+	diffLines(t, goldenName, stripTrailer(string(golden)), stripTrailer(got.String()))
+}
+
+func TestGoldenMatrixViaShards(t *testing.T) {
+	goldenEnabled(t)
+	goldenViaRegistry(t, CampaignMatrix, 2, "results_matrix.txt")
 }
 
 func TestGoldenTable2ViaShards(t *testing.T) {

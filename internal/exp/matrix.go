@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
 	"xmp/internal/topo"
 	"xmp/internal/workload"
@@ -20,61 +19,6 @@ type Matrix struct {
 	Results map[Pattern]map[string]*FatTreeResult
 }
 
-// RunMatrix executes every (pattern, scheme) combination, fanning the
-// independent cells out across jobs workers (<= 0 selects GOMAXPROCS).
-// base supplies scale knobs (Duration=0 picks per-pattern defaults).
-// progress, if non-nil, receives one line per finished run, in the same
-// cell order — and with byte-identical content — as a serial jobs=1 run.
-//
-// RunMatrix is the unsharded (0/1) case of RunMatrixShard, so campaigns
-// behave identically whether they run in one process or are partitioned
-// with -shard and reassembled with `xmpsim merge`.
-func RunMatrix(base FatTreeConfig, patterns []Pattern, schemes []workload.Scheme, jobs int, progress io.Writer) *Matrix {
-	f := RunMatrixShard(base, patterns, schemes, Unsharded, jobs, progress)
-	m, err := MergeMatrixShards([]*ShardFile[*FatTreeResult]{f})
-	if err != nil {
-		panic("exp: " + err.Error()) // unreachable: a 0/1 shard set is complete by construction
-	}
-	return m
-}
-
-// matrixConfigDesc canonicalizes every knob that shapes matrix cell
-// results; its hash gates merging, so two shards merge only if they were
-// produced by runs with identical flags.
-func matrixConfigDesc(base FatTreeConfig, patterns []Pattern, schemes []workload.Scheme) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "matrix k=%d mark=%d queue=%d duration=%d sizescale=%d seed=%d rttstride=%d",
-		base.K, base.MarkThreshold, base.QueueLimit, int64(base.Duration), base.SizeScale, base.Seed, base.RTTStride)
-	b.WriteString(" patterns=")
-	for i, p := range patterns {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(string(p))
-	}
-	b.WriteString(" schemes=")
-	for i, s := range schemes {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(s.Label())
-		if s.Beta != 0 {
-			fmt.Fprintf(&b, "/b%d", s.Beta)
-		}
-	}
-	if base.Chaos != nil {
-		// Appended only when a schedule is present: the canonical
-		// chaos-free description — and with it every existing golden's
-		// config hash — is unchanged.
-		schedJSON, err := json.Marshal(base.Chaos)
-		if err != nil {
-			panic("exp: " + err.Error())
-		}
-		fmt.Fprintf(&b, " chaos=%s", schedJSON)
-	}
-	return b.String()
-}
-
 // matrixHeader carries the campaign axes in each shard file so merge can
 // rebuild the Matrix without re-deriving them from cells.
 type matrixHeader struct {
@@ -86,8 +30,11 @@ type matrixHeader struct {
 // packages them — with the manifest that lets merge validate the set —
 // into a ShardFile. Cell i is (patterns[i/len(schemes)],
 // schemes[i%len(schemes)]): the same row-major indexing RunAll has always
-// used, so shard 0/1 is exactly the historic unsharded campaign.
-func RunMatrixShard(base FatTreeConfig, patterns []Pattern, schemes []workload.Scheme, shard ShardSpec, jobs int, progress io.Writer) *ShardFile[*FatTreeResult] {
+// used, so shard 0/1 is exactly the historic unsharded campaign. desc is
+// the canonical description of every knob that shapes the cells; its hash
+// gates merging. The caller owns it (internal/scenario passes the resolved
+// spec), so the grid has one definition and one description.
+func RunMatrixShard(desc string, base FatTreeConfig, patterns []Pattern, schemes []workload.Scheme, shard ShardSpec, jobs int, progress io.Writer) *ShardFile[*FatTreeResult] {
 	cells := RunShard(len(patterns)*len(schemes), jobs, shard,
 		func(i int) *FatTreeResult {
 			pi, si := gridRC(i, len(schemes))
@@ -106,7 +53,7 @@ func RunMatrixShard(base FatTreeConfig, patterns []Pattern, schemes []workload.S
 		panic("exp: " + err.Error())
 	}
 	return &ShardFile[*FatTreeResult]{
-		Manifest: newManifest(CampaignMatrix, matrixConfigDesc(base, patterns, schemes), shard, len(patterns)*len(schemes)),
+		Manifest: newManifest(CampaignMatrix, desc, shard, len(patterns)*len(schemes)),
 		Header:   header,
 		Cells:    cells,
 	}

@@ -85,7 +85,7 @@ func TestMatrixParallelDeterministic(t *testing.T) {
 
 	render := func(jobs int) (tables, progress string) {
 		var prog bytes.Buffer
-		m := RunMatrix(base, patterns, schemes, jobs, &prog)
+		m := miniMatrix(t, base, patterns, schemes, jobs, &prog)
 		var buf bytes.Buffer
 		m.RenderTable1(&buf)
 		m.RenderTable3(&buf)

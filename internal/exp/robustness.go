@@ -1,29 +1,31 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"xmp/internal/chaos"
 	"xmp/internal/mptcp"
-	"xmp/internal/netem"
 	"xmp/internal/sim"
 	"xmp/internal/topo"
 	"xmp/internal/transport"
 	"xmp/internal/workload"
 )
 
-// This file is the robustness campaign: every congestion-control scheme
-// under the same deterministic fault schedule on the k=8 fat-tree. Each
-// cell runs the Random large-flow pattern (goodput, under the cell's
-// scheme) alongside a plain-TCP short-flow loop (FCT probes), while the
-// chaos injector replays one canonical script — a core-link flap, a whole
-// aggregation-switch failure, a loss burst, an asymmetric extra-delay
-// window and a jitter window. Faults are calendar events like everything
-// else, so cells shard, dispatch and merge byte-identically to a serial
-// run (pinned by TestGoldenRobustnessViaShards against
-// results_robustness.txt).
+// This file is the robustness cell: one congestion-control scheme on a
+// fabric under a deterministic fault schedule. A cell runs the Random
+// large-flow pattern (goodput, under the cell's scheme) alongside a
+// plain-TCP short-flow loop (FCT probes) while the chaos injector replays
+// its script. Faults are calendar events like everything else, so cells
+// shard, dispatch and merge byte-identically to a serial run.
+//
+// The robustness campaign itself — scheme axis, lossy k=8 fabric,
+// generator sizes and the canonical fault script — is
+// scenarios/robustness.json (with robustness.chaos.json) and nothing
+// else. Every fault in that script heals before the 40 ms generator stop,
+// so completions drain and goodput compares steady recovery, not
+// truncated flows; event times do not scale with -timescale (the schedule
+// is part of the hashed config).
 
 // RobustnessPoint is one scheme's outcome under the fault schedule.
 type RobustnessPoint struct {
@@ -44,60 +46,9 @@ type RobustnessPoint struct {
 	BySize [workload.FCTBins]FCTBinPoint
 }
 
-// robustnessSchemes is the campaign's cell axis: the coupled schemes under
-// test, in table order. AMP-2 is the semi-coupled window-fraction scheme
-// (arXiv 1707.00322) added as a robustness baseline next to XMP.
-var robustnessSchemes = []workload.Scheme{SchemeDCTCP, SchemeLIA2, SchemeOLIA2, SchemeAMP2, SchemeXMP2}
-
-// RobustnessSchedule is the canonical fault script every cell replays.
-// All faults heal before the 40 ms generator stop, so completions drain
-// and goodput compares steady recovery, not truncated flows. Targets name
-// k=8 fat-tree links; event times do not scale with -timescale (the
-// schedule is part of the campaign config, hashed into the manifest).
-func RobustnessSchedule() chaos.Schedule {
-	const ms = sim.Millisecond
-	return chaos.Schedule{
-		Seed: 11,
-		Events: []chaos.Event{
-			{At: 5 * ms, Kind: chaos.LinkDown, Target: "core0.0->agg0.0", Dur: 10 * ms},
-			{At: 8 * ms, Kind: chaos.SwitchDown, Target: "agg1.0", Dur: 8 * ms},
-			{At: 12 * ms, Kind: chaos.LossBurst, Target: "edge0.0->agg0.0", P: 0.02, Dur: 10 * ms},
-			{At: 15 * ms, Kind: chaos.ExtraDelay, Target: "agg2.0->edge2.0", Extra: 150 * sim.Microsecond, Dur: 15 * ms},
-			{At: 20 * ms, Kind: chaos.Jitter, Target: "edge3.0->agg3.0", Extra: 100 * sim.Microsecond, Period: 500 * sim.Microsecond, Dur: 10 * ms},
-		},
-	}
-}
-
-// robustnessFatTree builds the campaign fabric: k=8, every switch queue
-// Lossy-wrapped (inert at p=0) so the loss-burst event has a hook to arm.
-func robustnessFatTree(eng *sim.Engine, lossRNG *sim.RNG) *topo.FatTree {
-	qm := func(ba *netem.BuildArena) netem.Queue {
-		return netem.NewLossy(ba.NewThresholdECN(100, 10), 0, lossRNG)
-	}
-	return topo.NewFatTree(eng, topo.DefaultFatTreeConfig(qm))
-}
-
-// RobustnessRandom / RobustnessShort are the canonical robustness-cell
-// generator parameters, shared with the declarative scenario defaults.
-var (
-	RobustnessRandom = workload.RandomConfig{
-		ParetoMeanBytes: 12 << 20,
-		ParetoMaxBytes:  48 << 20,
-		MaxFlowsPerDst:  4,
-	}
-	RobustnessShort = workload.ShortFlowsConfig{
-		Alpha:     1.1,
-		MeanBytes: 48 << 10,
-		MinBytes:  1 << 10,
-		MaxBytes:  2 << 20,
-		PerHost:   1,
-	}
-)
-
 // ChaosCellConfig parameterizes one fault-campaign cell: a fabric, the
 // workload generators to start on it, a scheme, and an optional fault
-// schedule. The zero value with only Scheme set reproduces the canonical
-// robustness cell minus its schedule.
+// schedule.
 type ChaosCellConfig struct {
 	Scheme   workload.Scheme
 	Duration sim.Duration // simulated horizon; 0 means 40 ms
@@ -109,8 +60,7 @@ type ChaosCellConfig struct {
 	// Fabric builds the cell's network on eng and returns both the
 	// workload-facing fabric and the netem graph (for fault-target
 	// resolution and drop accounting). lossRNG is non-nil iff Lossy is
-	// set. nil means the robustness default: k=8 fat-tree, every queue
-	// Lossy-wrapped (inert at p=0).
+	// set. Required.
 	Fabric func(eng *sim.Engine, lossRNG *sim.RNG) (topo.Fabric, *topo.Network)
 	// Random and Short start the corresponding generators when non-nil;
 	// their embedded workload.Config is overwritten with the cell's.
@@ -123,22 +73,14 @@ type ChaosCellConfig struct {
 	Schedule *chaos.Schedule
 }
 
-// RunChaosCell runs one parameterized fault-campaign cell. The canonical
-// robustness cells go through here; so do declarative scenario cells,
-// which vary the fabric, generators, seed and schedule.
+// RunChaosCell runs one parameterized fault-campaign cell: the scenario
+// compiler's robustness family lowers onto it.
 func RunChaosCell(cfg ChaosCellConfig) RobustnessPoint {
 	if cfg.Duration == 0 {
 		cfg.Duration = 40 * sim.Millisecond
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.Fabric == nil {
-		cfg.Lossy = true
-		cfg.Fabric = func(eng *sim.Engine, lossRNG *sim.RNG) (topo.Fabric, *topo.Network) {
-			ft := robustnessFatTree(eng, lossRNG)
-			return ft, ft.Network
-		}
 	}
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(cfg.Seed)
@@ -201,49 +143,6 @@ func RunChaosCell(cfg ChaosCellConfig) RobustnessPoint {
 		p.Drops += li.Queue().Stats().DroppedPackets
 	}
 	return p
-}
-
-func runRobustnessCell(s workload.Scheme, duration sim.Duration) RobustnessPoint {
-	sched := RobustnessSchedule()
-	random, short := RobustnessRandom, RobustnessShort
-	return RunChaosCell(ChaosCellConfig{
-		Scheme:   s,
-		Duration: duration,
-		Random:   &random,
-		Short:    &short,
-		Schedule: &sched,
-	})
-}
-
-// RunRobustness runs the whole campaign and returns its cells in order.
-func RunRobustness(duration sim.Duration, jobs int, progress io.Writer) []RobustnessPoint {
-	return cellData(RunRobustnessShard(duration, Unsharded, jobs, progress).Cells)
-}
-
-// RunRobustnessShard is the sharded campaign entry behind RunRobustness;
-// cell i is robustnessSchemes[i].
-func RunRobustnessShard(duration sim.Duration, shard ShardSpec, jobs int, progress io.Writer) *ShardFile[RobustnessPoint] {
-	if duration == 0 {
-		duration = 40 * sim.Millisecond
-	}
-	var labels []string
-	for _, s := range robustnessSchemes {
-		labels = append(labels, s.Label())
-	}
-	schedJSON, err := json.Marshal(RobustnessSchedule())
-	if err != nil {
-		panic(fmt.Sprintf("exp: robustness schedule does not marshal: %v", err))
-	}
-	cells := RunShard(len(robustnessSchemes), jobs, shard,
-		func(i int) RobustnessPoint { return runRobustnessCell(robustnessSchemes[i], duration) },
-		func(_ int, p RobustnessPoint) {
-			if progress != nil {
-				fmt.Fprintf(progress, "robustness %-6s goodput=%6.1f Mbps flows=%-5d p99=%8.3fms faults=%d\n",
-					p.Scheme, p.GoodputMbps, p.Flows, p.P99Ms, p.Faults)
-			}
-		})
-	desc := fmt.Sprintf("robustness schemes=%v duration=%d schedule=%s", labels, int64(duration), schedJSON)
-	return &ShardFile[RobustnessPoint]{Manifest: newManifest(CampaignRobustness, desc, shard, len(robustnessSchemes)), Cells: cells}
 }
 
 // RenderRobustness prints the goodput/FCT table, then the per-size-bin

@@ -1,11 +1,11 @@
 package exp
 
 import (
-	"bytes"
-	"os"
+	"encoding/json"
 	"testing"
 
-	"xmp/internal/sim"
+	"xmp/internal/chaos"
+	"xmp/scenarios"
 )
 
 // TestGoldenRobustnessViaShards regenerates the robustness campaign
@@ -18,33 +18,29 @@ func TestGoldenRobustnessViaShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full robustness campaign (~seconds per shard set)")
 	}
-	golden, err := os.ReadFile("../../results_robustness.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	files := make([]*ShardFile[RobustnessPoint], 4)
-	for i := range files {
-		files[i] = RunRobustnessShard(0, ShardSpec{Index: i, Count: 4}, 0, nil)
-	}
-	res, err := MergeShardBlobs(encodeBlobs(t, files))
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	var got bytes.Buffer
-	res.Render(&got)
-	diffLines(t, "results_robustness.txt", stripTrailer(string(golden)), stripTrailer(got.String()))
+	goldenViaRegistry(t, CampaignRobustness, 4, "results_robustness.txt")
 }
 
-// TestRobustnessFaultsBite runs one cell with and without the injector
-// and checks the schedule actually perturbs the run: all faults applied,
-// and the fault-free variant produces different numbers.
+// TestRobustnessFaultsBite runs the campaign's XMP-2 cell and checks the
+// whole canonical schedule was applied to a run that carried traffic.
 func TestRobustnessFaultsBite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a k=8 robustness cell")
 	}
-	pt := runRobustnessCell(SchemeXMP2, 40*sim.Millisecond)
-	if pt.Faults != len(RobustnessSchedule().Events) {
-		t.Errorf("applied %d of %d fault events", pt.Faults, len(RobustnessSchedule().Events))
+	data, err := scenarios.FS.ReadFile("robustness.chaos.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sched chaos.Schedule
+	if err := json.Unmarshal(data, &sched); err != nil {
+		t.Fatal(err)
+	}
+	pt := soleCell[RobustnessPoint](t, CampaignRobustness, 4, 5)
+	if pt.Scheme != "XMP-2" {
+		t.Fatalf("cell 4 of the robustness campaign is %q, want XMP-2", pt.Scheme)
+	}
+	if pt.Faults != len(sched.Events) || pt.Faults == 0 {
+		t.Errorf("applied %d of %d fault events", pt.Faults, len(sched.Events))
 	}
 	if pt.Flows == 0 || pt.GoodputMbps <= 0 {
 		t.Errorf("cell produced no traffic: %+v", pt)

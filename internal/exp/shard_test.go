@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -183,6 +184,23 @@ func encodeBlobs[T any](t *testing.T, files []*ShardFile[T]) []ShardBlob {
 	return blobs
 }
 
+// miniMatrixDesc is the config description the k=4 test grids stamp into
+// their shard files. RunMatrixShard takes it from its caller — the
+// scenario compiler in production — so each test describes its own grid;
+// one constant suffices because no test merges shards of different grids.
+const miniMatrixDesc = "exp test mini-matrix"
+
+// miniMatrix runs a small grid unsharded and assembles the Matrix.
+func miniMatrix(t *testing.T, base FatTreeConfig, patterns []Pattern, schemes []workload.Scheme, jobs int, progress io.Writer) *Matrix {
+	t.Helper()
+	f := RunMatrixShard(miniMatrixDesc, base, patterns, schemes, Unsharded, jobs, progress)
+	m, err := MergeMatrixShards([]*ShardFile[*FatTreeResult]{f})
+	if err != nil {
+		t.Fatalf("merge: %v", err)
+	}
+	return m
+}
+
 // TestMatrixShardMergeByteIdentical pins the tentpole contract: running the
 // matrix campaign in n shards, exporting each through the real JSON
 // encoding, and merging must render byte-identically to the unsharded run —
@@ -196,12 +214,12 @@ func TestMatrixShardMergeByteIdentical(t *testing.T) {
 	schemes := []workload.Scheme{SchemeDCTCP, SchemeXMP2}
 
 	var want bytes.Buffer
-	RunMatrix(base, patterns, schemes, 4, nil).RenderCampaign(&want)
+	miniMatrix(t, base, patterns, schemes, 4, nil).RenderCampaign(&want)
 
 	for _, count := range []int{1, 4} {
 		files := make([]*ShardFile[*FatTreeResult], count)
 		for i := 0; i < count; i++ {
-			files[i] = RunMatrixShard(base, patterns, schemes, ShardSpec{i, count}, 2, nil)
+			files[i] = RunMatrixShard(miniMatrixDesc, base, patterns, schemes, ShardSpec{i, count}, 2, nil)
 		}
 		res, err := MergeShardBlobs(encodeBlobs(t, files))
 		if err != nil {
@@ -397,7 +415,7 @@ func TestDecodeOnArrivalMatchesMergeShardBlobs(t *testing.T) {
 	const count = 2
 	files := make([]*ShardFile[*FatTreeResult], count)
 	for i := range files {
-		files[i] = RunMatrixShard(base, patterns, schemes, ShardSpec{i, count}, 1, nil)
+		files[i] = RunMatrixShard(miniMatrixDesc, base, patterns, schemes, ShardSpec{i, count}, 1, nil)
 	}
 	blobs := encodeBlobs(t, files)
 

@@ -53,17 +53,6 @@ type Link struct {
 	// scheduled with.
 	extraDelay sim.Duration
 
-	// txRun/deliverRun memoize the calendar bucket of this link's last
-	// serialization-done and propagation-delivery events. Back-to-back
-	// transmissions whose deadlines land in the same 256 ns bucket are
-	// appended to it as a run (sim.ScheduleTargetRun) instead of going
-	// through the generic insert — during synchronized bursts the calendar
-	// cost of a busy link collapses to one placement per bucket. The zero
-	// value is a valid (always-miss-first) memo, so plain Link{} resets in
-	// initLink need no extra setup.
-	txRun      sim.BucketRun
-	deliverRun sim.BucketRun
-
 	// Counters for utilization accounting (Figure 11).
 	txBytes   int64
 	txPackets int64
@@ -159,14 +148,14 @@ func (l *Link) startTransmit() {
 		return
 	}
 	l.busy = true
-	l.eng.ScheduleTargetRun(&l.txRun, l.TxTime(p.WireBytes), l, opTxDone, p)
+	l.eng.ScheduleTarget(l.TxTime(p.WireBytes), l, opTxDone, p)
 }
 
 func (l *Link) finishTransmit(p *Packet) {
 	l.txBytes += int64(p.WireBytes)
 	l.txPackets++
 	if !l.down {
-		l.eng.ScheduleTargetRun(&l.deliverRun, l.delay+l.extraDelay, l, opDeliver, p)
+		l.eng.ScheduleTarget(l.delay+l.extraDelay, l, opDeliver, p)
 	} else {
 		p.Release() // serialized into a dead link
 	}

@@ -14,11 +14,12 @@ import (
 )
 
 // Compiled is a scenario lowered onto a campaign cell space. Its shard
-// files carry the family's campaign name (so merge decodes and renders
-// them with the family's existing machinery and goldens) but the
-// scenario's own config description and hash — the canonical JSON of the
-// fully-resolved spec — so shard sets from different specs, or from a
-// spec and its hand-written counterpart, refuse to merge.
+// files carry the family's campaign name (which selects the cell type,
+// renderer and goldens merge uses) and the scenario's config description
+// and hash — the canonical JSON of the fully-resolved spec — so shard sets
+// from different specs refuse to merge, and shard sets from the same
+// resolved spec merge however it was named: `xmpsim matrix`, `xmpsim run
+// scenarios/matrix.json` or a dispatched task.
 type Compiled struct {
 	// Spec is the resolved spec (Resolve applied: defaults explicit,
 	// chaos inlined, timescale folded).
@@ -44,6 +45,11 @@ func Compile(s *Spec, dir string) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
+	return lower(r)
+}
+
+// lower compiles a resolved spec.
+func lower(r *Spec) (*Compiled, error) {
 	data, err := json.Marshal(r)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %v", r.Name, err)
@@ -111,8 +117,8 @@ func matrixPattern(kind string) exp.Pattern {
 }
 
 // robustnessLabel suffixes the seed only when the seeds axis is real, so
-// a single-seed scenario's rows — and rendered tables — match the
-// hand-written robustness campaign exactly.
+// a single-seed scenario's rows are labelled by scheme alone (the
+// results_robustness.txt layout).
 func robustnessLabel(scheme string, seed int64, nseeds int) string {
 	if nseeds > 1 {
 		return fmt.Sprintf("%s@s%d", scheme, seed)
@@ -162,10 +168,9 @@ func (c *Compiled) CheckTargets() error {
 }
 
 // RunShard executes the scenario's cells owned by shard and returns the
-// shard file — the same exp.ShardFile type the family's hand-written
-// campaign produces, with the manifest re-stamped to the scenario's
-// config. The caller validates the shard spec (exp.RunCampaignShard and
-// the CLI both do).
+// shard file, its manifest stamped with the family's campaign name and
+// the scenario's config. The caller validates the shard spec
+// (exp.RunCampaignShard and the CLI both do).
 func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (exp.ShardEncoder, error) {
 	if err := c.CheckTargets(); err != nil {
 		return nil, err
@@ -189,10 +194,7 @@ func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (
 		for i, w := range r.Workloads {
 			patterns[i] = matrixPattern(w.Kind)
 		}
-		f := exp.RunMatrixShard(base, patterns, c.schemes, shard, jobs, progress)
-		f.Manifest.Config = c.Desc
-		f.Manifest.ConfigHash = c.Hash
-		return f, nil
+		return exp.RunMatrixShard(c.Desc, base, patterns, c.schemes, shard, jobs, progress), nil
 
 	case FamilyRobustness:
 		var random *workload.RandomConfig

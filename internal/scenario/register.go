@@ -5,32 +5,84 @@ import (
 	"io"
 
 	"xmp/internal/exp"
+	"xmp/scenarios"
 )
 
-// The scenario campaign registers like any hand-written campaign, which
-// is what gives `xmpsim run` sharded workers, JSON shard export, merge
-// and dispatch for free: a dispatch task with Campaign "scenario"
-// carries the resolved spec in RunParams.Scenario, and workers re-derive
-// the config hash from it through the ordinary CampaignProbe path.
+// Spec-backed campaigns register like any Go campaign, which is what gives
+// them sharded workers, JSON shard export, merge and dispatch for free.
+// "matrix", "robustness" and "fct" run the spec of that name embedded from
+// scenarios/ — their only definition — and "scenario" runs whatever spec
+// rides inline in RunParams.Scenario. All four go through CompileCampaign,
+// so a dispatch task, the worker's probe and every returned manifest name
+// the same campaign: the spec's family.
 func init() {
-	exp.RegisterCampaign(exp.CampaignScenario, runRegistered)
+	for _, name := range []string{exp.CampaignScenario, FamilyMatrix, FamilyRobustness, FamilyFCT} {
+		exp.RegisterCampaign(name, func(p exp.RunParams, shard exp.ShardSpec, progress io.Writer) (exp.ShardEncoder, error) {
+			c, err := CompileCampaign(name, p)
+			if err != nil {
+				return nil, err
+			}
+			return c.RunShard(shard, p.Jobs, progress)
+		})
+	}
 }
 
-func runRegistered(p exp.RunParams, shard exp.ShardSpec, progress io.Writer) (exp.ShardEncoder, error) {
-	if len(p.Scenario) == 0 {
-		return nil, fmt.Errorf("scenario: campaign %q needs an inline spec in params.scenario", exp.CampaignScenario)
+// CompileCampaign compiles the spec a registry name and its params stand
+// for.
+//
+// An inline p.Scenario is the whole configuration, under any of the four
+// names. It is already resolved (chaos inlined, defaults explicit), so
+// re-resolving needs no spec directory and is the identity — a worker
+// re-derives the canonical JSON and hash the coordinator stamped into the
+// task. Under a family name the spec must be of that family.
+//
+// Otherwise name is a family and the embedded scenarios/<name>.json runs,
+// with the scalar params overlaid exactly where the xmpsim flags have
+// always applied: -timescale everywhere, -sizescale/-seed/-k on matrix
+// only (fct and robustness never honoured them). With all-default params
+// the result is CompileFile("scenarios/<name>.json") — same canonical
+// JSON, same hash — which is why `xmpsim matrix -shard 0/2` and `xmpsim
+// run -shard 1/2 scenarios/matrix.json` shard files merge.
+func CompileCampaign(name string, p exp.RunParams) (*Compiled, error) {
+	if len(p.Scenario) > 0 {
+		s, err := Parse(p.Scenario)
+		if err != nil {
+			return nil, err
+		}
+		c, err := Compile(s, "")
+		if err != nil {
+			return nil, err
+		}
+		if name != exp.CampaignScenario && name != c.Campaign {
+			return nil, fmt.Errorf("scenario %s: a %s-family spec cannot run as campaign %q", c.Spec.Name, c.Campaign, name)
+		}
+		return c, nil
 	}
-	s, err := Parse(p.Scenario)
+	if name == exp.CampaignScenario {
+		return nil, fmt.Errorf("scenario: campaign %q needs an inline spec in params.scenario", name)
+	}
+	data, err := scenarios.FS.ReadFile(name + ".json")
+	if err != nil {
+		return nil, fmt.Errorf("scenario: no embedded spec for campaign %q: %v", name, err)
+	}
+	s, err := Parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("scenarios/%s.json: %v", name, err)
+	}
+	if s.Scale == nil {
+		s.Scale = &ScaleSpec{}
+	}
+	s.Scale.Timescale = p.Timescale
+	if name == FamilyMatrix {
+		s.Scale.SizeScale, s.Scale.Seed = p.SizeScale, p.Seed
+		if s.Topology == nil {
+			s.Topology = &TopologySpec{}
+		}
+		s.Topology.K = p.K
+	}
+	r, err := resolve(s, scenarios.FS.ReadFile)
 	if err != nil {
 		return nil, err
 	}
-	// The embedded spec is already resolved (chaos inlined, defaults
-	// explicit), so re-resolving needs no spec directory and is the
-	// identity — re-deriving the same canonical JSON and hash on the
-	// worker that the coordinator stamped into the task.
-	c, err := Compile(s, "")
-	if err != nil {
-		return nil, err
-	}
-	return c.RunShard(shard, p.Jobs, progress)
+	return lower(r)
 }

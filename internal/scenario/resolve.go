@@ -24,6 +24,18 @@ import (
 // is what lets a dispatch coordinator ship the resolved form to workers,
 // which re-resolve without access to the original file tree.
 func Resolve(s *Spec, dir string) (*Spec, error) {
+	return resolve(s, func(path string) ([]byte, error) {
+		if !filepath.IsAbs(path) {
+			path = filepath.Join(dir, path)
+		}
+		return os.ReadFile(path)
+	})
+}
+
+// resolve is Resolve with the chaos-file reader supplied by the caller:
+// the file system for spec files, the embedded scenarios for the
+// spec-backed campaigns.
+func resolve(s *Spec, readFile func(path string) ([]byte, error)) (*Spec, error) {
 	r := *s // shallow copy; slices/pointers re-built below
 
 	if r.Name == "" {
@@ -124,11 +136,7 @@ func Resolve(s *Spec, dir string) (*Spec, error) {
 			if len(c.Events) > 0 || c.Seed != 0 {
 				return nil, fmt.Errorf("scenario %s: chaos.file excludes inline seed/events", r.Name)
 			}
-			path := c.File
-			if !filepath.IsAbs(path) {
-				path = filepath.Join(dir, path)
-			}
-			data, err := os.ReadFile(path)
+			data, err := readFile(c.File)
 			if err != nil {
 				return nil, fmt.Errorf("scenario %s: chaos file: %v", r.Name, err)
 			}
@@ -341,7 +349,9 @@ func resolveWorkloads(r *Spec) ([]WorkloadSpec, error) {
 			}
 			switch w.Kind {
 			case "shortflows":
-				if err := forbidFields(r.Name, i, &w, "max_flows_per_dst", "senders", "response_bytes", "rounds"); err != nil {
+				// scheme is forbidden, not ignored: short-flow loops are
+				// plain TCP whatever the cell's scheme says.
+				if err := forbidFields(r.Name, i, &w, "max_flows_per_dst", "senders", "response_bytes", "rounds", "scheme"); err != nil {
 					return nil, err
 				}
 				applyShortFlowDefaults(&w)
@@ -396,8 +406,11 @@ func checkPareto(name string, i int, w *WorkloadSpec) error {
 	if w.MinBytes < 0 || (w.MinBytes > 0 && w.MinBytes > w.MeanBytes) {
 		return fmt.Errorf("scenario %s: workload %d: min_bytes %d exceeds mean_bytes %d", name, i, w.MinBytes, w.MeanBytes)
 	}
-	if w.Alpha < 0 {
-		return fmt.Errorf("scenario %s: workload %d: negative alpha %v", name, i, w.Alpha)
+	// workload.StartShortFlows panics on a shape ≤ 1; reject it here so a
+	// bad spec is an error, never a panic mid-cell. random takes no alpha
+	// (forbidden above, so 0).
+	if w.Alpha != 0 && w.Alpha <= 1 {
+		return fmt.Errorf("scenario %s: workload %d: alpha %v (the Pareto shape must exceed 1)", name, i, w.Alpha)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,7 +11,6 @@ import (
 	"xmp/internal/chaos"
 	"xmp/internal/exp"
 	"xmp/internal/sim"
-	"xmp/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -242,6 +240,82 @@ func TestScenarioCampaignNeedsSpec(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
+// One representation: the registry's matrix, robustness and fct are the
+// shipped specs.
+
+var specBacked = []string{FamilyMatrix, FamilyRobustness, FamilyFCT}
+
+func shippedSpec(t *testing.T, name string) *Compiled {
+	t.Helper()
+	c, err := CompileFile(filepath.Join("../../scenarios", name+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// With default params the registry campaign and the spec file resolve to
+// the same canonical JSON under the same campaign name — which is what
+// lets `xmpsim matrix -shard 0/2` and `xmpsim run -shard 1/2
+// scenarios/matrix.json` shard files merge — and the "scenario" registry
+// name, given that spec inline, resolves to the same family.
+func TestSpecBackedCampaignsAreTheShippedSpecs(t *testing.T) {
+	for _, name := range specBacked {
+		c := shippedSpec(t, name)
+		for _, probe := range []struct {
+			registry string
+			params   exp.RunParams
+		}{
+			{name, exp.RunParams{}},
+			{exp.CampaignScenario, exp.RunParams{Scenario: c.JSON}},
+			{name, exp.RunParams{Scenario: c.JSON, Timescale: 3, K: 4}}, // inline replaces the embedded spec and the scalars
+		} {
+			m, err := exp.ProbeManifest(probe.registry, probe.params)
+			if err != nil {
+				t.Fatalf("%s as %q: %v", name, probe.registry, err)
+			}
+			if m.Campaign != name || m.Config != c.Desc || m.ConfigHash != c.Hash || m.TotalCells != c.Cells() {
+				t.Errorf("%s as %q: manifest (%s, %.12s, %d cells), spec file (%s, %.12s, %d cells)",
+					name, probe.registry, m.Campaign, m.ConfigHash, m.TotalCells, name, c.Hash, c.Cells())
+			}
+		}
+	}
+	// A family name refuses a spec of another family.
+	if _, err := exp.ProbeManifest(FamilyFCT, exp.RunParams{Scenario: shippedSpec(t, FamilyMatrix).JSON}); err == nil {
+		t.Error("campaign fct accepted a matrix-family inline spec")
+	}
+}
+
+// The scale flags overlay the embedded spec exactly where the xmpsim
+// subcommands have always honoured them: all four on matrix, -timescale
+// alone on fct and robustness.
+func TestRunParamsOverlayEmbeddedSpec(t *testing.T) {
+	p := exp.RunParams{Timescale: 10, SizeScale: 1, Seed: 3, K: 4}
+	for _, name := range specBacked {
+		want := *shippedSpec(t, name).Spec
+		if name == FamilyMatrix {
+			want.DurationMS = 2000
+			want.Scale = &ScaleSpec{Timescale: 1, SizeScale: 1, Seed: 3}
+			topo := *want.Topology
+			topo.K = 4
+			want.Topology = &topo
+		} else {
+			want.DurationMS = 400
+		}
+		c, err := CompileCampaign(name, p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(c.Spec, &want) {
+			t.Errorf("%s under %+v resolved to\n  %s\nwant the shipped spec with only the honoured fields moved:\n  %+v", name, p, c.JSON, want)
+		}
+	}
+	if _, err := CompileCampaign(FamilyMatrix, exp.RunParams{K: 5}); err == nil {
+		t.Error("matrix accepted -k 5; the overlay must go through Resolve's validation")
+	}
+}
+
+// ---------------------------------------------------------------------------
 // Validation errors.
 
 func TestResolveRejects(t *testing.T) {
@@ -276,6 +350,14 @@ func TestResolveRejects(t *testing.T) {
 		"foreign field": {&Spec{Name: "x", Family: FamilyRobustness, Schemes: []string{"DCTCP"},
 			Workloads: []WorkloadSpec{{Kind: "random", Senders: 5}}}, "does not apply"},
 		"unknown metric": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"}, Metrics: []string{"table9"}}, "unknown metric"},
+		// workload.StartShortFlows panics on these; a spec must not reach it.
+		"pareto shape <= 1": {&Spec{Name: "x", Family: FamilyFCT,
+			Workloads: []WorkloadSpec{{Name: "a", Kind: "shortflows", Alpha: 0.9}}}, "must exceed 1"},
+		"pareto shape 1 (robustness)": {&Spec{Name: "x", Family: FamilyRobustness, Schemes: []string{"DCTCP"},
+			Workloads: []WorkloadSpec{{Kind: "shortflows", Alpha: 1}}}, "must exceed 1"},
+		// Short-flow loops are plain TCP; a scheme there would be hashed and ignored.
+		"scheme on fct shortflows": {&Spec{Name: "x", Family: FamilyFCT,
+			Workloads: []WorkloadSpec{{Name: "a", Kind: "shortflows", Scheme: "XMP-2"}}}, "scheme does not apply"},
 	}
 	for name, tc := range cases {
 		_, err := Resolve(tc.spec, "")
@@ -304,8 +386,7 @@ func TestCheckTargetsRejectsBadTarget(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Small-scale byte/value identity against the hand-written runners, and
-// the seeds axis.
+// The seeds axis and metrics filtering, at small scale.
 
 func shardPoints[T any](t *testing.T, enc exp.ShardEncoder) []exp.ShardCell[T] {
 	t.Helper()
@@ -329,80 +410,6 @@ func renderBlob(t *testing.T, name string, enc exp.ShardEncoder) string {
 	var out bytes.Buffer
 	res.Render(&out)
 	return out.String()
-}
-
-func TestScenarioMatrixMatchesHandWritten(t *testing.T) {
-	s := &Spec{Name: "mini", Family: FamilyMatrix, DurationMS: 5,
-		Workloads: []WorkloadSpec{{Kind: "incast"}},
-		Schemes:   []string{"DCTCP", "XMP-2"}}
-	c := mustCompile(t, s)
-	enc, err := c.RunShard(exp.Unsharded, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hand := exp.RunMatrixShard(
-		exp.FatTreeConfig{K: 8, Duration: 5 * sim.Millisecond, SizeScale: 16, Seed: 1},
-		[]exp.Pattern{exp.Incast}, []workload.Scheme{exp.SchemeDCTCP, exp.SchemeXMP2},
-		exp.Unsharded, 2, nil)
-	if got, want := renderBlob(t, "scenario", enc), renderBlob(t, "hand", hand); got != want {
-		t.Errorf("scenario matrix render differs from hand-written:\n--- hand\n%s\n--- scenario\n%s", want, got)
-	}
-	m := enc.ShardManifest()
-	if m.Config != c.Desc || m.ConfigHash != c.Hash {
-		t.Errorf("manifest not re-stamped with the scenario config")
-	}
-}
-
-func TestScenarioRobustnessMatchesHandWritten(t *testing.T) {
-	sched := chaos.Schedule{Seed: 3, Events: []chaos.Event{
-		{At: sim.Millisecond, Kind: chaos.LinkDown, Target: "core0.0->agg0.0", Dur: sim.Millisecond},
-	}}
-	s := &Spec{Name: "mini", Family: FamilyRobustness, DurationMS: 4,
-		Topology: &TopologySpec{Lossy: true},
-		Schemes:  []string{"XMP-2"},
-		Chaos:    &ChaosSpec{Seed: sched.Seed, Events: sched.Events}}
-	enc, err := mustCompile(t, s).RunShard(exp.Unsharded, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := shardPoints[exp.RobustnessPoint](t, enc)
-	if len(cells) != 1 {
-		t.Fatalf("got %d cells, want 1", len(cells))
-	}
-	random, short := exp.RobustnessRandom, exp.RobustnessShort
-	hand := exp.RunChaosCell(exp.ChaosCellConfig{
-		Scheme:   exp.SchemeXMP2,
-		Duration: 4 * sim.Millisecond,
-		Lossy:    true,
-		Random:   &random,
-		Short:    &short,
-		Schedule: &sched,
-	})
-	if !reflect.DeepEqual(cells[0].Data, hand) {
-		t.Errorf("scenario robustness point differs from hand-written:\n  hand:     %+v\n  scenario: %+v", hand, cells[0].Data)
-	}
-}
-
-func TestScenarioFCTMatchesHandWritten(t *testing.T) {
-	s := &Spec{Name: "mini", Family: FamilyFCT, DurationMS: 3,
-		Workloads: []WorkloadSpec{{Name: "web", Kind: "shortflows", PerHost: 2}}}
-	enc, err := mustCompile(t, s).RunShard(exp.Unsharded, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := shardPoints[exp.FCTPoint](t, enc)
-	if len(cells) != 1 {
-		t.Fatalf("got %d cells, want 1", len(cells))
-	}
-	short := workload.ShortFlowsConfig{Alpha: 1.1, MeanBytes: 48 << 10, MinBytes: 1 << 10, MaxBytes: 2 << 20, PerHost: 2}
-	hand := exp.RunFCTCell(exp.FCTCellConfig{
-		Name:     "web",
-		Duration: 3 * sim.Millisecond,
-		Short:    &short,
-	})
-	if !reflect.DeepEqual(cells[0].Data, hand) {
-		t.Errorf("scenario fct point differs from hand-written:\n  hand:     %+v\n  scenario: %+v", hand, cells[0].Data)
-	}
 }
 
 func TestRobustnessSeedsAxis(t *testing.T) {
@@ -455,67 +462,4 @@ func TestMetricsFiltering(t *testing.T) {
 	if !strings.HasPrefix(full, one[:len(one)-1]) {
 		t.Errorf("table1-only render is not a prefix of the full render:\n%s", one)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Golden pins (full scale, XMP_GOLDEN=1): the shipped specs reproduce the
-// hand-written campaigns byte-for-byte through the 2-shard + merge path.
-
-func goldenScenario(t *testing.T, specName, goldenName string) {
-	if os.Getenv("XMP_GOLDEN") != "1" {
-		t.Skip("full-scale golden comparison; set XMP_GOLDEN=1 to run (~minutes)")
-	}
-	golden, err := os.ReadFile(filepath.Join("../..", goldenName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := CompileFile(filepath.Join("../../scenarios", specName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var blobs []exp.ShardBlob
-	for i := 0; i < 2; i++ {
-		enc, err := c.RunShard(exp.ShardSpec{Index: i, Count: 2}, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := enc.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		blobs = append(blobs, exp.ShardBlob{Name: fmt.Sprintf("shard-%d", i), Data: buf.Bytes()})
-	}
-	res, err := exp.MergeShardBlobs(blobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	res.Render(&got)
-	want := stripTrailer(string(golden))
-	if got.String() != want {
-		t.Errorf("%s via %s drifted from golden:\n--- golden\n%s\n--- scenario\n%s",
-			goldenName, specName, want, got.String())
-	}
-}
-
-// stripTrailer drops the stderr timing trailer captured in the goldens.
-func stripTrailer(golden string) string {
-	lines := strings.Split(golden, "\n")
-	for len(lines) > 0 {
-		last := lines[len(lines)-1]
-		if last == "" || strings.HasPrefix(last, "[") {
-			lines = lines[:len(lines)-1]
-			continue
-		}
-		break
-	}
-	return strings.Join(lines, "\n") + "\n"
-}
-
-func TestGoldenScenarioRobustness(t *testing.T) {
-	goldenScenario(t, "robustness.json", "results_robustness.txt")
-}
-
-func TestGoldenScenarioFCT(t *testing.T) {
-	goldenScenario(t, "fct.json", "results_fct.txt")
 }

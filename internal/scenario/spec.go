@@ -125,9 +125,9 @@ type WorkloadSpec struct {
 	Senders       int   `json:"senders,omitempty"`
 	ResponseBytes int64 `json:"response_bytes,omitempty"`
 	Rounds        int   `json:"rounds,omitempty"`
-	// Scheme is the fct cell's transfer scheme. shortflows: empty means
-	// plain TCP. incast-burst: empty means the plain-TCP baseline, set
-	// means every sender uses it (the mitigation axis).
+	// Scheme is an fct incast-burst cell's transfer scheme: empty means the
+	// plain-TCP baseline, set means every sender uses it (the mitigation
+	// axis). shortflows loops are always plain TCP and reject it.
 	Scheme string `json:"scheme,omitempty"`
 }
 

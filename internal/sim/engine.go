@@ -24,11 +24,14 @@ type Target interface {
 	OnEvent(op Op, arg any)
 }
 
-// Event kinds: the tagged union discriminator.
-const (
-	kindFunc uint8 = iota
-	kindTarget
-)
+// funcTarget adapts a closure to Target, so the calendar carries one event
+// representation. A func value is pointer-shaped: storing it in the Target
+// interface does not allocate. Closure events are the cold path (experiment
+// phases, chaos actions — 0 to 145 of 13–22 M inserts per benchmark
+// workload), so the extra indirect call is never on a per-packet path.
+type funcTarget func()
+
+func (f funcTarget) OnEvent(Op, any) { f() }
 
 // Event is a scheduled callback. Event structs are owned and recycled by
 // their Engine: after an event fires or is cancelled the struct returns to
@@ -37,9 +40,8 @@ const (
 // that pairs the struct with its generation, so a stale Handle can be
 // detected and ignored.
 //
-// An Event is a small tagged union: kindFunc events carry a closure in fn,
-// kindTarget events carry a pre-bound (target, op, arg) triple and fire
-// through a single interface call with no per-event allocation.
+// An Event carries a pre-bound (target, op, arg) triple and fires through a
+// single interface call with no per-event allocation.
 type Event struct {
 	at  Time
 	seq uint64 // tiebreaker: FIFO among events at the same instant
@@ -48,8 +50,7 @@ type Event struct {
 	// event that already fired or was cancelled, and Cancel treats it as a
 	// no-op.
 	gen    uint64
-	fn     func() // kindFunc payload
-	target Target // kindTarget payload
+	target Target
 	arg    any
 	// slot locates the event inside the calendar: the wheel bucket index
 	// holding it, or overflowSlot for the far-future overflow heap. Kept
@@ -57,7 +58,6 @@ type Event struct {
 	// path without searching.
 	slot     int32
 	op       Op
-	kind     uint8
 	canceled bool
 }
 
@@ -156,19 +156,6 @@ type Engine struct {
 	// cancelled corpses); zero lets head skip the bitmap scan outright.
 	ringEntries int
 
-	// runAligned/runSlot memoize the bucket window and index of the most
-	// recent generic ring insert — the engine-global batching memo.
-	// Synchronized workload phases (incast rounds, flow-start waves)
-	// schedule long runs of events at identical or near-identical
-	// instants; when the next deadline falls into the same 256 ns window,
-	// the event is appended to the memoized bucket directly, skipping
-	// re-anchoring, the horizon check, and the bucket mapping. The memo is
-	// self-validating: the window is an absolute aligned time, and any
-	// deadline inside it is provably within the current ring horizon (see
-	// insert). -1 until the first ring insert.
-	runAligned Time
-	runSlot    int32
-
 	// headSlot/headAligned memoize the first occupied ring bucket so the
 	// drain loop does not rescan the occupancy bitmap on every head()
 	// call. headSlot is -1 when unknown (bucket drained, or never
@@ -233,7 +220,7 @@ const bucketSeedCap = 64
 
 // NewEngine returns an engine with the clock at zero and an empty calendar.
 func NewEngine() *Engine {
-	e := &Engine{wheelEnd: wheelSpan, runAligned: -1, headSlot: -1}
+	e := &Engine{wheelEnd: wheelSpan, headSlot: -1}
 	backing := make([]*Event, wheelBuckets*bucketSeedCap)
 	for i := range e.buckets {
 		e.buckets[i] = backing[i*bucketSeedCap : i*bucketSeedCap : (i+1)*bucketSeedCap]
@@ -410,20 +397,11 @@ func (e *Engine) allocSlow() *Event {
 // recycle retires a fired or tail-cancelled event to the free-list.
 // Bumping the generation here is what invalidates every outstanding
 // Handle to it; the payload fields are nilled so the engine does not keep
-// closures or packets alive past their event. Only the fields of the
-// event's own kind are cleared: free-listed events have every payload
-// field nil (slab-fresh structs start zeroed, Schedule sets only its own
-// kind's fields, recycle clears them again), so the other kind's fields
-// are already nil and re-storing them would only buy write-barrier
-// traffic on the hot path.
+// closures or packets alive past their event.
 func (e *Engine) recycle(ev *Event) {
 	ev.gen++
-	if ev.kind == kindFunc {
-		ev.fn = nil
-	} else {
-		ev.target = nil
-		ev.arg = nil
-	}
+	ev.target = nil
+	ev.arg = nil
 	e.free = append(e.free, ev)
 }
 
@@ -441,16 +419,10 @@ func panicNegativeDelay(d Duration) {
 // passed to Cancel. Scheduling in the past panics: it always indicates a
 // logic error in the caller.
 func (e *Engine) Schedule(d Duration, fn func()) Handle {
-	if d < 0 {
-		panicNegativeDelay(d)
-	}
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	ev := e.insert(e.now.Add(d))
-	ev.kind = kindFunc
-	ev.fn = fn
-	return Handle{ev: ev, gen: ev.gen}
+	return e.ScheduleTarget(d, funcTarget(fn), 0, nil)
 }
 
 // ScheduleAt runs fn at absolute time t (>= Now).
@@ -458,10 +430,7 @@ func (e *Engine) ScheduleAt(t Time, fn func()) Handle {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	ev := e.insert(t)
-	ev.kind = kindFunc
-	ev.fn = fn
-	return Handle{ev: ev, gen: ev.gen}
+	return e.ScheduleTargetAt(t, funcTarget(fn), 0, nil)
 }
 
 // ScheduleTarget runs t.OnEvent(op, arg) after delay d (>= 0). This is the
@@ -478,7 +447,6 @@ func (e *Engine) ScheduleTarget(d Duration, t Target, op Op, arg any) Handle {
 		panic("sim: nil event target")
 	}
 	ev := e.insert(e.now.Add(d))
-	ev.kind = kindTarget
 	ev.target = t
 	ev.op = op
 	ev.arg = arg
@@ -491,41 +459,6 @@ func (e *Engine) ScheduleTargetAt(at Time, t Target, op Op, arg any) Handle {
 		panic("sim: nil event target")
 	}
 	ev := e.insert(at)
-	ev.kind = kindTarget
-	ev.target = t
-	ev.op = op
-	ev.arg = arg
-	return Handle{ev: ev, gen: ev.gen}
-}
-
-// BucketRun memoizes where one call site's most recent event landed in
-// the calendar ring: the absolute 256 ns window and its bucket index.
-// ScheduleTargetRun consults it so that back-to-back schedules whose
-// deadlines share a bucket append as a run instead of going through the
-// generic insert. The memo is self-validating — the window is an
-// absolute aligned time and the slot is its pure-function bucket index —
-// so the zero value is ready to use and a stale memo can only miss, never
-// mis-place.
-type BucketRun struct {
-	aligned Time
-	slot    int32
-}
-
-// ScheduleTargetRun is ScheduleTarget with same-bucket batching through
-// the caller's own BucketRun memo. netem links keep one run per
-// scheduling site (propagation delivery, serialization done): bursts of
-// back-to-back transmissions whose deadlines land in one 256 ns bucket
-// cost one generic insert plus plain appends, with the drain sort
-// ordering the whole run in a single pass when the cursor reaches it.
-func (e *Engine) ScheduleTargetRun(r *BucketRun, d Duration, t Target, op Op, arg any) Handle {
-	if d < 0 {
-		panicNegativeDelay(d)
-	}
-	if t == nil {
-		panic("sim: nil event target")
-	}
-	ev := e.insertRun(r, e.now.Add(d))
-	ev.kind = kindTarget
 	ev.target = t
 	ev.op = op
 	ev.arg = arg
@@ -561,13 +494,6 @@ func (e *Engine) spillAppend(b int32, aligned Time, ev *Event) {
 // and places it in the calendar: appended to its ring bucket when the
 // calendar is dense and t is within the horizon, pushed on the overflow
 // heap otherwise. The caller fills in the payload.
-//
-// The same-window fast path is safe without re-checking the horizon:
-// runAligned was stamped by an insert that proved its window lay inside
-// [wheelBase, wheelEnd), t >= now forces align(now) <= runAligned, the
-// base only ever advances to align(now), and the end only ever grows —
-// so the memoized window is still inside the ring and still maps to the
-// same bucket index.
 func (e *Engine) insert(t Time) *Event {
 	if t < e.now {
 		panicSchedulePast(t, e.now)
@@ -587,11 +513,6 @@ func (e *Engine) insert(t Time) *Event {
 	ev.seq = e.nextSeq
 	e.nextSeq++
 	if e.nextSeq-e.processed-e.cancels > ringThreshold && t-e.now < wheelSpan {
-		a := t &^ wheelAlignMask
-		if a == e.runAligned {
-			e.spillAppend(e.runSlot, a, ev)
-			return ev
-		}
 		// The ring is anchored lazily: the clock may have advanced many
 		// buckets since the last ring insert, so re-derive the base from
 		// now (and promote newly-near overflow events) before mapping t.
@@ -599,42 +520,12 @@ func (e *Engine) insert(t Time) *Event {
 			e.reanchor(base)
 		}
 		if t < e.wheelEnd {
-			b := bucketOf(t)
-			e.runAligned, e.runSlot = a, b
-			e.spillAppend(b, a, ev)
+			e.spillAppend(bucketOf(t), t&^wheelAlignMask, ev)
 			return ev
 		}
 	}
 	ev.slot = overflowSlot
 	heapPush(&e.overflow, ev)
-	return ev
-}
-
-// insertRun is insert with the caller's own bucket memo consulted first,
-// and re-stamped after any generic placement that lands in the ring. The
-// pending comparison mirrors insert's post-increment dense check; the
-// fast arm's safety argument is the same as the engine-global memo's
-// (see insert), since a BucketRun's slot is the pure bucket index of its
-// aligned window.
-func (e *Engine) insertRun(r *BucketRun, t Time) *Event {
-	if a := t &^ wheelAlignMask; a == r.aligned && e.nextSeq-e.processed-e.cancels >= ringThreshold && t >= e.now {
-		var ev *Event
-		if n := len(e.free) - 1; n >= 0 {
-			ev = e.free[n]
-			e.free = e.free[:n]
-		} else {
-			ev = e.allocSlow()
-		}
-		ev.at = t
-		ev.seq = e.nextSeq
-		e.nextSeq++
-		e.spillAppend(r.slot, a, ev)
-		return ev
-	}
-	ev := e.insert(t)
-	if ev.slot >= 0 {
-		r.aligned, r.slot = ev.at&^wheelAlignMask, ev.slot
-	}
 	return ev
 }
 
@@ -685,12 +576,8 @@ func (e *Engine) Cancel(h Handle) {
 		// horizon, so no counter is needed.
 		ev.canceled = true
 		ev.gen++ // invalidate all outstanding handles now
-		if ev.kind == kindFunc {
-			ev.fn = nil
-		} else {
-			ev.target = nil
-			ev.arg = nil
-		}
+		ev.target = nil
+		ev.arg = nil
 		return
 	}
 	s := e.overflow
@@ -701,12 +588,8 @@ func (e *Engine) Cancel(h Handle) {
 	}
 	ev.canceled = true
 	ev.gen++ // invalidate all outstanding handles now
-	if ev.kind == kindFunc {
-		ev.fn = nil
-	} else {
-		ev.target = nil
-		ev.arg = nil
-	}
+	ev.target = nil
+	ev.arg = nil
 	e.canceledOverflow++
 	// Compact when cancelled corpses outnumber live events and are
 	// worth the O(n) sweep; keeps RTO-churn heaps from growing without
@@ -880,15 +763,9 @@ func (e *Engine) fire(ev *Event) {
 	}
 	e.now = ev.at
 	e.processed++
-	if ev.kind == kindFunc {
-		fn := ev.fn
-		e.recycle(ev)
-		fn()
-	} else {
-		target, op, arg := ev.target, ev.op, ev.arg
-		e.recycle(ev)
-		target.OnEvent(op, arg)
-	}
+	target, op, arg := ev.target, ev.op, ev.arg
+	e.recycle(ev)
+	target.OnEvent(op, arg)
 }
 
 // Run executes events in timestamp order until the calendar is empty or the

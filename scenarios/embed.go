@@ -1,0 +1,13 @@
+// Package scenarios embeds the shipped scenario specs. matrix.json,
+// robustness.json (with robustness.chaos.json) and fct.json are the only
+// definition of the campaigns of those names: internal/scenario registers
+// them in the campaign registry, and the xmpsim subcommands are aliases
+// for `xmpsim run scenarios/<name>.json`.
+package scenarios
+
+import "embed"
+
+// FS holds every *.json file of this directory.
+//
+//go:embed *.json
+var FS embed.FS
