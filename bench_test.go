@@ -111,16 +111,16 @@ func BenchmarkTable1(b *testing.B) {
 }
 
 func BenchmarkTable2(b *testing.B) {
+	plan := exp.Table2Plan(exp.Table2Config{
+		KAry:        4,
+		Duration:    40 * sim.Millisecond,
+		SizeScale:   256,
+		QueueLimits: []int{100},
+		Others:      []workload.Scheme{exp.SchemeTCP},
+	})
 	var cell exp.Table2Cell
 	for i := 0; i < b.N; i++ {
-		r := exp.RunTable2(exp.Table2Config{
-			KAry:        4,
-			Duration:    40 * sim.Millisecond,
-			SizeScale:   256,
-			QueueLimits: []int{100},
-			Others:      []workload.Scheme{exp.SchemeTCP},
-		}, nil)
-		cell = r.Cells[0]
+		cell = plan.Run(0) // the non-strict-switch variant
 	}
 	b.ReportMetric(cell.XMPGoodput, "xmp-Mbps")
 	b.ReportMetric(cell.OtherGoodput, "tcp-Mbps")
@@ -162,46 +162,51 @@ func BenchmarkFig11(b *testing.B) {
 }
 
 func BenchmarkAblations(b *testing.B) {
+	plan := exp.AblationPlan(10)
 	var rs []exp.AblationResult
 	for i := 0; i < b.N; i++ {
-		rs = exp.RunAblations(10, 1)
+		rs = exp.RunAll(plan.Cells, 1, plan.Run, nil)
 	}
 	b.ReportMetric(rs[0].Utilization, "baseline-util")
 	b.ReportMetric(rs[len(rs)-1].Utilization, "no-guard-util")
 }
 
 func BenchmarkParamSweep(b *testing.B) {
-	var pts []exp.ParamPoint
+	plan := exp.ParamSweepPlan([]int{4}, []int{10}, 20*sim.Millisecond)
+	var pt exp.ParamPoint
 	for i := 0; i < b.N; i++ {
-		pts = exp.RunParamSweep([]int{4}, []int{10}, 20*sim.Millisecond, 1, nil)
+		pt = plan.Run(0)
 	}
-	b.ReportMetric(pts[0].GoodputMbps, "goodput-Mbps")
-	b.ReportMetric(pts[0].RTTMs, "rtt-ms")
+	b.ReportMetric(pt.GoodputMbps, "goodput-Mbps")
+	b.ReportMetric(pt.RTTMs, "rtt-ms")
 }
 
 func BenchmarkIncastSweep(b *testing.B) {
-	var pts []exp.IncastSweepPoint
+	plan := exp.IncastSweepPlan([]int{8}, 40*sim.Millisecond)
+	var pt exp.IncastSweepPoint
 	for i := 0; i < b.N; i++ {
-		pts = exp.RunIncastSweep([]int{8}, 40*sim.Millisecond, 1, nil)
+		pt = plan.Run(0)
 	}
-	b.ReportMetric(pts[0].P50Ms, "jct-p50-ms")
+	b.ReportMetric(pt.P50Ms, "jct-p50-ms")
 }
 
 func BenchmarkSACKAblation(b *testing.B) {
-	var rs []exp.SACKAblationResult
+	plan := exp.SACKAblationPlan(20*sim.Millisecond, exp.SchemeTCP)
+	var r exp.SACKAblationResult
 	for i := 0; i < b.N; i++ {
-		rs = exp.RunSACKAblation(20*sim.Millisecond, 1, nil, exp.SchemeTCP)
+		r = plan.Run(0)
 	}
-	b.ReportMetric(rs[0].PlainGoodput, "tcp-plain-Mbps")
-	b.ReportMetric(rs[0].SACKGoodput, "tcp-sack-Mbps")
+	b.ReportMetric(r.PlainGoodput, "tcp-plain-Mbps")
+	b.ReportMetric(r.SACKGoodput, "tcp-sack-Mbps")
 }
 
 func BenchmarkVL2(b *testing.B) {
-	var pts []exp.VL2Point
+	plan := exp.VL2Plan([]workload.Scheme{exp.SchemeXMP2}, 40*sim.Millisecond)
+	var pt exp.VL2Point
 	for i := 0; i < b.N; i++ {
-		pts = exp.RunVL2Comparison([]workload.Scheme{exp.SchemeXMP2}, 40*sim.Millisecond, 1, nil)
+		pt = plan.Run(0)
 	}
-	b.ReportMetric(pts[0].GoodputMbps, "goodput-Mbps")
+	b.ReportMetric(pt.GoodputMbps, "goodput-Mbps")
 }
 
 // BenchmarkEngine measures the raw event-processing rate of the
@@ -417,17 +422,15 @@ func BenchmarkFatTreeCell(b *testing.B) {
 func BenchmarkMatrixParallel(b *testing.B) {
 	base := exp.FatTreeConfig{K: 4, Duration: 40 * sim.Millisecond, SizeScale: 256}
 	patterns := []exp.Pattern{exp.Permutation, exp.Random, exp.Incast}
+	plan := exp.MatrixPlan("bench mini-matrix", base, patterns, exp.Table1Schemes)
+	const randomXMP2 = 1*5 + 3 // row-major (pattern, scheme) cell index
 	for _, jobs := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			var m *exp.Matrix
+			var cells []*exp.FatTreeResult
 			for i := 0; i < b.N; i++ {
-				f := exp.RunMatrixShard("bench mini-matrix", base, patterns, exp.Table1Schemes, exp.Unsharded, jobs, nil)
-				var err error
-				if m, err = exp.MergeMatrixShards([]*exp.ShardFile[*exp.FatTreeResult]{f}); err != nil {
-					b.Fatal(err)
-				}
+				cells = exp.RunAll(plan.Cells, jobs, plan.Run, nil)
 			}
-			b.ReportMetric(m.Get(exp.Random, exp.SchemeXMP2).Collector.Goodput.Mean(), "xmp2-random-Mbps")
+			b.ReportMetric(cells[randomXMP2].Collector.Goodput.Mean(), "xmp2-random-Mbps")
 		})
 	}
 }

@@ -4,7 +4,14 @@
 //
 // Usage:
 //
-//	xmpsim fig1|fig4|fig6|fig7|table1|table2|table3|fig8|fig9|fig10|fig11|ablation|sweep|all [flags]
+//	xmpsim fig1|fig4|fig6|fig7|all [flags]
+//	xmpsim matrix|table2|ablation|sweep|params|incastsweep|sack|vl2|fct|robustness [flags]
+//	xmpsim table1|table3|fig8|fig9|fig10|fig11 [flags]
+//	xmpsim run [flags] FILE.json
+//	xmpsim campaigns|merge|worker|dispatch [flags] [args]
+//
+// The second line is the campaigns declared in internal/exp's table; run
+// xmpsim with no arguments for the list generated from it.
 //
 // Experiments run at a reduced default scale (see EXPERIMENTS.md); use
 // -timescale and -sizescale to move toward the paper's magnitudes.
@@ -13,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -28,60 +36,63 @@ import (
 )
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `xmpsim — reproduce the XMP (CoNEXT'13) evaluation
+	fmt.Fprint(os.Stderr, `xmpsim — reproduce the XMP (CoNEXT'13) evaluation
 
 Subcommands:
-  fig1      DCTCP vs fixed halving under threshold marking (4-flow bottleneck)
-  fig4      TraSh traffic shifting on the two-DN testbed (beta 4 vs 6)
-  fig6      fairness across subflow counts on one bottleneck (beta 4 vs 6)
-  fig7      rate compensation on the 5-bottleneck torus (3 beta/K settings)
-  table1    average goodput: 5 schemes x 3 fat-tree patterns
-  table2    coexistence goodput: XMP vs LIA/TCP/DCTCP at queue 50/100
-  table3    incast job completion times (avg, >300ms)
-  fig8      goodput CDFs and locality percentiles
-  fig9      job completion time CDFs
-  fig10     RTT distributions by locality
-  fig11     link utilization by layer
-  matrix    run the full pattern x scheme matrix once; print tables 1,3 + figs 8-11
-  ablation  marking-rule / echo-mode / cwr-guard ablations
-  sweep     XMP goodput vs subflow count (1,2,4,8)
-  params    (beta, K) sensitivity grid (the paper's future-work study)
-  incastsweep  job completion vs fan-in (4..32 servers)
-  sack      SACK vs NewReno ablation for the loss-based schemes
-  vl2       scheme comparison on a VL2 Clos fabric (generalization)
-  fct       short-flow FCT percentiles: Pareto web-search/data-mining loops
-            and a 10,240-sender incast burst under TCP/DCTCP/XMP-2
-  robustness  scheme comparison under a deterministic fault schedule (link
-            flap, switch failure, loss burst, delay, jitter)
-  all       everything above
-  run       execute a declarative scenario spec (xmpsim run [flags] FILE.json);
-            -validate dry-runs it (parse, validate, resolve chaos targets,
-            print the cell enumeration and config hash)
-  campaigns list registered campaigns (cells, config hash, description);
-            scenario spec files named as arguments are compiled and listed too
-  merge     reassemble per-shard -json exports into the full campaign output
-  worker    serve the shard-task API for "xmpsim dispatch" (-listen :port)
-  dispatch  run a campaign across workers (-workers h:p,h:p -campaign NAME
-            -shards N); with no -workers, spawns -local N local workers;
-            -campaign FILE.json dispatches a declarative scenario
+  fig1         DCTCP vs fixed halving under threshold marking (4-flow bottleneck)
+  fig4         TraSh traffic shifting on the two-DN testbed (beta 4 vs 6)
+  fig6         fairness across subflow counts on one bottleneck (beta 4 vs 6)
+  fig7         rate compensation on the 5-bottleneck torus (3 beta/K settings)
+`)
+	for _, c := range exp.Campaigns() {
+		fmt.Fprintf(os.Stderr, "  %-12s %s\n", c.Name, c.Doc)
+	}
+	fmt.Fprintf(os.Stderr, `  all          everything above
+  table1       matrix, printing only: average goodput, 5 schemes x 3 patterns
+  table3       matrix, printing only: incast job completion times (avg, >300ms)
+  fig8         matrix, printing only: goodput CDFs and locality percentiles
+  fig9         matrix, printing only: job completion time CDFs
+  fig10        matrix, printing only: RTT distributions by locality
+  fig11        matrix, printing only: link utilization by layer
+  run          execute a declarative scenario spec (xmpsim run [flags] FILE.json);
+               -validate dry-runs it (parse, validate, resolve chaos targets,
+               print the cell enumeration and config hash)
+  campaigns    list registered campaigns (cells, config hash, description);
+               scenario spec files named as arguments are compiled and listed too
+  merge        reassemble per-shard -json exports into the full campaign output
+  worker       serve the shard-task API for "xmpsim dispatch" (-listen :port)
+  dispatch     run a campaign across workers (-workers h:p,h:p -campaign NAME
+               -shards N); with no -workers, spawns -local N local workers;
+               -campaign FILE.json dispatches a declarative scenario
 
-Campaign subcommands (matrix, table2, ablation, sweep, params,
-incastsweep, sack, vl2, fct, robustness) and "run" accept -shard i/n to run only the cells owned by
-shard i of n; the shard file written by -json is the output, and
-"xmpsim merge shard-*.json" rebuilds tables byte-identical to an
-unsharded run. merge also accepts glob patterns and directories (every
-*.json inside, e.g. the dispatch -outdir).
+Campaign subcommands (%s)
+and "run" accept -shard i/n to run only the cells owned by shard i of n;
+the shard file written by -json is the output, and "xmpsim merge
+shard-*.json" rebuilds tables byte-identical to an unsharded run. merge also accepts glob patterns and directories (every
+*.json inside, e.g. the dispatch -outdir). Unsharded, and on merge and
+dispatch, -json receives the campaign's plot export (%s have one).
 
 matrix, fct and robustness are the specs scenarios/<name>.json, embedded
 in the binary: "xmpsim matrix" is "xmpsim run scenarios/matrix.json" with
 -timescale, -sizescale, -seed and -k overlaid (fct and robustness take
 -timescale only), and at default flags their shard files merge with the
-spec file's. table1, table3 and fig8-11 are that spec with one table
-selected.
+spec file's.
 
 Flags (after the subcommand):
-`)
+`, campaignList(false), campaignList(true))
 	flag.PrintDefaults()
+}
+
+// campaignList names the campaigns of the table in internal/exp — every
+// one, or those with a -json plot export — for help and error text.
+func campaignList(plotOnly bool) string {
+	var names []string
+	for _, c := range exp.Campaigns() {
+		if c.Plot || !plotOnly {
+			names = append(names, c.Name)
+		}
+	}
+	return strings.Join(names, ", ")
 }
 
 var (
@@ -91,7 +102,7 @@ var (
 	kary      = flag.Int("k", 8, "fat-tree arity")
 	quiet     = flag.Bool("q", false, "suppress per-run progress lines")
 	jobs      = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel workers for independent experiment cells")
-	jsonOut   = flag.String("json", "", "also write machine-readable results to this file (matrix/table1/table2/fig8-11)")
+	jsonOut   = flag.String("json", "", "write machine-readable results to this file: the plot export of "+campaignList(true)+" and the matrix views; the shard file with -shard and on run")
 	shardStr  = flag.String("shard", "", "run only shard i/n of a campaign's cells (e.g. 1/4); requires -json, which then receives the shard file for `xmpsim merge`")
 
 	// worker flags.
@@ -101,7 +112,7 @@ var (
 	// dispatch flags.
 	workersStr   = flag.String("workers", "", "dispatch: comma-separated worker addresses (host:port); empty spawns -local workers")
 	localWorkers = flag.Int("local", 2, "dispatch: local worker subprocesses to spawn when -workers is empty")
-	campaignName = flag.String("campaign", "", "dispatch: campaign to run (matrix, table2, ablation, sweep, params, incastsweep, sack, vl2, fct, robustness)")
+	campaignName = flag.String("campaign", "", "dispatch: campaign to run ("+campaignList(false)+") or a scenario FILE.json")
 	shardCount   = flag.Int("shards", 0, "dispatch: shard tasks to partition the campaign into (default: one per worker)")
 	outDir       = flag.String("outdir", "", "dispatch: also write the per-shard artifacts (shard-N.json) into this directory")
 	taskTimeout  = flag.Duration("task-timeout", 0, "dispatch: per-attempt timeout (default: derived from campaign scale)")
@@ -120,25 +131,13 @@ var (
 func startProfiling() func() {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xmpsim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "xmpsim: %v\n", err)
-			os.Exit(1)
-		}
+		check(err)
+		check(pprof.StartCPUProfile(f))
 	}
 	if *execTrace != "" {
 		f, err := os.Create(*execTrace)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xmpsim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rtrace.Start(f); err != nil {
-			fmt.Fprintf(os.Stderr, "xmpsim: %v\n", err)
-			os.Exit(1)
-		}
+		check(err)
+		check(rtrace.Start(f))
 	}
 	return func() {
 		if *cpuprofile != "" {
@@ -151,16 +150,10 @@ func startProfiling() func() {
 		}
 		if *memprofile != "" {
 			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "xmpsim: %v\n", err)
-				os.Exit(1)
-			}
+			check(err)
 			defer f.Close()
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "xmpsim: %v\n", err)
-				os.Exit(1)
-			}
+			check(pprof.WriteHeapProfile(f))
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *memprofile)
 		}
 	}
@@ -175,23 +168,12 @@ func main() {
 	flag.CommandLine.Parse(os.Args[2:])
 	flag.Usage = usage
 
+	if _, ok := exp.LookupCampaign(cmd); *shardStr != "" && !ok && cmd != "run" {
+		// One-off figures, the derived matrix views, all, merge.
+		die(2, "-shard applies to campaign subcommands (%s) and run", campaignList(false))
+	}
 	stopProfiling := startProfiling()
 	start := time.Now()
-	// run's campaign comes from the spec file, not the subcommand name, so
-	// it applies -shard itself (runCompiled) instead of through the registry
-	// dispatch below.
-	if cmd == "run" {
-		runRun()
-		stopProfiling()
-		fmt.Fprintf(os.Stderr, "\n[%s completed in %v]\n", cmd, time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if spec, sharded := shardSpec(cmd); sharded {
-		runShardCampaign(cmd, spec)
-		stopProfiling()
-		fmt.Fprintf(os.Stderr, "\n[%s completed in %v]\n", cmd, time.Since(start).Round(time.Millisecond))
-		return
-	}
 	switch cmd {
 	case "fig1":
 		runFig1()
@@ -201,22 +183,8 @@ func main() {
 		runFig6()
 	case "fig7":
 		runFig7()
-	case "table1", "table3", "fig8", "fig9", "fig10", "fig11", "matrix", "fct", "robustness":
-		runSpecCampaign(cmd)
-	case "table2":
-		runTable2()
-	case "ablation":
-		runAblation()
-	case "sweep":
-		runSweep()
-	case "params":
-		exp.RenderParamSweep(os.Stdout, exp.RunParamSweep(nil, nil, scaleT(100*sim.Millisecond), *jobs, progress()))
-	case "incastsweep":
-		exp.RenderIncastSweep(os.Stdout, exp.RunIncastSweep(nil, scaleT(200*sim.Millisecond), *jobs, progress()))
-	case "sack":
-		exp.RenderSACKAblation(os.Stdout, exp.RunSACKAblation(scaleT(100*sim.Millisecond), *jobs, progress()))
-	case "vl2":
-		exp.RenderVL2(os.Stdout, exp.RunVL2Comparison(nil, scaleT(100*sim.Millisecond), *jobs, progress()))
+	case "run":
+		runRun()
 	case "campaigns":
 		runCampaigns()
 	case "merge":
@@ -226,23 +194,21 @@ func main() {
 	case "dispatch":
 		runDispatch()
 	case "all":
+		if *jsonOut != "" {
+			die(2, "-json names one file; run the campaign that should write it by itself")
+		}
 		runFig1()
 		runFig4()
 		runFig6()
 		runFig7()
-		runSpecCampaign("matrix")
-		runTable2()
-		runAblation()
-		runSweep()
-		exp.RenderParamSweep(os.Stdout, exp.RunParamSweep(nil, nil, scaleT(100*sim.Millisecond), *jobs, progress()))
-		exp.RenderIncastSweep(os.Stdout, exp.RunIncastSweep(nil, scaleT(200*sim.Millisecond), *jobs, progress()))
-		exp.RenderSACKAblation(os.Stdout, exp.RunSACKAblation(scaleT(100*sim.Millisecond), *jobs, progress()))
-		exp.RenderVL2(os.Stdout, exp.RunVL2Comparison(nil, scaleT(100*sim.Millisecond), *jobs, progress()))
-		runSpecCampaign("fct")
-		runSpecCampaign("robustness")
+		for _, c := range exp.Campaigns() {
+			runCampaign(c.Name, campaignParams(), true)
+		}
 	default:
-		usage()
-		os.Exit(2)
+		if !runCampaignCmd(cmd) {
+			usage()
+			os.Exit(2)
+		}
 	}
 	stopProfiling()
 	fmt.Fprintf(os.Stderr, "\n[%s completed in %v]\n", cmd, time.Since(start).Round(time.Millisecond))
@@ -252,7 +218,8 @@ func scaleT(d sim.Duration) sim.Duration {
 	return sim.Duration(float64(d) * *timescale)
 }
 
-func progress() *os.File {
+// progress is where per-cell progress lines go: stderr, or nowhere with -q.
+func progress() io.Writer {
 	if *quiet {
 		return nil
 	}
@@ -297,80 +264,39 @@ func runFig7() {
 	}
 }
 
-func runTable2() {
-	// Both switch models for non-ECT traffic: the coexistence outcome
-	// hinges on whether loss-based flows may fill the buffer past K (see
-	// EXPERIMENTS.md). The campaign spans both variants; rendering is
-	// shared with `xmpsim merge`, which must reproduce it byte for byte.
-	f := exp.RunTable2Campaign(exp.Table2Config{
-		KAry:      *kary,
-		SizeScale: *sizescale,
-		Seed:      *seed,
-		Duration:  scaleT(200 * sim.Millisecond),
-		Jobs:      *jobs,
-	}, exp.Unsharded, progress())
-	rs, err := exp.MergeTable2Shards([]*exp.ShardFile[exp.Table2Cell]{f})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xmpsim: %v\n", err)
-		os.Exit(1)
-	}
-	// -json keeps exporting the RED-strict variant, as before.
-	writeJSON(func(w *os.File) error { return rs[1].WriteJSON(w) })
-	exp.RenderTable2Campaign(os.Stdout, rs)
-}
-
 // writeJSON emits machine-readable results when -json is set.
-func writeJSON(write func(*os.File) error) {
+func writeJSON(write func(io.Writer) error) {
 	if *jsonOut == "" {
 		return
 	}
 	f, err := os.Create(*jsonOut)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xmpsim: %v\n", err)
-		os.Exit(1)
-	}
+	check(err)
 	defer f.Close()
-	if err := write(f); err != nil {
-		fmt.Fprintf(os.Stderr, "xmpsim: %v\n", err)
-		os.Exit(1)
-	}
+	check(write(f))
 	fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
 }
 
-func runAblation() {
-	exp.RenderAblations(os.Stdout, exp.RunAblations(10, *jobs))
-}
-
-// shardSpec parses -shard. It rejects the flag on subcommands that are
-// neither campaigns nor run (one-off figures, the derived table1/fig8-11
-// views, all, merge) and insists on -json: a shard run's product is the shard file,
-// not a partial table.
-func shardSpec(cmd string) (exp.ShardSpec, bool) {
+// shardSpec parses -shard, which main has already refused on subcommands
+// that are neither campaigns nor run. It insists on -json: a shard run's
+// product is the shard file, not a partial table.
+func shardSpec() (exp.ShardSpec, bool) {
 	if *shardStr == "" {
 		return exp.Unsharded, false
 	}
-	switch cmd {
-	case "matrix", "table2", "ablation", "sweep", "params", "incastsweep", "sack", "vl2", "fct", "robustness", "run":
-	default:
-		fmt.Fprintf(os.Stderr, "xmpsim: -shard applies to campaign subcommands (matrix, table2, ablation, sweep, params, incastsweep, sack, vl2, fct, robustness), not %q\n", cmd)
-		os.Exit(2)
-	}
 	spec, err := exp.ParseShardSpec(*shardStr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "xmpsim: %v\n", err)
-		os.Exit(2)
+		die(2, "%v", err)
 	}
 	if *jsonOut == "" {
-		fmt.Fprintln(os.Stderr, "xmpsim: -shard requires -json FILE to receive the shard file")
-		os.Exit(2)
+		die(2, "-shard requires -json FILE to receive the shard file")
 	}
 	return spec, true
 }
 
-// campaignParams packages the CLI flags into the campaign registry's
+// campaignParams packages the CLI flags into the campaign table's
 // parameter struct — the same struct a dispatch coordinator ships to
-// remote workers, so a local -shard run and a dispatched one execute
-// identical configurations.
+// remote workers, so a local run and a dispatched one execute identical
+// configurations.
 func campaignParams() exp.RunParams {
 	return exp.RunParams{
 		Timescale: *timescale,
@@ -381,20 +307,26 @@ func campaignParams() exp.RunParams {
 	}
 }
 
-// runShardCampaign runs one shard of a campaign through the registry and
-// writes its shard file to -json. Flags shape the campaign exactly as the
-// unsharded subcommand's, so merged output matches an unsharded run byte
-// for byte.
-func runShardCampaign(cmd string, spec exp.ShardSpec) {
-	data, _, err := exp.RunCampaignShard(cmd, campaignParams(), spec, progress())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xmpsim: %v\n", err)
-		os.Exit(1)
+// requirePlot refuses -json up front for a campaign without a plot
+// export, before any cell runs or shard file is decoded.
+func requirePlot(campaign string) {
+	if c, _ := exp.LookupCampaign(campaign); !c.Plot {
+		die(2, "campaign %s has no -json plot export (%s have one); with -shard, -json receives the shard file",
+			campaign, campaignList(true))
 	}
-	writeJSON(func(w *os.File) error {
-		_, err := w.Write(data)
-		return err
-	})
+}
+
+// die prints a message attributed to the subcommand and exits: 2 for a
+// usage error, 1 for a failed run.
+func die(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "xmpsim "+os.Args[1]+": "+format+"\n", args...)
+	os.Exit(code)
+}
+
+func check(err error) {
+	if err != nil {
+		die(1, "%v", err)
+	}
 }
 
 // runWorker serves the dispatch shard-task API until killed. The
@@ -410,10 +342,7 @@ func runWorker() {
 			os.Exit(3)
 		}
 	}
-	if err := dispatch.Serve(*listenAddr, w, os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "xmpsim worker: %v\n", err)
-		os.Exit(1)
-	}
+	check(dispatch.Serve(*listenAddr, w, os.Stdout))
 }
 
 // runDispatch distributes a campaign across workers and prints the merged
@@ -421,22 +350,21 @@ func runWorker() {
 // spawns -local worker subprocesses of this same binary.
 func runDispatch() {
 	if *campaignName == "" {
-		fmt.Fprintln(os.Stderr, "xmpsim dispatch: -campaign is required (one of matrix, table2, ablation, sweep, params, incastsweep, sack, vl2, fct, robustness, or a scenario FILE.json)")
-		os.Exit(2)
+		die(2, "-campaign is required (one of %s, or a scenario FILE.json)", campaignList(false))
 	}
-	name := *campaignName
+	name, family := *campaignName, *campaignName
 	params := campaignParams()
 	if strings.HasSuffix(name, ".json") {
 		// A scenario spec: compile it here and ship the resolved spec
 		// inline, so workers need no access to the file (or to any chaos
 		// schedule it references).
 		c, err := scenario.CompileFile(name)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xmpsim dispatch: %v\n", err)
-			os.Exit(1)
-		}
-		name = exp.CampaignScenario
+		check(err)
+		name, family = exp.CampaignScenario, c.Campaign
 		params.Scenario = c.JSON
+	}
+	if *jsonOut != "" {
+		requirePlot(family)
 	}
 	var workers []string
 	for _, w := range strings.Split(*workersStr, ",") {
@@ -446,16 +374,10 @@ func runDispatch() {
 	}
 	if len(workers) == 0 {
 		exe, err := os.Executable()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xmpsim dispatch: %v\n", err)
-			os.Exit(1)
-		}
+		check(err)
 		var stop func()
 		workers, stop, err = dispatch.StartLocalWorkers(exe, *localWorkers, os.Stderr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xmpsim dispatch: %v\n", err)
-			os.Exit(1)
-		}
+		check(err)
 		defer stop()
 		fmt.Fprintf(os.Stderr, "xmpsim dispatch: spawned %d local workers: %s\n", len(workers), strings.Join(workers, ", "))
 	}
@@ -466,21 +388,12 @@ func runDispatch() {
 		StallTimeout: *stallTimeout,
 		Log:          progress(),
 	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xmpsim dispatch: %v\n", err)
-		os.Exit(1)
-	}
+	check(err)
 	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "xmpsim dispatch: %v\n", err)
-			os.Exit(1)
-		}
+		check(os.MkdirAll(*outDir, 0o755))
 		for _, blob := range res.Blobs {
 			path := filepath.Join(*outDir, blob.Name)
-			if err := os.WriteFile(path, blob.Data, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "xmpsim dispatch: %v\n", err)
-				os.Exit(1)
-			}
+			check(os.WriteFile(path, blob.Data, 0o644))
 			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 		}
 	}
@@ -488,9 +401,7 @@ func runDispatch() {
 		fmt.Fprintf(os.Stderr, "xmpsim dispatch: %d task(s) reassigned, %d duplicate completion(s) deduplicated\n",
 			res.Reassigned, res.Deduped)
 	}
-	if *jsonOut != "" {
-		writeJSON(func(w *os.File) error { return res.Merged.WriteJSON(w) })
-	}
+	writeJSON(res.Merged.WriteJSON)
 	res.Merged.Render(os.Stdout)
 }
 
@@ -499,30 +410,23 @@ func runDispatch() {
 // dispatch -outdir) — validates that they form an exact partition of one
 // campaign, and prints the full campaign output to stdout —
 // byte-identical to the unsharded subcommand. -json additionally emits
-// the matrix plot schema.
+// the campaign's plot export.
 func runMerge() {
 	names := flag.Args()
 	if len(names) == 0 {
-		fmt.Fprintln(os.Stderr, "xmpsim merge: no shard files given (usage: xmpsim merge [flags] shard-*.json | DIR)")
-		os.Exit(2)
+		die(2, "no shard files given (usage: xmpsim merge [flags] shard-*.json | DIR)")
 	}
 	blobs, err := exp.CollectShardBlobs(names)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xmpsim merge: %v\n", err)
-		os.Exit(1)
+	check(err)
+	if *jsonOut != "" {
+		m, err := exp.PeekManifest(blobs[0].Data)
+		if err != nil {
+			die(1, "%s: %v", blobs[0].Name, err)
+		}
+		requirePlot(m.Campaign)
 	}
 	res, err := exp.MergeShardBlobs(blobs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xmpsim merge: %v\n", err)
-		os.Exit(1)
-	}
-	if *jsonOut != "" {
-		writeJSON(func(w *os.File) error { return res.WriteJSON(w) })
-	}
+	check(err)
+	writeJSON(res.WriteJSON)
 	res.Render(os.Stdout)
-}
-
-func runSweep() {
-	rs := exp.RunSubflowSweep([]int{1, 2, 4, 8}, scaleT(50*sim.Millisecond), *jobs)
-	exp.RenderSubflowSweep(os.Stdout, rs)
 }

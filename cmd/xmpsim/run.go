@@ -1,16 +1,17 @@
 package main
 
-// xmpsim run / matrix / fct / robustness / campaigns: the declarative
-// scenario entry points. `run` compiles a JSON spec (internal/scenario)
-// and executes it; the three campaign subcommands are aliases for running
-// their embedded spec, through the same function. `campaigns` lists
-// everything the registry can execute, probing each campaign's config hash
-// and cell count without running simulations.
+// xmpsim <campaign> / <matrix view> / run / campaigns: everything that
+// executes or lists campaigns, all through the table in internal/exp.
+// `run` compiles a JSON spec (internal/scenario) and ships it inline to
+// the scenario runner; a campaign subcommand names its table entry;
+// `campaigns` probes each entry's config hash and cell count without
+// running simulations.
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"xmp/internal/exp"
 	"xmp/internal/scenario"
@@ -25,75 +26,66 @@ var validateRun = flag.Bool("validate", false, "run: dry-run — parse, validate
 func runRun() {
 	args := flag.Args()
 	if len(args) != 1 {
-		fmt.Fprintln(os.Stderr, "xmpsim run: usage: xmpsim run [flags] scenario.json")
-		os.Exit(2)
+		die(2, "usage: xmpsim run [flags] scenario.json")
 	}
 	c, err := scenario.CompileFile(args[0])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xmpsim run: %v\n", err)
-		os.Exit(1)
-	}
+	check(err)
 	if *validateRun {
-		if err := c.CheckTargets(); err != nil {
-			fmt.Fprintf(os.Stderr, "xmpsim run: %v\n", err)
-			os.Exit(1)
-		}
+		check(c.CheckTargets())
 		renderCompiled(c)
 		return
 	}
-	runCompiled("run", c, false)
+	runCampaign(exp.CampaignScenario, exp.RunParams{Jobs: *jobs, Scenario: c.JSON}, false)
 }
 
-// runSpecCampaign executes matrix, fct or robustness — aliases for `xmpsim
-// run scenarios/<cmd>.json` with the scale flags overlaid on the embedded
-// spec (scenario.CompileCampaign) — or one of the matrix table views,
-// which are the matrix spec with a one-table metrics selection. It is the
-// unsharded path: main sends -shard runs through the campaign registry,
-// which compiles the same spec the same way. -json receives what it always
-// has on these subcommands: the matrix plot schema (nothing for fct and
-// robustness).
-func runSpecCampaign(cmd string) {
-	name := cmd
-	if cmd != "fct" && cmd != "robustness" {
-		name = "matrix"
+// runCampaignCmd runs cmd if it names a campaign or one of the matrix
+// table views — the embedded matrix spec with a one-table metrics
+// selection, shipped inline like any other spec.
+func runCampaignCmd(cmd string) bool {
+	p := campaignParams()
+	if _, ok := exp.LookupCampaign(cmd); ok {
+		runCampaign(cmd, p, true)
+		return true
 	}
-	c, err := scenario.CompileCampaign(name, campaignParams())
-	if err == nil && cmd != name {
-		view := *c.Spec
-		view.Metrics = []string{cmd}
-		c, err = scenario.Compile(&view, "")
+	matrix, _ := exp.LookupCampaign(exp.CampaignMatrix)
+	if !slices.Contains(matrix.Tables, cmd) {
+		return false
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xmpsim %s: %v\n", cmd, err)
-		os.Exit(1)
-	}
-	runCompiled(cmd, c, true)
+	c, err := scenario.CompileCampaign(matrix.Name, p)
+	check(err)
+	view := *c.Spec
+	view.Metrics = []string{cmd}
+	c, err = scenario.Compile(&view, "")
+	check(err)
+	p.Scenario = c.JSON
+	runCampaign(matrix.Name, p, true)
+	return true
 }
 
-// runCompiled is the one execution path of every spec-backed subcommand:
-// run the cells -shard owns and — unsharded — render the tables to stdout.
-// -json receives the shard file, or with plotJSON the matrix plot schema.
-func runCompiled(cmd string, c *scenario.Compiled, plotJSON bool) {
-	shard, sharded := shardSpec(cmd)
-	enc, err := c.RunShard(shard, *jobs, progress())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xmpsim %s: %v\n", cmd, err)
-		os.Exit(1)
+// runCampaign is the one execution path of every campaign subcommand,
+// sharded or not: run the cells -shard owns through the campaign table
+// and — unsharded — merge that one shard file and render it to stdout.
+// -json receives the shard file, or unsharded with plotJSON the campaign's
+// plot export.
+func runCampaign(name string, p exp.RunParams, plotJSON bool) {
+	shard, sharded := shardSpec()
+	plotJSON = plotJSON && !sharded && *jsonOut != ""
+	if plotJSON {
+		requirePlot(name)
 	}
+	enc, err := exp.RunCampaign(name, p, shard, progress())
+	check(err)
 	if !plotJSON {
-		writeJSON(func(w *os.File) error { return enc.Encode(w) })
+		writeJSON(enc.Encode)
 	}
 	if sharded {
 		// A shard run's product is the shard file, not a partial table.
 		return
 	}
 	res, err := exp.MergeShards([]exp.ShardEncoder{enc})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xmpsim %s: %v\n", cmd, err)
-		os.Exit(1)
-	}
-	if plotJSON && res.Matrix != nil {
-		writeJSON(func(w *os.File) error { return res.WriteJSON(w) })
+	check(err)
+	if plotJSON {
+		writeJSON(res.WriteJSON)
 	}
 	res.Render(os.Stdout)
 }
@@ -136,23 +128,18 @@ func runCampaigns() {
 		}
 		desc, hash, cells, err := exp.CampaignProbe(name, p)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "xmpsim campaigns: %s: %v\n", name, err)
-			os.Exit(1)
+			die(1, "%s: %v", name, err)
 		}
 		fmt.Printf("%-12s %5d  %-12s  %s\n", name, cells, hash[:12], desc)
 	}
 	for _, path := range flag.Args() {
 		c, err := scenario.CompileFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xmpsim campaigns: %v\n", err)
-			os.Exit(1)
-		}
+		check(err)
 		// Probe through the registry with the compiled spec inline — the
 		// same round-trip a dispatch coordinator and its workers perform.
 		_, hash, cells, err := exp.CampaignProbe(exp.CampaignScenario, exp.RunParams{Scenario: c.JSON, Jobs: *jobs})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "xmpsim campaigns: %s: %v\n", path, err)
-			os.Exit(1)
+			die(1, "%s: %v", path, err)
 		}
 		desc := c.Spec.Description
 		if desc == "" {

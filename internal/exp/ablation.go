@@ -72,22 +72,13 @@ func ablationRun(variant string, q func(*sim.RNG) netem.Queue, echo cc.EchoMode,
 
 const time500ms = 500 * sim.Millisecond
 
-// RunAblations executes the DESIGN.md §4 ablations:
+// AblationPlan plans the DESIGN.md §4 ablations, one cell per variant:
 //
 //   - marking rule: instantaneous threshold vs degenerate RED (Wq=1,
 //     MinTh=MaxTh=K — must match) vs conventional EWMA RED (must not);
 //   - CE feedback: the two-bit counter echo vs latched standard ECN;
 //   - the once-per-round reduction guard on vs off.
-func RunAblations(k, jobs int) []AblationResult {
-	return cellData(RunAblationsShard(k, Unsharded, jobs, nil).Cells)
-}
-
-// RunAblationsShard is the sharded campaign entry behind RunAblations;
-// cell i is the i-th variant of the fixed ablation list.
-func RunAblationsShard(k int, shard ShardSpec, jobs int, progress io.Writer) *ShardFile[AblationResult] {
-	if k == 0 {
-		k = 10
-	}
+func AblationPlan(k int) Plan[AblationResult] {
 	const limit = 250
 	type variant struct {
 		name         string
@@ -116,19 +107,18 @@ func RunAblationsShard(k int, shard ShardSpec, jobs int, progress io.Writer) *Sh
 			func(*sim.RNG) netem.Queue { return netem.NewThresholdECN(limit, k) },
 			cc.EchoCounter, true},
 	}
-	cells := RunShard(len(variants), jobs, shard,
-		func(i int) AblationResult {
+	return Plan[AblationResult]{
+		Desc:  fmt.Sprintf("ablation K=%d limit=%d variants=%d", k, limit, len(variants)),
+		Cells: len(variants),
+		Run: func(i int) AblationResult {
 			v := variants[i]
 			return ablationRun(v.name, v.q, v.echo, v.disableGuard)
 		},
-		func(_ int, r AblationResult) {
-			if progress != nil {
-				fmt.Fprintf(progress, "ablation %-44s util=%.2f drops=%d marks=%d\n",
-					r.Variant, r.Utilization, r.Drops, r.Marks)
-			}
-		})
-	desc := fmt.Sprintf("ablation K=%d limit=%d variants=%d", k, limit, len(variants))
-	return &ShardFile[AblationResult]{Manifest: newManifest(CampaignAblation, desc, shard, len(variants)), Cells: cells}
+		Progress: func(w io.Writer, r AblationResult) {
+			fmt.Fprintf(w, "ablation %-44s util=%.2f drops=%d marks=%d\n",
+				r.Variant, r.Utilization, r.Drops, r.Marks)
+		},
+	}
 }
 
 // RenderAblations prints the comparison table.
@@ -151,20 +141,16 @@ type SubflowSweepResult struct {
 	Flows      int
 }
 
-// RunSubflowSweep measures permutation-pattern goodput as the number of
-// XMP subflows grows.
-func RunSubflowSweep(counts []int, duration sim.Duration, jobs int) []SubflowSweepResult {
-	return cellData(RunSubflowSweepShard(counts, duration, Unsharded, jobs, nil).Cells)
-}
-
-// RunSubflowSweepShard is the sharded campaign entry behind
-// RunSubflowSweep; cell i is counts[i].
-func RunSubflowSweepShard(counts []int, duration sim.Duration, shard ShardSpec, jobs int, progress io.Writer) *ShardFile[SubflowSweepResult] {
+// SubflowSweepPlan plans permutation-pattern goodput as the number of XMP
+// subflows grows; cell i is counts[i].
+func SubflowSweepPlan(counts []int, duration sim.Duration) Plan[SubflowSweepResult] {
 	if len(counts) == 0 {
 		counts = []int{1, 2, 4, 8}
 	}
-	cells := RunShard(len(counts), jobs, shard,
-		func(i int) SubflowSweepResult {
+	return Plan[SubflowSweepResult]{
+		Desc:  fmt.Sprintf("sweep counts=%v duration=%d", counts, int64(duration)),
+		Cells: len(counts),
+		Run: func(i int) SubflowSweepResult {
 			r := RunFatTree(FatTreeConfig{
 				Pattern:  Permutation,
 				Scheme:   schemeXMPn(counts[i]),
@@ -176,14 +162,11 @@ func RunSubflowSweepShard(counts []int, duration sim.Duration, shard ShardSpec, 
 				Flows:      r.Collector.FlowsCompleted,
 			}
 		},
-		func(_ int, r SubflowSweepResult) {
-			if progress != nil {
-				fmt.Fprintf(progress, "sweep subflows=%d goodput=%6.1f Mbps flows=%d\n",
-					r.Subflows, r.AvgGoodput, r.Flows)
-			}
-		})
-	desc := fmt.Sprintf("sweep counts=%v duration=%d", counts, int64(duration))
-	return &ShardFile[SubflowSweepResult]{Manifest: newManifest(CampaignSubflow, desc, shard, len(counts)), Cells: cells}
+		Progress: func(w io.Writer, r SubflowSweepResult) {
+			fmt.Fprintf(w, "sweep subflows=%d goodput=%6.1f Mbps flows=%d\n",
+				r.Subflows, r.AvgGoodput, r.Flows)
+		},
+	}
 }
 
 func schemeXMPn(n int) workload.Scheme {

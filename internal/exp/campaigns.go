@@ -10,15 +10,11 @@ import (
 	"xmp/internal/sim"
 )
 
-// This file is the campaign registry: every sharded campaign is reachable
-// by its string name with one uniform signature, so a remote shard task
-// (internal/dispatch) can name its runner without carrying Go code across
-// the wire. The registry replicates exactly the flag-to-config mapping of
-// the xmpsim subcommands — which themselves now run through it — so a
-// shard executed on a worker host is indistinguishable from one run by
-// `xmpsim <campaign> -shard i/n`. The campaigns below exist only as Go
-// runners; matrix, robustness and fct exist only as the specs in
-// scenarios/ and are registered by internal/scenario.
+// This file is the API over the campaign table (table.go): the params
+// that shape a run, and running, probing and listing campaigns by name. A
+// remote shard task (internal/dispatch) names its runner the same way, so
+// a shard executed on a worker host is indistinguishable from one run by
+// `xmpsim <campaign> -shard i/n`.
 
 // RunParams carries the CLI-level knobs that shape a campaign's
 // results, in a JSON-serializable form a coordinator can ship to workers.
@@ -39,14 +35,6 @@ type RunParams struct {
 	// spec file.
 	Scenario json.RawMessage `json:"scenario,omitempty"`
 }
-
-// CampaignScenario is the registry name of the declarative scenario
-// runner; the compiled spec rides in RunParams.Scenario, and shard files
-// carry the spec's family ("matrix", ...) as their campaign. It is
-// registered by internal/scenario's init — with the spec-backed matrix,
-// robustness and fct — so it exists in any binary that imports that
-// package (cmd/xmpsim does).
-const CampaignScenario = "scenario"
 
 // WithDefaults resolves zero fields to the xmpsim flag defaults.
 func (p RunParams) WithDefaults() RunParams {
@@ -69,79 +57,91 @@ func (p RunParams) scaleT(d sim.Duration) sim.Duration {
 	return sim.Duration(float64(d) * p.Timescale)
 }
 
-// ShardEncoder is what every Run*Shard runner and DecodeShard return: a
-// shard file, its cell type erased, that can report its manifest and
-// encode itself.
+// Campaign names: the xmpsim subcommands, and what shard manifests carry.
+const (
+	CampaignMatrix     = "matrix"
+	CampaignTable2     = "table2"
+	CampaignAblation   = "ablation"
+	CampaignSubflow    = "sweep"
+	CampaignParams     = "params"
+	CampaignIncast     = "incastsweep"
+	CampaignSACK       = "sack"
+	CampaignVL2        = "vl2"
+	CampaignFCT        = "fct"
+	CampaignRobustness = "robustness"
+	// CampaignScenario names the declarative scenario runner. The spec
+	// rides in RunParams.Scenario and shard files carry its family
+	// ("matrix", ...), so it has a runner but no shard format of its own.
+	CampaignScenario = "scenario"
+)
+
+func lookup(name string) *campaign {
+	for _, c := range campaigns {
+		if c.Name == name {
+			return c
+		}
+	}
+	return nil
+}
+
+// ShardEncoder is a shard file with its cell type erased: what a campaign
+// runner and DecodeShard return.
 type ShardEncoder interface {
 	ShardManifest() ShardManifest
 	Encode(io.Writer) error
 }
 
-// CampaignRunner executes one shard of a campaign shaped by p. It is the
-// uniform signature behind the registry: the built-in campaigns never
-// fail (their params cannot be malformed), but registered extensions —
-// the declarative scenario runner — must be able to reject a bad spec
-// without panicking a worker process.
+// CampaignRunner executes one shard of a campaign shaped by p. The Go
+// plans never fail (their params cannot be malformed), but the
+// declarative scenario runner must be able to reject a bad spec without
+// panicking a worker process.
 type CampaignRunner func(p RunParams, shard ShardSpec, progress io.Writer) (ShardEncoder, error)
 
-// infallible adapts the built-in runners, whose construction cannot fail.
-func infallible(run func(p RunParams, shard ShardSpec, progress io.Writer) ShardEncoder) CampaignRunner {
-	return func(p RunParams, shard ShardSpec, progress io.Writer) (ShardEncoder, error) {
-		return run(p, shard, progress), nil
-	}
-}
-
-// RegisterCampaign adds a runner under name, making it reachable by every
-// layer that resolves campaigns by string — the xmpsim subcommand path,
-// CampaignProbe, and the dispatch workers. Registering a duplicate name
-// panics: two runners answering to one name would hash different configs
-// under the same key and poison every manifest check downstream.
+// RegisterCampaign attaches a runner to a declared campaign that has none:
+// matrix, robustness, fct and scenario, whose cells internal/scenario
+// compiles from specs. An undeclared name or a second runner panics: two
+// runners answering to one name would hash different configs under the
+// same key and poison every manifest check downstream.
 func RegisterCampaign(name string, run CampaignRunner) {
-	if _, dup := campaignRunners[name]; dup {
+	c := lookup(name)
+	if c == nil {
+		panic(fmt.Sprintf("exp: campaign %q is not declared", name))
+	}
+	if c.run != nil {
 		panic(fmt.Sprintf("exp: campaign %q registered twice", name))
 	}
-	campaignRunners[name] = run
+	c.run = run
 }
 
-// campaignRunners maps campaign names to their shard runners. Each entry
-// mirrors the corresponding xmpsim subcommand's flag handling; changing
-// one without the other shifts the config hash and makes merges refuse the
-// mix, so drift fails loudly rather than silently.
-var campaignRunners = map[string]CampaignRunner{
-	CampaignTable2: infallible(func(p RunParams, shard ShardSpec, progress io.Writer) ShardEncoder {
-		return RunTable2Campaign(Table2Config{
-			KAry:      p.K,
-			SizeScale: p.SizeScale,
-			Seed:      p.Seed,
-			Duration:  p.scaleT(200 * sim.Millisecond),
-			Jobs:      p.Jobs,
-		}, shard, progress)
-	}),
-	CampaignAblation: infallible(func(p RunParams, shard ShardSpec, progress io.Writer) ShardEncoder {
-		return RunAblationsShard(10, shard, p.Jobs, progress)
-	}),
-	CampaignSubflow: infallible(func(p RunParams, shard ShardSpec, progress io.Writer) ShardEncoder {
-		return RunSubflowSweepShard(nil, p.scaleT(50*sim.Millisecond), shard, p.Jobs, progress)
-	}),
-	CampaignParams: infallible(func(p RunParams, shard ShardSpec, progress io.Writer) ShardEncoder {
-		return RunParamSweepShard(nil, nil, p.scaleT(100*sim.Millisecond), shard, p.Jobs, progress)
-	}),
-	CampaignIncast: infallible(func(p RunParams, shard ShardSpec, progress io.Writer) ShardEncoder {
-		return RunIncastSweepShard(nil, p.scaleT(200*sim.Millisecond), shard, p.Jobs, progress)
-	}),
-	CampaignSACK: infallible(func(p RunParams, shard ShardSpec, progress io.Writer) ShardEncoder {
-		return RunSACKAblationShard(p.scaleT(100*sim.Millisecond), shard, p.Jobs, progress)
-	}),
-	CampaignVL2: infallible(func(p RunParams, shard ShardSpec, progress io.Writer) ShardEncoder {
-		return RunVL2ComparisonShard(nil, p.scaleT(100*sim.Millisecond), shard, p.Jobs, progress)
-	}),
+// Campaigns lists the declared campaigns in the order `xmpsim all` runs
+// them. The scenario runner is not one: what it runs is a campaign of the
+// spec's family.
+func Campaigns() []CampaignInfo {
+	var out []CampaignInfo
+	for _, c := range campaigns {
+		if c.merge != nil {
+			out = append(out, c.CampaignInfo)
+		}
+	}
+	return out
 }
 
-// CampaignNames returns the registered campaign names, sorted.
+// LookupCampaign returns the named entry of Campaigns.
+func LookupCampaign(name string) (CampaignInfo, bool) {
+	if c := lookup(name); c != nil && c.merge != nil {
+		return c.CampaignInfo, true
+	}
+	return CampaignInfo{}, false
+}
+
+// CampaignNames returns every name a runner answers to — Campaigns plus
+// the scenario runner — sorted.
 func CampaignNames() []string {
-	names := make([]string, 0, len(campaignRunners))
-	for n := range campaignRunners {
-		names = append(names, n)
+	var names []string
+	for _, c := range campaigns {
+		if c.run != nil {
+			names = append(names, c.Name)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -161,11 +161,7 @@ var probeSpec = ShardSpec{Index: probeCount - 1, Count: probeCount}
 // Campaign field is the name shard files carry, which for the "scenario"
 // registry name is the inline spec's family.
 func ProbeManifest(name string, p RunParams) (ShardManifest, error) {
-	run, ok := campaignRunners[name]
-	if !ok {
-		return ShardManifest{}, fmt.Errorf("unknown campaign %q (have %v)", name, CampaignNames())
-	}
-	enc, err := run(p.WithDefaults(), probeSpec, nil)
+	enc, err := RunCampaign(name, p, probeSpec, nil)
 	if err != nil {
 		return ShardManifest{}, err
 	}
@@ -180,19 +176,23 @@ func CampaignProbe(name string, p RunParams) (desc, hash string, cells int, err 
 	return m.Config, m.ConfigHash, m.TotalCells, err
 }
 
-// RunCampaignShard executes one shard of the named campaign and returns
-// the encoded shard file — the same bytes `xmpsim <name> -shard i/n -json`
-// writes — plus its manifest. progress, if non-nil, receives the
-// campaign's per-cell progress lines in deterministic cell order.
-func RunCampaignShard(name string, p RunParams, shard ShardSpec, progress io.Writer) ([]byte, ShardManifest, error) {
-	run, ok := campaignRunners[name]
-	if !ok {
-		return nil, ShardManifest{}, fmt.Errorf("unknown campaign %q (have %v)", name, CampaignNames())
+// RunCampaign executes one shard of the named campaign. progress, if
+// non-nil, receives the per-cell progress lines in cell order.
+func RunCampaign(name string, p RunParams, shard ShardSpec, progress io.Writer) (ShardEncoder, error) {
+	c := lookup(name)
+	if c == nil || c.run == nil {
+		return nil, fmt.Errorf("unknown campaign %q (have %v)", name, CampaignNames())
 	}
 	if err := shard.Validate(); err != nil {
-		return nil, ShardManifest{}, err
+		return nil, err
 	}
-	f, err := run(p.WithDefaults(), shard, progress)
+	return c.run(p.WithDefaults(), shard, progress)
+}
+
+// RunCampaignShard is RunCampaign with the shard file encoded — the bytes
+// `xmpsim <name> -shard i/n -json` writes — plus its manifest.
+func RunCampaignShard(name string, p RunParams, shard ShardSpec, progress io.Writer) ([]byte, ShardManifest, error) {
+	f, err := RunCampaign(name, p, shard, progress)
 	if err != nil {
 		return nil, ShardManifest{}, err
 	}
@@ -202,8 +202,3 @@ func RunCampaignShard(name string, p RunParams, shard ShardSpec, progress io.Wri
 	}
 	return buf.Bytes(), f.ShardManifest(), nil
 }
-
-// HashConfig returns the hex SHA-256 of a canonical campaign config
-// description — the hash stamped into shard manifests and verified by the
-// dispatch layer on every task and result.
-func HashConfig(desc string) string { return configHash(desc) }

@@ -2,7 +2,11 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -78,26 +82,124 @@ func TestCampaignProbeMatchesRun(t *testing.T) {
 	}
 }
 
-// TestCampaignShardMatchesDirectRunner pins that the registry's ablation
-// entry produces byte-for-byte the same shard file as calling the runner
-// the way the xmpsim subcommand does. The registry plumbing is the same for
-// every Go campaign, so these tests use the cheapest one (5 dumbbell
-// cells); TestSubflowSweep and TestSweepShardMergeByteIdentical still run
-// the k=8 sweep itself.
+// TestCampaignShardMatchesDirectRunner pins that there is one runner: the
+// ablation campaign in four shards through the table and the JSON encoding
+// renders what its one unsharded shard file renders straight from memory.
+// The plumbing is the same for every campaign, so these tests use the
+// cheapest one (5 dumbbell cells); TestSubflowSweep and
+// TestSweepShardMergeByteIdentical still run the k=8 sweep itself.
 func TestCampaignShardMatchesDirectRunner(t *testing.T) {
-	p := RunParams{}.WithDefaults()
-	shard := ShardSpec{Index: 1, Count: 4}
-	got, _, err := RunCampaignShard(CampaignAblation, p, shard, nil)
+	whole, err := RunCampaign(CampaignAblation, RunParams{}, Unsharded, nil)
 	if err != nil {
-		t.Fatalf("registry run: %v", err)
+		t.Fatalf("unsharded run: %v", err)
 	}
-	var want bytes.Buffer
-	direct := RunAblationsShard(10, shard, p.Jobs, nil)
-	if err := direct.Encode(&want); err != nil {
-		t.Fatalf("encode: %v", err)
+	want := rendered(t, whole)
+	const count = 4
+	blobs := make([]ShardBlob, count)
+	for i := range blobs {
+		data, _, err := RunCampaignShard(CampaignAblation, RunParams{}, ShardSpec{Index: i, Count: count}, nil)
+		if err != nil {
+			t.Fatalf("shard %d/%d: %v", i, count, err)
+		}
+		blobs[i] = ShardBlob{Name: fmt.Sprintf("shard-%d.json", i), Data: data}
 	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("registry shard file diverges from direct runner (%d vs %d bytes)", len(got), want.Len())
+	res, err := MergeShardBlobs(blobs)
+	if err != nil {
+		t.Fatalf("merge: %v", err)
+	}
+	var got bytes.Buffer
+	res.Render(&got)
+	if got.String() != want || want == "" {
+		t.Fatalf("4 shards through JSON diverge from the unsharded shard file:\n--- unsharded ---\n%s\n--- merged ---\n%s", want, got.String())
+	}
+	// What the CLI checks to refuse -json before any work is exactly
+	// whether the export exists.
+	if info, _ := LookupCampaign(CampaignAblation); info.Plot || res.WriteJSON(io.Discard) == nil {
+		t.Error("ablation declares no plot export, yet has one")
+	}
+}
+
+// TestEleventhCampaign declares a throw-away campaign — one descriptor
+// appended to the table, nothing else — and gets every derived capability:
+// a name, a runner, probe, shard files, decode, merge, render, table
+// selection and the plot export.
+func TestEleventhCampaign(t *testing.T) {
+	type square struct{ N, Sq int }
+	const name = "squares"
+	desc := "squares"
+	campaigns = append(campaigns, listOf(descriptor[square, []square]{
+		Name: name,
+		Doc:  "test campaign",
+		Plan: func(p RunParams) Plan[square] {
+			return Plan[square]{
+				Desc:     desc,
+				Cells:    p.K,
+				Run:      func(i int) square { return square{i, i * i} },
+				Progress: func(w io.Writer, s square) { fmt.Fprintf(w, "square %d\n", s.N) },
+			}
+		},
+		Tables: []view[[]square]{
+			{"ns", func(w io.Writer, ss []square) { fmt.Fprintln(w, "n:", len(ss)) }},
+			{"sum", func(w io.Writer, ss []square) {
+				sum := 0
+				for _, s := range ss {
+					sum += s.Sq
+				}
+				fmt.Fprintln(w, "sum:", sum)
+			}},
+		},
+		Plot: func(w io.Writer, ss []square) error { return json.NewEncoder(w).Encode(ss[len(ss)-1]) },
+	}))
+	t.Cleanup(func() { campaigns = campaigns[:len(campaigns)-1] })
+
+	if !slices.Contains(CampaignNames(), name) {
+		t.Fatalf("CampaignNames() = %v, missing %q", CampaignNames(), name)
+	}
+	info, ok := LookupCampaign(name)
+	if !ok || !info.Plot || !slices.Equal(info.Tables, []string{"ns", "sum"}) {
+		t.Fatalf("LookupCampaign = %+v, %v", info, ok)
+	}
+	if all := Campaigns(); all[len(all)-1].Name != name {
+		t.Fatalf("Campaigns() does not end with the new campaign: %+v", all)
+	}
+	p := RunParams{K: 5}
+	if _, _, cells, err := CampaignProbe(name, p); err != nil || cells != 5 {
+		t.Fatalf("probe: %d cells, %v", cells, err)
+	}
+	var progress bytes.Buffer
+	merged := func() *MergeResult {
+		blobs := make([]ShardBlob, 2)
+		for i := range blobs {
+			data, m, err := RunCampaignShard(name, p, ShardSpec{Index: i, Count: 2}, &progress)
+			if err != nil || m.Campaign != name {
+				t.Fatalf("shard %d/2: campaign %q, %v", i, m.Campaign, err)
+			}
+			blobs[i] = ShardBlob{Name: fmt.Sprintf("shard-%d.json", i), Data: data}
+		}
+		res, err := MergeShardBlobs(blobs)
+		if err != nil {
+			t.Fatalf("merge: %v", err)
+		}
+		return res
+	}
+	res := merged()
+	if got, want := progress.String(), "square 0\nsquare 2\nsquare 4\nsquare 1\nsquare 3\n"; got != want {
+		t.Errorf("progress = %q, want %q", got, want)
+	}
+	var out, plot bytes.Buffer
+	res.Render(&out)
+	if got, want := out.String(), "n: 5\n\nsum: 30\n"; got != want {
+		t.Errorf("render = %q, want %q", got, want)
+	}
+	if err := res.WriteJSON(&plot); err != nil || plot.String() != "{\"N\":4,\"Sq\":16}\n" {
+		t.Errorf("plot = %q, %v", plot.String(), err)
+	}
+	// A scenario-style config selects tables by name, in its own order.
+	desc = `scenario {"metrics": ["sum"]}`
+	out.Reset()
+	merged().Render(&out)
+	if got, want := out.String(), "sum: 30\n"; got != want {
+		t.Errorf("render with a metric selection = %q, want %q", got, want)
 	}
 }
 

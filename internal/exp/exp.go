@@ -15,21 +15,6 @@ import (
 	"xmp/internal/workload"
 )
 
-// Scale adjusts experiment magnitude. 1.0 is the default reduced scale;
-// Full multiplies sizes and durations back up to the paper's (slow!).
-type Scale struct {
-	// Time multiplies run durations and event schedules.
-	Time float64
-	// Size multiplies flow sizes.
-	Size float64
-}
-
-// DefaultScale is the CI-friendly reduced scale.
-var DefaultScale = Scale{Time: 1, Size: 1}
-
-// FullScale reproduces the paper's magnitudes (hours of wall clock).
-var FullScale = Scale{Time: 10, Size: 64}
-
 // Schemes of the fat-tree evaluation, in the paper's table order.
 var (
 	SchemeDCTCP = workload.Scheme{Algorithm: mptcp.AlgDCTCP, Subflows: 1}
@@ -38,8 +23,6 @@ var (
 	SchemeXMP2  = workload.Scheme{Algorithm: mptcp.AlgXMP, Subflows: 2}
 	SchemeXMP4  = workload.Scheme{Algorithm: mptcp.AlgXMP, Subflows: 4}
 	SchemeTCP   = workload.Scheme{Algorithm: mptcp.AlgReno, Subflows: 1}
-	SchemeOLIA2 = workload.Scheme{Algorithm: mptcp.AlgOLIA, Subflows: 2}
-	SchemeAMP2  = workload.Scheme{Algorithm: mptcp.AlgAMP, Subflows: 2}
 )
 
 // Table1Schemes is the scheme column of Tables 1 and 3.

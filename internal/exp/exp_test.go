@@ -179,14 +179,30 @@ func TestMatrixSmall(t *testing.T) {
 	}
 }
 
+// table2Variant runs one switch variant of a coexistence config — half of
+// the campaign Table2Plan plans — cell by cell.
+func table2Variant(cfg Table2Config) *Table2Result {
+	plan := Table2Plan(cfg)
+	cfg.defaults()
+	r := &Table2Result{Config: cfg}
+	first := 0
+	if cfg.StrictNonECT {
+		first = plan.Cells / 2
+	}
+	for i := first; i < first+plan.Cells/2; i++ {
+		r.Cells = append(r.Cells, plan.Run(i))
+	}
+	return r
+}
+
 func TestTable2CoexistSmall(t *testing.T) {
-	r := RunTable2(Table2Config{
+	r := table2Variant(Table2Config{
 		KAry:        4,
 		Duration:    60 * sim.Millisecond,
 		SizeScale:   256,
 		QueueLimits: []int{100},
 		Others:      []workload.Scheme{SchemeDCTCP, SchemeTCP},
-	}, nil)
+	})
 	if len(r.Cells) != 2 {
 		t.Fatalf("cells %d", len(r.Cells))
 	}
@@ -227,14 +243,14 @@ func TestTable2StrictSwitchesFavorXMP(t *testing.T) {
 	// With RED-faithful switches (non-ECT dropped above K) loss-based
 	// flows lose the buffer advantage and XMP dominates plain TCP — the
 	// paper's Table 2 ordering.
-	r := RunTable2(Table2Config{
+	r := table2Variant(Table2Config{
 		KAry:         4,
 		Duration:     60 * sim.Millisecond,
 		SizeScale:    256,
 		QueueLimits:  []int{100},
 		Others:       []workload.Scheme{SchemeTCP},
 		StrictNonECT: true,
-	}, nil)
+	})
 	c := r.Cells[0]
 	if c.XMPGoodput < 1.5*c.OtherGoodput {
 		t.Fatalf("strict switches: XMP %.1f vs TCP %.1f, expected XMP dominant",
@@ -242,8 +258,13 @@ func TestTable2StrictSwitchesFavorXMP(t *testing.T) {
 	}
 }
 
+// runCells runs a whole plan serially and returns the bare cell payloads.
+func runCells[T any](plan Plan[T]) []T {
+	return RunAll(plan.Cells, 1, plan.Run, nil)
+}
+
 func TestAblations(t *testing.T) {
-	rs := RunAblations(10, 1)
+	rs := runCells(AblationPlan(10))
 	byName := map[string]AblationResult{}
 	for _, r := range rs {
 		byName[r.Variant] = r
@@ -279,7 +300,7 @@ func TestAblations(t *testing.T) {
 }
 
 func TestSubflowSweep(t *testing.T) {
-	rs := RunSubflowSweep([]int{1, 2}, 40*sim.Millisecond, 1)
+	rs := runCells(SubflowSweepPlan([]int{1, 2}, 40*sim.Millisecond))
 	if len(rs) != 2 {
 		t.Fatalf("points %d", len(rs))
 	}
@@ -295,7 +316,7 @@ func TestSubflowSweep(t *testing.T) {
 }
 
 func TestParamSweepSmall(t *testing.T) {
-	pts := RunParamSweep([]int{2, 4}, []int{10}, 30*sim.Millisecond, 1, nil)
+	pts := runCells(ParamSweepPlan([]int{2, 4}, []int{10}, 30*sim.Millisecond))
 	if len(pts) != 2 {
 		t.Fatalf("points %d", len(pts))
 	}
@@ -312,7 +333,7 @@ func TestParamSweepSmall(t *testing.T) {
 }
 
 func TestIncastSweepSmall(t *testing.T) {
-	pts := RunIncastSweep([]int{4}, 60*sim.Millisecond, 1, nil)
+	pts := runCells(IncastSweepPlan([]int{4}, 60*sim.Millisecond))
 	if len(pts) != 1 || pts[0].JobsDone == 0 {
 		t.Fatalf("sweep empty: %+v", pts)
 	}
@@ -324,7 +345,7 @@ func TestIncastSweepSmall(t *testing.T) {
 }
 
 func TestSACKAblationSmall(t *testing.T) {
-	rs := RunSACKAblation(30*sim.Millisecond, 1, nil)
+	rs := runCells(SACKAblationPlan(30 * sim.Millisecond))
 	if len(rs) != 3 {
 		t.Fatalf("results %d", len(rs))
 	}
@@ -341,7 +362,7 @@ func TestSACKAblationSmall(t *testing.T) {
 }
 
 func TestVL2ComparisonSmall(t *testing.T) {
-	pts := RunVL2Comparison([]workload.Scheme{SchemeDCTCP, SchemeXMP2}, 40*sim.Millisecond, 1, nil)
+	pts := runCells(VL2Plan([]workload.Scheme{SchemeDCTCP, SchemeXMP2}, 40*sim.Millisecond))
 	if len(pts) != 2 {
 		t.Fatalf("points %d", len(pts))
 	}

@@ -45,13 +45,13 @@ func TestMatrixWriteJSON(t *testing.T) {
 }
 
 func TestTable2WriteJSON(t *testing.T) {
-	r := RunTable2(Table2Config{
+	r := table2Variant(Table2Config{
 		KAry:        4,
 		Duration:    30 * sim.Millisecond,
 		SizeScale:   256,
 		QueueLimits: []int{100},
 		Others:      []workload.Scheme{SchemeTCP},
-	}, nil)
+	})
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -145,16 +145,6 @@ func RunFCTCell(cfg FCTCellConfig) FCTPoint {
 	return fctPoint(cfg.Name, eng, ft, base, launched)
 }
 
-// RenderFCT prints the percentile table, then the per-size-bin slicing of
-// the same distributions (the paper's "small flows p99 vs large flows"
-// comparison). Empty bins render as dashes so the table shape is stable
-// across cells that never produce a size class.
-func RenderFCT(w io.Writer, pts []FCTPoint) {
-	RenderFCTSummary(w, pts)
-	fmt.Fprintln(w)
-	RenderFCTBySize(w, pts)
-}
-
 // RenderFCTSummary prints the headline per-cell percentile table — the
 // "summary" metric of scenario fct specs.
 func RenderFCTSummary(w io.Writer, pts []FCTPoint) {
@@ -168,8 +158,10 @@ func RenderFCTSummary(w io.Writer, pts []FCTPoint) {
 	}
 }
 
-// RenderFCTBySize prints the flow-size breakdown — the "by-size" metric of
-// scenario fct specs.
+// RenderFCTBySize prints the per-size-bin slicing of the same
+// distributions (the paper's "small flows p99 vs large flows" comparison) —
+// the "by-size" metric of scenario fct specs. Empty bins render as dashes so
+// the table shape is stable across cells that never produce a size class.
 func RenderFCTBySize(w io.Writer, pts []FCTPoint) {
 	fmt.Fprintln(w, "By flow size (acknowledged bytes at completion)")
 	sb := newTable(w, 14, 10, 9, 11, 11, 11)

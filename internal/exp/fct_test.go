@@ -4,18 +4,6 @@ import (
 	"testing"
 )
 
-// TestGoldenFCTViaShards regenerates the FCT campaign through the sharded
-// path — three shards, exported, merged — and diffs the rendered table
-// against the checked-in golden. Unlike the matrix golden this campaign
-// finishes in about a second, so the test runs ungated (skipped only under
-// -short).
-func TestGoldenFCTViaShards(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full FCT campaign (~1s per shard set)")
-	}
-	goldenViaRegistry(t, CampaignFCT, 3, "results_fct.txt")
-}
-
 // soleCell runs shard i/count of a spec-backed campaign that owns exactly
 // one cell and returns its payload.
 func soleCell[T any](t *testing.T, campaign string, i, count int) T {

@@ -9,15 +9,14 @@ import (
 )
 
 // The golden files at the repo root are the full-scale `xmpsim <campaign>
-// -q` outputs (stdout plus the stderr timing trailer). These tests
-// regenerate them through the sharded path — run in shards through the
-// campaign registry, exported through the real JSON encoding, merged — and
-// fail with a line-level diff on drift. There is one golden test per
-// campaign: matrix, fct and robustness exist only as the specs in
-// scenarios/, which register_test.go links into this test binary. A
-// full-scale matrix or table2 takes minutes, so those two only run when
-// XMP_GOLDEN=1 is set (CI's merge job covers the same contract by diffing
-// merged shard artifacts against the goldens).
+// -q` outputs (stdout plus the stderr timing trailer). TestGoldens
+// regenerates every one through the sharded path — run in shards through
+// the campaign table, exported through the real JSON encoding, merged —
+// and fails with a line-level diff on drift. matrix, fct and robustness
+// exist only as the specs in scenarios/, which register_test.go links into
+// this test binary. The three slowest (matrix 35 s, params 23 s, table2
+// 18 s on a 2-core box) only run when XMP_GOLDEN=1 is set; CI's golden and
+// merge jobs cover the same contract from the CLI.
 
 // stripTrailer drops the stderr timing trailer — the final blank line and
 // "[<cmd> completed in <dur>]" — which is not reproducible.
@@ -61,59 +60,38 @@ func diffLines(t *testing.T, name, want, got string) {
 	}
 }
 
-func goldenEnabled(t *testing.T) {
-	t.Helper()
-	if os.Getenv("XMP_GOLDEN") != "1" {
-		t.Skip("full-scale golden regeneration; set XMP_GOLDEN=1 to run (~minutes)")
-	}
-}
+// slowGoldens are the campaigns TestGoldens runs only under XMP_GOLDEN=1.
+var slowGoldens = map[string]bool{CampaignMatrix: true, CampaignParams: true, CampaignTable2: true}
 
-// goldenViaRegistry runs the named campaign at default params in count
-// shards through the registry, merges the shard files and diffs the render
-// against the golden file at the repo root.
-func goldenViaRegistry(t *testing.T, campaign string, count int, goldenName string) {
-	t.Helper()
-	golden, err := os.ReadFile("../../" + goldenName)
-	if err != nil {
-		t.Fatal(err)
+// TestGoldens ranges over the campaign table: a declared campaign without
+// a results_<name>.txt fails, so a new campaign cannot ship unpinned.
+func TestGoldens(t *testing.T) {
+	for _, c := range Campaigns() {
+		t.Run(c.Name, func(t *testing.T) {
+			goldenName := "results_" + c.Name + ".txt"
+			golden, err := os.ReadFile("../../" + goldenName)
+			if err != nil {
+				t.Fatalf("every declared campaign needs a golden: %v", err)
+			}
+			if testing.Short() || slowGoldens[c.Name] && os.Getenv("XMP_GOLDEN") != "1" {
+				t.Skip("full-scale campaign (~40 s for the seven fast ones); the three slow ones need XMP_GOLDEN=1")
+			}
+			const count = 2 // every golden crosses a merge
+			blobs := make([]ShardBlob, count)
+			for i := range blobs {
+				data, _, err := RunCampaignShard(c.Name, RunParams{}, ShardSpec{Index: i, Count: count}, nil)
+				if err != nil {
+					t.Fatalf("shard %d/%d: %v", i, count, err)
+				}
+				blobs[i] = ShardBlob{Name: fmt.Sprintf("shard-%d.json", i), Data: data}
+			}
+			res, err := MergeShardBlobs(blobs)
+			if err != nil {
+				t.Fatalf("merge: %v", err)
+			}
+			var got bytes.Buffer
+			res.Render(&got)
+			diffLines(t, goldenName, stripTrailer(string(golden)), stripTrailer(got.String()))
+		})
 	}
-	blobs := make([]ShardBlob, count)
-	for i := range blobs {
-		data, _, err := RunCampaignShard(campaign, RunParams{}, ShardSpec{Index: i, Count: count}, nil)
-		if err != nil {
-			t.Fatalf("shard %d/%d: %v", i, count, err)
-		}
-		blobs[i] = ShardBlob{Name: fmt.Sprintf("shard-%d.json", i), Data: data}
-	}
-	res, err := MergeShardBlobs(blobs)
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	var got bytes.Buffer
-	res.Render(&got)
-	diffLines(t, goldenName, stripTrailer(string(golden)), stripTrailer(got.String()))
-}
-
-func TestGoldenMatrixViaShards(t *testing.T) {
-	goldenEnabled(t)
-	goldenViaRegistry(t, CampaignMatrix, 2, "results_matrix.txt")
-}
-
-func TestGoldenTable2ViaShards(t *testing.T) {
-	goldenEnabled(t)
-	golden, err := os.ReadFile("../../results_table2.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	files := make([]*ShardFile[Table2Cell], 2)
-	for i := range files {
-		files[i] = RunTable2Campaign(Table2Config{}, ShardSpec{i, 2}, nil)
-	}
-	res, err := MergeShardBlobs(encodeBlobs(t, files))
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	var got bytes.Buffer
-	res.Render(&got)
-	diffLines(t, "results_table2.txt", stripTrailer(string(golden)), stripTrailer(got.String()))
 }

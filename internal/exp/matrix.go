@@ -26,50 +26,35 @@ type matrixHeader struct {
 	Schemes  []workload.Scheme `json:"schemes"`
 }
 
-// RunMatrixShard runs the (pattern, scheme) cells owned by shard and
-// packages them — with the manifest that lets merge validate the set —
-// into a ShardFile. Cell i is (patterns[i/len(schemes)],
-// schemes[i%len(schemes)]): the same row-major indexing RunAll has always
-// used, so shard 0/1 is exactly the historic unsharded campaign. desc is
-// the canonical description of every knob that shapes the cells; its hash
-// gates merging. The caller owns it (internal/scenario passes the resolved
-// spec), so the grid has one definition and one description.
-func RunMatrixShard(desc string, base FatTreeConfig, patterns []Pattern, schemes []workload.Scheme, shard ShardSpec, jobs int, progress io.Writer) *ShardFile[*FatTreeResult] {
-	cells := RunShard(len(patterns)*len(schemes), jobs, shard,
-		func(i int) *FatTreeResult {
+// MatrixPlan plans the (pattern, scheme) grid. Cell i is
+// (patterns[i/len(schemes)], schemes[i%len(schemes)]): the row-major
+// indexing the campaign has always used. desc is the canonical description
+// of every knob that shapes the cells; the caller owns it (internal/scenario
+// passes the resolved spec), so the grid has one definition and one
+// description.
+func MatrixPlan(desc string, base FatTreeConfig, patterns []Pattern, schemes []workload.Scheme) Plan[*FatTreeResult] {
+	return Plan[*FatTreeResult]{
+		Desc:   desc,
+		Header: matrixHeader{Patterns: patterns, Schemes: schemes},
+		Cells:  len(patterns) * len(schemes),
+		Run: func(i int) *FatTreeResult {
 			pi, si := gridRC(i, len(schemes))
 			cfg := base
 			cfg.Pattern = patterns[pi]
 			cfg.Scheme = schemes[si]
 			return RunFatTree(cfg)
 		},
-		func(_ int, r *FatTreeResult) {
-			if progress != nil {
-				RenderFatTreeRun(progress, r)
-			}
-		})
-	header, err := json.Marshal(matrixHeader{Patterns: patterns, Schemes: schemes})
-	if err != nil {
-		panic("exp: " + err.Error())
-	}
-	return &ShardFile[*FatTreeResult]{
-		Manifest: newManifest(CampaignMatrix, desc, shard, len(patterns)*len(schemes)),
-		Header:   header,
-		Cells:    cells,
+		Progress: RenderFatTreeRun,
 	}
 }
 
-// MergeMatrixShards validates a matrix shard set and reassembles the full
-// Matrix. Coming from JSON, each cell's distributions are restored
+// assembleMatrix rebuilds the Matrix from a shard set's cells and header.
+// Coming from JSON, each cell's distributions are restored
 // sample-for-sample (with the exact insertion-order sum), so every
 // rendered table is byte-identical to the unsharded run's.
-func MergeMatrixShards(files []*ShardFile[*FatTreeResult]) (*Matrix, error) {
-	results, err := MergeShardCells(files)
-	if err != nil {
-		return nil, err
-	}
+func assembleMatrix(results []*FatTreeResult, rawHeader json.RawMessage) (*Matrix, error) {
 	var header matrixHeader
-	if err := json.Unmarshal(files[0].Header, &header); err != nil {
+	if err := json.Unmarshal(rawHeader, &header); err != nil {
 		return nil, fmt.Errorf("matrix shard header: %v", err)
 	}
 	if len(header.Patterns)*len(header.Schemes) != len(results) {
@@ -96,24 +81,6 @@ func MergeMatrixShards(files []*ShardFile[*FatTreeResult]) (*Matrix, error) {
 		m.Results[header.Patterns[pi]][header.Schemes[si].Label()] = r
 	}
 	return m, nil
-}
-
-// RenderCampaign prints the whole matrix campaign — Tables 1 and 3 and
-// Figures 8-11 — exactly as `xmpsim matrix` prints it to stdout. Shared by
-// the live CLI path and `xmpsim merge` so both are byte-identical.
-func (m *Matrix) RenderCampaign(w io.Writer) {
-	fmt.Fprintln(w)
-	m.RenderTable1(w)
-	fmt.Fprintln(w)
-	m.RenderTable3(w)
-	fmt.Fprintln(w)
-	m.RenderFig8(w)
-	fmt.Fprintln(w)
-	m.RenderFig9(w)
-	fmt.Fprintln(w)
-	m.RenderFig10(w)
-	fmt.Fprintln(w)
-	m.RenderFig11(w)
 }
 
 // Get returns the result for (pattern, scheme).

@@ -14,21 +14,7 @@ import (
 // that a set of shard files forms an exact, config-consistent partition of
 // one campaign's cell space and rebuilds the campaign result, whose
 // rendered tables are byte-identical to an unsharded run (pinned by
-// TestMatrixShardMergeByteIdentical and the full-scale golden-drift test).
-
-// Campaign names, matching the xmpsim subcommands that produce them.
-const (
-	CampaignMatrix     = "matrix"
-	CampaignTable2     = "table2"
-	CampaignParams     = "params"
-	CampaignIncast     = "incastsweep"
-	CampaignSACK       = "sack"
-	CampaignSubflow    = "sweep"
-	CampaignFCT        = "fct"
-	CampaignAblation   = "ablation"
-	CampaignVL2        = "vl2"
-	CampaignRobustness = "robustness"
-)
+// TestMatrixShardMergeByteIdentical and, at full scale, TestGoldens).
 
 // ShardFile is one shard's export: the manifest, an optional
 // campaign-specific header (matrix axes, table2 config), and the owned
@@ -56,10 +42,10 @@ type ShardBlob struct {
 	Data []byte
 }
 
-// peekManifest reads a shard file's "manifest" member and stops: Encode
+// PeekManifest reads a shard file's "manifest" member and stops: Encode
 // writes it first, so choosing the cell type for a multi-megabyte file costs
 // a few hundred bytes of scanning instead of a whole-blob Unmarshal.
-func peekManifest(data []byte) (ShardManifest, error) {
+func PeekManifest(data []byte) (ShardManifest, error) {
 	var m ShardManifest
 	dec := json.NewDecoder(bytes.NewReader(data))
 	if tok, err := dec.Token(); err != nil {
@@ -83,77 +69,20 @@ func peekManifest(data []byte) (ShardManifest, error) {
 	return m, nil
 }
 
-// shardFormat is how one campaign's shard files decode and reassemble.
-type shardFormat struct {
-	decode func(data []byte) (ShardEncoder, error)
-	merge  func(res *MergeResult, files []ShardEncoder) error
-}
-
-// formatOf builds the format of a campaign whose cells are T and whose
-// shard set assembles into a MergeResult field.
-func formatOf[T any](assemble func(res *MergeResult, files []*ShardFile[T]) error) shardFormat {
-	return shardFormat{
-		decode: func(data []byte) (ShardEncoder, error) {
-			f := new(ShardFile[T])
-			return f, json.Unmarshal(data, f)
-		},
-		merge: func(res *MergeResult, files []ShardEncoder) error {
-			typed := make([]*ShardFile[T], len(files))
-			for i, f := range files {
-				tf, ok := f.(*ShardFile[T])
-				if !ok {
-					return fmt.Errorf("shard %d/%d: %T is not a %s shard file",
-						f.ShardManifest().ShardIndex, f.ShardManifest().ShardCount, f, res.Campaign)
-				}
-				typed[i] = tf
-			}
-			return assemble(res, typed)
-		},
-	}
-}
-
-// listFormat is formatOf for the list-shaped campaigns: the result is the
-// cell payloads in campaign cell order.
-func listFormat[T any](field func(*MergeResult) *[]T) shardFormat {
-	return formatOf(func(res *MergeResult, files []*ShardFile[T]) (err error) {
-		*field(res), err = MergeShardCells(files)
-		return err
-	})
-}
-
-var shardFormats = map[string]shardFormat{
-	CampaignMatrix: formatOf(func(res *MergeResult, files []*ShardFile[*FatTreeResult]) (err error) {
-		res.Matrix, err = MergeMatrixShards(files)
-		return err
-	}),
-	CampaignTable2: formatOf(func(res *MergeResult, files []*ShardFile[Table2Cell]) (err error) {
-		res.Table2, err = MergeTable2Shards(files)
-		return err
-	}),
-	CampaignParams:     listFormat(func(r *MergeResult) *[]ParamPoint { return &r.Params }),
-	CampaignIncast:     listFormat(func(r *MergeResult) *[]IncastSweepPoint { return &r.Incast }),
-	CampaignSACK:       listFormat(func(r *MergeResult) *[]SACKAblationResult { return &r.SACK }),
-	CampaignSubflow:    listFormat(func(r *MergeResult) *[]SubflowSweepResult { return &r.Subflow }),
-	CampaignAblation:   listFormat(func(r *MergeResult) *[]AblationResult { return &r.Ablation }),
-	CampaignVL2:        listFormat(func(r *MergeResult) *[]VL2Point { return &r.VL2 }),
-	CampaignFCT:        listFormat(func(r *MergeResult) *[]FCTPoint { return &r.FCT }),
-	CampaignRobustness: listFormat(func(r *MergeResult) *[]RobustnessPoint { return &r.Robust }),
-}
-
 // DecodeShard decodes one shard file into its campaign's cell type — the
 // expensive half of a merge, and independent per file, so a caller that
 // receives files one at a time (the dispatch coordinator) decodes each on
 // arrival and hands the set to MergeShards.
 func DecodeShard(b ShardBlob) (ShardEncoder, error) {
-	m, err := peekManifest(b.Data)
+	m, err := PeekManifest(b.Data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %v", b.Name, err)
 	}
-	format, ok := shardFormats[m.Campaign]
-	if !ok {
+	c := lookup(m.Campaign)
+	if c == nil || c.decode == nil {
 		return nil, fmt.Errorf("%s: unknown campaign %q", b.Name, m.Campaign)
 	}
-	f, err := format.decode(b.Data)
+	f, err := c.decode(b.Data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %v", b.Name, err)
 	}
@@ -260,24 +189,13 @@ func MergeShardCells[T any](files []*ShardFile[T]) ([]T, error) {
 	return out, nil
 }
 
-// MergeResult is a reassembled campaign: exactly one field (matching
-// Campaign) is populated.
+// MergeResult is a reassembled campaign. The assembled value (a *Matrix,
+// a point list) stays behind the closures its descriptor bound: nothing
+// above this package needs its type, only to render or export it.
 type MergeResult struct {
 	Campaign string
-	// Config is the shard set's config description. For scenario-compiled
-	// campaigns it embeds the resolved spec, which is where Render finds
-	// the scenario's metric selection.
-	Config   string
-	Matrix   *Matrix
-	Table2   []*Table2Result
-	Params   []ParamPoint
-	Incast   []IncastSweepPoint
-	SACK     []SACKAblationResult
-	Subflow  []SubflowSweepResult
-	Ablation []AblationResult
-	VL2      []VL2Point
-	FCT      []FCTPoint
-	Robust   []RobustnessPoint
+	render   func(w io.Writer)
+	plot     func(w io.Writer) error
 }
 
 // MergeShards validates a set of decoded shard files (any campaign, any
@@ -293,15 +211,11 @@ func MergeShards(files []ShardEncoder) (*MergeResult, error) {
 	if err := ValidateShardSet(ms); err != nil {
 		return nil, err
 	}
-	format, ok := shardFormats[ms[0].Campaign]
-	if !ok {
+	c := lookup(ms[0].Campaign)
+	if c == nil || c.merge == nil {
 		return nil, fmt.Errorf("unknown campaign %q", ms[0].Campaign)
 	}
-	res := &MergeResult{Campaign: ms[0].Campaign, Config: ms[0].Config}
-	if err := format.merge(res, files); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return c.merge(files)
 }
 
 // MergeShardBlobs decodes, validates and reassembles a set of shard files
@@ -320,41 +234,16 @@ func MergeShardBlobs(blobs []ShardBlob) (*MergeResult, error) {
 // Render prints the merged campaign exactly as the unsharded xmpsim
 // subcommand prints it to stdout — byte-identical, so merged output diffs
 // cleanly against the checked-in results_*.txt goldens (minus the stderr
-// timing trailer).
-func (r *MergeResult) Render(w io.Writer) {
-	if metrics := scenarioMetrics(r.Config); len(metrics) > 0 {
-		r.renderMetrics(w, metrics)
-		return
-	}
-	switch r.Campaign {
-	case CampaignMatrix:
-		r.Matrix.RenderCampaign(w)
-	case CampaignTable2:
-		RenderTable2Campaign(w, r.Table2)
-	case CampaignParams:
-		RenderParamSweep(w, r.Params)
-	case CampaignIncast:
-		RenderIncastSweep(w, r.Incast)
-	case CampaignSACK:
-		RenderSACKAblation(w, r.SACK)
-	case CampaignSubflow:
-		RenderSubflowSweep(w, r.Subflow)
-	case CampaignAblation:
-		RenderAblations(w, r.Ablation)
-	case CampaignVL2:
-		RenderVL2(w, r.VL2)
-	case CampaignFCT:
-		RenderFCT(w, r.FCT)
-	case CampaignRobustness:
-		RenderRobustness(w, r.Robust)
-	}
-}
+// timing trailer). A scenario's metric selection picks its tables, in spec
+// order.
+func (r *MergeResult) Render(w io.Writer) { r.render(w) }
 
 // scenarioMetrics extracts the metric selection from a scenario-compiled
 // config description ("scenario {...resolved spec...}") without importing
 // the scenario package — exp cannot depend on its own client. Non-scenario
 // configs, and scenario specs with no metrics field, return nil, which
-// Render treats as "everything" via the family's full renderer.
+// renders everything. The config description of a scenario-compiled shard
+// set embeds the resolved spec, which is where the selection lives.
 func scenarioMetrics(config string) []string {
 	const prefix = "scenario "
 	if !strings.HasPrefix(config, prefix) {
@@ -369,62 +258,11 @@ func scenarioMetrics(config string) []string {
 	return s.Metrics
 }
 
-// renderMetrics renders a scenario's selected tables, in spec order, with
-// the same inter-table structure the full renderers use — so a spec that
-// lists all of its family's tables renders byte-identically to one that
-// lists none.
-func (r *MergeResult) renderMetrics(w io.Writer, metrics []string) {
-	switch r.Campaign {
-	case CampaignMatrix:
-		for _, m := range metrics {
-			fmt.Fprintln(w)
-			switch m {
-			case "table1":
-				r.Matrix.RenderTable1(w)
-			case "table3":
-				r.Matrix.RenderTable3(w)
-			case "fig8":
-				r.Matrix.RenderFig8(w)
-			case "fig9":
-				r.Matrix.RenderFig9(w)
-			case "fig10":
-				r.Matrix.RenderFig10(w)
-			case "fig11":
-				r.Matrix.RenderFig11(w)
-			}
-		}
-	case CampaignFCT:
-		for i, m := range metrics {
-			if i > 0 {
-				fmt.Fprintln(w)
-			}
-			switch m {
-			case "summary":
-				RenderFCTSummary(w, r.FCT)
-			case "by-size":
-				RenderFCTBySize(w, r.FCT)
-			}
-		}
-	case CampaignRobustness:
-		for i, m := range metrics {
-			if i > 0 {
-				fmt.Fprintln(w)
-			}
-			switch m {
-			case "summary":
-				RenderRobustnessSummary(w, r.Robust)
-			case "by-size":
-				RenderRobustnessBySize(w, r.Robust)
-			}
-		}
-	}
-}
-
-// WriteJSON emits the merged campaign's machine-readable results where the
-// unsharded CLI supports -json (the matrix plot schema).
+// WriteJSON emits the merged campaign's -json plot export, if its
+// CampaignInfo.Plot says it has one.
 func (r *MergeResult) WriteJSON(w io.Writer) error {
-	if r.Campaign != CampaignMatrix {
-		return fmt.Errorf("merge -json supports the %s campaign, not %s", CampaignMatrix, r.Campaign)
+	if r.plot == nil {
+		return fmt.Errorf("campaign %s has no -json plot export", r.Campaign)
 	}
-	return r.Matrix.WriteJSON(w)
+	return r.plot(w)
 }

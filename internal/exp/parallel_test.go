@@ -111,32 +111,34 @@ func TestMatrixParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestTable2ParallelDeterministic does the same for the coexistence sweep,
-// whose cells run two workload generators per engine.
+// TestTable2ParallelDeterministic does the same for the coexistence
+// campaign, whose cells run two workload generators per engine: one shard
+// of it — four cells spanning both switch variants — must encode to the
+// same shard file and log the same progress at any worker count.
 func TestTable2ParallelDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table2 runs are slow")
 	}
+	plan := Table2Plan(Table2Config{
+		KAry:        4,
+		Duration:    40 * sim.Millisecond,
+		SizeScale:   256,
+		QueueLimits: []int{50, 100},
+		Others:      []workload.Scheme{SchemeTCP, SchemeDCTCP},
+	})
 	run := func(jobs int) (string, string) {
-		var prog bytes.Buffer
-		r := RunTable2(Table2Config{
-			KAry:        4,
-			Duration:    40 * sim.Millisecond,
-			SizeScale:   256,
-			QueueLimits: []int{50, 100},
-			Others:      []workload.Scheme{SchemeTCP, SchemeDCTCP},
-			Jobs:        jobs,
-		}, &prog)
-		var buf bytes.Buffer
-		r.Render(&buf)
-		return buf.String(), prog.String()
+		var prog, file bytes.Buffer
+		if err := RunPlan(CampaignTable2, plan, ShardSpec{Index: 0, Count: 2}, jobs, &prog).Encode(&file); err != nil {
+			t.Fatal(err)
+		}
+		return file.String(), prog.String()
 	}
 	st, sp := run(1)
 	pt, pp := run(8)
 	if st != pt {
-		t.Errorf("table2 parallel render diverges:\n%s\nvs\n%s", st, pt)
+		t.Errorf("table2 parallel shard file diverges:\n%s\nvs\n%s", st, pt)
 	}
-	if sp != pp {
+	if sp != pp || sp == "" {
 		t.Errorf("table2 parallel progress diverges:\n%s\nvs\n%s", sp, pp)
 	}
 }

@@ -145,14 +145,6 @@ func RunChaosCell(cfg ChaosCellConfig) RobustnessPoint {
 	return p
 }
 
-// RenderRobustness prints the goodput/FCT table, then the per-size-bin
-// slicing, mirroring the FCT campaign's layout.
-func RenderRobustness(w io.Writer, pts []RobustnessPoint) {
-	RenderRobustnessSummary(w, pts)
-	fmt.Fprintln(w)
-	RenderRobustnessBySize(w, pts)
-}
-
 // RenderRobustnessSummary prints the headline per-scheme table — the
 // "summary" metric of scenario robustness specs.
 func RenderRobustnessSummary(w io.Writer, pts []RobustnessPoint) {

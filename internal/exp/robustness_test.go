@@ -8,19 +8,6 @@ import (
 	"xmp/scenarios"
 )
 
-// TestGoldenRobustnessViaShards regenerates the robustness campaign
-// through the sharded path — four shards, as CI runs it — merges the
-// exports and diffs the rendered tables against the checked-in golden.
-// Passing pins both the fault-schedule determinism (every cell replays
-// the same chaos script) and shard/merge byte-identity with faults
-// active.
-func TestGoldenRobustnessViaShards(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full robustness campaign (~seconds per shard set)")
-	}
-	goldenViaRegistry(t, CampaignRobustness, 4, "results_robustness.txt")
-}
-
 // TestRobustnessFaultsBite runs the campaign's XMP-2 cell and checks the
 // whole canonical schedule was applied to a run that carried traffic.
 func TestRobustnessFaultsBite(t *testing.T) {

@@ -44,10 +44,6 @@ func DefaultJobs(jobs int) int {
 // RunAll and RunShard (shard.go) share this pool: RunAll is the
 // whole-cell-space case, RunShard the subset a -shard spec owns.
 func RunAll[T any](n, jobs int, run func(i int) T, done func(i int, r T)) []T {
-	return runAll(n, jobs, run, done)
-}
-
-func runAll[T any](n, jobs int, run func(i int) T, done func(i int, r T)) []T {
 	results := make([]T, n)
 	if n == 0 {
 		return results

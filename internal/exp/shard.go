@@ -37,9 +37,6 @@ func (s ShardSpec) Validate() error {
 	return nil
 }
 
-// IsUnsharded reports whether the spec covers the whole campaign.
-func (s ShardSpec) IsUnsharded() bool { return s.Count == 1 }
-
 // String renders the spec in the CLI's "i/n" form.
 func (s ShardSpec) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Count) }
 
@@ -106,20 +103,13 @@ type ShardManifest struct {
 	CellIndices []int `json:"cell_indices"`
 }
 
-// NewShardManifest stamps a manifest for one shard of a campaign. It is
-// the exported form of newManifest for registered campaign extensions
-// (internal/scenario) that build shard files outside this package.
-func NewShardManifest(campaign, configDesc string, shard ShardSpec, totalCells int) ShardManifest {
-	return newManifest(campaign, configDesc, shard, totalCells)
-}
-
 // newManifest stamps a manifest for one shard of a campaign.
 func newManifest(campaign, configDesc string, shard ShardSpec, totalCells int) ShardManifest {
 	return ShardManifest{
 		SchemaVersion: ShardSchemaVersion,
 		Campaign:      campaign,
 		Config:        configDesc,
-		ConfigHash:    configHash(configDesc),
+		ConfigHash:    HashConfig(configDesc),
 		ShardIndex:    shard.Index,
 		ShardCount:    shard.Count,
 		TotalCells:    totalCells,
@@ -127,7 +117,10 @@ func newManifest(campaign, configDesc string, shard ShardSpec, totalCells int) S
 	}
 }
 
-func configHash(desc string) string {
+// HashConfig returns the hex SHA-256 of a canonical campaign config
+// description — the hash stamped into shard manifests and verified by the
+// dispatch layer on every task and result.
+func HashConfig(desc string) string {
 	h := sha256.Sum256([]byte(desc))
 	return hex.EncodeToString(h[:])
 }
@@ -143,8 +136,7 @@ type ShardCell[T any] struct {
 // (cell, result) pairs in ascending cell order. done fires in that same
 // order on the calling goroutine — sharded campaign logs are as
 // deterministic as unsharded ones. RunShard with Unsharded is exactly
-// RunAll: the unsharded runners are implemented on top of it, so there is
-// one execution path whatever the shard count.
+// RunAll, so there is one execution path whatever the shard count.
 func RunShard[T any](n, jobs int, shard ShardSpec, run func(i int) T, done func(i int, r T)) []ShardCell[T] {
 	if err := shard.Validate(); err != nil {
 		panic("exp: " + err.Error())
@@ -154,19 +146,10 @@ func RunShard[T any](n, jobs int, shard ShardSpec, run func(i int) T, done func(
 	if done != nil {
 		sdone = func(j int, r T) { done(owned[j], r) }
 	}
-	results := runAll(len(owned), jobs, func(j int) T { return run(owned[j]) }, sdone)
+	results := RunAll(len(owned), jobs, func(j int) T { return run(owned[j]) }, sdone)
 	cells := make([]ShardCell[T], len(owned))
 	for j, c := range owned {
 		cells[j] = ShardCell[T]{Cell: c, Data: results[j]}
 	}
 	return cells
-}
-
-// cellData strips the indices off a complete (unsharded) cell slice.
-func cellData[T any](cells []ShardCell[T]) []T {
-	out := make([]T, len(cells))
-	for i, c := range cells {
-		out[i] = c.Data
-	}
-	return out
 }

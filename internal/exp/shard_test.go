@@ -88,7 +88,7 @@ func TestShardManifest(t *testing.T) {
 	if want := []int{1, 4, 7}; fmt.Sprint(m.CellIndices) != fmt.Sprint(want) {
 		t.Fatalf("cell indices %v, want %v", m.CellIndices, want)
 	}
-	if m.ConfigHash == "" || m.ConfigHash == configHash("something else") {
+	if m.ConfigHash == "" || m.ConfigHash == HashConfig("something else") {
 		t.Fatalf("config hash not a function of the config: %q", m.ConfigHash)
 	}
 }
@@ -146,7 +146,7 @@ func TestValidateShardSet(t *testing.T) {
 	}{
 		{"schema", func(m *ShardManifest) { m.SchemaVersion = 99 }, "schema version"},
 		{"campaign", func(m *ShardManifest) { m.Campaign = CampaignMatrix }, "campaign mismatch"},
-		{"config", func(m *ShardManifest) { m.ConfigHash = configHash("other") }, "config mismatch"},
+		{"config", func(m *ShardManifest) { m.ConfigHash = HashConfig("other") }, "config mismatch"},
 		{"count", func(m *ShardManifest) { m.ShardCount = 4 }, "mismatch"},
 		{"cells", func(m *ShardManifest) { m.TotalCells = 5 }, "cell count mismatch"},
 		{"duplicate", func(m *ShardManifest) {
@@ -184,19 +184,39 @@ func encodeBlobs[T any](t *testing.T, files []*ShardFile[T]) []ShardBlob {
 	return blobs
 }
 
-// miniMatrixDesc is the config description the k=4 test grids stamp into
-// their shard files. RunMatrixShard takes it from its caller — the
-// scenario compiler in production — so each test describes its own grid;
-// one constant suffices because no test merges shards of different grids.
-const miniMatrixDesc = "exp test mini-matrix"
+// rendered merges shard files as the runner returned them — no JSON in
+// between — and renders the campaign: the in-memory reference the
+// through-JSON merges are compared against.
+func rendered(t *testing.T, files ...ShardEncoder) string {
+	t.Helper()
+	res, err := MergeShards(files)
+	if err != nil {
+		t.Fatalf("merge: %v", err)
+	}
+	var buf bytes.Buffer
+	res.Render(&buf)
+	return buf.String()
+}
+
+// miniMatrixPlan plans a small k=4 grid. MatrixPlan takes its config
+// description from its caller — the scenario compiler in production — so
+// each test describes its own grid; one constant suffices because no test
+// merges shards of different grids.
+func miniMatrixPlan(base FatTreeConfig, patterns []Pattern, schemes []workload.Scheme) Plan[*FatTreeResult] {
+	return MatrixPlan("exp test mini-matrix", base, patterns, schemes)
+}
 
 // miniMatrix runs a small grid unsharded and assembles the Matrix.
 func miniMatrix(t *testing.T, base FatTreeConfig, patterns []Pattern, schemes []workload.Scheme, jobs int, progress io.Writer) *Matrix {
 	t.Helper()
-	f := RunMatrixShard(miniMatrixDesc, base, patterns, schemes, Unsharded, jobs, progress)
-	m, err := MergeMatrixShards([]*ShardFile[*FatTreeResult]{f})
+	f := RunPlan(CampaignMatrix, miniMatrixPlan(base, patterns, schemes), Unsharded, jobs, progress)
+	cells, err := MergeShardCells([]*ShardFile[*FatTreeResult]{f})
 	if err != nil {
 		t.Fatalf("merge: %v", err)
+	}
+	m, err := assembleMatrix(cells, f.Header)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
 	}
 	return m
 }
@@ -209,37 +229,39 @@ func TestMatrixShardMergeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix runs are slow")
 	}
-	base := FatTreeConfig{K: 4, Duration: 40 * sim.Millisecond, SizeScale: 256}
-	patterns := []Pattern{Permutation, Incast}
-	schemes := []workload.Scheme{SchemeDCTCP, SchemeXMP2}
-
-	var want bytes.Buffer
-	miniMatrix(t, base, patterns, schemes, 4, nil).RenderCampaign(&want)
+	plan := miniMatrixPlan(FatTreeConfig{K: 4, Duration: 40 * sim.Millisecond, SizeScale: 256},
+		[]Pattern{Permutation, Incast}, []workload.Scheme{SchemeDCTCP, SchemeXMP2})
+	whole := RunPlan(CampaignMatrix, plan, Unsharded, 4, nil)
+	want := rendered(t, whole)
 
 	for _, count := range []int{1, 4} {
-		files := make([]*ShardFile[*FatTreeResult], count)
-		for i := 0; i < count; i++ {
-			files[i] = RunMatrixShard(miniMatrixDesc, base, patterns, schemes, ShardSpec{i, count}, 2, nil)
+		files := []*ShardFile[*FatTreeResult]{whole}
+		if count > 1 {
+			files = make([]*ShardFile[*FatTreeResult], count)
+			for i := range files {
+				files[i] = RunPlan(CampaignMatrix, plan, ShardSpec{i, count}, 2, nil)
+			}
 		}
 		res, err := MergeShardBlobs(encodeBlobs(t, files))
 		if err != nil {
 			t.Fatalf("n=%d: merge: %v", count, err)
 		}
-		if res.Campaign != CampaignMatrix || res.Matrix == nil {
-			t.Fatalf("n=%d: merged %q, matrix=%v", count, res.Campaign, res.Matrix != nil)
+		if res.Campaign != CampaignMatrix {
+			t.Fatalf("n=%d: merged %q", count, res.Campaign)
 		}
 		var got bytes.Buffer
 		res.Render(&got)
-		if got.String() != want.String() {
+		if got.String() != want {
 			t.Errorf("n=%d: merged render diverges from unsharded:\n--- unsharded ---\n%s\n--- merged ---\n%s",
-				count, want.String(), got.String())
+				count, want, got.String())
 		}
 	}
 }
 
 // TestTable2ShardMergeByteIdentical does the same for the coexistence
-// campaign, and additionally pins that the two-variant campaign reproduces
-// the historic back-to-back RunTable2 output.
+// campaign — tables and the -json plot export alike — and additionally
+// pins that the campaign's two variants are its cells run and rendered
+// back to back.
 func TestTable2ShardMergeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table2 runs are slow")
@@ -250,32 +272,61 @@ func TestTable2ShardMergeByteIdentical(t *testing.T) {
 		SizeScale:   256,
 		QueueLimits: []int{50, 100},
 		Others:      []workload.Scheme{SchemeTCP, SchemeDCTCP},
-		Jobs:        4,
+	}
+	plan := Table2Plan(cfg)
+	whole := RunPlan(CampaignTable2, plan, Unsharded, 4, nil)
+	inMemory, err := MergeShards([]ShardEncoder{whole})
+	if err != nil {
+		t.Fatalf("merge: %v", err)
+	}
+	var want, wantPlot bytes.Buffer
+	inMemory.Render(&want)
+	if err := inMemory.WriteJSON(&wantPlot); err != nil {
+		t.Fatalf("plot export: %v", err)
 	}
 
-	// Historic output: the two variants run and rendered back to back.
-	var want bytes.Buffer
-	for _, strict := range []bool{false, true} {
+	// The campaign is its variants back to back: cells [0,4) under
+	// non-strict switches, [4,8) under RED-strict ones.
+	var variants bytes.Buffer
+	for v, strict := range []bool{false, true} {
 		c := cfg
 		c.StrictNonECT = strict
-		fmt.Fprintln(&want)
-		RunTable2(c, nil).Render(&want)
+		r := &Table2Result{Config: c}
+		for _, cell := range whole.Cells[v*4 : (v+1)*4] {
+			r.Cells = append(r.Cells, cell.Data)
+		}
+		fmt.Fprintln(&variants)
+		r.Render(&variants)
+	}
+	if variants.String() != want.String() {
+		t.Errorf("campaign render is not its two variants back to back:\n--- variants ---\n%s\n--- campaign ---\n%s",
+			variants.String(), want.String())
 	}
 
 	for _, count := range []int{1, 3} {
-		files := make([]*ShardFile[Table2Cell], count)
-		for i := 0; i < count; i++ {
-			files[i] = RunTable2Campaign(cfg, ShardSpec{i, count}, nil)
+		files := []*ShardFile[Table2Cell]{whole}
+		if count > 1 {
+			files = make([]*ShardFile[Table2Cell], count)
+			for i := range files {
+				files[i] = RunPlan(CampaignTable2, plan, ShardSpec{i, count}, 4, nil)
+			}
 		}
 		res, err := MergeShardBlobs(encodeBlobs(t, files))
 		if err != nil {
 			t.Fatalf("n=%d: merge: %v", count, err)
 		}
-		var got bytes.Buffer
+		var got, gotPlot bytes.Buffer
 		res.Render(&got)
 		if got.String() != want.String() {
-			t.Errorf("n=%d: merged render diverges from historic RunTable2:\n--- historic ---\n%s\n--- merged ---\n%s",
+			t.Errorf("n=%d: merged render diverges from unsharded:\n--- unsharded ---\n%s\n--- merged ---\n%s",
 				count, want.String(), got.String())
+		}
+		if err := res.WriteJSON(&gotPlot); err != nil {
+			t.Fatalf("n=%d: plot export: %v", count, err)
+		}
+		if !bytes.Equal(gotPlot.Bytes(), wantPlot.Bytes()) || wantPlot.Len() == 0 {
+			t.Errorf("n=%d: merged plot JSON diverges from unsharded:\n--- unsharded ---\n%s\n--- merged ---\n%s",
+				count, wantPlot.String(), gotPlot.String())
 		}
 	}
 }
@@ -286,13 +337,12 @@ func TestSweepShardMergeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fat-tree runs are slow")
 	}
-	counts := []int{1, 2}
-	var want bytes.Buffer
-	RenderSubflowSweep(&want, RunSubflowSweep(counts, 20*sim.Millisecond, 2))
+	plan := SubflowSweepPlan([]int{1, 2}, 20*sim.Millisecond)
+	want := rendered(t, RunPlan(CampaignSubflow, plan, Unsharded, 2, nil))
 
 	files := []*ShardFile[SubflowSweepResult]{
-		RunSubflowSweepShard(counts, 20*sim.Millisecond, ShardSpec{0, 2}, 1, nil),
-		RunSubflowSweepShard(counts, 20*sim.Millisecond, ShardSpec{1, 2}, 1, nil),
+		RunPlan(CampaignSubflow, plan, ShardSpec{0, 2}, 1, nil),
+		RunPlan(CampaignSubflow, plan, ShardSpec{1, 2}, 1, nil),
 	}
 	res, err := MergeShardBlobs(encodeBlobs(t, files))
 	if err != nil {
@@ -300,8 +350,8 @@ func TestSweepShardMergeByteIdentical(t *testing.T) {
 	}
 	var got bytes.Buffer
 	res.Render(&got)
-	if got.String() != want.String() {
-		t.Errorf("merged sweep diverges:\n--- unsharded ---\n%s\n--- merged ---\n%s", want.String(), got.String())
+	if got.String() != want {
+		t.Errorf("merged sweep diverges:\n--- unsharded ---\n%s\n--- merged ---\n%s", want, got.String())
 	}
 }
 
@@ -409,13 +459,12 @@ func TestShardFileBytesThroughDistCodec(t *testing.T) {
 // files decoded one at a time, concurrently and out of order, then handed
 // to MergeShards, render the same bytes as MergeShardBlobs over the set.
 func TestDecodeOnArrivalMatchesMergeShardBlobs(t *testing.T) {
-	base := FatTreeConfig{K: 4, Duration: 10 * sim.Millisecond, SizeScale: 1024}
-	patterns := []Pattern{Permutation}
-	schemes := []workload.Scheme{SchemeDCTCP, SchemeXMP2}
+	plan := miniMatrixPlan(FatTreeConfig{K: 4, Duration: 10 * sim.Millisecond, SizeScale: 1024},
+		[]Pattern{Permutation}, []workload.Scheme{SchemeDCTCP, SchemeXMP2})
 	const count = 2
 	files := make([]*ShardFile[*FatTreeResult], count)
 	for i := range files {
-		files[i] = RunMatrixShard(miniMatrixDesc, base, patterns, schemes, ShardSpec{i, count}, 1, nil)
+		files[i] = RunPlan(CampaignMatrix, plan, ShardSpec{i, count}, 1, nil)
 	}
 	blobs := encodeBlobs(t, files)
 

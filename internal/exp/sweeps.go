@@ -25,29 +25,21 @@ type ParamPoint struct {
 	Flows int
 }
 
-// RunParamSweep measures XMP-2 on the Random pattern across a (β, K)
-// grid, fanning the independent cells across jobs workers. The paper
-// fixes (β=4, K=10) for 1 Gbps DCNs and defers the parameter-impact study
-// to future work; this harness is that study.
-func RunParamSweep(betas, ks []int, duration sim.Duration, jobs int, progress io.Writer) []ParamPoint {
-	return cellData(RunParamSweepShard(betas, ks, duration, Unsharded, jobs, progress).Cells)
-}
-
-// RunParamSweepShard is the sharded campaign entry behind RunParamSweep;
-// cell i is (betas[i/len(ks)], ks[i%len(ks)]).
-func RunParamSweepShard(betas, ks []int, duration sim.Duration, shard ShardSpec, jobs int, progress io.Writer) *ShardFile[ParamPoint] {
+// ParamSweepPlan plans XMP-2 on the Random pattern across a (β, K) grid;
+// cell i is (betas[i/len(ks)], ks[i%len(ks)]). The paper fixes (β=4, K=10)
+// for 1 Gbps DCNs and defers the parameter-impact study to future work;
+// this harness is that study.
+func ParamSweepPlan(betas, ks []int, duration sim.Duration) Plan[ParamPoint] {
 	if len(betas) == 0 {
 		betas = []int{2, 3, 4, 5, 6}
 	}
 	if len(ks) == 0 {
 		ks = []int{5, 10, 20, 40}
 	}
-	if duration == 0 {
-		duration = 100 * sim.Millisecond
-	}
-	desc := fmt.Sprintf("params betas=%v ks=%v duration=%d", betas, ks, int64(duration))
-	cells := RunShard(len(betas)*len(ks), jobs, shard,
-		func(i int) ParamPoint {
+	return Plan[ParamPoint]{
+		Desc:  fmt.Sprintf("params betas=%v ks=%v duration=%d", betas, ks, int64(duration)),
+		Cells: len(betas) * len(ks),
+		Run: func(i int) ParamPoint {
 			bi, ki := gridRC(i, len(ks))
 			beta, k := betas[bi], ks[ki]
 			scheme := SchemeXMP2
@@ -67,13 +59,11 @@ func RunParamSweepShard(betas, ks []int, duration sim.Duration, shard ShardSpec,
 				Flows:       r.Collector.FlowsCompleted,
 			}
 		},
-		func(_ int, p ParamPoint) {
-			if progress != nil {
-				fmt.Fprintf(progress, "param beta=%d K=%-3d goodput=%6.1f Mbps rtt=%5.2f ms drops=%d\n",
-					p.Beta, p.K, p.GoodputMbps, p.RTTMs, p.Drops)
-			}
-		})
-	return &ShardFile[ParamPoint]{Manifest: newManifest(CampaignParams, desc, shard, len(betas)*len(ks)), Cells: cells}
+		Progress: func(w io.Writer, p ParamPoint) {
+			fmt.Fprintf(w, "param beta=%d K=%-3d goodput=%6.1f Mbps rtt=%5.2f ms drops=%d\n",
+				p.Beta, p.K, p.GoodputMbps, p.RTTMs, p.Drops)
+		},
+	}
 }
 
 // RenderParamSweep prints the grid with goodput and RTT per cell.
@@ -130,64 +120,54 @@ type IncastSweepPoint struct {
 	BGGoodput float64
 }
 
-// RunIncastSweep stresses the Incast pattern with growing fan-in (the
-// response burst per job) under an XMP-2 background — the regime where
-// the paper argues free buffer headroom absorbs burstiness.
-func RunIncastSweep(servers []int, duration sim.Duration, jobs int, progress io.Writer) []IncastSweepPoint {
-	return cellData(RunIncastSweepShard(servers, duration, Unsharded, jobs, progress).Cells)
-}
-
-// RunIncastSweepShard is the sharded campaign entry behind RunIncastSweep;
-// cell i is servers[i].
-func RunIncastSweepShard(servers []int, duration sim.Duration, shard ShardSpec, jobs int, progress io.Writer) *ShardFile[IncastSweepPoint] {
+// IncastSweepPlan plans the Incast pattern with growing fan-in (the
+// response burst per job) under an XMP-2 background — the regime where the
+// paper argues free buffer headroom absorbs burstiness. Cell i is
+// servers[i].
+func IncastSweepPlan(servers []int, duration sim.Duration) Plan[IncastSweepPoint] {
 	if len(servers) == 0 {
 		servers = []int{4, 8, 16, 32}
 	}
-	if duration == 0 {
-		duration = 200 * sim.Millisecond
-	}
-	runOne := func(n int) IncastSweepPoint {
-		eng := sim.NewEngine()
-		ft := topo.NewFatTree(eng, topo.DefaultFatTreeConfig(topo.ECNMaker(100, 10)))
-		col := workload.NewCollector(16)
-		base := workload.Config{
-			Net:       ft,
-			RNG:       sim.NewRNG(1),
-			Scheme:    SchemeXMP2,
-			Transport: transport.DefaultConfig(),
-			Collector: col,
-			Stop:      sim.Time(duration),
-		}
-		workload.StartIncast(workload.IncastConfig{
-			Config:     base,
-			Servers:    n,
-			Background: true,
-			BackgroundConfig: workload.RandomConfig{
-				Config:          base,
-				ParetoMeanBytes: 12 << 20,
-				ParetoMaxBytes:  48 << 20,
-			},
-		})
-		eng.RunAll(4_000_000_000)
-		return IncastSweepPoint{
-			Servers:   n,
-			JobsDone:  col.JCT.N(),
-			P50Ms:     col.JCT.Percentile(50),
-			P99Ms:     col.JCT.Percentile(99),
-			Above300:  col.JCT.FractionAbove(300),
-			BGGoodput: col.Goodput.Mean(),
-		}
-	}
-	cells := RunShard(len(servers), jobs, shard,
-		func(i int) IncastSweepPoint { return runOne(servers[i]) },
-		func(_ int, p IncastSweepPoint) {
-			if progress != nil {
-				fmt.Fprintf(progress, "incast fan-in=%-3d jobs=%-4d p50=%6.1fms p99=%6.1fms >300ms=%.1f%%\n",
-					p.Servers, p.JobsDone, p.P50Ms, p.P99Ms, 100*p.Above300)
+	return Plan[IncastSweepPoint]{
+		Desc:  fmt.Sprintf("incastsweep servers=%v duration=%d", servers, int64(duration)),
+		Cells: len(servers),
+		Run: func(i int) IncastSweepPoint {
+			eng := sim.NewEngine()
+			ft := topo.NewFatTree(eng, topo.DefaultFatTreeConfig(topo.ECNMaker(100, 10)))
+			col := workload.NewCollector(16)
+			base := workload.Config{
+				Net:       ft,
+				RNG:       sim.NewRNG(1),
+				Scheme:    SchemeXMP2,
+				Transport: transport.DefaultConfig(),
+				Collector: col,
+				Stop:      sim.Time(duration),
 			}
-		})
-	desc := fmt.Sprintf("incastsweep servers=%v duration=%d", servers, int64(duration))
-	return &ShardFile[IncastSweepPoint]{Manifest: newManifest(CampaignIncast, desc, shard, len(servers)), Cells: cells}
+			workload.StartIncast(workload.IncastConfig{
+				Config:     base,
+				Servers:    servers[i],
+				Background: true,
+				BackgroundConfig: workload.RandomConfig{
+					Config:          base,
+					ParetoMeanBytes: 12 << 20,
+					ParetoMaxBytes:  48 << 20,
+				},
+			})
+			eng.RunAll(4_000_000_000)
+			return IncastSweepPoint{
+				Servers:   servers[i],
+				JobsDone:  col.JCT.N(),
+				P50Ms:     col.JCT.Percentile(50),
+				P99Ms:     col.JCT.Percentile(99),
+				Above300:  col.JCT.FractionAbove(300),
+				BGGoodput: col.Goodput.Mean(),
+			}
+		},
+		Progress: func(w io.Writer, p IncastSweepPoint) {
+			fmt.Fprintf(w, "incast fan-in=%-3d jobs=%-4d p50=%6.1fms p99=%6.1fms >300ms=%.1f%%\n",
+				p.Servers, p.JobsDone, p.P50Ms, p.P99Ms, 100*p.Above300)
+		},
+	}
 }
 
 // RenderIncastSweep prints the fan-in table.
@@ -211,66 +191,60 @@ type SACKAblationResult struct {
 	PlainRTOs    bool
 }
 
-// RunSACKAblation measures what RFC 2018-style SACK buys the loss-based
-// baselines — part of explaining the residual gap between this
-// simulator's NewReno recovery and the paper's Linux stack.
-func RunSACKAblation(duration sim.Duration, jobs int, progress io.Writer, schemes ...workload.Scheme) []SACKAblationResult {
-	return cellData(RunSACKAblationShard(duration, Unsharded, jobs, progress, schemes...).Cells)
-}
-
-// RunSACKAblationShard is the sharded campaign entry behind
-// RunSACKAblation; cell i is schemes[i] (plain and SACK runs stay within
-// one cell — they share nothing across schemes).
-func RunSACKAblationShard(duration sim.Duration, shard ShardSpec, jobs int, progress io.Writer, schemes ...workload.Scheme) *ShardFile[SACKAblationResult] {
-	if duration == 0 {
-		duration = 100 * sim.Millisecond
-	}
+// SACKAblationPlan plans what RFC 2018-style SACK buys the loss-based
+// baselines — part of explaining the residual gap between this simulator's
+// NewReno recovery and the paper's Linux stack. Cell i is schemes[i] (plain
+// and SACK runs stay within one cell — they share nothing across schemes).
+func SACKAblationPlan(duration sim.Duration, schemes ...workload.Scheme) Plan[SACKAblationResult] {
 	if len(schemes) == 0 {
 		schemes = []workload.Scheme{SchemeTCP, SchemeLIA2, SchemeLIA4}
 	}
-	runOne := func(scheme workload.Scheme) SACKAblationResult {
-		run := func(sack bool) float64 {
-			eng := sim.NewEngine()
-			ft := topo.NewFatTree(eng, topo.DefaultFatTreeConfig(topo.ECNMaker(100, 10)))
-			col := workload.NewCollector(16)
-			tc := transport.DefaultConfig()
-			tc.EnableSACK = sack
-			workload.StartRandom(workload.RandomConfig{
-				Config: workload.Config{
-					Net:       ft,
-					RNG:       sim.NewRNG(1),
-					Scheme:    scheme,
-					Transport: tc,
-					Collector: col,
-					Stop:      sim.Time(duration),
-				},
-				ParetoMeanBytes: 12 << 20,
-				ParetoMaxBytes:  48 << 20,
-				MaxFlowsPerDst:  4,
-			})
-			eng.RunAll(4_000_000_000)
-			return col.Goodput.Mean()
-		}
-		return SACKAblationResult{
-			Scheme:       scheme.Label(),
-			PlainGoodput: run(false),
-			SACKGoodput:  run(true),
-		}
-	}
-	cells := RunShard(len(schemes), jobs, shard,
-		func(i int) SACKAblationResult { return runOne(schemes[i]) },
-		func(_ int, r SACKAblationResult) {
-			if progress != nil {
-				fmt.Fprintf(progress, "sack ablation %-6s plain=%6.1f sack=%6.1f Mbps\n",
-					r.Scheme, r.PlainGoodput, r.SACKGoodput)
-			}
+	goodput := func(scheme workload.Scheme, sack bool) float64 {
+		eng := sim.NewEngine()
+		ft := topo.NewFatTree(eng, topo.DefaultFatTreeConfig(topo.ECNMaker(100, 10)))
+		col := workload.NewCollector(16)
+		tc := transport.DefaultConfig()
+		tc.EnableSACK = sack
+		workload.StartRandom(workload.RandomConfig{
+			Config: workload.Config{
+				Net:       ft,
+				RNG:       sim.NewRNG(1),
+				Scheme:    scheme,
+				Transport: tc,
+				Collector: col,
+				Stop:      sim.Time(duration),
+			},
+			ParetoMeanBytes: 12 << 20,
+			ParetoMaxBytes:  48 << 20,
+			MaxFlowsPerDst:  4,
 		})
-	var labels []string
-	for _, s := range schemes {
-		labels = append(labels, s.Label())
+		eng.RunAll(4_000_000_000)
+		return col.Goodput.Mean()
 	}
-	desc := fmt.Sprintf("sack schemes=%v duration=%d", labels, int64(duration))
-	return &ShardFile[SACKAblationResult]{Manifest: newManifest(CampaignSACK, desc, shard, len(schemes)), Cells: cells}
+	return Plan[SACKAblationResult]{
+		Desc:  fmt.Sprintf("sack schemes=%v duration=%d", schemeLabels(schemes), int64(duration)),
+		Cells: len(schemes),
+		Run: func(i int) SACKAblationResult {
+			return SACKAblationResult{
+				Scheme:       schemes[i].Label(),
+				PlainGoodput: goodput(schemes[i], false),
+				SACKGoodput:  goodput(schemes[i], true),
+			}
+		},
+		Progress: func(w io.Writer, r SACKAblationResult) {
+			fmt.Fprintf(w, "sack ablation %-6s plain=%6.1f sack=%6.1f Mbps\n",
+				r.Scheme, r.PlainGoodput, r.SACKGoodput)
+		},
+	}
+}
+
+// schemeLabels is how the scheme axis appears in a config description.
+func schemeLabels(schemes []workload.Scheme) []string {
+	labels := make([]string, len(schemes))
+	for i, s := range schemes {
+		labels[i] = s.Label()
+	}
+	return labels
 }
 
 // RenderSACKAblation prints the comparison.

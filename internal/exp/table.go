@@ -1,0 +1,266 @@
+package exp
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+
+	"xmp/internal/sim"
+)
+
+// This file is the campaign table. A campaign is declared once, as one
+// descriptor in the campaigns slice at the bottom; running a shard,
+// decoding and merging shard files, rendering, the -json plot export,
+// CampaignNames and every list the xmpsim CLI prints (subcommands, `all`,
+// the -shard allow-list, usage text) are derived from that entry.
+
+// Plan is a campaign resolved against its knobs: everything RunPlan needs
+// to execute any shard of it.
+type Plan[T any] struct {
+	// Desc canonically describes every knob that shapes cell results; its
+	// hash gates merging.
+	Desc string
+	// Header, when non-nil, is marshalled into every shard file for the
+	// assemble step (matrix axes, table2 config).
+	Header any
+	// Run executes cell i of Cells, self-contained as RunAll requires.
+	Cells int
+	Run   func(i int) T
+	// Progress prints one finished cell's progress line.
+	Progress func(w io.Writer, r T)
+}
+
+// RunPlan runs the cells of pl that shard owns across jobs workers and
+// packages them, with the manifest merge validates, into a shard file of
+// the named campaign. progress, if non-nil, receives the per-cell lines in
+// cell order. Shard 0/1 is the whole campaign: there is no other path.
+func RunPlan[T any](campaign string, pl Plan[T], shard ShardSpec, jobs int, progress io.Writer) *ShardFile[T] {
+	var done func(int, T)
+	if progress != nil && pl.Progress != nil {
+		done = func(_ int, r T) { pl.Progress(progress, r) }
+	}
+	f := &ShardFile[T]{
+		Manifest: newManifest(campaign, pl.Desc, shard, pl.Cells),
+		Cells:    RunShard(pl.Cells, jobs, shard, pl.Run, done),
+	}
+	if pl.Header != nil {
+		header, err := json.Marshal(pl.Header)
+		if err != nil {
+			panic("exp: " + err.Error())
+		}
+		f.Header = header
+	}
+	return f
+}
+
+// view is one table a scenario spec's "metrics" list can select by name.
+type view[R any] struct {
+	Name   string
+	Render func(io.Writer, R)
+}
+
+// descriptor declares a campaign whose cells are T and whose reassembled
+// result — the thing rendered — is R.
+type descriptor[T, R any] struct {
+	// Doc is the campaign's line in the xmpsim usage text.
+	Name, Doc string
+	// Plan resolves the campaign against the CLI-level params; nil for the
+	// spec-backed campaigns, whose runner internal/scenario attaches.
+	Plan func(p RunParams) Plan[T]
+	// Assemble rebuilds the result from the cells in campaign order.
+	Assemble func(cells []T, header json.RawMessage) (R, error)
+	// Render prints the campaign as `xmpsim <name>` does. Families with
+	// selectable tables list Tables instead: the whole campaign is every
+	// table in order, blank lines between — and before, with BlankFirst.
+	Render     func(io.Writer, R)
+	Tables     []view[R]
+	BlankFirst bool
+	// Plot, if non-nil, writes the -json plot export.
+	Plot func(io.Writer, R) error
+}
+
+// render prints the selected tables, all of them for an empty selection: a
+// spec that lists every table renders as one that lists none.
+func (d *descriptor[T, R]) render(w io.Writer, r R, metrics []string) {
+	if len(d.Tables) == 0 {
+		d.Render(w, r)
+		return
+	}
+	if len(metrics) == 0 {
+		for _, t := range d.Tables {
+			metrics = append(metrics, t.Name)
+		}
+	}
+	for i, m := range metrics {
+		if i > 0 || d.BlankFirst {
+			fmt.Fprintln(w)
+		}
+		for _, t := range d.Tables {
+			if t.Name == m {
+				t.Render(w, r)
+			}
+		}
+	}
+}
+
+// campaign is a table row: a descriptor with its types erased.
+type campaign struct {
+	CampaignInfo
+	run    CampaignRunner
+	decode func(data []byte) (ShardEncoder, error)
+	merge  func(files []ShardEncoder) (*MergeResult, error)
+}
+
+// CampaignInfo is what the layers above need to list a campaign.
+type CampaignInfo struct {
+	Name, Doc string
+	// Tables names the tables a scenario spec of this family can select,
+	// in render order; nil when the campaign renders as one piece.
+	Tables []string
+	Plot   bool // has a -json plot export
+}
+
+func declare[T, R any](d descriptor[T, R]) *campaign {
+	c := &campaign{CampaignInfo: CampaignInfo{Name: d.Name, Doc: d.Doc, Plot: d.Plot != nil}}
+	for _, t := range d.Tables {
+		c.Tables = append(c.Tables, t.Name)
+	}
+	if d.Plan != nil {
+		c.run = func(p RunParams, shard ShardSpec, progress io.Writer) (ShardEncoder, error) {
+			return RunPlan(d.Name, d.Plan(p), shard, p.Jobs, progress), nil
+		}
+	}
+	c.decode = func(data []byte) (ShardEncoder, error) {
+		f := new(ShardFile[T])
+		return f, json.Unmarshal(data, f)
+	}
+	c.merge = func(files []ShardEncoder) (*MergeResult, error) {
+		typed := make([]*ShardFile[T], len(files))
+		for i, f := range files {
+			tf, ok := f.(*ShardFile[T])
+			if !ok {
+				return nil, fmt.Errorf("shard %d/%d: %T is not a %s shard file",
+					f.ShardManifest().ShardIndex, f.ShardManifest().ShardCount, f, d.Name)
+			}
+			typed[i] = tf
+		}
+		cells, err := MergeShardCells(typed)
+		if err != nil {
+			return nil, err
+		}
+		r, err := d.Assemble(cells, typed[0].Header)
+		if err != nil {
+			return nil, err
+		}
+		metrics := scenarioMetrics(typed[0].Manifest.Config)
+		res := &MergeResult{
+			Campaign: d.Name,
+			render:   func(w io.Writer) { d.render(w, r, metrics) },
+		}
+		if d.Plot != nil {
+			res.plot = func(w io.Writer) error { return d.Plot(w, r) }
+		}
+		return res, nil
+	}
+	return c
+}
+
+// listOf declares a campaign whose result is its cells in cell order.
+func listOf[T any](d descriptor[T, []T]) *campaign {
+	d.Assemble = func(cells []T, _ json.RawMessage) ([]T, error) { return cells, nil }
+	return declare(d)
+}
+
+// method adapts a result type's render method to a descriptor field.
+func method[R any](f func(R, io.Writer)) func(io.Writer, R) {
+	return func(w io.Writer, r R) { f(r, w) }
+}
+
+// campaigns is the table, in the order `xmpsim all` runs it. Each scaled
+// duration is the campaign's full-scale run length; it is hashed into the
+// config, so shard files from before and after a change refuse to mix.
+var campaigns = []*campaign{
+	declare(descriptor[*FatTreeResult, *Matrix]{
+		Name:     CampaignMatrix,
+		Doc:      "run the full pattern x scheme matrix once; print tables 1,3 + figs 8-11",
+		Assemble: assembleMatrix,
+		Tables: []view[*Matrix]{
+			{"table1", method((*Matrix).RenderTable1)},
+			{"table3", method((*Matrix).RenderTable3)},
+			{"fig8", method((*Matrix).RenderFig8)},
+			{"fig9", method((*Matrix).RenderFig9)},
+			{"fig10", method((*Matrix).RenderFig10)},
+			{"fig11", method((*Matrix).RenderFig11)},
+		},
+		BlankFirst: true,
+		Plot:       func(w io.Writer, m *Matrix) error { return m.WriteJSON(w) },
+	}),
+	declare(descriptor[Table2Cell, []*Table2Result]{
+		Name: CampaignTable2,
+		Doc:  "coexistence goodput: XMP vs LIA/TCP/DCTCP at queue 50/100, both switch models",
+		Plan: func(p RunParams) Plan[Table2Cell] {
+			return Table2Plan(Table2Config{KAry: p.K, SizeScale: p.SizeScale, Seed: p.Seed, Duration: p.scaleT(200 * sim.Millisecond)})
+		},
+		Assemble: assembleTable2,
+		Render:   renderTable2,
+		// The plot export is the RED-strict variant, as it always was.
+		Plot: func(w io.Writer, rs []*Table2Result) error { return rs[1].WriteJSON(w) },
+	}),
+	listOf(descriptor[AblationResult, []AblationResult]{
+		Name:   CampaignAblation,
+		Doc:    "marking-rule / echo-mode / cwr-guard ablations",
+		Plan:   func(RunParams) Plan[AblationResult] { return AblationPlan(10) },
+		Render: RenderAblations,
+	}),
+	listOf(descriptor[SubflowSweepResult, []SubflowSweepResult]{
+		Name: CampaignSubflow,
+		Doc:  "XMP goodput vs subflow count (1,2,4,8)",
+		Plan: func(p RunParams) Plan[SubflowSweepResult] {
+			return SubflowSweepPlan(nil, p.scaleT(50*sim.Millisecond))
+		},
+		Render: RenderSubflowSweep,
+	}),
+	listOf(descriptor[ParamPoint, []ParamPoint]{
+		Name: CampaignParams,
+		Doc:  "(beta, K) sensitivity grid (the paper's future-work study)",
+		Plan: func(p RunParams) Plan[ParamPoint] {
+			return ParamSweepPlan(nil, nil, p.scaleT(100*sim.Millisecond))
+		},
+		Render: RenderParamSweep,
+	}),
+	listOf(descriptor[IncastSweepPoint, []IncastSweepPoint]{
+		Name: CampaignIncast,
+		Doc:  "job completion vs fan-in (4..32 servers)",
+		Plan: func(p RunParams) Plan[IncastSweepPoint] {
+			return IncastSweepPlan(nil, p.scaleT(200*sim.Millisecond))
+		},
+		Render: RenderIncastSweep,
+	}),
+	listOf(descriptor[SACKAblationResult, []SACKAblationResult]{
+		Name: CampaignSACK,
+		Doc:  "SACK vs NewReno ablation for the loss-based schemes",
+		Plan: func(p RunParams) Plan[SACKAblationResult] {
+			return SACKAblationPlan(p.scaleT(100 * sim.Millisecond))
+		},
+		Render: RenderSACKAblation,
+	}),
+	listOf(descriptor[VL2Point, []VL2Point]{
+		Name: CampaignVL2,
+		Doc:  "scheme comparison on a VL2 Clos fabric (generalization)",
+		Plan: func(p RunParams) Plan[VL2Point] {
+			return VL2Plan(nil, p.scaleT(100*sim.Millisecond))
+		},
+		Render: RenderVL2,
+	}),
+	listOf(descriptor[FCTPoint, []FCTPoint]{
+		Name:   CampaignFCT,
+		Doc:    "short-flow FCT percentiles: Pareto loops + a 10,240-sender incast burst (TCP/DCTCP/XMP-2)",
+		Tables: []view[[]FCTPoint]{{"summary", RenderFCTSummary}, {"by-size", RenderFCTBySize}},
+	}),
+	listOf(descriptor[RobustnessPoint, []RobustnessPoint]{
+		Name:   CampaignRobustness,
+		Doc:    "schemes under one fault schedule: link flap, switch failure, loss burst, delay, jitter",
+		Tables: []view[[]RobustnessPoint]{{"summary", RenderRobustnessSummary}, {"by-size", RenderRobustnessBySize}},
+	}),
+	{CampaignInfo: CampaignInfo{Name: CampaignScenario}},
+}

@@ -32,8 +32,8 @@ type Table2Config struct {
 	SizeScale int64
 	Seed      int64
 	KAry      int
-	// Jobs caps the parallel workers fanning the independent cells out
-	// (<= 0 selects GOMAXPROCS).
+	// Jobs is unused and always 0: the config is the shard header, whose
+	// bytes schema version 2 pins. RunPlan's caller sets the worker count.
 	Jobs int
 }
 
@@ -77,66 +77,46 @@ type Table2Result struct {
 }
 
 // table2ConfigDesc canonicalizes the semantic knobs of the coexistence
-// campaign (Jobs and StrictNonECT excluded: the former does not shape
-// results, the latter is a campaign axis, not a knob).
+// campaign (StrictNonECT excluded: it is a campaign axis, not a knob).
 func table2ConfigDesc(cfg Table2Config) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "table2 kary=%d K=%d duration=%d sizescale=%d seed=%d queues=%v others=",
-		cfg.KAry, cfg.K, int64(cfg.Duration), cfg.SizeScale, cfg.Seed, cfg.QueueLimits)
-	for i, s := range cfg.Others {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(s.Label())
-	}
-	return b.String()
+	return fmt.Sprintf("table2 kary=%d K=%d duration=%d sizescale=%d seed=%d queues=%v others=%s",
+		cfg.KAry, cfg.K, int64(cfg.Duration), cfg.SizeScale, cfg.Seed, cfg.QueueLimits,
+		strings.Join(schemeLabels(cfg.Others), ","))
 }
 
-// RunTable2Campaign runs the owned cells of the full coexistence campaign:
-// both switch variants (non-ECT-fills-buffer first, then RED-strict — the
-// order `xmpsim table2` renders them), each over (queue limit, other
-// scheme). Cell indexing is variant-major: cell i selects variant
+// Table2Plan plans the full coexistence campaign: both switch variants
+// (non-ECT-fills-buffer first, then RED-strict — the order `xmpsim table2`
+// renders them), each over (queue limit, other scheme), with even-indexed
+// hosts sourcing XMP-2 flows and odd-indexed hosts the other scheme's.
+// Cell indexing is variant-major: cell i selects variant
 // i/(len(queues)*len(others)), then (queue, other) row-major within it.
 // cfg.StrictNonECT is ignored — the campaign always spans both variants.
-func RunTable2Campaign(cfg Table2Config, shard ShardSpec, progress io.Writer) *ShardFile[Table2Cell] {
+func Table2Plan(cfg Table2Config) Plan[Table2Cell] {
 	cfg.defaults()
+	cfg.StrictNonECT, cfg.Jobs = false, 0
 	perVariant := len(cfg.QueueLimits) * len(cfg.Others)
-	cells := RunShard(2*perVariant, cfg.Jobs, shard,
-		func(i int) Table2Cell {
+	return Plan[Table2Cell]{
+		Desc:   table2ConfigDesc(cfg),
+		Header: cfg,
+		Cells:  2 * perVariant,
+		Run: func(i int) Table2Cell {
 			c := cfg
 			c.StrictNonECT = i/perVariant == 1
 			qi, oi := gridRC(i%perVariant, len(cfg.Others))
 			return runCoexist(c, cfg.Others[oi], cfg.QueueLimits[qi])
 		},
-		func(_ int, cell Table2Cell) {
-			if progress != nil {
-				fmt.Fprintf(progress, "coexist q=%-4d XMP:%-6s  %7.1f : %-7.1f Mbps (%d/%d flows)\n",
-					cell.QueueLimit, cell.Other.Label(), cell.XMPGoodput, cell.OtherGoodput, cell.XMPFlows, cell.OtherFlows)
-			}
-		})
-	hdr := cfg
-	hdr.Jobs = 0
-	hdr.StrictNonECT = false
-	header, err := json.Marshal(hdr)
-	if err != nil {
-		panic("exp: " + err.Error())
-	}
-	return &ShardFile[Table2Cell]{
-		Manifest: newManifest(CampaignTable2, table2ConfigDesc(cfg), shard, 2*perVariant),
-		Header:   header,
-		Cells:    cells,
+		Progress: func(w io.Writer, cell Table2Cell) {
+			fmt.Fprintf(w, "coexist q=%-4d XMP:%-6s  %7.1f : %-7.1f Mbps (%d/%d flows)\n",
+				cell.QueueLimit, cell.Other.Label(), cell.XMPGoodput, cell.OtherGoodput, cell.XMPFlows, cell.OtherFlows)
+		},
 	}
 }
 
-// MergeTable2Shards validates a table2 shard set and reassembles the two
-// variant results in render order: non-strict, then RED-strict.
-func MergeTable2Shards(files []*ShardFile[Table2Cell]) ([]*Table2Result, error) {
-	cells, err := MergeShardCells(files)
-	if err != nil {
-		return nil, err
-	}
+// assembleTable2 rebuilds the two variant results in render order:
+// non-strict, then RED-strict.
+func assembleTable2(cells []Table2Cell, header json.RawMessage) ([]*Table2Result, error) {
 	var cfg Table2Config
-	if err := json.Unmarshal(files[0].Header, &cfg); err != nil {
+	if err := json.Unmarshal(header, &cfg); err != nil {
 		return nil, fmt.Errorf("table2 shard header: %v", err)
 	}
 	perVariant := len(cfg.QueueLimits) * len(cfg.Others)
@@ -152,33 +132,13 @@ func MergeTable2Shards(files []*ShardFile[Table2Cell]) ([]*Table2Result, error) 
 	return out, nil
 }
 
-// RenderTable2Campaign prints both variants exactly as `xmpsim table2`
-// prints them to stdout.
-func RenderTable2Campaign(w io.Writer, rs []*Table2Result) {
+// renderTable2 prints both variants: the coexistence outcome hinges on
+// whether loss-based flows may fill the buffer past K (see EXPERIMENTS.md).
+func renderTable2(w io.Writer, rs []*Table2Result) {
 	for _, r := range rs {
 		fmt.Fprintln(w)
 		r.Render(w)
 	}
-}
-
-// RunTable2 executes the sweep: one fat-tree run per (other scheme,
-// queue limit), with even-indexed hosts sourcing XMP-2 flows and
-// odd-indexed hosts sourcing the other scheme's.
-func RunTable2(cfg Table2Config, progress io.Writer) *Table2Result {
-	cfg.defaults()
-	res := &Table2Result{Config: cfg}
-	res.Cells = RunAll(len(cfg.QueueLimits)*len(cfg.Others), cfg.Jobs,
-		func(i int) Table2Cell {
-			qi, oi := gridRC(i, len(cfg.Others))
-			return runCoexist(cfg, cfg.Others[oi], cfg.QueueLimits[qi])
-		},
-		func(_ int, cell Table2Cell) {
-			if progress != nil {
-				fmt.Fprintf(progress, "coexist q=%-4d XMP:%-6s  %7.1f : %-7.1f Mbps (%d/%d flows)\n",
-					cell.QueueLimit, cell.Other.Label(), cell.XMPGoodput, cell.OtherGoodput, cell.XMPFlows, cell.OtherFlows)
-			}
-		})
-	return res
 }
 
 func runCoexist(cfg Table2Config, other workload.Scheme, queueLimit int) Table2Cell {

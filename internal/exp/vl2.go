@@ -19,68 +19,53 @@ type VL2Point struct {
 	Drops       int64
 }
 
-// RunVL2Comparison runs the Random pattern over a VL2 Clos (the other
-// multi-rooted architecture the paper cites) for each Table 1 scheme —
-// the generalization experiment showing XMP's behaviour is not an
-// artifact of the Fat-Tree.
-func RunVL2Comparison(schemes []workload.Scheme, duration sim.Duration, jobs int, progress io.Writer) []VL2Point {
-	return cellData(RunVL2ComparisonShard(schemes, duration, Unsharded, jobs, progress).Cells)
-}
-
-// RunVL2ComparisonShard is the sharded campaign entry behind
-// RunVL2Comparison; cell i is schemes[i].
-func RunVL2ComparisonShard(schemes []workload.Scheme, duration sim.Duration, shard ShardSpec, jobs int, progress io.Writer) *ShardFile[VL2Point] {
+// VL2Plan plans the Random pattern over a VL2 Clos (the other multi-rooted
+// architecture the paper cites) for each Table 1 scheme — the
+// generalization experiment showing XMP's behaviour is not an artifact of
+// the Fat-Tree. Cell i is schemes[i].
+func VL2Plan(schemes []workload.Scheme, duration sim.Duration) Plan[VL2Point] {
 	if len(schemes) == 0 {
 		schemes = Table1Schemes
 	}
-	if duration == 0 {
-		duration = 100 * sim.Millisecond
-	}
-	runOne := func(s workload.Scheme) VL2Point {
-		eng := sim.NewEngine()
-		v := topo.NewVL2(eng, topo.DefaultVL2Config(topo.ECNMaker(100, 10)))
-		col := workload.NewCollector(8)
-		workload.StartRandom(workload.RandomConfig{
-			Config: workload.Config{
-				Net:       v,
-				RNG:       sim.NewRNG(1),
-				Scheme:    s,
-				Transport: transport.DefaultConfig(),
-				Collector: col,
-				Stop:      sim.Time(duration),
-			},
-			ParetoMeanBytes: 12 << 20,
-			ParetoMaxBytes:  48 << 20,
-			MaxFlowsPerDst:  4,
-		})
-		eng.RunAll(4_000_000_000)
-		v.CheckRoutingSanity()
-		var drops int64
-		for _, li := range v.Links() {
-			drops += li.Queue().Stats().DroppedPackets
-		}
-		return VL2Point{
-			Scheme:      s.Label(),
-			GoodputMbps: col.Goodput.Mean(),
-			RTTMs:       col.RTT[topo.InterPod].Mean(),
-			Flows:       col.FlowsCompleted,
-			Drops:       drops,
-		}
-	}
-	cells := RunShard(len(schemes), jobs, shard,
-		func(i int) VL2Point { return runOne(schemes[i]) },
-		func(_ int, p VL2Point) {
-			if progress != nil {
-				fmt.Fprintf(progress, "vl2 %-6s goodput=%6.1f Mbps rtt=%5.2f ms flows=%d\n",
-					p.Scheme, p.GoodputMbps, p.RTTMs, p.Flows)
+	return Plan[VL2Point]{
+		Desc:  fmt.Sprintf("vl2 schemes=%v duration=%d", schemeLabels(schemes), int64(duration)),
+		Cells: len(schemes),
+		Run: func(i int) VL2Point {
+			eng := sim.NewEngine()
+			v := topo.NewVL2(eng, topo.DefaultVL2Config(topo.ECNMaker(100, 10)))
+			col := workload.NewCollector(8)
+			workload.StartRandom(workload.RandomConfig{
+				Config: workload.Config{
+					Net:       v,
+					RNG:       sim.NewRNG(1),
+					Scheme:    schemes[i],
+					Transport: transport.DefaultConfig(),
+					Collector: col,
+					Stop:      sim.Time(duration),
+				},
+				ParetoMeanBytes: 12 << 20,
+				ParetoMaxBytes:  48 << 20,
+				MaxFlowsPerDst:  4,
+			})
+			eng.RunAll(4_000_000_000)
+			v.CheckRoutingSanity()
+			var drops int64
+			for _, li := range v.Links() {
+				drops += li.Queue().Stats().DroppedPackets
 			}
-		})
-	var labels []string
-	for _, s := range schemes {
-		labels = append(labels, s.Label())
+			return VL2Point{
+				Scheme:      schemes[i].Label(),
+				GoodputMbps: col.Goodput.Mean(),
+				RTTMs:       col.RTT[topo.InterPod].Mean(),
+				Flows:       col.FlowsCompleted,
+				Drops:       drops,
+			}
+		},
+		Progress: func(w io.Writer, p VL2Point) {
+			fmt.Fprintf(w, "vl2 %-6s goodput=%6.1f Mbps rtt=%5.2f ms flows=%d\n",
+				p.Scheme, p.GoodputMbps, p.RTTMs, p.Flows)
+		},
 	}
-	desc := fmt.Sprintf("vl2 schemes=%v duration=%d", labels, int64(duration))
-	return &ShardFile[VL2Point]{Manifest: newManifest(CampaignVL2, desc, shard, len(schemes)), Cells: cells}
 }
 
 // RenderVL2 prints the comparison.

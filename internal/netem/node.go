@@ -145,8 +145,9 @@ type Host struct {
 
 	// paths caches resolved forwarding paths indexed by destination
 	// address (see PathTo in path.go): nil = not yet resolved, noPath =
-	// resolved to "no complete path". pathStore, when wired by the
-	// topology builder, arena-allocates the Path structs and hop arrays.
+	// resolved to "no complete path". pathStore arena-allocates the
+	// Path structs and hop arrays; the topology builder wires one per
+	// network.
 	paths     []*Path
 	pathStore *PathStore
 

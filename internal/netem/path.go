@@ -51,7 +51,8 @@ func (ps *PathStore) GrowAddrSpace(a Addr) {
 
 // SetPathStore wires the arena that this host's resolved paths and its
 // path-cache table are allocated from. Topology builders install one store
-// per network; hosts without one fall back to plain allocation.
+// per network; a host without one (hand-built in tests) gets a private
+// store on its first resolution.
 func (h *Host) SetPathStore(ps *PathStore) { h.pathStore = ps }
 
 // PathTo resolves and caches the forwarding path from this host to dst.
@@ -64,6 +65,9 @@ func (h *Host) PathTo(dst Addr) *Path {
 	if dst < 0 {
 		return nil
 	}
+	if h.pathStore == nil {
+		h.pathStore = new(PathStore)
+	}
 	if int(dst) < len(h.paths) {
 		if pa := h.paths[dst]; pa != nil {
 			if pa == noPath {
@@ -73,7 +77,7 @@ func (h *Host) PathTo(dst Addr) *Path {
 		}
 	} else {
 		want := int(dst) + 1
-		if h.pathStore != nil && h.pathStore.addrSpace > want {
+		if h.pathStore.addrSpace > want {
 			want = h.pathStore.addrSpace
 		}
 		grown := make([]*Path, want)
@@ -91,15 +95,11 @@ func (h *Host) PathTo(dst Addr) *Path {
 
 // resolvePath walks the static routing tables from nic toward dst. The walk
 // is bounded by initialTTL hops, mirroring the TTL guard of hop-by-hop
-// forwarding, so a routing loop resolves to nil rather than hanging. With a
-// store, hops accumulate in the shared backing and are carved off on
-// success; without one (hand-built hosts in tests) it allocates plainly.
+// forwarding, so a routing loop resolves to nil rather than hanging. Hops
+// accumulate in the store's shared backing and are carved off on success.
 func resolvePath(ps *PathStore, nic *Link, dst Addr) *Path {
 	if nic == nil || dst < 0 {
 		return nil
-	}
-	if ps == nil {
-		return resolvePathAlloc(nic, dst)
 	}
 	start := len(ps.hops)
 	ps.hops = append(ps.hops, nic)
@@ -134,32 +134,5 @@ func resolvePath(ps *PathStore, nic *Link, dst Addr) *Path {
 		}
 	}
 	ps.hops = ps.hops[:start]
-	return nil
-}
-
-// resolvePathAlloc is the store-less variant of resolvePath.
-func resolvePathAlloc(nic *Link, dst Addr) *Path {
-	hops := []*Link{nic}
-	cur := nic.Dst()
-	for i := 0; i < initialTTL; i++ {
-		switch n := cur.(type) {
-		case *Switch:
-			next := n.Route(dst)
-			if next == nil {
-				return nil
-			}
-			hops = append(hops, next)
-			cur = next.Dst()
-		case *Host:
-			for _, a := range n.addrs {
-				if a == dst {
-					return &Path{hops: hops}
-				}
-			}
-			return nil
-		default:
-			return nil
-		}
-	}
 	return nil
 }

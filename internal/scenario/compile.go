@@ -58,6 +58,9 @@ func lower(r *Spec) (*Compiled, error) {
 		Spec: r,
 		JSON: data,
 		Desc: "scenario " + string(data),
+		// A family is named after the campaign whose cells, tables and
+		// goldens it shares (FamilyTables relies on it too).
+		Campaign: r.Family,
 	}
 	c.Hash = exp.HashConfig(c.Desc)
 	c.schemes = make([]workload.Scheme, len(r.Schemes))
@@ -70,21 +73,18 @@ func lower(r *Spec) (*Compiled, error) {
 	}
 	switch r.Family {
 	case FamilyMatrix:
-		c.Campaign = exp.CampaignMatrix
 		for _, w := range r.Workloads {
 			for _, sl := range r.Schemes {
 				c.Labels = append(c.Labels, string(matrixPattern(w.Kind))+"/"+sl)
 			}
 		}
 	case FamilyRobustness:
-		c.Campaign = exp.CampaignRobustness
 		for _, sl := range r.Schemes {
 			for _, seed := range r.Seeds {
 				c.Labels = append(c.Labels, robustnessLabel(sl, seed, len(r.Seeds)))
 			}
 		}
 	case FamilyFCT:
-		c.Campaign = exp.CampaignFCT
 		for _, w := range r.Workloads {
 			c.Labels = append(c.Labels, w.Name)
 		}
@@ -170,7 +170,7 @@ func (c *Compiled) CheckTargets() error {
 // RunShard executes the scenario's cells owned by shard and returns the
 // shard file, its manifest stamped with the family's campaign name and
 // the scenario's config. The caller validates the shard spec
-// (exp.RunCampaignShard and the CLI both do).
+// (exp.RunCampaign does).
 func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (exp.ShardEncoder, error) {
 	if err := c.CheckTargets(); err != nil {
 		return nil, err
@@ -194,7 +194,7 @@ func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (
 		for i, w := range r.Workloads {
 			patterns[i] = matrixPattern(w.Kind)
 		}
-		return exp.RunMatrixShard(c.Desc, base, patterns, c.schemes, shard, jobs, progress), nil
+		return exp.RunPlan(c.Campaign, exp.MatrixPlan(c.Desc, base, patterns, c.schemes), shard, jobs, progress), nil
 
 	case FamilyRobustness:
 		var random *workload.RandomConfig
@@ -223,8 +223,10 @@ func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (
 			sched = &s
 		}
 		nseeds := len(r.Seeds)
-		cells := exp.RunShard(len(c.schemes)*nseeds, jobs, shard,
-			func(i int) exp.RobustnessPoint {
+		return exp.RunPlan(c.Campaign, exp.Plan[exp.RobustnessPoint]{
+			Desc:  c.Desc,
+			Cells: len(c.schemes) * nseeds,
+			Run: func(i int) exp.RobustnessPoint {
 				si, di := i/nseeds, i%nseeds
 				p := exp.RunChaosCell(exp.ChaosCellConfig{
 					Scheme:   c.schemes[si],
@@ -239,20 +241,17 @@ func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (
 				p.Scheme = robustnessLabel(p.Scheme, r.Seeds[di], nseeds)
 				return p
 			},
-			func(_ int, p exp.RobustnessPoint) {
-				if progress != nil {
-					fmt.Fprintf(progress, "robustness %-6s goodput=%6.1f Mbps flows=%-5d p99=%8.3fms faults=%d\n",
-						p.Scheme, p.GoodputMbps, p.Flows, p.P99Ms, p.Faults)
-				}
-			})
-		return &exp.ShardFile[exp.RobustnessPoint]{
-			Manifest: exp.NewShardManifest(c.Campaign, c.Desc, shard, len(c.schemes)*nseeds),
-			Cells:    cells,
-		}, nil
+			Progress: func(w io.Writer, p exp.RobustnessPoint) {
+				fmt.Fprintf(w, "robustness %-6s goodput=%6.1f Mbps flows=%-5d p99=%8.3fms faults=%d\n",
+					p.Scheme, p.GoodputMbps, p.Flows, p.P99Ms, p.Faults)
+			},
+		}, shard, jobs, progress), nil
 
 	case FamilyFCT:
-		cells := exp.RunShard(len(r.Workloads), jobs, shard,
-			func(i int) exp.FCTPoint {
+		return exp.RunPlan(c.Campaign, exp.Plan[exp.FCTPoint]{
+			Desc:  c.Desc,
+			Cells: len(r.Workloads),
+			Run: func(i int) exp.FCTPoint {
 				w := r.Workloads[i]
 				cfg := exp.FCTCellConfig{
 					Name:          w.Name,
@@ -288,16 +287,11 @@ func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (
 				}
 				return exp.RunFCTCell(cfg)
 			},
-			func(_ int, p exp.FCTPoint) {
-				if progress != nil {
-					fmt.Fprintf(progress, "fct %-10s flows=%-6d p50=%7.3fms p99=%8.3fms p999=%8.3fms drops=%d\n",
-						p.Cell, p.Flows, p.P50Ms, p.P99Ms, p.P999Ms, p.Drops)
-				}
-			})
-		return &exp.ShardFile[exp.FCTPoint]{
-			Manifest: exp.NewShardManifest(c.Campaign, c.Desc, shard, len(r.Workloads)),
-			Cells:    cells,
-		}, nil
+			Progress: func(w io.Writer, p exp.FCTPoint) {
+				fmt.Fprintf(w, "fct %-10s flows=%-6d p50=%7.3fms p99=%8.3fms p999=%8.3fms drops=%d\n",
+					p.Cell, p.Flows, p.P50Ms, p.P99Ms, p.P999Ms, p.Drops)
+			},
+		}, shard, jobs, progress), nil
 	}
 	return nil, fmt.Errorf("scenario %s: unknown family %q", r.Name, r.Family)
 }

@@ -8,8 +8,9 @@ import (
 	"xmp/scenarios"
 )
 
-// Spec-backed campaigns register like any Go campaign, which is what gives
-// them sharded workers, JSON shard export, merge and dispatch for free.
+// Spec-backed campaigns are rows of exp's campaign table like any Go
+// campaign — which is what gives them sharded workers, JSON shard export,
+// merge and dispatch for free — with the runner attached here.
 // "matrix", "robustness" and "fct" run the spec of that name embedded from
 // scenarios/ — their only definition — and "scenario" runs whatever spec
 // rides inline in RunParams.Scenario. All four go through CompileCampaign,

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 
 	"xmp/internal/chaos"
+	"xmp/internal/exp"
 	"xmp/internal/workload"
 )
 
@@ -241,15 +242,11 @@ func resolve(s *Spec, readFile func(path string) ([]byte, error)) (*Spec, error)
 }
 
 // FamilyTables returns the metric tables a family can render, in render
-// order. A spec's metrics list must be a subset; empty selects all.
+// order — the tables its campaign declares. A spec's metrics list must be a
+// subset; empty selects all.
 func FamilyTables(family string) []string {
-	switch family {
-	case FamilyMatrix:
-		return []string{"table1", "table3", "fig8", "fig9", "fig10", "fig11"}
-	case FamilyRobustness, FamilyFCT:
-		return []string{"summary", "by-size"}
-	}
-	return nil
+	c, _ := exp.LookupCampaign(family)
+	return c.Tables
 }
 
 // resolveWorkloads applies family defaults and validates each workload's
