@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"testing"
 
-	"xmp/internal/chaos"
 	"xmp/internal/exp"
 	"xmp/internal/mptcp"
 	"xmp/internal/netem"
@@ -447,41 +446,16 @@ func BenchmarkChaosCell(b *testing.B) {
 		b.Fatal(err)
 	}
 	sched := robustness.Spec.Chaos.Schedule()
-	var goodput, faults float64
+	var p exp.RobustnessPoint
 	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		rng := sim.NewRNG(1)
-		lossRNG := rng.Fork(99)
-		qm := func(ba *netem.BuildArena) netem.Queue {
-			return netem.NewLossy(ba.NewThresholdECN(100, 10), 0, lossRNG)
-		}
-		ft := topo.NewFatTree(eng, topo.DefaultFatTreeConfig(qm))
-		col := workload.NewCollector(16)
-		workload.StartRandom(workload.RandomConfig{
-			Config: workload.Config{
-				Net:       ft,
-				RNG:       rng,
-				Scheme:    exp.SchemeXMP2,
-				Transport: transport.DefaultConfig(),
-				Collector: col,
-				Stop:      sim.Time(20 * sim.Millisecond),
-				Arena:     mptcp.NewArena(),
-			},
-			ParetoMeanBytes: 12 << 20,
-			ParetoMaxBytes:  48 << 20,
-			MaxFlowsPerDst:  4,
+		p = exp.RunChaosCell(exp.ChaosCellConfig{
+			Cell:   exp.CellConfig{Lossy: true, Duration: 20 * sim.Millisecond, Chaos: &sched},
+			Scheme: exp.SchemeXMP2,
+			Random: &workload.RandomConfig{ParetoMeanBytes: 12 << 20, ParetoMaxBytes: 48 << 20, MaxFlowsPerDst: 4},
 		})
-		inj, err := chaos.New(ft.Network, sched)
-		if err != nil {
-			b.Fatal(err)
-		}
-		inj.Install()
-		eng.RunAll(1 << 62)
-		goodput = col.Goodput.Mean()
-		faults = float64(inj.Applied())
 	}
-	b.ReportMetric(goodput, "goodput-Mbps")
-	b.ReportMetric(faults, "faults")
+	b.ReportMetric(p.GoodputMbps, "goodput-Mbps")
+	b.ReportMetric(float64(p.Faults), "faults")
 }
 
 // benchShortFlowNet builds the small fat-tree + arena rig the launch-path
@@ -527,34 +501,15 @@ func BenchmarkLaunchFlow(b *testing.B) {
 // fabric — the fan-in stress the arena's quarantine and the host demux
 // slot recycling are sized for.
 func BenchmarkIncastCell(b *testing.B) {
-	var fct, drops float64
+	var p exp.FCTPoint
 	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		ft := topo.NewFatTree(eng, topo.DefaultFatTreeConfig(topo.ECNMaker(100, 10)))
-		col := workload.NewCollector(16)
-		cfg := workload.Config{
-			Net:       ft,
-			RNG:       sim.NewRNG(1),
-			Transport: transport.DefaultConfig(),
-			Collector: col,
-			Stop:      sim.MaxTime,
-			Arena:     mptcp.NewArena(),
-		}
-		workload.StartIncastBurst(workload.IncastBurstConfig{
-			Config:        cfg,
-			Senders:       2048,
-			ResponseBytes: 4 << 10,
-			Rounds:        1,
+		// One round: the burst is not gated by the cell's horizon.
+		p = exp.RunFCTCell(exp.FCTCellConfig{
+			Incast: &workload.IncastBurstConfig{Senders: 2048, ResponseBytes: 4 << 10, Rounds: 1},
 		})
-		eng.RunAll(1 << 62)
-		fct = col.FCT.Percentile(99)
-		drops = 0
-		for _, layer := range []string{topo.LayerCore, topo.LayerAggregation, topo.LayerRack} {
-			drops += float64(ft.TotalQueueStats(layer).DroppedPackets)
-		}
 	}
-	b.ReportMetric(fct, "fct-p99-ms")
-	b.ReportMetric(drops, "drops")
+	b.ReportMetric(p.P99Ms, "fct-p99-ms")
+	b.ReportMetric(float64(p.Drops), "drops")
 }
 
 // BenchmarkScenarioCompile prices the declarative path's overhead: parse a

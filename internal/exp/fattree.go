@@ -6,10 +6,8 @@ import (
 
 	"xmp/internal/chaos"
 	"xmp/internal/metrics"
-	"xmp/internal/mptcp"
 	"xmp/internal/sim"
 	"xmp/internal/topo"
-	"xmp/internal/transport"
 	"xmp/internal/workload"
 )
 
@@ -42,12 +40,10 @@ type FatTreeConfig struct {
 	Seed      int64
 	// RTTStride subsamples RTT measurements (default 4).
 	RTTStride int
-	// Chaos, when non-nil, is a fault schedule installed on the fabric
-	// before the run (declarative scenarios route it here). nil leaves the
-	// run byte-identical to the pre-chaos code path; omitempty keeps it
-	// out of the serialized cell config for the same reason. Loss-burst
-	// events cannot resolve here — this fabric's queues are plain
-	// ThresholdECN, not Lossy-wrapped.
+	// Chaos is the cell's fault schedule (CellConfig.Chaos; declarative
+	// scenarios route it here). omitempty keeps a nil schedule out of the
+	// serialized cell config, whose bytes shard files pin. The matrix cell
+	// is not lossy, so loss-burst events do not resolve.
 	Chaos *chaos.Schedule `json:"Chaos,omitempty"`
 }
 
@@ -107,76 +103,59 @@ type FatTreeResult struct {
 // the fat-tree tables and figures need.
 func RunFatTree(cfg FatTreeConfig) *FatTreeResult {
 	cfg.defaults()
-	eng := sim.NewEngine()
-	ftCfg := topo.DefaultFatTreeConfig(topo.ECNMaker(cfg.QueueLimit, cfg.MarkThreshold))
-	ftCfg.K = cfg.K
-	ft := topo.NewFatTree(eng, ftCfg)
-	rng := sim.NewRNG(cfg.Seed)
-
-	col := workload.NewCollector(cfg.RTTStride)
-	base := workload.Config{
-		Net:       ft,
-		RNG:       rng,
-		Scheme:    cfg.Scheme,
-		Transport: transport.DefaultConfig(),
-		Collector: col,
-		Stop:      sim.Time(cfg.Duration),
-		// Recycle the whole flow graph across launches: nothing here
-		// retains a *Flow past completion, so steady-state flow launch is
-		// allocation-free.
-		Arena: mptcp.NewArena(),
-	}
+	c := NewCell(CellConfig{
+		K:             cfg.K,
+		QueueLimit:    cfg.QueueLimit,
+		MarkThreshold: cfg.MarkThreshold,
+		Seed:          cfg.Seed,
+		Duration:      cfg.Duration,
+		RTTStride:     cfg.RTTStride,
+		Chaos:         cfg.Chaos,
+	}, cfg.Scheme)
 
 	switch cfg.Pattern {
 	case Permutation:
 		workload.StartPermutation(workload.PermutationConfig{
-			Config:   base,
+			Config:   c.Base,
 			MinBytes: 64 << 20 / cfg.SizeScale,
 			MaxBytes: 512 << 20 / cfg.SizeScale,
 		})
 	case Random:
-		workload.StartRandom(randomCfg(base, cfg.SizeScale))
+		workload.StartRandom(randomCfg(c.Base, cfg.SizeScale))
 	case Incast:
 		workload.StartIncast(workload.IncastConfig{
-			Config:           base,
+			Config:           c.Base,
 			Background:       true,
-			BackgroundConfig: randomCfg(base, cfg.SizeScale),
+			BackgroundConfig: randomCfg(c.Base, cfg.SizeScale),
 		})
 	default:
 		panic(fmt.Sprintf("exp: unknown pattern %q", cfg.Pattern))
 	}
+	c.Run()
 
-	if cfg.Chaos != nil {
-		inj, err := chaos.New(ft.Network, *cfg.Chaos)
-		if err != nil {
-			panic(fmt.Sprintf("exp: chaos schedule does not resolve: %v", err))
-		}
-		inj.Install()
-	}
-
-	events := eng.RunAll(4_000_000_000)
-	ft.CheckRoutingSanity()
-
+	now := c.Net.Eng.Now()
 	res := &FatTreeResult{
 		Config:      cfg,
-		Collector:   col,
+		Collector:   c.Base.Collector,
 		UtilByLayer: make(map[string]*metrics.Dist),
-		SimDuration: sim.Duration(eng.Now()),
-		Events:      events,
+		Drops:       c.Drops(),
+		Marks:       c.Marks(),
+		SimDuration: sim.Duration(now),
+		Events:      c.Events,
 	}
 	for _, layer := range []string{topo.LayerCore, topo.LayerAggregation, topo.LayerRack} {
 		d := &metrics.Dist{}
-		for _, l := range ft.LinksByLayer(layer) {
-			d.Add(l.Utilization(eng.Now()))
+		for _, l := range c.Net.LinksByLayer(layer) {
+			d.Add(l.Utilization(now))
 		}
 		res.UtilByLayer[layer] = d
-		st := ft.TotalQueueStats(layer)
-		res.Drops += st.DroppedPackets
-		res.Marks += st.MarkedPackets
 	}
 	return res
 }
 
+// randomCfg is the Random pattern with the paper's flow sizes divided by
+// sizeScale; at 16, what the campaigns without a -sizescale knob run, a
+// 12 MB mean capped at 48 MB.
 func randomCfg(base workload.Config, sizeScale int64) workload.RandomConfig {
 	return workload.RandomConfig{
 		Config:          base,

@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"xmp/internal/mptcp"
-	"xmp/internal/sim"
-	"xmp/internal/topo"
-	"xmp/internal/transport"
 	"xmp/internal/workload"
 )
 
@@ -50,45 +46,26 @@ type FCTBinPoint struct {
 	P50Ms, P99Ms, P999Ms float64
 }
 
-// fctPoint runs the engine dry and folds the collector into a point.
-// launched is read only after the run, when the generator's closed loops
-// have stopped relaunching.
-func fctPoint(name string, eng *sim.Engine, ft *topo.FatTree, base workload.Config, launched *int) FCTPoint {
-	eng.RunAll(4_000_000_000)
-	col := base.Collector
-	p := FCTPoint{
-		Cell:     name,
-		Launched: *launched,
-		Flows:    col.FCT.N(),
-		P50Ms:    col.FCT.Percentile(50),
-		P95Ms:    col.FCT.Percentile(95),
-		P99Ms:    col.FCT.Percentile(99),
-		P999Ms:   col.FCT.Percentile(99.9),
-	}
+// fctBySize folds a collector's per-size completion times into bin points.
+func fctBySize(col *workload.Collector) (bins [workload.FCTBins]FCTBinPoint) {
 	for i, d := range col.FCTBySize {
-		p.BySize[i] = FCTBinPoint{
+		bins[i] = FCTBinPoint{
 			Flows:  float64(d.N()),
 			P50Ms:  d.Percentile(50),
 			P99Ms:  d.Percentile(99),
 			P999Ms: d.Percentile(99.9),
 		}
 	}
-	for _, layer := range []string{topo.LayerCore, topo.LayerAggregation, topo.LayerRack} {
-		p.Drops += ft.TotalQueueStats(layer).DroppedPackets
-	}
-	return p
+	return bins
 }
 
-// FCTCellConfig parameterizes one short-flow cell: a fat-tree, a scheme,
-// and exactly one generator — a bounded-Pareto closed loop (Short) or a
+// FCTCellConfig parameterizes one short-flow cell: a cell, a scheme, and
+// exactly one generator — a bounded-Pareto closed loop (Short) or a
 // synchronized incast burst (Incast). The scenario compiler's fct family
 // lowers onto RunFCTCell.
 type FCTCellConfig struct {
-	Name     string
-	Duration sim.Duration // simulated horizon; 0 means 40 ms
-	Seed     int64        // cell RNG seed; 0 means 1
-	// Fat-tree shape; zero fields mean the campaign defaults (8, 10, 100).
-	K, MarkThreshold, QueueLimit int
+	Name string
+	Cell CellConfig
 	// Scheme is the incast senders' transfer scheme, used only when
 	// Incast.UseScheme is set (unset is the plain-TCP baseline).
 	// Short-flow loops are always plain TCP and ignore it.
@@ -101,48 +78,35 @@ type FCTCellConfig struct {
 
 // RunFCTCell runs one parameterized short-flow cell.
 func RunFCTCell(cfg FCTCellConfig) FCTPoint {
-	if cfg.Duration == 0 {
-		cfg.Duration = 40 * sim.Millisecond
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.K == 0 {
-		cfg.K = 8
-	}
-	if cfg.MarkThreshold == 0 {
-		cfg.MarkThreshold = 10
-	}
-	if cfg.QueueLimit == 0 {
-		cfg.QueueLimit = 100
-	}
-	eng := sim.NewEngine()
-	tc := topo.DefaultFatTreeConfig(topo.ECNMaker(cfg.QueueLimit, cfg.MarkThreshold))
-	tc.K = cfg.K
-	ft := topo.NewFatTree(eng, tc)
-	base := workload.Config{
-		Net:       ft,
-		RNG:       sim.NewRNG(cfg.Seed),
-		Scheme:    cfg.Scheme,
-		Transport: transport.DefaultConfig(),
-		Collector: workload.NewCollector(16),
-		Stop:      sim.Time(cfg.Duration),
-		Arena:     mptcp.NewArena(),
-	}
+	c := NewCell(cfg.Cell, cfg.Scheme)
+	// launched is read only after the run, when the generator's closed
+	// loops have stopped relaunching.
 	var launched *int
 	switch {
 	case cfg.Short != nil && cfg.Incast == nil:
 		s := *cfg.Short
-		s.Config = base
+		s.Config = c.Base
 		launched = &workload.StartShortFlows(s).Launched
 	case cfg.Incast != nil && cfg.Short == nil:
 		b := *cfg.Incast
-		b.Config = base
+		b.Config = c.Base
 		launched = &workload.StartIncastBurst(b).Launched
 	default:
 		panic("exp: FCTCellConfig wants exactly one of Short / Incast")
 	}
-	return fctPoint(cfg.Name, eng, ft, base, launched)
+	c.Run()
+	col := c.Base.Collector
+	return FCTPoint{
+		Cell:     cfg.Name,
+		Launched: *launched,
+		Flows:    col.FCT.N(),
+		P50Ms:    col.FCT.Percentile(50),
+		P95Ms:    col.FCT.Percentile(95),
+		P99Ms:    col.FCT.Percentile(99),
+		P999Ms:   col.FCT.Percentile(99.9),
+		Drops:    c.Drops(),
+		BySize:   fctBySize(col),
+	}
 }
 
 // RenderFCTSummary prints the headline per-cell percentile table — the

@@ -4,11 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"xmp/internal/chaos"
-	"xmp/internal/mptcp"
-	"xmp/internal/sim"
-	"xmp/internal/topo"
-	"xmp/internal/transport"
 	"xmp/internal/workload"
 )
 
@@ -46,103 +41,45 @@ type RobustnessPoint struct {
 	BySize [workload.FCTBins]FCTBinPoint
 }
 
-// ChaosCellConfig parameterizes one fault-campaign cell: a fabric, the
-// workload generators to start on it, a scheme, and an optional fault
-// schedule.
+// ChaosCellConfig parameterizes one fault-campaign cell: the cell (fabric,
+// seed, horizon, fault schedule), a scheme, and the generators to start.
 type ChaosCellConfig struct {
-	Scheme   workload.Scheme
-	Duration sim.Duration // simulated horizon; 0 means 40 ms
-	Seed     int64        // cell RNG seed; 0 means 1
-	// Lossy forks a loss RNG off the cell RNG — before anything else
-	// consumes it, preserving the canonical robustness stream order — and
-	// hands it to Fabric. Loss-burst events require a Lossy fabric.
-	Lossy bool
-	// Fabric builds the cell's network on eng and returns both the
-	// workload-facing fabric and the netem graph (for fault-target
-	// resolution and drop accounting). lossRNG is non-nil iff Lossy is
-	// set. Required.
-	Fabric func(eng *sim.Engine, lossRNG *sim.RNG) (topo.Fabric, *topo.Network)
+	Cell   CellConfig
+	Scheme workload.Scheme
 	// Random and Short start the corresponding generators when non-nil;
 	// their embedded workload.Config is overwritten with the cell's.
 	Random *workload.RandomConfig
 	Short  *workload.ShortFlowsConfig
-	// Schedule, when non-nil, is installed before the run. Targets must
-	// resolve against the fabric; callers that accept untrusted specs
-	// (internal/scenario) pre-resolve targets before reaching this point,
-	// so a failure here is a logic bug and panics.
-	Schedule *chaos.Schedule
 }
 
 // RunChaosCell runs one parameterized fault-campaign cell: the scenario
 // compiler's robustness family lowers onto it.
 func RunChaosCell(cfg ChaosCellConfig) RobustnessPoint {
-	if cfg.Duration == 0 {
-		cfg.Duration = 40 * sim.Millisecond
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	eng := sim.NewEngine()
-	rng := sim.NewRNG(cfg.Seed)
-	var lossRNG *sim.RNG
-	if cfg.Lossy {
-		lossRNG = rng.Fork(99)
-	}
-	fab, net := cfg.Fabric(eng, lossRNG)
-	col := workload.NewCollector(16)
-	base := workload.Config{
-		Net:       fab,
-		RNG:       rng,
-		Scheme:    cfg.Scheme,
-		Transport: transport.DefaultConfig(),
-		Collector: col,
-		Stop:      sim.Time(cfg.Duration),
-		Arena:     mptcp.NewArena(),
-	}
+	c := NewCell(cfg.Cell, cfg.Scheme)
 	if cfg.Random != nil {
 		r := *cfg.Random
-		r.Config = base
+		r.Config = c.Base
 		workload.StartRandom(r)
 	}
 	if cfg.Short != nil {
 		s := *cfg.Short
-		s.Config = base
+		s.Config = c.Base
 		workload.StartShortFlows(s)
 	}
-	var inj *chaos.Injector
-	if cfg.Schedule != nil {
-		var err error
-		inj, err = chaos.New(net, *cfg.Schedule)
-		if err != nil {
-			panic(fmt.Sprintf("exp: chaos schedule does not resolve: %v", err))
-		}
-		inj.Install()
-	}
-	eng.RunAll(4_000_000_000)
-	p := RobustnessPoint{
+	c.Run()
+	col := c.Base.Collector
+	return RobustnessPoint{
 		Scheme:      cfg.Scheme.Label(),
 		GoodputMbps: col.Goodput.Mean(),
 		Flows:       col.FlowsCompleted,
+		Faults:      c.Faults,
 		P50Ms:       col.FCT.Percentile(50),
 		P95Ms:       col.FCT.Percentile(95),
 		P99Ms:       col.FCT.Percentile(99),
 		P999Ms:      col.FCT.Percentile(99.9),
+		Drops:       c.Drops(),
+		BySize:      fctBySize(col),
 	}
-	if inj != nil {
-		p.Faults = inj.Applied()
-	}
-	for i, d := range col.FCTBySize {
-		p.BySize[i] = FCTBinPoint{
-			Flows:  float64(d.N()),
-			P50Ms:  d.Percentile(50),
-			P99Ms:  d.Percentile(99),
-			P999Ms: d.Percentile(99.9),
-		}
-	}
-	for _, li := range net.Links() {
-		p.Drops += li.Queue().Stats().DroppedPackets
-	}
-	return p
 }
 
 // RenderRobustnessSummary prints the headline per-scheme table — the

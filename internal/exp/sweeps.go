@@ -6,7 +6,6 @@ import (
 
 	"xmp/internal/sim"
 	"xmp/internal/topo"
-	"xmp/internal/transport"
 	"xmp/internal/workload"
 )
 
@@ -132,28 +131,15 @@ func IncastSweepPlan(servers []int, duration sim.Duration) Plan[IncastSweepPoint
 		Desc:  fmt.Sprintf("incastsweep servers=%v duration=%d", servers, int64(duration)),
 		Cells: len(servers),
 		Run: func(i int) IncastSweepPoint {
-			eng := sim.NewEngine()
-			ft := topo.NewFatTree(eng, topo.DefaultFatTreeConfig(topo.ECNMaker(100, 10)))
-			col := workload.NewCollector(16)
-			base := workload.Config{
-				Net:       ft,
-				RNG:       sim.NewRNG(1),
-				Scheme:    SchemeXMP2,
-				Transport: transport.DefaultConfig(),
-				Collector: col,
-				Stop:      sim.Time(duration),
-			}
+			c := NewCell(CellConfig{Duration: duration}, SchemeXMP2)
 			workload.StartIncast(workload.IncastConfig{
-				Config:     base,
-				Servers:    servers[i],
-				Background: true,
-				BackgroundConfig: workload.RandomConfig{
-					Config:          base,
-					ParetoMeanBytes: 12 << 20,
-					ParetoMaxBytes:  48 << 20,
-				},
+				Config:           c.Base,
+				Servers:          servers[i],
+				Background:       true,
+				BackgroundConfig: randomCfg(c.Base, 16),
 			})
-			eng.RunAll(4_000_000_000)
+			c.Run()
+			col := c.Base.Collector
 			return IncastSweepPoint{
 				Servers:   servers[i],
 				JobsDone:  col.JCT.N(),
@@ -200,26 +186,10 @@ func SACKAblationPlan(duration sim.Duration, schemes ...workload.Scheme) Plan[SA
 		schemes = []workload.Scheme{SchemeTCP, SchemeLIA2, SchemeLIA4}
 	}
 	goodput := func(scheme workload.Scheme, sack bool) float64 {
-		eng := sim.NewEngine()
-		ft := topo.NewFatTree(eng, topo.DefaultFatTreeConfig(topo.ECNMaker(100, 10)))
-		col := workload.NewCollector(16)
-		tc := transport.DefaultConfig()
-		tc.EnableSACK = sack
-		workload.StartRandom(workload.RandomConfig{
-			Config: workload.Config{
-				Net:       ft,
-				RNG:       sim.NewRNG(1),
-				Scheme:    scheme,
-				Transport: tc,
-				Collector: col,
-				Stop:      sim.Time(duration),
-			},
-			ParetoMeanBytes: 12 << 20,
-			ParetoMaxBytes:  48 << 20,
-			MaxFlowsPerDst:  4,
-		})
-		eng.RunAll(4_000_000_000)
-		return col.Goodput.Mean()
+		c := NewCell(CellConfig{Duration: duration, SACK: sack}, scheme)
+		workload.StartRandom(randomCfg(c.Base, 16))
+		c.Run()
+		return c.Base.Collector.Goodput.Mean()
 	}
 	return Plan[SACKAblationResult]{
 		Desc:  fmt.Sprintf("sack schemes=%v duration=%d", schemeLabels(schemes), int64(duration)),

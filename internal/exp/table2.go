@@ -7,8 +7,6 @@ import (
 	"strings"
 
 	"xmp/internal/sim"
-	"xmp/internal/topo"
-	"xmp/internal/transport"
 	"xmp/internal/workload"
 )
 
@@ -142,47 +140,30 @@ func renderTable2(w io.Writer, rs []*Table2Result) {
 }
 
 func runCoexist(cfg Table2Config, other workload.Scheme, queueLimit int) Table2Cell {
-	eng := sim.NewEngine()
-	qm := topo.ECNMaker(queueLimit, cfg.K)
-	if cfg.StrictNonECT {
-		qm = topo.ECNStrictMaker(queueLimit, cfg.K)
-	}
-	ftCfg := topo.DefaultFatTreeConfig(qm)
-	ftCfg.K = cfg.KAry
-	ft := topo.NewFatTree(eng, ftCfg)
-	rng := sim.NewRNG(cfg.Seed)
-
-	var xmpHosts, otherHosts []int
-	for i := 0; i < ft.NumHosts(); i++ {
-		if i%2 == 0 {
-			xmpHosts = append(xmpHosts, i)
-		} else {
-			otherHosts = append(otherHosts, i)
+	c := NewCell(CellConfig{
+		K:             cfg.KAry,
+		QueueLimit:    queueLimit,
+		MarkThreshold: cfg.K,
+		StrictNonECT:  cfg.StrictNonECT,
+		Seed:          cfg.Seed,
+		Duration:      cfg.Duration,
+	}, SchemeXMP2)
+	// Each half of the hosts gets its own scheme, collector and RNG fork:
+	// even-indexed hosts source XMP-2 flows, odd-indexed the other scheme's.
+	half := func(parity int, scheme workload.Scheme) *workload.Collector {
+		base := c.Base
+		base.Scheme = scheme
+		base.RNG = c.Base.RNG.Fork(int64(1 + parity))
+		base.Collector = workload.NewCollector(16)
+		r := randomCfg(base, cfg.SizeScale)
+		for i := parity; i < base.Net.NumHosts(); i += 2 {
+			r.Hosts = append(r.Hosts, i)
 		}
+		workload.StartRandom(r)
+		return base.Collector
 	}
-
-	mkRandom := func(scheme workload.Scheme, hosts []int, col *workload.Collector, rng *sim.RNG) workload.RandomConfig {
-		return workload.RandomConfig{
-			Config: workload.Config{
-				Net:       ft,
-				RNG:       rng,
-				Scheme:    scheme,
-				Transport: transport.DefaultConfig(),
-				Collector: col,
-				Stop:      sim.Time(cfg.Duration),
-			},
-			ParetoMeanBytes: 192 << 20 / cfg.SizeScale,
-			ParetoMaxBytes:  768 << 20 / cfg.SizeScale,
-			MaxFlowsPerDst:  4,
-			Hosts:           hosts,
-		}
-	}
-	colX := workload.NewCollector(16)
-	colO := workload.NewCollector(16)
-	workload.StartRandom(mkRandom(SchemeXMP2, xmpHosts, colX, rng.Fork(1)))
-	workload.StartRandom(mkRandom(other, otherHosts, colO, rng.Fork(2)))
-	eng.RunAll(4_000_000_000)
-	ft.CheckRoutingSanity()
+	colX, colO := half(0, SchemeXMP2), half(1, other)
+	c.Run()
 
 	return Table2Cell{
 		Other:        other,

@@ -6,7 +6,6 @@ import (
 
 	"xmp/internal/sim"
 	"xmp/internal/topo"
-	"xmp/internal/transport"
 	"xmp/internal/workload"
 )
 
@@ -31,34 +30,16 @@ func VL2Plan(schemes []workload.Scheme, duration sim.Duration) Plan[VL2Point] {
 		Desc:  fmt.Sprintf("vl2 schemes=%v duration=%d", schemeLabels(schemes), int64(duration)),
 		Cells: len(schemes),
 		Run: func(i int) VL2Point {
-			eng := sim.NewEngine()
-			v := topo.NewVL2(eng, topo.DefaultVL2Config(topo.ECNMaker(100, 10)))
-			col := workload.NewCollector(8)
-			workload.StartRandom(workload.RandomConfig{
-				Config: workload.Config{
-					Net:       v,
-					RNG:       sim.NewRNG(1),
-					Scheme:    schemes[i],
-					Transport: transport.DefaultConfig(),
-					Collector: col,
-					Stop:      sim.Time(duration),
-				},
-				ParetoMeanBytes: 12 << 20,
-				ParetoMaxBytes:  48 << 20,
-				MaxFlowsPerDst:  4,
-			})
-			eng.RunAll(4_000_000_000)
-			v.CheckRoutingSanity()
-			var drops int64
-			for _, li := range v.Links() {
-				drops += li.Queue().Stats().DroppedPackets
-			}
+			c := NewCell(CellConfig{VL2: true, Duration: duration, RTTStride: 8}, schemes[i])
+			workload.StartRandom(randomCfg(c.Base, 16))
+			c.Run()
+			col := c.Base.Collector
 			return VL2Point{
 				Scheme:      schemes[i].Label(),
 				GoodputMbps: col.Goodput.Mean(),
 				RTTMs:       col.RTT[topo.InterPod].Mean(),
 				Flows:       col.FlowsCompleted,
-				Drops:       drops,
+				Drops:       c.Drops(),
 			}
 		},
 		Progress: func(w io.Writer, p VL2Point) {

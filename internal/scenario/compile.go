@@ -7,9 +7,7 @@ import (
 
 	"xmp/internal/chaos"
 	"xmp/internal/exp"
-	"xmp/internal/netem"
 	"xmp/internal/sim"
-	"xmp/internal/topo"
 	"xmp/internal/workload"
 )
 
@@ -126,28 +124,24 @@ func robustnessLabel(scheme string, seed int64, nseeds int) string {
 	return scheme
 }
 
-func (c *Compiled) duration() sim.Duration {
-	return sim.Duration(c.Spec.DurationMS * float64(sim.Millisecond))
-}
-
-// fabric builds the scenario's topology for one cell. lossRNG is consumed
-// only when the topology is lossy.
-func (c *Compiled) fabric(eng *sim.Engine, lossRNG *sim.RNG) (topo.Fabric, *topo.Network) {
+// cell lowers the spec's topology, horizon and fault schedule onto the
+// cell every family runs. A zero duration keeps the family's default.
+func (c *Compiled) cell(seed int64) exp.CellConfig {
 	t := c.Spec.Topology
-	qm := topo.ECNMaker(t.QueueLimit, t.MarkThreshold)
-	if t.Lossy {
-		qm = func(ba *netem.BuildArena) netem.Queue {
-			return netem.NewLossy(ba.NewThresholdECN(t.QueueLimit, t.MarkThreshold), 0, lossRNG)
-		}
+	cfg := exp.CellConfig{
+		VL2:           t.Kind == "vl2",
+		K:             t.K,
+		QueueLimit:    t.QueueLimit,
+		MarkThreshold: t.MarkThreshold,
+		Lossy:         t.Lossy,
+		Seed:          seed,
+		Duration:      sim.Duration(c.Spec.DurationMS * float64(sim.Millisecond)),
 	}
-	if t.Kind == "vl2" {
-		v := topo.NewVL2(eng, topo.DefaultVL2Config(qm))
-		return v, v.Network
+	if c.Spec.Chaos != nil {
+		sched := c.Spec.Chaos.Schedule()
+		cfg.Chaos = &sched
 	}
-	tc := topo.DefaultFatTreeConfig(qm)
-	tc.K = t.K
-	ft := topo.NewFatTree(eng, tc)
-	return ft, ft.Network
+	return cfg
 }
 
 // CheckTargets resolves the chaos schedule's fault targets against the
@@ -156,12 +150,11 @@ func (c *Compiled) fabric(eng *sim.Engine, lossRNG *sim.RNG) (topo.Fabric, *topo
 // worker rejects a bad spec with an error instead of panicking mid-cell.
 // No-op without a chaos block.
 func (c *Compiled) CheckTargets() error {
-	if c.Spec.Chaos == nil {
+	cfg := c.cell(1)
+	if cfg.Chaos == nil {
 		return nil
 	}
-	eng := sim.NewEngine()
-	_, net := c.fabric(eng, sim.NewRNG(1))
-	if _, err := chaos.New(net, c.Spec.Chaos.Schedule()); err != nil {
+	if _, err := chaos.New(exp.NewCell(cfg, workload.Scheme{}).Net, *cfg.Chaos); err != nil {
 		return fmt.Errorf("scenario %s: %v", c.Spec.Name, err)
 	}
 	return nil
@@ -178,17 +171,15 @@ func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (
 	r := c.Spec
 	switch r.Family {
 	case FamilyMatrix:
+		cell := c.cell(r.Scale.Seed)
 		base := exp.FatTreeConfig{
-			K:             r.Topology.K,
-			MarkThreshold: r.Topology.MarkThreshold,
-			QueueLimit:    r.Topology.QueueLimit,
-			Duration:      c.duration(), // 0 keeps the per-pattern defaults
+			K:             cell.K,
+			MarkThreshold: cell.MarkThreshold,
+			QueueLimit:    cell.QueueLimit,
+			Duration:      cell.Duration, // 0 keeps the per-pattern defaults
 			SizeScale:     r.Scale.SizeScale,
-			Seed:          r.Scale.Seed,
-		}
-		if r.Chaos != nil {
-			sched := r.Chaos.Schedule()
-			base.Chaos = &sched
+			Seed:          cell.Seed,
+			Chaos:         cell.Chaos,
 		}
 		patterns := make([]exp.Pattern, len(r.Workloads))
 		for i, w := range r.Workloads {
@@ -208,19 +199,8 @@ func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (
 					MaxFlowsPerDst:  w.MaxFlowsPerDst,
 				}
 			case "shortflows":
-				short = &workload.ShortFlowsConfig{
-					Alpha:     w.Alpha,
-					MeanBytes: w.MeanBytes,
-					MinBytes:  w.MinBytes,
-					MaxBytes:  w.MaxBytes,
-					PerHost:   w.PerHost,
-				}
+				short = shortFlows(w)
 			}
-		}
-		var sched *chaos.Schedule
-		if r.Chaos != nil {
-			s := r.Chaos.Schedule()
-			sched = &s
 		}
 		nseeds := len(r.Seeds)
 		return exp.RunPlan(c.Campaign, exp.Plan[exp.RobustnessPoint]{
@@ -229,14 +209,10 @@ func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (
 			Run: func(i int) exp.RobustnessPoint {
 				si, di := i/nseeds, i%nseeds
 				p := exp.RunChaosCell(exp.ChaosCellConfig{
-					Scheme:   c.schemes[si],
-					Duration: c.duration(),
-					Seed:     r.Seeds[di],
-					Lossy:    r.Topology.Lossy,
-					Fabric:   c.fabric,
-					Random:   random,
-					Short:    short,
-					Schedule: sched,
+					Cell:   c.cell(r.Seeds[di]),
+					Scheme: c.schemes[si],
+					Random: random,
+					Short:  short,
 				})
 				p.Scheme = robustnessLabel(p.Scheme, r.Seeds[di], nseeds)
 				return p
@@ -253,14 +229,7 @@ func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (
 			Cells: len(r.Workloads),
 			Run: func(i int) exp.FCTPoint {
 				w := r.Workloads[i]
-				cfg := exp.FCTCellConfig{
-					Name:          w.Name,
-					Duration:      c.duration(),
-					Seed:          r.Scale.Seed,
-					K:             r.Topology.K,
-					MarkThreshold: r.Topology.MarkThreshold,
-					QueueLimit:    r.Topology.QueueLimit,
-				}
+				cfg := exp.FCTCellConfig{Name: w.Name, Cell: c.cell(r.Scale.Seed)}
 				if w.Scheme != "" {
 					sch, err := workload.ParseScheme(w.Scheme)
 					if err != nil {
@@ -270,13 +239,7 @@ func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (
 				}
 				switch w.Kind {
 				case "shortflows":
-					cfg.Short = &workload.ShortFlowsConfig{
-						Alpha:     w.Alpha,
-						MeanBytes: w.MeanBytes,
-						MinBytes:  w.MinBytes,
-						MaxBytes:  w.MaxBytes,
-						PerHost:   w.PerHost,
-					}
+					cfg.Short = shortFlows(w)
 				case "incast-burst":
 					cfg.Incast = &workload.IncastBurstConfig{
 						Senders:       w.Senders,
@@ -294,4 +257,14 @@ func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (
 		}, shard, jobs, progress), nil
 	}
 	return nil, fmt.Errorf("scenario %s: unknown family %q", r.Name, r.Family)
+}
+
+func shortFlows(w WorkloadSpec) *workload.ShortFlowsConfig {
+	return &workload.ShortFlowsConfig{
+		Alpha:     w.Alpha,
+		MeanBytes: w.MeanBytes,
+		MinBytes:  w.MinBytes,
+		MaxBytes:  w.MaxBytes,
+		PerHost:   w.PerHost,
+	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"xmp/internal/chaos"
 	"xmp/internal/exp"
+	"xmp/internal/sim"
 	"xmp/internal/workload"
 )
 
@@ -122,7 +123,7 @@ func resolve(s *Spec, readFile func(path string) ([]byte, error)) (*Spec, error)
 			case FamilyMatrix:
 				r.DurationMS = 200
 			default:
-				r.DurationMS = 40
+				r.DurationMS = float64(exp.ShortFlowHorizon / sim.Millisecond)
 			}
 		}
 		r.DurationMS *= sc.Timescale

@@ -358,6 +358,11 @@ func TestResolveRejects(t *testing.T) {
 		// Short-flow loops are plain TCP; a scheme there would be hashed and ignored.
 		"scheme on fct shortflows": {&Spec{Name: "x", Family: FamilyFCT,
 			Workloads: []WorkloadSpec{{Name: "a", Kind: "shortflows", Scheme: "XMP-2"}}}, "scheme does not apply"},
+		// core.NewBOS panics on beta < 2; flow launch sizes buffers by the subflow count.
+		"beta 1":        {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"XMP-2/b1"}}, "bad beta"},
+		"huge subflows": {&Spec{Name: "x", Family: FamilyRobustness, Schemes: []string{"XMP-4000000000"}}, "bad subflow count"},
+		"fct cell beta 1": {&Spec{Name: "x", Family: FamilyFCT,
+			Workloads: []WorkloadSpec{{Name: "a", Kind: "incast-burst", Scheme: "XMP-2/b1"}}}, "bad beta"},
 	}
 	for name, tc := range cases {
 		_, err := Resolve(tc.spec, "")

@@ -39,17 +39,6 @@ func ECNMaker(limit, k int) QueueMaker {
 	return func(ba *netem.BuildArena) netem.Queue { return ba.NewThresholdECN(limit, k) }
 }
 
-// ECNStrictMaker is ECNMaker with RED-faithful non-ECT handling: non-ECT
-// packets are dropped above k, as a RED/ECN switch with MinTh=MaxTh=K
-// does.
-func ECNStrictMaker(limit, k int) QueueMaker {
-	return func(ba *netem.BuildArena) netem.Queue {
-		q := ba.NewThresholdECN(limit, k)
-		q.DropNonECT = true
-		return q
-	}
-}
-
 // DefaultHostQueue is the drop-tail depth of host NICs; deep enough that
 // the constrained switch queues, not the hosts, shape the experiments.
 const DefaultHostQueue = 4096
@@ -193,24 +182,6 @@ func (n *Network) LinksByLayer(layer string) []*netem.Link {
 		}
 	}
 	return out
-}
-
-// TotalQueueStats sums the queue statistics of all links in a layer.
-func (n *Network) TotalQueueStats(layer string) netem.QueueStats {
-	var total netem.QueueStats
-	for _, li := range n.links {
-		if li.Layer != layer {
-			continue
-		}
-		st := li.Queue().Stats()
-		total.EnqueuedPackets += st.EnqueuedPackets
-		total.DroppedPackets += st.DroppedPackets
-		total.MarkedPackets += st.MarkedPackets
-		if st.MaxLen > total.MaxLen {
-			total.MaxLen = st.MaxLen
-		}
-	}
-	return total
 }
 
 // CheckRoutingSanity panics if any switch recorded unroutable packets or

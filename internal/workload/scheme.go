@@ -8,6 +8,12 @@ import (
 	"xmp/internal/mptcp"
 )
 
+// MaxSubflows bounds the subflow count ParseScheme accepts: four per
+// equal-cost path of the paper's k=8 fat-tree, whose hosts carry 16 path
+// aliases. Flow launch sizes per-flow buffers by the count, so an unbounded
+// label would be an unbounded allocation.
+const MaxSubflows = 64
+
 // ParseScheme is the inverse of Scheme.Label plus the "/bN" beta suffix
 // the campaign config descriptions use: "DCTCP", "TCP-ECN", "XMP-2",
 // "LIA-4", "BOS-uncoupled-2", "XMP-2/b6". It is the grammar declarative
@@ -18,8 +24,8 @@ func ParseScheme(label string) (Scheme, error) {
 	base := label
 	if i := strings.Index(base, "/b"); i >= 0 {
 		b, err := strconv.Atoi(base[i+2:])
-		if err != nil || b < 1 {
-			return Scheme{}, fmt.Errorf("scheme %q: bad beta suffix %q (want /bN, N >= 1)", label, base[i:])
+		if err != nil || b < 2 { // core.NewBOS panics below 2
+			return Scheme{}, fmt.Errorf("scheme %q: bad beta suffix %q (want /bN, N >= 2)", label, base[i:])
 		}
 		s.Beta = b
 		base = base[:i]
@@ -42,8 +48,8 @@ func ParseScheme(label string) (Scheme, error) {
 		return Scheme{}, fmt.Errorf("scheme %q: want NAME-SUBFLOWS (e.g. XMP-2) or TCP/TCP-ECN/DCTCP", label)
 	}
 	n, err := strconv.Atoi(base[i+1:])
-	if err != nil || n < 1 {
-		return Scheme{}, fmt.Errorf("scheme %q: bad subflow count %q", label, base[i+1:])
+	if err != nil || n < 1 || n > MaxSubflows {
+		return Scheme{}, fmt.Errorf("scheme %q: bad subflow count %q (want 1..%d)", label, base[i+1:], MaxSubflows)
 	}
 	switch base[:i] {
 	case "XMP":
