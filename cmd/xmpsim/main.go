@@ -10,8 +10,8 @@
 //	xmpsim run [flags] FILE.json
 //	xmpsim campaigns|merge|worker|dispatch [flags] [args]
 //
-// The second line is the campaigns declared in internal/exp's table; run
-// xmpsim with no arguments for the list generated from it.
+// The first two lines are declared in internal/exp's figure and campaign
+// tables; run xmpsim with no arguments for the lists generated from them.
 //
 // Experiments run at a reduced default scale (see EXPERIMENTS.md); use
 // -timescale and -sizescale to move toward the paper's magnitudes.
@@ -32,18 +32,16 @@ import (
 	"xmp/internal/dispatch"
 	"xmp/internal/exp"
 	"xmp/internal/scenario"
-	"xmp/internal/sim"
 )
 
 func usage() {
 	fmt.Fprint(os.Stderr, `xmpsim — reproduce the XMP (CoNEXT'13) evaluation
 
 Subcommands:
-  fig1         DCTCP vs fixed halving under threshold marking (4-flow bottleneck)
-  fig4         TraSh traffic shifting on the two-DN testbed (beta 4 vs 6)
-  fig6         fairness across subflow counts on one bottleneck (beta 4 vs 6)
-  fig7         rate compensation on the 5-bottleneck torus (3 beta/K settings)
 `)
+	for _, f := range exp.Figures {
+		fmt.Fprintf(os.Stderr, "  %-12s %s\n", f.Name, f.Doc)
+	}
 	for _, c := range exp.Campaigns() {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", c.Name, c.Doc)
 	}
@@ -175,14 +173,6 @@ func main() {
 	stopProfiling := startProfiling()
 	start := time.Now()
 	switch cmd {
-	case "fig1":
-		runFig1()
-	case "fig4":
-		runFig4()
-	case "fig6":
-		runFig6()
-	case "fig7":
-		runFig7()
 	case "run":
 		runRun()
 	case "campaigns":
@@ -197,25 +187,18 @@ func main() {
 		if *jsonOut != "" {
 			die(2, "-json names one file; run the campaign that should write it by itself")
 		}
-		runFig1()
-		runFig4()
-		runFig6()
-		runFig7()
+		runFigures("")
 		for _, c := range exp.Campaigns() {
 			runCampaign(c.Name, campaignParams(), true)
 		}
 	default:
-		if !runCampaignCmd(cmd) {
+		if !runFigures(cmd) && !runCampaignCmd(cmd) {
 			usage()
 			os.Exit(2)
 		}
 	}
 	stopProfiling()
 	fmt.Fprintf(os.Stderr, "\n[%s completed in %v]\n", cmd, time.Since(start).Round(time.Millisecond))
-}
-
-func scaleT(d sim.Duration) sim.Duration {
-	return sim.Duration(float64(d) * *timescale)
 }
 
 // progress is where per-cell progress lines go: stderr, or nowhere with -q.
@@ -226,42 +209,16 @@ func progress() io.Writer {
 	return os.Stderr
 }
 
-func runFig1() {
-	for _, panel := range []struct {
-		mode exp.Fig1Mode
-		k    int
-	}{
-		{exp.Fig1DCTCP, 10}, {exp.Fig1DCTCP, 20},
-		{exp.Fig1Halving, 10}, {exp.Fig1Halving, 20},
-	} {
-		r := exp.RunFig1(exp.Fig1Config{Mode: panel.mode, K: panel.k, Interval: scaleT(sim.Second)})
-		r.Render(os.Stdout)
-		fmt.Println()
+// runFigures renders the named figure of internal/exp's figure table, or
+// every one for the empty name, and reports whether it found any.
+func runFigures(name string) (found bool) {
+	for _, f := range exp.Figures {
+		if name == "" || name == f.Name {
+			f.Render(os.Stdout, campaignParams())
+			found = true
+		}
 	}
-}
-
-func runFig4() {
-	for _, beta := range []int{4, 6} {
-		r := exp.RunFig4(exp.Fig4Config{Beta: beta, Phase: scaleT(2 * sim.Second)})
-		r.Render(os.Stdout)
-		fmt.Println()
-	}
-}
-
-func runFig6() {
-	for _, beta := range []int{4, 6} {
-		r := exp.RunFig6(exp.Fig6Config{Beta: beta, Unit: scaleT(sim.Second)})
-		r.Render(os.Stdout)
-		fmt.Println()
-	}
-}
-
-func runFig7() {
-	for _, setting := range exp.Fig7Settings {
-		r := exp.RunFig7(exp.Fig7Config{Setting: setting, Unit: scaleT(sim.Second)})
-		r.Render(os.Stdout)
-		fmt.Println()
-	}
+	return found
 }
 
 // writeJSON emits machine-readable results when -json is set.

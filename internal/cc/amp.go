@@ -19,10 +19,9 @@ package cc
 // LIA's RTT-dependent α computation. Loss handling is standard: halving on
 // fast retransmit, collapse to MinWindow on RTO.
 type AMP struct {
-	cwnd     float64
-	ssthresh float64
-	group    *FlowGroup
-	member   *Member
+	RenoWindow
+	group  *FlowGroup
+	member *Member
 
 	// Window-of-data bookkeeping for the per-window cut.
 	windowEnd   int64
@@ -35,16 +34,9 @@ func NewAMP(initialCwnd int, group *FlowGroup, member *Member) *AMP {
 	if group == nil || member == nil {
 		panic("cc: AMP requires a group and a member")
 	}
-	if initialCwnd < MinWindow {
-		initialCwnd = MinWindow
-	}
-	return &AMP{
-		cwnd:      float64(initialCwnd),
-		ssthresh:  DefaultSsthresh,
-		group:     group,
-		member:    member,
-		windowEnd: -1,
-	}
+	a := &AMP{group: group, member: member}
+	a.Reset(initialCwnd)
+	return a
 }
 
 // Name implements Controller.
@@ -52,15 +44,6 @@ func (a *AMP) Name() string { return "amp" }
 
 // ECNCapable implements Controller.
 func (a *AMP) ECNCapable() bool { return true }
-
-// Window implements Controller.
-func (a *AMP) Window() int {
-	w := int(a.cwnd)
-	if w < MinWindow {
-		w = MinWindow
-	}
-	return w
-}
 
 // wTotal is the flow's aggregate window across active subflows, floored at
 // this subflow's own window so the coupled increase never exceeds 1/w_r
@@ -72,8 +55,8 @@ func (a *AMP) wTotal() float64 {
 			total += float64(m.Cwnd)
 		}
 	}
-	if total < a.cwnd {
-		total = a.cwnd
+	if total < a.Cwnd {
+		total = a.Cwnd
 	}
 	return total
 }
@@ -97,11 +80,11 @@ func (a *AMP) OnAck(k Ack) {
 			if f > 1 {
 				f = 1
 			}
-			a.cwnd *= 1 - f/2
-			if a.cwnd < MinWindow {
-				a.cwnd = MinWindow
+			a.Cwnd *= 1 - f/2
+			if a.Cwnd < MinWindow {
+				a.Cwnd = MinWindow
 			}
-			a.ssthresh = a.cwnd
+			a.Ssthresh = a.Cwnd
 			cut = true
 		}
 		a.ackedInWin, a.markedInWin = 0, 0
@@ -112,33 +95,28 @@ func (a *AMP) OnAck(k Ack) {
 		}
 	}
 	for i := int64(0); i < k.NewlyAcked; i++ {
-		if a.cwnd < a.ssthresh {
-			a.cwnd++
+		if a.SlowStart() {
+			a.Cwnd++
 			continue
 		}
-		inc := 1 / a.cwnd
-		if wt := a.wTotal(); wt > a.cwnd {
+		inc := 1 / a.Cwnd
+		if wt := a.wTotal(); wt > a.Cwnd {
 			inc = 1 / wt
 		}
-		a.cwnd += inc
+		a.Cwnd += inc
 	}
 	a.member.Cwnd = a.Window()
 }
 
-// OnDupAck implements Controller.
-func (a *AMP) OnDupAck(int) {}
-
 // OnFastRetransmit implements Controller: loss still halves, as in TCP.
 func (a *AMP) OnFastRetransmit() {
-	a.ssthresh = max(a.cwnd/2, 2)
-	a.cwnd = a.ssthresh
+	a.Halve()
 	a.member.Cwnd = a.Window()
 }
 
 // OnRetransmitTimeout implements Controller.
 func (a *AMP) OnRetransmitTimeout() {
-	a.ssthresh = max(a.cwnd/2, 2)
-	a.cwnd = MinWindow
+	a.Collapse()
 	a.ackedInWin, a.markedInWin = 0, 0
 	a.windowEnd = -1
 	a.member.Cwnd = a.Window()
@@ -148,11 +126,7 @@ func (a *AMP) OnRetransmitTimeout() {
 // and member bindings are structural and survive the reset; the member's
 // published state is reset separately by the flow rebind.
 func (a *AMP) Reset(initialCwnd int) {
-	if initialCwnd < MinWindow {
-		initialCwnd = MinWindow
-	}
-	a.cwnd = float64(initialCwnd)
-	a.ssthresh = DefaultSsthresh
+	a.Init(initialCwnd)
 	a.ackedInWin, a.markedInWin = 0, 0
 	a.windowEnd = -1
 }

@@ -38,16 +38,16 @@ func TestAMPSemiCoupledIncrease(t *testing.T) {
 	a.member.Cwnd = a.Window()
 	a.OnAck(Ack{NewlyAcked: 1, SndUna: 100, SndNxt: 200, SRTT: 200 * sim.Microsecond})
 	want := w0 + 1/(4*w0)
-	if math.Abs(a.cwnd-want) > 1e-9 {
-		t.Fatalf("coupled CA increase: cwnd %.6f, want %.6f", a.cwnd, want)
+	if math.Abs(a.Cwnd-want) > 1e-9 {
+		t.Fatalf("coupled CA increase: cwnd %.6f, want %.6f", a.Cwnd, want)
 	}
 	// With an inactive sibling the increase falls back to 1/w_r.
 	sib.Active = false
-	before := a.cwnd
+	before := a.Cwnd
 	a.OnAck(Ack{NewlyAcked: 1, SndUna: 101, SndNxt: 200, SRTT: 200 * sim.Microsecond})
 	want = before + 1/before
-	if math.Abs(a.cwnd-want) > 1e-9 {
-		t.Fatalf("uncoupled CA increase: cwnd %.6f, want %.6f", a.cwnd, want)
+	if math.Abs(a.Cwnd-want) > 1e-9 {
+		t.Fatalf("uncoupled CA increase: cwnd %.6f, want %.6f", a.Cwnd, want)
 	}
 }
 
@@ -58,12 +58,12 @@ func TestAMPCutsByInstantaneousFractionPerWindow(t *testing.T) {
 	// Discard the observation window ackSeq left half-open so the cut below
 	// sees exactly the marks of the scripted window.
 	a.windowEnd, a.ackedInWin, a.markedInWin = -1, 0, 0
-	w0 := a.cwnd // CA from here
+	w0 := a.Cwnd // CA from here
 	// One window of 10 acked segments, 4 marked: F = 0.4. The window ends
 	// when SndUna passes windowEnd (set on the first ack below).
 	a.OnAck(Ack{NewlyAcked: 5, SndUna: 1000, SndNxt: 2000, ECNEcho: 2})
 	a.OnAck(Ack{NewlyAcked: 5, SndUna: 1500, SndNxt: 2000, ECNEcho: 2})
-	grown := a.cwnd // growth suppressed? no: no window closed yet, marks only accumulate
+	grown := a.Cwnd // growth suppressed? no: no window closed yet, marks only accumulate
 	if grown <= w0 {
 		t.Fatalf("cwnd shrank before the window closed: %.3f -> %.3f", w0, grown)
 	}
@@ -71,11 +71,11 @@ func TestAMPCutsByInstantaneousFractionPerWindow(t *testing.T) {
 	// F = 4/11 over the closed window; cwnd was `grown` plus nothing (the
 	// closing ack does not grow a cut window).
 	want := grown * (1 - (4.0/11)/2)
-	if math.Abs(a.cwnd-want) > 1e-9 {
-		t.Fatalf("post-cut cwnd %.6f, want %.6f", a.cwnd, want)
+	if math.Abs(a.Cwnd-want) > 1e-9 {
+		t.Fatalf("post-cut cwnd %.6f, want %.6f", a.Cwnd, want)
 	}
-	if a.ssthresh != a.cwnd {
-		t.Fatalf("ssthresh %.3f not pinned to cut cwnd %.3f", a.ssthresh, a.cwnd)
+	if a.Ssthresh != a.Cwnd {
+		t.Fatalf("ssthresh %.3f not pinned to cut cwnd %.3f", a.Ssthresh, a.Cwnd)
 	}
 }
 
@@ -83,11 +83,11 @@ func TestAMPCleanWindowDoesNotCut(t *testing.T) {
 	a, _ := newAMPPair(2)
 	ackSeq(a, 30, nil)
 	a.OnFastRetransmit()
-	w0 := a.cwnd
+	w0 := a.Cwnd
 	a.OnAck(Ack{NewlyAcked: 5, SndUna: 1000, SndNxt: 2000})
 	a.OnAck(Ack{NewlyAcked: 5, SndUna: 2001, SndNxt: 3000}) // closes a clean window
-	if a.cwnd <= w0 {
-		t.Fatalf("clean window cut cwnd: %.3f -> %.3f", w0, a.cwnd)
+	if a.Cwnd <= w0 {
+		t.Fatalf("clean window cut cwnd: %.3f -> %.3f", w0, a.Cwnd)
 	}
 }
 
@@ -109,14 +109,14 @@ func TestAMPNoEWMAReactsImmediately(t *testing.T) {
 	}
 	// Align windows (and clear half-open observation state), then hit both
 	// with the same heavily-marked window.
-	fresh.cwnd, veteran.cwnd = 20, 20
+	fresh.Cwnd, veteran.Cwnd = 20, 20
 	for _, a := range []*AMP{fresh, veteran} {
 		a.windowEnd, a.ackedInWin, a.markedInWin = -1, 0, 0
 		a.OnAck(Ack{NewlyAcked: 4, SndUna: 10000, SndNxt: 11000, ECNEcho: 4})
 		a.OnAck(Ack{NewlyAcked: 1, SndUna: 11001, SndNxt: 12000})
 	}
-	if math.Abs(fresh.cwnd-veteran.cwnd) > 1e-9 {
-		t.Fatalf("history changed the cut: fresh %.6f vs veteran %.6f", fresh.cwnd, veteran.cwnd)
+	if math.Abs(fresh.Cwnd-veteran.Cwnd) > 1e-9 {
+		t.Fatalf("history changed the cut: fresh %.6f vs veteran %.6f", fresh.Cwnd, veteran.Cwnd)
 	}
 	// The first ack grows 4 CA steps from 20, the closing ack cuts by
 	// F/2 = (4/5)/2 without growing.
@@ -125,8 +125,8 @@ func TestAMPNoEWMAReactsImmediately(t *testing.T) {
 		w += 1 / w
 	}
 	want := w * (1 - 4.0/5/2)
-	if math.Abs(fresh.cwnd-want) > 1e-9 {
-		t.Fatalf("marked window cut to %.6f, want %.6f", fresh.cwnd, want)
+	if math.Abs(fresh.Cwnd-want) > 1e-9 {
+		t.Fatalf("marked window cut to %.6f, want %.6f", fresh.Cwnd, want)
 	}
 }
 
@@ -141,8 +141,8 @@ func TestAMPLossReactions(t *testing.T) {
 	if got := a.Window(); got != MinWindow {
 		t.Fatalf("after RTO cwnd = %d, want %d", got, MinWindow)
 	}
-	if a.ssthresh != 8 {
-		t.Fatalf("after RTO ssthresh = %.1f, want 8", a.ssthresh)
+	if a.Ssthresh != 8 {
+		t.Fatalf("after RTO ssthresh = %.1f, want 8", a.Ssthresh)
 	}
 	if a.member.Cwnd != a.Window() {
 		t.Fatalf("member cwnd %d not published", a.member.Cwnd)
@@ -155,7 +155,7 @@ func TestAMPResetRestoresFreshState(t *testing.T) {
 	a.OnFastRetransmit()
 	a.Reset(4)
 	b := NewAMP(4, a.group, a.member)
-	if a.cwnd != b.cwnd || a.ssthresh != b.ssthresh ||
+	if a.Cwnd != b.Cwnd || a.Ssthresh != b.Ssthresh ||
 		a.windowEnd != b.windowEnd || a.ackedInWin != b.ackedInWin ||
 		a.markedInWin != b.markedInWin {
 		t.Fatalf("reset AMP %+v differs from fresh %+v", a, b)

@@ -1,10 +1,14 @@
 // Package cc defines the congestion-controller interface the simulated TCP
-// transport drives, plus the single-path baseline algorithms the paper
-// compares against: Reno with standard ECN semantics, the fixed-factor
-// threshold-ECN variant of Figure 1(c)/(d) ("halving cwnd"), and DCTCP.
+// transport drives, the Reno window (RenoWindow) every loss-halving
+// controller embeds, and the controllers built on it that need nothing
+// from a multipath flow but its FlowGroup: Reno with standard ECN
+// semantics, DCTCP, and AMP (arXiv 1707.00322). LIA and OLIA, on the same
+// window, live in internal/mptcp.
 //
 // The paper's own algorithms (BOS and the TraSh coupler, together XMP)
-// live in internal/core and implement the same Controller interface.
+// live in internal/core and implement the same Controller interface; the
+// fixed-factor "halving cwnd" sender of Figure 1(c)/(d) is BOS at β=2 with
+// no coupler.
 package cc
 
 import (
@@ -99,7 +103,8 @@ func (m EchoMode) String() string {
 }
 
 // EchoCap returns the per-ACK ceiling on the echoed CE count for the mode
-// (the BOS two-bit encoding can carry at most 3).
+// (the BOS two-bit encoding can carry at most 3); the receiver carries any
+// excess over to its next ACK.
 func (m EchoMode) EchoCap() int {
 	switch m {
 	case EchoCounter:

@@ -105,67 +105,6 @@ func TestRenoNames(t *testing.T) {
 	}
 }
 
-func TestFixedBetaReducesByBetaOncePerRound(t *testing.T) {
-	f := NewFixedBeta(2, 4)
-	ackSeq(f, 38, nil) // cwnd 40 via slow start
-	if f.Window() != 40 {
-		t.Fatalf("setup cwnd %d", f.Window())
-	}
-	// Algorithm 1: the first mark while cwnd <= ssthresh exits slow start
-	// (ssthresh = cwnd-1) without cutting.
-	f.OnAck(Ack{NewlyAcked: 1, SndUna: 50, SndNxt: 100, ECNEcho: 2})
-	if got := f.Window(); got != 40 {
-		t.Fatalf("slow-start mark cut the window: %d", got)
-	}
-	// A mark in the next round (snd_una past cwr_seq=100) cuts by 1/beta.
-	f.OnAck(Ack{NewlyAcked: 1, SndUna: 101, SndNxt: 130, ECNEcho: 1})
-	if got := f.Window(); got != 30 {
-		t.Fatalf("after CA mark cwnd = %d, want 40-40/4=30", got)
-	}
-	// Same round: further echoes ignored.
-	f.OnAck(Ack{NewlyAcked: 1, SndUna: 110, SndNxt: 140, ECNEcho: 3})
-	if got := f.Window(); got != 30 {
-		t.Fatalf("second reduction in round: %d", got)
-	}
-	// After snd_una >= cwr_seq(130): eligible again.
-	f.OnAck(Ack{NewlyAcked: 1, SndUna: 131, SndNxt: 160, ECNEcho: 1})
-	if got := f.Window(); got != 23 {
-		t.Fatalf("next-round reduction: cwnd = %d, want 30-30/4=23", got)
-	}
-}
-
-func TestFixedBetaGrowsByOnePerRound(t *testing.T) {
-	f := NewFixedBeta(2, 4)
-	ackSeq(f, 18, nil) // cwnd 20, slow start
-	f.OnAck(Ack{NewlyAcked: 1, SndUna: 30, SndNxt: 60, ECNEcho: 1})
-	w := f.Window() // 15; ssthresh 14 -> CA
-	// One full round with no marks: +1.
-	f.OnAck(Ack{NewlyAcked: 1, SndUna: 61, SndNxt: 90})  // ends round, sets begSeq=90
-	f.OnAck(Ack{NewlyAcked: 1, SndUna: 91, SndNxt: 120}) // ends next round: +1
-	if got := f.Window(); got != w+1 {
-		t.Fatalf("per-round growth: %d, want %d", got, w+1)
-	}
-}
-
-func TestFixedBetaFloorsAtTwo(t *testing.T) {
-	f := NewFixedBeta(2, 4)
-	for i := 0; i < 20; i++ {
-		f.OnAck(Ack{NewlyAcked: 1, SndUna: int64(100 * (i + 1)), SndNxt: int64(100*(i+1) + 50), ECNEcho: 1})
-	}
-	if got := f.Window(); got != 2 {
-		t.Fatalf("window floor = %d, want 2", got)
-	}
-}
-
-func TestFixedBetaPanicsOnBadBeta(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("beta=1 did not panic")
-		}
-	}()
-	NewFixedBeta(2, 1)
-}
-
 func TestDCTCPAlphaConvergesToMarkFraction(t *testing.T) {
 	d := NewDCTCP(2, DefaultG)
 	// Constant 25% marking across many windows: alpha -> 0.25.

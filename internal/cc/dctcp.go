@@ -9,10 +9,9 @@ package cc
 //	α ← (1-g)·α + g·F        (F = fraction of marked segments this window)
 //	cwnd ← cwnd · (1 − α/2)  (on the first marked ACK of a window)
 type DCTCP struct {
-	cwnd     float64
-	ssthresh float64
-	alpha    float64
-	g        float64
+	RenoWindow
+	alpha float64
+	g     float64
 
 	// Window-of-data bookkeeping for the α update.
 	windowEnd   int64
@@ -30,18 +29,9 @@ func NewDCTCP(initialCwnd int, g float64) *DCTCP {
 	if g <= 0 || g > 1 {
 		panic("cc: DCTCP gain out of (0,1]")
 	}
-	if initialCwnd < MinWindow {
-		initialCwnd = MinWindow
-	}
-	return &DCTCP{
-		cwnd: float64(initialCwnd),
-		// α starts at 1, as in the Linux module: the first-ever mark cuts
-		// conservatively (a halving) and clean windows decay α from there.
-		alpha:     1,
-		ssthresh:  DefaultSsthresh,
-		g:         g,
-		windowEnd: -1,
-	}
+	d := &DCTCP{g: g}
+	d.Reset(initialCwnd)
+	return d
 }
 
 // Name implements Controller.
@@ -49,15 +39,6 @@ func (d *DCTCP) Name() string { return "dctcp" }
 
 // ECNCapable implements Controller.
 func (d *DCTCP) ECNCapable() bool { return true }
-
-// Window implements Controller.
-func (d *DCTCP) Window() int {
-	w := int(d.cwnd)
-	if w < MinWindow {
-		w = MinWindow
-	}
-	return w
-}
 
 // Alpha exposes the current congestion estimate (for tests and traces).
 func (d *DCTCP) Alpha() float64 { return d.alpha }
@@ -90,49 +71,36 @@ func (d *DCTCP) OnAck(a Ack) {
 		if !d.reduced {
 			d.reduced = true
 			d.cwrSeq = a.SndNxt
-			d.cwnd *= 1 - d.alpha/2
-			if d.cwnd < MinWindow {
-				d.cwnd = MinWindow
+			d.Cwnd *= 1 - d.alpha/2
+			if d.Cwnd < MinWindow {
+				d.Cwnd = MinWindow
 			}
-			d.ssthresh = d.cwnd
+			d.Ssthresh = d.Cwnd
 		}
 		return
 	}
 	for i := int64(0); i < a.NewlyAcked; i++ {
-		if d.cwnd < d.ssthresh {
-			d.cwnd++
+		if d.SlowStart() {
+			d.Cwnd++
 		} else {
-			d.cwnd += 1 / d.cwnd
+			d.Cwnd += 1 / d.Cwnd
 		}
 	}
 }
 
-// OnDupAck implements Controller.
-func (d *DCTCP) OnDupAck(int) {}
-
 // OnFastRetransmit implements Controller: loss still halves, as in TCP.
-func (d *DCTCP) OnFastRetransmit() {
-	d.ssthresh = max(d.cwnd/2, 2)
-	d.cwnd = d.ssthresh
-}
+func (d *DCTCP) OnFastRetransmit() { d.Halve() }
 
 // OnRetransmitTimeout implements Controller.
 func (d *DCTCP) OnRetransmitTimeout() {
-	d.ssthresh = max(d.cwnd/2, 2)
-	d.cwnd = MinWindow
+	d.Collapse()
 	d.reduced = false
 }
 
-// Reset implements Controller: restore the as-constructed state.
+// Reset implements Controller: restore the as-constructed state. α starts
+// at 1, as in the Linux module: the first-ever mark cuts conservatively (a
+// halving) and clean windows decay α from there.
 func (d *DCTCP) Reset(initialCwnd int) {
-	if initialCwnd < MinWindow {
-		initialCwnd = MinWindow
-	}
-	*d = DCTCP{
-		cwnd:      float64(initialCwnd),
-		alpha:     1,
-		ssthresh:  DefaultSsthresh,
-		g:         d.g,
-		windowEnd: -1,
-	}
+	*d = DCTCP{alpha: 1, g: d.g, windowEnd: -1}
+	d.Init(initialCwnd)
 }

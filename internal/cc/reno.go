@@ -6,28 +6,20 @@ package cc
 // the paper's small flows and the Table 2 coexistence runs, and the base
 // behaviour LIA falls back to on a single path.
 type Reno struct {
-	cwnd     float64
-	ssthresh float64
-	ecn      bool
-	// reducedAt guards one reduction per window for ECE, mirroring the
+	RenoWindow
+	ecn bool
+	// cwrSeq guards one reduction per window for ECE, mirroring the
 	// cwr_seq mechanism: no further cuts until snd_una passes it.
 	cwrSeq  int64
 	reduced bool
-	maxCwnd float64
 }
 
 // NewReno returns a Reno controller. If ecn is true the connection is
 // ECN-capable and halves on ECE in addition to loss.
 func NewReno(initialCwnd int, ecn bool) *Reno {
-	if initialCwnd < MinWindow {
-		initialCwnd = MinWindow
-	}
-	return &Reno{
-		cwnd:     float64(initialCwnd),
-		ssthresh: DefaultSsthresh,
-		ecn:      ecn,
-		maxCwnd:  DefaultSsthresh,
-	}
+	r := &Reno{ecn: ecn}
+	r.Init(initialCwnd)
+	return r
 }
 
 // Name implements Controller.
@@ -41,15 +33,6 @@ func (r *Reno) Name() string {
 // ECNCapable implements Controller.
 func (r *Reno) ECNCapable() bool { return r.ecn }
 
-// Window implements Controller.
-func (r *Reno) Window() int {
-	w := int(r.cwnd)
-	if w < MinWindow {
-		w = MinWindow
-	}
-	return w
-}
-
 // OnAck implements Controller.
 func (r *Reno) OnAck(a Ack) {
 	if r.reduced && a.SndUna >= r.cwrSeq {
@@ -57,53 +40,35 @@ func (r *Reno) OnAck(a Ack) {
 	}
 	if r.ecn && a.ECNEcho > 0 {
 		if !r.reduced {
-			r.halve()
+			r.Halve()
 			r.reduced = true
 			r.cwrSeq = a.SndNxt
 		}
 		return
 	}
 	for i := int64(0); i < a.NewlyAcked; i++ {
-		if r.cwnd < r.ssthresh {
-			r.cwnd++ // slow start: +1 per ACKed segment
+		if r.SlowStart() {
+			r.Cwnd++ // slow start: +1 per ACKed segment
 		} else {
-			r.cwnd += 1 / r.cwnd // congestion avoidance: ~+1 per RTT
+			r.Cwnd += 1 / r.Cwnd // congestion avoidance: ~+1 per RTT
 		}
-		if r.cwnd > r.maxCwnd {
-			r.cwnd = r.maxCwnd
+		if r.Cwnd > DefaultSsthresh {
+			r.Cwnd = DefaultSsthresh
 		}
 	}
 }
 
-// OnDupAck implements Controller. Reno reacts at the third duplicate via
-// OnFastRetransmit; individual dupacks are ignored.
-func (r *Reno) OnDupAck(int) {}
-
 // OnFastRetransmit implements Controller.
-func (r *Reno) OnFastRetransmit() { r.halve() }
+func (r *Reno) OnFastRetransmit() { r.Halve() }
 
 // OnRetransmitTimeout implements Controller.
 func (r *Reno) OnRetransmitTimeout() {
-	r.ssthresh = max(r.cwnd/2, 2)
-	r.cwnd = MinWindow
+	r.Collapse()
 	r.reduced = false
 }
 
 // Reset implements Controller: restore the as-constructed state.
 func (r *Reno) Reset(initialCwnd int) {
-	if initialCwnd < MinWindow {
-		initialCwnd = MinWindow
-	}
-	ecn := r.ecn
-	*r = Reno{
-		cwnd:     float64(initialCwnd),
-		ssthresh: DefaultSsthresh,
-		ecn:      ecn,
-		maxCwnd:  DefaultSsthresh,
-	}
-}
-
-func (r *Reno) halve() {
-	r.ssthresh = max(r.cwnd/2, 2)
-	r.cwnd = r.ssthresh
+	*r = Reno{ecn: r.ecn}
+	r.Init(initialCwnd)
 }

@@ -134,35 +134,3 @@ func (r *Table2Result) WriteJSON(w io.Writer) error {
 		Cells []cell `json:"cells"`
 	}{cells})
 }
-
-// WriteJSON serializes a rate-series figure result (Figures 1, 4, 6, 7
-// share this shape): per-series normalized rates per bin.
-type RateSeriesJSON struct {
-	Name       string    `json:"name"`
-	BinSeconds float64   `json:"bin_seconds"`
-	Normalized []float64 `json:"normalized"`
-}
-
-// SeriesJSON extracts plot-ready series from a Fig7Result.
-func (r *Fig7Result) SeriesJSON() []RateSeriesJSON {
-	var out []RateSeriesJSON
-	for i := 0; i < 5; i++ {
-		for s := 0; s < 2; s++ {
-			sr := r.Sub[i][s]
-			vals := make([]float64, sr.Bins())
-			for b := range vals {
-				vals[b] = sr.Normalized(b, float64(r.Caps[i][s]))
-			}
-			out = append(out, RateSeriesJSON{
-				Name:       seriesName(i, s),
-				BinSeconds: sr.BinWidth().Seconds(),
-				Normalized: vals,
-			})
-		}
-	}
-	return out
-}
-
-func seriesName(i, s int) string {
-	return "flow" + string(rune('1'+i)) + "-" + string(rune('1'+s))
-}

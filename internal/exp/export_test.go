@@ -60,27 +60,3 @@ func TestTable2WriteJSON(t *testing.T) {
 		t.Fatalf("bad JSON: %s", buf.String())
 	}
 }
-
-func TestFig7SeriesJSON(t *testing.T) {
-	r := RunFig7(Fig7Config{Setting: Fig7BetaK{4, 20}, Unit: 100 * sim.Millisecond})
-	series := r.SeriesJSON()
-	if len(series) != 10 {
-		t.Fatalf("series %d, want 10", len(series))
-	}
-	if series[0].Name != "flow1-1" || series[9].Name != "flow5-2" {
-		t.Fatalf("names: %s .. %s", series[0].Name, series[9].Name)
-	}
-	for _, s := range series {
-		if s.BinSeconds <= 0 || len(s.Normalized) == 0 {
-			t.Fatalf("empty series %+v", s.Name)
-		}
-		for _, v := range s.Normalized {
-			if v < 0 || v > 1.5 {
-				t.Fatalf("%s: normalized rate %v out of range", s.Name, v)
-			}
-		}
-	}
-	if b, err := json.Marshal(series); err != nil || !json.Valid(b) {
-		t.Fatal("series not serializable")
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"xmp/internal/cc"
+	"xmp/internal/core"
 	"xmp/internal/metrics"
 	"xmp/internal/netem"
 	"xmp/internal/sim"
@@ -18,7 +19,7 @@ type Fig1Mode string
 // The two controllers Figure 1 compares under threshold marking.
 const (
 	Fig1DCTCP   Fig1Mode = "DCTCP"
-	Fig1Halving Fig1Mode = "Halving" // fixed beta=2 cut ("halving cwnd")
+	Fig1Halving Fig1Mode = "Halving" // BOS at β=2 with δ fixed at 1 ("halving cwnd")
 )
 
 // Fig1Config parameterizes one Figure 1 panel: four flows on a 1 Gbps
@@ -85,7 +86,7 @@ func RunFig1(cfg Fig1Config) *Fig1Result {
 		case Fig1DCTCP:
 			ctrl, mode = cc.NewDCTCP(cc.DefaultInitialWindow, cc.DefaultG), cc.EchoDCTCP
 		case Fig1Halving:
-			ctrl, mode = cc.NewFixedBeta(cc.DefaultInitialWindow, 2), cc.EchoCounter
+			ctrl, mode = core.NewBOS(cc.DefaultInitialWindow, 2, nil), cc.EchoCounter
 		default:
 			panic("exp: unknown Fig1 mode")
 		}

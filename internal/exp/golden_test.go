@@ -16,7 +16,8 @@ import (
 // exist only as the specs in scenarios/, which register_test.go links into
 // this test binary. The three slowest (matrix 35 s, params 23 s, table2
 // 18 s on a 2-core box) only run when XMP_GOLDEN=1 is set; CI's golden and
-// merge jobs cover the same contract from the CLI.
+// merge jobs cover the same contract from the CLI. TestFigureGoldens pins
+// the figure table's four files the same way, minus the sharding.
 
 // stripTrailer drops the stderr timing trailer — the final blank line and
 // "[<cmd> completed in <dur>]" — which is not reproducible.
@@ -91,6 +92,28 @@ func TestGoldens(t *testing.T) {
 			}
 			var got bytes.Buffer
 			res.Render(&got)
+			diffLines(t, goldenName, stripTrailer(string(golden)), stripTrailer(got.String()))
+		})
+	}
+}
+
+// TestFigureGoldens ranges over the figure table as TestGoldens does over
+// the campaign table: a declared figure without a results_<name>.txt fails.
+// fig7 (26 s) only runs under XMP_GOLDEN=1; CI's golden job diffs it from
+// the CLI.
+func TestFigureGoldens(t *testing.T) {
+	for _, f := range Figures {
+		t.Run(f.Name, func(t *testing.T) {
+			goldenName := "results_" + f.Name + ".txt"
+			golden, err := os.ReadFile("../../" + goldenName)
+			if err != nil {
+				t.Fatalf("every declared figure needs a golden: %v", err)
+			}
+			if testing.Short() || f.Name == "fig7" && os.Getenv("XMP_GOLDEN") != "1" {
+				t.Skip("full-scale figure (~5 s for fig1, fig4 and fig6); fig7 needs XMP_GOLDEN=1")
+			}
+			var got bytes.Buffer
+			f.Render(&got, RunParams{Timescale: 1})
 			diffLines(t, goldenName, stripTrailer(string(golden)), stripTrailer(got.String()))
 		})
 	}

@@ -23,8 +23,10 @@ type shapeKey struct {
 	tc   transport.Config
 }
 
-// shapeOf computes the key NewFlow and Release index the quarantine by,
-// applying the same defaulting New does so equivalent Options collide.
+// shapeOf applies the defaults of Options — β, initial window, the echo
+// mode the algorithm's row names — once, for New to build from and for
+// NewFlow and Release to index the quarantine by, so equivalent Options
+// collide.
 func shapeOf(opts *Options) shapeKey {
 	beta := opts.Beta
 	if beta == 0 {
@@ -131,9 +133,8 @@ func (a *Arena) NewFlow(eng *sim.Engine, opts Options) *Flow {
 	a.fresh++
 	opts.connAlloc = &a.conns
 	f := a.flows.Get()
-	initFlow(f, eng, opts)
+	initFlow(f, eng, opts, key)
 	f.arena = a
-	f.shape = key
 	return f
 }
 

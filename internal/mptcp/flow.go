@@ -2,92 +2,22 @@
 // (subflows) over distinct paths draining one shared data supply, coupled
 // by a multipath congestion-control algorithm — XMP (the paper's scheme,
 // from internal/core), LIA (RFC 6356, MPTCP's default and the paper's
-// main baseline), OLIA, or deliberately uncoupled subflows for ablations.
+// main baseline), OLIA, AMP, or deliberately uncoupled subflows for
+// ablations.
 //
 // Single-path schemes (DCTCP, TCP-Reno with or without ECN) are exposed as
 // one-subflow flows so workload generators can treat every transfer
-// uniformly.
+// uniformly. Every scheme is one row of the table in algorithm.go.
 package mptcp
 
 import (
 	"fmt"
 
 	"xmp/internal/cc"
-	"xmp/internal/core"
 	"xmp/internal/netem"
 	"xmp/internal/sim"
 	"xmp/internal/transport"
 )
-
-// Algorithm selects the congestion-control scheme of a flow.
-type Algorithm int
-
-// Supported schemes. The trailing paper names: XMP-x and LIA-y are the
-// multipath schemes of Tables 1–3; DCTCP and TCP are the single-path
-// baselines.
-const (
-	AlgXMP Algorithm = iota
-	AlgLIA
-	AlgOLIA
-	// AlgAMP is the Adaptive Multi-Path controller of arXiv 1707.00322:
-	// ECN-driven like DCTCP but cutting by the instantaneous per-window
-	// marked fraction, with a semi-coupled increase (see cc.AMP).
-	AlgAMP
-	// AlgUncoupledBOS runs BOS with a fixed δ=1 on every subflow — no
-	// TraSh coupling. Ablation for the fairness experiments.
-	AlgUncoupledBOS
-	AlgDCTCP
-	AlgRenoECN
-	AlgReno
-)
-
-// String names the algorithm as the paper does.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgXMP:
-		return "XMP"
-	case AlgLIA:
-		return "LIA"
-	case AlgOLIA:
-		return "OLIA"
-	case AlgAMP:
-		return "AMP"
-	case AlgUncoupledBOS:
-		return "BOS-uncoupled"
-	case AlgDCTCP:
-		return "DCTCP"
-	case AlgRenoECN:
-		return "TCP-ECN"
-	case AlgReno:
-		return "TCP"
-	default:
-		return "unknown"
-	}
-}
-
-// Multipath reports whether the algorithm supports more than one subflow.
-func (a Algorithm) Multipath() bool {
-	switch a {
-	case AlgXMP, AlgLIA, AlgOLIA, AlgAMP, AlgUncoupledBOS:
-		return true
-	default:
-		return false
-	}
-}
-
-// EchoMode returns the receiver feedback mode the algorithm requires.
-func (a Algorithm) EchoMode() cc.EchoMode {
-	switch a {
-	case AlgXMP, AlgUncoupledBOS:
-		return cc.EchoCounter
-	case AlgDCTCP, AlgAMP:
-		return cc.EchoDCTCP
-	case AlgRenoECN:
-		return cc.EchoStandard
-	default:
-		return cc.EchoNone
-	}
-}
 
 // SubflowSpec describes one subflow's addressing and start offset.
 type SubflowSpec struct {
@@ -141,7 +71,6 @@ type Flow struct {
 	name      string
 	nameFn    func() string
 	eng       *sim.Engine
-	alg       Algorithm
 	group     *cc.FlowGroup
 	conns     []*transport.Conn
 	members   []*cc.Member
@@ -167,33 +96,36 @@ type Flow struct {
 	progressCBs []func(sim.Time, int)
 	rttCBs      []func(sim.Duration)
 
-	// Construction shape captured for arena recycling: a recycled flow is
+	// Construction shape, captured for arena recycling: a recycled flow is
 	// rebound with the same subflow count, algorithm, β, initial window and
 	// transport config, so controllers and coupling state reset in place.
-	icw  int
-	tcfg transport.Config
+	shape shapeKey
 
 	// Arena bookkeeping: gen invalidates FlowHandles when the flow is
 	// released or recycled; released guards use-after-release.
 	gen      uint32
 	released bool
 	arena    *Arena
-	shape    shapeKey
 }
 
 // New builds a flow and its subflow connections (idle until Start).
 func New(eng *sim.Engine, opts Options) *Flow {
 	f := &Flow{}
-	initFlow(f, eng, opts)
+	initFlow(f, eng, opts, shapeOf(&opts))
 	return f
 }
 
-// initFlow is the shared constructor body behind New and Arena.NewFlow.
-func initFlow(f *Flow, eng *sim.Engine, opts Options) {
+// initFlow is the shared constructor body behind New and Arena.NewFlow;
+// shape is shapeOf(&opts).
+func initFlow(f *Flow, eng *sim.Engine, opts Options, shape shapeKey) {
+	alg := opts.Algorithm.row()
+	if alg.controller == nil {
+		panic("mptcp: unknown algorithm")
+	}
 	if len(opts.Subflows) == 0 {
 		panic("mptcp: flow needs at least one subflow")
 	}
-	if !opts.Algorithm.Multipath() && len(opts.Subflows) != 1 {
+	if !alg.multipath && len(opts.Subflows) != 1 {
 		panic(fmt.Sprintf("mptcp: %v supports exactly one subflow", opts.Algorithm))
 	}
 	if opts.NextConnID == nil {
@@ -202,38 +134,20 @@ func initFlow(f *Flow, eng *sim.Engine, opts Options) {
 	if opts.TotalBytes == 0 {
 		panic("mptcp: TotalBytes must be positive or negative (unbounded)")
 	}
-	beta := opts.Beta
-	if beta == 0 {
-		beta = core.DefaultBeta
-	}
-	icw := opts.InitialCwnd
-	if icw == 0 {
-		icw = cc.DefaultInitialWindow
-	}
 
 	*f = Flow{
 		name:        opts.Name,
 		nameFn:      opts.NameFn,
 		eng:         eng,
-		alg:         opts.Algorithm,
 		group:       cc.NewFlowGroup(),
 		remaining:   opts.TotalBytes,
 		infinite:    opts.TotalBytes < 0,
 		onComplete:  opts.OnComplete,
 		onProgress:  opts.OnProgress,
 		onRTTSample: opts.OnRTTSample,
-		icw:         icw,
+		shape:       shape,
 	}
 	f.connDone = func(*transport.Conn) { f.subflowDone() }
-
-	tc := opts.Transport
-	tc.EchoMode = opts.Algorithm.EchoMode()
-	f.tcfg = tc
-
-	var trash *core.TraSh
-	if opts.Algorithm == AlgXMP {
-		trash = core.NewTraSh(f.group)
-	}
 
 	n := len(opts.Subflows)
 	f.group.Grow(n)
@@ -244,27 +158,7 @@ func initFlow(f *Flow, eng *sim.Engine, opts Options) {
 	f.rttCBs = make([]func(sim.Duration), n)
 	for i, spec := range opts.Subflows {
 		member := f.group.Join()
-		var ctrl cc.Controller
-		switch opts.Algorithm {
-		case AlgXMP:
-			ctrl = core.NewBOS(icw, beta, trash.DeltaFor(member))
-		case AlgUncoupledBOS:
-			ctrl = core.NewBOS(icw, beta, nil)
-		case AlgLIA:
-			ctrl = NewLIA(icw, f.group, member)
-		case AlgOLIA:
-			ctrl = NewOLIA(icw, f.group, member)
-		case AlgAMP:
-			ctrl = cc.NewAMP(icw, f.group, member)
-		case AlgDCTCP:
-			ctrl = cc.NewDCTCP(icw, cc.DefaultG)
-		case AlgRenoECN:
-			ctrl = cc.NewReno(icw, true)
-		case AlgReno:
-			ctrl = cc.NewReno(icw, false)
-		default:
-			panic("mptcp: unknown algorithm")
-		}
+		ctrl := alg.controller(shape.icw, shape.beta, f.group, member)
 		idx := i
 		f.progressCBs[i] = func(now sim.Time, bytes int) {
 			if f.onProgress != nil {
@@ -283,7 +177,7 @@ func initFlow(f *Flow, eng *sim.Engine, opts Options) {
 			SrcAddr:     spec.SrcAddr,
 			DstAddr:     spec.DstAddr,
 			Controller:  ctrl,
-			Config:      tc,
+			Config:      shape.tc,
 			Supply:      f,
 			Member:      member,
 			OnComplete:  f.connDone,
@@ -319,9 +213,10 @@ func (f *Flow) rebind(opts Options) {
 	for i, c := range f.conns {
 		spec := opts.Subflows[i]
 		ctrl := c.Controller()
-		ctrl.Reset(f.icw)
+		ctrl.Reset(f.shape.icw)
 		// Members back to their fresh-Join state (Ext is structural: OLIA's
-		// sibling pointer survives, its statistics were reset above).
+		// sibling pointer and XMP's coupler survive; OLIA's statistics were
+		// reset above).
 		m := f.members[i]
 		m.Cwnd, m.SRTT, m.Active = 0, 0, false
 		c.Rebind(transport.Options{
@@ -331,7 +226,7 @@ func (f *Flow) rebind(opts Options) {
 			SrcAddr:     spec.SrcAddr,
 			DstAddr:     spec.DstAddr,
 			Controller:  ctrl,
-			Config:      f.tcfg,
+			Config:      f.shape.tc,
 			Supply:      f,
 			Member:      m,
 			OnComplete:  f.connDone,
@@ -427,7 +322,7 @@ func (f *Flow) Name() string {
 }
 
 // Algorithm returns the flow's scheme.
-func (f *Flow) Algorithm() Algorithm { return f.alg }
+func (f *Flow) Algorithm() Algorithm { return f.shape.alg }
 
 // Subflows returns the subflow connections.
 func (f *Flow) Subflows() []*transport.Conn { return f.conns }

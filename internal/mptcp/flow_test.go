@@ -352,15 +352,6 @@ func TestFlowValidation(t *testing.T) {
 	mustPanic("nil conn ids", func(o *mptcp.Options) { o.NextConnID = nil })
 }
 
-func TestAlgorithmMetadata(t *testing.T) {
-	if mptcp.AlgXMP.String() != "XMP" || mptcp.AlgLIA.String() != "LIA" || mptcp.AlgDCTCP.String() != "DCTCP" {
-		t.Fatal("names wrong")
-	}
-	if !mptcp.AlgXMP.Multipath() || mptcp.AlgDCTCP.Multipath() {
-		t.Fatal("multipath flags wrong")
-	}
-}
-
 // TestSharedSupplyConservation: however many subflows drain the shared
 // supply, exactly TotalBytes are handed out, delivered, and acknowledged
 // — no loss, duplication, or invention at the flow layer.

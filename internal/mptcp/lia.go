@@ -15,10 +15,9 @@ import (
 // and a 50% cut on loss — the very cut Section 1 argues makes LIA unable
 // to hold both high utilization and low buffer occupancy in DCNs.
 type LIA struct {
-	cwnd     float64
-	ssthresh float64
-	group    *cc.FlowGroup
-	member   *cc.Member
+	cc.RenoWindow
+	group  *cc.FlowGroup
+	member *cc.Member
 }
 
 // NewLIA returns the controller for one subflow of a LIA flow.
@@ -26,15 +25,9 @@ func NewLIA(initialCwnd int, group *cc.FlowGroup, member *cc.Member) *LIA {
 	if group == nil || member == nil {
 		panic("mptcp: LIA requires a group and a member")
 	}
-	if initialCwnd < cc.MinWindow {
-		initialCwnd = cc.MinWindow
-	}
-	return &LIA{
-		cwnd:     float64(initialCwnd),
-		ssthresh: cc.DefaultSsthresh,
-		group:    group,
-		member:   member,
-	}
+	l := &LIA{group: group, member: member}
+	l.Init(initialCwnd)
+	return l
 }
 
 // Name implements cc.Controller.
@@ -42,15 +35,6 @@ func (l *LIA) Name() string { return "lia" }
 
 // ECNCapable implements cc.Controller: LIA is loss-driven.
 func (l *LIA) ECNCapable() bool { return false }
-
-// Window implements cc.Controller.
-func (l *LIA) Window() int {
-	w := int(l.cwnd)
-	if w < cc.MinWindow {
-		w = cc.MinWindow
-	}
-	return w
-}
 
 // alpha computes the RFC 6356 aggressiveness factor from the group
 // snapshot. It returns alpha and the total window; ok is false when RTT
@@ -80,52 +64,35 @@ func (l *LIA) alpha() (alpha, wTotal float64, ok bool) {
 // OnAck implements cc.Controller.
 func (l *LIA) OnAck(a cc.Ack) {
 	for i := int64(0); i < a.NewlyAcked; i++ {
-		if l.cwnd < l.ssthresh {
-			l.cwnd++
+		if l.SlowStart() {
+			l.Cwnd++
 			continue
 		}
 		alpha, wTotal, ok := l.alpha()
-		inc := 1 / l.cwnd
+		inc := 1 / l.Cwnd
 		if ok {
 			if coupled := alpha / wTotal; coupled < inc {
 				inc = coupled
 			}
 		}
-		l.cwnd += inc
+		l.Cwnd += inc
 	}
 	l.member.Cwnd = l.Window()
 }
 
-// OnDupAck implements cc.Controller.
-func (l *LIA) OnDupAck(int) {}
-
 // OnFastRetransmit implements cc.Controller: per-subflow Reno halving.
 func (l *LIA) OnFastRetransmit() {
-	l.ssthresh = l.cwnd / 2
-	if l.ssthresh < 2 {
-		l.ssthresh = 2
-	}
-	l.cwnd = l.ssthresh
+	l.Halve()
 	l.member.Cwnd = l.Window()
 }
 
 // OnRetransmitTimeout implements cc.Controller.
 func (l *LIA) OnRetransmitTimeout() {
-	l.ssthresh = l.cwnd / 2
-	if l.ssthresh < 2 {
-		l.ssthresh = 2
-	}
-	l.cwnd = cc.MinWindow
+	l.Collapse()
 	l.member.Cwnd = l.Window()
 }
 
 // Reset implements cc.Controller: restore the as-constructed state. The
 // group and member bindings are structural and survive the reset; the
 // member's published state is reset separately by the flow rebind.
-func (l *LIA) Reset(initialCwnd int) {
-	if initialCwnd < cc.MinWindow {
-		initialCwnd = cc.MinWindow
-	}
-	l.cwnd = float64(initialCwnd)
-	l.ssthresh = cc.DefaultSsthresh
-}
+func (l *LIA) Reset(initialCwnd int) { l.Init(initialCwnd) }

@@ -19,10 +19,9 @@ import (
 //	α_r = -1/(|B|·N)    if r ∈ B and M\B ≠ ∅
 //	α_r =  0            otherwise.
 type OLIA struct {
-	cwnd     float64
-	ssthresh float64
-	group    *cc.FlowGroup
-	member   *cc.Member
+	cc.RenoWindow
+	group  *cc.FlowGroup
+	member *cc.Member
 
 	// Inter-loss volume tracking for l_r (in segments).
 	sinceLastLoss float64 // segments acked since the most recent loss
@@ -40,15 +39,8 @@ func NewOLIA(initialCwnd int, group *cc.FlowGroup, member *cc.Member) *OLIA {
 	if group == nil || member == nil {
 		panic("mptcp: OLIA requires a group and a member")
 	}
-	if initialCwnd < cc.MinWindow {
-		initialCwnd = cc.MinWindow
-	}
-	o := &OLIA{
-		cwnd:     float64(initialCwnd),
-		ssthresh: cc.DefaultSsthresh,
-		group:    group,
-		member:   member,
-	}
+	o := &OLIA{group: group, member: member}
+	o.Init(initialCwnd)
 	member.Ext = &oliaState{ctrl: o}
 	return o
 }
@@ -58,15 +50,6 @@ func (o *OLIA) Name() string { return "olia" }
 
 // ECNCapable implements cc.Controller.
 func (o *OLIA) ECNCapable() bool { return false }
-
-// Window implements cc.Controller.
-func (o *OLIA) Window() int {
-	w := int(o.cwnd)
-	if w < cc.MinWindow {
-		w = cc.MinWindow
-	}
-	return w
-}
 
 // interLossGap returns l_r: the larger of the last completed inter-loss
 // interval and the current one (the RFC 84xx draft's smoothing choice).
@@ -97,7 +80,7 @@ func (o *OLIA) alphaR() float64 {
 		if metric := l * l / rtt; metric > bestMetric {
 			bestMetric = metric
 		}
-		if w := st.ctrl.cwnd; w > maxW {
+		if w := st.ctrl.Cwnd; w > maxW {
 			maxW = w
 		}
 	}
@@ -119,7 +102,7 @@ func (o *OLIA) alphaR() float64 {
 			rtt = 1e-6
 		}
 		inM = l*l/rtt >= bestMetric-eps
-		inB = st.ctrl.cwnd >= maxW-eps
+		inB = st.ctrl.Cwnd >= maxW-eps
 		if inM && !inB {
 			sizeMnotB++
 			if st.ctrl == o {
@@ -150,8 +133,8 @@ func (o *OLIA) alphaR() float64 {
 func (o *OLIA) OnAck(a cc.Ack) {
 	for i := int64(0); i < a.NewlyAcked; i++ {
 		o.sinceLastLoss++
-		if o.cwnd < o.ssthresh {
-			o.cwnd++
+		if o.SlowStart() {
+			o.Cwnd++
 			continue
 		}
 		var sumRate float64
@@ -164,31 +147,24 @@ func (o *OLIA) OnAck(a cc.Ack) {
 		rtt := a.SRTT.Seconds()
 		var inc float64
 		if sumRate > 0 && rtt > 0 {
-			inc = (o.cwnd / (rtt * rtt)) / (sumRate * sumRate)
+			inc = (o.Cwnd / (rtt * rtt)) / (sumRate * sumRate)
 		} else {
-			inc = 1 / o.cwnd
+			inc = 1 / o.Cwnd
 		}
-		inc += o.alphaR() / o.cwnd
-		o.cwnd += inc
-		if o.cwnd < cc.MinWindow {
-			o.cwnd = cc.MinWindow
+		inc += o.alphaR() / o.Cwnd
+		o.Cwnd += inc
+		if o.Cwnd < cc.MinWindow {
+			o.Cwnd = cc.MinWindow
 		}
 	}
 	o.member.Cwnd = o.Window()
 }
 
-// OnDupAck implements cc.Controller.
-func (o *OLIA) OnDupAck(int) {}
-
 // OnFastRetransmit implements cc.Controller.
 func (o *OLIA) OnFastRetransmit() {
 	o.lastInterLoss = o.sinceLastLoss
 	o.sinceLastLoss = 0
-	o.ssthresh = o.cwnd / 2
-	if o.ssthresh < 2 {
-		o.ssthresh = 2
-	}
-	o.cwnd = o.ssthresh
+	o.Halve()
 	o.member.Cwnd = o.Window()
 }
 
@@ -196,11 +172,7 @@ func (o *OLIA) OnFastRetransmit() {
 func (o *OLIA) OnRetransmitTimeout() {
 	o.lastInterLoss = o.sinceLastLoss
 	o.sinceLastLoss = 0
-	o.ssthresh = o.cwnd / 2
-	if o.ssthresh < 2 {
-		o.ssthresh = 2
-	}
-	o.cwnd = cc.MinWindow
+	o.Collapse()
 	o.member.Cwnd = o.Window()
 }
 
@@ -209,11 +181,7 @@ func (o *OLIA) OnRetransmitTimeout() {
 // reset; the inter-loss history restarts from zero like a fresh flow, and
 // the member's published state is reset separately by the flow rebind.
 func (o *OLIA) Reset(initialCwnd int) {
-	if initialCwnd < cc.MinWindow {
-		initialCwnd = cc.MinWindow
-	}
-	o.cwnd = float64(initialCwnd)
-	o.ssthresh = cc.DefaultSsthresh
+	o.Init(initialCwnd)
 	o.sinceLastLoss = 0
 	o.lastInterLoss = 0
 }

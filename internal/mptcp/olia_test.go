@@ -73,7 +73,7 @@ func TestOLIAAlphaRedistribution(t *testing.T) {
 	o1.OnFastRetransmit()
 	o1.sinceLastLoss, o1.lastInterLoss = 5, 5 // force poor loss history
 	driveCA(o2, 30, 200*sim.Microsecond)
-	o2.cwnd = 4 // smaller window than o1
+	o2.Cwnd = 4 // smaller window than o1
 	o1.member.Cwnd, o2.member.Cwnd = o1.Window(), o2.Window()
 
 	a1, a2 := o1.alphaR(), o2.alphaR()
@@ -88,7 +88,7 @@ func TestOLIAAlphaRedistribution(t *testing.T) {
 func TestOLIAAlphaZeroWhenSymmetric(t *testing.T) {
 	o1, o2, _ := oliaPair()
 	// Identical state: both are in M and in B -> M\B empty -> alpha = 0.
-	o1.cwnd, o2.cwnd = 10, 10
+	o1.Cwnd, o2.Cwnd = 10, 10
 	o1.sinceLastLoss, o2.sinceLastLoss = 50, 50
 	o1.member.Cwnd, o2.member.Cwnd = 10, 10
 	if a := o1.alphaR(); a != 0 {
@@ -145,10 +145,10 @@ func TestLIAIncreaseCappedByCoupling(t *testing.T) {
 	l := NewLIA(2, g, m1)
 	m1.Cwnd, m1.SRTT, m1.Active = 10, 200*sim.Microsecond, true
 	m2.Cwnd, m2.SRTT, m2.Active = 40, 400*sim.Microsecond, true
-	l.cwnd, l.ssthresh = 10, 5 // force congestion avoidance
-	w0 := l.cwnd
+	l.Cwnd, l.Ssthresh = 10, 5 // force congestion avoidance
+	w0 := l.Cwnd
 	l.OnAck(cc.Ack{NewlyAcked: 1, SndUna: 1, SndNxt: 20, SRTT: 200 * sim.Microsecond})
-	inc := l.cwnd - w0
+	inc := l.Cwnd - w0
 	// Coupled increase alpha/wTotal = 0.556/50 ~ 0.011 < 1/w = 0.1.
 	if inc > 0.02 || inc <= 0 {
 		t.Fatalf("coupled increase %v, want ~0.011", inc)
@@ -160,10 +160,10 @@ func TestLIAFallsBackWithoutRTT(t *testing.T) {
 	m := g.Join()
 	l := NewLIA(2, g, m)
 	m.Cwnd, m.Active = 10, true // no SRTT yet
-	l.cwnd, l.ssthresh = 10, 5
-	w0 := l.cwnd
+	l.Cwnd, l.Ssthresh = 10, 5
+	w0 := l.Cwnd
 	l.OnAck(cc.Ack{NewlyAcked: 1, SndUna: 1, SndNxt: 20})
-	if inc := l.cwnd - w0; inc < 0.09 || inc > 0.11 {
+	if inc := l.Cwnd - w0; inc < 0.09 || inc > 0.11 {
 		t.Fatalf("uncoupled fallback increase %v, want 1/w = 0.1", inc)
 	}
 }

@@ -363,6 +363,9 @@ func TestResolveRejects(t *testing.T) {
 		"huge subflows": {&Spec{Name: "x", Family: FamilyRobustness, Schemes: []string{"XMP-4000000000"}}, "bad subflow count"},
 		"fct cell beta 1": {&Spec{Name: "x", Family: FamilyFCT,
 			Workloads: []WorkloadSpec{{Name: "a", Kind: "incast-burst", Scheme: "XMP-2/b1"}}}, "bad beta"},
+		// Only XMP and BOS-uncoupled read beta; elsewhere it would be hashed and ignored.
+		"beta on LIA":   {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"LIA-2/b6"}}, "no beta parameter"},
+		"beta on DCTCP": {&Spec{Name: "x", Family: FamilyRobustness, Schemes: []string{"DCTCP/b9"}}, "no beta parameter"},
 	}
 	for name, tc := range cases {
 		_, err := Resolve(tc.spec, "")

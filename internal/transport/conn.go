@@ -145,8 +145,7 @@ type Conn struct {
 	// Receiver half.
 	rcvNxt        int64
 	ooo           rangeSet // received segments above rcvNxt
-	pendingCE     int      // EchoCounter backlog
-	ceAccum       int      // EchoDCTCP per-ack count
+	pendingCE     int      // CE marks not yet echoed (EchoCounter, EchoDCTCP)
 	eceLatched    bool     // EchoStandard latch
 	delayCount    int
 	delAckH       sim.Handle
@@ -270,7 +269,6 @@ func (c *Conn) Rebind(opts Options) {
 	c.rcvNxt = 0
 	c.ooo.Clear()
 	c.pendingCE = 0
-	c.ceAccum = 0
 	c.eceLatched = false
 	c.delayCount = 0
 	c.lastTriggerTS = 0
@@ -789,10 +787,8 @@ func (c *Conn) receiverDeliver(p *netem.Packet) {
 	// or not: a mark is a statement about the path, not about ordering.
 	if p.CE {
 		switch c.cfg.EchoMode {
-		case cc.EchoCounter:
+		case cc.EchoCounter, cc.EchoDCTCP:
 			c.pendingCE++
-		case cc.EchoDCTCP:
-			c.ceAccum++
 		case cc.EchoStandard:
 			c.eceLatched = true
 		}
@@ -817,7 +813,9 @@ func (c *Conn) receiverDeliver(p *netem.Packet) {
 		}
 		c.ooo.TrimBelow(c.rcvNxt)
 		c.delayCount++
-		if jumped || c.delayCount >= c.cfg.DelAckCount || c.echoPending() {
+		// An ACK is not withheld while it would delay congestion feedback
+		// the sender is waiting for.
+		if jumped || c.delayCount >= c.cfg.DelAckCount || c.pendingCE > 0 {
 			c.sendAck()
 		} else if !c.delAckArmed {
 			c.armDelAck(c.cfg.DelAckTimeout)
@@ -833,36 +831,15 @@ func (c *Conn) receiverDeliver(p *netem.Packet) {
 	}
 }
 
-// echoPending reports whether withholding an ACK would delay congestion
-// feedback the sender is waiting for.
-func (c *Conn) echoPending() bool {
-	switch c.cfg.EchoMode {
-	case cc.EchoCounter:
-		return c.pendingCE > 0
-	case cc.EchoDCTCP:
-		return c.ceAccum > 0
-	default:
-		return false
-	}
-}
-
 func (c *Conn) sendAck() {
 	ack := c.dst.PacketPool().Ack(c.id, c.dstAddr, c.srcAddr, c.rcvNxt)
-	switch c.cfg.EchoMode {
-	case cc.EchoCounter:
-		e := c.pendingCE
-		if e > 3 {
-			e = 3 // two-bit encoding carries at most 3 CEs
-		}
-		ack.ECNEcho = e
-		c.pendingCE -= e
-	case cc.EchoDCTCP:
-		ack.ECNEcho = c.ceAccum
-		c.ceAccum = 0
-	case cc.EchoStandard:
-		if c.eceLatched {
-			ack.ECNEcho = 1
-		}
+	if c.eceLatched {
+		ack.ECNEcho = 1
+	} else if c.pendingCE > 0 {
+		// As many pending marks as the mode's encoding carries per ACK; the
+		// rest ride on the following ACKs.
+		ack.ECNEcho = min(c.pendingCE, c.cfg.EchoMode.EchoCap())
+		c.pendingCE -= ack.ECNEcho
 	}
 	if c.cfg.EnableSACK && !c.ooo.Empty() {
 		var blocks [3]segRange

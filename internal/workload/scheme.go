@@ -18,54 +18,39 @@ const MaxSubflows = 64
 // the campaign config descriptions use: "DCTCP", "TCP-ECN", "XMP-2",
 // "LIA-4", "BOS-uncoupled-2", "XMP-2/b6". It is the grammar declarative
 // scenario specs name schemes in, so the label a spec writes is exactly
-// the label the result tables print.
+// the label the result tables print. Which names exist, which of them take
+// a subflow count and which a β is read from mptcp's algorithm table.
 func ParseScheme(label string) (Scheme, error) {
-	var s Scheme
-	base := label
-	if i := strings.Index(base, "/b"); i >= 0 {
-		b, err := strconv.Atoi(base[i+2:])
+	s := Scheme{Subflows: 1}
+	base, suffix, hasBeta := strings.Cut(label, "/b")
+	// A single-path scheme is its algorithm's exact name (TCP-ECN contains
+	// '-', so the whole label is tried before the name-count split).
+	alg, ok := mptcp.ParseAlgorithm(base)
+	if !ok || alg.Multipath() {
+		i := strings.LastIndex(base, "-")
+		if i < 0 {
+			return Scheme{}, fmt.Errorf("scheme %q: want NAME-SUBFLOWS or the name of a single-path algorithm", label)
+		}
+		if alg, ok = mptcp.ParseAlgorithm(base[:i]); !ok || !alg.Multipath() {
+			return Scheme{}, fmt.Errorf("scheme %q: unknown algorithm %q", label, base[:i])
+		}
+		n, err := strconv.Atoi(base[i+1:])
+		if err != nil || n < 1 || n > MaxSubflows {
+			return Scheme{}, fmt.Errorf("scheme %q: bad subflow count %q (want 1..%d)", label, base[i+1:], MaxSubflows)
+		}
+		s.Subflows = n
+	}
+	s.Algorithm = alg
+	if hasBeta {
+		b, err := strconv.Atoi(suffix)
 		if err != nil || b < 2 { // core.NewBOS panics below 2
-			return Scheme{}, fmt.Errorf("scheme %q: bad beta suffix %q (want /bN, N >= 2)", label, base[i:])
+			return Scheme{}, fmt.Errorf("scheme %q: bad beta suffix %q (want /bN, N >= 2)", label, "/b"+suffix)
+		}
+		if !alg.TakesBeta() {
+			return Scheme{}, fmt.Errorf("scheme %q: bad beta suffix: %v has no beta parameter", label, alg)
 		}
 		s.Beta = b
-		base = base[:i]
 	}
-	// Single-path schemes are exact names (TCP-ECN contains '-', so they
-	// must match before the multipath name-count split).
-	switch base {
-	case "TCP":
-		s.Algorithm, s.Subflows = mptcp.AlgReno, 1
-		return s, nil
-	case "TCP-ECN":
-		s.Algorithm, s.Subflows = mptcp.AlgRenoECN, 1
-		return s, nil
-	case "DCTCP":
-		s.Algorithm, s.Subflows = mptcp.AlgDCTCP, 1
-		return s, nil
-	}
-	i := strings.LastIndex(base, "-")
-	if i < 0 {
-		return Scheme{}, fmt.Errorf("scheme %q: want NAME-SUBFLOWS (e.g. XMP-2) or TCP/TCP-ECN/DCTCP", label)
-	}
-	n, err := strconv.Atoi(base[i+1:])
-	if err != nil || n < 1 || n > MaxSubflows {
-		return Scheme{}, fmt.Errorf("scheme %q: bad subflow count %q (want 1..%d)", label, base[i+1:], MaxSubflows)
-	}
-	switch base[:i] {
-	case "XMP":
-		s.Algorithm = mptcp.AlgXMP
-	case "LIA":
-		s.Algorithm = mptcp.AlgLIA
-	case "OLIA":
-		s.Algorithm = mptcp.AlgOLIA
-	case "AMP":
-		s.Algorithm = mptcp.AlgAMP
-	case "BOS-uncoupled":
-		s.Algorithm = mptcp.AlgUncoupledBOS
-	default:
-		return Scheme{}, fmt.Errorf("scheme %q: unknown algorithm %q", label, base[:i])
-	}
-	s.Subflows = n
 	return s, nil
 }
 

@@ -13,7 +13,7 @@ func TestParseSchemeRoundTrip(t *testing.T) {
 	labels := []string{
 		"TCP", "TCP-ECN", "DCTCP",
 		"XMP-2", "XMP-4", "LIA-2", "LIA-4", "OLIA-2", "AMP-2",
-		"BOS-uncoupled-2", "XMP-2/b6", "LIA-4/b4",
+		"BOS-uncoupled-2", "XMP-2/b6", "BOS-uncoupled-2/b6",
 	}
 	for _, label := range labels {
 		s, err := ParseScheme(label)
@@ -50,6 +50,9 @@ func TestParseSchemeRejects(t *testing.T) {
 		"", "TCP-2", "DCTCP-2", "XMP", "XMP-0", "XMP-x", "QUIC-2",
 		"XMP-2/b0", "XMP-2/bx", "xmp-2",
 		"XMP-2/b1", "XMP-65", "XMP-4000000000",
+		// Only XMP and BOS-uncoupled read beta: elsewhere it would be hashed
+		// and then ignored.
+		"LIA-2/b6", "LIA-4/b4", "OLIA-2/b4", "AMP-2/b4", "DCTCP/b9", "TCP-ECN/b2", "TCP/b2",
 	} {
 		if _, err := ParseScheme(label); err == nil {
 			t.Errorf("%q: accepted", label)
@@ -58,8 +61,9 @@ func TestParseSchemeRejects(t *testing.T) {
 }
 
 // FuzzParseScheme feeds ParseScheme what a spec author could: it must not
-// panic, and whatever it accepts must be launchable (beta unset or >= 2,
-// subflows within bounds) and canonicalize to a fixed point. The corpus is
+// panic, and whatever it accepts must be launchable (beta unset, or >= 2 on
+// an algorithm that reads it; subflows within bounds) and canonicalize to a
+// fixed point. The corpus is
 // seeded with every scheme label the shipped specs use.
 func FuzzParseScheme(f *testing.F) {
 	seeded := 0
@@ -93,7 +97,7 @@ func FuzzParseScheme(f *testing.F) {
 	if seeded == 0 {
 		f.Fatal("no scheme labels found in scenarios/ or bench/workloads/")
 	}
-	for _, label := range []string{"XMP-2/b6", "XMP-2/b1", "XMP-64", "XMP-65", "BOS-uncoupled-2", "TCP-ECN/b2"} {
+	for _, label := range []string{"XMP-2/b6", "XMP-2/b1", "XMP-64", "XMP-65", "BOS-uncoupled-2", "TCP-ECN/b2", "LIA-2/b6"} {
 		f.Add(label)
 	}
 	f.Fuzz(func(t *testing.T, label string) {
@@ -101,8 +105,8 @@ func FuzzParseScheme(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if s.Beta != 0 && s.Beta < 2 {
-			t.Errorf("%q: accepted beta %d", label, s.Beta)
+		if s.Beta != 0 && (s.Beta < 2 || !s.Algorithm.TakesBeta()) {
+			t.Errorf("%q: accepted beta %d on %v", label, s.Beta, s.Algorithm)
 		}
 		if s.Subflows < 1 || s.Subflows > MaxSubflows {
 			t.Errorf("%q: accepted %d subflows", label, s.Subflows)

@@ -1,9 +1,9 @@
 // Package xmp is a library-scale reproduction of "Explicit Multipath
 // Congestion Control for Data Center Networks" (Cao, Xu, Fu, Dong —
 // ACM CoNEXT 2013): the XMP congestion-control scheme (BOS + TraSh), the
-// baselines it is evaluated against (DCTCP, TCP-Reno, MPTCP with LIA and
-// OLIA), and the discrete-event packet-level network simulator the whole
-// evaluation runs on.
+// baselines it is evaluated against (DCTCP, TCP-Reno, MPTCP with LIA, OLIA
+// and AMP), and the discrete-event packet-level network simulator the
+// whole evaluation runs on.
 //
 // This root package is a facade: it re-exports the pieces a downstream
 // user composes, so that examples and experiments read top-down.
@@ -22,9 +22,11 @@
 //	internal/topo       topology builders (dumbbell, Figure 3 testbeds,
 //	                    Figure 5 torus, k-ary Fat-Tree w/ two-level routing)
 //	internal/transport  packet-granularity TCP with ECN feedback modes
-//	internal/cc         controller interface + Reno / DCTCP / fixed-β
+//	internal/cc         controller interface, the shared Reno window,
+//	                    Reno / DCTCP / AMP
 //	internal/core       the paper's contribution: BOS and TraSh (= XMP)
-//	internal/mptcp      multipath flows; LIA and OLIA couplers
+//	internal/mptcp      multipath flows; LIA and OLIA couplers; the
+//	                    algorithm table every scheme is one row of
 //	internal/workload   Permutation / Random / Incast generators
 //	internal/metrics    distributions, rate series, fairness index
 //	internal/exp        one runner per table and figure
@@ -155,11 +157,13 @@ type (
 	TransportConfig = transport.Config
 )
 
-// The supported congestion-control schemes.
+// The supported congestion-control schemes: one constant per row of
+// internal/mptcp's algorithm table.
 const (
 	AlgXMP          = mptcp.AlgXMP
 	AlgLIA          = mptcp.AlgLIA
 	AlgOLIA         = mptcp.AlgOLIA
+	AlgAMP          = mptcp.AlgAMP
 	AlgUncoupledBOS = mptcp.AlgUncoupledBOS
 	AlgDCTCP        = mptcp.AlgDCTCP
 	AlgRenoECN      = mptcp.AlgRenoECN

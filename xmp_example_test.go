@@ -34,6 +34,33 @@ func ExampleNewFlow() {
 	// Output: true
 }
 
+// ExampleNewFlow_amp selects a scheme other than the paper's — any row of
+// the algorithm table is one Algorithm constant away — and runs a finite
+// two-subflow transfer to completion.
+func ExampleNewFlow_amp() {
+	eng := xmp.NewEngine()
+	tb := xmp.NewTestbedA(eng, xmp.TestbedAConfig{
+		BottleneckCapacity: 300 * xmp.Mbps,
+		HopDelay:           225 * xmp.Microsecond,
+		BottleneckQueue:    xmp.ECNQueue(100, 15),
+	})
+	flow := xmp.NewFlow(eng, xmp.FlowOptions{
+		Src: tb.S[0], Dst: tb.D[0],
+		Subflows: []xmp.SubflowSpec{
+			{SrcAddr: tb.PathAddr(tb.S[0], 0), DstAddr: tb.PathAddr(tb.D[0], 0)},
+			{SrcAddr: tb.PathAddr(tb.S[0], 1), DstAddr: tb.PathAddr(tb.D[0], 1)},
+		},
+		TotalBytes: 8 << 20,
+		Algorithm:  xmp.AlgAMP,
+		Transport:  xmp.DefaultTransportConfig(),
+		NextConnID: tb.NextConnID,
+	})
+	flow.Start()
+	eng.Run(xmp.Time(xmp.Second))
+	fmt.Println(flow.Algorithm(), len(flow.Subflows()), flow.Done(), flow.AckedBytes())
+	// Output: AMP 2 true 8388608
+}
+
 // ExampleMinMarkingThreshold evaluates Equation 1 for the paper's running
 // example: a 1 Gbps link at 225 µs RTT has a BDP of ~19 packets, so
 // halving (β=2) needs K ≥ 19 while β=4 tolerates K ≥ 7.
