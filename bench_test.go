@@ -271,49 +271,6 @@ func BenchmarkTimerChurn(b *testing.B) {
 	tm.Stop()
 }
 
-// wheelChurnTarget is one of the standing chains of BenchmarkWheelChurn:
-// op 0 is the serialization-horizon chain event, op 1 the RTO-like far
-// timer that is perpetually cancelled and re-armed before it can expire.
-type wheelChurnTarget struct {
-	eng    *sim.Engine
-	done   *int
-	max    int
-	victim sim.Handle
-}
-
-func (t *wheelChurnTarget) OnEvent(op sim.Op, _ any) {
-	if op == 1 {
-		return // far timer outlived the run; not part of the chain
-	}
-	*t.done++
-	if *t.done >= t.max {
-		return
-	}
-	t.eng.ScheduleTarget(12*sim.Microsecond, t, 0, nil)
-	t.eng.Cancel(t.victim)
-	t.victim = t.eng.ScheduleTarget(200*sim.Microsecond, t, 1, nil)
-}
-
-// BenchmarkWheelChurn measures the time-wheel under the traffic shape it
-// was built for: a standing population of events at the 12 µs
-// serialization-delay horizon (well above the engine's dense-mode
-// threshold, so inserts take the ring buckets) with an RTO-style
-// cancel/re-arm riding every fire. Each op is one fire, two schedules and
-// one cancel; the alloc column must read 0.
-func BenchmarkWheelChurn(b *testing.B) {
-	eng := sim.NewEngine()
-	done := 0
-	const standing = 128
-	for i := 0; i < standing; i++ {
-		t := &wheelChurnTarget{eng: eng, done: &done, max: b.N}
-		t.victim = eng.ScheduleTarget(200*sim.Microsecond, t, 1, nil)
-		eng.ScheduleTarget(sim.Duration(i+1)*sim.Microsecond, t, 0, nil)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	eng.Run(sim.MaxTime)
-}
-
 // BenchmarkEngineCancel exercises the schedule/cancel churn the transport
 // retransmit timers generate: every fired event re-arms two and cancels
 // one, so the free list must absorb the turnover without allocating.
@@ -333,35 +290,6 @@ func BenchmarkEngineCancel(b *testing.B) {
 	b.ResetTimer()
 	eng.Schedule(sim.Microsecond, fn)
 	eng.Run(sim.MaxTime)
-}
-
-// countTarget is the cheapest typed receiver: it counts its fires.
-type countTarget struct{ n int }
-
-func (t *countTarget) OnEvent(sim.Op, any) { t.n++ }
-
-// BenchmarkBucketDrain is the spill-bucket design in isolation: each
-// round appends 32 same-window events to one ring bucket (plain appends,
-// no comparisons) and drains it (one drain sort + 32 tail truncations).
-// Reported per event. The parked far-future events keep the calendar in
-// dense mode so every operation takes the ring path.
-// Events are typed targets, not closures: the benchmark measures the
-// bucket, not the funcTarget adapter's extra call.
-func BenchmarkBucketDrain(b *testing.B) {
-	eng := sim.NewEngine()
-	for i := 0; i < 65; i++ {
-		eng.Schedule(3600*sim.Second, func() {})
-	}
-	t := &countTarget{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += 32 {
-		base := (eng.Now() + 512) &^ 255 // next-but-one 256 ns window
-		for j := 0; j < 32; j++ {
-			eng.ScheduleTargetAt(base+sim.Time(j), t, 0, nil)
-		}
-		eng.Run(base + 31)
-	}
 }
 
 // releaseSink terminates packets like a host: every delivery leaves the

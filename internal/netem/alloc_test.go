@@ -61,3 +61,28 @@ func TestLinkPipelinedForwardZeroAlloc(t *testing.T) {
 		t.Fatalf("pipelined link forwarding allocates %v/op, want 0", allocs)
 	}
 }
+
+// TestLinkOffLanePathsZeroAlloc extends the per-hop allocation gate to
+// every scheduling path a link has once warm: both serialization lanes and
+// the propagation lane (their rings wrap many times over the runs), an odd
+// size through the heap, and deliveries under an extra delay.
+func TestLinkOffLanePathsZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine()
+	pool := NewPacketPool()
+	l := NewLink(eng, "l", Gbps, 20*sim.Microsecond, NewDropTail(100), &releaser{})
+	mixed := func() {
+		l.Send(pool.Data(1, 1, 2, 0, MSS, true))
+		l.Send(pool.Ack(1, 2, 1, 0))
+		l.Send(pool.Data(1, 1, 2, 1, 700, true))
+		eng.Run(sim.MaxTime)
+	}
+	mixed()
+	if allocs := testing.AllocsPerRun(1000, mixed); allocs != 0 {
+		t.Fatalf("mixed-size forwarding allocates %v/op, want 0", allocs)
+	}
+	l.SetExtraDelay(5 * sim.Microsecond)
+	mixed()
+	if allocs := testing.AllocsPerRun(1000, mixed); allocs != 0 {
+		t.Fatalf("forwarding under an extra delay allocates %v/op, want 0", allocs)
+	}
+}

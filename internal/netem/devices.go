@@ -32,18 +32,16 @@ type BuildArena struct {
 }
 
 // ringChunk is the growth quantum of the shared ring backing: 8192 pointers
-// (64 KB), about 80 switch queues at the default limit of 100 packets.
+// (64 KB), 64 switch queues at the default limit of 100 packets.
 const ringChunk = 8192
 
-// ring carves an n-slot packet ring from the shared backing. Only the
-// fixed-limit disciplines use it: DropTail and ThresholdECN reject arrivals
-// once count reaches their limit, so a ring of exactly limit slots never
-// grows and fifo.push never reallocates it (growth would be harmless — the
-// fifo would simply stop sharing the backing — but wasteful).
-func (ba *BuildArena) ring(n int) []*Packet {
-	if n < 8 {
-		n = 8 // keep newFIFO's minimum so behaviour matches exactly
-	}
+// ring carves the ring newFIFO would allocate for limit from the shared
+// backing. Only the fixed-limit disciplines use it: DropTail and
+// ThresholdECN reject arrivals once count reaches their limit, so the ring
+// never grows and fifo.push never reallocates it (growth would be harmless
+// — the fifo would simply stop sharing the backing — but wasteful).
+func (ba *BuildArena) ring(limit int) []*Packet {
+	n := ringLen(limit)
 	if len(ba.rings) < n {
 		c := ringChunk
 		if c < n {

@@ -47,6 +47,12 @@ type Link struct {
 	busy     bool
 	down     bool
 
+	// The link's constant delays each have a lane on the engine's calendar
+	// (sim.Lane): serialization of a full segment and of a bare header —
+	// the two sizes nearly every packet has — and propagation. Anything
+	// else goes through the engine's heap.
+	txFull, txHeader, prop *sim.Lane
+
 	// extraDelay is added to the propagation delay of every delivery
 	// scheduled while it is set — the chaos layer's asymmetric-delay and
 	// jitter hook. Packets already propagating keep the delay they were
@@ -80,6 +86,9 @@ func initLink(l *Link, eng *sim.Engine, name string, capacity Bps, delay sim.Dur
 		panic("netem: link requires a queue and a destination")
 	}
 	*l = Link{Name: name, eng: eng, capacity: capacity, delay: delay, queue: q, dst: dst, openedAt: eng.Now()}
+	l.txFull = eng.Lane(l.TxTime(MaxPacketBytes))
+	l.txHeader = eng.Lane(l.TxTime(HeaderBytes))
+	l.prop = eng.Lane(delay)
 }
 
 // TxTime returns the serialization delay of a packet of n bytes.
@@ -114,8 +123,8 @@ const (
 )
 
 // OnEvent implements sim.Target, dispatching the link's typed events. Not
-// for direct use; scheduling through ScheduleTarget instead of capturing
-// closures is what keeps the per-hop path free of heap allocations.
+// for direct use; pre-binding the link instead of capturing closures is
+// what keeps the per-hop path free of heap allocations.
 func (l *Link) OnEvent(op sim.Op, arg any) {
 	p := arg.(*Packet)
 	if op == opTxDone {
@@ -148,16 +157,29 @@ func (l *Link) startTransmit() {
 		return
 	}
 	l.busy = true
-	l.eng.ScheduleTarget(l.TxTime(p.WireBytes), l, opTxDone, p)
+	switch p.WireBytes {
+	case MaxPacketBytes:
+		l.txFull.Schedule(l, opTxDone, p)
+	case HeaderBytes:
+		l.txHeader.Schedule(l, opTxDone, p)
+	default:
+		l.eng.ScheduleTarget(l.TxTime(p.WireBytes), l, opTxDone, p)
+	}
 }
 
 func (l *Link) finishTransmit(p *Packet) {
 	l.txBytes += int64(p.WireBytes)
 	l.txPackets++
-	if !l.down {
-		l.eng.ScheduleTarget(l.delay+l.extraDelay, l, opDeliver, p)
-	} else {
+	switch {
+	case l.down:
 		p.Release() // serialized into a dead link
+	case l.extraDelay == 0:
+		l.prop.Schedule(l, opDeliver, p)
+	default:
+		// Off the lane: its order rests on every event waiting exactly
+		// l.delay, and SetExtraDelay may lower the sum under a packet
+		// already in flight.
+		l.eng.ScheduleTarget(l.delay+l.extraDelay, l, opDeliver, p)
 	}
 	if l.queue.Len() > 0 && !l.down {
 		l.startTransmit()

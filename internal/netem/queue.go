@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"math/bits"
+
 	"xmp/internal/sim"
 )
 
@@ -49,11 +51,12 @@ type fifo struct {
 	stats QueueStats
 }
 
+// ringLen rounds a queue limit up to a power of two, at least 8, so the
+// ring wraps with a mask instead of a division.
+func ringLen(limit int) int { return 1 << bits.Len(uint(max(limit, 8)-1)) }
+
 func newFIFO(capacityHint int) fifo {
-	if capacityHint < 8 {
-		capacityHint = 8
-	}
-	return fifo{buf: make([]*Packet, capacityHint)}
+	return fifo{buf: make([]*Packet, ringLen(capacityHint))}
 }
 
 func (f *fifo) integrate(now sim.Time) {
@@ -73,7 +76,7 @@ func (f *fifo) push(now sim.Time, p *Packet) {
 		f.buf = grown
 		f.head = 0
 	}
-	f.buf[(f.head+f.count)%len(f.buf)] = p
+	f.buf[(f.head+f.count)&(len(f.buf)-1)] = p
 	f.count++
 	f.bytes += p.WireBytes
 	f.stats.EnqueuedPackets++
@@ -89,7 +92,7 @@ func (f *fifo) pop(now sim.Time) *Packet {
 	f.integrate(now)
 	p := f.buf[f.head]
 	f.buf[f.head] = nil
-	f.head = (f.head + 1) % len(f.buf)
+	f.head = (f.head + 1) & (len(f.buf) - 1)
 	f.count--
 	f.bytes -= p.WireBytes
 	return p

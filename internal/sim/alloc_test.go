@@ -65,6 +65,37 @@ func TestScheduleTargetFireZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestLaneScheduleFireZeroAlloc is the same gate for the lane path: once
+// the ring has its capacity, schedule+fire is stores and index arithmetic
+// — the ring wraps several times over the runs — and a lane past the cap
+// costs what ScheduleTarget costs.
+func TestLaneScheduleFireZeroAlloc(t *testing.T) {
+	eng := NewEngine()
+	ct := &countTarget{eng: eng}
+	lanes := []*Lane{eng.Lane(Microsecond)}
+	for d := Duration(2); len(lanes) < 2; d++ {
+		if l := eng.Lane(d); l.idx < 0 {
+			lanes = append(lanes, l)
+		}
+	}
+	arg := &struct{ x int }{}
+	for _, l := range lanes {
+		l.Schedule(ct, 0, arg)
+		eng.Run(MaxTime)
+		allocs := testing.AllocsPerRun(1000, func() {
+			l.Schedule(ct, 1, arg)
+			l.Schedule(ct, 2, arg)
+			eng.Run(MaxTime)
+		})
+		if allocs != 0 {
+			t.Fatalf("lane (slot %d) schedule+fire allocates %v/op, want 0", l.idx, allocs)
+		}
+	}
+	if ct.fired == 0 {
+		t.Fatal("lane events did not fire")
+	}
+}
+
 func TestCancelZeroAlloc(t *testing.T) {
 	eng := NewEngine()
 	fn := func() {}

@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/bits"
-	"slices"
 
 	"xmp/internal/arena"
 )
@@ -33,7 +31,8 @@ type funcTarget func()
 
 func (f funcTarget) OnEvent(Op, any) { f() }
 
-// Event is a scheduled callback. Event structs are owned and recycled by
+// Event is a scheduled, cancellable callback: what Schedule and
+// ScheduleTarget put on the heap. Event structs are owned and recycled by
 // their Engine: after an event fires or is cancelled the struct returns to
 // an internal free-list and may be reissued by a later Schedule call.
 // Callers therefore never hold *Event directly — Schedule returns a Handle
@@ -49,20 +48,12 @@ type Event struct {
 	// recycled); a Handle whose generation no longer matches refers to an
 	// event that already fired or was cancelled, and Cancel treats it as a
 	// no-op.
-	gen    uint64
-	target Target
-	arg    any
-	// slot locates the event inside the calendar: the wheel bucket index
-	// holding it, or overflowSlot for the far-future overflow heap. Kept
-	// current on promotion so Cancel can apply its container-tail fast
-	// path without searching.
-	slot     int32
+	gen      uint64
+	target   Target
+	arg      any
 	op       Op
 	canceled bool
 }
-
-// overflowSlot marks an event as living in the overflow heap.
-const overflowSlot int32 = -1
 
 // Handle refers to a scheduled event. The zero Handle is valid and refers
 // to no event (Cancel ignores it, Pending reports false).
@@ -87,90 +78,38 @@ func (h Handle) At() Time {
 	return h.ev.at
 }
 
-// Time-wheel geometry, sized from the k=8 cell's measured event density
-// (~40 events per µs of simulated time): a 256 ns bucket holds ~10 events
-// in the dense phases, so a one-shot drain sort touches a handful of
-// cache-resident entries. The ring is kept deliberately short —
-// 2^wheelBits buckets, a ~262 µs horizon — because the whole structure
-// (slice headers, seed backing, bitmap) then stays cache-resident as the
-// cursor streams through it. The horizon comfortably covers the
-// packet-hop events that dominate the calendar (serialization at 1 Gbps
-// is ~12 µs per full packet, propagation 20–40 µs per hop); protocol
-// timers (delayed ACK, RTO, experiment phases) live in the overflow heap
-// — where ALL events lived before the wheel — and are promoted into the
-// ring when the clock draws within the horizon.
-const (
-	wheelBucketBits = 8  // bucket width: 2^8 ns = 256 ns
-	wheelBits       = 10 // 2^10 = 1024 buckets
-	wheelBuckets    = 1 << wheelBits
-	wheelMask       = wheelBuckets - 1
-	// wheelBucketWidth is the time covered by one bucket.
-	wheelBucketWidth = Duration(1) << wheelBucketBits
-	// wheelSpan is the horizon of the ring: events at now+wheelSpan or
-	// later overflow.
-	wheelSpan = Time(wheelBuckets) << wheelBucketBits
-	// wheelAlignMask aligns an absolute time down to the start of its
-	// 256 ns bucket window: t &^ wheelAlignMask.
-	wheelAlignMask = Time(wheelBucketWidth) - 1
-)
-
-// bucketOf maps an absolute time to its wheel bucket. The mapping is a
-// pure function of the time, so it never disagrees with itself across
-// cursor movement.
-func bucketOf(t Time) int32 { return int32((t >> wheelBucketBits) & wheelMask) }
-
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
-// concurrent use; an experiment owns exactly one Engine. The free-list
-// below is what keeps the hot path allocation-free: every fired or
-// cancelled Event struct is recycled into the next Schedule call, so a
-// steady-state simulation allocates no events at all.
+// concurrent use; an experiment owns exactly one Engine.
 //
-// The calendar is a bucketed time-wheel: a ring of time buckets covering
-// [wheelBase, wheelBase+wheelSpan), each bucket an unsorted *spill list*,
-// plus a single 4-ary overflow heap for events beyond the horizon.
-// Scheduling into a ring bucket is a plain append — no comparisons, no
-// sift — and ordering is established once, when the drain cursor reaches
-// the bucket: a one-shot in-place sort puts the bucket in descending
-// (time, seq) order so the next event to fire sits at the tail and every
-// pop is a truncation. The head of the calendar is the smaller of (first
-// occupied bucket's earliest event, overflow root) under the same strict
-// (time, seq) total order, so pop order is identical to a single global
-// heap — the wheel only changes how much work each operation does: O(1)
-// amortized per insert against the heap's O(log n), and the dominant
-// comparison traffic collapses into one cache-friendly pass per bucket.
+// The calendar is a handful of constant-delay lanes (lane.go) plus one
+// 4-ary min-heap. A lane holds the events scheduled at now+d for one fixed
+// d — a link's serialization and propagation events, 90–95 % of all
+// inserts — and because the clock never runs backwards those arrive
+// already in (time, seq) order, so a lane is a FIFO ring: insert is an
+// append, pop is a head advance, nothing is ever compared or moved. The
+// heap holds everything else: timers, closures, odd-sized segments, and
+// any event that must be cancellable. Run fires the minimum of the lane
+// fronts and the heap root under the strict (time, seq) order; a k-way
+// merge of sorted runs under a strict total order is the pop order of one
+// global heap holding the same events, so where an event waits never
+// changes when it fires.
 type Engine struct {
 	now     Time
 	nextSeq uint64
 
-	// Ring anchor. wheelBase is the bucket-aligned anchor of the window
-	// [wheelBase, wheelEnd) that ring inserts map into; it is re-derived
-	// from the clock lazily, on the dense-mode insert path, so
-	// wheelBase <= now at all times. That inequality is what makes the
-	// bucket mapping unambiguous: every live ring event satisfies
-	// now <= at < wheelEnd <= align(now)+span, so ring order starting at
-	// the clock's own bucket is time order and each bucket holds at most
-	// one rotation of live events.
-	wheelBase Time
-	wheelEnd  Time // wheelBase + wheelSpan, saturated at MaxTime
-	// ringEntries counts structs sitting in ring buckets (live or
-	// cancelled corpses); zero lets head skip the bitmap scan outright.
-	ringEntries int
+	// frontAt[i], frontSeq[i] is the key of lane i's oldest pending event
+	// (noFront, noFrontSeq when the lane is empty), kept beside the clock
+	// so picking the next event scans nLanes adjacent times instead of
+	// chasing nLanes ring buffers; the seqs are read only on a tie.
+	frontAt  [maxLanes]Time
+	frontSeq [maxLanes]uint64
+	nLanes   int
 
-	// headSlot/headAligned memoize the first occupied ring bucket so the
-	// drain loop does not rescan the occupancy bitmap on every head()
-	// call. headSlot is -1 when unknown (bucket drained, or never
-	// scanned); an insert into an earlier window lowers the memo, keeping
-	// it exact whenever it is set.
-	headSlot    int32
-	headAligned Time
-
-	// Far-future overflow: 4-ary min-heap by (at, seq).
-	overflow []*Event
-	// canceledOverflow tracks lazily-cancelled events still occupying
-	// overflow slots; when they dominate, the heap is compacted. Ring
-	// corpses need no counter: the cursor sweeps every bucket within one
-	// horizon of simulated time, reclaiming them in passing.
-	canceledOverflow int
+	// heap is the 4-ary min-heap by (at, seq).
+	heap []*Event
+	// canceledHeap tracks lazily-cancelled events still occupying heap
+	// slots; when they dominate, the heap is compacted.
+	canceledHeap int
 
 	// cancels counts events removed by Cancel. Together with nextSeq
 	// (every insert) and processed (every fire) it determines the live
@@ -179,54 +118,29 @@ type Engine struct {
 	// no pending read-modify-write at all.
 	cancels uint64
 
-	// free is the Event recycling stack. Single-threaded like the engine,
-	// so no locking; never shared across engines.
+	// free is the Event recycling stack: every fired or cancelled struct
+	// is reissued by the next heap insert, so a steady-state simulation
+	// allocates no events at all. Single-threaded like the engine, so no
+	// locking; never shared across engines.
 	free []*Event
 	// slab backs first-time Event allocation in chunks, so a run that
 	// peaks at N simultaneous events costs ~N/chunk heap allocations
 	// instead of N before the free list takes over.
 	slab arena.Slab[Event]
-	// slabAllocs counts fresh slab carves; free-list hits are then
-	// nextSeq - slabAllocs (every insert is one or the other), so the
-	// recycling observability costs nothing on the hot path.
+	// slabAllocs counts fresh slab carves; every other insert is
+	// nextSeq - slabAllocs, so the recycling observability costs nothing
+	// on the hot path.
 	slabAllocs uint64
 	// processed counts events executed, for progress reporting and the
 	// runaway guard in tests.
 	processed uint64
-	// promoted counts overflow events moved into the ring as the clock
-	// approached their deadline (observability for the wheel tests).
-	promoted uint64
-	stopped  bool
+	stopped   bool
 
-	// The ring itself lives at the end of the struct so the hot scalar
-	// fields above share cache lines instead of straddling its ~24 KB.
-	buckets [wheelBuckets][]*Event
-	// sorted[b] reports that bucket b is in drain order: descending
-	// (time, seq), next event to fire at the tail. Every append clears
-	// it; the drain re-sorts at most once per intervening append.
-	sorted   [wheelBuckets]bool
-	occupied [wheelBuckets / 64]uint64 // occupancy bitmap over buckets
+	lanes [maxLanes]Lane
 }
-
-// bucketSeedCap is the initial capacity of every ring bucket. Buckets are
-// seeded from one shared backing array so steady-state scheduling never
-// allocates as the cursor reaches previously-unvisited buckets; a bucket
-// that outgrows its seed (incast pile-up) reallocates once and keeps the
-// larger capacity for the rest of the run. 64 covers the k=8 cell's
-// dense phases (the busiest buckets reach the 30-60 event range during
-// synchronized incast rounds), so regrowth is confined to genuine
-// pile-ups; the shared backing is 512 KB, paid once per engine.
-const bucketSeedCap = 64
 
 // NewEngine returns an engine with the clock at zero and an empty calendar.
-func NewEngine() *Engine {
-	e := &Engine{wheelEnd: wheelSpan, headSlot: -1}
-	backing := make([]*Event, wheelBuckets*bucketSeedCap)
-	for i := range e.buckets {
-		e.buckets[i] = backing[i*bucketSeedCap : i*bucketSeedCap : (i+1)*bucketSeedCap]
-	}
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -234,11 +148,14 @@ func (e *Engine) Now() Time { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Recycled returns the number of Schedule calls served from the free-list.
+// Recycled returns the number of inserts that allocated no Event: heap
+// inserts served from the free-list, and every lane insert.
 func (e *Engine) Recycled() uint64 { return e.nextSeq - e.slabAllocs }
 
-// Promoted returns the number of overflow events promoted into the ring.
-func (e *Engine) Promoted() uint64 { return e.promoted }
+// Promoted is always 0: it counted moves between two containers of a
+// calendar design that is gone, and stays only because the benchmark
+// harness compiles against it.
+func (e *Engine) Promoted() uint64 { return 0 }
 
 // Pending returns the number of events currently scheduled (cancelled
 // events awaiting lazy reclamation are not counted).
@@ -252,9 +169,9 @@ func less(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// heapPush appends ev to the 4-ary overflow min-heap h and sifts it up its
-// parent chain. The hole is moved, not swapped: one write per level plus
-// the final placement.
+// heapPush appends ev to the 4-ary min-heap h and sifts it up its parent
+// chain. The hole is moved, not swapped: one write per level plus the
+// final placement.
 func heapPush(hp *[]*Event, ev *Event) {
 	*hp = append(*hp, ev)
 	h := *hp
@@ -315,55 +232,13 @@ func siftDown(h []*Event, i int, ev *Event) {
 	h[i] = ev
 }
 
-// spillSortMax is the bucket size at which the drain sort switches from
-// insertion sort to pdqsort (slices.SortFunc).
-const spillSortMax = 32
-
-// sortSpill establishes drain order on one spill bucket: descending
-// (time, seq), so the earliest event sits at the tail and every pop is a
-// truncation. (time, seq) is a strict total order — no two events share a
-// key — so any correct sort produces the same drain order regardless of
-// algorithm or stability; the split below is pure mechanics. Typical
-// dense-phase buckets hold ~10 events, where a single insertion-sort pass
-// over the cache-resident slice beats pdqsort's dispatch; genuine
-// pile-ups (synchronized incast rounds) fall through to pdqsort.
-func sortSpill(s []*Event) {
-	if len(s) <= spillSortMax {
-		for i := 1; i < len(s); i++ {
-			ev := s[i]
-			j := i - 1
-			for j >= 0 && less(s[j], ev) {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = ev
-		}
-		return
-	}
-	slices.SortFunc(s, func(a, b *Event) int {
-		if a.at != b.at {
-			if a.at > b.at {
-				return -1
-			}
-			return 1
-		}
-		if a.seq != b.seq {
-			if a.seq > b.seq {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-}
-
-// compactOverflow rebuilds the overflow heap without its lazily-cancelled
-// events, recycling them. Triggered when cancelled entries dominate, so
-// the O(n) rebuild amortizes to O(1) per Cancel. The pop order of the
-// survivors is unchanged: (at, seq) is a strict total order, so any valid
-// heap over the same set drains identically — determinism is layout-free.
-func (e *Engine) compactOverflow() {
-	h := e.overflow
+// compact rebuilds the heap without its lazily-cancelled events, recycling
+// them. Triggered when cancelled entries dominate, so the O(n) rebuild
+// amortizes to O(1) per Cancel. The pop order of the survivors is
+// unchanged: (at, seq) is a strict total order, so any valid heap over the
+// same set drains identically — determinism is layout-free.
+func (e *Engine) compact() {
+	h := e.heap
 	live := h[:0]
 	for _, ev := range h {
 		if ev.canceled {
@@ -376,8 +251,8 @@ func (e *Engine) compactOverflow() {
 	for i := len(live); i < len(h); i++ {
 		h[i] = nil
 	}
-	e.overflow = live
-	e.canceledOverflow = 0
+	e.heap = live
+	e.canceledHeap = 0
 	for i := (len(live) - 2) >> 2; i >= 0; i-- {
 		siftDown(live, i, live[i])
 	}
@@ -435,22 +310,15 @@ func (e *Engine) ScheduleAt(t Time, fn func()) Handle {
 
 // ScheduleTarget runs t.OnEvent(op, arg) after delay d (>= 0). This is the
 // typed, allocation-free variant of Schedule: the receiver is pre-bound
-// instead of captured, so the per-packet hot paths (link serialization,
-// propagation delivery, RTO and delayed-ACK timers) schedule with zero
+// instead of captured, so RTO and delayed-ACK timers schedule with zero
 // heap allocations. arg should be nil or a pointer-shaped value; both
-// store into the event without allocating.
+// store into the event without allocating. An event that always fires
+// after the same delay and is never cancelled belongs on a Lane instead.
 func (e *Engine) ScheduleTarget(d Duration, t Target, op Op, arg any) Handle {
 	if d < 0 {
 		panicNegativeDelay(d)
 	}
-	if t == nil {
-		panic("sim: nil event target")
-	}
-	ev := e.insert(e.now.Add(d))
-	ev.target = t
-	ev.op = op
-	ev.arg = arg
-	return Handle{ev: ev, gen: ev.gen}
+	return e.ScheduleTargetAt(e.now.Add(d), t, op, arg)
 }
 
 // ScheduleTargetAt runs t.OnEvent(op, arg) at absolute time at (>= Now).
@@ -458,50 +326,12 @@ func (e *Engine) ScheduleTargetAt(at Time, t Target, op Op, arg any) Handle {
 	if t == nil {
 		panic("sim: nil event target")
 	}
-	ev := e.insert(at)
-	ev.target = t
-	ev.op = op
-	ev.arg = arg
-	return Handle{ev: ev, gen: ev.gen}
-}
-
-// ringThreshold is the pending-event count below which inserts bypass the
-// ring and use the overflow heap directly. A heap of a few dozen events
-// sifts one or two levels — cheaper than the ring's bucket mapping,
-// bitmap maintenance, and cursor scan — so sparse calendars (unit tests,
-// single-link setups, drained phases) keep the old heap's constants and
-// the ring engages only at the event densities it was built for. The
-// split is invisible to ordering: head always compares both containers
-// under the same (time, seq) key.
-const ringThreshold = 64
-
-// spillAppend places ev into ring bucket b (the bucket covering the
-// window starting at aligned): a plain append plus bitmap and memo
-// maintenance. This is the entire insert-side cost of the spill-bucket
-// design — ordering is deferred to the drain sort.
-func (e *Engine) spillAppend(b int32, aligned Time, ev *Event) {
-	ev.slot = b
-	e.buckets[b] = append(e.buckets[b], ev)
-	e.sorted[b] = false
-	e.occupied[b>>6] |= 1 << (uint(b) & 63)
-	e.ringEntries++
-	if e.headSlot >= 0 && aligned < e.headAligned {
-		e.headSlot, e.headAligned = b, aligned
+	if at < e.now {
+		panicSchedulePast(at, e.now)
 	}
-}
-
-// insert allocates an event at time t with the next FIFO sequence number
-// and places it in the calendar: appended to its ring bucket when the
-// calendar is dense and t is within the horizon, pushed on the overflow
-// heap otherwise. The caller fills in the payload.
-func (e *Engine) insert(t Time) *Event {
-	if t < e.now {
-		panicSchedulePast(t, e.now)
-	}
-	// Free-list pop, open-coded: alloc as a helper is one call over the
-	// inline budget, and insert runs once per event. No canceled reset:
-	// every event reaching the free-list has canceled == false (corpse
-	// reclaim clears it), so insert skips the store.
+	// Free-list pop, open-coded: insert runs once per heap event. No
+	// canceled reset: every event reaching the free-list has
+	// canceled == false (corpse reclaim clears it).
 	var ev *Event
 	if n := len(e.free) - 1; n >= 0 {
 		ev = e.free[n]
@@ -509,24 +339,14 @@ func (e *Engine) insert(t Time) *Event {
 	} else {
 		ev = e.allocSlow()
 	}
-	ev.at = t
+	ev.at = at
 	ev.seq = e.nextSeq
 	e.nextSeq++
-	if e.nextSeq-e.processed-e.cancels > ringThreshold && t-e.now < wheelSpan {
-		// The ring is anchored lazily: the clock may have advanced many
-		// buckets since the last ring insert, so re-derive the base from
-		// now (and promote newly-near overflow events) before mapping t.
-		if base := e.now &^ wheelAlignMask; base != e.wheelBase {
-			e.reanchor(base)
-		}
-		if t < e.wheelEnd {
-			e.spillAppend(bucketOf(t), t&^wheelAlignMask, ev)
-			return ev
-		}
-	}
-	ev.slot = overflowSlot
-	heapPush(&e.overflow, ev)
-	return ev
+	ev.target = t
+	ev.op = op
+	ev.arg = arg
+	heapPush(&e.heap, ev)
+	return Handle{ev: ev, gen: ev.gen}
 }
 
 // Cancel removes a scheduled event. Cancelling an event that already fired
@@ -534,17 +354,13 @@ func (e *Engine) insert(t Time) *Event {
 // recycled into a different event — is a no-op, which makes timer
 // management at the call sites straightforward.
 //
-// Cancellation is lazy: the event is marked dead in O(1) and its calendar
-// slot is reclaimed when the cursor (or the overflow head drain) reaches
-// it, instead of an eager removal per cancel. The handle goes stale
-// immediately; only the struct's reuse is deferred. One fast path: when
-// the event occupies the last slot of its container (its ring bucket or
-// the overflow heap) it can be truncated without disturbing the
-// container's order — in an unsorted spill bucket the tail is the most
-// recent append (the schedule-then-cancel churn shape), in a drain-sorted
-// bucket it is the next event to fire, and in the overflow heap it is a
-// leaf; all three truncate safely — so the struct is reclaimed on the
-// spot.
+// Cancellation is lazy: the event is marked dead in O(1) and its heap slot
+// is reclaimed when it reaches the root (or a compaction sweeps it),
+// instead of an eager removal per cancel. The handle goes stale
+// immediately; only the struct's reuse is deferred. One fast path: the
+// event in the heap's last slot is a leaf and truncates without
+// disturbing the order — the schedule-then-cancel churn shape — so its
+// struct is reclaimed on the spot.
 func (e *Engine) Cancel(h Handle) {
 	ev := h.ev
 	// gen covers the canceled state too: every path that marks an event
@@ -554,35 +370,9 @@ func (e *Engine) Cancel(h Handle) {
 		return
 	}
 	e.cancels++
-	// Branch on the container once and operate on its slice directly: the
-	// ring and overflow arms each load, test and truncate their own slice
-	// header, so the common tail-cancel path runs with no pointer
-	// indirection through a shared *[]*Event.
-	if b := ev.slot; b >= 0 {
-		s := e.buckets[b]
-		if n := len(s) - 1; s[n] == ev {
-			e.buckets[b] = s[:n]
-			e.ringEntries--
-			if n == 0 {
-				e.occupied[b>>6] &^= 1 << (uint(b) & 63)
-				if b == e.headSlot {
-					e.headSlot = -1
-				}
-			}
-			e.recycle(ev)
-			return
-		}
-		// Interior ring corpse: the cursor sweeps every bucket within one
-		// horizon, so no counter is needed.
-		ev.canceled = true
-		ev.gen++ // invalidate all outstanding handles now
-		ev.target = nil
-		ev.arg = nil
-		return
-	}
-	s := e.overflow
+	s := e.heap
 	if n := len(s) - 1; s[n] == ev {
-		e.overflow = s[:n]
+		e.heap = s[:n]
 		e.recycle(ev)
 		return
 	}
@@ -590,12 +380,12 @@ func (e *Engine) Cancel(h Handle) {
 	ev.gen++ // invalidate all outstanding handles now
 	ev.target = nil
 	ev.arg = nil
-	e.canceledOverflow++
-	// Compact when cancelled corpses outnumber live events and are
-	// worth the O(n) sweep; keeps RTO-churn heaps from growing without
-	// bound while their deadlines sit beyond the horizon.
-	if e.canceledOverflow > 64 && e.canceledOverflow > len(e.overflow)-e.canceledOverflow {
-		e.compactOverflow()
+	e.canceledHeap++
+	// Compact when cancelled corpses outnumber live events and are worth
+	// the O(n) sweep; keeps RTO-churn heaps from growing without bound
+	// while their deadlines are far off.
+	if e.canceledHeap > 64 && e.canceledHeap > len(e.heap)-e.canceledHeap {
+		e.compact()
 	}
 }
 
@@ -603,169 +393,49 @@ func (e *Engine) Cancel(h Handle) {
 // completes. It may be called from inside an event callback.
 func (e *Engine) Stop() { e.stopped = true }
 
-// reanchor re-bases the ring window to [base, base+span) — base must be
-// the bucket-aligned current time — and promotes overflow events whose
-// deadline now falls within the horizon into their ring buckets.
-// Promotion preserves the (time, seq) drain order trivially: a promoted
-// event is appended like any other insert and sorted into place when its
-// bucket drains, and the head selection compares across both containers.
-// Called only from the dense-mode insert path, so a sparse calendar never
-// pays for base maintenance; correctness does not depend on freshness,
-// because the drain derives its position from the clock, not from the
-// base.
-func (e *Engine) reanchor(base Time) {
-	e.wheelBase = base
-	end := base + wheelSpan
-	if end < base {
-		end = MaxTime // saturate near the representable horizon
+// step fires the earliest pending event if it is due at or before until,
+// and reports whether it did. Lazily-cancelled corpses met at the heap
+// root are reclaimed on the way.
+func (e *Engine) step(until Time) bool {
+	li, lat, lseq := -1, noFront, noFrontSeq
+	for i, at := range e.frontAt[:e.nLanes] {
+		if at < lat || at == lat && e.frontSeq[i] < lseq {
+			li, lat, lseq = i, at, e.frontSeq[i]
+		}
 	}
-	e.wheelEnd = end
-	for len(e.overflow) > 0 {
-		head := e.overflow[0]
-		if head.canceled {
-			heapPop(&e.overflow)
-			e.canceledOverflow--
-			head.canceled = false // free-list invariant: corpses reset here
-			e.free = append(e.free, head)
+	for len(e.heap) > 0 {
+		ev := e.heap[0]
+		if ev.canceled {
+			// Cancel already bumped gen and cleared the payload; the
+			// struct only needs the canceled reset (free-list invariant).
+			heapPop(&e.heap)
+			e.canceledHeap--
+			ev.canceled = false
+			e.free = append(e.free, ev)
 			continue
 		}
-		if head.at >= end {
-			break
+		if ev.at > lat || ev.at == lat && ev.seq > lseq {
+			break // a lane front is earlier
 		}
-		heapPop(&e.overflow)
-		e.spillAppend(bucketOf(head.at), head.at&^wheelAlignMask, head)
-		e.promoted++
+		if ev.at > until {
+			return false
+		}
+		heapPop(&e.heap)
+		e.now = ev.at
+		e.processed++
+		// The struct is recycled before the callback runs, so the
+		// callback's own Schedule calls reuse it; the payload is copied
+		// out first to keep the execution independent of that reuse.
+		target, op, arg := ev.target, ev.op, ev.arg
+		e.recycle(ev)
+		target.OnEvent(op, arg)
+		return true
 	}
-}
-
-// wheelScan returns the first occupied bucket at or after the cursor in
-// ring order, or -1 when the ring is empty. With the occupancy bitmap the
-// scan is a handful of word operations regardless of ring sparsity; the
-// headSlot memo keeps it off the per-event path entirely while the same
-// bucket keeps draining.
-func (e *Engine) wheelScan() int32 {
-	cur := int(bucketOf(e.now))
-	w := cur >> 6
-	// Mask off bits below the cursor in its word, then walk words.
-	word := e.occupied[w] &^ (1<<(uint(cur)&63) - 1)
-	for i := 0; i <= len(e.occupied); i++ {
-		if word != 0 {
-			return int32((w<<6 + bits.TrailingZeros64(word)) & wheelMask)
-		}
-		w = (w + 1) % len(e.occupied)
-		word = e.occupied[w]
-		if i == len(e.occupied)-1 {
-			// Last wrap: only bits below the cursor remain unexamined.
-			word &= 1<<(uint(cur)&63) - 1
-		}
+	if li < 0 || lat > until {
+		return false
 	}
-	return -1
-}
-
-// head returns the earliest live event in the calendar without removing
-// it, establishing drain order on the bucket it came from and reclaiming
-// lazily-cancelled corpses it encounters at container heads. Returns nil
-// when the calendar is empty.
-func (e *Engine) head() *Event {
-	if e.ringEntries == 0 {
-		// Sparse fast path: the calendar is just the overflow heap, so the
-		// head is its first live root — no bucket machinery, no two-way
-		// comparison.
-		for {
-			s := e.overflow
-			if len(s) == 0 {
-				return nil
-			}
-			if c := s[0]; !c.canceled {
-				return c
-			}
-			corpse := heapPop(&e.overflow)
-			e.canceledOverflow--
-			corpse.canceled = false // free-list invariant
-			e.free = append(e.free, corpse)
-		}
-	}
-	for {
-		var wev *Event
-		if e.ringEntries > 0 {
-			b := e.headSlot
-			if b < 0 {
-				b = e.wheelScan()
-				if b >= 0 {
-					e.headSlot = b
-					e.headAligned = e.buckets[b][0].at &^ wheelAlignMask
-				}
-			}
-			if b >= 0 {
-				bucket := e.buckets[b]
-				if !e.sorted[b] {
-					sortSpill(bucket)
-					e.sorted[b] = true
-				}
-				n := len(bucket) - 1
-				tail := bucket[n]
-				if tail.canceled {
-					// Cancel already bumped gen and cleared the payload;
-					// the struct only needs the canceled reset (free-list
-					// invariant) on its way to the free-list.
-					e.buckets[b] = bucket[:n]
-					e.ringEntries--
-					if n == 0 {
-						e.occupied[b>>6] &^= 1 << (uint(b) & 63)
-						e.headSlot = -1
-					}
-					tail.canceled = false
-					e.free = append(e.free, tail)
-					continue
-				}
-				wev = tail
-			}
-		}
-		var oev *Event
-		for s := e.overflow; len(s) > 0; s = e.overflow {
-			if c := s[0]; !c.canceled {
-				oev = c
-				break
-			}
-			corpse := heapPop(&e.overflow)
-			e.canceledOverflow--
-			corpse.canceled = false // free-list invariant
-			e.free = append(e.free, corpse)
-		}
-		switch {
-		case wev == nil:
-			return oev // may be nil: calendar empty
-		case oev == nil || less(wev, oev):
-			return wev
-		default:
-			return oev
-		}
-	}
-}
-
-// fire pops the head event — which head() must have just returned, so it
-// is live and, if ring-resident, its (drain-sorted) bucket's tail — and
-// executes it. The struct is recycled before the callback runs, so the
-// callback's own Schedule calls reuse it; the payload is copied out first
-// to keep the execution independent of that reuse.
-func (e *Engine) fire(ev *Event) {
-	if b := ev.slot; b >= 0 {
-		s := e.buckets[b]
-		n := len(s) - 1
-		e.buckets[b] = s[:n]
-		e.ringEntries--
-		if n == 0 {
-			e.occupied[b>>6] &^= 1 << (uint(b) & 63)
-			e.headSlot = -1
-		}
-	} else {
-		heapPop(&e.overflow)
-	}
-	e.now = ev.at
-	e.processed++
-	target, op, arg := ev.target, ev.op, ev.arg
-	e.recycle(ev)
-	target.OnEvent(op, arg)
+	e.lanes[li].fire()
+	return true
 }
 
 // Run executes events in timestamp order until the calendar is empty or the
@@ -774,12 +444,7 @@ func (e *Engine) fire(ev *Event) {
 func (e *Engine) Run(until Time) uint64 {
 	start := e.processed
 	e.stopped = false
-	for !e.stopped {
-		head := e.head()
-		if head == nil || head.at > until {
-			break
-		}
-		e.fire(head)
+	for !e.stopped && e.step(until) {
 	}
 	if e.now < until && until != MaxTime && !e.stopped {
 		// Drained the calendar before the horizon: advance the clock so a
@@ -797,15 +462,11 @@ func (e *Engine) Run(until Time) uint64 {
 func (e *Engine) RunAll(maxEvents uint64) uint64 {
 	start := e.processed
 	e.stopped = false
-	for !e.stopped {
-		head := e.head()
-		if head == nil {
-			break
-		}
+	for !e.stopped && e.Pending() > 0 {
 		if e.processed-start >= maxEvents {
 			panic(fmt.Sprintf("sim: exceeded %d events at t=%v (runaway event loop?)", maxEvents, e.now))
 		}
-		e.fire(head)
+		e.step(MaxTime)
 	}
 	return e.processed - start
 }

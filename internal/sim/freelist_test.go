@@ -57,17 +57,13 @@ func TestCancelTailReclaimsImmediately(t *testing.T) {
 // would corrupt the heap. Once a run drains past the corpse, the struct
 // is back on the free-list.
 //
-// With the time-wheel, the tail fast path is per container: to pin the
-// lazy path the blocker must land in the SAME container as the victim and
-// after it. At 2 pending the calendar is in sparse mode (both events sit
-// in the overflow heap), and 100 ns later also shares a 256 ns ring
-// bucket if the calendar ever goes dense — either way the victim is not
-// the last slot of its container.
+// The blocker, scheduled after the victim and for a later time, takes the
+// heap's last slot, so the victim is off the tail fast path.
 func TestCancelReclaimsLazily(t *testing.T) {
 	eng := NewEngine()
 	h1 := eng.Schedule(Millisecond, func() { t.Fatal("cancelled event fired") })
 	blocker := false
-	eng.Schedule(Millisecond+100, func() { blocker = true }) // same bucket, keeps h1 off the tail slot
+	eng.Schedule(Millisecond+100, func() { blocker = true }) // keeps h1 off the tail slot
 	eng.Cancel(h1)
 	if h1.Pending() {
 		t.Fatal("cancelled handle reports Pending")
@@ -121,11 +117,9 @@ func TestCancelCompaction(t *testing.T) {
 	if got := eng.Pending(); got != 10 {
 		t.Fatalf("Pending = %d after mass cancel, want 10", got)
 	}
-	// The victims all sit past the wheel horizon (1 s ≫ ~262 µs span), so
-	// they landed in the overflow heap; compaction must have reclaimed most
-	// corpses already (threshold 64).
-	if len(eng.overflow) > 10+64+1 {
-		t.Fatalf("overflow heap still holds %d slots; compaction did not run", len(eng.overflow))
+	// Compaction must have reclaimed most corpses already (threshold 64).
+	if len(eng.heap) > 10+64+1 {
+		t.Fatalf("heap still holds %d slots; compaction did not run", len(eng.heap))
 	}
 	eng.Run(MaxTime)
 	if len(fired) != 10 {

@@ -1,6 +1,7 @@
 // Package sim provides the discrete-event simulation engine that underpins
-// the XMP reproduction: a 64-bit nanosecond clock, a binary-heap event
-// queue, cancellable timers and deterministic random-number streams.
+// the XMP reproduction: a 64-bit nanosecond clock, an event calendar of
+// constant-delay lanes plus one heap, cancellable timers and deterministic
+// random-number streams.
 //
 // The engine is intentionally single-threaded: every experiment is a pure
 // function of (configuration, seed), which makes runs reproducible and lets

@@ -66,14 +66,22 @@ func TestResolvedPathForwardZeroAlloc(t *testing.T) {
 	slot := dst.Register(conn, ep)
 
 	path := src.PathTo(dst.PrimaryAddr())
-	if path == nil || path.Len() != 2 {
-		t.Fatalf("path resolution failed: %v", path)
+	back := dst.PathTo(src.PrimaryAddr())
+	if path == nil || path.Len() != 2 || back == nil {
+		t.Fatalf("path resolution failed: %v, %v", path, back)
 	}
+	backSlot := src.Register(conn, ep)
+	// A segment out and its ACK back: the full-segment and bare-header
+	// serialization lanes and the propagation lane, as every flow uses them.
 	send := func() {
 		p := n.Pool.Data(conn, src.PrimaryAddr(), dst.PrimaryAddr(), 0, netem.MSS, true)
 		p.Slot = slot
 		p.SetPath(path)
 		src.Send(p)
+		a := n.Pool.Ack(conn, dst.PrimaryAddr(), src.PrimaryAddr(), 1)
+		a.Slot = backSlot
+		a.SetPath(back)
+		dst.Send(a)
 		eng.Run(sim.MaxTime)
 	}
 	for i := 0; i < 32; i++ {
