@@ -86,7 +86,7 @@ func benchFatTree(b *testing.B, p exp.Pattern, s workload.Scheme) *exp.FatTreeRe
 	b.Helper()
 	var r *exp.FatTreeResult
 	for i := 0; i < b.N; i++ {
-		r = exp.RunFatTree(exp.FatTreeConfig{
+		r = exp.RunFatTree(nil, exp.FatTreeConfig{
 			Pattern:   p,
 			Scheme:    s,
 			K:         4,
@@ -119,7 +119,7 @@ func BenchmarkTable2(b *testing.B) {
 	})
 	var cell exp.Table2Cell
 	for i := 0; i < b.N; i++ {
-		cell = plan.Run(0) // the non-strict-switch variant
+		cell = plan.Run(nil, 0) // the non-strict-switch variant
 	}
 	b.ReportMetric(cell.XMPGoodput, "xmp-Mbps")
 	b.ReportMetric(cell.OtherGoodput, "tcp-Mbps")
@@ -174,7 +174,7 @@ func BenchmarkParamSweep(b *testing.B) {
 	plan := exp.ParamSweepPlan([]int{4}, []int{10}, 20*sim.Millisecond)
 	var pt exp.ParamPoint
 	for i := 0; i < b.N; i++ {
-		pt = plan.Run(0)
+		pt = plan.Run(nil, 0)
 	}
 	b.ReportMetric(pt.GoodputMbps, "goodput-Mbps")
 	b.ReportMetric(pt.RTTMs, "rtt-ms")
@@ -184,7 +184,7 @@ func BenchmarkIncastSweep(b *testing.B) {
 	plan := exp.IncastSweepPlan([]int{8}, 40*sim.Millisecond)
 	var pt exp.IncastSweepPoint
 	for i := 0; i < b.N; i++ {
-		pt = plan.Run(0)
+		pt = plan.Run(nil, 0)
 	}
 	b.ReportMetric(pt.P50Ms, "jct-p50-ms")
 }
@@ -193,7 +193,7 @@ func BenchmarkSACKAblation(b *testing.B) {
 	plan := exp.SACKAblationPlan(20*sim.Millisecond, exp.SchemeTCP)
 	var r exp.SACKAblationResult
 	for i := 0; i < b.N; i++ {
-		r = plan.Run(0)
+		r = plan.Run(nil, 0)
 	}
 	b.ReportMetric(r.PlainGoodput, "tcp-plain-Mbps")
 	b.ReportMetric(r.SACKGoodput, "tcp-sack-Mbps")
@@ -203,7 +203,7 @@ func BenchmarkVL2(b *testing.B) {
 	plan := exp.VL2Plan([]workload.Scheme{exp.SchemeXMP2}, 40*sim.Millisecond)
 	var pt exp.VL2Point
 	for i := 0; i < b.N; i++ {
-		pt = plan.Run(0)
+		pt = plan.Run(nil, 0)
 	}
 	b.ReportMetric(pt.GoodputMbps, "goodput-Mbps")
 }
@@ -333,7 +333,7 @@ func BenchmarkLinkForward(b *testing.B) {
 func BenchmarkFatTreeCell(b *testing.B) {
 	var r *exp.FatTreeResult
 	for i := 0; i < b.N; i++ {
-		r = exp.RunFatTree(exp.FatTreeConfig{
+		r = exp.RunFatTree(nil, exp.FatTreeConfig{
 			Pattern:   exp.Random,
 			Scheme:    exp.SchemeXMP2,
 			K:         8,
@@ -376,7 +376,7 @@ func BenchmarkChaosCell(b *testing.B) {
 	sched := robustness.Spec.Chaos.Schedule()
 	var p exp.RobustnessPoint
 	for i := 0; i < b.N; i++ {
-		p = exp.RunChaosCell(exp.ChaosCellConfig{
+		p = exp.RunChaosCell(nil, exp.ChaosCellConfig{
 			Cell:   exp.CellConfig{Lossy: true, Duration: 20 * sim.Millisecond, Chaos: &sched},
 			Scheme: exp.SchemeXMP2,
 			Random: &workload.RandomConfig{ParetoMeanBytes: 12 << 20, ParetoMaxBytes: 48 << 20, MaxFlowsPerDst: 4},
@@ -432,7 +432,7 @@ func BenchmarkIncastCell(b *testing.B) {
 	var p exp.FCTPoint
 	for i := 0; i < b.N; i++ {
 		// One round: the burst is not gated by the cell's horizon.
-		p = exp.RunFCTCell(exp.FCTCellConfig{
+		p = exp.RunFCTCell(nil, exp.FCTCellConfig{
 			Incast: &workload.IncastBurstConfig{Senders: 2048, ResponseBytes: 4 << 10, Rounds: 1},
 		})
 	}

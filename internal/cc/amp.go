@@ -80,7 +80,7 @@ func (a *AMP) OnAck(k Ack) {
 			if f > 1 {
 				f = 1
 			}
-			a.Cwnd *= 1 - f/2
+			a.Cwnd *= 1 - float64(f/2)
 			if a.Cwnd < MinWindow {
 				a.Cwnd = MinWindow
 			}

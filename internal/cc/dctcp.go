@@ -59,7 +59,7 @@ func (d *DCTCP) OnAck(a Ack) {
 			if f > 1 {
 				f = 1
 			}
-			d.alpha = (1-d.g)*d.alpha + d.g*f
+			d.alpha = float64((1-d.g)*d.alpha) + float64(d.g*f)
 		}
 		d.ackedInWin, d.markedInWin = 0, 0
 		d.windowEnd = a.SndNxt
@@ -71,7 +71,7 @@ func (d *DCTCP) OnAck(a Ack) {
 		if !d.reduced {
 			d.reduced = true
 			d.cwrSeq = a.SndNxt
-			d.Cwnd *= 1 - d.alpha/2
+			d.Cwnd *= 1 - float64(d.alpha/2)
 			if d.Cwnd < MinWindow {
 				d.Cwnd = MinWindow
 			}

@@ -110,7 +110,7 @@ func AblationPlan(k int) Plan[AblationResult] {
 	return Plan[AblationResult]{
 		Desc:  fmt.Sprintf("ablation K=%d limit=%d variants=%d", k, limit, len(variants)),
 		Cells: len(variants),
-		Run: func(i int) AblationResult {
+		Run: func(_ *Worker, i int) AblationResult {
 			v := variants[i]
 			return ablationRun(v.name, v.q, v.echo, v.disableGuard)
 		},
@@ -150,8 +150,8 @@ func SubflowSweepPlan(counts []int, duration sim.Duration) Plan[SubflowSweepResu
 	return Plan[SubflowSweepResult]{
 		Desc:  fmt.Sprintf("sweep counts=%v duration=%d", counts, int64(duration)),
 		Cells: len(counts),
-		Run: func(i int) SubflowSweepResult {
-			r := RunFatTree(FatTreeConfig{
+		Run: func(w *Worker, i int) SubflowSweepResult {
+			r := RunFatTree(w, FatTreeConfig{
 				Pattern:  Permutation,
 				Scheme:   schemeXMPn(counts[i]),
 				Duration: duration,

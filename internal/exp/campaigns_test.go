@@ -134,7 +134,7 @@ func TestEleventhCampaign(t *testing.T) {
 			return Plan[square]{
 				Desc:     desc,
 				Cells:    p.K,
-				Run:      func(i int) square { return square{i, i * i} },
+				Run:      func(_ *Worker, i int) square { return square{i, i * i} },
 				Progress: func(w io.Writer, s square) { fmt.Fprintf(w, "square %d\n", s.N) },
 			}
 		},

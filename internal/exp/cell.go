@@ -93,48 +93,77 @@ type Cell struct {
 	chaos *chaos.Schedule
 }
 
-// NewCell builds the cell's engine, RNG, fabric and base workload config.
-func NewCell(cfg CellConfig, scheme workload.Scheme) *Cell {
+// Worker is what one RunAll goroutine carries from cell to cell: the last
+// fabric NewCell built on it. It is lent to that cell until RunAll sees the
+// cell's run(i) — generators, Run, reducer — return, and is dropped with
+// the Worker when the campaign run ends. A nil Worker holds nothing.
+type Worker struct {
+	// key holds the CellConfig fields that shape the fabric, the rest zero.
+	key CellConfig
+	fab topo.Fabric
+	net *topo.Network
+	// lossRNG is the stream every Lossy queue of the fabric draws from.
+	lossRNG *sim.RNG
+	lent    bool
+}
+
+// NewCell builds the cell's RNG, fabric and base workload config. When w
+// holds a fabric of the same shape it is Reset instead of built: routing is
+// static and a run leaves the fabric drained (Run audits that), so the
+// recycled cell is the fresh one, event for event.
+func NewCell(w *Worker, cfg CellConfig, scheme workload.Scheme) *Cell {
 	cfg.defaults()
-	eng := sim.NewEngine()
-	c := &Cell{chaos: cfg.Chaos}
+	key := CellConfig{VL2: cfg.VL2, K: cfg.K, QueueLimit: cfg.QueueLimit,
+		MarkThreshold: cfg.MarkThreshold, StrictNonECT: cfg.StrictNonECT, Lossy: cfg.Lossy}
+	if w == nil || w.lent {
+		w = new(Worker)
+	}
+	if w.net != nil && w.key == key {
+		w.net.Reset()
+	} else {
+		// The old fabric becomes garbage before the new one is built.
+		*w = Worker{key: key, lossRNG: new(sim.RNG)}
+		qm := func(ba *netem.BuildArena) netem.Queue {
+			q := ba.NewThresholdECN(key.QueueLimit, key.MarkThreshold)
+			q.DropNonECT = key.StrictNonECT
+			if key.Lossy {
+				return netem.NewLossy(q, 0, w.lossRNG)
+			}
+			return q
+		}
+		eng := sim.NewEngine()
+		if key.VL2 {
+			v := topo.NewVL2(eng, topo.DefaultVL2Config(qm))
+			w.fab, w.net = v, v.Network
+		} else {
+			tc := topo.DefaultFatTreeConfig(qm)
+			tc.K = key.K
+			ft := topo.NewFatTree(eng, tc)
+			w.fab, w.net = ft, ft.Network
+		}
+	}
+	w.lent = true
 	rng := sim.NewRNG(cfg.Seed)
-	var lossRNG *sim.RNG
-	if cfg.Lossy {
+	if key.Lossy {
 		// Forked before anything else draws from rng: the stream order
 		// results_robustness.txt was recorded under.
-		lossRNG = rng.Fork(99)
-	}
-	qm := func(ba *netem.BuildArena) netem.Queue {
-		q := ba.NewThresholdECN(cfg.QueueLimit, cfg.MarkThreshold)
-		q.DropNonECT = cfg.StrictNonECT
-		if cfg.Lossy {
-			return netem.NewLossy(q, 0, lossRNG)
-		}
-		return q
-	}
-	var fabric topo.Fabric
-	if cfg.VL2 {
-		v := topo.NewVL2(eng, topo.DefaultVL2Config(qm))
-		fabric, c.Net = v, v.Network
-	} else {
-		tc := topo.DefaultFatTreeConfig(qm)
-		tc.K = cfg.K
-		ft := topo.NewFatTree(eng, tc)
-		fabric, c.Net = ft, ft.Network
+		*w.lossRNG = *rng.Fork(99)
 	}
 	tc := transport.DefaultConfig()
 	tc.EnableSACK = cfg.SACK
-	c.Base = workload.Config{
-		Net:       fabric,
-		RNG:       rng,
-		Scheme:    scheme,
-		Transport: tc,
-		Collector: workload.NewCollector(cfg.RTTStride),
-		Stop:      sim.Time(cfg.Duration),
-		Arena:     mptcp.NewArena(),
+	return &Cell{
+		Net:   w.net,
+		chaos: cfg.Chaos,
+		Base: workload.Config{
+			Net:       w.fab,
+			RNG:       rng,
+			Scheme:    scheme,
+			Transport: tc,
+			Collector: workload.NewCollector(cfg.RTTStride),
+			Stop:      sim.Time(cfg.Duration),
+			Arena:     mptcp.NewArena(),
+		},
 	}
-	return c
 }
 
 // Run installs the fault schedule, runs the engine until every flow has
@@ -151,6 +180,7 @@ func (c *Cell) Run() {
 	}
 	c.Events = c.Net.Eng.RunAll(4_000_000_000)
 	c.Net.CheckRoutingSanity()
+	c.Net.CheckDrained()
 	if inj != nil {
 		c.Faults = inj.Applied()
 	}

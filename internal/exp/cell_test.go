@@ -24,7 +24,7 @@ func TestCellRun(t *testing.T) {
 	}}}
 
 	for name, cfg := range map[string]CellConfig{"plain": plain, "lossy under chaos": lossy} {
-		c := NewCell(cfg, SchemeXMP2)
+		c := NewCell(nil, cfg, SchemeXMP2)
 		h := c.Base.Net.Host(0)
 		h.Send(netem.NewDataPacket(c.Base.Net.NextConnID(), h.PrimaryAddr(), 1<<20, 0, 100, true))
 		func() {
@@ -39,11 +39,11 @@ func TestCellRun(t *testing.T) {
 
 	ref := sim.NewRNG(lossy.Seed)
 	ref.Fork(99)
-	if got, want := NewCell(lossy, SchemeXMP2).Base.RNG.Int63n(1<<62), ref.Int63n(1<<62); got != want {
+	if got, want := NewCell(nil, lossy, SchemeXMP2).Base.RNG.Int63n(1<<62), ref.Int63n(1<<62); got != want {
 		t.Errorf("lossy cell RNG is not NewRNG(seed) after exactly Fork(99): next draw %d, want %d", got, want)
 	}
 	point := func() RobustnessPoint {
-		return RunChaosCell(ChaosCellConfig{
+		return RunChaosCell(nil, ChaosCellConfig{
 			Cell:   lossy,
 			Scheme: SchemeXMP2,
 			Random: &workload.RandomConfig{ParetoMeanBytes: 256 << 10, ParetoMaxBytes: 1 << 20, MaxFlowsPerDst: 4},

@@ -190,7 +190,7 @@ func table2Variant(cfg Table2Config) *Table2Result {
 		first = plan.Cells / 2
 	}
 	for i := first; i < first+plan.Cells/2; i++ {
-		r.Cells = append(r.Cells, plan.Run(i))
+		r.Cells = append(r.Cells, plan.Run(nil, i))
 	}
 	return r
 }
@@ -382,8 +382,8 @@ func TestRunsAreDeterministic(t *testing.T) {
 	// The whole stack is a pure function of (config, seed): two identical
 	// fat-tree runs must agree bit-for-bit on every headline statistic.
 	cfg := FatTreeConfig{K: 4, Duration: 40 * sim.Millisecond, SizeScale: 256, Pattern: Random, Scheme: SchemeXMP2}
-	a := RunFatTree(cfg)
-	b := RunFatTree(cfg)
+	a := RunFatTree(nil, cfg)
+	b := RunFatTree(nil, cfg)
 	if a.Collector.FlowsCompleted != b.Collector.FlowsCompleted {
 		t.Fatalf("flow counts diverged: %d vs %d", a.Collector.FlowsCompleted, b.Collector.FlowsCompleted)
 	}
@@ -398,7 +398,7 @@ func TestRunsAreDeterministic(t *testing.T) {
 	}
 	// A different seed must actually change the workload.
 	cfg.Seed = 99
-	c := RunFatTree(cfg)
+	c := RunFatTree(nil, cfg)
 	if c.Events == a.Events && c.Collector.Goodput.Mean() == a.Collector.Goodput.Mean() {
 		t.Fatal("different seed produced an identical run")
 	}

@@ -101,9 +101,9 @@ type FatTreeResult struct {
 
 // RunFatTree executes one pattern x scheme run and collects everything
 // the fat-tree tables and figures need.
-func RunFatTree(cfg FatTreeConfig) *FatTreeResult {
+func RunFatTree(w *Worker, cfg FatTreeConfig) *FatTreeResult {
 	cfg.defaults()
-	c := NewCell(CellConfig{
+	c := NewCell(w, CellConfig{
 		K:             cfg.K,
 		QueueLimit:    cfg.QueueLimit,
 		MarkThreshold: cfg.MarkThreshold,

@@ -77,8 +77,8 @@ type FCTCellConfig struct {
 }
 
 // RunFCTCell runs one parameterized short-flow cell.
-func RunFCTCell(cfg FCTCellConfig) FCTPoint {
-	c := NewCell(cfg.Cell, cfg.Scheme)
+func RunFCTCell(w *Worker, cfg FCTCellConfig) FCTPoint {
+	c := NewCell(w, cfg.Cell, cfg.Scheme)
 	// launched is read only after the run, when the generator's closed
 	// loops have stopped relaunching.
 	var launched *int

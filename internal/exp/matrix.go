@@ -37,12 +37,12 @@ func MatrixPlan(desc string, base FatTreeConfig, patterns []Pattern, schemes []w
 		Desc:   desc,
 		Header: matrixHeader{Patterns: patterns, Schemes: schemes},
 		Cells:  len(patterns) * len(schemes),
-		Run: func(i int) *FatTreeResult {
+		Run: func(w *Worker, i int) *FatTreeResult {
 			pi, si := gridRC(i, len(schemes))
 			cfg := base
 			cfg.Pattern = patterns[pi]
 			cfg.Scheme = schemes[si]
-			return RunFatTree(cfg)
+			return RunFatTree(w, cfg)
 		},
 		Progress: RenderFatTreeRun,
 	}

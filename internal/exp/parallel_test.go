@@ -14,7 +14,7 @@ func TestRunAllOrderAndCoverage(t *testing.T) {
 	for _, jobs := range []int{1, 2, 8, 0} {
 		var doneOrder []int
 		results := RunAll(17, jobs,
-			func(i int) int { return i * i },
+			func(_ *Worker, i int) int { return i * i },
 			func(i int, r int) {
 				if r != i*i {
 					t.Fatalf("jobs=%d: done(%d) got %d", jobs, i, r)
@@ -38,7 +38,7 @@ func TestRunAllOrderAndCoverage(t *testing.T) {
 }
 
 func TestRunAllEmpty(t *testing.T) {
-	if got := RunAll(0, 4, func(i int) int { return i }, nil); len(got) != 0 {
+	if got := RunAll(0, 4, func(_ *Worker, i int) int { return i }, nil); len(got) != 0 {
 		t.Fatalf("want empty, got %v", got)
 	}
 }
@@ -47,7 +47,7 @@ func TestRunAllSerialPathUsesNoGoroutines(t *testing.T) {
 	// jobs=1 must run inline: run(i) and done(i) strictly interleave.
 	var phase atomic.Int32
 	RunAll(5, 1,
-		func(i int) int {
+		func(_ *Worker, i int) int {
 			if int(phase.Load()) != i {
 				t.Fatalf("run(%d) before done(%d)", i, i-1)
 			}

@@ -1,0 +1,331 @@
+package exp
+
+import (
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"os"
+	"slices"
+	"strings"
+	"testing"
+
+	"xmp/internal/chaos"
+	"xmp/internal/mptcp"
+	"xmp/internal/netem"
+	"xmp/internal/sim"
+	"xmp/internal/topo"
+	"xmp/internal/workload"
+)
+
+// This file is the fence around fabric recycling (ROADMAP item 5's cell
+// differential): whatever cells a worker ran before, a cell on its recycled
+// fabric must be the cell on a fresh build — the same encoded payload and
+// the same fabric state at the end of the run, counter for counter.
+
+// recycleCell is one cell of the differential: a name, the fabric group it
+// shares a key with (named for the key), and the real reducer on a worker.
+type recycleCell struct {
+	name, group string
+	run         func(w *Worker) any
+	// heavy cells (seconds each) run in the first one-worker order only.
+	heavy bool
+}
+
+// mustSchedule reads a chaos schedule from a JSON file, from the object
+// under key when key is non-empty.
+func mustSchedule(t *testing.T, path, key string) chaos.Schedule {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key != "" {
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		data = doc[key]
+	}
+	s, err := chaos.ParseSchedule(data)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return s
+}
+
+// recycleCells is the heterogeneous cell set: every scheme row of mptcp's
+// algorithm table over the three matrix patterns, the short-flow and
+// incast-burst generators, a flapping link, the robustness fault schedule
+// extended so that links stay down, extra delay stays set and a loss
+// probability stays armed when the run ends, a stray packet that a host
+// counts as misdelivered, SACK, RED-strict switches, queue limits 50 and
+// 100, VL2, and the k=8 sweep closures.
+func recycleCells(t *testing.T) []recycleCell {
+	const dur = 10 * sim.Millisecond
+	var cells []recycleCell
+	add := func(group, name string, run func(w *Worker) any) {
+		cells = append(cells, recycleCell{name: name, group: group, run: run})
+	}
+
+	patterns := []Pattern{Permutation, Random, Incast}
+	for a := mptcp.Algorithm(0); a.String() != "unknown"; a++ {
+		scheme := workload.Scheme{Algorithm: a, Subflows: 1}
+		if a.Multipath() {
+			scheme.Subflows = 2 + int(a)%3
+		}
+		cfg := FatTreeConfig{K: 4, Pattern: patterns[int(a)%len(patterns)], Scheme: scheme,
+			Duration: dur, SizeScale: 256, Seed: 1 + int64(a)}
+		add("k4", "matrix/"+string(cfg.Pattern)+"/"+scheme.Label(), func(w *Worker) any { return RunFatTree(w, cfg) })
+	}
+
+	flap := mustSchedule(t, "../../scenarios/permutation-flap.json", "chaos")
+	for i := range flap.Events { // the spec's times are for a 50 ms run
+		flap.Events[i].At /= 5
+		flap.Events[i].Dur /= 5
+	}
+	add("k4", "matrix/flap", func(w *Worker) any {
+		return RunFatTree(w, FatTreeConfig{K: 4, Pattern: Permutation, Scheme: SchemeXMP4,
+			Duration: dur, SizeScale: 256, Chaos: &flap})
+	})
+
+	k4 := CellConfig{K: 4, Duration: dur}
+	short := &workload.ShortFlowsConfig{Alpha: 1.1, MeanBytes: 48 << 10, MinBytes: 1 << 10, MaxBytes: 2 << 20, PerHost: 2}
+	add("k4", "fct/shortflows", func(w *Worker) any {
+		return RunFCTCell(w, FCTCellConfig{Name: "short", Cell: k4, Short: short})
+	})
+	add("k4", "fct/incast-burst", func(w *Worker) any {
+		return RunFCTCell(w, FCTCellConfig{Name: "burst", Cell: k4, Scheme: SchemeXMP2,
+			Incast: &workload.IncastBurstConfig{Senders: 96, ResponseBytes: 16 << 10, Rounds: 2, UseScheme: true}})
+	})
+	add("k4", "stray packet", func(w *Worker) any {
+		c := NewCell(w, k4, SchemeDCTCP)
+		workload.StartRandom(randomCfg(c.Base, 256))
+		// No connection owns this id, so host 5 counts a misdelivery.
+		h := c.Base.Net.Host(0)
+		h.Send(netem.NewDataPacket(1<<20, h.PrimaryAddr(), c.Base.Net.Host(5).PrimaryAddr(), 0, 100, true))
+		c.Run()
+		return c.Base.Collector
+	})
+	sackCfg := k4
+	sackCfg.SACK = true
+	add("k4", "sack", func(w *Worker) any {
+		c := NewCell(w, sackCfg, SchemeLIA2)
+		workload.StartRandom(randomCfg(c.Base, 256))
+		c.Run()
+		return c.Base.Collector
+	})
+
+	// The fault schedule the robustness campaign and chaos-k8 run, then
+	// three faults that outlive the traffic: the second loss burst restores
+	// the first's probability after the first has restored zero, and a link
+	// goes down and another gains delay for good once the flows have drained.
+	faults := mustSchedule(t, "../../bench/workloads/robustness.chaos.json", "")
+	for i := range faults.Events { // written for a 40 ms run
+		faults.Events[i].At /= 4
+		faults.Events[i].Dur /= 4
+		faults.Events[i].Period /= 4
+	}
+	faults.Events = append(faults.Events,
+		chaos.Event{At: 1500 * sim.Microsecond, Kind: chaos.LossBurst, Target: "edge1.0->agg1.0", Dur: 500 * sim.Microsecond, P: 0.03},
+		chaos.Event{At: 1800 * sim.Microsecond, Kind: chaos.LossBurst, Target: "edge1.0->agg1.0", Dur: sim.Millisecond, P: 0.05},
+		chaos.Event{At: 2 * sim.Second, Kind: chaos.LinkDown, Target: "agg0.1->core1.0"},
+		chaos.Event{At: 2 * sim.Second, Kind: chaos.ExtraDelay, Target: "edge2.1->agg2.1", Extra: 70 * sim.Microsecond},
+	)
+	lossy := CellConfig{K: 4, Duration: dur, Lossy: true, Chaos: &faults}
+	for i, scheme := range []workload.Scheme{SchemeXMP2, SchemeTCP, {Algorithm: mptcp.AlgOLIA, Subflows: 2}, {Algorithm: mptcp.AlgAMP, Subflows: 2}} {
+		cfg := lossy
+		cfg.Seed = int64(1 + i%2) // two cells share a seed: the loss stream must restart, not continue
+		add("k4-lossy", "robustness/"+scheme.Label(), func(w *Worker) any {
+			return RunChaosCell(w, ChaosCellConfig{
+				Cell:   cfg,
+				Scheme: scheme,
+				Random: &workload.RandomConfig{ParetoMeanBytes: 256 << 10, ParetoMaxBytes: 1 << 20, MaxFlowsPerDst: 4},
+				Short:  short,
+			})
+		})
+	}
+
+	coexist := Table2Config{KAry: 4, Duration: dur, SizeScale: 256}
+	coexist.defaults()
+	for _, strict := range []bool{false, true} {
+		for _, q := range coexist.QueueLimits {
+			cfg := coexist
+			cfg.StrictNonECT = strict
+			for _, other := range []workload.Scheme{SchemeTCP, SchemeLIA2} {
+				group := fmt.Sprintf("k4-q%d-strict=%v", q, strict)
+				if q == 100 && !strict {
+					group = "k4" // the default fabric
+				}
+				add(group, fmt.Sprintf("table2/q%d/strict=%v/%s", q, strict, other.Label()),
+					func(w *Worker) any { return runCoexist(w, cfg, other, q) })
+			}
+		}
+	}
+
+	vl2 := VL2Plan(nil, dur)
+	for i := 0; i < 3; i++ {
+		add("vl2", fmt.Sprintf("vl2/%d", i), func(w *Worker) any { return vl2.Run(w, i) })
+	}
+	// The closures that build the default k=8 cell. A sack cell is two
+	// cells in one run(i): the second finds the fabric lent and builds.
+	incast := IncastSweepPlan([]int{4, 8}, dur)
+	sack := SACKAblationPlan(dur, SchemeTCP)
+	add("k8", "incastsweep/4", func(w *Worker) any { return incast.Run(w, 0) })
+	add("k8", "sack/TCP", func(w *Worker) any { return sack.Run(w, 0) })
+	add("k8", "incastsweep/8", func(w *Worker) any { return incast.Run(w, 1) })
+	for i := range cells {
+		cells[i].heavy = cells[i].group == "k8"
+	}
+	return cells
+}
+
+// fabricDigest renders everything a finished cell left on its fabric that
+// a payload may never show: the clock and event count, the next connection
+// id, every link's counters, fault state and queue statistics, every
+// host's misdelivery count.
+func fabricDigest(n *topo.Network) string {
+	var b strings.Builder
+	now := n.Eng.Now()
+	fmt.Fprintf(&b, "now=%d processed=%d pending=%d nextconn=%d\n", now, n.Eng.Processed(), n.Eng.Pending(), n.NextConnID())
+	for _, li := range n.Links() {
+		fmt.Fprintf(&b, "%s tx=%d/%d util=%v down=%v extra=%d queue=%+v", li.Name, li.TxBytes(), li.TxPackets(),
+			li.Utilization(now), li.Down(), li.ExtraDelay(), li.Queue().Stats())
+		if q, ok := li.Queue().(*netem.Lossy); ok {
+			fmt.Fprintf(&b, " p=%v injected=%d", q.P(), q.Injected())
+		}
+		b.WriteByte('\n')
+	}
+	for _, h := range n.Hosts {
+		fmt.Fprintf(&b, "%s misdelivered=%d\n", h.Name, h.Misdelivered)
+	}
+	return b.String()
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestRecycledCellsMatchFresh runs the cell set in shuffled orders on
+// recycled fabrics — one test-owned worker, then RunAll at jobs 1 and 4 —
+// and demands every cell's payload and end-of-run fabric state equal those
+// of the same cell on a fresh build.
+func TestRecycledCellsMatchFresh(t *testing.T) {
+	cells := recycleCells(t)
+	type outcome struct{ payload, fabric string }
+	fresh := make([]outcome, len(cells))
+	for i, c := range cells {
+		w := new(Worker)
+		fresh[i] = outcome{mustJSON(t, c.run(w)), fabricDigest(w.net)}
+	}
+	check := func(how string, i int, got outcome) {
+		t.Helper()
+		if got.payload != fresh[i].payload {
+			t.Errorf("%s: %s: payload differs from the fresh build's\nfresh:    %.300s\nrecycled: %.300s", how, cells[i].name, fresh[i].payload, got.payload)
+		}
+		if got.fabric != fresh[i].fabric {
+			t.Errorf("%s: %s: fabric state after the run differs from the fresh build's:\n%s", how, cells[i].name, firstDiff(fresh[i].fabric, got.fabric))
+		}
+	}
+
+	// The faults that must outlive their cell did, and the stray packet was
+	// counted: otherwise the reset of that state is not under test.
+	for i, c := range cells {
+		switch {
+		case c.group == "k4-lossy":
+			for _, want := range []string{"agg0.1->core1.0 tx=", "down=true", "extra=70000", "p=0.03"} {
+				if !strings.Contains(fresh[i].fabric, want) {
+					t.Fatalf("%s: fabric digest lacks %q: the fault did not outlive the run", c.name, want)
+				}
+			}
+		case c.name == "stray packet":
+			if !strings.Contains(fresh[i].fabric, "misdelivered=1") {
+				t.Fatalf("%s: no host counted a misdelivery", c.name)
+			}
+		}
+	}
+
+	for seed := int64(1); seed <= 3; seed++ {
+		// Orders 1 and 2 keep each fabric group together, shuffled inside,
+		// so all but the first cell of a group recycle; order 3 shuffles
+		// everything, so fabrics are also dropped and rebuilt mid-sequence.
+		rng := rand.New(rand.NewSource(seed))
+		var order []int
+		for _, i := range rng.Perm(len(cells)) {
+			if seed == 1 || !cells[i].heavy {
+				order = append(order, i)
+			}
+		}
+		rank := map[string]int{} // groups by first appearance
+		for _, i := range order {
+			if _, ok := rank[cells[i].group]; !ok {
+				rank[cells[i].group] = len(rank)
+			}
+		}
+		if seed < 3 {
+			slices.SortStableFunc(order, func(a, b int) int { return rank[cells[a].group] - rank[cells[b].group] })
+		}
+
+		how := fmt.Sprintf("order %d, one worker", seed)
+		w := new(Worker)
+		recycled := 0
+		var prev any
+		var prevJSON string
+		for _, i := range order {
+			before := w.net
+			v := cells[i].run(w)
+			if w.net == before {
+				recycled++
+			}
+			check(how, i, outcome{mustJSON(t, v), fabricDigest(w.net)})
+			w.lent = false // what RunAll does when run(i) returns
+			// The previous cell's result must not alias the fabric this
+			// cell has just reset and run on.
+			if prev != nil && mustJSON(t, prev) != prevJSON {
+				t.Errorf("%s: the result before %s changed when the fabric was reused", how, cells[i].name)
+			}
+			prev, prevJSON = v, mustJSON(t, v)
+		}
+		if seed < 3 {
+			if want := len(order) - len(rank); recycled != want {
+				t.Errorf("%s: %d cells recycled a fabric, want %d (every cell but the first of each of %d groups)", how, recycled, want, len(rank))
+			}
+		} else if recycled == 0 {
+			t.Errorf("%s: no cell recycled a fabric", how)
+		}
+
+		order = slices.DeleteFunc(order, func(i int) bool { return cells[i].heavy })
+		for _, jobs := range []int{1, 4} {
+			how := fmt.Sprintf("order %d, RunAll jobs=%d", seed, jobs)
+			got := RunAll(len(order), jobs, func(w *Worker, j int) outcome {
+				data, err := json.Marshal(cells[order[j]].run(w))
+				if err != nil {
+					panic(err)
+				}
+				return outcome{string(data), fabricDigest(w.net)}
+			}, nil)
+			for j, o := range got {
+				check(how, order[j], o)
+			}
+		}
+	}
+}
+
+// firstDiff returns the first line at which two digests differ.
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := range al {
+		if i >= len(bl) || al[i] != bl[i] {
+			other := "<end>"
+			if i < len(bl) {
+				other = bl[i]
+			}
+			return fmt.Sprintf("line %d\nfresh:    %s\nrecycled: %s", i+1, al[i], other)
+		}
+	}
+	return fmt.Sprintf("recycled digest has %d extra lines", len(bl)-len(al))
+}

@@ -54,8 +54,8 @@ type ChaosCellConfig struct {
 
 // RunChaosCell runs one parameterized fault-campaign cell: the scenario
 // compiler's robustness family lowers onto it.
-func RunChaosCell(cfg ChaosCellConfig) RobustnessPoint {
-	c := NewCell(cfg.Cell, cfg.Scheme)
+func RunChaosCell(w *Worker, cfg ChaosCellConfig) RobustnessPoint {
+	c := NewCell(w, cfg.Cell, cfg.Scheme)
 	if cfg.Random != nil {
 		r := *cfg.Random
 		r.Config = c.Base

@@ -9,9 +9,10 @@ import (
 // This file is the parallel experiment fan-out every campaign runner
 // (matrix, coexistence, sweeps, ablations) is built on. The paper's
 // evaluation is a grid of independent simulations: each cell owns its own
-// Engine, RNG, topology and packet pool, so cells are embarrassingly
-// parallel. The runner exploits exactly that — and nothing more: inside a
-// cell the simulator stays strictly single-threaded.
+// RNG, collector and flow arena, and each worker goroutine its own fabric
+// (engine, topology, packet pool), so cells are embarrassingly parallel.
+// The runner exploits exactly that — and nothing more: inside a cell the
+// simulator stays strictly single-threaded.
 //
 // Determinism contract: results land in a slice indexed by cell, and the
 // progress callback fires on the calling goroutine in strict index order
@@ -37,13 +38,13 @@ func DefaultJobs(jobs int) int {
 // serial loops, useful under -race to isolate engine bugs from fan-out
 // bugs).
 //
-// run must be self-contained per index: own engine, own RNG, no shared
-// mutable state. That is the per-run seed-isolation invariant every
-// experiment in this package already satisfies.
+// run must be self-contained per index: own RNG, no shared mutable state
+// but the Worker it is handed, which is its goroutine's alone and holds
+// the fabric NewCell recycles from one cell to the next (cell.go).
 //
 // RunAll and RunShard (shard.go) share this pool: RunAll is the
 // whole-cell-space case, RunShard the subset a -shard spec owns.
-func RunAll[T any](n, jobs int, run func(i int) T, done func(i int, r T)) []T {
+func RunAll[T any](n, jobs int, run func(w *Worker, i int) T, done func(i int, r T)) []T {
 	results := make([]T, n)
 	if n == 0 {
 		return results
@@ -53,8 +54,10 @@ func RunAll[T any](n, jobs int, run func(i int) T, done func(i int, r T)) []T {
 		jobs = n
 	}
 	if jobs == 1 {
+		w := new(Worker)
 		for i := range results {
-			results[i] = run(i)
+			results[i] = run(w, i)
+			w.lent = false
 			if done != nil {
 				done(i, results[i])
 			}
@@ -75,12 +78,14 @@ func RunAll[T any](n, jobs int, run func(i int) T, done func(i int, r T)) []T {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w := new(Worker)
 			for {
 				i := int(next.Add(1))
 				if i >= n {
 					return
 				}
-				results[i] = run(i)
+				results[i] = run(w, i)
+				w.lent = false
 				close(ready[i])
 			}
 		}()

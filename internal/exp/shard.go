@@ -137,7 +137,7 @@ type ShardCell[T any] struct {
 // order on the calling goroutine — sharded campaign logs are as
 // deterministic as unsharded ones. RunShard with Unsharded is exactly
 // RunAll, so there is one execution path whatever the shard count.
-func RunShard[T any](n, jobs int, shard ShardSpec, run func(i int) T, done func(i int, r T)) []ShardCell[T] {
+func RunShard[T any](n, jobs int, shard ShardSpec, run func(w *Worker, i int) T, done func(i int, r T)) []ShardCell[T] {
 	if err := shard.Validate(); err != nil {
 		panic("exp: " + err.Error())
 	}
@@ -146,7 +146,7 @@ func RunShard[T any](n, jobs int, shard ShardSpec, run func(i int) T, done func(
 	if done != nil {
 		sdone = func(j int, r T) { done(owned[j], r) }
 	}
-	results := RunAll(len(owned), jobs, func(j int) T { return run(owned[j]) }, sdone)
+	results := RunAll(len(owned), jobs, func(w *Worker, j int) T { return run(w, owned[j]) }, sdone)
 	cells := make([]ShardCell[T], len(owned))
 	for j, c := range owned {
 		cells[j] = ShardCell[T]{Cell: c, Data: results[j]}

@@ -96,13 +96,13 @@ func TestShardManifest(t *testing.T) {
 func TestRunShardMatchesRunAll(t *testing.T) {
 	// The shards of any count, pooled, must reproduce RunAll's results, and
 	// each shard's done callbacks fire in ascending cell order.
-	full := RunAll(10, 4, func(i int) int { return i * i }, nil)
+	full := RunAll(10, 4, func(_ *Worker, i int) int { return i * i }, nil)
 	for _, count := range []int{1, 2, 3} {
 		got := make([]int, 10)
 		for idx := 0; idx < count; idx++ {
 			var doneOrder []int
 			cells := RunShard(10, 2, ShardSpec{idx, count},
-				func(i int) int { return i * i },
+				func(_ *Worker, i int) int { return i * i },
 				func(i int, r int) {
 					if r != i*i {
 						t.Fatalf("done(%d) got %d", i, r)

@@ -38,12 +38,12 @@ func ParamSweepPlan(betas, ks []int, duration sim.Duration) Plan[ParamPoint] {
 	return Plan[ParamPoint]{
 		Desc:  fmt.Sprintf("params betas=%v ks=%v duration=%d", betas, ks, int64(duration)),
 		Cells: len(betas) * len(ks),
-		Run: func(i int) ParamPoint {
+		Run: func(w *Worker, i int) ParamPoint {
 			bi, ki := gridRC(i, len(ks))
 			beta, k := betas[bi], ks[ki]
 			scheme := SchemeXMP2
 			scheme.Beta = beta
-			r := RunFatTree(FatTreeConfig{
+			r := RunFatTree(w, FatTreeConfig{
 				Pattern:       Random,
 				Scheme:        scheme,
 				MarkThreshold: k,
@@ -130,8 +130,8 @@ func IncastSweepPlan(servers []int, duration sim.Duration) Plan[IncastSweepPoint
 	return Plan[IncastSweepPoint]{
 		Desc:  fmt.Sprintf("incastsweep servers=%v duration=%d", servers, int64(duration)),
 		Cells: len(servers),
-		Run: func(i int) IncastSweepPoint {
-			c := NewCell(CellConfig{Duration: duration}, SchemeXMP2)
+		Run: func(w *Worker, i int) IncastSweepPoint {
+			c := NewCell(w, CellConfig{Duration: duration}, SchemeXMP2)
 			workload.StartIncast(workload.IncastConfig{
 				Config:           c.Base,
 				Servers:          servers[i],
@@ -185,8 +185,8 @@ func SACKAblationPlan(duration sim.Duration, schemes ...workload.Scheme) Plan[SA
 	if len(schemes) == 0 {
 		schemes = []workload.Scheme{SchemeTCP, SchemeLIA2, SchemeLIA4}
 	}
-	goodput := func(scheme workload.Scheme, sack bool) float64 {
-		c := NewCell(CellConfig{Duration: duration, SACK: sack}, scheme)
+	goodput := func(w *Worker, scheme workload.Scheme, sack bool) float64 {
+		c := NewCell(w, CellConfig{Duration: duration, SACK: sack}, scheme)
 		workload.StartRandom(randomCfg(c.Base, 16))
 		c.Run()
 		return c.Base.Collector.Goodput.Mean()
@@ -194,11 +194,11 @@ func SACKAblationPlan(duration sim.Duration, schemes ...workload.Scheme) Plan[SA
 	return Plan[SACKAblationResult]{
 		Desc:  fmt.Sprintf("sack schemes=%v duration=%d", schemeLabels(schemes), int64(duration)),
 		Cells: len(schemes),
-		Run: func(i int) SACKAblationResult {
+		Run: func(w *Worker, i int) SACKAblationResult {
 			return SACKAblationResult{
 				Scheme:       schemes[i].Label(),
-				PlainGoodput: goodput(schemes[i], false),
-				SACKGoodput:  goodput(schemes[i], true),
+				PlainGoodput: goodput(w, schemes[i], false),
+				SACKGoodput:  goodput(w, schemes[i], true),
 			}
 		},
 		Progress: func(w io.Writer, r SACKAblationResult) {

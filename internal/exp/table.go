@@ -25,7 +25,7 @@ type Plan[T any] struct {
 	Header any
 	// Run executes cell i of Cells, self-contained as RunAll requires.
 	Cells int
-	Run   func(i int) T
+	Run   func(w *Worker, i int) T
 	// Progress prints one finished cell's progress line.
 	Progress func(w io.Writer, r T)
 }

@@ -97,11 +97,11 @@ func Table2Plan(cfg Table2Config) Plan[Table2Cell] {
 		Desc:   table2ConfigDesc(cfg),
 		Header: cfg,
 		Cells:  2 * perVariant,
-		Run: func(i int) Table2Cell {
+		Run: func(w *Worker, i int) Table2Cell {
 			c := cfg
 			c.StrictNonECT = i/perVariant == 1
 			qi, oi := gridRC(i%perVariant, len(cfg.Others))
-			return runCoexist(c, cfg.Others[oi], cfg.QueueLimits[qi])
+			return runCoexist(w, c, cfg.Others[oi], cfg.QueueLimits[qi])
 		},
 		Progress: func(w io.Writer, cell Table2Cell) {
 			fmt.Fprintf(w, "coexist q=%-4d XMP:%-6s  %7.1f : %-7.1f Mbps (%d/%d flows)\n",
@@ -139,8 +139,8 @@ func renderTable2(w io.Writer, rs []*Table2Result) {
 	}
 }
 
-func runCoexist(cfg Table2Config, other workload.Scheme, queueLimit int) Table2Cell {
-	c := NewCell(CellConfig{
+func runCoexist(w *Worker, cfg Table2Config, other workload.Scheme, queueLimit int) Table2Cell {
+	c := NewCell(w, CellConfig{
 		K:             cfg.KAry,
 		QueueLimit:    queueLimit,
 		MarkThreshold: cfg.K,

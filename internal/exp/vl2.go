@@ -29,8 +29,8 @@ func VL2Plan(schemes []workload.Scheme, duration sim.Duration) Plan[VL2Point] {
 	return Plan[VL2Point]{
 		Desc:  fmt.Sprintf("vl2 schemes=%v duration=%d", schemeLabels(schemes), int64(duration)),
 		Cells: len(schemes),
-		Run: func(i int) VL2Point {
-			c := NewCell(CellConfig{VL2: true, Duration: duration, RTTStride: 8}, schemes[i])
+		Run: func(w *Worker, i int) VL2Point {
+			c := NewCell(w, CellConfig{VL2: true, Duration: duration, RTTStride: 8}, schemes[i])
 			workload.StartRandom(randomCfg(c.Base, 16))
 			c.Run()
 			col := c.Base.Collector

@@ -91,6 +91,13 @@ func initLink(l *Link, eng *sim.Engine, name string, capacity Bps, delay sim.Dur
 	l.prop = eng.Lane(delay)
 }
 
+// Reset returns the link and its queue to their state when built, on an
+// engine already Reset: the constructor again, so no field is forgotten.
+func (l *Link) Reset() {
+	l.queue.(resetter).Reset()
+	initLink(l, l.eng, l.Name, l.capacity, l.delay, l.queue, l.dst)
+}
+
 // TxTime returns the serialization delay of a packet of n bytes.
 func (l *Link) TxTime(n int) sim.Duration {
 	return sim.Duration(int64(n) * 8 * int64(sim.Second) / int64(l.capacity))
@@ -116,10 +123,13 @@ func (l *Link) Send(p *Packet) {
 }
 
 // Link event ops for the typed scheduling path: serialization done and
-// propagation delivery, the two calendar events of every packet-hop.
+// propagation delivery, the two calendar events of every packet-hop. A tx
+// lane's op implies the size, so only odd-sized opTxDone reads the packet.
 const (
-	opTxDone sim.Op = iota
-	opDeliver
+	opDeliver sim.Op = iota
+	opTxDone
+	opTxDoneFull
+	opTxDoneHeader
 )
 
 // OnEvent implements sim.Target, dispatching the link's typed events. Not
@@ -127,8 +137,15 @@ const (
 // what keeps the per-hop path free of heap allocations.
 func (l *Link) OnEvent(op sim.Op, arg any) {
 	p := arg.(*Packet)
-	if op == opTxDone {
-		l.finishTransmit(p)
+	switch op {
+	case opTxDoneFull:
+		l.finishTransmit(p, MaxPacketBytes)
+		return
+	case opTxDoneHeader:
+		l.finishTransmit(p, HeaderBytes)
+		return
+	case opTxDone:
+		l.finishTransmit(p, p.WireBytes)
 		return
 	}
 	// Propagation done. Packets carrying a resolved path advance straight
@@ -159,16 +176,16 @@ func (l *Link) startTransmit() {
 	l.busy = true
 	switch p.WireBytes {
 	case MaxPacketBytes:
-		l.txFull.Schedule(l, opTxDone, p)
+		l.txFull.Schedule(l, opTxDoneFull, p)
 	case HeaderBytes:
-		l.txHeader.Schedule(l, opTxDone, p)
+		l.txHeader.Schedule(l, opTxDoneHeader, p)
 	default:
 		l.eng.ScheduleTarget(l.TxTime(p.WireBytes), l, opTxDone, p)
 	}
 }
 
-func (l *Link) finishTransmit(p *Packet) {
-	l.txBytes += int64(p.WireBytes)
+func (l *Link) finishTransmit(p *Packet, wireBytes int) {
+	l.txBytes += int64(wireBytes)
 	l.txPackets++
 	switch {
 	case l.down:

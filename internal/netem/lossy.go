@@ -28,6 +28,12 @@ func NewLossy(inner Queue, p float64, rng *sim.RNG) *Lossy {
 	return &Lossy{inner: inner, p: p, rng: rng}
 }
 
+// Reset disarms the loss and resets the inner queue; the caller reseeds.
+func (q *Lossy) Reset() {
+	q.p, q.injected = 0, 0
+	q.inner.(resetter).Reset()
+}
+
 // Enqueue implements Queue.
 func (q *Lossy) Enqueue(now sim.Time, p *Packet) bool {
 	if q.p > 0 && q.rng.Float64() < q.p {

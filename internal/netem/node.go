@@ -188,6 +188,15 @@ func initHost(h *Host, eng *sim.Engine, id NodeID, name string) {
 	}
 }
 
+// Reset forgets every connection and the misdelivery count. The resolved
+// paths stay: routing is static, so a cached Path remains exact.
+func (h *Host) Reset() {
+	clear(h.conns)
+	clear(h.connIdx)
+	h.conns, h.connIDs, h.freeSlots = h.conns[:1], h.connIDs[:1], h.freeSlots[:0]
+	h.Misdelivered = 0
+}
+
 // AttachNIC sets the host's egress link.
 func (h *Host) AttachNIC(nic *Link) { h.nic = nic }
 

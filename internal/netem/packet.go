@@ -45,11 +45,33 @@ const initialTTL = 64
 // byte count of this segment (the final segment of a flow may be short), so
 // goodput accounting remains byte-accurate.
 type Packet struct {
-	Src, Dst Addr
-	Conn     ConnID
+	// Everything a hop reads — forwarding, queueing, marking, release, demux
+	// — sits in the first 64 bytes, one cache line (see TestPacketLayout).
+	// path/hop carry the resolved forwarding path: path is the link array
+	// and hop indexes the link the packet currently occupies. nil path
+	// means hop-by-hop forwarding through the switches' routing tables.
+	path *Path
+	// Owner points at the sending connection's in-flight reference count,
+	// stamped by the transport at send time. The network decrements it
+	// (and clears the pointer) at the exact point the packet leaves the
+	// simulation — host delivery or pool release on a drop — so a counter
+	// at zero proves no packet of that connection is anywhere in the
+	// network. The flow arena relies on this to recycle connection state
+	// only when nothing in flight can still reach it.
+	Owner *int32
+	// pool is the owning PacketPool (nil for plain heap packets); inPool
+	// flags membership in the free-list so a double Release fails fast.
+	pool *PacketPool
 	// WireBytes is the total on-the-wire size used for serialization delay
 	// and utilization accounting.
 	WireBytes int
+	hop       int32
+	// Slot is the destination host's demux slot for this packet's
+	// connection, stamped by the transport at send time; 0 means unstamped
+	// and the host falls back to its ConnID map.
+	Slot     int32
+	Src, Dst Addr
+	Conn     ConnID
 
 	// ECN state.
 	ECT bool // sender is ECN-capable
@@ -62,6 +84,7 @@ type Packet struct {
 
 	// TCP-level fields.
 	SYN, FIN, IsAck bool
+	inPool          bool
 	Seq             int64 // segment index of this data packet (data packets)
 	PayloadBytes    int   // bytes of application data in this segment
 	Ack             int64 // cumulative ack: next expected segment index
@@ -82,30 +105,7 @@ type Packet struct {
 
 	ttl int
 
-	// Slot is the destination host's demux slot for this packet's
-	// connection, stamped by the transport at send time; 0 means unstamped
-	// and the host falls back to its ConnID map.
-	Slot int32
-
-	// path/hop carry the resolved forwarding path: path is the link array
-	// and hop indexes the link the packet currently occupies. nil path
-	// means hop-by-hop forwarding through the switches' routing tables.
-	path *Path
-	hop  int32
-
-	// Owner points at the sending connection's in-flight reference count,
-	// stamped by the transport at send time. The network decrements it
-	// (and clears the pointer) at the exact point the packet leaves the
-	// simulation — host delivery or pool release on a drop — so a counter
-	// at zero proves no packet of that connection is anywhere in the
-	// network. The flow arena relies on this to recycle connection state
-	// only when nothing in flight can still reach it.
-	Owner *int32
-
-	// pool is the owning PacketPool (nil for plain heap packets); inPool
-	// flags membership in the free-list so a double Release fails fast.
-	pool   *PacketPool
-	inPool bool
+	_ [16]byte // to a multiple of 64: slab elements stay line-aligned
 }
 
 // dropOwner decrements the in-flight counter stamped on the packet, once.

@@ -59,10 +59,19 @@ func newFIFO(capacityHint int) fifo {
 	return fifo{buf: make([]*Packet, ringLen(capacityHint))}
 }
 
+// resetter is a queue that can return to its built state (Link.Reset).
+type resetter interface{ Reset() }
+
+// Reset forgets the contents, byte count and statistics; the ring stays.
+func (f *fifo) Reset() {
+	clear(f.buf)
+	*f = fifo{buf: f.buf}
+}
+
 func (f *fifo) integrate(now sim.Time) {
 	dt := now - f.stats.lastChange
 	if dt > 0 {
-		f.stats.OccupancyIntegral += float64(dt) * float64(f.count)
+		f.stats.OccupancyIntegral += float64(float64(dt) * float64(f.count))
 		f.stats.lastChange = now
 	}
 }

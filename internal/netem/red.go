@@ -88,7 +88,7 @@ func (q *RED) updateAvg(now sim.Time) {
 		}
 		q.idle = false
 	}
-	q.avg = (1-q.cfg.Wq)*q.avg + q.cfg.Wq*float64(q.count1())
+	q.avg = float64((1-q.cfg.Wq)*q.avg) + float64(q.cfg.Wq*float64(q.count1()))
 }
 
 func (q *RED) count1() int { return q.fifo.count }
@@ -128,7 +128,7 @@ func (q *RED) Enqueue(now sim.Time, p *Packet) bool {
 	} else if pb > 0 {
 		// Uniformize inter-mark gaps as in the original RED paper.
 		q.count++
-		pa := pb / math.Max(1-float64(q.count)*pb, 1e-9)
+		pa := pb / math.Max(1-float64(float64(q.count)*pb), 1e-9)
 		if q.rng.Float64() < pa {
 			congested = true
 		}

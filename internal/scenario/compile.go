@@ -154,7 +154,7 @@ func (c *Compiled) CheckTargets() error {
 	if cfg.Chaos == nil {
 		return nil
 	}
-	if _, err := chaos.New(exp.NewCell(cfg, workload.Scheme{}).Net, *cfg.Chaos); err != nil {
+	if _, err := chaos.New(exp.NewCell(nil, cfg, workload.Scheme{}).Net, *cfg.Chaos); err != nil {
 		return fmt.Errorf("scenario %s: %v", c.Spec.Name, err)
 	}
 	return nil
@@ -206,9 +206,9 @@ func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (
 		return exp.RunPlan(c.Campaign, exp.Plan[exp.RobustnessPoint]{
 			Desc:  c.Desc,
 			Cells: len(c.schemes) * nseeds,
-			Run: func(i int) exp.RobustnessPoint {
+			Run: func(w *exp.Worker, i int) exp.RobustnessPoint {
 				si, di := i/nseeds, i%nseeds
-				p := exp.RunChaosCell(exp.ChaosCellConfig{
+				p := exp.RunChaosCell(w, exp.ChaosCellConfig{
 					Cell:   c.cell(r.Seeds[di]),
 					Scheme: c.schemes[si],
 					Random: random,
@@ -227,7 +227,7 @@ func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (
 		return exp.RunPlan(c.Campaign, exp.Plan[exp.FCTPoint]{
 			Desc:  c.Desc,
 			Cells: len(r.Workloads),
-			Run: func(i int) exp.FCTPoint {
+			Run: func(wk *exp.Worker, i int) exp.FCTPoint {
 				w := r.Workloads[i]
 				cfg := exp.FCTCellConfig{Name: w.Name, Cell: c.cell(r.Scale.Seed)}
 				if w.Scheme != "" {
@@ -248,7 +248,7 @@ func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (
 						UseScheme:     w.Scheme != "",
 					}
 				}
-				return exp.RunFCTCell(cfg)
+				return exp.RunFCTCell(wk, cfg)
 			},
 			Progress: func(w io.Writer, p exp.FCTPoint) {
 				fmt.Fprintf(w, "fct %-10s flows=%-6d p50=%7.3fms p99=%8.3fms p999=%8.3fms drops=%d\n",

@@ -142,6 +142,22 @@ type Engine struct {
 // NewEngine returns an engine with the clock at zero and an empty calendar.
 func NewEngine() *Engine { return &Engine{} }
 
+// Reset empties the calendar and rewinds the clock, seq and counters to a
+// new engine's. The lanes and their rings, the Event slab and the free
+// list (which takes back whatever the heap still held) are kept.
+func (e *Engine) Reset() {
+	for _, ev := range e.heap {
+		ev.canceled = false // free-list invariant
+		e.recycle(ev)
+	}
+	e.heap = e.heap[:0]
+	for i := range e.lanes[:e.nLanes] {
+		e.lanes[i].head, e.lanes[i].n = 0, 0
+		e.frontAt[i], e.frontSeq[i] = noFront, noFrontSeq
+	}
+	e.now, e.nextSeq, e.processed, e.cancels, e.canceledHeap, e.slabAllocs = 0, 0, 0, 0, 0, 0
+}
+
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
@@ -434,7 +450,23 @@ func (e *Engine) step(until Time) bool {
 	if li < 0 || lat > until {
 		return false
 	}
-	e.lanes[li].fire()
+	// Pop the chosen lane's front, advancing the ring before the callback:
+	// it may schedule on this lane and grow the ring. The vacated slot keeps
+	// its stale pointers (see heapPop; the ring bounds how many are held).
+	l := &e.lanes[li]
+	ev := &l.buf[l.head]
+	target, op, arg := ev.target, ev.op, ev.arg
+	e.now = lat
+	e.processed++
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	if l.n > 0 {
+		next := &l.buf[l.head]
+		e.frontAt[li], e.frontSeq[li] = next.at, next.seq
+	} else {
+		e.frontAt[li], e.frontSeq[li] = noFront, noFrontSeq
+	}
+	target.OnEvent(op, arg)
 	return true
 }
 

@@ -41,7 +41,7 @@ type Lane struct {
 	// buf is a power-of-two ring holding n events from head. It only ever
 	// grows: what is in flight on a lane is bounded by the fabric (one
 	// serialization per link, a delay-bandwidth product per wire), not by
-	// the offered load, and an engine lives for one cell.
+	// the offered load, so Engine.Reset keeps it for the next cell.
 	buf  []laneEvent
 	head int
 	n    int
@@ -103,27 +103,4 @@ func (l *Lane) grow() {
 	k := copy(grown, l.buf[l.head:])
 	copy(grown[k:], l.buf[:l.head])
 	l.buf, l.head = grown, 0
-}
-
-// fire pops the lane's front event, which step has just chosen, and
-// executes it. The payload is copied out and the ring advanced first: the
-// callback may schedule on this lane and grow the ring under it. The
-// vacated slot keeps its stale pointers — targets and pooled packets
-// outlive the engine's use of them, the ring bounds how many are held,
-// and clearing would be a pure write-barrier cost per event.
-func (l *Lane) fire() {
-	e := l.eng
-	ev := &l.buf[l.head]
-	target, op, arg := ev.target, ev.op, ev.arg
-	e.now = ev.at
-	e.processed++
-	l.head = (l.head + 1) & (len(l.buf) - 1)
-	l.n--
-	if l.n > 0 {
-		next := &l.buf[l.head]
-		e.frontAt[l.idx], e.frontSeq[l.idx] = next.at, next.seq
-	} else {
-		e.frontAt[l.idx], e.frontSeq[l.idx] = noFront, noFrontSeq
-	}
-	target.OnEvent(op, arg)
 }

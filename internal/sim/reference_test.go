@@ -324,3 +324,41 @@ func TestCancelRescheduleAcrossSplit(t *testing.T) {
 		t.Fatalf("timer fired %d times across the dance, want 1", ticks)
 	}
 }
+
+// TestEngineResetVsReference: a Reset engine is a new engine. Each engine
+// runs one program, is left with live lane and heap events and cancelled
+// corpses on its calendar, is Reset, and must then run the next program
+// exactly as the reference calendar does from scratch — while handles from
+// before the Reset are stale and cancelling them disturbs nothing.
+func TestEngineResetVsReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	e := NewEngine()
+	for i := 0; i < 60; i++ {
+		prog := make([]byte, 64+rng.Intn(1024))
+		rng.Read(prog)
+		got := runProgram(engineCalendar(e), prog)
+		want := runProgram(referenceCalendar(&refCalendar{}), prog)
+		if !slices.Equal(got, want) {
+			t.Fatalf("program %d on a Reset engine diverges from the reference", i)
+		}
+		lane := e.Lane(progLaneDelays[i%len(progLaneDelays)])
+		var old []Handle
+		for j := 0; j < 100; j++ {
+			lane.Schedule(funcTarget(func() { t.Error("lane event survived Reset") }), 0, nil)
+			old = append(old, e.Schedule(Duration(j%7)*Microsecond, func() { t.Error("heap event survived Reset") }))
+		}
+		for _, h := range old[:80] {
+			e.Cancel(h) // interior corpses, left for Reset to reclaim
+		}
+		e.Reset()
+		if e.Now() != 0 || e.Pending() != 0 || e.Processed() != 0 {
+			t.Fatalf("after Reset: now %v, %d pending, %d processed", e.Now(), e.Pending(), e.Processed())
+		}
+		for _, h := range old {
+			if h.Pending() {
+				t.Fatal("a handle from before Reset is still pending")
+			}
+			e.Cancel(h)
+		}
+	}
+}

@@ -89,6 +89,20 @@ func NewNetwork(eng *sim.Engine) *Network {
 	}
 }
 
+// Reset returns the network to its state when built: empty calendar at
+// time zero, idle empty links, no connections, counters zero. Switch tables
+// and resolved paths (routing is static) and the warm pools carry over.
+func (n *Network) Reset() {
+	n.Eng.Reset()
+	for _, li := range n.links {
+		li.Reset()
+	}
+	for _, h := range n.Hosts {
+		h.Reset()
+	}
+	n.nextConn = 1
+}
+
 // NewHost creates and registers a host with one primary address. The host
 // shares the network-wide packet pool.
 func (n *Network) NewHost(name string) *netem.Host {
@@ -193,5 +207,21 @@ func (n *Network) CheckRoutingSanity() {
 			panic(fmt.Sprintf("topo: switch %s dropped %d unroutable / %d looping packets",
 				s.Name, s.Unroutable(), s.LoopDrops()))
 		}
+	}
+}
+
+// CheckDrained panics unless the network is empty, as a finished cell must
+// leave it: no pending event, no queued packet, every pooled packet freed.
+func (n *Network) CheckDrained() {
+	if p := n.Eng.Pending(); p != 0 {
+		panic(fmt.Sprintf("topo: %d events pending after the run", p))
+	}
+	for _, li := range n.links {
+		if q := li.Queue().Len(); q != 0 {
+			panic(fmt.Sprintf("topo: %d packets left queued on %s", q, li.Name))
+		}
+	}
+	if free, allocs := n.Pool.FreeLen(), n.Pool.Allocs(); int64(free) != allocs {
+		panic(fmt.Sprintf("topo: %d of %d pooled packets never released", allocs-int64(free), allocs))
 	}
 }

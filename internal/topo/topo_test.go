@@ -2,6 +2,7 @@ package topo_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"xmp/internal/cc"
@@ -317,4 +318,65 @@ func TestTestbedARouting(t *testing.T) {
 		t.Fatalf("probes did not split across DNs: %d/%d", tb.DNFwd[0].TxPackets(), tb.DNFwd[1].TxPackets())
 	}
 	tb.CheckRoutingSanity()
+}
+
+// TestCheckDrained: the audit a finished cell passes names what a fabric
+// that is not empty still holds — a pending event, a queued packet, a
+// pooled packet nobody released.
+func TestCheckDrained(t *testing.T) {
+	wantPanic := func(want string, dirty func(ft *topo.FatTree)) {
+		t.Helper()
+		ft := fatTree(sim.NewEngine(), 4, 1)
+		ft.CheckDrained() // a new fabric is empty
+		dirty(ft)
+		defer func() {
+			t.Helper()
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+				t.Errorf("CheckDrained panicked with %q, want a message naming %q", msg, want)
+			}
+		}()
+		ft.CheckDrained()
+	}
+	wantPanic("1 events pending", func(ft *topo.FatTree) { ft.Eng.Schedule(sim.Second, func() {}) })
+	wantPanic("1 of 1 pooled packets never released", func(ft *topo.FatTree) { ft.Pool.Ack(1, 1, 2, 0) })
+	wantPanic("1 packets left queued on h0.0.0->edge0.0", func(ft *topo.FatTree) {
+		h := ft.Host(0)
+		h.Send(ft.Pool.Ack(1, h.PrimaryAddr(), ft.Host(5).PrimaryAddr(), 0))
+		h.Send(ft.Pool.Ack(1, h.PrimaryAddr(), ft.Host(5).PrimaryAddr(), 0))
+		ft.Eng.Reset() // the first packet's serialization event is gone; the second stays queued
+	})
+}
+
+// TestNetworkResetReplaysTheSameRun: a flow over a Reset fabric — after a
+// run that left a link down, delay added and connection ids used — takes
+// the same time to the nanosecond and leaves the same counters as on a new
+// fabric.
+func TestNetworkResetReplaysTheSameRun(t *testing.T) {
+	eng := sim.NewEngine()
+	ft := fatTree(eng, 4, 2)
+	run := func() (sim.Time, uint64, netem.ConnID, int64) {
+		id := ft.NextConnID()
+		src, dst := ft.Host(0), ft.Host(13)
+		done := sim.Time(-1)
+		c := transport.NewConn(eng, transport.Options{
+			ID: id, Src: src, Dst: dst, DstAddr: ft.AliasOf(13, 1),
+			Controller: cc.NewReno(2, false),
+			Config:     transport.DefaultConfig(),
+			Supply:     transport.NewFixedSupply(400_000),
+			OnComplete: func(*transport.Conn) { done = eng.Now() },
+		})
+		c.Start()
+		events := eng.RunAll(1 << 30)
+		return done, events, id, src.NIC().TxBytes()
+	}
+	done1, ev1, id1, tx1 := run()
+	ft.CheckDrained()
+	ft.Links()[7].SetDown(true)
+	ft.Links()[9].SetExtraDelay(sim.Millisecond)
+	ft.Reset()
+	done2, ev2, id2, tx2 := run()
+	if done1 < 0 || done1 != done2 || ev1 != ev2 || id1 != id2 || tx1 != tx2 {
+		t.Fatalf("new fabric: done %v, %d events, conn %d, %d bytes; Reset fabric: done %v, %d events, conn %d, %d bytes",
+			done1, ev1, id1, tx1, done2, ev2, id2, tx2)
+	}
 }
