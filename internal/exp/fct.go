@@ -127,17 +127,27 @@ func RenderFCTSummary(w io.Writer, pts []FCTPoint) {
 // the "by-size" metric of scenario fct specs. Empty bins render as dashes so
 // the table shape is stable across cells that never produce a size class.
 func RenderFCTBySize(w io.Writer, pts []FCTPoint) {
+	renderBySize(w, "cell", 14, pts, func(p FCTPoint) (string, [workload.FCTBins]FCTBinPoint) {
+		return p.Cell, p.BySize
+	})
+}
+
+// renderBySize is the one by-size table: a row per (point, size bin), the
+// point named in a first column of the given header and width.
+func renderBySize[P any](w io.Writer, header string, width int, pts []P,
+	row func(P) (string, [workload.FCTBins]FCTBinPoint)) {
 	fmt.Fprintln(w, "By flow size (acknowledged bytes at completion)")
-	sb := newTable(w, 14, 10, 9, 11, 11, 11)
-	sb.row("cell", "size", "flows", "p50 ms", "p99 ms", "p999 ms")
+	sb := newTable(w, width, 10, 9, 11, 11, 11)
+	sb.row(header, "size", "flows", "p50 ms", "p99 ms", "p999 ms")
 	sb.rule()
 	for _, p := range pts {
-		for i, b := range p.BySize {
+		name, bins := row(p)
+		for i, b := range bins {
 			if b.Flows == 0 {
-				sb.row(p.Cell, workload.FCTBinLabel(i), "0", "-", "-", "-")
+				sb.row(name, workload.FCTBinLabel(i), "0", "-", "-", "-")
 				continue
 			}
-			sb.row(p.Cell, workload.FCTBinLabel(i), fmt.Sprintf("%.0f", b.Flows),
+			sb.row(name, workload.FCTBinLabel(i), fmt.Sprintf("%.0f", b.Flows),
 				f3(b.P50Ms), f3(b.P99Ms), f3(b.P999Ms))
 		}
 	}

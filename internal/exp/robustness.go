@@ -98,18 +98,7 @@ func RenderRobustnessSummary(w io.Writer, pts []RobustnessPoint) {
 // RenderRobustnessBySize prints the flow-size breakdown — the "by-size"
 // metric of scenario robustness specs.
 func RenderRobustnessBySize(w io.Writer, pts []RobustnessPoint) {
-	fmt.Fprintln(w, "By flow size (acknowledged bytes at completion)")
-	sb := newTable(w, 10, 10, 9, 11, 11, 11)
-	sb.row("scheme", "size", "flows", "p50 ms", "p99 ms", "p999 ms")
-	sb.rule()
-	for _, p := range pts {
-		for i, b := range p.BySize {
-			if b.Flows == 0 {
-				sb.row(p.Scheme, workload.FCTBinLabel(i), "0", "-", "-", "-")
-				continue
-			}
-			sb.row(p.Scheme, workload.FCTBinLabel(i), fmt.Sprintf("%.0f", b.Flows),
-				f3(b.P50Ms), f3(b.P99Ms), f3(b.P999Ms))
-		}
-	}
+	renderBySize(w, "scheme", 10, pts, func(p RobustnessPoint) (string, [workload.FCTBins]FCTBinPoint) {
+		return p.Scheme, p.BySize
+	})
 }

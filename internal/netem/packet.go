@@ -123,55 +123,23 @@ func (p *Packet) SetPath(pa *Path) {
 	p.hop = 0
 }
 
+// The package-level constructors build plain heap packets for tests and
+// hand-rolled harnesses. Each is its PacketPool counterpart on a nil pool, so
+// a packet kind is defined once; Release leaves such packets alone.
+
 // NewDataPacket builds a data segment of payload bytes from src to dst.
 func NewDataPacket(conn ConnID, src, dst Addr, seq int64, payload int, ect bool) *Packet {
-	return &Packet{
-		Src:          src,
-		Dst:          dst,
-		Conn:         conn,
-		WireBytes:    HeaderBytes + payload,
-		ECT:          ect,
-		Seq:          seq,
-		PayloadBytes: payload,
-		SendTime:     -1,
-		EchoTime:     -1,
-		ttl:          initialTTL,
-	}
+	return (*PacketPool)(nil).Data(conn, src, dst, seq, payload, ect)
 }
 
 // NewAckPacket builds a pure acknowledgement from src to dst.
 func NewAckPacket(conn ConnID, src, dst Addr, ack int64) *Packet {
-	return &Packet{
-		Src:       src,
-		Dst:       dst,
-		Conn:      conn,
-		WireBytes: HeaderBytes,
-		IsAck:     true,
-		Ack:       ack,
-		SendTime:  -1,
-		EchoTime:  -1,
-		ttl:       initialTTL,
-	}
+	return (*PacketPool)(nil).Ack(conn, src, dst, ack)
 }
 
 // NewControlPacket builds a SYN or FIN segment (syn selects which).
 func NewControlPacket(conn ConnID, src, dst Addr, syn bool, ect bool) *Packet {
-	p := &Packet{
-		Src:       src,
-		Dst:       dst,
-		Conn:      conn,
-		WireBytes: HeaderBytes,
-		ECT:       ect,
-		SendTime:  -1,
-		EchoTime:  -1,
-		ttl:       initialTTL,
-	}
-	if syn {
-		p.SYN = true
-	} else {
-		p.FIN = true
-	}
-	return p
+	return (*PacketPool)(nil).Control(conn, src, dst, syn, ect)
 }
 
 // DecTTL decrements the packet TTL and reports whether the packet is still

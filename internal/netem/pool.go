@@ -76,7 +76,7 @@ func (pl *PacketPool) get() *Packet {
 }
 
 // Data builds a data segment of payload bytes from src to dst, recycling a
-// released packet when one is available. Mirrors NewDataPacket.
+// released packet when one is available.
 func (pl *PacketPool) Data(conn ConnID, src, dst Addr, seq int64, payload int, ect bool) *Packet {
 	p := pl.get()
 	p.Src, p.Dst, p.Conn = src, dst, conn
@@ -89,7 +89,7 @@ func (pl *PacketPool) Data(conn ConnID, src, dst Addr, seq int64, payload int, e
 	return p
 }
 
-// Ack builds a pure acknowledgement from src to dst. Mirrors NewAckPacket.
+// Ack builds a pure acknowledgement from src to dst.
 func (pl *PacketPool) Ack(conn ConnID, src, dst Addr, ack int64) *Packet {
 	p := pl.get()
 	p.Src, p.Dst, p.Conn = src, dst, conn
@@ -101,8 +101,7 @@ func (pl *PacketPool) Ack(conn ConnID, src, dst Addr, ack int64) *Packet {
 	return p
 }
 
-// Control builds a SYN or FIN segment (syn selects which). Mirrors
-// NewControlPacket.
+// Control builds a SYN or FIN segment (syn selects which).
 func (pl *PacketPool) Control(conn ConnID, src, dst Addr, syn bool, ect bool) *Packet {
 	p := pl.get()
 	p.Src, p.Dst, p.Conn = src, dst, conn

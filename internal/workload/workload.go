@@ -153,8 +153,6 @@ type Config struct {
 	// Stop: generators launch no new flows after this time; in-flight
 	// flows run to completion.
 	Stop sim.Time
-	// InitialCwnd for every flow (0 = default).
-	InitialCwnd int
 	// TraceNames labels every flow with "scheme:src->dst" for trace
 	// output. Off by default: a fat-tree campaign launches tens of
 	// thousands of flows whose names are never read, and formatting them
@@ -263,10 +261,25 @@ func (cfg *Config) newFlow(opts mptcp.Options) *mptcp.Flow {
 // index src to dst, of the given size, and records it on completion.
 // onDone (may be nil) runs after recording.
 func LaunchFlow(cfg *Config, src, dst int, bytes int64, onDone func(*mptcp.Flow)) *mptcp.Flow {
+	return launch(cfg, cfg.Scheme, true, src, dst, bytes, onDone)
+}
+
+// launchSmallTCP starts a plain-TCP small flow (the latency-sensitive
+// traffic: requests and responses of the Incast jobs). RTTs are recorded
+// under the pair's category; goodput is not (the paper's goodput tables
+// cover large flows only).
+func launchSmallTCP(cfg *Config, src, dst int, bytes int64, onDone func(*mptcp.Flow)) *mptcp.Flow {
+	return launch(cfg, Scheme{Algorithm: mptcp.AlgReno}, false, src, dst, bytes, onDone)
+}
+
+// launch is the one launch body. large selects what separates the two
+// kinds of flow besides their scheme: large flows record goodput and are
+// named after the scheme, small ones are named "tcp".
+func launch(cfg *Config, s Scheme, large bool, src, dst int, bytes int64, onDone func(*mptcp.Flow)) *mptcp.Flow {
 	net := cfg.Net
 
-	nsub := cfg.Scheme.Subflows
-	if !cfg.Scheme.Algorithm.Multipath() || nsub < 1 {
+	nsub := s.Subflows
+	if !s.Algorithm.Multipath() || nsub < 1 {
 		nsub = 1
 	}
 	specs := cfg.specs(nsub)
@@ -278,54 +291,26 @@ func LaunchFlow(cfg *Config, src, dst int, bytes int64, onDone func(*mptcp.Flow)
 	}
 	var nameFn func() string
 	if cfg.TraceNames {
-		scheme := cfg.Scheme
-		nameFn = func() string { return fmt.Sprintf("%s:%d->%d", scheme.Label(), src, dst) }
+		nameFn = func() string {
+			label := "tcp"
+			if large {
+				label = s.Label()
+			}
+			return fmt.Sprintf("%s:%d->%d", label, src, dst)
+		}
 	}
 	rec := cfg.getRec()
 	rec.cat = net.Categorize(src, dst)
 	rec.onDone = onDone
-	rec.recordGoodput = true
+	rec.recordGoodput = large
 	f := cfg.newFlow(mptcp.Options{
 		NameFn:      nameFn,
 		Src:         net.Host(src),
 		Dst:         net.Host(dst),
 		Subflows:    specs,
 		TotalBytes:  bytes,
-		Algorithm:   cfg.Scheme.Algorithm,
-		Beta:        cfg.Scheme.Beta,
-		InitialCwnd: cfg.InitialCwnd,
-		Transport:   cfg.Transport,
-		NextConnID:  cfg.nextConnID(),
-		OnComplete:  rec.onComplete,
-		OnRTTSample: rec.onRTT,
-	})
-	f.Start()
-	return f
-}
-
-// launchSmallTCP starts a plain-TCP small flow (the latency-sensitive
-// traffic: requests and responses of the Incast jobs). RTTs are recorded
-// under the pair's category; goodput is not (the paper's goodput tables
-// cover large flows only).
-func launchSmallTCP(cfg *Config, src, dst int, bytes int64, onDone func(*mptcp.Flow)) *mptcp.Flow {
-	net := cfg.Net
-	var nameFn func() string
-	if cfg.TraceNames {
-		nameFn = func() string { return fmt.Sprintf("tcp:%d->%d", src, dst) }
-	}
-	specs := cfg.specs(1)
-	specs[0] = mptcp.SubflowSpec{SrcAddr: net.AliasOf(src, 0), DstAddr: net.AliasOf(dst, 0)}
-	rec := cfg.getRec()
-	rec.cat = net.Categorize(src, dst)
-	rec.onDone = onDone
-	rec.recordGoodput = false
-	f := cfg.newFlow(mptcp.Options{
-		NameFn:      nameFn,
-		Src:         net.Host(src),
-		Dst:         net.Host(dst),
-		Subflows:    specs,
-		TotalBytes:  bytes,
-		Algorithm:   mptcp.AlgReno,
+		Algorithm:   s.Algorithm,
+		Beta:        s.Beta,
 		Transport:   cfg.Transport,
 		NextConnID:  cfg.nextConnID(),
 		OnComplete:  rec.onComplete,

@@ -230,6 +230,48 @@ func TestLaunchFlowRecordsCategory(t *testing.T) {
 	}
 }
 
+// TestLaunchKinds states what separates the two kinds of launch on one
+// config: a small flow is one-subflow plain TCP whatever cfg.Scheme says,
+// and lands in FCT and RTT but never in the goodput tables; a large flow
+// runs the scheme and lands in all three.
+func TestLaunchKinds(t *testing.T) {
+	eng := sim.NewEngine()
+	ft := smallFatTree(eng)
+	cfg := baseConfig(ft, Scheme{Algorithm: mptcp.AlgXMP, Subflows: 2}, sim.MaxTime)
+	col := cfg.Collector
+
+	small := launchSmallTCP(&cfg, 0, 15, 8<<10, nil)
+	if small.Algorithm() != mptcp.AlgReno || len(small.Subflows()) != 1 {
+		t.Fatalf("small flow under XMP-2 is %s with %d subflows, want TCP with 1",
+			small.Algorithm(), len(small.Subflows()))
+	}
+	drain(t, eng)
+	if !small.Done() || col.FCT.N() != 1 || col.FCTBySize[FCTSizeBin(8<<10)].N() != 1 {
+		t.Fatalf("small flow: done %v, %d FCT samples", small.Done(), col.FCT.N())
+	}
+	if col.RTT[topo.InterPod].N() == 0 {
+		t.Fatal("small flow recorded no RTT samples")
+	}
+	if col.Goodput.N() != 0 || col.GoodputByCat[topo.InterPod].N() != 0 || col.FlowsCompleted != 0 || col.BytesMoved != 0 {
+		t.Fatalf("small flow touched the goodput record: %d samples, %d flows, %d bytes",
+			col.Goodput.N(), col.FlowsCompleted, col.BytesMoved)
+	}
+
+	rtts := col.RTT[topo.InterPod].N()
+	large := LaunchFlow(&cfg, 0, 15, 64<<10, nil)
+	if large.Algorithm() != mptcp.AlgXMP || len(large.Subflows()) != 2 {
+		t.Fatalf("large flow is %s with %d subflows, want XMP with 2", large.Algorithm(), len(large.Subflows()))
+	}
+	drain(t, eng)
+	if col.FCT.N() != 2 || col.RTT[topo.InterPod].N() <= rtts {
+		t.Fatalf("large flow: %d FCT samples, RTT samples %d -> %d", col.FCT.N(), rtts, col.RTT[topo.InterPod].N())
+	}
+	if col.Goodput.N() != 1 || col.GoodputByCat[topo.InterPod].N() != 1 || col.FlowsCompleted != 1 || col.BytesMoved != 64<<10 {
+		t.Fatalf("large flow: %d goodput samples, %d flows, %d bytes",
+			col.Goodput.N(), col.FlowsCompleted, col.BytesMoved)
+	}
+}
+
 func TestFlowNamesLazyAndGated(t *testing.T) {
 	// Names are formatted only when TraceNames asks for them, and then
 	// lazily: the launch path itself never pays for Sprintf.
