@@ -1,20 +1,24 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"xmp/internal/cc"
 	"xmp/internal/chaos"
 	"xmp/internal/netem"
 	"xmp/internal/sim"
+	"xmp/internal/transport"
 	"xmp/internal/workload"
 )
 
 // TestCellRun pins what holds for every cell, whichever campaign composed
-// it: Run refuses a fabric that saw an unroutable packet — with or without
-// a lossy fabric and a fault schedule — and a lossy cell forks its loss
-// stream off the cell RNG before anything else draws, so one config is one
-// result.
+// it — with or without a lossy fabric and a fault schedule: a connection
+// with no path between its endpoints is refused when it is set up, Run
+// refuses a fabric where a packet arrived for a connection its host did
+// not have, and a lossy cell forks its loss stream off the cell RNG before
+// anything else draws, so one config is one result.
 func TestCellRun(t *testing.T) {
 	plain := CellConfig{K: 4, Seed: 1, Duration: 10 * sim.Millisecond}
 	lossy := plain
@@ -22,19 +26,33 @@ func TestCellRun(t *testing.T) {
 	lossy.Chaos = &chaos.Schedule{Seed: 7, Events: []chaos.Event{{
 		At: 2 * sim.Millisecond, Kind: chaos.LossBurst, Target: "edge0.0->agg0.0", Dur: 5 * sim.Millisecond, P: 0.05,
 	}}}
+	mustPanic := func(what string, f func(), want ...string) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			msg := fmt.Sprint(recover())
+			for _, w := range want {
+				if !strings.Contains(msg, w) {
+					t.Errorf("%s panicked with %q, want a message naming %q", what, msg, w)
+				}
+			}
+		}()
+		f()
+	}
 
 	for name, cfg := range map[string]CellConfig{"plain": plain, "lossy under chaos": lossy} {
 		c := NewCell(nil, cfg, SchemeXMP2)
-		h := c.Base.Net.Host(0)
-		h.Send(netem.NewDataPacket(c.Base.Net.NextConnID(), h.PrimaryAddr(), 1<<20, 0, 100, true))
-		func() {
-			defer func() {
-				if msg, _ := recover().(string); !strings.Contains(msg, "unroutable") {
-					t.Errorf("%s: Run of a cell that carried a packet for an unowned address panicked with %q, want the routing sanity check", name, msg)
-				}
-			}()
-			c.Run()
-		}()
+		src, dst := c.Base.Net.Host(0), c.Base.Net.Host(5)
+		mustPanic(name+": a connection to an unowned address", func() {
+			transport.NewConn(c.Net.Eng, transport.Options{
+				ID: c.Base.Net.NextConnID(), Src: src, Dst: dst, DstAddr: 1 << 20,
+				Controller: cc.NewReno(2, false), Config: c.Base.Transport, Supply: transport.NewFixedSupply(1),
+			})
+		}, "no path", src.Name, dst.Name, "1048576")
+		p := netem.NewDataPacket(1<<20, src.PrimaryAddr(), dst.PrimaryAddr(), 0, 100, true)
+		p.SetPath(src.PathTo(dst.PrimaryAddr()))
+		src.Send(p)
+		mustPanic(name+": Run of a cell that carried a packet for no connection", c.Run, "host "+dst.Name+" misdelivered 1 packets")
 	}
 
 	ref := sim.NewRNG(lossy.Seed)

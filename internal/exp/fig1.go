@@ -107,7 +107,6 @@ func RunFig1(cfg Fig1Config) *Fig1Result {
 	}
 	end := sim.Time(8 * cfg.Interval)
 	eng.Run(end)
-	d.CheckRoutingSanity()
 
 	// Epoch fairness across active flows.
 	binsPerEpoch := 20

@@ -102,7 +102,6 @@ func RunFig6(cfg Fig6Config) *Fig6Result {
 	eng.Schedule(5*u, flows[2].StopSending)
 	eng.Schedule(5*u, flows[3].StopSending)
 	eng.Run(sim.Time(6 * u))
-	tb.CheckRoutingSanity()
 
 	var shares []float64
 	for i := 0; i < 4; i++ {

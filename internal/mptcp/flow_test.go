@@ -73,7 +73,6 @@ func TestXMPFlowSaturatesBothPaths(t *testing.T) {
 	if ratio < 0.7 || ratio > 1.4 {
 		t.Fatalf("equal paths shared unequally: %d vs %d bytes", b0, b1)
 	}
-	tb.CheckRoutingSanity()
 }
 
 func TestTraShShiftsTrafficAwayFromCongestion(t *testing.T) {
@@ -124,7 +123,6 @@ func TestTraShShiftsTrafficAwayFromCongestion(t *testing.T) {
 	if after[1] <= before[1] {
 		t.Fatalf("uncongested-path subflow did not compensate: %d -> %d bytes/s", before[1], after[1])
 	}
-	tb.CheckRoutingSanity()
 }
 
 func TestXMPFairnessIrrespectiveOfSubflowCount(t *testing.T) {
@@ -417,5 +415,4 @@ func TestXMPFlowOverVL2(t *testing.T) {
 	if g := f.GoodputBps(eng.Now()); g < 800e6 {
 		t.Fatalf("VL2 XMP goodput %.0f bps", g)
 	}
-	v.CheckRoutingSanity()
 }

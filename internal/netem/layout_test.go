@@ -138,8 +138,8 @@ func TestHostResetForgetsConnections(t *testing.T) {
 		eps[i] = &countingEndpoint{}
 		h.Register(ConnID(i+1), eps[i])
 	}
-	h.Unregister(3)
-	h.Unregister(9)
+	h.Unregister(3, 3)
+	h.Unregister(9, 9)
 	h.Receive(NewAckPacket(99, 0, 7, 0)) // misdelivered
 	h.Reset()
 	if h.Misdelivered != 0 {

@@ -148,12 +148,10 @@ func (l *Link) OnEvent(op sim.Op, arg any) {
 		l.finishTransmit(p, p.WireBytes)
 		return
 	}
-	// Propagation done. Packets carrying a resolved path advance straight
-	// to the next link — the intermediate switch's Route lookup (and its
-	// TTL decrement, redundant on a loop-free resolved path) is skipped;
-	// queueing, marking and drop decisions still happen in the next link's
-	// Send, so the observable behaviour is identical to the hop-by-hop
-	// walk. The final hop falls through to the destination receiver.
+	// Propagation done. The packet advances along its resolved path
+	// straight to the next link, past the switch this link feeds; queueing,
+	// marking and drop decisions happen in the next link's Send. The final
+	// hop, or any hop of a packet without a path, hands it to the receiver.
 	if pa := p.path; pa != nil {
 		if h := int(p.hop) + 1; h < len(pa.hops) {
 			p.hop = int32(h)

@@ -265,30 +265,32 @@ func TestBpsString(t *testing.T) {
 	}
 }
 
+// TestSwitchForwardsByTable: a switch's table decides the path resolved
+// through it, and a packet stamped with that path arrives where the table
+// points.
 func TestSwitchForwardsByTable(t *testing.T) {
 	eng := sim.NewEngine()
-	s1 := &sink{eng: eng}
-	s2 := &sink{eng: eng}
 	sw := NewSwitch(1, "sw", "rack")
-	l1 := NewLink(eng, "l1", Gbps, 0, NewDropTail(10), s1)
-	l2 := NewLink(eng, "l2", Gbps, 0, NewDropTail(10), s2)
-	sw.AddRoute(Addr(100), l1)
-	sw.AddRoute(Addr(200), l2)
-	p1 := NewDataPacket(1, 0, 100, 0, MSS, false)
-	p2 := NewDataPacket(1, 0, 200, 0, MSS, false)
-	sw.Receive(p1)
-	sw.Receive(p2)
-	eng.Run(sim.MaxTime)
-	if len(s1.pkts) != 1 || len(s2.pkts) != 1 {
-		t.Fatalf("misrouted: sink1=%d sink2=%d", len(s1.pkts), len(s2.pkts))
-	}
-}
-
-func TestSwitchUnroutable(t *testing.T) {
-	sw := NewSwitch(1, "sw", "rack")
-	sw.Receive(NewDataPacket(1, 0, 999, 0, MSS, false))
-	if sw.Unroutable() != 1 {
-		t.Fatal("unroutable drop not counted")
+	src := NewHost(eng, 2, "src")
+	src.AddAddr(1)
+	src.AttachNIC(NewLink(eng, "nic", Gbps, 0, NewDropTail(10), sw))
+	for i, a := range []Addr{100, 200} {
+		h := NewHost(eng, NodeID(3+i), "dst")
+		h.AddAddr(a)
+		sw.AddRoute(a, NewLink(eng, "out", Gbps, 0, NewDropTail(10), h))
+		pa := src.PathTo(a)
+		if pa == nil || pa.Len() != 2 || pa.Hop(1) != sw.Route(a) {
+			t.Fatalf("path to %d does not leave the switch by its route", a)
+		}
+		ep := &countEndpoint{}
+		p := NewDataPacket(1, 1, a, 0, MSS, false)
+		p.Slot = h.Register(1, ep)
+		p.SetPath(pa)
+		src.Send(p)
+		eng.Run(sim.MaxTime)
+		if ep.delivered != 1 {
+			t.Fatalf("packet for %d delivered %d times at its owner", a, ep.delivered)
+		}
 	}
 }
 
@@ -321,26 +323,20 @@ func TestSwitchDenseTableBounds(t *testing.T) {
 			t.Fatalf("Route(%d) = non-nil, want nil", dst)
 		}
 	}
-	// Addresses past the table end are unroutable drops, not panics.
-	sw.Receive(NewDataPacket(1, 0, 1<<20, 0, MSS, false))
-	sw.Receive(NewDataPacket(1, 0, 4, 0, MSS, false))
-	if sw.Unroutable() != 2 {
-		t.Fatalf("unroutable = %d, want 2", sw.Unroutable())
-	}
 }
 
-func TestTTLExpiryBreaksRoutingLoops(t *testing.T) {
+// TestRoutingLoopHasNoPath: resolution through a routing loop stops after
+// initialTTL nodes and finds no path.
+func TestRoutingLoopHasNoPath(t *testing.T) {
 	eng := sim.NewEngine()
 	a := NewSwitch(1, "a", "core")
 	b := NewSwitch(2, "b", "core")
-	la := NewLink(eng, "a->b", Gbps, 0, NewDropTail(10), b)
-	lb := NewLink(eng, "b->a", Gbps, 0, NewDropTail(10), a)
-	a.AddRoute(7, la)
-	b.AddRoute(7, lb)
-	a.Receive(NewDataPacket(1, 0, 7, 0, MSS, false))
-	eng.RunAll(10000) // must terminate
-	if a.LoopDrops()+b.LoopDrops() != 1 {
-		t.Fatalf("loop drops = %d, want 1", a.LoopDrops()+b.LoopDrops())
+	a.AddRoute(7, NewLink(eng, "a->b", Gbps, 0, NewDropTail(10), b))
+	b.AddRoute(7, NewLink(eng, "b->a", Gbps, 0, NewDropTail(10), a))
+	h := NewHost(eng, 3, "h")
+	h.AttachNIC(NewLink(eng, "nic", Gbps, 0, NewDropTail(10), a))
+	if pa := h.PathTo(7); pa != nil {
+		t.Fatalf("PathTo through a loop = %d hops, want nil", pa.Len())
 	}
 }
 
@@ -357,19 +353,24 @@ func TestHostDemux(t *testing.T) {
 		t.Fatal("primary addr wrong")
 	}
 	ep1, ep2 := &recordingEndpoint{}, &recordingEndpoint{}
-	h.Register(1, ep1)
-	h.Register(2, ep2)
-	h.Receive(NewAckPacket(1, 99, 10, 0))
-	h.Receive(NewAckPacket(2, 99, 11, 0))
-	h.Receive(NewAckPacket(3, 99, 10, 0)) // unknown conn
+	slot1 := h.Register(1, ep1)
+	slot2 := h.Register(2, ep2)
+	ack := func(conn ConnID, dst Addr, slot int32) *Packet {
+		p := NewAckPacket(conn, 99, dst, 0)
+		p.Slot = slot
+		return p
+	}
+	h.Receive(ack(1, 10, slot1))
+	h.Receive(ack(2, 11, slot2))
+	h.Receive(ack(3, 10, slot1)) // unknown conn
 	if len(ep1.got) != 1 || len(ep2.got) != 1 {
 		t.Fatalf("demux wrong: %d/%d", len(ep1.got), len(ep2.got))
 	}
 	if h.Misdelivered != 1 {
 		t.Fatalf("misdelivered = %d", h.Misdelivered)
 	}
-	h.Unregister(1)
-	h.Receive(NewAckPacket(1, 99, 10, 0))
+	h.Unregister(1, slot1)
+	h.Receive(ack(1, 10, slot1))
 	if h.Misdelivered != 2 {
 		t.Fatal("unregistered conn still receiving")
 	}

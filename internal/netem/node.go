@@ -16,11 +16,11 @@ type Endpoint interface {
 }
 
 // Switch is an output-queued switch: a static forwarding table maps every
-// destination address to an egress link. Routing tables are computed by the
-// topology builders (two-level lookup for the Fat-Tree). Addresses are
-// small, dense integers assigned contiguously from 1 by the topology
-// builders, so the table is a flat slice indexed by Addr — forwarding is a
-// bounds check and a load instead of a map probe on the per-packet path.
+// destination address to an egress link. Topology builders compute the
+// tables (two-level lookup for the Fat-Tree); PathTo reads them once per
+// (host, destination), and packets then cross the switch along that path.
+// Addresses are small, dense integers assigned contiguously from 1, so the
+// table is a flat slice indexed by Addr.
 type Switch struct {
 	ID    NodeID
 	Name  string
@@ -28,9 +28,6 @@ type Switch struct {
 	// Layer tags the switch for per-layer utilization reporting
 	// ("core", "aggregation", "rack").
 	Layer string
-
-	unroutable int64
-	loops      int64
 }
 
 // NewSwitch returns an empty switch.
@@ -94,32 +91,15 @@ func (s *Switch) EgressLinks() []*Link {
 	return out
 }
 
-// Receive implements Receiver: look up the egress and forward. Packets
-// dropped here (unroutable, TTL expiry) leave the simulation and are
-// released to their pool.
+// Receive implements Receiver so links can feed a switch. Every packet
+// crosses a switch on its resolved path (Link.OnEvent), so one that reaches
+// Receive was sent without a path: a bug, and a panic.
 func (s *Switch) Receive(p *Packet) {
-	dst := p.Dst
-	if dst < 0 || int(dst) >= len(s.table) || s.table[dst] == nil {
-		s.unroutable++
-		p.Release()
-		return
-	}
-	if !p.DecTTL() {
-		s.loops++
-		p.Release()
-		return
-	}
-	s.table[dst].Send(p)
+	panic(fmt.Sprintf("netem: packet without a resolved path reached switch %s: %s", s.Name, p))
 }
 
-// Unroutable returns the count of packets dropped for missing routes.
-func (s *Switch) Unroutable() int64 { return s.unroutable }
-
-// LoopDrops returns the count of packets dropped for TTL expiry.
-func (s *Switch) LoopDrops() int64 { return s.loops }
-
 // Host models an end system: it owns one or more addresses, one NIC (an
-// egress Link toward its switch), and a demultiplexer from ConnID to the
+// egress Link toward its switch), and a demultiplexer from demux slot to the
 // transport endpoints terminating here.
 type Host struct {
 	ID    NodeID
@@ -129,25 +109,23 @@ type Host struct {
 	eng   *sim.Engine
 	pool  *PacketPool
 
-	// Slot-indexed demux: Register hands each endpoint a dense slot and
-	// packets stamped with it (Packet.Slot) demux with two array loads
-	// instead of a map probe. Slot 0 is reserved as "no slot" so
-	// zero-valued packets fall back to the map. connIdx keeps the
-	// ConnID→slot mapping for duplicate detection, Unregister and the
-	// unstamped-packet fallback.
+	// Slot-indexed demux: Register hands each endpoint a dense slot, the
+	// sender stamps it on every packet (Packet.Slot), and delivery is two
+	// array loads. Slot 0 is reserved as "no slot".
 	conns   []Endpoint // indexed by slot; nil after Unregister
 	connIDs []ConnID   // indexed by slot; guards stale slot stamps
-	connIdx map[ConnID]int32
+	// lastID is the highest ConnID registered since the host was built or
+	// Reset: IDs ascend (see Register), so one at or below it is a duplicate.
+	lastID ConnID
 	// freeSlots recycles retired demux slots so a run that churns through
 	// short flows keeps its slot tables at the concurrent-connection high
 	// water mark instead of growing per connection ever created.
 	freeSlots []int32
 
 	// paths caches resolved forwarding paths indexed by destination
-	// address (see PathTo in path.go): nil = not yet resolved, noPath =
-	// resolved to "no complete path". pathStore arena-allocates the
-	// Path structs and hop arrays; the topology builder wires one per
-	// network.
+	// address (see PathTo in path.go); nil = none yet. pathStore
+	// arena-allocates the Path structs and hop arrays; the topology
+	// builder wires one per network.
 	paths     []*Path
 	pathStore *PathStore
 
@@ -163,12 +141,11 @@ func NewHost(eng *sim.Engine, id NodeID, name string) *Host {
 	return h
 }
 
-// demuxHint pre-sizes each host's demux tables (slot slices and the
-// ConnID index) for the typical concurrent-connection population: active
-// conns plus arena-quarantined ones. Growing these lazily from empty costs
-// roughly a dozen allocations per host per run across the append-doubling
-// chains and incremental map growth; pre-sizing makes it three, and a host
-// exceeding the hint just grows past it as before.
+// demuxHint pre-sizes each host's slot tables for the typical
+// concurrent-connection population: active conns plus arena-quarantined
+// ones. Growing these lazily from empty costs several allocations per host
+// per run across the append-doubling chains; a host exceeding the hint just
+// grows past it.
 const demuxHint = 32
 
 // initHost is the shared constructor body behind NewHost and the
@@ -184,16 +161,16 @@ func initHost(h *Host, eng *sim.Engine, id NodeID, name string) {
 		addrs:   make([]Addr, 0, 4),
 		conns:   conns, // slot 0 reserved
 		connIDs: connIDs,
-		connIdx: make(map[ConnID]int32, demuxHint),
 	}
 }
 
-// Reset forgets every connection and the misdelivery count. The resolved
-// paths stay: routing is static, so a cached Path remains exact.
+// Reset forgets every connection and the misdelivery count, and accepts
+// connection IDs from 1 again. The resolved paths stay: routing is static,
+// so a cached Path remains exact.
 func (h *Host) Reset() {
 	clear(h.conns)
-	clear(h.connIdx)
 	h.conns, h.connIDs, h.freeSlots = h.conns[:1], h.connIDs[:1], h.freeSlots[:0]
+	h.lastID = 0
 	h.Misdelivered = 0
 }
 
@@ -220,13 +197,14 @@ func (h *Host) PrimaryAddr() Addr {
 }
 
 // Register binds a connection ID to a local endpoint and returns the demux
-// slot assigned to it. Senders stamp the slot on packets (Packet.Slot) so
-// delivery skips the map probe; callers that ignore the slot still work
-// through the ConnID fallback.
+// slot senders stamp on its packets (Packet.Slot). IDs ascend per host
+// between Resets, as one network's NextConnID hands them out; an ID at or
+// below the last is a duplicate and panics.
 func (h *Host) Register(id ConnID, ep Endpoint) int32 {
-	if _, dup := h.connIdx[id]; dup {
-		panic(fmt.Sprintf("netem: duplicate conn %d on host %s", id, h.Name))
+	if id <= h.lastID {
+		panic(fmt.Sprintf("netem: conn %d registered on host %s after conn %d: duplicate or out-of-order ID", id, h.Name, h.lastID))
 	}
+	h.lastID = id
 	var slot int32
 	if n := len(h.freeSlots); n > 0 {
 		slot = h.freeSlots[n-1]
@@ -238,20 +216,18 @@ func (h *Host) Register(id ConnID, ep Endpoint) int32 {
 		h.conns = append(h.conns, ep)
 		h.connIDs = append(h.connIDs, id)
 	}
-	h.connIdx[id] = slot
 	return slot
 }
 
-// Unregister removes a connection binding and recycles its slot. Reuse is
-// safe against stale stamps: a packet carrying a reused slot number fails
-// the ConnID check on the fast path (the slot now holds a different
-// connection) and falls back to the map, where its own ConnID is gone — it
-// counts as misdelivered, and can never reach a different connection.
-func (h *Host) Unregister(id ConnID) {
-	if slot, ok := h.connIdx[id]; ok {
+// Unregister removes the binding Register made of id at slot and recycles
+// the slot; it does nothing unless slot still holds id. Reuse is safe
+// against stale stamps: a packet carrying a reused slot number fails the
+// ConnID check (the slot now holds a different connection) and counts as
+// misdelivered, so it can never reach a different connection.
+func (h *Host) Unregister(id ConnID, slot int32) {
+	if slot > 0 && int(slot) < len(h.connIDs) && h.connIDs[slot] == id {
 		h.conns[slot] = nil
 		h.connIDs[slot] = -1
-		delete(h.connIdx, id)
 		h.freeSlots = append(h.freeSlots, slot)
 	}
 }
@@ -273,24 +249,14 @@ func (h *Host) Receive(p *Packet) {
 	// count before delivery, so a flow completed by the ACK this packet
 	// carries observes zero in-flight and is immediately recyclable.
 	p.dropOwner()
-	// Fast path: the sender stamped the demux slot at connection setup; two
-	// array loads verify and deliver. The ConnID check guards against a
-	// packet carrying another host's slot numbering (misrouted packet).
+	// The sender stamped the demux slot at connection setup; the ConnID
+	// check rejects a stamp the slot no longer answers to (the connection
+	// unregistered, or the slot was recycled).
 	if s := p.Slot; s > 0 && int(s) < len(h.conns) && h.connIDs[s] == p.Conn {
-		if ep := h.conns[s]; ep != nil {
-			ep.Deliver(p)
-			p.Release()
-			return
-		}
+		h.conns[s].Deliver(p)
+	} else {
+		h.Misdelivered++
 	}
-	if slot, ok := h.connIdx[p.Conn]; ok {
-		if ep := h.conns[slot]; ep != nil {
-			ep.Deliver(p)
-			p.Release()
-			return
-		}
-	}
-	h.Misdelivered++
 	p.Release()
 }
 

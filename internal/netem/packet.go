@@ -34,8 +34,8 @@ const (
 	MaxPacketBytes = MSS + HeaderBytes
 )
 
-// initialTTL bounds the number of forwarding hops; exceeding it indicates a
-// routing loop and the packet is dropped (and counted).
+// initialTTL bounds the nodes a path resolution visits; a walk that has not
+// reached a host by then is a routing loop and resolves to no path.
 const initialTTL = 64
 
 // Packet is one simulated packet. Sequence and acknowledgement numbers are
@@ -48,8 +48,9 @@ type Packet struct {
 	// Everything a hop reads — forwarding, queueing, marking, release, demux
 	// — sits in the first 64 bytes, one cache line (see TestPacketLayout).
 	// path/hop carry the resolved forwarding path: path is the link array
-	// and hop indexes the link the packet currently occupies. nil path
-	// means hop-by-hop forwarding through the switches' routing tables.
+	// and hop indexes the link the packet currently occupies. A packet with
+	// a nil path goes no further than its first link's receiver, so it can
+	// reach a host or a test sink but not cross a switch.
 	path *Path
 	// Owner points at the sending connection's in-flight reference count,
 	// stamped by the transport at send time. The network decrements it
@@ -67,8 +68,8 @@ type Packet struct {
 	WireBytes int
 	hop       int32
 	// Slot is the destination host's demux slot for this packet's
-	// connection, stamped by the transport at send time; 0 means unstamped
-	// and the host falls back to its ConnID map.
+	// connection, stamped by the transport at send time; 0 means unstamped,
+	// which no host delivers.
 	Slot     int32
 	Src, Dst Addr
 	Conn     ConnID
@@ -103,9 +104,7 @@ type Packet struct {
 	SACK      [3][2]int64
 	SACKCount int
 
-	ttl int
-
-	_ [16]byte // to a multiple of 64: slab elements stay line-aligned
+	_ [24]byte // to a multiple of 64: slab elements stay line-aligned
 }
 
 // dropOwner decrements the in-flight counter stamped on the packet, once.
@@ -140,13 +139,6 @@ func NewAckPacket(conn ConnID, src, dst Addr, ack int64) *Packet {
 // NewControlPacket builds a SYN or FIN segment (syn selects which).
 func NewControlPacket(conn ConnID, src, dst Addr, syn bool, ect bool) *Packet {
 	return (*PacketPool)(nil).Control(conn, src, dst, syn, ect)
-}
-
-// DecTTL decrements the packet TTL and reports whether the packet is still
-// forwardable.
-func (p *Packet) DecTTL() bool {
-	p.ttl--
-	return p.ttl > 0
 }
 
 // String renders a compact human-readable description, used by the tracer

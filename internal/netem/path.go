@@ -5,16 +5,14 @@ import "xmp/internal/arena"
 // Path is a fully resolved forwarding path: the ordered sequence of links a
 // packet traverses from the source NIC to the destination host. Transports
 // resolve the path once at connection setup and stamp it on every packet
-// they send, so per-hop forwarding becomes an array index instead of a
-// routing-table lookup (the per-hop `Switch.Route` call disappears from the
-// hot path entirely).
+// they send; it is the only way a packet crosses a switch, so per-hop
+// forwarding is an array index, never a routing-table lookup.
 //
 // Routing in this simulator is destination-based and static: a switch's
-// table never changes after topology construction, so a path resolved at
-// setup stays exact for the lifetime of the run. Link failures need no
-// special handling — a resolved hop still goes through Link.Send, which
-// drops on a down link exactly as the hop-by-hop walk would (the routing
-// table keeps pointing at the downed link either way).
+// table never changes once a path through it is resolved, so the path stays
+// exact for the lifetime of the run. Link failures need no special handling
+// — a resolved hop still goes through Link.Send, which drops on a down link
+// (the routing table keeps pointing at the downed link either way).
 type Path struct {
 	hops []*Link // hops[0] is the source host's NIC
 }
@@ -24,10 +22,6 @@ func (pa *Path) Len() int { return len(pa.hops) }
 
 // Hop returns the i-th link of the path.
 func (pa *Path) Hop(i int) *Link { return pa.hops[i] }
-
-// noPath is the cache sentinel for "resolution ran and found no complete
-// path", distinguishing it from a nil (never resolved) cache entry.
-var noPath = &Path{}
 
 // PathStore arena-allocates resolved paths for one network: Path structs
 // come from a slab and every path's hop array is a sub-slice of one shared
@@ -56,11 +50,11 @@ func (ps *PathStore) GrowAddrSpace(a Addr) {
 func (h *Host) SetPathStore(ps *PathStore) { h.pathStore = ps }
 
 // PathTo resolves and caches the forwarding path from this host to dst.
-// Returns nil when no complete path exists (no NIC, missing route, or the
-// walk ends somewhere other than a host owning dst) — callers fall back to
-// hop-by-hop forwarding, which behaves identically. The result, including
-// "no path", is cached: tables are static, so the first resolution is
-// definitive.
+// Returns nil when no complete path exists (no NIC, missing route, routing
+// loop, or the walk ends somewhere other than a host owning dst); a
+// connection refuses to be set up without one. A path, once found, is
+// cached: AddRoute never replaces a route, so no later install changes it.
+// A miss is not cached, since the missing route may be installed yet.
 func (h *Host) PathTo(dst Addr) *Path {
 	if dst < 0 {
 		return nil
@@ -70,9 +64,6 @@ func (h *Host) PathTo(dst Addr) *Path {
 	}
 	if int(dst) < len(h.paths) {
 		if pa := h.paths[dst]; pa != nil {
-			if pa == noPath {
-				return nil
-			}
 			return pa
 		}
 	} else {
@@ -85,18 +76,14 @@ func (h *Host) PathTo(dst Addr) *Path {
 		h.paths = grown
 	}
 	pa := resolvePath(h.pathStore, h.nic, dst)
-	if pa == nil {
-		h.paths[dst] = noPath
-	} else {
-		h.paths[dst] = pa
-	}
+	h.paths[dst] = pa
 	return pa
 }
 
 // resolvePath walks the static routing tables from nic toward dst. The walk
-// is bounded by initialTTL hops, mirroring the TTL guard of hop-by-hop
-// forwarding, so a routing loop resolves to nil rather than hanging. Hops
-// accumulate in the store's shared backing and are carved off on success.
+// visits at most initialTTL nodes, so a routing loop resolves to nil rather
+// than hanging. Hops accumulate in the store's shared backing and are carved
+// off on success.
 func resolvePath(ps *PathStore, nic *Link, dst Addr) *Path {
 	if nic == nil || dst < 0 {
 		return nil
@@ -127,8 +114,7 @@ func resolvePath(ps *PathStore, nic *Link, dst Addr) *Path {
 			ps.hops = ps.hops[:start]
 			return nil
 		default:
-			// Test sinks and hand-rolled receivers are opaque; leave those
-			// packets on the hop-by-hop path.
+			// A test sink or hand-rolled receiver: no host owns dst here.
 			ps.hops = ps.hops[:start]
 			return nil
 		}

@@ -24,8 +24,8 @@ type PacketPool struct {
 	slab arena.Slab[Packet]
 
 	// Poison overwrites every recycled packet with sentinel garbage so a
-	// use-after-release surfaces as a loud failure (negative wire size,
-	// unroutable addresses) instead of silent data corruption. Enabled by
+	// use-after-release surfaces as a loud failure (negative wire size, no
+	// path) instead of silent data corruption. Enabled by
 	// default when XMPSIM_POISON is set in the environment; tests may set
 	// it directly before traffic starts.
 	Poison bool
@@ -85,7 +85,6 @@ func (pl *PacketPool) Data(conn ConnID, src, dst Addr, seq int64, payload int, e
 	p.Seq = seq
 	p.PayloadBytes = payload
 	p.SendTime, p.EchoTime = -1, -1
-	p.ttl = initialTTL
 	return p
 }
 
@@ -97,7 +96,6 @@ func (pl *PacketPool) Ack(conn ConnID, src, dst Addr, ack int64) *Packet {
 	p.IsAck = true
 	p.Ack = ack
 	p.SendTime, p.EchoTime = -1, -1
-	p.ttl = initialTTL
 	return p
 }
 
@@ -108,7 +106,6 @@ func (pl *PacketPool) Control(conn ConnID, src, dst Addr, syn bool, ect bool) *P
 	p.WireBytes = HeaderBytes
 	p.ECT = ect
 	p.SendTime, p.EchoTime = -1, -1
-	p.ttl = initialTTL
 	if syn {
 		p.SYN = true
 	} else {
@@ -135,10 +132,9 @@ func (pl *PacketPool) put(p *Packet) {
 const poisonSeq = int64(-0x6b6b6b6b6b6b6b6b)
 
 // poisonPacket fills a released packet with values chosen to make any late
-// reader fail fast: AddrNone routes nowhere (CheckRoutingSanity panics),
-// the negative wire size makes a link's serialization delay negative
-// (Schedule panics), and the sequence sentinel is far outside any valid
-// window.
+// reader fail fast: the negative wire size makes a link's serialization
+// delay negative (Schedule panics), the cleared path makes a switch it
+// reaches panic, and the sequence sentinel is far outside any valid window.
 func poisonPacket(p *Packet) {
 	p.Src, p.Dst = AddrNone, AddrNone
 	p.Conn = -1
@@ -150,7 +146,6 @@ func poisonPacket(p *Packet) {
 	p.ECNEcho = -1
 	p.SendTime, p.EchoTime = poisonSeq, poisonSeq
 	p.SACKCount = -1
-	p.ttl = 0
 	p.Slot = -1 // negative slot fails the demux fast path and the map both
 	p.path = nil
 	p.hop = -1

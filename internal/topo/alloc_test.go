@@ -13,26 +13,30 @@ type nullEndpoint struct{ delivered int }
 
 func (e *nullEndpoint) Deliver(*netem.Packet) { e.delivered++ }
 
-// TestFatTreeHopForwardZeroAlloc pins the PR 3 contract at topology
-// wiring level: a packet crossing a host→switch→host path built by the
-// Network helpers — NIC enqueue, two typed link events per hop, switch
-// table lookup, host demux, pool release — allocates nothing in steady
-// state. This is the per-hop path every Fat-Tree campaign multiplies by
-// millions.
+// TestFatTreeHopForwardZeroAlloc pins the per-hop contract on the fabric
+// every campaign runs: a packet crossing an inter-pod path of a k=4
+// fat-tree — NIC enqueue, two typed link events on each of six links, host
+// demux, pool release — allocates nothing in steady state. This is the
+// per-hop path every Fat-Tree campaign multiplies by millions.
 func TestFatTreeHopForwardZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
-	n := NewNetwork(eng)
-	sw := n.NewSwitch("tor", LayerRack)
-	src := n.NewHost("src")
-	dst := n.NewHost("dst")
-	n.AttachHost(src, sw, netem.Gbps, 20*sim.Microsecond, ECNMaker(100, 10), LayerRack)
-	n.AttachHost(dst, sw, netem.Gbps, 20*sim.Microsecond, ECNMaker(100, 10), LayerRack)
+	cfg := DefaultFatTreeConfig(ECNMaker(100, 10))
+	cfg.K = 4
+	ft := NewFatTree(eng, cfg)
+	src, dst := ft.Host(0), ft.Host(ft.NumHosts()-1)
+	path := src.PathTo(dst.PrimaryAddr())
+	if path == nil || path.Len() != 6 {
+		t.Fatalf("no six-link inter-pod path: %v", path)
+	}
 	ep := &nullEndpoint{}
-	conn := n.NextConnID()
-	dst.Register(conn, ep)
+	conn := ft.NextConnID()
+	slot := dst.Register(conn, ep)
 
 	send := func() {
-		src.Send(n.Pool.Data(conn, src.PrimaryAddr(), dst.PrimaryAddr(), 0, netem.MSS, true))
+		p := ft.Pool.Data(conn, src.PrimaryAddr(), dst.PrimaryAddr(), 0, netem.MSS, true)
+		p.Slot = slot
+		p.SetPath(path)
+		src.Send(p)
 		eng.Run(sim.MaxTime)
 	}
 	// Warm the pool, queue rings, and event free-list.
@@ -45,7 +49,6 @@ func TestFatTreeHopForwardZeroAlloc(t *testing.T) {
 	if ep.delivered == 0 {
 		t.Fatal("no packets delivered")
 	}
-	n.CheckRoutingSanity()
 }
 
 // TestResolvedPathForwardZeroAlloc pins the PR 6 per-packet contract: the
@@ -93,5 +96,4 @@ func TestResolvedPathForwardZeroAlloc(t *testing.T) {
 	if ep.delivered == 0 {
 		t.Fatal("no packets delivered")
 	}
-	n.CheckRoutingSanity()
 }

@@ -198,20 +198,9 @@ func (n *Network) LinksByLayer(layer string) []*netem.Link {
 	return out
 }
 
-// CheckRoutingSanity panics if any switch recorded unroutable packets or
-// TTL-expired drops — both indicate topology construction bugs, not
-// network behaviour.
-func (n *Network) CheckRoutingSanity() {
-	for _, s := range n.Switches {
-		if s.Unroutable() > 0 || s.LoopDrops() > 0 {
-			panic(fmt.Sprintf("topo: switch %s dropped %d unroutable / %d looping packets",
-				s.Name, s.Unroutable(), s.LoopDrops()))
-		}
-	}
-}
-
 // CheckDrained panics unless the network is empty, as a finished cell must
-// leave it: no pending event, no queued packet, every pooled packet freed.
+// leave it: no pending event, no queued packet, every pooled packet freed —
+// and no packet arrived for a connection its host did not know.
 func (n *Network) CheckDrained() {
 	if p := n.Eng.Pending(); p != 0 {
 		panic(fmt.Sprintf("topo: %d events pending after the run", p))
@@ -223,5 +212,10 @@ func (n *Network) CheckDrained() {
 	}
 	if free, allocs := n.Pool.FreeLen(), n.Pool.Allocs(); int64(free) != allocs {
 		panic(fmt.Sprintf("topo: %d of %d pooled packets never released", allocs-int64(free), allocs))
+	}
+	for _, h := range n.Hosts {
+		if h.Misdelivered != 0 {
+			panic(fmt.Sprintf("topo: host %s misdelivered %d packets", h.Name, h.Misdelivered))
+		}
 	}
 }

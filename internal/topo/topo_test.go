@@ -38,44 +38,66 @@ func TestFatTreeDimensions(t *testing.T) {
 	}
 }
 
+// probe sends one data segment from src to address addr of dst, stamped
+// with the resolved path and with the demux slot of a new registration of
+// id at dst that calls delivered, and returns the path.
+func probe(t *testing.T, src, dst *netem.Host, srcAddr, addr netem.Addr, id netem.ConnID, delivered func()) *netem.Path {
+	t.Helper()
+	pa := src.PathTo(addr)
+	if pa == nil || pa.Hop(pa.Len()-1).Dst() != netem.Receiver(dst) {
+		t.Fatalf("no path from %s to %s's address %d", src.Name, dst.Name, addr)
+	}
+	p := netem.NewDataPacket(id, srcAddr, addr, 0, netem.MSS, false)
+	p.Slot = dst.Register(id, deliverFunc(func(*netem.Packet) { delivered() }))
+	p.SetPath(pa)
+	src.Send(p)
+	return pa
+}
+
+// TestFatTreeAllPairsAllAliasesRoute: every (host, alias) pair has a path
+// of the length its locality sets, an inter-pod one crosses the core
+// switch the alias selects, and a packet stamped with it arrives once.
 func TestFatTreeAllPairsAllAliasesRoute(t *testing.T) {
 	eng := sim.NewEngine()
-	const k, aliases = 4, 4
+	const k, aliases, half = 4, 4, 2
 	ft := fatTree(eng, k, aliases)
 	n := ft.NumHosts()
+	wantLen := map[topo.Category]int{topo.InnerRack: 2, topo.InterRack: 4, topo.InterPod: 6}
 
-	type probe struct{ delivered int }
-	probes := make(map[netem.ConnID]*probe)
-	var connID netem.ConnID = 10000
-
+	delivered := map[netem.ConnID]int{}
+	var id netem.ConnID = 10000
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			if s == d {
 				continue
 			}
 			for a := 0; a < aliases; a++ {
-				connID++
-				pr := &probe{}
-				probes[connID] = pr
-				dst := ft.HostList[d]
-				src := ft.HostList[s]
-				id := connID
-				ft.HostList[d].Register(id, deliverFunc(func(p *netem.Packet) { pr.delivered++ }))
-				pkt := netem.NewDataPacket(id, src.PrimaryAddr(), ft.Alias(dst, a), 0, netem.MSS, false)
-				src.Send(pkt)
+				id++
+				id := id
+				src, dst := ft.HostList[s], ft.HostList[d]
+				pa := probe(t, src, dst, src.PrimaryAddr(), ft.Alias(dst, a), id, func() { delivered[id]++ })
+				cat := ft.Categorize(s, d)
+				if pa.Len() != wantLen[cat] {
+					t.Fatalf("%s to %s alias %d (%v): %d links, want %d", src.Name, dst.Name, a, cat, pa.Len(), wantLen[cat])
+				}
+				// Alias a of the host at position d mod half² in its pod climbs
+				// to core row sfx mod half, column sfx/half mod half
+				// (NewFatTree's two-level lookup).
+				sfx := d%(half*half) + a
+				if core := ft.Core[sfx%half][(sfx/half)%half]; cat == topo.InterPod && pa.Hop(2).Dst() != netem.Receiver(core) {
+					t.Fatalf("%s to %s alias %d climbs over %s, want %s", src.Name, dst.Name, a, pa.Hop(2).Name, core.Name)
+				}
 			}
 		}
 	}
 	eng.Run(sim.MaxTime)
-	ft.CheckRoutingSanity()
-	missing := 0
-	for _, pr := range probes {
-		if pr.delivered != 1 {
-			missing++
+	for id, got := range delivered {
+		if got != 1 {
+			t.Fatalf("probe %d delivered %d times", id, got)
 		}
 	}
-	if missing > 0 {
-		t.Fatalf("%d of %d (pair, alias) probes undelivered", missing, len(probes))
+	if len(delivered) != n*(n-1)*aliases {
+		t.Fatalf("%d of %d (pair, alias) probes delivered", len(delivered), n*(n-1)*aliases)
 	}
 }
 
@@ -93,31 +115,15 @@ func TestFatTreeAliasesSpreadAcrossCores(t *testing.T) {
 	if ft.Categorize(0, dstIdx) != topo.InterPod {
 		t.Fatal("chosen pair is not inter-pod")
 	}
-	dst.Register(1, deliverFunc(func(*netem.Packet) {}))
-
-	coreTx := func() int64 {
-		var total int64
-		for _, l := range ft.LinksByLayer(topo.LayerCore) {
-			total += l.TxPackets()
-		}
-		return total
-	}
-	_ = coreTx
-	// Send one packet per alias and count how many distinct core switches
-	// forwarded traffic.
+	// One packet per alias: the four paths climb to four distinct cores.
+	cores := map[netem.Receiver]bool{}
 	for a := 0; a < 4; a++ {
-		src.Send(netem.NewDataPacket(1, src.PrimaryAddr(), ft.Alias(dst, a), int64(a), netem.MSS, false))
+		cores[probe(t, src, dst, src.PrimaryAddr(), ft.Alias(dst, a), netem.ConnID(a+1), func() {}).Hop(2).Dst()] = true
+	}
+	if len(cores) != 4 {
+		t.Fatalf("4 aliases climb to %d distinct cores, want 4", len(cores))
 	}
 	eng.Run(sim.MaxTime)
-	busyCores := 0
-	for _, row := range ft.Core {
-		for range row {
-		}
-	}
-	// Count cores via their downward links' traffic.
-	for _, li := range ft.Links() {
-		_ = li
-	}
 	seen := map[string]bool{}
 	for _, li := range ft.Links() {
 		if li.Layer == topo.LayerCore && li.TxPackets() > 0 {
@@ -129,7 +135,6 @@ func TestFatTreeAliasesSpreadAcrossCores(t *testing.T) {
 	if len(seen) != 8 {
 		t.Fatalf("4 aliases used %d core-layer links, want 8 (disjoint paths): %v", len(seen), seen)
 	}
-	_ = busyCores
 }
 
 func TestFatTreeCategorize(t *testing.T) {
@@ -229,11 +234,8 @@ func TestTorusConstruction(t *testing.T) {
 				HopDelay:        35 * sim.Microsecond,
 				BottleneckQueue: topo.ECNMaker(100, 20),
 			})
-			dst := tr2.D[i]
-			dst.Register(1, deliverFunc(func(*netem.Packet) {}))
-			tr2.S[i].Send(netem.NewDataPacket(1, tr2.S[i].Addrs()[p], tr2.PathAddr(dst, p), 0, netem.MSS, false))
+			probe(t, tr2.S[i], tr2.D[i], tr2.S[i].Addrs()[p], tr2.PathAddr(tr2.D[i], p), 1, func() {})
 			eng2.Run(sim.MaxTime)
-			tr2.CheckRoutingSanity()
 			want := (i + p) % 5
 			for b, bn := range tr2.Bottlenecks {
 				got := bn.Fwd.TxPackets()
@@ -305,10 +307,7 @@ func TestTestbedARouting(t *testing.T) {
 	// Alias p of any receiver crosses DN p only.
 	for p := 0; p < 2; p++ {
 		got := 0
-		dst := tb.D[0]
-		id := netem.ConnID(100 + p)
-		dst.Register(id, deliverFunc(func(*netem.Packet) { got++ }))
-		tb.S[0].Send(netem.NewDataPacket(id, tb.PathAddr(tb.S[0], p), tb.PathAddr(dst, p), 0, netem.MSS, false))
+		probe(t, tb.S[0], tb.D[0], tb.PathAddr(tb.S[0], p), tb.PathAddr(tb.D[0], p), netem.ConnID(100+p), func() { got++ })
 		eng.Run(sim.MaxTime)
 		if got != 1 {
 			t.Fatalf("path %d probe undelivered", p)
@@ -317,12 +316,12 @@ func TestTestbedARouting(t *testing.T) {
 	if tb.DNFwd[0].TxPackets() != 1 || tb.DNFwd[1].TxPackets() != 1 {
 		t.Fatalf("probes did not split across DNs: %d/%d", tb.DNFwd[0].TxPackets(), tb.DNFwd[1].TxPackets())
 	}
-	tb.CheckRoutingSanity()
 }
 
 // TestCheckDrained: the audit a finished cell passes names what a fabric
 // that is not empty still holds — a pending event, a queued packet, a
-// pooled packet nobody released.
+// pooled packet nobody released — and a packet a host had no connection
+// for.
 func TestCheckDrained(t *testing.T) {
 	wantPanic := func(want string, dirty func(ft *topo.FatTree)) {
 		t.Helper()
@@ -344,6 +343,10 @@ func TestCheckDrained(t *testing.T) {
 		h.Send(ft.Pool.Ack(1, h.PrimaryAddr(), ft.Host(5).PrimaryAddr(), 0))
 		h.Send(ft.Pool.Ack(1, h.PrimaryAddr(), ft.Host(5).PrimaryAddr(), 0))
 		ft.Eng.Reset() // the first packet's serialization event is gone; the second stays queued
+	})
+	wantPanic("host h0.1.1 misdelivered 1 packets", func(ft *topo.FatTree) {
+		h := ft.Host(3)
+		h.Receive(ft.Pool.Ack(1, ft.Host(0).PrimaryAddr(), h.PrimaryAddr(), 0)) // no connection 1 here
 	})
 }
 

@@ -88,11 +88,9 @@ type Conn struct {
 	member           *cc.Member
 
 	// Resolved once at setup so the per-packet path is lookup-free:
-	// srcSlot/dstSlot are the hosts' demux slots for this connection
-	// (stamped on packets so delivery skips the ConnID map), and
-	// fwdPath/revPath are the resolved link sequences each direction
-	// follows (nil on hand-built topologies without full routes — those
-	// packets forward hop-by-hop, identically).
+	// srcSlot/dstSlot are the hosts' demux slots for this connection and
+	// fwdPath/revPath the link sequences each direction follows, stamped on
+	// every packet sent.
 	srcSlot, dstSlot int32
 	fwdPath, revPath *netem.Path
 
@@ -219,10 +217,20 @@ func (c *Conn) bind(opts Options) {
 	if c.dstAddr == 0 && len(opts.Dst.Addrs()) > 0 {
 		c.dstAddr = opts.Dst.PrimaryAddr()
 	}
+	c.fwdPath = mustPath(c.src, c.srcAddr, c.dst, c.dstAddr)
+	c.revPath = mustPath(c.dst, c.dstAddr, c.src, c.srcAddr)
 	c.srcSlot = opts.Src.Register(c.id, &c.sender)
 	c.dstSlot = opts.Dst.Register(c.id, &c.receiver)
-	c.fwdPath = opts.Src.PathTo(c.dstAddr)
-	c.revPath = opts.Dst.PathTo(c.srcAddr)
+}
+
+// mustPath returns the path from host from to address toAddr of host to.
+// Every packet rides one, so a pair without one panics at setup.
+func mustPath(from *netem.Host, fromAddr netem.Addr, to *netem.Host, toAddr netem.Addr) *netem.Path {
+	pa := from.PathTo(toAddr)
+	if pa == nil || pa.Hop(pa.Len()-1).Dst() != netem.Receiver(to) {
+		panic(fmt.Sprintf("transport: no path from host %s (addr %d) to host %s (addr %d)", from.Name, fromAddr, to.Name, toAddr))
+	}
+	return pa
 }
 
 // Detach unregisters both demux halves, severing the connection from its
@@ -231,8 +239,8 @@ func (c *Conn) bind(opts Options) {
 // quarantined connection right before recycling it; until then the Done
 // connection stays registered so stale duplicates still earn their re-ACKs.
 func (c *Conn) Detach() {
-	c.src.Unregister(c.id)
-	c.dst.Unregister(c.id)
+	c.src.Unregister(c.id, c.srcSlot)
+	c.dst.Unregister(c.id, c.dstSlot)
 }
 
 // Rebind recycles a finished connection into a brand-new transfer described
