@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -390,67 +391,47 @@ func TestMergeRejectsCellManifestDisagreement(t *testing.T) {
 	}
 }
 
-// refDist is metrics.Dist's wire form spelled as a plain struct, so that
-// encoding/json alone — no Marshaler — produces the reference bytes.
-type refDist struct {
-	Sum     float64   `json:"sum"`
-	Samples []float64 `json:"samples"`
-}
-
-// TestShardFileBytesThroughDistCodec pins the property that lets the Dist
-// codec change without a schema bump: a shard file carrying Dists encodes,
-// indentation included, to exactly the bytes encoding/json writes for the
-// same numbers in plain structs, and decoding and re-encoding it changes
-// nothing.
-func TestShardFileBytesThroughDistCodec(t *testing.T) {
+// TestShardFileWirePin pins the bytes of a small fixed shard file — a
+// manifest, and cells carrying Dists with and without samples, in fields
+// and map values — by SHA-256, and checks that decoding and re-encoding it
+// changes nothing. The samples travel as their IEEE-754 bits, so the hash
+// is the same on any CPU: run under GOARCH=386 it proves the wire does not
+// depend on word size. A deliberate wire change re-pins the hash and bumps
+// ShardSchemaVersion.
+func TestShardFileWirePin(t *testing.T) {
+	const want = "f6f29ad66fd2b904d999258be44e0fe4f7699abe0b80c8e35a28a40d694edf04"
 	type cell struct {
 		Label string
 		D     *metrics.Dist
 		ByCat map[string]*metrics.Dist
-	}
-	type refCell struct {
-		Label string
-		D     *refDist
-		ByCat map[string]*refDist
 	}
 	samples := [][]float64{
 		{0.25, 1e-7, 3, 1e21, 0.1 + 0.2, 123456.789e-3, 5e-324},
 		{42},
 		nil,
 	}
-	pair := func(vs []float64) (*metrics.Dist, *refDist) {
-		// A Dist that never saw a sample carries nil samples ("null"), as
-		// does the refDist never appended to.
-		d, ref := &metrics.Dist{}, &refDist{}
+	dist := func(vs []float64) *metrics.Dist {
+		d := &metrics.Dist{}
 		for _, v := range vs {
 			d.Add(v)
-			ref.Sum += v
-			ref.Samples = append(ref.Samples, v)
 		}
-		return d, ref
+		return d
 	}
-	m := newManifest(CampaignSubflow, "codec pin", Unsharded, len(samples))
-	got := &ShardFile[cell]{Manifest: m}
-	want := &ShardFile[refCell]{Manifest: m}
+	f := &ShardFile[cell]{Manifest: newManifest(CampaignSubflow, "codec pin", Unsharded, len(samples))}
 	for i, vs := range samples {
-		d, ref := pair(vs)
-		d2, ref2 := pair(samples[0][:i])
-		got.Cells = append(got.Cells, ShardCell[cell]{i, cell{"c", d, map[string]*metrics.Dist{"inter-pod": d2}}})
-		want.Cells = append(want.Cells, ShardCell[refCell]{i, refCell{"c", ref, map[string]*refDist{"inter-pod": ref2}}})
+		f.Cells = append(f.Cells, ShardCell[cell]{i, cell{"c", dist(vs), map[string]*metrics.Dist{"inter-pod": dist(samples[0][:i])}}})
 	}
-	gotBytes := encodeBlobs(t, []*ShardFile[cell]{got})[0].Data
-	wantBytes := encodeBlobs(t, []*ShardFile[refCell]{want})[0].Data
-	if !bytes.Equal(gotBytes, wantBytes) {
-		t.Fatalf("shard file with Dists encodes differently from plain encoding/json:\n--- Dist ---\n%s\n--- reference ---\n%s", gotBytes, wantBytes)
+	data := encodeBlobs(t, []*ShardFile[cell]{f})[0].Data
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Errorf("shard file hashes to %s, pinned %s:\n%s", got, want, data)
 	}
 
 	var back ShardFile[cell]
-	if err := json.Unmarshal(gotBytes, &back); err != nil {
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	again := encodeBlobs(t, []*ShardFile[cell]{&back})[0].Data
-	if !bytes.Equal(again, gotBytes) {
-		t.Errorf("decode + re-encode changed the shard file:\n--- first ---\n%s\n--- second ---\n%s", gotBytes, again)
+	if again := encodeBlobs(t, []*ShardFile[cell]{&back})[0].Data; !bytes.Equal(again, data) {
+		t.Errorf("decode + re-encode changed the shard file:\n--- first ---\n%s\n--- second ---\n%s", data, again)
 	}
 }
 

@@ -1,69 +1,80 @@
 package metrics
 
 import (
+	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"strconv"
-	"sync"
 )
 
 // This file is Dist's JSON codec. A shard file is mostly Dist samples, so
-// they do not go through encoding/json's reflective encoder and its
-// validate-then-decode double scan: the writer and scanner below touch each
-// sample once. The wire form is exactly what encoding/json produces for
-// distWire, byte for byte, so shard files hash the same whichever wrote
-// them — TestDistMarshalMatchesEncodingJSON and FuzzDistJSON hold the two
-// implementations together.
+// they travel packed rather than as decimal numbers:
+//
+//	{"sum":N,"samples":"<base64>"}
+//
+// N is the insertion-order sum, spelled as encoding/json spells a float64.
+// The string is the padded standard base64 of the samples' IEEE-754 bits,
+// eight little-endian bytes each, in the Dist's current order. A Dist with
+// no samples writes "samples":null. The form is canonical: the decoder
+// accepts exactly the bytes the encoder would write for what it decodes, so
+// a shard file re-encodes byte for byte and its hash is a function of the
+// numbers alone — on any CPU, whatever its word size or byte order.
 
-// distWire is the serialized form of a Dist. Sum travels alongside the
-// samples because Mean divides the insertion-order floating-point sum: a
-// deserialized Dist must answer Mean() bit-identically even though the
-// samples may have been sorted (and would re-sum in a different order).
-type distWire struct {
-	Sum     float64   `json:"sum"`
-	Samples []float64 `json:"samples"`
-}
+// wireB64 is the samples' base64: padded, with non-zero padding bits
+// refused so that no two strings decode to the same samples.
+var wireB64 = base64.StdEncoding.Strict()
 
-// marshalScratch recycles the append buffers MarshalJSON formats into. The
-// returned slice is an exact-size copy: the caller (encoding/json's
-// Marshaler path) keeps it for an unknown time, and a sample formats to
-// anywhere between 1 and 24 bytes, so sizing the result up front either
-// over-allocates or grows by doubling — both showed up as peak RSS.
-var marshalScratch = sync.Pool{New: func() any { return new([]byte) }}
+// chunkFloats samples are packed or unpacked through one stack buffer at a
+// time. 8·chunkFloats is a multiple of 3, so every chunk but the last is
+// whole base64 quanta and only the end of the string carries padding.
+const chunkFloats = 384
+
+// errDistWire is the decoder's one error: anything that is not the
+// canonical form.
+var errDistWire = errors.New(`metrics: Dist JSON is not {"sum":N,"samples":"<base64 float64s>"|null} in canonical form`)
 
 // MarshalJSON serializes the full sample set, so a Dist survives a
 // shard-export/merge round trip answering every query (mean, percentiles,
-// CDF points) bit-identically: float64s are written in their shortest
-// round-trippable form, so no precision is lost. The output is
-// byte-identical to json.Marshal(distWire{...}), including the error for
-// NaN and ±Inf.
+// CDF points) bit-identically. The result is built in one buffer of its
+// exact final size. NaN and ±Inf, in the sum or among the samples, fail
+// with an *json.UnsupportedValueError, as encoding/json fails on them.
 func (d *Dist) MarshalJSON() ([]byte, error) {
-	scratch := marshalScratch.Get().(*[]byte)
-	defer marshalScratch.Put(scratch)
-	b := append((*scratch)[:0], `{"sum":`...)
-	b, err := appendJSONFloat(b, d.sum)
+	var num [32]byte
+	sum, err := appendJSONFloat(num[:0], d.sum)
 	if err != nil {
 		return nil, err
 	}
-	b = append(b, `,"samples":`...)
-	if d.samples == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i, v := range d.samples {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			if b, err = appendJSONFloat(b, v); err != nil {
-				return nil, err
-			}
-		}
-		b = append(b, ']')
+	n := len(d.samples)
+	size := len(`{"sum":,"samples":null}`) + len(sum)
+	if n > 0 {
+		size += len(`""`) - len(`null`) + wireB64.EncodedLen(8*n)
 	}
-	b = append(b, '}')
-	*scratch = b
-	return append(make([]byte, 0, len(b)), b...), nil
+	b := make([]byte, 0, size)
+	b = append(b, `{"sum":`...)
+	b = append(b, sum...)
+	b = append(b, `,"samples":`...)
+	if n == 0 {
+		return append(b, `null}`...), nil
+	}
+	b = append(b, '"')
+	var chunk [8 * chunkFloats]byte
+	for i := 0; i < n; i += chunkFloats {
+		part := d.samples[i:min(i+chunkFloats, n)]
+		for j, v := range part {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return nil, unsupported(v)
+			}
+			binary.LittleEndian.PutUint64(chunk[8*j:], math.Float64bits(v))
+		}
+		m := wireB64.EncodedLen(8 * len(part))
+		wireB64.Encode(b[len(b):len(b)+m], chunk[:8*len(part)])
+		b = b[:len(b)+m]
+	}
+	return append(b, `"}`...), nil
 }
 
 // appendJSONFloat formats f exactly as encoding/json formats a float64:
@@ -72,7 +83,7 @@ func (d *Dist) MarshalJSON() ([]byte, error) {
 // values JSON cannot carry.
 func appendJSONFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		return b, unsupported(f)
 	}
 	abs := math.Abs(f)
 	format := byte('f')
@@ -90,145 +101,80 @@ func appendJSONFloat(b []byte, f float64) ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalJSON restores a Dist serialized by MarshalJSON. Input in the
-// shape MarshalJSON writes — with any JSON whitespace between tokens, as
-// an indented shard file has — is read in one pass; anything else (other
-// key order or spelling, extra members, null, malformed or out-of-range
-// numbers) goes through encoding/json, which decides whether it is
-// accepted and words the error.
+func unsupported(f float64) error {
+	return &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+}
+
+// UnmarshalJSON restores a Dist from exactly the bytes MarshalJSON writes.
+// The samples are base64-decoded chunk by chunk straight into the final
+// slice. Anything else — whitespace, another key order, a sum not spelled
+// canonically, bad or non-canonical base64, a byte count that is not a
+// multiple of 8, NaN or ±Inf bits — is an error and leaves d unchanged.
 func (d *Dist) UnmarshalJSON(b []byte) error {
-	w, ok := scanDist(b)
-	if !ok {
-		if err := json.Unmarshal(b, &w); err != nil {
-			return err
-		}
+	const head, mid = `{"sum":`, `,"samples":`
+	if len(b) < len(head) || string(b[:len(head)]) != head {
+		return errDistWire
 	}
-	d.samples = w.Samples
-	d.sum = w.Sum
-	d.sorted = false
+	b = b[len(head):]
+	end := bytes.IndexByte(b, ',')
+	if end < 0 {
+		return errDistWire
+	}
+	sum, err := strconv.ParseFloat(string(b[:end]), 64)
+	if err != nil {
+		return errDistWire
+	}
+	var num [32]byte
+	if canon, err := appendJSONFloat(num[:0], sum); err != nil || string(canon) != string(b[:end]) {
+		return errDistWire
+	}
+	b = b[end:]
+	if len(b) < len(mid) || string(b[:len(mid)]) != mid {
+		return errDistWire
+	}
+	b = b[len(mid):]
+	if string(b) == `null}` {
+		d.samples, d.sum, d.sorted = nil, sum, false
+		return nil
+	}
+	if len(b) < len(`"x"}`) || b[0] != '"' || string(b[len(b)-2:]) != `"}` {
+		return errDistWire
+	}
+	samples, ok := unpackSamples(b[1 : len(b)-2])
+	if !ok {
+		return errDistWire
+	}
+	d.samples, d.sum, d.sorted = samples, sum, false
 	return nil
 }
 
-// scanDist parses `{"sum":N,"samples":[N,...]}` or `...:null}`. ok=false
-// means "not recognised", never "invalid": the caller falls back.
-func scanDist(b []byte) (w distWire, ok bool) {
-	s := distScanner{b: b}
-	if !s.lit(`{`) || !s.lit(`"sum"`) || !s.lit(`:`) || !s.number(&w.Sum) ||
-		!s.lit(`,`) || !s.lit(`"samples"`) || !s.lit(`:`) {
-		return distWire{}, false
+// unpackSamples decodes a non-empty samples string into its float64s.
+func unpackSamples(s []byte) ([]float64, bool) {
+	if len(s) == 0 || len(s)%4 != 0 {
+		return nil, false
 	}
-	switch {
-	case s.lit(`null`):
-	case s.lit(`[`):
-		if s.lit(`]`) {
-			w.Samples = []float64{}
-			break
+	nbytes := len(s) / 4 * 3
+	for i := len(s) - 1; i >= len(s)-2 && s[i] == '='; i-- {
+		nbytes--
+	}
+	if nbytes == 0 || nbytes%8 != 0 {
+		return nil, false
+	}
+	out := make([]float64, nbytes/8)
+	var chunk [8 * chunkFloats]byte
+	for i := 0; i < len(out); i += chunkFloats {
+		part := out[i:min(i+chunkFloats, len(out))]
+		enc := s[wireB64.EncodedLen(8*i):wireB64.EncodedLen(8*(i+len(part)))]
+		if n, err := wireB64.Decode(chunk[:], enc); err != nil || n != 8*len(part) {
+			return nil, false
 		}
-		// Every comma up to the closing bracket separates two samples in
-		// recognised input, so the slice is allocated once at its final
-		// size.
-		n := 1
-		for _, c := range s.b[s.i:] {
-			if c == ',' {
-				n++
-			} else if c == ']' {
-				break
+		for j := range part {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*j:]))
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return nil, false
 			}
-		}
-		w.Samples = make([]float64, n)
-		for i := range w.Samples {
-			if i > 0 && !s.lit(`,`) {
-				return distWire{}, false
-			}
-			if !s.number(&w.Samples[i]) {
-				return distWire{}, false
-			}
-		}
-		if !s.lit(`]`) {
-			return distWire{}, false
-		}
-	default:
-		return distWire{}, false
-	}
-	if !s.lit(`}`) {
-		return distWire{}, false
-	}
-	s.space()
-	return w, s.i == len(s.b)
-}
-
-type distScanner struct {
-	b []byte
-	i int
-}
-
-func (s *distScanner) space() {
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case ' ', '\t', '\r', '\n':
-			s.i++
-		default:
-			return
+			part[j] = v
 		}
 	}
-}
-
-// lit consumes optional whitespace and then tok, or nothing.
-func (s *distScanner) lit(tok string) bool {
-	s.space()
-	if len(s.b)-s.i < len(tok) || string(s.b[s.i:s.i+len(tok)]) != tok {
-		return false
-	}
-	s.i += len(tok)
-	return true
-}
-
-// number consumes optional whitespace and one number of the JSON grammar
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — strconv alone accepts
-// more (hex, "Inf", a leading '+') — that also fits a float64.
-func (s *distScanner) number(out *float64) bool {
-	s.space()
-	b, i := s.b, s.i
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i)
-	default:
-		return false
-	}
-	if i < len(b) && b[i] == '.' {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
-			return false
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := skipDigits(b, i)
-		if j == i {
-			return false
-		}
-		i = j
-	}
-	f, err := strconv.ParseFloat(string(b[s.i:i]), 64)
-	if err != nil {
-		return false
-	}
-	*out, s.i = f, i
-	return true
-}
-
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
+	return out, true
 }

@@ -10,9 +10,9 @@ import (
 	"xmp/internal/sim"
 )
 
-// edgeFloats are the values where encoding/json's float formatting changes
-// shape: the %f/%e switch points, the exponent clean-up, signed zero and
-// the ends of the float64 range.
+// edgeFloats are the values where the sum's decimal spelling changes
+// shape — the %f/%e switch points, the exponent clean-up, signed zero and
+// the ends of the float64 range — and whose bits exercise every byte.
 var edgeFloats = []float64{
 	0, math.Copysign(0, -1), 1, -1, 0.1, 1.0 / 3, 123456789.125,
 	1e-7, -1e-7, 9.999999e-7, 1e-6, 1.5e-6, 1e-9, 1e-10, 1e-100,
@@ -20,161 +20,158 @@ var edgeFloats = []float64{
 	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 2.2250738585072014e-308,
 }
 
-// TestDistMarshalMatchesEncodingJSON pins the writer to encoding/json's
-// output for distWire byte for byte — the property that keeps shard files,
-// their hashes and the goldens unchanged.
-func TestDistMarshalMatchesEncodingJSON(t *testing.T) {
-	cases := map[string]distWire{
-		"nil samples":   {Sum: 0, Samples: nil},
-		"empty samples": {Sum: 0, Samples: []float64{}},
-		"edge floats":   {Sum: -1e-7, Samples: edgeFloats},
+// TestDistWireForm pins the packed wire form byte for byte on small cases
+// (the base64 strings are the little-endian IEEE-754 bits, computed
+// independently) and the sum's spelling against encoding/json's.
+func TestDistWireForm(t *testing.T) {
+	for _, c := range []struct {
+		sum     float64
+		samples []float64
+		want    string
+	}{
+		{0, nil, `{"sum":0,"samples":null}`},
+		{0, []float64{}, `{"sum":0,"samples":null}`},
+		{1, []float64{1}, `{"sum":1,"samples":"AAAAAAAA8D8="}`},
+		{0.25, []float64{0.25, math.Copysign(0, -1)}, `{"sum":0.25,"samples":"AAAAAAAA0D8AAAAAAAAAgA=="}`},
+		{6, []float64{1, 2, 3}, `{"sum":6,"samples":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"}`},
+	} {
+		got, err := (&Dist{samples: c.samples, sum: c.sum}).MarshalJSON()
+		if err != nil || string(got) != c.want {
+			t.Errorf("%v: MarshalJSON = %s (%v), want %s", c.samples, got, err, c.want)
+		}
 	}
 	for _, f := range edgeFloats {
-		cases[jsonFloat(f)] = distWire{Sum: f, Samples: []float64{f}}
-	}
-	for name, w := range cases {
-		want, err := json.Marshal(w)
+		want, err := json.Marshal(f)
 		if err != nil {
-			t.Fatalf("%s: reference marshal: %v", name, err)
+			t.Fatal(err)
 		}
-		d := &Dist{samples: w.Samples, sum: w.Sum}
+		got, err := (&Dist{sum: f}).MarshalJSON()
+		if err != nil || !bytes.HasPrefix(got, append([]byte(`{"sum":`), append(want, ',')...)) {
+			t.Errorf("sum %v: MarshalJSON = %s (%v), encoding/json spells it %s", f, got, err, want)
+		}
+	}
+}
+
+// TestDistJSONRoundTripBits: every sample's bits, signed zero included,
+// and the sum survive the wire, across chunk boundaries; the encoding is
+// exactly the size it was allocated at.
+func TestDistJSONRoundTripBits(t *testing.T) {
+	rng := sim.NewRNG(3)
+	for _, n := range []int{1, 2, 3, chunkFloats - 1, chunkFloats, chunkFloats + 1, 3*chunkFloats + 2} {
+		d := &Dist{}
+		for i := 0; i < n; i++ {
+			if i < len(edgeFloats) {
+				d.Add(edgeFloats[i])
+			} else {
+				d.Add(rng.Float64() * 1e3)
+			}
+		}
 		got, err := d.MarshalJSON()
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: MarshalJSON wrote\n%s\nencoding/json writes\n%s", name, got, want)
+		if len(got) != cap(got) {
+			t.Errorf("n=%d: %d bytes in a %d-byte buffer", n, len(got), cap(got))
 		}
 		var back Dist
 		if err := back.UnmarshalJSON(got); err != nil {
-			t.Fatalf("%s: decoding own output: %v", name, err)
+			t.Fatalf("n=%d: decoding own output: %v", n, err)
 		}
-		if !sameWire(distWire{back.sum, back.samples}, w) {
-			t.Errorf("%s: round trip gave (%v, %v), want (%v, %v)", name, back.sum, back.samples, w.Sum, w.Samples)
+		if math.Float64bits(back.sum) != math.Float64bits(d.sum) || len(back.samples) != n {
+			t.Fatalf("n=%d: decoded sum %v and %d samples, want %v and %d", n, back.sum, len(back.samples), d.sum, n)
 		}
-	}
-}
-
-func jsonFloat(f float64) string {
-	b, _ := appendJSONFloat(nil, f)
-	return string(b)
-}
-
-// TestDistMarshalRejectsNonFinite pins that NaN and ±Inf fail exactly as
-// they do under encoding/json, in the sum and among the samples.
-func TestDistMarshalRejectsNonFinite(t *testing.T) {
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		for _, w := range []distWire{{Sum: bad, Samples: []float64{1}}, {Sum: 1, Samples: []float64{1, bad}}} {
-			_, want := json.Marshal(w)
-			_, got := (&Dist{samples: w.Samples, sum: w.Sum}).MarshalJSON()
-			var unsupported *json.UnsupportedValueError
-			if !errors.As(got, &unsupported) || want == nil || got.Error() != want.Error() {
-				t.Errorf("%v: MarshalJSON error %v, encoding/json's %v", w, got, want)
+		for i := range d.samples {
+			if math.Float64bits(back.samples[i]) != math.Float64bits(d.samples[i]) {
+				t.Fatalf("n=%d: sample %d decoded as %v, want %v", n, i, back.samples[i], d.samples[i])
 			}
 		}
 	}
 }
 
-// TestDistUnmarshalIndented pins the scanner on the form shard files carry
-// — encoding/json's indented output, one sample per line — and on inputs
-// only the encoding/json fallback understands.
-func TestDistUnmarshalIndented(t *testing.T) {
-	w := distWire{Sum: 6.5, Samples: []float64{1, 2.5, 3e-9}}
-	indented, err := json.MarshalIndent(w, "    ", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		in      string
-		scanned bool // read by the scanner itself, not the fallback
-	}{
-		{string(indented), true},
-		{" {\t\"sum\" : 6.5 ,\r\n \"samples\" : [ 1 , 2.5 , 3e-9 ] } \n", true},
-		{`{"samples":[1,2.5,3e-9],"sum":6.5}`, false},
-		{`{"Sum":6.5,"SAMPLES":[1,2.5,3e-9],"extra":{}}`, false},
-	} {
-		if _, ok := scanDist([]byte(c.in)); ok != c.scanned {
-			t.Errorf("scanDist(%q) recognised = %v, want %v", c.in, ok, c.scanned)
-		}
-		var d Dist
-		if err := d.UnmarshalJSON([]byte(c.in)); err != nil {
-			t.Fatalf("%q: %v", c.in, err)
-		}
-		if !sameWire(distWire{d.sum, d.samples}, w) {
-			t.Errorf("%q decoded to (%v, %v)", c.in, d.sum, d.samples)
+// TestDistMarshalRejectsNonFinite pins that NaN and ±Inf fail as they do
+// under encoding/json, in the sum and among the samples.
+func TestDistMarshalRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, want := json.Marshal(bad)
+		for _, d := range []*Dist{{sum: bad, samples: []float64{1}}, {sum: 1, samples: []float64{1, bad}}} {
+			_, got := d.MarshalJSON()
+			var unsupported *json.UnsupportedValueError
+			if !errors.As(got, &unsupported) || want == nil || got.Error() != want.Error() {
+				t.Errorf("%v: MarshalJSON error %v, encoding/json's %v", d, got, want)
+			}
 		}
 	}
+}
+
+// TestDistUnmarshalRejectsNonCanonical: the decoder takes the canonical
+// form only, and a refused input leaves the Dist as it was.
+func TestDistUnmarshalRejectsNonCanonical(t *testing.T) {
 	for _, in := range []string{
-		`{"sum":1,"samples":[1,]}`, `{"sum":1,"samples":[01]}`, `{"sum":+1,"samples":[]}`,
-		`{"sum":1,"samples":[1e999]}`, `{"sum":1,"samples":[0x10]}`, `{"sum":1,"samples":[1] } x`,
-		`{"sum":1,"samples":[.5]}`, `{"sum":1,"samples":[1.]}`, `{"sum":1,"samples":[Inf]}`, `{"sum":1,"samples":[1`,
+		// Bad base64: a character outside the alphabet, a broken quantum,
+		// non-zero padding bits, padding mid-string, an empty string.
+		`{"sum":1,"samples":"AAAAAAAA8D8*"}`, `{"sum":1,"samples":"AAAAAAAA8D8"}`,
+		`{"sum":1,"samples":"AAAAAAAA8D9="}`, `{"sum":1,"samples":"AAAA=AAA8D8="}`, `{"sum":0,"samples":""}`,
+		`{"sum":1,"samples":"AAAAAAAA\n8D8="}`,
+		// A byte count that is not a multiple of 8.
+		`{"sum":1,"samples":"AAAAAAAA8D8A"}`, `{"sum":1,"samples":"AAAA"}`,
+		// NaN and ±Inf bits.
+		`{"sum":1,"samples":"AQAAAAAA+H8="}`, `{"sum":1,"samples":"AAAAAAAA8H8="}`, `{"sum":1,"samples":"AAAAAAAA8P8="}`,
+		// A sum JSON cannot carry or does not spell this way.
+		`{"sum":1e999,"samples":null}`, `{"sum":Inf,"samples":null}`, `{"sum":1.0,"samples":null}`,
+		`{"sum":+1,"samples":null}`, `{"sum":0x1p0,"samples":null}`, `{"sum":1e-07,"samples":null}`, `{"sum":,"samples":null}`,
+		// Another shape: the v2 array, whitespace, key order, extra members,
+		// a bare null, trailing bytes.
+		`{"sum":1,"samples":[1]}`, `{"sum": 1,"samples":null}`, `{"sum":1,"samples":null} `,
+		`{"samples":null,"sum":1}`, `{"sum":1,"samples":null,"n":0}`, `null`, `{}`, ``,
+		`{"sum":1,"samples":"AAAAAAAA8D8="}}`, `{"sum":1,"samples":"}`, `{"sum":1,"samples":"`,
 	} {
-		if err := new(Dist).UnmarshalJSON([]byte(in)); err == nil {
+		d := Dist{samples: []float64{7}, sum: 7}
+		if err := d.UnmarshalJSON([]byte(in)); err == nil {
 			t.Errorf("%q accepted", in)
 		}
-	}
-}
-
-func sameWire(a, b distWire) bool {
-	if math.Float64bits(a.Sum) != math.Float64bits(b.Sum) ||
-		(a.Samples == nil) != (b.Samples == nil) || len(a.Samples) != len(b.Samples) {
-		return false
-	}
-	for i := range a.Samples {
-		if math.Float64bits(a.Samples[i]) != math.Float64bits(b.Samples[i]) {
-			return false
+		if d.sum != 7 || len(d.samples) != 1 || d.samples[0] != 7 {
+			t.Errorf("%q: refused input changed the Dist to (%v, %v)", in, d.sum, d.samples)
 		}
 	}
-	return true
 }
 
-// FuzzDistJSON holds the scanner to encoding/json on arbitrary bytes: the
-// same accept/reject decision, and on accept the same sum and samples bit
-// for bit, nil-ness included. Inputs the scanner recognises on its own are
-// the interesting ones; the rest prove the fallback is wired.
+// FuzzDistJSON holds the decoder to the canonical form on arbitrary
+// bytes: it never panics, what it accepts re-encodes to exactly the input,
+// and it accepts no non-finite sample (which the encoder would refuse).
 func FuzzDistJSON(f *testing.F) {
 	for _, seed := range []string{
-		`{"sum":0,"samples":null}`, `{"sum":0,"samples":[]}`, `{"sum":-0,"samples":[-0,1e-7,1E+21]}`,
-		"{\n  \"sum\": 6.5,\n  \"samples\": [\n    1,\n    2.5\n  ]\n}", `null`, `{}`, `[]`,
-		`{"sum":1,"samples":[1,]}`, `{"sum":1e999,"samples":[]}`, `{"sum":1,"samples":[1e-400]}`,
-		`{"samples":[1],"sum":1}`, `{"sum":1,"samples":[1],"sum":2}`, `{"sum":"1","samples":[[1]]}`,
-		`{"sum":01,"samples":[1.e1]}`, `{"sum":1,"samples":[1]}}`, `{"sum":1 "samples":[1]}`,
+		`{"sum":0,"samples":null}`, `{"sum":-0,"samples":null}`, `{"sum":1,"samples":"AAAAAAAA8D8="}`,
+		`{"sum":0.25,"samples":"AAAAAAAA0D8AAAAAAAAAgA=="}`, `{"sum":6,"samples":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"}`,
+		`{"sum":1e-7,"samples":null}`, `{"sum":1e+21,"samples":null}`, `{"sum":1,"samples":"AAAAAAAA8D8A"}`,
+		`{"sum":1,"samples":"AAAAAAAA8D9="}`, `{"sum":1,"samples":"AQAAAAAA+H8="}`, `{"sum":1,"samples":"AAAAAAAA8H8="}`,
+		`{"sum":1,"samples":"AAAAAAAA\n8D8="}`, `{"sum":1.0,"samples":null}`, `{"sum":0,"samples":""}`,
+		`{"sum":1,"samples":[1]}`, `null`, `{"sum":1,"samples":"AAAA=AAA8D8="}`,
 	} {
 		f.Add([]byte(seed))
 	}
-	all, err := json.Marshal(distWire{Sum: 1, Samples: edgeFloats})
+	long := &Dist{}
+	for i := 0; i < chunkFloats+len(edgeFloats); i++ {
+		long.Add(edgeFloats[i%len(edgeFloats)])
+	}
+	all, err := long.MarshalJSON()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(all)
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		var want distWire
-		wantErr := json.Unmarshal(in, &want)
-		if scanned, ok := scanDist(in); ok {
-			if wantErr != nil {
-				t.Fatalf("scanner accepted %q, encoding/json rejects it: %v", in, wantErr)
-			}
-			if !sameWire(scanned, want) {
-				t.Fatalf("%q: scanner read (%v, %v), encoding/json (%v, %v)", in, scanned.Sum, scanned.Samples, want.Sum, want.Samples)
-			}
-		}
 		var d Dist
-		gotErr := d.UnmarshalJSON(in)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%q: UnmarshalJSON error %v, encoding/json's %v", in, gotErr, wantErr)
-		}
-		if gotErr != nil {
+		if d.UnmarshalJSON(in) != nil {
 			return
 		}
-		if !sameWire(distWire{d.sum, d.samples}, want) {
-			t.Fatalf("%q: decoded (%v, %v), encoding/json (%v, %v)", in, d.sum, d.samples, want.Sum, want.Samples)
+		for _, v := range d.samples {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%q: accepted a non-finite sample %v", in, v)
+			}
 		}
-		// What decoded must encode, and as encoding/json would encode it.
 		got, err := d.MarshalJSON()
-		ref, refErr := json.Marshal(want)
-		if err != nil || refErr != nil || !bytes.Equal(got, ref) {
-			t.Fatalf("%q: re-encoded as %s (%v), encoding/json %s (%v)", in, got, err, ref, refErr)
+		if err != nil || !bytes.Equal(got, in) {
+			t.Fatalf("%q: re-encoded as %q (%v)", in, got, err)
 		}
 	})
 }

@@ -213,10 +213,9 @@ func (f *Flow) rebind(opts Options) {
 	for i, c := range f.conns {
 		spec := opts.Subflows[i]
 		ctrl := c.Controller()
-		ctrl.Reset(f.shape.icw)
 		// Members back to their fresh-Join state (Ext is structural: OLIA's
-		// sibling pointer and XMP's coupler survive; OLIA's statistics were
-		// reset above).
+		// sibling pointer and XMP's coupler survive; OLIA's statistics are
+		// reset with the controller below).
 		m := f.members[i]
 		m.Cwnd, m.SRTT, m.Active = 0, 0, false
 		c.Rebind(transport.Options{
@@ -233,6 +232,7 @@ func (f *Flow) rebind(opts Options) {
 			OnProgress:  f.progressCBs[i],
 			OnRTTSample: f.rttCBs[i],
 		})
+		ctrl.Reset(f.shape.icw) // after Rebind, whose audit reads the old window
 		f.offsets[i] = spec.StartOffset
 	}
 }

@@ -36,7 +36,9 @@ func TestPacketLayout(t *testing.T) {
 			t.Errorf("Packet.%s ends at byte %d, outside the first cache line", name, end)
 		}
 	}
-	if size := unsafe.Sizeof(p); size%64 != 0 {
+	// The pad is sized for 8-byte pointers; on a 32-bit CPU the struct
+	// shrinks and only the hot-field bound above still applies.
+	if size := unsafe.Sizeof(p); unsafe.Sizeof(uintptr(0)) == 8 && size%64 != 0 {
 		t.Errorf("Packet is %d bytes, not a multiple of 64", size)
 	}
 }

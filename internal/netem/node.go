@@ -15,6 +15,12 @@ type Endpoint interface {
 	Deliver(p *Packet)
 }
 
+// Auditor is an Endpoint that checks its own state and panics on an
+// inconsistency; Host.Audit runs every registered one.
+type Auditor interface {
+	Audit()
+}
+
 // Switch is an output-queued switch: a static forwarding table maps every
 // destination address to an egress link. Topology builders compute the
 // tables (two-level lookup for the Fat-Tree); PathTo reads them once per
@@ -229,6 +235,15 @@ func (h *Host) Unregister(id ConnID, slot int32) {
 		h.conns[slot] = nil
 		h.connIDs[slot] = -1
 		h.freeSlots = append(h.freeSlots, slot)
+	}
+}
+
+// Audit calls Audit on every registered endpoint that is an Auditor.
+func (h *Host) Audit() {
+	for _, ep := range h.conns {
+		if a, ok := ep.(Auditor); ok {
+			a.Audit()
+		}
 	}
 }
 

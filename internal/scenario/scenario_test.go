@@ -233,6 +233,33 @@ func TestShippedScenarios(t *testing.T) {
 	}
 }
 
+// TestFaultRunsPassScoreboardAudit runs the shipped permutation-flap spec
+// (a core uplink down mid-transmit) and the OLIA-2 cell of the chaos-k8
+// benchmark workload (loss, link and switch failures, extra delay, RTOs).
+// Every cell ends in topo.Network.CheckDrained, which audits the
+// scoreboard of each connection still registered, and each connection the
+// flow arena recycles is audited at Rebind; either panics on a violation.
+func TestFaultRunsPassScoreboardAudit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs five k=8 cells")
+	}
+	for _, run := range []struct {
+		path  string
+		shard exp.ShardSpec
+	}{
+		{"../../scenarios/permutation-flap.json", exp.Unsharded},
+		{"../../bench/workloads/chaos-k8.json", exp.ShardSpec{Index: 2, Count: 5}},
+	} {
+		c, err := CompileFile(run.path)
+		if err != nil {
+			t.Fatalf("%s: %v", run.path, err)
+		}
+		if _, err := c.RunShard(run.shard, 2, nil); err != nil {
+			t.Fatalf("%s: %v", run.path, err)
+		}
+	}
+}
+
 func TestScenarioCampaignNeedsSpec(t *testing.T) {
 	if _, _, _, err := exp.CampaignProbe(exp.CampaignScenario, exp.RunParams{}); err == nil {
 		t.Fatal("probing the scenario campaign without a spec should fail")

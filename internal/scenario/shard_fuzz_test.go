@@ -1,0 +1,72 @@
+package scenario
+
+import (
+	"bytes"
+	"os"
+	"testing"
+
+	"xmp/internal/exp"
+)
+
+// smallShard runs the shipped permutation-flap spec, shrunk to two schemes
+// on a k=4 fabric for 1 ms, as one 0/1 shard and returns its file.
+func smallShard(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile("../../scenarios/permutation-flap.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := Parse(data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s.Topology = &TopologySpec{K: 4}
+	s.Scale = &ScaleSpec{Timescale: 0.005, SizeScale: 4096}
+	s.Schemes = []string{"DCTCP", "XMP-2"}
+	c, err := Compile(s, "../../scenarios")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f, err := c.RunShard(exp.Unsharded, 1, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := f.Encode(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzDecodeShard feeds arbitrary bytes to the merge path a coordinator
+// and `xmpsim merge` take: DecodeShard and MergeShardBlobs never panic, and
+// a decoded file re-encodes to a fixed point. The corpus is seeded with a
+// real shard file of a shipped spec. Rendering is not fuzzed: a file whose
+// cell carries a null Dist decodes and merges, then panics in Render.
+func FuzzDecodeShard(f *testing.F) {
+	real := smallShard(f)
+	f.Add(real)
+	f.Add(bytes.Replace(real, []byte(`"schema_version":3`), []byte(`"schema_version":2`), 1))
+	f.Add(bytes.Replace(real, []byte(`"samples":"`), []byte(`"samples":"!`), 1))
+	f.Add([]byte(`{"manifest":{"schema_version":3,"campaign":"matrix"}}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		blob := exp.ShardBlob{Name: "fuzz.json", Data: data}
+		file, err := exp.DecodeShard(blob)
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := file.Encode(&once); err != nil {
+			t.Fatalf("re-encoding a decoded shard: %v", err)
+		}
+		again, err := exp.DecodeShard(exp.ShardBlob{Name: "again.json", Data: once.Bytes()})
+		if err != nil {
+			t.Fatalf("decoding a re-encoded shard: %v\n%s", err, once.Bytes())
+		}
+		if err := again.Encode(&twice); err != nil || !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("re-encoding is not a fixed point (%v):\n%s\n%s", err, once.Bytes(), twice.Bytes())
+		}
+		exp.MergeShardBlobs([]exp.ShardBlob{blob})
+	})
+}

@@ -199,8 +199,9 @@ func (n *Network) LinksByLayer(layer string) []*netem.Link {
 }
 
 // CheckDrained panics unless the network is empty, as a finished cell must
-// leave it: no pending event, no queued packet, every pooled packet freed —
-// and no packet arrived for a connection its host did not know.
+// leave it: no pending event, no queued packet, every pooled packet freed,
+// no packet arrived for a connection its host did not know — and every
+// connection still registered passes its own audit (netem.Auditor).
 func (n *Network) CheckDrained() {
 	if p := n.Eng.Pending(); p != 0 {
 		panic(fmt.Sprintf("topo: %d events pending after the run", p))
@@ -217,5 +218,6 @@ func (n *Network) CheckDrained() {
 		if h.Misdelivered != 0 {
 			panic(fmt.Sprintf("topo: host %s misdelivered %d packets", h.Name, h.Misdelivered))
 		}
+		h.Audit()
 	}
 }

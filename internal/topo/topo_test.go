@@ -320,8 +320,8 @@ func TestTestbedARouting(t *testing.T) {
 
 // TestCheckDrained: the audit a finished cell passes names what a fabric
 // that is not empty still holds — a pending event, a queued packet, a
-// pooled packet nobody released — and a packet a host had no connection
-// for.
+// pooled packet nobody released — a packet a host had no connection for,
+// and a registered endpoint whose own audit fails.
 func TestCheckDrained(t *testing.T) {
 	wantPanic := func(want string, dirty func(ft *topo.FatTree)) {
 		t.Helper()
@@ -348,7 +348,14 @@ func TestCheckDrained(t *testing.T) {
 		h := ft.Host(3)
 		h.Receive(ft.Pool.Ack(1, ft.Host(0).PrimaryAddr(), h.PrimaryAddr(), 0)) // no connection 1 here
 	})
+	wantPanic("endpoint audit failed", func(ft *topo.FatTree) { ft.Host(6).Register(1, failingAuditor{}) })
 }
+
+// failingAuditor is an endpoint whose audit always fails.
+type failingAuditor struct{}
+
+func (failingAuditor) Deliver(*netem.Packet) {}
+func (failingAuditor) Audit()                { panic("endpoint audit failed") }
 
 // TestNetworkResetReplaysTheSameRun: a flow over a Reset fabric — after a
 // run that left a link down, delay added and connection ids used — takes

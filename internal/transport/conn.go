@@ -158,6 +158,11 @@ type senderHalf struct{ c *Conn }
 
 func (h *senderHalf) Deliver(p *netem.Packet) { h.c.senderDeliver(p) }
 
+// Audit makes each connection a netem.Auditor, once, through its sender
+// half: a drained network checks the scoreboard of every connection it
+// still has registered, as Rebind checks each one it recycles.
+func (h *senderHalf) Audit() { h.c.auditScoreboard() }
+
 type receiverHalf struct{ c *Conn }
 
 func (h *receiverHalf) Deliver(p *netem.Packet) { h.c.receiverDeliver(p) }
@@ -245,9 +250,9 @@ func (c *Conn) Detach() {
 
 // Rebind recycles a finished connection into a brand-new transfer described
 // by opts, in place: no allocation, same Conn object, fresh identity. The
-// caller must have reset or replaced the controller (cc.Controller.Reset)
-// and guarantees the old transfer is fully drained — the connection must be
-// Done or Failed with no packets in flight.
+// caller guarantees the old transfer is fully drained — the connection must
+// be Done or Failed with no packets in flight — and resets the controller
+// (cc.Controller.Reset) once Rebind returns, or passes a new one.
 func (c *Conn) Rebind(opts Options) {
 	if c.state != StateDone && c.state != StateFailed {
 		panic(fmt.Sprintf("transport: Rebind in state %v", c.state))
@@ -255,6 +260,7 @@ func (c *Conn) Rebind(opts Options) {
 	if c.inflight != 0 {
 		panic(fmt.Sprintf("transport: Rebind with %d packets in flight", c.inflight))
 	}
+	c.auditScoreboard()
 	c.stopRTO()
 	c.stopDelAck()
 	c.Detach()
@@ -284,6 +290,21 @@ func (c *Conn) Rebind(opts Options) {
 	c.state = StateIdle
 	c.startTime, c.establishAt, c.doneAt = 0, 0, 0
 	c.bind(opts)
+}
+
+// auditScoreboard panics unless the connection's sequence state is
+// consistent: snd_una <= snd_nxt, every SACKed segment in
+// [snd_una, snd_nxt), every out-of-order segment above rcv_nxt, and a
+// window of at least one segment.
+func (c *Conn) auditScoreboard() {
+	sacked, ooo := c.sacked.ranges, c.ooo.ranges
+	if c.sndUna > c.sndNxt ||
+		len(sacked) > 0 && (sacked[0].start < c.sndUna || c.sacked.Max() > c.sndNxt) ||
+		len(ooo) > 0 && ooo[0].start <= c.rcvNxt ||
+		c.ctrl.Window() < 1 {
+		panic(fmt.Sprintf("transport: connection %d has an inconsistent scoreboard: snd_una=%d snd_nxt=%d sacked=%v rcv_nxt=%d ooo=%v cwnd=%d",
+			c.id, c.sndUna, c.sndNxt, sacked, c.rcvNxt, ooo, c.ctrl.Window()))
+	}
 }
 
 // InFlight returns the number of this connection's packets currently inside

@@ -15,36 +15,28 @@ type segRange struct {
 func (r segRange) len() int64 { return r.end - r.start }
 
 // Add inserts [start, end), merging with any adjacent/overlapping ranges.
+// It edits the slice in place and allocates only to grow its capacity.
 func (s *rangeSet) Add(start, end int64) {
 	if start >= end {
 		return
 	}
-	out := s.ranges[:0:0]
-	inserted := false
-	for _, r := range s.ranges {
-		switch {
-		case r.end < start:
-			out = append(out, r)
-		case end < r.start:
-			if !inserted {
-				out = append(out, segRange{start, end})
-				inserted = true
-			}
-			out = append(out, r)
-		default:
-			// Overlapping or touching: absorb into the pending range.
-			if r.start < start {
-				start = r.start
-			}
-			if r.end > end {
-				end = r.end
-			}
-		}
+	// ranges[i:j] are the ranges that overlap or touch [start, end).
+	i := 0
+	for i < len(s.ranges) && s.ranges[i].end < start {
+		i++
 	}
-	if !inserted {
-		out = append(out, segRange{start, end})
+	j := i
+	for j < len(s.ranges) && s.ranges[j].start <= end {
+		j++
 	}
-	s.ranges = out
+	if i == j {
+		s.ranges = append(s.ranges, segRange{})
+		copy(s.ranges[i+1:], s.ranges[i:])
+		s.ranges[i] = segRange{start, end}
+		return
+	}
+	s.ranges[i] = segRange{min(start, s.ranges[i].start), max(end, s.ranges[j-1].end)}
+	s.ranges = append(s.ranges[:i+1], s.ranges[j:]...)
 }
 
 // Contains reports whether seg is in the set.

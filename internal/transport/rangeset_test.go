@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -153,5 +155,80 @@ func TestRangeSetModelProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// oracleAdd is rangeSet.Add as it was before it edited in place: every call
+// builds a fresh slice. The in-place Add must leave exactly its ranges.
+func oracleAdd(s *rangeSet, start, end int64) {
+	if start >= end {
+		return
+	}
+	out := s.ranges[:0:0]
+	inserted := false
+	for _, r := range s.ranges {
+		switch {
+		case r.end < start:
+			out = append(out, r)
+		case end < r.start:
+			if !inserted {
+				out = append(out, segRange{start, end})
+				inserted = true
+			}
+			out = append(out, r)
+		default:
+			start, end = min(start, r.start), max(end, r.end)
+		}
+	}
+	if !inserted {
+		out = append(out, segRange{start, end})
+	}
+	s.ranges = out
+}
+
+// TestRangeSetAddMatchesOracle drives the in-place Add and the
+// copy-on-write oracle through the same random Add/TrimBelow/Clear
+// sequences and requires identical ranges after every step.
+func TestRangeSetAddMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for seq := 0; seq < 2000; seq++ {
+		var got, want rangeSet
+		for step := 0; step < 60; step++ {
+			switch op := rng.Intn(20); {
+			case op < 16:
+				a, n := rng.Int63n(100), rng.Int63n(8)-1 // n = -1 and 0 are no-ops
+				got.Add(a, a+n)
+				oracleAdd(&want, a, a+n)
+			case op < 19:
+				a := rng.Int63n(100)
+				got.TrimBelow(a)
+				want.TrimBelow(a)
+			default:
+				got.Clear()
+				want.Clear()
+			}
+			if !slices.Equal(got.ranges, want.ranges) {
+				t.Fatalf("sequence %d step %d: ranges %v, oracle %v", seq, step, got.ranges, want.ranges)
+			}
+		}
+	}
+}
+
+// TestRangeSetAddZeroAlloc: once the ranges have capacity, Add — inserting,
+// merging, bridging — allocates nothing.
+func TestRangeSetAddZeroAlloc(t *testing.T) {
+	var s rangeSet
+	s.ranges = make([]segRange, 0, 16)
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Clear()
+		s.Add(10, 12)
+		s.Add(20, 22)
+		s.Add(0, 2)
+		s.Add(15, 16)
+		s.Add(12, 15)
+		s.Add(1, 30)
+	})
+	if allocs != 0 {
+		t.Fatalf("Add allocated %v times per run", allocs)
 	}
 }
