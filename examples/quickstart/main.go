@@ -62,8 +62,8 @@ func main() {
 	fmt.Printf("  %-8s goodput %6.1f Mbps  (subflow split: %.1f / %.1f Mbps)\n",
 		multi.Name(),
 		multi.GoodputBps(now)/1e6,
-		float64(multi.Subflows()[0].AckedBytes()*8)/now.Seconds()/1e6,
-		float64(multi.Subflows()[1].AckedBytes()*8)/now.Seconds()/1e6)
+		float64(multi.Subflow(0).AckedBytes()*8)/now.Seconds()/1e6,
+		float64(multi.Subflow(1).AckedBytes()*8)/now.Seconds()/1e6)
 	fmt.Printf("  %-8s goodput %6.1f Mbps\n\n", single.Name(), single.GoodputBps(now)/1e6)
 
 	for p := 0; p < 2; p++ {

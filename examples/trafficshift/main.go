@@ -66,7 +66,7 @@ func main() {
 		now := eng.Now()
 		var rates [2]float64
 		for s := 0; s < 2; s++ {
-			b := flow2.Subflows()[s].AckedBytes()
+			b := flow2.Subflow(s).AckedBytes()
 			rates[s] = float64(b-prev[s]) * 8 / tick.Seconds() / 300e6
 			prev[s] = b
 		}

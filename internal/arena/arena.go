@@ -19,7 +19,9 @@ const DefaultChunk = 64
 // use and allocates DefaultChunk objects per chunk.
 type Slab[T any] struct {
 	chunk []T
-	size  int
+	// chunks holds every chunk made so far, for Each.
+	chunks [][]T
+	size   int
 	// allocated counts objects handed out (observability for tests and
 	// pool accounting).
 	allocated int
@@ -43,6 +45,7 @@ func (s *Slab[T]) Get() *T {
 			n = DefaultChunk
 		}
 		s.chunk = make([]T, n)
+		s.chunks = append(s.chunks, s.chunk)
 	}
 	p := &s.chunk[0]
 	s.chunk = s.chunk[1:]
@@ -52,3 +55,15 @@ func (s *Slab[T]) Get() *T {
 
 // Allocated returns the number of objects handed out so far.
 func (s *Slab[T]) Allocated() int { return s.allocated }
+
+// Each calls fn on every object handed out so far, in allocation order.
+func (s *Slab[T]) Each(fn func(*T)) {
+	for i, c := range s.chunks {
+		if i == len(s.chunks)-1 {
+			c = c[:len(c)-len(s.chunk)]
+		}
+		for j := range c {
+			fn(&c[j])
+		}
+	}
+}

@@ -44,3 +44,21 @@ func TestSlabAllocationAmortized(t *testing.T) {
 		t.Fatalf("Get within a chunk allocated %.1f times", allocs)
 	}
 }
+
+func TestSlabEachVisitsEveryObjectInOrder(t *testing.T) {
+	s := NewSlab[int](8)
+	s.Each(func(*int) { t.Fatal("Each visited an object of an empty slab") })
+	for i := 0; i < 21; i++ {
+		*s.Get() = i
+	}
+	var seen []int
+	s.Each(func(p *int) { seen = append(seen, *p) })
+	if len(seen) != 21 {
+		t.Fatalf("Each visited %d objects, want 21", len(seen))
+	}
+	for i, v := range seen {
+		if v != i {
+			t.Fatalf("object %d holds %d: Each out of allocation order", i, v)
+		}
+	}
+}

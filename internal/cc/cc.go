@@ -54,8 +54,6 @@ type Controller interface {
 	// OnAck processes a (possibly congestion-marked) acknowledgement that
 	// advanced snd_una.
 	OnAck(a Ack)
-	// OnDupAck processes the n-th consecutive duplicate ACK (n >= 1).
-	OnDupAck(n int)
 	// OnFastRetransmit fires when the transport enters fast-retransmit
 	// loss recovery (third duplicate ACK).
 	OnFastRetransmit()

@@ -35,42 +35,32 @@ func (m *Member) Rate() float64 {
 // simply never shares its group.
 type FlowGroup struct {
 	members []*Member
-	// block holds pre-allocated member storage carved out by Join; see Grow.
-	block []Member
 }
 
 // NewFlowGroup returns an empty group.
 func NewFlowGroup() *FlowGroup { return &FlowGroup{} }
 
-// Grow pre-allocates room for n more members in two block allocations, so
-// the following n Joins allocate nothing. Purely an optimization: Join
-// works the same without it.
+// Grow reserves room for n more members, so the following n Joins or Adds
+// append without reallocating.
 func (g *FlowGroup) Grow(n int) {
-	if n <= 0 {
-		return
-	}
-	if free := cap(g.members) - len(g.members); free < n {
+	if cap(g.members)-len(g.members) < n {
 		grown := make([]*Member, len(g.members), len(g.members)+n)
 		copy(grown, g.members)
 		g.members = grown
-	}
-	if len(g.block) < n {
-		g.block = make([]Member, n)
 	}
 }
 
 // Join registers a new subflow and returns its state slot.
 func (g *FlowGroup) Join() *Member {
-	var m *Member
-	if len(g.block) > 0 {
-		m = &g.block[0]
-		g.block = g.block[1:]
-	} else {
-		m = &Member{}
-	}
-	g.members = append(g.members, m)
+	m := &Member{}
+	g.Add(m)
 	return m
 }
+
+// Add registers m, a slot its caller owns, as the group's next subflow:
+// Join for owners that lay members out in their own storage (mptcp.Flow
+// keeps each in its subflow's record).
+func (g *FlowGroup) Add(m *Member) { g.members = append(g.members, m) }
 
 // Members returns the group's subflow states (shared, do not modify
 // entries you do not own).

@@ -39,7 +39,3 @@ func (w *RenoWindow) Collapse() {
 	w.Ssthresh = max(w.Cwnd/2, 2)
 	w.Cwnd = MinWindow
 }
-
-// OnDupAck implements Controller: the embedders react at the third
-// duplicate via OnFastRetransmit; individual dupacks are ignored.
-func (w *RenoWindow) OnDupAck(int) {}

@@ -167,9 +167,6 @@ func (b *BOS) reduce(sndNxt int64) {
 	b.ssthresh = b.cwnd - 1
 }
 
-// OnDupAck implements cc.Controller.
-func (b *BOS) OnDupAck(int) {}
-
 // OnFastRetransmit implements cc.Controller: packet loss falls back to the
 // same 1/β multiplicative cut.
 func (b *BOS) OnFastRetransmit() {

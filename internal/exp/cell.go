@@ -167,8 +167,9 @@ func NewCell(w *Worker, cfg CellConfig, scheme workload.Scheme) *Cell {
 }
 
 // Run installs the fault schedule, runs the engine until every flow has
-// drained, and panics unless the fabric is empty (topo.CheckDrained).
-// Generators must have been started.
+// drained, and panics unless the fabric is empty and every flow is back in
+// the arena (topo.CheckDrained, mptcp.Arena.Audit). Generators must have
+// been started.
 func (c *Cell) Run() {
 	var inj *chaos.Injector
 	if c.chaos != nil {
@@ -179,7 +180,7 @@ func (c *Cell) Run() {
 		inj.Install()
 	}
 	c.Events = c.Net.Eng.RunAll(4_000_000_000)
-	c.Net.CheckDrained()
+	c.Net.CheckDrained(c.Base.Arena)
 	if inj != nil {
 		c.Faults = inj.Applied()
 	}

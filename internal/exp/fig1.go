@@ -78,7 +78,6 @@ func RunFig1(cfg Fig1Config) *Fig1Result {
 	tcfg := transport.DefaultConfig()
 	conns := make([]*transport.Conn, 4)
 	for i := 0; i < 4; i++ {
-		i := i
 		res.Series[i] = metrics.NewRateSeries(bin)
 		var ctrl cc.Controller
 		var mode cc.EchoMode
@@ -99,7 +98,7 @@ func RunFig1(cfg Fig1Config) *Fig1Result {
 			Controller: ctrl,
 			Config:     c,
 			Supply:     transport.InfiniteSupply{},
-			OnProgress: func(now sim.Time, bytes int) { res.Series[i].Add(now, bytes) },
+			Owner:      connSeries{res.Series[i]},
 		})
 		// Flow i starts at i*T and stops at (4+i)*T.
 		eng.Schedule(sim.Duration(i)*cfg.Interval, conns[i].Start)

@@ -66,7 +66,7 @@ func RunFig4(cfg Fig4Config) *Fig4Result {
 	res.Sub[0] = metrics.NewRateSeries(bin)
 	res.Sub[1] = metrics.NewRateSeries(bin)
 
-	mkFlow := func(src, dst *netem.Host, paths []int, onProg func(int, sim.Time, int)) *mptcp.Flow {
+	mkFlow := func(src, dst *netem.Host, paths []int, obs mptcp.Observer) *mptcp.Flow {
 		specs := make([]mptcp.SubflowSpec, len(paths))
 		for i, p := range paths {
 			specs[i] = mptcp.SubflowSpec{SrcAddr: tb.PathAddr(src, p), DstAddr: tb.PathAddr(dst, p)}
@@ -79,16 +79,14 @@ func RunFig4(cfg Fig4Config) *Fig4Result {
 			Beta:       cfg.Beta,
 			Transport:  transport.DefaultConfig(),
 			NextConnID: tb.NextConnID,
-			OnProgress: onProg,
+			Observer:   obs,
 		})
 	}
 
 	// Flows 1 and 3 pin DN1 and DN2; Flow 2 splits.
 	f1 := mkFlow(tb.S[0], tb.D[0], []int{0}, nil)
 	f3 := mkFlow(tb.S[2], tb.D[2], []int{1}, nil)
-	f2 := mkFlow(tb.S[1], tb.D[1], []int{0, 1}, func(s int, now sim.Time, b int) {
-		res.Sub[s].Add(now, b)
-	})
+	f2 := mkFlow(tb.S[1], tb.D[1], []int{0, 1}, (*subflowSeries)(&res.Sub))
 	f1.Start()
 	f2.Start()
 	f3.Start()

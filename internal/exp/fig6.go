@@ -76,7 +76,6 @@ func RunFig6(cfg Fig6Config) *Fig6Result {
 
 	flows := make([]*mptcp.Flow, 4)
 	for i := 0; i < 4; i++ {
-		i := i
 		res.Flows[i] = metrics.NewRateSeries(bin)
 		specs := make([]mptcp.SubflowSpec, len(subOffsets[i]))
 		for s, off := range subOffsets[i] {
@@ -90,7 +89,7 @@ func RunFig6(cfg Fig6Config) *Fig6Result {
 			Beta:       cfg.Beta,
 			Transport:  transport.DefaultConfig(),
 			NextConnID: tb.NextConnID,
-			OnProgress: func(_ int, now sim.Time, b int) { res.Flows[i].Add(now, b) },
+			Observer:   flowSeries{res.Flows[i]},
 		})
 		if startAt[i] == 0 {
 			flows[i].Start()

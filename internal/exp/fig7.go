@@ -78,7 +78,6 @@ func RunFig7(cfg Fig7Config) *Fig7Result {
 	u := cfg.Unit
 
 	for i := 0; i < 5; i++ {
-		i := i
 		res.Sub[i][0] = metrics.NewRateSeries(bin)
 		res.Sub[i][1] = metrics.NewRateSeries(bin)
 		res.Caps[i][0] = Fig7Capacities[i]
@@ -94,7 +93,7 @@ func RunFig7(cfg Fig7Config) *Fig7Result {
 			Beta:       cfg.Setting.Beta,
 			Transport:  transport.DefaultConfig(),
 			NextConnID: tr.NextConnID,
-			OnProgress: func(s int, now sim.Time, b int) { res.Sub[i][s].Add(now, b) },
+			Observer:   (*subflowSeries)(&res.Sub[i]),
 		})
 		eng.Schedule(sim.Duration(i)*u, f.Start)
 	}

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"io"
 
+	"xmp/internal/metrics"
+	"xmp/internal/mptcp"
 	"xmp/internal/sim"
+	"xmp/internal/transport"
 )
 
 // Figure is one of the paper's testbed figures: a fixed list of panels run
@@ -47,3 +50,30 @@ func panel(w io.Writer, r interface{ Render(io.Writer) }) {
 	r.Render(w)
 	fmt.Fprintln(w)
 }
+
+// The figures plot acknowledged bytes over time; these observers feed a
+// connection's or flow's progress into its rate series.
+
+// connSeries is a connection's transport.Owner: its progress goes into one
+// series (Figure 1's single-path senders).
+type connSeries struct{ *metrics.RateSeries }
+
+func (s connSeries) Progress(now sim.Time, ackedBytes int) { s.Add(now, ackedBytes) }
+func (connSeries) RTTSample(sim.Duration)                  {}
+func (connSeries) Complete(*transport.Conn)                {}
+
+// flowSeries is a flow's mptcp.Observer: every subflow's progress goes into
+// one series (Figure 6's per-flow rates).
+type flowSeries struct{ *metrics.RateSeries }
+
+func (s flowSeries) Progress(_ int, now sim.Time, ackedBytes int) { s.Add(now, ackedBytes) }
+func (flowSeries) RTTSample(int, sim.Duration)                    {}
+func (flowSeries) Complete(*mptcp.Flow)                           {}
+
+// subflowSeries is a two-subflow flow's mptcp.Observer: subflow i's
+// progress goes into series i (Figures 4 and 7).
+type subflowSeries [2]*metrics.RateSeries
+
+func (s *subflowSeries) Progress(i int, now sim.Time, ackedBytes int) { s[i].Add(now, ackedBytes) }
+func (*subflowSeries) RTTSample(int, sim.Duration)                    {}
+func (*subflowSeries) Complete(*mptcp.Flow)                           {}

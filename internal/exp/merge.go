@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strings"
+
+	"xmp/internal/metrics"
 )
 
 // This file reassembles sharded campaigns. A ShardFile is what one
@@ -85,6 +88,66 @@ func DecodeShard(b ShardBlob) (ShardEncoder, error) {
 		return nil, fmt.Errorf("%s: %v", b.Name, err)
 	}
 	return f, nil
+}
+
+// refuseNullDists returns an error naming the first cell and field whose
+// *metrics.Dist decoded from a JSON null. Unmarshal takes null for any
+// pointer, but a campaign's cells always carry their Dists (an empty one
+// encodes as an object), and rendering one that is nil would panic.
+func (f *ShardFile[T]) refuseNullDists() error {
+	for i := range f.Cells {
+		c := &f.Cells[i]
+		if path := nullDist(reflect.ValueOf(&c.Data).Elem(), "data"); path != "" {
+			return fmt.Errorf("cell %d: %s is null, want a Dist", c.Cell, path)
+		}
+	}
+	return nil
+}
+
+var distType = reflect.TypeOf((*metrics.Dist)(nil))
+
+// nullDist returns the path below path of the first nil *metrics.Dist in v,
+// walking exported struct fields, non-nil pointers, slices, arrays and maps
+// (in key order), or "" if there is none.
+func nullDist(v reflect.Value, path string) string {
+	switch v.Kind() {
+	case reflect.Pointer:
+		switch {
+		case v.Type() == distType:
+			if v.IsNil() {
+				return path
+			}
+		case !v.IsNil():
+			return nullDist(v.Elem(), path)
+		}
+	case reflect.Struct:
+		t := v.Type()
+		for i := 0; i < v.NumField(); i++ {
+			if t.Field(i).IsExported() {
+				if p := nullDist(v.Field(i), path+"."+t.Field(i).Name); p != "" {
+					return p
+				}
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		if k := v.Type().Elem().Kind(); k <= reflect.Complex128 || k == reflect.String {
+			return "" // scalars: nothing below
+		}
+		for i := 0; i < v.Len(); i++ {
+			if p := nullDist(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); p != "" {
+				return p
+			}
+		}
+	case reflect.Map:
+		keys := v.MapKeys()
+		sort.Slice(keys, func(i, j int) bool { return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j]) })
+		for _, k := range keys {
+			if p := nullDist(v.MapIndex(k), fmt.Sprintf("%s[%v]", path, k)); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
 }
 
 // ValidateShardSet checks that a set of manifests describes an exact

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -483,14 +484,22 @@ func TestDecodeOnArrivalMatchesMergeShardBlobs(t *testing.T) {
 		t.Errorf("decode-on-arrival render diverges from MergeShardBlobs:\n--- blobs ---\n%s\n--- on arrival ---\n%s", want.String(), got.String())
 	}
 
-	// What DecodeShard refuses, and how it names the file.
-	for _, bad := range []ShardBlob{
-		{Name: "array.json", Data: []byte(`[]`)},
-		{Name: "truncated.json", Data: blobs[0].Data[:len(blobs[0].Data)/2]},
-		{Name: "nameless.json", Data: []byte(`{"cells": [], "manifest": {"campaign": "nope"}}`)},
+	// What DecodeShard refuses, and how it names the file — and, for a
+	// cell's content, the cell and the field.
+	nullJCT := regexp.MustCompile(`"JCT":\{[^}]*\}`)
+	for _, bad := range []struct {
+		blob ShardBlob
+		want string
+	}{
+		{ShardBlob{Name: "array.json", Data: []byte(`[]`)}, ""},
+		{ShardBlob{Name: "truncated.json", Data: blobs[0].Data[:len(blobs[0].Data)/2]}, ""},
+		{ShardBlob{Name: "nameless.json", Data: []byte(`{"cells": [], "manifest": {"campaign": "nope"}}`)}, ""},
+		{ShardBlob{Name: "null-dist.json", Data: nullJCT.ReplaceAll(blobs[1].Data, []byte(`"JCT":null`))},
+			"cell 1: data.Collector.JCT is null"},
 	} {
-		if _, err := DecodeShard(bad); err == nil || !strings.Contains(err.Error(), bad.Name) {
-			t.Errorf("DecodeShard(%s) = %v, want an error naming the file", bad.Name, err)
+		_, err := DecodeShard(bad.blob)
+		if err == nil || !strings.Contains(err.Error(), bad.blob.Name) || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("DecodeShard(%s) = %v, want an error naming the file and %q", bad.blob.Name, err, bad.want)
 		}
 	}
 }

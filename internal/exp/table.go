@@ -132,7 +132,10 @@ func declare[T, R any](d descriptor[T, R]) *campaign {
 	}
 	c.decode = func(data []byte) (ShardEncoder, error) {
 		f := new(ShardFile[T])
-		return f, json.Unmarshal(data, f)
+		if err := json.Unmarshal(data, f); err != nil {
+			return nil, err
+		}
+		return f, f.refuseNullDists()
 	}
 	c.merge = func(files []ShardEncoder) (*MergeResult, error) {
 		typed := make([]*ShardFile[T], len(files))

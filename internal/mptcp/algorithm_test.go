@@ -32,7 +32,6 @@ func driveTrace(c cc.Controller) []int {
 		}
 	}
 	loss := func(react func()) {
-		c.OnDupAck(1)
 		react()
 		windows = append(windows, c.Window())
 	}

@@ -47,8 +47,8 @@ func shapeOf(opts *Options) shapeKey {
 	}
 }
 
-// Arena recycles completed flows — the whole graph: Flow, coupling group,
-// transport connections, controllers, callback closures — so a campaign
+// Arena recycles completed flows — the whole graph: Flow, its subflow
+// block and coupling group, transport connections, controllers — so a campaign
 // launching millions of short transfers reaches a steady state where
 // starting a flow allocates nothing.
 //
@@ -105,6 +105,29 @@ func (a *Arena) Quarantined() int {
 		n += len(q)
 	}
 	return n
+}
+
+// Audit implements netem.Auditor for a drained run: every flow the arena
+// built is back in quarantine with no packet in flight, or failed (a
+// failed flow never completes, so it is never released). That is
+// Fresh() == Quarantined() + the failed flows; anything else is a flow
+// leaked by its owner or released before the network let go of it.
+func (a *Arena) Audit() {
+	var failed int64
+	a.flows.Each(func(f *Flow) {
+		switch {
+		case !f.drained():
+			panic(fmt.Sprintf("mptcp: flow %q has packets in flight after the run", f.Name()))
+		case f.released:
+		case f.failed():
+			failed++
+		default:
+			panic(fmt.Sprintf("mptcp: flow %q was neither released nor failed", f.Name()))
+		}
+	})
+	if q := int64(a.Quarantined()); q+failed != a.fresh {
+		panic(fmt.Sprintf("mptcp: arena built %d flows but holds %d in quarantine and %d failed", a.fresh, q, failed))
+	}
 }
 
 // NewFlow builds or recycles a flow for opts (idle until Start). The

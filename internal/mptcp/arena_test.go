@@ -7,11 +7,12 @@ import (
 	"xmp/internal/mptcp"
 	"xmp/internal/sim"
 	"xmp/internal/topo"
+	"xmp/internal/transport"
 )
 
 // arenaFlow builds a small finite two-subflow XMP flow through the arena
 // on testbed A.
-func arenaFlow(a *mptcp.Arena, tb *topo.TestbedA, bytes int64, onDone func(*mptcp.Flow)) *mptcp.Flow {
+func arenaFlow(a *mptcp.Arena, tb *topo.TestbedA, bytes int64) *mptcp.Flow {
 	opts := flowOpts(tb, "arena", mptcp.AlgXMP)
 	opts.Src, opts.Dst = tb.S[1], tb.D[1]
 	opts.TotalBytes = bytes
@@ -19,14 +20,13 @@ func arenaFlow(a *mptcp.Arena, tb *topo.TestbedA, bytes int64, onDone func(*mptc
 		{SrcAddr: tb.PathAddr(tb.S[1], 0), DstAddr: tb.PathAddr(tb.D[1], 0)},
 		{SrcAddr: tb.PathAddr(tb.S[1], 1), DstAddr: tb.PathAddr(tb.D[1], 1)},
 	}
-	opts.OnComplete = onDone
 	return a.NewFlow(tb.Eng, opts)
 }
 
 // completeArenaFlow runs one flow to completion and returns it un-released.
 func completeArenaFlow(t *testing.T, a *mptcp.Arena, tb *topo.TestbedA) *mptcp.Flow {
 	t.Helper()
-	f := arenaFlow(a, tb, 256<<10, nil)
+	f := arenaFlow(a, tb, 256<<10)
 	f.Start()
 	tb.Eng.Run(tb.Eng.Now() + sim.Time(10*sim.Second))
 	if !f.Done() {
@@ -64,7 +64,7 @@ func TestArenaReleaseUnfinishedPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	tb := testbedA(eng)
 	a := mptcp.NewArena()
-	f := arenaFlow(a, tb, 256<<10, nil)
+	f := arenaFlow(a, tb, 256<<10)
 	expectPanic(t, "releasing unfinished flow", func() { a.Release(f) })
 }
 
@@ -159,5 +159,44 @@ func TestArenaRecycleMatchesFresh(t *testing.T) {
 	}
 	if d := recycled.CompletionTime().Sub(recycled.StartTime()); d <= 0 || freshDur <= 0 {
 		t.Errorf("nonpositive transfer durations: fresh %v, recycled %v", freshDur, d)
+	}
+}
+
+// TestArenaAuditBalance: after a run, Audit passes only when every flow
+// the arena built is back in quarantine and drained, or failed.
+func TestArenaAuditBalance(t *testing.T) {
+	eng := sim.NewEngine()
+	tb := testbedA(eng)
+	a := mptcp.NewArena()
+	a.Audit() // an empty arena balances
+
+	f := arenaFlow(a, tb, 256<<10)
+	f.Start()
+	eng.Run(eng.Now() + sim.Time(sim.Millisecond))
+	expectPanic(t, "packets in flight", a.Audit)
+	eng.RunAll(10_000_000)
+	expectPanic(t, "neither released nor failed", a.Audit)
+	a.Release(f)
+	a.Audit()
+
+	// A flow whose handshake never gets through gives up and is counted
+	// as failed, not leaked.
+	opts := flowOpts(tb, "doomed", mptcp.AlgReno)
+	opts.Src, opts.Dst = tb.S[0], tb.D[0]
+	opts.TotalBytes = 1 << 10
+	opts.Subflows = []mptcp.SubflowSpec{{}}
+	opts.Transport.MaxRetries = 1
+	for _, li := range tb.Links() {
+		li.SetDown(true)
+	}
+	doomed := a.NewFlow(eng, opts)
+	doomed.Start()
+	eng.RunAll(10_000_000)
+	if doomed.Subflow(0).State() != transport.StateFailed {
+		t.Fatalf("subflow state %v after its path went down, want failed", doomed.Subflow(0).State())
+	}
+	a.Audit()
+	if a.Fresh() != 2 || a.Quarantined() != 1 {
+		t.Fatalf("fresh=%d quarantined=%d, want 2/1", a.Fresh(), a.Quarantined())
 	}
 }

@@ -52,29 +52,38 @@ type Options struct {
 	Transport transport.Config
 	// NextConnID allocates connection IDs (shared across the experiment).
 	NextConnID func() netem.ConnID
-	// OnComplete fires when every subflow has delivered its share.
-	OnComplete func(*Flow)
-	// OnProgress fires whenever subflow i newly acknowledges data (rate
-	// plots).
-	OnProgress func(subflow int, now sim.Time, ackedBytes int)
-	// OnRTTSample fires for every RTT measurement on subflow i (the
-	// Figure 10 distributions).
-	OnRTTSample func(subflow int, rtt sim.Duration)
+	// Observer receives the flow's events; nil for none.
+	Observer Observer
 
 	// connAlloc, set by Arena.NewFlow, slab-allocates the subflow
 	// connections of fresh flows. Nil (plain allocation) outside arenas.
 	connAlloc *transport.ConnAllocator
 }
 
+// Observer receives a flow's events. Observers are typically pointers, so
+// storing one in Options allocates nothing.
+type Observer interface {
+	// Progress fires whenever subflow i newly acknowledges data (rate
+	// plots).
+	Progress(subflow int, now sim.Time, ackedBytes int)
+	// RTTSample fires for every RTT measurement on subflow i (the Figure
+	// 10 distributions).
+	RTTSample(subflow int, rtt sim.Duration)
+	// Complete fires when every subflow has delivered its share.
+	Complete(f *Flow)
+}
+
 // Flow is one (possibly multipath) data transfer.
 type Flow struct {
-	name      string
-	nameFn    func() string
-	eng       *sim.Engine
-	group     *cc.FlowGroup
-	conns     []*transport.Conn
-	members   []*cc.Member
-	offsets   []sim.Duration
+	name   string
+	nameFn func() string
+	eng    *sim.Engine
+	// group couples the subflows of a multipath flow; its members live in
+	// subs. Single-path controllers never read it, so it stays empty.
+	group cc.FlowGroup
+	// subs is the flow's one block: a record per subflow, sized to the
+	// subflow count and kept across arena rebinds.
+	subs      []subflow
 	remaining int64
 	infinite  bool
 
@@ -84,17 +93,7 @@ type Flow struct {
 	completed int
 	done      bool
 
-	onComplete  func(*Flow)
-	onProgress  func(int, sim.Time, int)
-	onRTTSample func(int, sim.Duration)
-
-	// Once-allocated plumbing retained across arena rebinds: the per-conn
-	// transport callbacks capture (f, idx) and route through the mutable
-	// callback fields above, so recycling a flow into a new transfer swaps
-	// a few field assignments instead of reallocating closures.
-	connDone    func(*transport.Conn)
-	progressCBs []func(sim.Time, int)
-	rttCBs      []func(sim.Duration)
+	obs Observer
 
 	// Construction shape, captured for arena recycling: a recycled flow is
 	// rebound with the same subflow count, algorithm, β, initial window and
@@ -107,6 +106,34 @@ type Flow struct {
 	released bool
 	arena    *Arena
 }
+
+// subflow is one subflow's record in its flow's block: the connection, the
+// coupling-group member it publishes through, its start offset and index.
+// It is the connection's transport.Owner, forwarding to the flow.
+type subflow struct {
+	flow   *Flow
+	conn   *transport.Conn
+	member cc.Member
+	offset sim.Duration
+	idx    int
+}
+
+// Progress implements transport.Owner.
+func (s *subflow) Progress(now sim.Time, ackedBytes int) {
+	if obs := s.flow.obs; obs != nil {
+		obs.Progress(s.idx, now, ackedBytes)
+	}
+}
+
+// RTTSample implements transport.Owner.
+func (s *subflow) RTTSample(rtt sim.Duration) {
+	if obs := s.flow.obs; obs != nil {
+		obs.RTTSample(s.idx, rtt)
+	}
+}
+
+// Complete implements transport.Owner.
+func (s *subflow) Complete(*transport.Conn) { s.flow.subflowDone() }
 
 // New builds a flow and its subflow connections (idle until Start).
 func New(eng *sim.Engine, opts Options) *Flow {
@@ -135,117 +162,100 @@ func initFlow(f *Flow, eng *sim.Engine, opts Options, shape shapeKey) {
 		panic("mptcp: TotalBytes must be positive or negative (unbounded)")
 	}
 
-	*f = Flow{
-		name:        opts.Name,
-		nameFn:      opts.NameFn,
-		eng:         eng,
-		group:       cc.NewFlowGroup(),
-		remaining:   opts.TotalBytes,
-		infinite:    opts.TotalBytes < 0,
-		onComplete:  opts.OnComplete,
-		onProgress:  opts.OnProgress,
-		onRTTSample: opts.OnRTTSample,
-		shape:       shape,
-	}
-	f.connDone = func(*transport.Conn) { f.subflowDone() }
-
 	n := len(opts.Subflows)
-	f.group.Grow(n)
-	f.conns = make([]*transport.Conn, 0, n)
-	f.members = make([]*cc.Member, 0, n)
-	f.offsets = make([]sim.Duration, 0, n)
-	f.progressCBs = make([]func(sim.Time, int), n)
-	f.rttCBs = make([]func(sim.Duration), n)
-	for i, spec := range opts.Subflows {
-		member := f.group.Join()
-		ctrl := alg.controller(shape.icw, shape.beta, f.group, member)
-		idx := i
-		f.progressCBs[i] = func(now sim.Time, bytes int) {
-			if f.onProgress != nil {
-				f.onProgress(idx, now, bytes)
-			}
+	*f = Flow{
+		name:      opts.Name,
+		nameFn:    opts.NameFn,
+		eng:       eng,
+		subs:      make([]subflow, n),
+		remaining: opts.TotalBytes,
+		infinite:  opts.TotalBytes < 0,
+		obs:       opts.Observer,
+		shape:     shape,
+	}
+	if alg.multipath {
+		f.group.Grow(n)
+	}
+	for i := range f.subs {
+		s := &f.subs[i]
+		s.flow, s.idx = f, i
+		if alg.multipath {
+			f.group.Add(&s.member)
 		}
-		f.rttCBs[i] = func(rtt sim.Duration) {
-			if f.onRTTSample != nil {
-				f.onRTTSample(idx, rtt)
-			}
-		}
-		conn := opts.connAlloc.NewConn(eng, transport.Options{
-			ID:          opts.NextConnID(),
-			Src:         opts.Src,
-			Dst:         opts.Dst,
-			SrcAddr:     spec.SrcAddr,
-			DstAddr:     spec.DstAddr,
-			Controller:  ctrl,
-			Config:      shape.tc,
-			Supply:      f,
-			Member:      member,
-			OnComplete:  f.connDone,
-			OnProgress:  f.progressCBs[i],
-			OnRTTSample: f.rttCBs[i],
-		})
-		f.conns = append(f.conns, conn)
-		f.members = append(f.members, member)
-		f.offsets = append(f.offsets, opts.Subflows[i].StartOffset)
+		ctrl := alg.controller(shape.icw, shape.beta, &f.group, &s.member)
+		s.conn = opts.connAlloc.NewConn(eng, f.connOptions(&opts, s, ctrl))
+	}
+}
+
+// connOptions returns the transport options of subflow s under opts, for
+// NewConn and Rebind, and records the subflow's start offset.
+func (f *Flow) connOptions(opts *Options, s *subflow, ctrl cc.Controller) transport.Options {
+	spec := opts.Subflows[s.idx]
+	s.offset = spec.StartOffset
+	return transport.Options{
+		ID:         opts.NextConnID(),
+		Src:        opts.Src,
+		Dst:        opts.Dst,
+		SrcAddr:    spec.SrcAddr,
+		DstAddr:    spec.DstAddr,
+		Controller: ctrl,
+		Config:     f.shape.tc,
+		Supply:     f,
+		Member:     &s.member,
+		Owner:      s,
 	}
 }
 
 // rebind recycles a completed flow into the transfer described by opts, in
-// place: same conns, controllers, coupling group and callbacks closures —
-// fresh identity, supply and state. Only the arena calls it, and only for
-// opts matching the flow's shape key (same algorithm, subflow count, β,
-// initial window and transport config) on a drained, released flow.
+// place: same block, conns, controllers and coupling group — fresh
+// identity, supply and state. Only the arena calls it, and only for opts
+// matching the flow's shape key (same algorithm, subflow count, β, initial
+// window and transport config) on a drained, released flow.
 func (f *Flow) rebind(opts Options) {
-	if len(opts.Subflows) != len(f.conns) {
+	if len(opts.Subflows) != len(f.subs) {
 		panic("mptcp: rebind with mismatched subflow count")
 	}
 	f.name = opts.Name
 	f.nameFn = opts.NameFn
 	f.remaining = opts.TotalBytes
 	f.infinite = opts.TotalBytes < 0
-	f.onComplete = opts.OnComplete
-	f.onProgress = opts.OnProgress
-	f.onRTTSample = opts.OnRTTSample
+	f.obs = opts.Observer
 	f.started = false
 	f.startAt, f.doneAt = 0, 0
 	f.completed = 0
 	f.done = false
-	for i, c := range f.conns {
-		spec := opts.Subflows[i]
-		ctrl := c.Controller()
-		// Members back to their fresh-Join state (Ext is structural: OLIA's
+	for i := range f.subs {
+		s := &f.subs[i]
+		ctrl := s.conn.Controller()
+		// The member back to its fresh state (Ext is structural: OLIA's
 		// sibling pointer and XMP's coupler survive; OLIA's statistics are
 		// reset with the controller below).
-		m := f.members[i]
-		m.Cwnd, m.SRTT, m.Active = 0, 0, false
-		c.Rebind(transport.Options{
-			ID:          opts.NextConnID(),
-			Src:         opts.Src,
-			Dst:         opts.Dst,
-			SrcAddr:     spec.SrcAddr,
-			DstAddr:     spec.DstAddr,
-			Controller:  ctrl,
-			Config:      f.shape.tc,
-			Supply:      f,
-			Member:      m,
-			OnComplete:  f.connDone,
-			OnProgress:  f.progressCBs[i],
-			OnRTTSample: f.rttCBs[i],
-		})
+		s.member.Cwnd, s.member.SRTT, s.member.Active = 0, 0, false
+		s.conn.Rebind(f.connOptions(&opts, s, ctrl))
 		ctrl.Reset(f.shape.icw) // after Rebind, whose audit reads the old window
-		f.offsets[i] = spec.StartOffset
 	}
 }
 
 // drained reports whether the network holds no packet of any subflow: the
 // point past which slot and ID reuse can never misdeliver.
 func (f *Flow) drained() bool {
-	for _, c := range f.conns {
-		if c.InFlight() != 0 {
+	for i := range f.subs {
+		if f.subs[i].conn.InFlight() != 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// failed reports whether a subflow gave up on its transfer: such a flow
+// never completes, so it is never released.
+func (f *Flow) failed() bool {
+	for i := range f.subs {
+		if f.subs[i].conn.State() == transport.StateFailed {
+			return true
+		}
+	}
+	return false
 }
 
 // Next implements transport.Supply: subflows pull segments on demand from
@@ -276,9 +286,9 @@ func (f *Flow) Start() {
 	}
 	f.started = true
 	f.startAt = f.eng.Now()
-	for i, c := range f.conns {
-		c := c
-		if off := f.offsets[i]; off > 0 {
+	for i := range f.subs {
+		c := f.subs[i].conn
+		if off := f.subs[i].offset; off > 0 {
 			f.eng.Schedule(off, func() { c.Start() })
 		} else {
 			c.Start()
@@ -295,18 +305,18 @@ func (f *Flow) StopSending() {
 	}
 	f.remaining = 0
 	f.infinite = false
-	for _, c := range f.conns {
-		c.StopSending()
+	for i := range f.subs {
+		f.subs[i].conn.StopSending()
 	}
 }
 
 func (f *Flow) subflowDone() {
 	f.completed++
-	if f.completed == len(f.conns) && !f.done {
+	if f.completed == len(f.subs) && !f.done {
 		f.done = true
 		f.doneAt = f.eng.Now()
-		if f.onComplete != nil {
-			f.onComplete(f)
+		if f.obs != nil {
+			f.obs.Complete(f)
 		}
 	}
 }
@@ -324,11 +334,11 @@ func (f *Flow) Name() string {
 // Algorithm returns the flow's scheme.
 func (f *Flow) Algorithm() Algorithm { return f.shape.alg }
 
-// Subflows returns the subflow connections.
-func (f *Flow) Subflows() []*transport.Conn { return f.conns }
+// NumSubflows returns the number of subflows.
+func (f *Flow) NumSubflows() int { return len(f.subs) }
 
-// Group returns the coupling group (for probes).
-func (f *Flow) Group() *cc.FlowGroup { return f.group }
+// Subflow returns subflow i's connection.
+func (f *Flow) Subflow(i int) *transport.Conn { return f.subs[i].conn }
 
 // Done reports whether all subflows completed.
 func (f *Flow) Done() bool { return f.done }
@@ -342,8 +352,8 @@ func (f *Flow) CompletionTime() sim.Time { return f.doneAt }
 // AckedBytes sums acknowledged application bytes across subflows.
 func (f *Flow) AckedBytes() int64 {
 	var total int64
-	for _, c := range f.conns {
-		total += c.AckedBytes()
+	for i := range f.subs {
+		total += f.subs[i].conn.AckedBytes()
 	}
 	return total
 }

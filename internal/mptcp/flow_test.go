@@ -64,8 +64,8 @@ func TestXMPFlowSaturatesBothPaths(t *testing.T) {
 	if goodput < 450e6 {
 		t.Fatalf("2-subflow XMP goodput %.0f bps, want >450 Mbps of 600", goodput)
 	}
-	b0 := f.Subflows()[0].AckedBytes()
-	b1 := f.Subflows()[1].AckedBytes()
+	b0 := f.Subflow(0).AckedBytes()
+	b1 := f.Subflow(1).AckedBytes()
 	if b0 == 0 || b1 == 0 {
 		t.Fatalf("a subflow moved no data: %d / %d", b0, b1)
 	}
@@ -100,8 +100,8 @@ func TestTraShShiftsTrafficAwayFromCongestion(t *testing.T) {
 	var before, after [2]int64
 	snap := func(dst *[2]int64, sign int64) func() {
 		return func() {
-			for i, c := range f2.Subflows() {
-				dst[i] += sign * c.AckedBytes()
+			for i := range f2.NumSubflows() {
+				dst[i] += sign * f2.Subflow(i).AckedBytes()
 			}
 		}
 	}
@@ -212,7 +212,7 @@ func TestFiniteMPTCPFlowDeliversExactly(t *testing.T) {
 	eng := sim.NewEngine()
 	tb := testbedA(eng)
 	const size = 16 << 20
-	done := false
+	var obs recorder
 	opts := flowOpts(tb, "finite", mptcp.AlgXMP)
 	opts.Src, opts.Dst = tb.S[1], tb.D[1]
 	opts.TotalBytes = size
@@ -220,19 +220,19 @@ func TestFiniteMPTCPFlowDeliversExactly(t *testing.T) {
 		{SrcAddr: tb.PathAddr(tb.S[1], 0), DstAddr: tb.PathAddr(tb.D[1], 0)},
 		{SrcAddr: tb.PathAddr(tb.S[1], 1), DstAddr: tb.PathAddr(tb.D[1], 1)},
 	}
-	opts.OnComplete = func(*mptcp.Flow) { done = true }
+	opts.Observer = &obs
 	f := mptcp.New(eng, opts)
 	f.Start()
 	eng.Run(sim.Time(30 * sim.Second))
-	if !done || !f.Done() {
+	if obs.completed != 1 || !f.Done() {
 		t.Fatal("finite flow did not complete")
 	}
 	if got := f.AckedBytes(); got != size {
 		t.Fatalf("acked %d bytes, want %d", got, size)
 	}
 	// Both subflows must have carried a share.
-	for i, c := range f.Subflows() {
-		if c.AckedBytes() == 0 {
+	for i := range f.NumSubflows() {
+		if f.Subflow(i).AckedBytes() == 0 {
 			t.Fatalf("subflow %d carried nothing", i)
 		}
 	}
@@ -253,14 +253,14 @@ func TestStaggeredSubflowStart(t *testing.T) {
 	f := mptcp.New(eng, opts)
 	f.Start()
 	eng.Run(sim.Time(500 * sim.Millisecond))
-	if f.Subflows()[1].State() != transport.StateIdle {
+	if f.Subflow(1).State() != transport.StateIdle {
 		t.Fatal("offset subflow started early")
 	}
-	if f.Subflows()[0].AckedBytes() == 0 {
+	if f.Subflow(0).AckedBytes() == 0 {
 		t.Fatal("first subflow idle")
 	}
 	eng.Run(sim.Time(2 * sim.Second))
-	if f.Subflows()[1].AckedBytes() == 0 {
+	if f.Subflow(1).AckedBytes() == 0 {
 		t.Fatal("offset subflow never started")
 	}
 }
@@ -382,8 +382,8 @@ func TestSharedSupplyConservation(t *testing.T) {
 			t.Fatalf("%d subflows: acked %d, want %d", nsub, got, total)
 		}
 		var rcvd int64
-		for _, c := range f.Subflows() {
-			rcvd += c.Stats().RcvdBytes
+		for i := range f.NumSubflows() {
+			rcvd += f.Subflow(i).Stats().RcvdBytes
 		}
 		if rcvd != total {
 			t.Fatalf("%d subflows: receivers saw %d unique bytes, want %d", nsub, rcvd, total)
@@ -414,5 +414,59 @@ func TestXMPFlowOverVL2(t *testing.T) {
 	// drive it near line rate.
 	if g := f.GoodputBps(eng.Now()); g < 800e6 {
 		t.Fatalf("VL2 XMP goodput %.0f bps", g)
+	}
+}
+
+// recorder is an mptcp.Observer keeping what each subflow reported.
+type recorder struct {
+	progress  [2]int64
+	rtts      [2]int
+	completed int
+	flow      *mptcp.Flow
+}
+
+func (r *recorder) Progress(i int, _ sim.Time, ackedBytes int) { r.progress[i] += int64(ackedBytes) }
+func (r *recorder) RTTSample(i int, _ sim.Duration)            { r.rtts[i]++ }
+func (r *recorder) Complete(f *mptcp.Flow)                     { r.completed++; r.flow = f }
+
+// TestObserverSeesEachSubflow: progress, RTT samples and completion reach
+// the flow's observer under the index of the subflow that produced them,
+// on a fresh flow and on the same flow recycled by the arena. Subflow 1
+// starts late, so until then everything is subflow 0's.
+func TestObserverSeesEachSubflow(t *testing.T) {
+	eng := sim.NewEngine()
+	tb := testbedA(eng)
+	a := mptcp.NewArena()
+	for round := 0; round < 2; round++ {
+		var obs recorder
+		opts := flowOpts(tb, "observed", mptcp.AlgXMP)
+		opts.Src, opts.Dst = tb.S[1], tb.D[1]
+		opts.TotalBytes = 4 << 20
+		opts.Subflows = []mptcp.SubflowSpec{
+			{SrcAddr: tb.PathAddr(tb.S[1], 0), DstAddr: tb.PathAddr(tb.D[1], 0)},
+			{SrcAddr: tb.PathAddr(tb.S[1], 1), DstAddr: tb.PathAddr(tb.D[1], 1), StartOffset: 20 * sim.Millisecond},
+		}
+		opts.Observer = &obs
+		f := a.NewFlow(eng, opts)
+		f.Start()
+		eng.Run(eng.Now() + sim.Time(10*sim.Millisecond))
+		if obs.progress[0] == 0 || obs.rtts[0] == 0 || obs.progress[1] != 0 || obs.rtts[1] != 0 {
+			t.Fatalf("round %d, before subflow 1 starts: progress %v, RTT samples %v; want only subflow 0's",
+				round, obs.progress, obs.rtts)
+		}
+		eng.RunAll(100_000_000)
+		for i := range 2 {
+			if got := f.Subflow(i).AckedBytes(); obs.progress[i] != got || obs.rtts[i] == 0 {
+				t.Errorf("round %d, subflow %d: observer saw %d bytes and %d RTT samples, the connection acked %d",
+					round, i, obs.progress[i], obs.rtts[i], got)
+			}
+		}
+		if obs.completed != 1 || obs.flow != f {
+			t.Fatalf("round %d: %d completions (flow %p, want %p)", round, obs.completed, obs.flow, f)
+		}
+		a.Release(f)
+	}
+	if a.Fresh() != 1 || a.Recycled() != 1 {
+		t.Fatalf("fresh=%d recycled=%d, want 1/1", a.Fresh(), a.Recycled())
 	}
 }

@@ -15,8 +15,9 @@ type Endpoint interface {
 	Deliver(p *Packet)
 }
 
-// Auditor is an Endpoint that checks its own state and panics on an
-// inconsistency; Host.Audit runs every registered one.
+// Auditor checks its own state and panics on an inconsistency. Host.Audit
+// runs every registered Endpoint that is one; a drained network runs the
+// ones it is handed (a cell's flow arena).
 type Auditor interface {
 	Audit()
 }

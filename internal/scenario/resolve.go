@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -128,6 +129,11 @@ func resolve(s *Spec, readFile func(path string) ([]byte, error)) (*Spec, error)
 		}
 		r.DurationMS *= sc.Timescale
 		sc.Timescale = 1
+	}
+	// The horizon becomes a sim.Duration: int64 nanoseconds (this also
+	// refuses a fold that overflowed to +Inf, which JSON cannot carry).
+	if r.DurationMS*float64(sim.Millisecond) >= math.MaxInt64 {
+		return nil, fmt.Errorf("scenario %s: duration_ms %v is past the simulator's clock", r.Name, r.DurationMS)
 	}
 	r.Scale = &sc
 

@@ -377,6 +377,10 @@ func TestResolveRejects(t *testing.T) {
 		"foreign field": {&Spec{Name: "x", Family: FamilyRobustness, Schemes: []string{"DCTCP"},
 			Workloads: []WorkloadSpec{{Kind: "random", Senders: 5}}}, "does not apply"},
 		"unknown metric": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"}, Metrics: []string{"table9"}}, "unknown metric"},
+		// The timescale fold overflowing to +Inf: the resolved spec would not encode (FuzzResolve).
+		"horizon overflow": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"}, DurationMS: 1e308,
+			Scale: &ScaleSpec{Timescale: 10}}, "past the simulator's clock"},
+		"horizon past int64 ns": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"}, DurationMS: 1e13}, "past the simulator's clock"},
 		// workload.StartShortFlows panics on these; a spec must not reach it.
 		"pareto shape <= 1": {&Spec{Name: "x", Family: FamilyFCT,
 			Workloads: []WorkloadSpec{{Name: "a", Kind: "shortflows", Alpha: 0.9}}}, "must exceed 1"},

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"os"
+	"regexp"
 	"testing"
 
 	"xmp/internal/exp"
@@ -41,11 +42,16 @@ func smallShard(tb testing.TB) []byte {
 // FuzzDecodeShard feeds arbitrary bytes to the merge path a coordinator
 // and `xmpsim merge` take: DecodeShard and MergeShardBlobs never panic, and
 // a decoded file re-encodes to a fixed point. The corpus is seeded with a
-// real shard file of a shipped spec. Rendering is not fuzzed: a file whose
-// cell carries a null Dist decodes and merges, then panics in Render.
+// real shard file of a shipped spec and mutations of it, among them a cell
+// whose Dist is null, which DecodeShard refuses.
 func FuzzDecodeShard(f *testing.F) {
 	real := smallShard(f)
 	f.Add(real)
+	nullDist := regexp.MustCompile(`"JCT":\{[^}]*\}`).ReplaceAll(real, []byte(`"JCT":null`))
+	if _, err := exp.DecodeShard(exp.ShardBlob{Name: "null-dist.json", Data: nullDist}); err == nil {
+		f.Fatal("a shard cell with a null Dist decodes")
+	}
+	f.Add(nullDist)
 	f.Add(bytes.Replace(real, []byte(`"schema_version":3`), []byte(`"schema_version":2`), 1))
 	f.Add(bytes.Replace(real, []byte(`"samples":"`), []byte(`"samples":"!`), 1))
 	f.Add([]byte(`{"manifest":{"schema_version":3,"campaign":"matrix"}}`))

@@ -201,8 +201,9 @@ func (n *Network) LinksByLayer(layer string) []*netem.Link {
 // CheckDrained panics unless the network is empty, as a finished cell must
 // leave it: no pending event, no queued packet, every pooled packet freed,
 // no packet arrived for a connection its host did not know — and every
-// connection still registered passes its own audit (netem.Auditor).
-func (n *Network) CheckDrained() {
+// connection still registered passes its own audit (netem.Auditor), and
+// then so does each of also (a cell passes its flow arena).
+func (n *Network) CheckDrained(also ...netem.Auditor) {
 	if p := n.Eng.Pending(); p != 0 {
 		panic(fmt.Sprintf("topo: %d events pending after the run", p))
 	}
@@ -219,5 +220,8 @@ func (n *Network) CheckDrained() {
 			panic(fmt.Sprintf("topo: host %s misdelivered %d packets", h.Name, h.Misdelivered))
 		}
 		h.Audit()
+	}
+	for _, a := range also {
+		a.Audit()
 	}
 }

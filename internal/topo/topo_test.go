@@ -170,7 +170,7 @@ func TestFatTreeRTTBands(t *testing.T) {
 		// Use the largest sample: the data-packet RTT, which includes the
 		// full-size serialization the paper's 105-435 us band covers (the
 		// first sample comes from the 40-byte SYN exchange).
-		var rtt sim.Duration
+		var rtt maxRTT
 		cfg := transport.DefaultConfig()
 		cfg.DelAckCount = 1 // a one-segment probe must not sit on the delack timer
 		conn := transport.NewConn(eng, transport.Options{
@@ -180,18 +180,14 @@ func TestFatTreeRTTBands(t *testing.T) {
 			Controller: cc.NewReno(2, false),
 			Config:     cfg,
 			Supply:     transport.NewFixedSupply(netem.MSS),
-			OnRTTSample: func(s sim.Duration) {
-				if s > rtt {
-					rtt = s
-				}
-			},
+			Owner:      &rtt,
 		})
 		conn.Start()
 		eng.Run(sim.MaxTime)
 		if conn.State() != transport.StateDone {
 			panic(fmt.Sprintf("probe %d->%d stuck", src, dst))
 		}
-		return rtt
+		return sim.Duration(rtt)
 	}
 	inner := measure(0, 1)    // same rack
 	interR := measure(2, 4+2) // hmm: indexes within pod
@@ -349,7 +345,36 @@ func TestCheckDrained(t *testing.T) {
 		h.Receive(ft.Pool.Ack(1, ft.Host(0).PrimaryAddr(), h.PrimaryAddr(), 0)) // no connection 1 here
 	})
 	wantPanic("endpoint audit failed", func(ft *topo.FatTree) { ft.Host(6).Register(1, failingAuditor{}) })
+
+	// Auditors handed in (a cell's flow arena) run too.
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "endpoint audit failed") {
+			t.Errorf("CheckDrained(failingAuditor) panicked with %q, want the auditor's message", msg)
+		}
+	}()
+	fatTree(sim.NewEngine(), 4, 1).CheckDrained(failingAuditor{})
 }
+
+// maxRTT is a transport.Owner keeping the largest RTT sample.
+type maxRTT sim.Duration
+
+func (m *maxRTT) Progress(sim.Time, int) {}
+func (m *maxRTT) RTTSample(rtt sim.Duration) {
+	if rtt > sim.Duration(*m) {
+		*m = maxRTT(rtt)
+	}
+}
+func (m *maxRTT) Complete(*transport.Conn) {}
+
+// doneAt is a transport.Owner noting when its connection completed.
+type doneAt struct {
+	eng *sim.Engine
+	at  sim.Time
+}
+
+func (d *doneAt) Progress(sim.Time, int)   {}
+func (d *doneAt) RTTSample(sim.Duration)   {}
+func (d *doneAt) Complete(*transport.Conn) { d.at = d.eng.Now() }
 
 // failingAuditor is an endpoint whose audit always fails.
 type failingAuditor struct{}
@@ -367,17 +392,17 @@ func TestNetworkResetReplaysTheSameRun(t *testing.T) {
 	run := func() (sim.Time, uint64, netem.ConnID, int64) {
 		id := ft.NextConnID()
 		src, dst := ft.Host(0), ft.Host(13)
-		done := sim.Time(-1)
+		done := doneAt{eng: eng, at: -1}
 		c := transport.NewConn(eng, transport.Options{
 			ID: id, Src: src, Dst: dst, DstAddr: ft.AliasOf(13, 1),
 			Controller: cc.NewReno(2, false),
 			Config:     transport.DefaultConfig(),
 			Supply:     transport.NewFixedSupply(400_000),
-			OnComplete: func(*transport.Conn) { done = eng.Now() },
+			Owner:      &done,
 		})
 		c.Start()
 		events := eng.RunAll(1 << 30)
-		return done, events, id, src.NIC().TxBytes()
+		return done.at, events, id, src.NIC().TxBytes()
 	}
 	done1, ev1, id1, tx1 := run()
 	ft.CheckDrained()

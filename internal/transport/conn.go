@@ -52,13 +52,20 @@ type Options struct {
 	// Member is the coupling-group slot for multipath flows; nil for
 	// single-path connections.
 	Member *cc.Member
-	// OnComplete fires once when every supplied byte has been
-	// acknowledged.
-	OnComplete func(*Conn)
-	// OnProgress fires on every ACK that newly acknowledges data.
-	OnProgress func(now sim.Time, ackedBytes int)
-	// OnRTTSample fires for every RTT measurement (Figure 10 data).
-	OnRTTSample func(rtt sim.Duration)
+	// Owner receives the connection's events; nil for none.
+	Owner Owner
+}
+
+// Owner receives a connection's events. Owners are typically pointers
+// (mptcp's per-subflow records), so storing one in Options allocates
+// nothing.
+type Owner interface {
+	// Progress fires on every ACK that newly acknowledges data.
+	Progress(now sim.Time, ackedBytes int)
+	// RTTSample fires for every RTT measurement (Figure 10 data).
+	RTTSample(rtt sim.Duration)
+	// Complete fires once when every supplied byte has been acknowledged.
+	Complete(c *Conn)
 }
 
 // Stats aggregates a connection's counters.
@@ -106,9 +113,7 @@ type Conn struct {
 	sender   senderHalf
 	receiver receiverHalf
 
-	onComplete  func(*Conn)
-	onProgress  func(sim.Time, int)
-	onRTTSample func(sim.Duration)
+	owner Owner
 
 	state       State
 	startTime   sim.Time
@@ -212,9 +217,7 @@ func (c *Conn) bind(opts Options) {
 	c.dstAddr = opts.DstAddr
 	c.supply = opts.Supply
 	c.member = opts.Member
-	c.onComplete = opts.OnComplete
-	c.onProgress = opts.OnProgress
-	c.onRTTSample = opts.OnRTTSample
+	c.owner = opts.Owner
 	c.rtt = newRTTEstimator(opts.Config)
 	if c.srcAddr == 0 && len(opts.Src.Addrs()) > 0 {
 		c.srcAddr = opts.Src.PrimaryAddr()
@@ -466,8 +469,8 @@ func (c *Conn) senderDeliver(p *netem.Packet) {
 		})
 		c.stats.AckedBytes += newlyBytes
 		c.publishMember()
-		if c.onProgress != nil && newlyBytes > 0 {
-			c.onProgress(now, int(newlyBytes))
+		if c.owner != nil && newlyBytes > 0 {
+			c.owner.Progress(now, int(newlyBytes))
 		}
 		// Packet conservation during recovery: an ACK that already
 		// released a retransmission does not also release new data.
@@ -498,7 +501,6 @@ func (c *Conn) senderDeliver(p *netem.Packet) {
 			ECNEcho: p.ECNEcho,
 			SRTT:    c.rtt.SRTT(),
 		})
-		c.ctrl.OnDupAck(c.dupAcks)
 		retransmitted := false
 		if c.dupAcks == 3 && !c.inRecovery {
 			c.inRecovery = true
@@ -568,8 +570,8 @@ func (c *Conn) sampleRTT(rtt sim.Duration) {
 		return
 	}
 	c.rtt.addSample(rtt)
-	if c.onRTTSample != nil {
-		c.onRTTSample(rtt)
+	if c.owner != nil {
+		c.owner.RTTSample(rtt)
 	}
 }
 
@@ -772,8 +774,8 @@ func (c *Conn) maybeComplete() bool {
 			c.member.Active = false
 			c.member.Cwnd = 0
 		}
-		if c.onComplete != nil {
-			c.onComplete(c)
+		if c.owner != nil {
+			c.owner.Complete(c)
 		}
 		return true
 	}

@@ -142,12 +142,12 @@ func TestZeroByteEquivalentSupply(t *testing.T) {
 	d := buildDumbbell(eng, topo.DropTailMaker(100))
 	o := validOpts(d)
 	o.Supply = emptySupply{}
-	done := false
-	o.OnComplete = func(*transport.Conn) { done = true }
+	var ev events
+	o.Owner = &ev
 	conn := transport.NewConn(eng, o)
 	conn.Start()
 	eng.Run(sim.Time(sim.Second))
-	if !done || conn.State() != transport.StateDone {
+	if ev.completed != 1 || conn.State() != transport.StateDone {
 		t.Fatalf("zero-byte transfer stuck in %v", conn.State())
 	}
 	if conn.Stats().SentSegments != 0 {

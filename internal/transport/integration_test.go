@@ -44,11 +44,23 @@ func startFlow(t *testing.T, d *topo.Dumbbell, pair int, ctrl cc.Controller, mod
 	return conn
 }
 
+// events is a transport.Owner that records what its connection reports.
+type events struct {
+	progress  int64
+	rtts      []sim.Duration
+	completed int
+	last      *transport.Conn
+}
+
+func (e *events) Progress(_ sim.Time, ackedBytes int) { e.progress += int64(ackedBytes) }
+func (e *events) RTTSample(rtt sim.Duration)          { e.rtts = append(e.rtts, rtt) }
+func (e *events) Complete(c *transport.Conn)          { e.completed++; e.last = c }
+
 func TestRenoTransfersFileExactly(t *testing.T) {
 	eng := sim.NewEngine()
 	d := buildDumbbell(eng, topo.DropTailMaker(1000))
 	const size = 1 << 20 // 1 MiB
-	done := false
+	var ev events
 	conn := transport.NewConn(eng, transport.Options{
 		ID:         d.NextConnID(),
 		Src:        d.Senders[0],
@@ -56,15 +68,19 @@ func TestRenoTransfersFileExactly(t *testing.T) {
 		Controller: cc.NewReno(cc.DefaultInitialWindow, false),
 		Config:     defaultConfig(cc.EchoNone),
 		Supply:     transport.NewFixedSupply(size),
-		OnComplete: func(*transport.Conn) { done = true },
+		Owner:      &ev,
 	})
 	conn.Start()
 	eng.Run(sim.Time(5 * sim.Second))
 
-	if !done || conn.State() != transport.StateDone {
-		t.Fatalf("transfer did not complete: state=%v", conn.State())
+	if ev.completed != 1 || ev.last != conn || conn.State() != transport.StateDone {
+		t.Fatalf("transfer did not complete once: state=%v, %d completions", conn.State(), ev.completed)
 	}
 	st := conn.Stats()
+	if ev.progress != st.AckedBytes || len(ev.rtts) == 0 {
+		t.Fatalf("owner saw %d bytes of progress and %d RTT samples; the connection acked %d",
+			ev.progress, len(ev.rtts), st.AckedBytes)
+	}
 	if st.AckedBytes != size {
 		t.Fatalf("acked %d bytes, want %d", st.AckedBytes, size)
 	}
@@ -300,18 +316,19 @@ func TestDelayedAcksRoughlyHalveAckCount(t *testing.T) {
 func TestRTTSamplesReflectPath(t *testing.T) {
 	eng := sim.NewEngine()
 	d := buildDumbbell(eng, topo.DropTailMaker(1000))
-	var samples []sim.Duration
+	var ev events
 	conn := transport.NewConn(eng, transport.Options{
-		ID:          d.NextConnID(),
-		Src:         d.Senders[0],
-		Dst:         d.Receivers[0],
-		Controller:  cc.NewReno(2, false),
-		Config:      defaultConfig(cc.EchoNone),
-		Supply:      transport.NewFixedSupply(512 << 10),
-		OnRTTSample: func(rtt sim.Duration) { samples = append(samples, rtt) },
+		ID:         d.NextConnID(),
+		Src:        d.Senders[0],
+		Dst:        d.Receivers[0],
+		Controller: cc.NewReno(2, false),
+		Config:     defaultConfig(cc.EchoNone),
+		Supply:     transport.NewFixedSupply(512 << 10),
+		Owner:      &ev,
 	})
 	conn.Start()
 	eng.Run(sim.Time(sim.Second))
+	samples := ev.rtts
 	if len(samples) == 0 {
 		t.Fatal("no RTT samples")
 	}

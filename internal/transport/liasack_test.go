@@ -43,8 +43,8 @@ func TestIsolateLIASack(t *testing.T) {
 			if f.Done() {
 				done++
 			}
-			for _, c := range f.Subflows() {
-				st := c.Stats()
+			for i := range f.NumSubflows() {
+				st := f.Subflow(i).Stats()
 				sent += st.SentSegments
 				rtx += st.RetransSegments
 				rto += st.Timeouts

@@ -33,7 +33,7 @@ func TestExactDeliveryUnderRandomLoss(t *testing.T) {
 			},
 			EdgeQueue: topo.DropTailMaker(1000),
 		})
-		done := false
+		var ev events
 		conn := transport.NewConn(eng, transport.Options{
 			ID:         d.NextConnID(),
 			Src:        d.Senders[0],
@@ -41,12 +41,12 @@ func TestExactDeliveryUnderRandomLoss(t *testing.T) {
 			Controller: cc.NewReno(2, false),
 			Config:     transport.DefaultConfig(),
 			Supply:     transport.NewFixedSupply(size),
-			OnComplete: func(*transport.Conn) { done = true },
+			Owner:      &ev,
 		})
 		conn.Start()
 		// Generous horizon: 20% loss forces many 200 ms RTO backoffs.
 		eng.Run(sim.Time(600 * sim.Second))
-		if !done {
+		if ev.completed != 1 {
 			t.Logf("seed=%d loss=%.2f size=%d: not done (state %v, timeouts %d)",
 				seed, loss, size, conn.State(), conn.Stats().Timeouts)
 			return false

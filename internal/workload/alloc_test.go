@@ -64,6 +64,49 @@ func TestSmallTCPRecycledZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestLaunchFlowColdAllocs pins what a cold flow lifetime allocates — the
+// launch of an incast burst, whose flows are all alive at once: a fresh
+// arena each run, so nothing recycles. Beyond the controllers a flow
+// allocates its subflow block and, when multipath, its coupling group's
+// member list; everything else is the fresh arena's fixed cost, the same
+// for every scheme.
+func TestLaunchFlowColdAllocs(t *testing.T) {
+	// arena: the Arena and its quarantine map; the first Flow and Conn slab
+	// chunks, each with its chunk list; the quarantine's first entry at
+	// Release.
+	const arena = 8
+	for _, c := range []struct {
+		scheme      Scheme
+		controllers int // controller objects the scheme's row builds
+		block       int // subflow block, plus the member list if multipath
+	}{
+		{Scheme{Algorithm: mptcp.AlgReno}, 1, 1},
+		{Scheme{Algorithm: mptcp.AlgDCTCP}, 1, 1},
+		// XMP-n: one TraSh coupler, and per subflow a BOS and its δ closure.
+		{Scheme{Algorithm: mptcp.AlgXMP, Subflows: 2}, 1 + 2*2, 2},
+		{Scheme{Algorithm: mptcp.AlgXMP, Subflows: 4}, 1 + 2*4, 2},
+	} {
+		eng := sim.NewEngine()
+		cfg := arenaConfig(eng)
+		cfg.Scheme = c.scheme
+		// Warm everything but the arena: launch records, the packet pool,
+		// the engine's free lists and the hosts' demux tables.
+		for i := 0; i < 8; i++ {
+			LaunchFlow(&cfg, 0, 12, 64<<10, nil)
+			eng.RunAll(1 << 62)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			cfg.Arena = mptcp.NewArena()
+			LaunchFlow(&cfg, 0, 12, 64<<10, nil)
+			eng.RunAll(1 << 62)
+		})
+		if want := arena + c.controllers + c.block; allocs != float64(want) {
+			t.Errorf("%s: cold flow lifetime allocated %.2f objects/op, want %d (%d arena + %d controllers + %d block)",
+				c.scheme.Label(), allocs, want, arena, c.controllers, c.block)
+		}
+	}
+}
+
 // TestShortFlowsPattern exercises the bounded-Pareto generator end to end:
 // closed loops relaunch until Stop, completions land in the FCT
 // distribution, and MaxLaunches caps the total.

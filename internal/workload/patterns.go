@@ -57,12 +57,15 @@ func (p *Permutation) round() {
 	p.Rounds++
 	for src, dst := range perm {
 		size := p.cfg.RNG.UniformBytes(p.cfg.MinBytes, p.cfg.MaxBytes)
-		LaunchFlow(&p.cfg.Config, src, dst, size, func(*mptcp.Flow) {
-			p.remaining--
-			if p.remaining == 0 && p.cfg.Net.Engine().Now() < p.cfg.Stop {
-				p.round()
-			}
-		})
+		launchLarge(&p.cfg.Config, src, dst, size, p)
+	}
+}
+
+// flowDone starts the next round once the whole permutation completes.
+func (p *Permutation) flowDone(*mptcp.Flow) {
+	p.remaining--
+	if p.remaining == 0 && p.cfg.Net.Engine().Now() < p.cfg.Stop {
+		p.round()
 	}
 }
 
@@ -88,23 +91,22 @@ type Random struct {
 	cfg      RandomConfig
 	dstLoad  []int
 	Launched int
-	// srcs holds per-source launch state with a once-allocated completion
-	// callback each, so the closed-loop relaunch chain allocates nothing
-	// per launch (a fresh closure per flow was a measurable share of the
-	// launch path in short-flow campaigns).
+	// srcs holds per-source launch state, each its flows' completion
+	// handler, so the closed-loop relaunch chain allocates nothing per
+	// launch.
 	srcs []randSrc
 }
 
 // randSrc is one source's closed-loop state: the destination of its
-// current flow and the pooled completion callback.
+// current flow.
 type randSrc struct {
-	r      *Random
-	src    int
-	dst    int
-	onDone func(*mptcp.Flow)
+	r   *Random
+	src int
+	dst int
 }
 
-func (s *randSrc) done() {
+// flowDone frees the destination and relaunches from the source.
+func (s *randSrc) flowDone(*mptcp.Flow) {
 	r := s.r
 	r.dstLoad[s.dst]--
 	if r.cfg.Net.Engine().Now() < r.cfg.Stop {
@@ -123,9 +125,7 @@ func StartRandom(cfg RandomConfig) *Random {
 	r := &Random{cfg: cfg, dstLoad: make([]int, cfg.Net.NumHosts())}
 	r.srcs = make([]randSrc, cfg.Net.NumHosts())
 	for i := range r.srcs {
-		s := &r.srcs[i]
-		s.r, s.src = r, i
-		s.onDone = func(*mptcp.Flow) { s.done() }
+		r.srcs[i] = randSrc{r: r, src: i}
 	}
 	hosts := cfg.Hosts
 	if hosts == nil {
@@ -168,7 +168,7 @@ func (r *Random) launchFrom(src int) {
 	r.Launched++
 	s := &r.srcs[src]
 	s.dst = dst
-	LaunchFlow(&r.cfg.Config, src, dst, size, s.onDone)
+	launchLarge(&r.cfg.Config, src, dst, size, s)
 }
 
 // IncastConfig parameterizes the Incast pattern: Jobs concurrent jobs,
@@ -227,37 +227,58 @@ func StartIncast(cfg IncastConfig) *Incast {
 	return inc
 }
 
+// incastJob is one running job: its client, start time and outstanding
+// responses. It is its responses' completion handler; reqs, one per
+// server, are its requests'.
+type incastJob struct {
+	inc     *Incast
+	client  int
+	start   sim.Time
+	pending int
+	reqs    []incastReq
+}
+
+// incastReq is one server's request of a job.
+type incastReq struct {
+	job *incastJob
+	srv int
+}
+
 func (inc *Incast) job() {
 	cfg := &inc.cfg
 	n := cfg.Net.NumHosts()
 	// Pick 1 client + Servers distinct servers.
 	picked := cfg.RNG.Perm(n)[: cfg.Servers+1 : cfg.Servers+1]
-	client := picked[0]
 	servers := picked[1:]
-	start := cfg.Net.Engine().Now()
-	pending := len(servers)
+	j := &incastJob{inc: inc, client: picked[0], start: cfg.Net.Engine().Now(),
+		pending: len(servers), reqs: make([]incastReq, len(servers))}
 	inc.JobsRun++
-
-	finishOne := func() {
-		pending--
-		if pending > 0 {
-			return
-		}
-		if cfg.Collector != nil {
-			cfg.Collector.JCT.AddDuration(cfg.Net.Engine().Now().Sub(start))
-		}
-		if cfg.Net.Engine().Now() < cfg.Stop {
-			inc.job()
-		}
-	}
-	for _, srv := range servers {
-		srv := srv
+	for i, srv := range servers {
 		// Request client -> server; on completion the server responds.
-		launchSmallTCP(&cfg.Config, client, srv, cfg.RequestBytes, func(*mptcp.Flow) {
-			launchSmallTCP(&cfg.Config, srv, client, cfg.ResponseBytes, func(*mptcp.Flow) {
-				finishOne()
-			})
-		})
+		j.reqs[i] = incastReq{job: j, srv: srv}
+		launchSmallTCP(&cfg.Config, j.client, srv, cfg.RequestBytes, &j.reqs[i])
+	}
+}
+
+// flowDone sends the server's response.
+func (r *incastReq) flowDone(*mptcp.Flow) {
+	cfg := &r.job.inc.cfg
+	launchSmallTCP(&cfg.Config, r.srv, r.job.client, cfg.ResponseBytes, r.job)
+}
+
+// flowDone counts a response; the last one ends the job and starts the
+// next.
+func (j *incastJob) flowDone(*mptcp.Flow) {
+	j.pending--
+	if j.pending > 0 {
+		return
+	}
+	cfg := &j.inc.cfg
+	if cfg.Collector != nil {
+		cfg.Collector.JCT.AddDuration(cfg.Net.Engine().Now().Sub(j.start))
+	}
+	if cfg.Net.Engine().Now() < cfg.Stop {
+		j.inc.job()
 	}
 }
 
@@ -285,20 +306,20 @@ type ShortFlows struct {
 	cfg       ShortFlowsConfig
 	Launched  int
 	Completed int
-	// loops holds per-loop launch state with a once-allocated completion
-	// callback each (the randSrc idiom): with the arena recycling the flow
-	// graph, steady-state short-flow launch allocates nothing.
+	// loops holds per-loop launch state, each its flows' completion
+	// handler (the randSrc idiom): with the arena recycling the flow graph,
+	// steady-state short-flow launch allocates nothing.
 	loops []shortLoop
 }
 
-// shortLoop is one closed loop's state and pooled callback.
+// shortLoop is one closed loop's state.
 type shortLoop struct {
-	sf     *ShortFlows
-	src    int
-	onDone func(*mptcp.Flow)
+	sf  *ShortFlows
+	src int
 }
 
-func (l *shortLoop) done() {
+// flowDone relaunches the loop until Stop or MaxLaunches.
+func (l *shortLoop) flowDone(*mptcp.Flow) {
 	sf := l.sf
 	sf.Completed++
 	cfg := &sf.cfg
@@ -326,9 +347,7 @@ func StartShortFlows(cfg ShortFlowsConfig) *ShortFlows {
 	n := cfg.Net.NumHosts()
 	sf.loops = make([]shortLoop, n*cfg.PerHost)
 	for i := range sf.loops {
-		l := &sf.loops[i]
-		l.sf, l.src = sf, i%n
-		l.onDone = func(*mptcp.Flow) { l.done() }
+		sf.loops[i] = shortLoop{sf: sf, src: i % n}
 	}
 	for i := range sf.loops {
 		if cfg.MaxLaunches > 0 && sf.Launched >= cfg.MaxLaunches {
@@ -352,7 +371,7 @@ func (sf *ShortFlows) launch(l *shortLoop) {
 		size = 1
 	}
 	sf.Launched++
-	launchSmallTCP(&cfg.Config, l.src, dst, size, l.onDone)
+	launchSmallTCP(&cfg.Config, l.src, dst, size, l)
 }
 
 // IncastBurstConfig parameterizes the IncastBurst pattern: Senders
@@ -387,18 +406,19 @@ type IncastBurst struct {
 	RoundsRun  int
 	pending    int
 	roundStart sim.Time
-	// senders holds the pooled per-sender completion callbacks.
+	// senders holds the sender slots, each its flows' completion handler.
 	senders []burstSender
 }
 
-// burstSender is one sender slot's source host and pooled callback.
+// burstSender is one sender slot's source host.
 type burstSender struct {
-	b      *IncastBurst
-	src    int
-	onDone func(*mptcp.Flow)
+	b   *IncastBurst
+	src int
 }
 
-func (s *burstSender) done() {
+// flowDone counts the sender in; the last one ends the round and starts
+// the next.
+func (s *burstSender) flowDone(*mptcp.Flow) {
 	b := s.b
 	b.pending--
 	if b.pending > 0 {
@@ -428,13 +448,11 @@ func StartIncastBurst(cfg IncastBurstConfig) *IncastBurst {
 	b := &IncastBurst{cfg: cfg}
 	b.senders = make([]burstSender, cfg.Senders)
 	for i := range b.senders {
-		s := &b.senders[i]
 		src := i % (n - 1)
 		if src >= cfg.Client {
 			src++
 		}
-		s.b, s.src = b, src
-		s.onDone = func(*mptcp.Flow) { s.done() }
+		b.senders[i] = burstSender{b: b, src: src}
 	}
 	b.round()
 	return b
@@ -449,9 +467,9 @@ func (b *IncastBurst) round() {
 		s := &b.senders[i]
 		b.Launched++
 		if cfg.UseScheme {
-			LaunchFlow(&cfg.Config, s.src, cfg.Client, cfg.ResponseBytes, s.onDone)
+			launchLarge(&cfg.Config, s.src, cfg.Client, cfg.ResponseBytes, s)
 		} else {
-			launchSmallTCP(&cfg.Config, s.src, cfg.Client, cfg.ResponseBytes, s.onDone)
+			launchSmallTCP(&cfg.Config, s.src, cfg.Client, cfg.ResponseBytes, s)
 		}
 	}
 }

@@ -8,6 +8,7 @@ package workload
 import (
 	"fmt"
 
+	"xmp/internal/arena"
 	"xmp/internal/metrics"
 	"xmp/internal/mptcp"
 	"xmp/internal/netem"
@@ -159,16 +160,18 @@ type Config struct {
 	// eagerly was a measurable share of launch-path allocations.
 	TraceNames bool
 	// Arena recycles the entire flow graph — Flow, connections,
-	// controllers, closures — across launches (see mptcp.Arena): completed
+	// controllers — across launches (see mptcp.Arena): completed
 	// flows are released back automatically after their callbacks run, and
 	// steady-state launches allocate nothing. Leave nil when the caller
 	// retains *Flow pointers past completion (or hold mptcp.FlowHandles,
 	// which panic on stale access instead of reading a recycled flow).
 	Arena *mptcp.Arena
 
-	// Pooled launch plumbing (see launchRec): reused per-launch records and
-	// the subflow-spec scratch buffer, so steady-state launches do not
-	// allocate callback closures or spec slices.
+	// Pooled launch plumbing (see launchRec): launch records carved from a
+	// slab and reused through recFree, and the subflow-spec scratch buffer,
+	// so launches allocate no records one by one and steady-state launches
+	// no spec slices. Copy a Config only before launching from it.
+	recs        arena.Slab[launchRec]
 	recFree     []*launchRec
 	specScratch []mptcp.SubflowSpec
 	// nextID caches the Net.NextConnID method value: binding it per launch
@@ -185,20 +188,27 @@ func (cfg *Config) nextConnID() func() netem.ConnID {
 }
 
 // launchRec carries one launch's variable context (category, completion
-// callback) behind callbacks that are allocated once and reused: the
-// mptcp.Options closures capture the record, the record's mutable fields
-// change per launch, and completed records return to Config.recFree.
+// handler) and is the flow's mptcp.Observer; completed records return to
+// Config.recFree.
 type launchRec struct {
 	cfg           *Config
 	cat           topo.Category
-	onDone        func(*mptcp.Flow)
+	done          doneHandler
 	recordGoodput bool
-
-	onComplete func(*mptcp.Flow)
-	onRTT      func(int, sim.Duration)
 }
 
-// getRec pops a free launch record or builds one with its closures.
+// doneHandler is what a launch calls once its flow has completed and been
+// recorded: a generator's per-loop or per-sender state, or a doneFunc.
+type doneHandler interface {
+	flowDone(f *mptcp.Flow)
+}
+
+// doneFunc adapts LaunchFlow's callback to a doneHandler.
+type doneFunc func(*mptcp.Flow)
+
+func (fn doneFunc) flowDone(f *mptcp.Flow) { fn(f) }
+
+// getRec pops a free launch record or carves a new one.
 func (cfg *Config) getRec() *launchRec {
 	if n := len(cfg.recFree); n > 0 {
 		r := cfg.recFree[n-1]
@@ -206,17 +216,24 @@ func (cfg *Config) getRec() *launchRec {
 		cfg.recFree = cfg.recFree[:n-1]
 		return r
 	}
-	r := &launchRec{cfg: cfg}
-	r.onComplete = func(f *mptcp.Flow) { r.complete(f) }
-	r.onRTT = func(_ int, rtt sim.Duration) {
-		if c := r.cfg.Collector; c != nil {
-			c.recordRTT(r.cat, rtt)
-		}
-	}
+	r := cfg.recs.Get()
+	r.cfg = cfg
 	return r
 }
 
-func (r *launchRec) complete(f *mptcp.Flow) {
+// Progress implements mptcp.Observer: launches keep no rate series.
+func (r *launchRec) Progress(int, sim.Time, int) {}
+
+// RTTSample implements mptcp.Observer.
+func (r *launchRec) RTTSample(_ int, rtt sim.Duration) {
+	if c := r.cfg.Collector; c != nil {
+		c.recordRTT(r.cat, rtt)
+	}
+}
+
+// Complete implements mptcp.Observer: record the flow, run the launch's
+// handler, then hand the flow back to the arena.
+func (r *launchRec) Complete(f *mptcp.Flow) {
 	cfg := r.cfg
 	if col := cfg.Collector; col != nil {
 		col.recordFCT(f)
@@ -224,15 +241,15 @@ func (r *launchRec) complete(f *mptcp.Flow) {
 			col.recordFlow(f, r.cat, cfg.Net.Engine().Now())
 		}
 	}
-	onDone := r.onDone
-	// Recycle the record before user code runs: the completion callback
+	done := r.done
+	// Recycle the record before user code runs: the completion handler
 	// typically launches the next flow, which then reuses it immediately.
-	r.onDone = nil
+	r.done = nil
 	cfg.recFree = append(cfg.recFree, r)
-	if onDone != nil {
-		onDone(f)
+	if done != nil {
+		done.flowDone(f)
 	}
-	// Release last: callbacks may still read the flow's stats; after this
+	// Release last: handlers may still read the flow's stats; after this
 	// the flow belongs to the arena again.
 	if cfg.Arena != nil {
 		cfg.Arena.Release(f)
@@ -261,21 +278,31 @@ func (cfg *Config) newFlow(opts mptcp.Options) *mptcp.Flow {
 // index src to dst, of the given size, and records it on completion.
 // onDone (may be nil) runs after recording.
 func LaunchFlow(cfg *Config, src, dst int, bytes int64, onDone func(*mptcp.Flow)) *mptcp.Flow {
-	return launch(cfg, cfg.Scheme, true, src, dst, bytes, onDone)
+	var done doneHandler
+	if onDone != nil {
+		done = doneFunc(onDone)
+	}
+	return launchLarge(cfg, src, dst, bytes, done)
+}
+
+// launchLarge is LaunchFlow for the generators, whose handlers are their
+// own per-loop or per-sender state.
+func launchLarge(cfg *Config, src, dst int, bytes int64, done doneHandler) *mptcp.Flow {
+	return launch(cfg, cfg.Scheme, true, src, dst, bytes, done)
 }
 
 // launchSmallTCP starts a plain-TCP small flow (the latency-sensitive
 // traffic: requests and responses of the Incast jobs). RTTs are recorded
 // under the pair's category; goodput is not (the paper's goodput tables
 // cover large flows only).
-func launchSmallTCP(cfg *Config, src, dst int, bytes int64, onDone func(*mptcp.Flow)) *mptcp.Flow {
-	return launch(cfg, Scheme{Algorithm: mptcp.AlgReno}, false, src, dst, bytes, onDone)
+func launchSmallTCP(cfg *Config, src, dst int, bytes int64, done doneHandler) *mptcp.Flow {
+	return launch(cfg, Scheme{Algorithm: mptcp.AlgReno}, false, src, dst, bytes, done)
 }
 
 // launch is the one launch body. large selects what separates the two
 // kinds of flow besides their scheme: large flows record goodput and are
 // named after the scheme, small ones are named "tcp".
-func launch(cfg *Config, s Scheme, large bool, src, dst int, bytes int64, onDone func(*mptcp.Flow)) *mptcp.Flow {
+func launch(cfg *Config, s Scheme, large bool, src, dst int, bytes int64, done doneHandler) *mptcp.Flow {
 	net := cfg.Net
 
 	nsub := s.Subflows
@@ -301,20 +328,19 @@ func launch(cfg *Config, s Scheme, large bool, src, dst int, bytes int64, onDone
 	}
 	rec := cfg.getRec()
 	rec.cat = net.Categorize(src, dst)
-	rec.onDone = onDone
+	rec.done = done
 	rec.recordGoodput = large
 	f := cfg.newFlow(mptcp.Options{
-		NameFn:      nameFn,
-		Src:         net.Host(src),
-		Dst:         net.Host(dst),
-		Subflows:    specs,
-		TotalBytes:  bytes,
-		Algorithm:   s.Algorithm,
-		Beta:        s.Beta,
-		Transport:   cfg.Transport,
-		NextConnID:  cfg.nextConnID(),
-		OnComplete:  rec.onComplete,
-		OnRTTSample: rec.onRTT,
+		NameFn:     nameFn,
+		Src:        net.Host(src),
+		Dst:        net.Host(dst),
+		Subflows:   specs,
+		TotalBytes: bytes,
+		Algorithm:  s.Algorithm,
+		Beta:       s.Beta,
+		Transport:  cfg.Transport,
+		NextConnID: cfg.nextConnID(),
+		Observer:   rec,
 	})
 	f.Start()
 	return f

@@ -239,9 +239,9 @@ func TestLaunchKinds(t *testing.T) {
 	col := cfg.Collector
 
 	small := launchSmallTCP(&cfg, 0, 15, 8<<10, nil)
-	if small.Algorithm() != mptcp.AlgReno || len(small.Subflows()) != 1 {
+	if small.Algorithm() != mptcp.AlgReno || small.NumSubflows() != 1 {
 		t.Fatalf("small flow under XMP-2 is %s with %d subflows, want TCP with 1",
-			small.Algorithm(), len(small.Subflows()))
+			small.Algorithm(), small.NumSubflows())
 	}
 	drain(t, eng)
 	if !small.Done() || col.FCT.N() != 1 || col.FCTBySize[FCTSizeBin(8<<10)].N() != 1 {
@@ -257,8 +257,8 @@ func TestLaunchKinds(t *testing.T) {
 
 	rtts := col.RTT[topo.InterPod].N()
 	large := LaunchFlow(&cfg, 0, 15, 64<<10, nil)
-	if large.Algorithm() != mptcp.AlgXMP || len(large.Subflows()) != 2 {
-		t.Fatalf("large flow is %s with %d subflows, want XMP with 2", large.Algorithm(), len(large.Subflows()))
+	if large.Algorithm() != mptcp.AlgXMP || large.NumSubflows() != 2 {
+		t.Fatalf("large flow is %s with %d subflows, want XMP with 2", large.Algorithm(), large.NumSubflows())
 	}
 	drain(t, eng)
 	if col.FCT.N() != 2 || col.RTT[topo.InterPod].N() <= rtts {

@@ -57,7 +57,7 @@ func ExampleNewFlow_amp() {
 	})
 	flow.Start()
 	eng.Run(xmp.Time(xmp.Second))
-	fmt.Println(flow.Algorithm(), len(flow.Subflows()), flow.Done(), flow.AckedBytes())
+	fmt.Println(flow.Algorithm(), flow.NumSubflows(), flow.Done(), flow.AckedBytes())
 	// Output: AMP 2 true 8388608
 }
 
