@@ -45,7 +45,7 @@ func run(variant string) {
 	cfg := transport.DefaultConfig()
 	switch variant {
 	case "bos":
-		ctrl = core.NewBOS(2, 4, nil)
+		ctrl = core.NewBOS(2, 4)
 		cfg.EchoMode = cc.EchoCounter
 	default:
 		ctrl = cc.NewReno(2, false)

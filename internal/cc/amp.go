@@ -31,10 +31,15 @@ type AMP struct {
 
 // NewAMP returns the controller for one subflow of an AMP flow.
 func NewAMP(initialCwnd int, group *FlowGroup, member *Member) *AMP {
+	return InitAMP(new(AMP), initialCwnd, group, member)
+}
+
+// InitAMP is NewAMP in place, in storage its caller owns.
+func InitAMP(a *AMP, initialCwnd int, group *FlowGroup, member *Member) *AMP {
 	if group == nil || member == nil {
 		panic("cc: AMP requires a group and a member")
 	}
-	a := &AMP{group: group, member: member}
+	*a = AMP{group: group, member: member}
 	a.Reset(initialCwnd)
 	return a
 }

@@ -25,11 +25,14 @@ type DCTCP struct {
 const DefaultG = 1.0 / 16
 
 // NewDCTCP returns a DCTCP controller with EWMA gain g (use DefaultG).
-func NewDCTCP(initialCwnd int, g float64) *DCTCP {
+func NewDCTCP(initialCwnd int, g float64) *DCTCP { return InitDCTCP(new(DCTCP), initialCwnd, g) }
+
+// InitDCTCP is NewDCTCP in place, in storage its caller owns.
+func InitDCTCP(d *DCTCP, initialCwnd int, g float64) *DCTCP {
 	if g <= 0 || g > 1 {
 		panic("cc: DCTCP gain out of (0,1]")
 	}
-	d := &DCTCP{g: g}
+	d.g = g
 	d.Reset(initialCwnd)
 	return d
 }

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"xmp/internal/arena"
 	"xmp/internal/sim"
 )
 
@@ -30,25 +31,23 @@ func (m *Member) Rate() float64 {
 }
 
 // FlowGroup couples the subflows of one multipath flow: every coupled
-// controller (TraSh, LIA, OLIA) joins the group of its flow and derives
-// its increase parameters from the group snapshot. A single-path flow
-// simply never shares its group.
+// controller (XMP's BOS, LIA, OLIA, AMP) joins the group of its flow and
+// derives its increase parameters from the group snapshot. A single-path
+// flow simply never shares its group.
 type FlowGroup struct {
 	members []*Member
+	// Slabs, when set, is where the flow's controllers are carved from
+	// (arena.Carve); a flow arena sets it. Nil allocates each one.
+	Slabs *arena.Slabs
 }
 
 // NewFlowGroup returns an empty group.
 func NewFlowGroup() *FlowGroup { return &FlowGroup{} }
 
-// Grow reserves room for n more members, so the following n Joins or Adds
-// append without reallocating.
-func (g *FlowGroup) Grow(n int) {
-	if cap(g.members)-len(g.members) < n {
-		grown := make([]*Member, len(g.members), len(g.members)+n)
-		copy(grown, g.members)
-		g.members = grown
-	}
-}
+// Back makes buf, an empty slice whose storage its caller owns (a flow
+// arena carves it from a chunk), the group's member list: the next
+// cap(buf) Joins or Adds append into it without allocating.
+func (g *FlowGroup) Back(buf []*Member) { g.members = buf[:0] }
 
 // Join registers a new subflow and returns its state slot.
 func (g *FlowGroup) Join() *Member {

@@ -16,8 +16,12 @@ type Reno struct {
 
 // NewReno returns a Reno controller. If ecn is true the connection is
 // ECN-capable and halves on ECE in addition to loss.
-func NewReno(initialCwnd int, ecn bool) *Reno {
-	r := &Reno{ecn: ecn}
+func NewReno(initialCwnd int, ecn bool) *Reno { return InitReno(new(Reno), initialCwnd, ecn) }
+
+// InitReno is NewReno in place: it builds the controller in r, storage
+// its caller owns (a flow arena's slab), and returns r.
+func InitReno(r *Reno, initialCwnd int, ecn bool) *Reno {
+	*r = Reno{ecn: ecn}
 	r.Init(initialCwnd)
 	return r
 }

@@ -10,6 +10,7 @@ package chaos
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"xmp/internal/sim"
 )
@@ -70,8 +71,11 @@ type Schedule struct {
 func (k Kind) targetsLink() bool { return k != SwitchDown && k != SwitchUp }
 
 // Validate checks every event for structural problems: unknown kinds,
-// negative times, out-of-range probabilities, jitter without a period.
-// Target names are resolved later, against a concrete network, by New.
+// negative times, out-of-range probabilities, jitter without a period, and
+// an end past the simulation clock's int64 nanoseconds — at + dur, and for
+// jitter at + dur + period, which bounds its last resample — where the
+// calendar would wrap into the past. Target names are resolved later,
+// against a concrete network, by New.
 func (s Schedule) Validate() error {
 	for i, e := range s.Events {
 		if e.At < 0 {
@@ -103,8 +107,26 @@ func (s Schedule) Validate() error {
 		default:
 			return fmt.Errorf("chaos: event %d: unknown kind %q", i, e.Kind)
 		}
+		end, ok := sum(e.At, e.Dur)
+		what := "at + dur"
+		if ok && e.Kind == Jitter {
+			_, ok = sum(end, e.Period)
+			what = "at + dur + period"
+		}
+		if !ok {
+			return fmt.Errorf("chaos: event %d: %s overflows the int64 nanosecond clock", i, what)
+		}
 	}
 	return nil
+}
+
+// sum adds two non-negative durations, reporting false if the sum
+// overflows.
+func sum(a, b sim.Duration) (sim.Duration, bool) {
+	if b > math.MaxInt64-a {
+		return 0, false
+	}
+	return a + b, true
 }
 
 // MarshalJSON/ParseSchedule round-trip the schedule through its JSON form.

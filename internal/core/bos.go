@@ -30,12 +30,6 @@ const MinCwnd = 2
 // 1 Gbps DCN links (β=4, with marking threshold K=10).
 const DefaultBeta = 4
 
-// DeltaFunc supplies the per-round additive-increase parameter δ. BOS
-// calls it once per round, at the round boundary; TraSh provides the
-// multipath implementation. A nil DeltaFunc leaves δ at 1, which is the
-// standalone single-path BOS of Section 2.1.
-type DeltaFunc func() float64
-
 // BOS is the Buffer Occupancy Suppression congestion controller, the
 // per-subflow half of XMP. It implements cc.Controller and follows the
 // paper's Algorithm 1 structure: per-round operations (round delimited by
@@ -49,7 +43,11 @@ type BOS struct {
 	delta    float64
 	adder    float64
 
-	deltaFn DeltaFunc
+	// group and member couple the subflow to its flow: once per round δ
+	// is Equation 9 evaluated from them (TraSh). Nil for standalone BOS,
+	// whose δ stays 1.
+	group  *cc.FlowGroup
+	member *cc.Member
 
 	begSeq  int64
 	reduced bool
@@ -63,23 +61,21 @@ type BOS struct {
 	reductions int64
 }
 
-// NewBOS returns a BOS controller with reduction factor 1/beta. deltaFn
-// may be nil for fixed δ=1.
-func NewBOS(initialCwnd, beta int, deltaFn DeltaFunc) *BOS {
+// NewBOS returns a standalone BOS controller with reduction factor 1/beta
+// and a fixed δ=1: the single-path BOS of Section 2.1.
+func NewBOS(initialCwnd, beta int) *BOS { return InitBOS(new(BOS), initialCwnd, beta, nil, nil) }
+
+// InitBOS builds a BOS controller in b, storage its caller owns (a flow
+// arena's slab), and returns b. With a group, the controller is one XMP
+// subflow publishing through member, a member of group: TraSh retunes its
+// δ every round. With a nil group δ stays 1.
+func InitBOS(b *BOS, initialCwnd, beta int, group *cc.FlowGroup, member *cc.Member) *BOS {
 	if beta < 2 {
 		panic(fmt.Sprintf("core: beta must be >= 2, got %d", beta))
 	}
-	if initialCwnd < MinCwnd {
-		initialCwnd = MinCwnd
-	}
-	return &BOS{
-		cwnd:     initialCwnd,
-		ssthresh: cc.DefaultSsthresh,
-		beta:     beta,
-		delta:    1,
-		deltaFn:  deltaFn,
-		begSeq:   -1,
-	}
+	*b = BOS{beta: beta, group: group, member: member}
+	b.Reset(initialCwnd)
+	return b
 }
 
 // Name implements cc.Controller.
@@ -112,8 +108,8 @@ func (b *BOS) OnAck(a cc.Ack) {
 	// (beg_seq) is acknowledged.
 	if a.SndUna > b.begSeq {
 		b.rounds++
-		if b.deltaFn != nil {
-			if d := b.deltaFn(); d > 0 {
+		if b.group != nil {
+			if d := delta(b.group, b.member); d > 0 {
 				b.delta = d
 			}
 		}
@@ -192,8 +188,8 @@ func (b *BOS) OnRetransmitTimeout() {
 }
 
 // Reset implements cc.Controller: restore the as-constructed state,
-// retaining β, the TraSh coupling, and the ablation flag — those are the
-// controller's configuration, not per-connection state.
+// retaining β, the coupling to the flow, and the ablation flag — those are
+// the controller's configuration, not per-connection state.
 func (b *BOS) Reset(initialCwnd int) {
 	if initialCwnd < MinCwnd {
 		initialCwnd = MinCwnd
@@ -203,7 +199,8 @@ func (b *BOS) Reset(initialCwnd int) {
 		ssthresh:        cc.DefaultSsthresh,
 		beta:            b.beta,
 		delta:           1,
-		deltaFn:         b.deltaFn,
+		group:           b.group,
+		member:          b.member,
 		begSeq:          -1,
 		DisableCwrGuard: b.DisableCwrGuard,
 	}

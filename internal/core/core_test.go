@@ -21,7 +21,7 @@ func cleanAcks(b *BOS, n int) {
 }
 
 func TestBOSSlowStartGrowsPerAck(t *testing.T) {
-	b := NewBOS(2, 4, nil)
+	b := NewBOS(2, 4)
 	cleanAcks(b, 20)
 	if got := b.Window(); got != 22 {
 		t.Fatalf("slow-start window %d, want 22", got)
@@ -29,7 +29,7 @@ func TestBOSSlowStartGrowsPerAck(t *testing.T) {
 }
 
 func TestBOSMarkExitsSlowStartThenCuts(t *testing.T) {
-	b := NewBOS(2, 4, nil)
+	b := NewBOS(2, 4)
 	cleanAcks(b, 38) // cwnd 40
 	b.OnAck(cc.Ack{NewlyAcked: 1, SndUna: 50, SndNxt: 100, ECNEcho: 1})
 	if got := b.Window(); got != 40 {
@@ -52,7 +52,7 @@ func TestBOSMarkExitsSlowStartThenCuts(t *testing.T) {
 
 func TestBOSOnceRoundGuardAndAblation(t *testing.T) {
 	run := func(disable bool) int {
-		b := NewBOS(2, 4, nil)
+		b := NewBOS(2, 4)
 		b.DisableCwrGuard = disable
 		cleanAcks(b, 38)
 		b.OnAck(cc.Ack{NewlyAcked: 1, SndUna: 50, SndNxt: 100, ECNEcho: 1})  // exit SS
@@ -70,14 +70,28 @@ func TestBOSOnceRoundGuardAndAblation(t *testing.T) {
 	}
 }
 
+// coupledBOS returns an XMP subflow's BOS publishing through self, in a
+// flow whose only other subflow is sibling. Whole-second SRTTs keep
+// Equation 9's arithmetic exact.
+func coupledBOS(self, sibling cc.Member) *BOS {
+	group := cc.NewFlowGroup()
+	m, s := group.Join(), group.Join()
+	*m, *s = self, sibling
+	return InitBOS(new(BOS), 2, 4, group, m)
+}
+
 func TestBOSDeltaGrowth(t *testing.T) {
-	// The controller adds δ per round in CA: 2 when the coupler says so,
-	// exactly 1 with no coupler (Figure 1's fixed-β "halving" sender).
+	// The controller adds δ per round in CA: 2 when Equation 9 says so
+	// (cwnd 4 over 2 s against a 1 s sibling: δ = 4/(2/s·1 s)), exactly 1
+	// uncoupled (Figure 1's fixed-β "halving" sender).
 	for _, tc := range []struct {
-		deltaFn DeltaFunc
-		want    int
-	}{{func() float64 { return 2 }, 2}, {nil, 1}} {
-		b := NewBOS(2, 4, tc.deltaFn)
+		b    *BOS
+		want int
+	}{
+		{coupledBOS(cc.Member{Cwnd: 4, SRTT: 2 * sim.Second, Active: true}, cc.Member{SRTT: sim.Second, Active: true}), 2},
+		{NewBOS(2, 4), 1},
+	} {
+		b := tc.b
 		cleanAcks(b, 18)                                                   // cwnd 20
 		b.OnAck(cc.Ack{NewlyAcked: 1, SndUna: 30, SndNxt: 60, ECNEcho: 1}) // exit SS at 20
 		w := b.Window()
@@ -90,7 +104,9 @@ func TestBOSDeltaGrowth(t *testing.T) {
 }
 
 func TestBOSFractionalDeltaAccumulates(t *testing.T) {
-	b := NewBOS(2, 4, func() float64 { return 0.5 })
+	// Two equal subflows: δ = 3/(6/s·1 s) = 0.5 each.
+	even := cc.Member{Cwnd: 3, SRTT: sim.Second, Active: true}
+	b := coupledBOS(even, even)
 	cleanAcks(b, 18)
 	b.OnAck(cc.Ack{NewlyAcked: 1, SndUna: 30, SndNxt: 60, ECNEcho: 1})
 	w := b.Window()
@@ -107,7 +123,7 @@ func TestBOSFractionalDeltaAccumulates(t *testing.T) {
 }
 
 func TestBOSFloorsAtMinCwnd(t *testing.T) {
-	b := NewBOS(2, 4, nil)
+	b := NewBOS(2, 4)
 	for i := 1; i < 30; i++ {
 		b.OnAck(cc.Ack{NewlyAcked: 1, SndUna: int64(100 * i), SndNxt: int64(100*i + 50), ECNEcho: 1})
 	}
@@ -117,7 +133,7 @@ func TestBOSFloorsAtMinCwnd(t *testing.T) {
 }
 
 func TestBOSLossFallback(t *testing.T) {
-	b := NewBOS(2, 4, nil)
+	b := NewBOS(2, 4)
 	cleanAcks(b, 38)
 	b.OnFastRetransmit()
 	if got := b.Window(); got != 30 {
@@ -316,5 +332,5 @@ func TestBOSBadBetaPanics(t *testing.T) {
 			t.Fatal("beta=1 accepted")
 		}
 	}()
-	NewBOS(2, 1, nil)
+	NewBOS(2, 1)
 }

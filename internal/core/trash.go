@@ -15,25 +15,28 @@ import (
 // follows the Congestion Equality Principle: δ grows on subflows whose
 // congestion is below the flow's expected congestion extent and shrinks on
 // those above, shifting traffic toward less congested paths.
+//
+// The coupling needs no state of its own: an XMP subflow's BOS evaluates
+// δ straight from its flow's cc.FlowGroup and its own cc.Member (see
+// InitBOS). TraSh names that evaluation for callers holding a group.
 type TraSh struct {
 	group *cc.FlowGroup
-
-	// deltaMin/deltaMax clamp δ for numerical robustness when rates are
-	// transiently zero (e.g. a sibling subflow in RTO); the paper's kernel
-	// module is similarly guarded by its integer arithmetic.
-	deltaMin, deltaMax float64
 }
+
+// DeltaFunc supplies an additive-increase parameter δ on demand.
+type DeltaFunc func() float64
 
 // NewTraSh returns the coupler for one flow's group.
 func NewTraSh(group *cc.FlowGroup) *TraSh {
 	if group == nil {
 		panic("core: TraSh requires a flow group")
 	}
-	return &TraSh{group: group, deltaMin: 1.0 / 64, deltaMax: 64}
+	return &TraSh{group: group}
 }
 
-// DeltaFor returns the DeltaFunc for the subflow owning member, to be
-// wired into that subflow's BOS instance. The member must belong to the
+// DeltaFor returns the δ of the subflow owning member, evaluated on each
+// call from the group's current state — the value that subflow's BOS
+// takes at its next round boundary. The member must belong to the
 // coupler's group.
 func (t *TraSh) DeltaFor(member *cc.Member) DeltaFunc {
 	found := false
@@ -47,26 +50,35 @@ func (t *TraSh) DeltaFor(member *cc.Member) DeltaFunc {
 		panic("core: member not in TraSh group")
 	}
 	return func() float64 {
-		return t.delta(member)
+		return delta(t.group, member)
 	}
 }
 
-// delta evaluates Equation 9 for one subflow from the group snapshot.
-func (t *TraSh) delta(m *cc.Member) float64 {
+// deltaMin and deltaMax clamp δ for numerical robustness when rates are
+// transiently zero (e.g. a sibling subflow in RTO); the paper's kernel
+// module is similarly guarded by its integer arithmetic.
+const (
+	deltaMin = 1.0 / 64
+	deltaMax = 64
+)
+
+// delta evaluates Equation 9 for subflow m of group g from the group
+// snapshot.
+func delta(g *cc.FlowGroup, m *cc.Member) float64 {
 	if m.SRTT <= 0 || !m.Active {
 		return 1 // no measurement yet: start with the BOS default δ(0)=1
 	}
-	total := t.group.TotalRate() // Σ cwnd_r/srtt_r  (segments/second)
-	minRTT := t.group.MinSRTT()
+	total := g.TotalRate() // Σ cwnd_r/srtt_r  (segments/second)
+	minRTT := g.MinSRTT()
 	if total <= 0 || minRTT <= 0 {
 		return 1
 	}
 	d := float64(m.Cwnd) / (total * minRTT.Seconds())
-	if d < t.deltaMin {
-		d = t.deltaMin
+	if d < deltaMin {
+		d = deltaMin
 	}
-	if d > t.deltaMax {
-		d = t.deltaMax
+	if d > deltaMax {
+		d = deltaMax
 	}
 	return d
 }
@@ -79,22 +91,18 @@ type Subflow struct {
 }
 
 // XMP builds the controllers for an n-subflow XMP flow with the given β:
-// one shared cc.FlowGroup, one TraSh coupler, and n BOS instances whose δ
-// is driven by TraSh. The caller wires each Subflow's controller and
-// Member into its transport connection.
+// one shared cc.FlowGroup and n BOS instances coupled through it, each
+// publishing through its own member. The caller wires each Subflow's
+// controller and Member into its transport connection.
 func XMP(n, initialCwnd, beta int) []Subflow {
 	if n < 1 {
 		panic("core: XMP needs at least one subflow")
 	}
 	group := cc.NewFlowGroup()
-	trash := NewTraSh(group)
 	subs := make([]Subflow, n)
 	for i := range subs {
 		m := group.Join()
-		subs[i] = Subflow{
-			BOS:    NewBOS(initialCwnd, beta, trash.DeltaFor(m)),
-			Member: m,
-		}
+		subs[i] = Subflow{BOS: InitBOS(new(BOS), initialCwnd, beta, group, m), Member: m}
 	}
 	return subs
 }

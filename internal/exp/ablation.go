@@ -42,7 +42,7 @@ func ablationRun(variant string, q func(*sim.RNG) netem.Queue, echo cc.EchoMode,
 	var timeouts int64
 	conns := make([]*transport.Conn, 4)
 	for i := range conns {
-		b := core.NewBOS(cc.DefaultInitialWindow, 4, nil)
+		b := core.NewBOS(cc.DefaultInitialWindow, 4)
 		b.DisableCwrGuard = disableGuard
 		conns[i] = transport.NewConn(eng, transport.Options{
 			ID:         d.NextConnID(),

@@ -85,7 +85,7 @@ func RunFig1(cfg Fig1Config) *Fig1Result {
 		case Fig1DCTCP:
 			ctrl, mode = cc.NewDCTCP(cc.DefaultInitialWindow, cc.DefaultG), cc.EchoDCTCP
 		case Fig1Halving:
-			ctrl, mode = core.NewBOS(cc.DefaultInitialWindow, 2, nil), cc.EchoCounter
+			ctrl, mode = core.NewBOS(cc.DefaultInitialWindow, 2), cc.EchoCounter
 		default:
 			panic("exp: unknown Fig1 mode")
 		}

@@ -1,6 +1,7 @@
 package mptcp
 
 import (
+	"xmp/internal/arena"
 	"xmp/internal/cc"
 	"xmp/internal/core"
 )
@@ -44,32 +45,37 @@ type algorithm struct {
 	// covers a parameter the cell ignores.
 	takesBeta bool
 	// controller builds one subflow's controller; m has just joined g.
+	// Built-in rows carve it from g.Slabs (arena.Carve), so a flow arena
+	// allocates no controller one by one.
 	controller func(icw, beta int, g *cc.FlowGroup, m *cc.Member) cc.Controller
 }
 
 // algorithms is indexed by Algorithm, in the order of the constants above.
 var algorithms = []algorithm{
-	{"XMP", true, cc.EchoCounter, true, newXMP},
-	{"LIA", true, cc.EchoNone, false, func(icw, _ int, g *cc.FlowGroup, m *cc.Member) cc.Controller { return NewLIA(icw, g, m) }},
-	{"OLIA", true, cc.EchoNone, false, func(icw, _ int, g *cc.FlowGroup, m *cc.Member) cc.Controller { return NewOLIA(icw, g, m) }},
-	{"AMP", true, cc.EchoDCTCP, false, func(icw, _ int, g *cc.FlowGroup, m *cc.Member) cc.Controller { return cc.NewAMP(icw, g, m) }},
-	{"BOS-uncoupled", true, cc.EchoCounter, true, func(icw, beta int, _ *cc.FlowGroup, _ *cc.Member) cc.Controller { return core.NewBOS(icw, beta, nil) }},
-	{"DCTCP", false, cc.EchoDCTCP, false, func(icw, _ int, _ *cc.FlowGroup, _ *cc.Member) cc.Controller { return cc.NewDCTCP(icw, cc.DefaultG) }},
-	{"TCP-ECN", false, cc.EchoStandard, false, func(icw, _ int, _ *cc.FlowGroup, _ *cc.Member) cc.Controller { return cc.NewReno(icw, true) }},
-	{"TCP", false, cc.EchoNone, false, func(icw, _ int, _ *cc.FlowGroup, _ *cc.Member) cc.Controller { return cc.NewReno(icw, false) }},
-}
-
-// newXMP builds a BOS subflow whose δ the flow's TraSh coupler tunes. The
-// coupler is per flow, not per subflow: the first subflow creates it and
-// parks it in its member's Ext, where the siblings find it.
-func newXMP(icw, beta int, g *cc.FlowGroup, m *cc.Member) cc.Controller {
-	first := g.Members()[0]
-	trash, _ := first.Ext.(*core.TraSh)
-	if trash == nil {
-		trash = core.NewTraSh(g)
-		first.Ext = trash
-	}
-	return core.NewBOS(icw, beta, trash.DeltaFor(m))
+	{"XMP", true, cc.EchoCounter, true, func(icw, beta int, g *cc.FlowGroup, m *cc.Member) cc.Controller {
+		return core.InitBOS(arena.Carve[core.BOS](g.Slabs), icw, beta, g, m)
+	}},
+	{"LIA", true, cc.EchoNone, false, func(icw, _ int, g *cc.FlowGroup, m *cc.Member) cc.Controller {
+		return initLIA(arena.Carve[LIA](g.Slabs), icw, g, m)
+	}},
+	{"OLIA", true, cc.EchoNone, false, func(icw, _ int, g *cc.FlowGroup, m *cc.Member) cc.Controller {
+		return initOLIA(arena.Carve[OLIA](g.Slabs), icw, g, m)
+	}},
+	{"AMP", true, cc.EchoDCTCP, false, func(icw, _ int, g *cc.FlowGroup, m *cc.Member) cc.Controller {
+		return cc.InitAMP(arena.Carve[cc.AMP](g.Slabs), icw, g, m)
+	}},
+	{"BOS-uncoupled", true, cc.EchoCounter, true, func(icw, beta int, g *cc.FlowGroup, _ *cc.Member) cc.Controller {
+		return core.InitBOS(arena.Carve[core.BOS](g.Slabs), icw, beta, nil, nil)
+	}},
+	{"DCTCP", false, cc.EchoDCTCP, false, func(icw, _ int, g *cc.FlowGroup, _ *cc.Member) cc.Controller {
+		return cc.InitDCTCP(arena.Carve[cc.DCTCP](g.Slabs), icw, cc.DefaultG)
+	}},
+	{"TCP-ECN", false, cc.EchoStandard, false, func(icw, _ int, g *cc.FlowGroup, _ *cc.Member) cc.Controller {
+		return cc.InitReno(arena.Carve[cc.Reno](g.Slabs), icw, true)
+	}},
+	{"TCP", false, cc.EchoNone, false, func(icw, _ int, g *cc.FlowGroup, _ *cc.Member) cc.Controller {
+		return cc.InitReno(arena.Carve[cc.Reno](g.Slabs), icw, false)
+	}},
 }
 
 // unknown is the row of an Algorithm value outside the table; New panics

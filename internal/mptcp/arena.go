@@ -50,7 +50,10 @@ func shapeOf(opts *Options) shapeKey {
 // Arena recycles completed flows — the whole graph: Flow, its subflow
 // block and coupling group, transport connections, controllers — so a campaign
 // launching millions of short transfers reaches a steady state where
-// starting a flow allocates nothing.
+// starting a flow allocates nothing. A flow it builds from scratch
+// allocates nothing of its own either: every object is carved from the
+// arena's chunks (arena.Slab, arena.Runs) — a 10,240-sender incast, whose
+// flows are all alive at once, costs a few chunks per kind of object.
 //
 // Lifecycle: the owner calls Release once a flow is Done. The flow then
 // sits in quarantine, still registered with its hosts, until every packet
@@ -65,10 +68,13 @@ func shapeOf(opts *Options) shapeKey {
 type Arena struct {
 	quarantine map[shapeKey][]*Flow
 
-	// conns slab-allocates the transport connections of fresh flows.
-	conns transport.ConnAllocator
-	// flows slab-allocates the Flow structs themselves.
-	flows arena.Slab[Flow]
+	// Fresh flows are carved: the Flow structs, their subflow blocks
+	// (connections included), the member lists of their coupling groups
+	// and, per controller type, their controllers.
+	flows   arena.Slab[Flow]
+	subs    arena.Runs[subflow]
+	members arena.Runs[*cc.Member]
+	ctrls   arena.Slabs
 
 	// Poison makes release/reuse misuse loud: released flows get sentinel
 	// state so a stale reader fails fast instead of reading plausible
@@ -154,10 +160,8 @@ func (a *Arena) NewFlow(eng *sim.Engine, opts Options) *Flow {
 		return f
 	}
 	a.fresh++
-	opts.connAlloc = &a.conns
 	f := a.flows.Get()
-	initFlow(f, eng, opts, key)
-	f.arena = a
+	initFlow(f, eng, opts, key, a)
 	return f
 }
 

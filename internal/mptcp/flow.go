@@ -13,6 +13,7 @@ package mptcp
 import (
 	"fmt"
 
+	"xmp/internal/arena"
 	"xmp/internal/cc"
 	"xmp/internal/netem"
 	"xmp/internal/sim"
@@ -54,10 +55,6 @@ type Options struct {
 	NextConnID func() netem.ConnID
 	// Observer receives the flow's events; nil for none.
 	Observer Observer
-
-	// connAlloc, set by Arena.NewFlow, slab-allocates the subflow
-	// connections of fresh flows. Nil (plain allocation) outside arenas.
-	connAlloc *transport.ConnAllocator
 }
 
 // Observer receives a flow's events. Observers are typically pointers, so
@@ -107,15 +104,16 @@ type Flow struct {
 	arena    *Arena
 }
 
-// subflow is one subflow's record in its flow's block: the connection, the
-// coupling-group member it publishes through, its start offset and index.
-// It is the connection's transport.Owner, forwarding to the flow.
+// subflow is one subflow's record in its flow's block: the connection
+// itself, the coupling-group member it publishes through, its start offset
+// and index. It is the connection's transport.Owner, forwarding to the
+// flow. Records never move, so the connection is built in place.
 type subflow struct {
 	flow   *Flow
-	conn   *transport.Conn
 	member cc.Member
 	offset sim.Duration
 	idx    int
+	conn   transport.Conn
 }
 
 // Progress implements transport.Owner.
@@ -138,13 +136,15 @@ func (s *subflow) Complete(*transport.Conn) { s.flow.subflowDone() }
 // New builds a flow and its subflow connections (idle until Start).
 func New(eng *sim.Engine, opts Options) *Flow {
 	f := &Flow{}
-	initFlow(f, eng, opts, shapeOf(&opts))
+	initFlow(f, eng, opts, shapeOf(&opts), nil)
 	return f
 }
 
 // initFlow is the shared constructor body behind New and Arena.NewFlow;
-// shape is shapeOf(&opts).
-func initFlow(f *Flow, eng *sim.Engine, opts Options, shape shapeKey) {
+// shape is shapeOf(&opts). The flow's block (connections included), member
+// list and controllers are carved from a, or allocated one by one when a
+// is nil.
+func initFlow(f *Flow, eng *sim.Engine, opts Options, shape shapeKey, a *Arena) {
 	alg := opts.Algorithm.row()
 	if alg.controller == nil {
 		panic("mptcp: unknown algorithm")
@@ -162,19 +162,29 @@ func initFlow(f *Flow, eng *sim.Engine, opts Options, shape shapeKey) {
 		panic("mptcp: TotalBytes must be positive or negative (unbounded)")
 	}
 
+	var (
+		subs    *arena.Runs[subflow]
+		members *arena.Runs[*cc.Member]
+		ctrls   *arena.Slabs
+	)
+	if a != nil {
+		subs, members, ctrls = &a.subs, &a.members, &a.ctrls
+	}
 	n := len(opts.Subflows)
 	*f = Flow{
 		name:      opts.Name,
 		nameFn:    opts.NameFn,
 		eng:       eng,
-		subs:      make([]subflow, n),
+		subs:      subs.Carve(n),
 		remaining: opts.TotalBytes,
 		infinite:  opts.TotalBytes < 0,
 		obs:       opts.Observer,
 		shape:     shape,
+		arena:     a,
 	}
+	f.group.Slabs = ctrls
 	if alg.multipath {
-		f.group.Grow(n)
+		f.group.Back(members.Carve(n))
 	}
 	for i := range f.subs {
 		s := &f.subs[i]
@@ -183,7 +193,7 @@ func initFlow(f *Flow, eng *sim.Engine, opts Options, shape shapeKey) {
 			f.group.Add(&s.member)
 		}
 		ctrl := alg.controller(shape.icw, shape.beta, &f.group, &s.member)
-		s.conn = opts.connAlloc.NewConn(eng, f.connOptions(&opts, s, ctrl))
+		transport.InitConn(&s.conn, eng, f.connOptions(&opts, s, ctrl))
 	}
 }
 
@@ -228,8 +238,8 @@ func (f *Flow) rebind(opts Options) {
 		s := &f.subs[i]
 		ctrl := s.conn.Controller()
 		// The member back to its fresh state (Ext is structural: OLIA's
-		// sibling pointer and XMP's coupler survive; OLIA's statistics are
-		// reset with the controller below).
+		// sibling pointer survives; OLIA's statistics are reset with the
+		// controller below).
 		s.member.Cwnd, s.member.SRTT, s.member.Active = 0, 0, false
 		s.conn.Rebind(f.connOptions(&opts, s, ctrl))
 		ctrl.Reset(f.shape.icw) // after Rebind, whose audit reads the old window
@@ -287,7 +297,7 @@ func (f *Flow) Start() {
 	f.started = true
 	f.startAt = f.eng.Now()
 	for i := range f.subs {
-		c := f.subs[i].conn
+		c := &f.subs[i].conn
 		if off := f.subs[i].offset; off > 0 {
 			f.eng.Schedule(off, func() { c.Start() })
 		} else {
@@ -338,7 +348,7 @@ func (f *Flow) Algorithm() Algorithm { return f.shape.alg }
 func (f *Flow) NumSubflows() int { return len(f.subs) }
 
 // Subflow returns subflow i's connection.
-func (f *Flow) Subflow(i int) *transport.Conn { return f.subs[i].conn }
+func (f *Flow) Subflow(i int) *transport.Conn { return &f.subs[i].conn }
 
 // Done reports whether all subflows completed.
 func (f *Flow) Done() bool { return f.done }

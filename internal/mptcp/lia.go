@@ -22,10 +22,15 @@ type LIA struct {
 
 // NewLIA returns the controller for one subflow of a LIA flow.
 func NewLIA(initialCwnd int, group *cc.FlowGroup, member *cc.Member) *LIA {
+	return initLIA(new(LIA), initialCwnd, group, member)
+}
+
+// initLIA is NewLIA in place, in storage its caller owns.
+func initLIA(l *LIA, initialCwnd int, group *cc.FlowGroup, member *cc.Member) *LIA {
 	if group == nil || member == nil {
 		panic("mptcp: LIA requires a group and a member")
 	}
-	l := &LIA{group: group, member: member}
+	*l = LIA{group: group, member: member}
 	l.Init(initialCwnd)
 	return l
 }

@@ -28,20 +28,21 @@ type OLIA struct {
 	lastInterLoss float64 // segments between the previous two losses
 }
 
-// oliaState is published per member so siblings can evaluate the M and B
-// sets; keyed by member pointer in the shared registry below.
-type oliaState struct {
-	ctrl *OLIA
-}
-
 // NewOLIA returns the controller for one subflow of an OLIA flow.
 func NewOLIA(initialCwnd int, group *cc.FlowGroup, member *cc.Member) *OLIA {
+	return initOLIA(new(OLIA), initialCwnd, group, member)
+}
+
+// initOLIA is NewOLIA in place, in storage its caller owns. The member's
+// Ext points at the controller itself, whose window and inter-loss
+// statistics are what siblings read to evaluate the M and B sets.
+func initOLIA(o *OLIA, initialCwnd int, group *cc.FlowGroup, member *cc.Member) *OLIA {
 	if group == nil || member == nil {
 		panic("mptcp: OLIA requires a group and a member")
 	}
-	o := &OLIA{group: group, member: member}
+	*o = OLIA{group: group, member: member}
 	o.Init(initialCwnd)
-	member.Ext = &oliaState{ctrl: o}
+	member.Ext = o
 	return o
 }
 
@@ -67,12 +68,12 @@ func (o *OLIA) alphaR() float64 {
 	n := 0
 	var bestMetric, maxW float64
 	for _, m := range members {
-		st, ok := m.Ext.(*oliaState)
+		sib, ok := m.Ext.(*OLIA)
 		if !ok || !m.Active {
 			continue
 		}
 		n++
-		l := st.ctrl.interLossGap()
+		l := sib.interLossGap()
 		rtt := m.SRTT.Seconds()
 		if rtt <= 0 {
 			rtt = 1e-6
@@ -80,7 +81,7 @@ func (o *OLIA) alphaR() float64 {
 		if metric := l * l / rtt; metric > bestMetric {
 			bestMetric = metric
 		}
-		if w := st.ctrl.Cwnd; w > maxW {
+		if w := sib.Cwnd; w > maxW {
 			maxW = w
 		}
 	}
@@ -92,26 +93,26 @@ func (o *OLIA) alphaR() float64 {
 	var sizeMnotB, sizeB int
 	selfInMnotB, selfInB := false, false
 	for _, m := range members {
-		st, ok := m.Ext.(*oliaState)
+		sib, ok := m.Ext.(*OLIA)
 		if !ok || !m.Active {
 			continue
 		}
-		l := st.ctrl.interLossGap()
+		l := sib.interLossGap()
 		rtt := m.SRTT.Seconds()
 		if rtt <= 0 {
 			rtt = 1e-6
 		}
 		inM = l*l/rtt >= bestMetric-eps
-		inB = st.ctrl.Cwnd >= maxW-eps
+		inB = sib.Cwnd >= maxW-eps
 		if inM && !inB {
 			sizeMnotB++
-			if st.ctrl == o {
+			if sib == o {
 				selfInMnotB = true
 			}
 		}
 		if inB {
 			sizeB++
-			if st.ctrl == o {
+			if sib == o {
 				selfInB = true
 			}
 		}

@@ -222,9 +222,6 @@ func (l *Link) SetDown(down bool) {
 // Down reports whether the link is administratively down.
 func (l *Link) Down() bool { return l.down }
 
-// Capacity returns the configured rate.
-func (l *Link) Capacity() Bps { return l.capacity }
-
 // Delay returns the one-way propagation delay.
 func (l *Link) Delay() sim.Duration { return l.delay }
 

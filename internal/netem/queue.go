@@ -143,9 +143,6 @@ func (q *DropTail) Bytes() int { return q.bytes }
 // Stats implements Queue.
 func (q *DropTail) Stats() QueueStats { return q.stats }
 
-// Limit returns the configured packet-count limit.
-func (q *DropTail) Limit() int { return q.limit }
-
 // ThresholdECN is the paper's packet-marking rule (BOS rule 1, shared with
 // DCTCP): mark the arriving packet with CE if the instantaneous queue
 // length of the outgoing interface exceeds K packets; tail-drop at the
@@ -212,9 +209,3 @@ func (q *ThresholdECN) Bytes() int { return q.bytes }
 
 // Stats implements Queue.
 func (q *ThresholdECN) Stats() QueueStats { return q.stats }
-
-// K returns the marking threshold.
-func (q *ThresholdECN) K() int { return q.k }
-
-// Limit returns the buffer limit in packets.
-func (q *ThresholdECN) Limit() int { return q.limit }

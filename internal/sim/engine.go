@@ -173,6 +173,19 @@ func (e *Engine) Recycled() uint64 { return e.nextSeq - e.slabAllocs }
 // harness compiles against it.
 func (e *Engine) Promoted() uint64 { return 0 }
 
+// Balance reports, for the drain audit, how many Events the engine's slab
+// has ever carved, how many of them are retired — on the free list, or
+// cancelled and awaiting lazy reclaim in the heap — and how many events
+// the lanes hold. A drained engine has retired every Event it carved and
+// holds nothing in a lane. The slab's own count survives Reset, which
+// hands the heap's events back to the free list.
+func (e *Engine) Balance() (carved, retired, inLanes int) {
+	for i := range e.lanes[:e.nLanes] {
+		inLanes += e.lanes[i].n
+	}
+	return e.slab.Allocated(), len(e.free) + e.canceledHeap, inLanes
+}
+
 // Pending returns the number of events currently scheduled (cancelled
 // events awaiting lazy reclamation are not counted).
 func (e *Engine) Pending() int { return int(e.nextSeq - e.processed - e.cancels) }

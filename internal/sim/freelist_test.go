@@ -207,3 +207,36 @@ func TestTimerReuseAfterRecycle(t *testing.T) {
 		t.Fatalf("ticks=%d after re-arm, want 2", ticks)
 	}
 }
+
+// TestBalanceAccountsForEveryEvent pins what the drain audit reads: while
+// events are scheduled some carved Events are not retired, and once the
+// calendar drains — with an interior corpse still in the heap — every
+// carved Event is retired and no lane holds anything, also after Reset.
+func TestBalanceAccountsForEveryEvent(t *testing.T) {
+	eng := NewEngine()
+	lane := eng.Lane(Microsecond)
+	var nop nopTarget
+	var hs []Handle
+	for i := 0; i < 100; i++ {
+		hs = append(hs, eng.Schedule(Duration(i+1)*Millisecond, func() {}))
+		lane.Schedule(nop, 0, nil)
+	}
+	eng.Cancel(hs[98]) // interior, and later than every live event: a corpse the drain leaves
+	eng.Cancel(hs[99]) // tail: reclaimed on the spot
+	carved, retired, inLanes := eng.Balance()
+	if carved != 100 || retired != 2 || inLanes != 100 {
+		t.Fatalf("scheduled: carved %d, retired %d, in lanes %d; want 100, 2, 100", carved, retired, inLanes)
+	}
+	eng.RunAll(1 << 20)
+	if carved, retired, inLanes := eng.Balance(); retired != carved || inLanes != 0 {
+		t.Fatalf("drained: retired %d of %d carved, %d in lanes", retired, carved, inLanes)
+	}
+	eng.Reset()
+	if carved, retired, inLanes := eng.Balance(); carved != 100 || retired != 100 || inLanes != 0 {
+		t.Fatalf("reset: carved %d, retired %d, in lanes %d; want 100, 100, 0", carved, retired, inLanes)
+	}
+}
+
+type nopTarget struct{}
+
+func (nopTarget) OnEvent(Op, any) {}

@@ -38,11 +38,18 @@ func (g *RNG) Int63n(n int64) int64 { return g.r.Int63n(n) }
 // Float64 returns a uniform float64 in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
+// PermInto fills m with a random permutation of [0, len(m)) and returns
+// it. It makes exactly math/rand's Perm draws, so it yields Perm's
+// permutation and leaves the stream where Perm would, into storage its
+// caller reuses.
+func (g *RNG) PermInto(m []int) []int {
+	for i := range m {
+		j := g.r.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}
 
 // UniformDuration returns a uniform duration in [lo, hi].
 func (g *RNG) UniformDuration(lo, hi Duration) Duration {
@@ -58,12 +65,6 @@ func (g *RNG) UniformBytes(lo, hi int64) int64 {
 		return lo
 	}
 	return lo + g.r.Int63n(hi-lo+1)
-}
-
-// Exponential returns an exponentially distributed value with the given
-// mean.
-func (g *RNG) Exponential(mean float64) float64 {
-	return g.r.ExpFloat64() * mean
 }
 
 // Pareto returns a bounded Pareto sample with shape alpha and the given

@@ -37,13 +37,6 @@ func (t *Timer) Reset(d Duration) {
 	t.armed = true
 }
 
-// ResetAt (re)arms the timer to fire at absolute time at.
-func (t *Timer) ResetAt(at Time) {
-	t.Stop()
-	t.h = t.eng.ScheduleTargetAt(at, t, 0, nil)
-	t.armed = true
-}
-
 // Stop cancels any pending expiration. Stopping a stopped timer is a no-op.
 func (t *Timer) Stop() {
 	if t.armed {

@@ -199,13 +199,17 @@ func (n *Network) LinksByLayer(layer string) []*netem.Link {
 }
 
 // CheckDrained panics unless the network is empty, as a finished cell must
-// leave it: no pending event, no queued packet, every pooled packet freed,
+// leave it: no pending event, every Event the engine carved back for
+// reuse and every lane empty, no queued packet, every pooled packet freed,
 // no packet arrived for a connection its host did not know — and every
 // connection still registered passes its own audit (netem.Auditor), and
 // then so does each of also (a cell passes its flow arena).
 func (n *Network) CheckDrained(also ...netem.Auditor) {
 	if p := n.Eng.Pending(); p != 0 {
 		panic(fmt.Sprintf("topo: %d events pending after the run", p))
+	}
+	if carved, retired, inLanes := n.Eng.Balance(); retired != carved || inLanes != 0 {
+		panic(fmt.Sprintf("topo: engine retired %d of %d carved events and holds %d in lanes after the run", retired, carved, inLanes))
 	}
 	for _, li := range n.links {
 		if q := li.Queue().Len(); q != 0 {

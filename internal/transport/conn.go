@@ -176,12 +176,14 @@ func (h *receiverHalf) Deliver(p *netem.Packet) { h.c.receiverDeliver(p) }
 // Call Start to begin the handshake.
 func NewConn(eng *sim.Engine, opts Options) *Conn {
 	c := &Conn{}
-	initConn(c, eng, opts)
+	InitConn(c, eng, opts)
 	return c
 }
 
-// initConn is the shared constructor body behind NewConn and ConnAllocator.
-func initConn(c *Conn, eng *sim.Engine, opts Options) {
+// InitConn is NewConn in place: it builds the connection in c, zeroed
+// storage its caller owns (a multipath flow's subflow record), which must
+// not move or be copied afterwards.
+func InitConn(c *Conn, eng *sim.Engine, opts Options) {
 	c.eng = eng
 	c.shortSeq = -1
 	c.sender.c = c

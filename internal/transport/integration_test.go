@@ -127,7 +127,7 @@ func TestBOSHoldsQueueNearThreshold(t *testing.T) {
 		ID:         d.NextConnID(),
 		Src:        d.Senders[0],
 		Dst:        d.Receivers[0],
-		Controller: core.NewBOS(2, 4, nil),
+		Controller: core.NewBOS(2, 4),
 		Config:     defaultConfig(cc.EchoCounter),
 		Supply:     transport.InfiniteSupply{},
 	})
@@ -239,7 +239,7 @@ func TestCompetingFlowsShareBottleneck(t *testing.T) {
 			ID:         d.NextConnID(),
 			Src:        d.Senders[i],
 			Dst:        d.Receivers[i],
-			Controller: core.NewBOS(2, 4, nil),
+			Controller: core.NewBOS(2, 4),
 			Config:     defaultConfig(cc.EchoCounter),
 			Supply:     transport.InfiniteSupply{},
 		})

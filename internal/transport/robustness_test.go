@@ -71,7 +71,7 @@ func TestExactDeliveryUnderLossAllControllers(t *testing.T) {
 		"reno":      func() (cc.Controller, cc.EchoMode) { return cc.NewReno(2, false), cc.EchoNone },
 		"reno-ecn":  func() (cc.Controller, cc.EchoMode) { return cc.NewReno(2, true), cc.EchoStandard },
 		"dctcp":     func() (cc.Controller, cc.EchoMode) { return cc.NewDCTCP(2, cc.DefaultG), cc.EchoDCTCP },
-		"fixedbeta": func() (cc.Controller, cc.EchoMode) { return core.NewBOS(2, 4, nil), cc.EchoCounter },
+		"fixedbeta": func() (cc.Controller, cc.EchoMode) { return core.NewBOS(2, 4), cc.EchoCounter },
 	}
 	for name, make := range mk {
 		name, make := name, make

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"xmp/internal/arena"
 	"xmp/internal/mptcp"
 	"xmp/internal/sim"
 	"xmp/internal/topo"
@@ -20,6 +21,8 @@ type Permutation struct {
 	cfg       PermutationConfig
 	remaining int
 	Rounds    int
+	// perm holds the round's permutation, redrawn in place every round.
+	perm []int
 }
 
 // StartPermutation launches the first round immediately.
@@ -32,11 +35,11 @@ func StartPermutation(cfg PermutationConfig) *Permutation {
 	return p
 }
 
-// derangement returns a permutation of [0,n) with no fixed points, so no
-// host sends to itself.
-func derangement(rng *sim.RNG, n int) []int {
+// derangement fills perm with a permutation of [0,len(perm)) with no
+// fixed points, so no host sends to itself, and returns it.
+func derangement(rng *sim.RNG, perm []int) []int {
 	for {
-		perm := rng.Perm(n)
+		rng.PermInto(perm)
 		ok := true
 		for i, v := range perm {
 			if i == v {
@@ -52,7 +55,10 @@ func derangement(rng *sim.RNG, n int) []int {
 
 func (p *Permutation) round() {
 	n := p.cfg.Net.NumHosts()
-	perm := derangement(p.cfg.RNG, n)
+	if len(p.perm) != n {
+		p.perm = make([]int, n)
+	}
+	perm := derangement(p.cfg.RNG, p.perm)
 	p.remaining = n
 	p.Rounds++
 	for src, dst := range perm {
@@ -210,6 +216,15 @@ type Incast struct {
 	cfg        IncastConfig
 	Background *Random
 	JobsRun    int
+
+	// Pooled job plumbing, as Config pools launch records: perm is the
+	// host permutation every job draws its client and servers from; job
+	// records are carved from jobs, each with its requests carved from
+	// reqs, and reused through jobFree once their job ends.
+	perm    []int
+	jobs    arena.Slab[incastJob]
+	reqs    arena.Runs[incastReq]
+	jobFree []*incastJob
 }
 
 // StartIncast launches the background flows and the first Jobs jobs.
@@ -229,7 +244,8 @@ func StartIncast(cfg IncastConfig) *Incast {
 
 // incastJob is one running job: its client, start time and outstanding
 // responses. It is its responses' completion handler; reqs, one per
-// server, are its requests'.
+// server, are its requests'. A record outlives its job: the next job
+// reuses it, requests included.
 type incastJob struct {
 	inc     *Incast
 	client  int
@@ -244,18 +260,36 @@ type incastReq struct {
 	srv int
 }
 
+// getJob pops a free job record or carves a new one with its requests.
+func (inc *Incast) getJob() *incastJob {
+	if n := len(inc.jobFree); n > 0 {
+		j := inc.jobFree[n-1]
+		inc.jobFree[n-1] = nil
+		inc.jobFree = inc.jobFree[:n-1]
+		return j
+	}
+	j := inc.jobs.Get()
+	j.inc = inc
+	j.reqs = inc.reqs.Carve(inc.cfg.Servers)
+	for i := range j.reqs {
+		j.reqs[i].job = j
+	}
+	return j
+}
+
 func (inc *Incast) job() {
 	cfg := &inc.cfg
-	n := cfg.Net.NumHosts()
+	if n := cfg.Net.NumHosts(); len(inc.perm) != n {
+		inc.perm = make([]int, n)
+	}
 	// Pick 1 client + Servers distinct servers.
-	picked := cfg.RNG.Perm(n)[: cfg.Servers+1 : cfg.Servers+1]
-	servers := picked[1:]
-	j := &incastJob{inc: inc, client: picked[0], start: cfg.Net.Engine().Now(),
-		pending: len(servers), reqs: make([]incastReq, len(servers))}
+	picked := cfg.RNG.PermInto(inc.perm)[:cfg.Servers+1]
+	j := inc.getJob()
+	j.client, j.start, j.pending = picked[0], cfg.Net.Engine().Now(), cfg.Servers
 	inc.JobsRun++
-	for i, srv := range servers {
+	for i, srv := range picked[1:] {
 		// Request client -> server; on completion the server responds.
-		j.reqs[i] = incastReq{job: j, srv: srv}
+		j.reqs[i].srv = srv
 		launchSmallTCP(&cfg.Config, j.client, srv, cfg.RequestBytes, &j.reqs[i])
 	}
 }
@@ -277,6 +311,9 @@ func (j *incastJob) flowDone(*mptcp.Flow) {
 	if cfg.Collector != nil {
 		cfg.Collector.JCT.AddDuration(cfg.Net.Engine().Now().Sub(j.start))
 	}
+	// Every request and response of the job has completed, so nothing
+	// refers to its record any more.
+	j.inc.jobFree = append(j.inc.jobFree, j)
 	if cfg.Net.Engine().Now() < cfg.Stop {
 		j.inc.job()
 	}

@@ -77,8 +77,9 @@ func TestPermutationRunsRounds(t *testing.T) {
 
 func TestPermutationDerangement(t *testing.T) {
 	rng := sim.NewRNG(7)
+	buf := make([]int, 16)
 	for trial := 0; trial < 50; trial++ {
-		perm := derangement(rng, 16)
+		perm := derangement(rng, buf)
 		seen := make([]bool, 16)
 		for i, v := range perm {
 			if i == v {

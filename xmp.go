@@ -187,10 +187,9 @@ type (
 	FlowGroup = cc.FlowGroup
 )
 
-// NewBOS returns a BOS controller (nil delta keeps the single-path δ=1).
-func NewBOS(initialCwnd, beta int, delta core.DeltaFunc) *BOS {
-	return core.NewBOS(initialCwnd, beta, delta)
-}
+// NewBOS returns a standalone BOS controller (the single-path δ=1; XMP's
+// coupled subflows come from XMPSubflows).
+func NewBOS(initialCwnd, beta int) *BOS { return core.NewBOS(initialCwnd, beta) }
 
 // XMPSubflows builds the coupled controllers of an n-subflow XMP flow.
 func XMPSubflows(n, initialCwnd, beta int) []core.Subflow { return core.XMP(n, initialCwnd, beta) }

@@ -85,7 +85,7 @@ func ExampleJainIndex() {
 // ExampleNewBOS drives the BOS controller directly: a mark in congestion
 // avoidance cuts the window by 1/β at most once per round.
 func ExampleNewBOS() {
-	b := xmp.NewBOS(40, 4, nil)
+	b := xmp.NewBOS(40, 4)
 	// Leave slow start via a first mark, then take a congestion-avoidance
 	// mark in the following round: the window drops by 1/4.
 	b.OnAck(cc.Ack{NewlyAcked: 1, SndUna: 50, SndNxt: 100, ECNEcho: 1})
