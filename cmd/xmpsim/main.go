@@ -4,14 +4,13 @@
 //
 // Usage:
 //
-//	xmpsim fig1|fig4|fig6|fig7|all [flags]
-//	xmpsim matrix|table2|ablation|sweep|params|incastsweep|sack|vl2|fct|robustness [flags]
+//	xmpsim fig1|fig4|fig6|fig7|matrix|table2|ablation|sweep|params|incastsweep|sack|vl2|fct|robustness|all [flags]
 //	xmpsim table1|table3|fig8|fig9|fig10|fig11 [flags]
 //	xmpsim run [flags] FILE.json
 //	xmpsim campaigns|merge|worker|dispatch [flags] [args]
 //
-// The first two lines are declared in internal/exp's figure and campaign
-// tables; run xmpsim with no arguments for the lists generated from them.
+// The first line is declared in internal/exp's campaign table; run xmpsim
+// with no arguments for the list generated from it.
 //
 // Experiments run at a reduced default scale (see EXPERIMENTS.md); use
 // -timescale and -sizescale to move toward the paper's magnitudes.
@@ -39,9 +38,6 @@ func usage() {
 
 Subcommands:
 `)
-	for _, f := range exp.Figures {
-		fmt.Fprintf(os.Stderr, "  %-12s %s\n", f.Name, f.Doc)
-	}
 	for _, c := range exp.Campaigns() {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", c.Name, c.Doc)
 	}
@@ -167,7 +163,7 @@ func main() {
 	flag.Usage = usage
 
 	if _, ok := exp.LookupCampaign(cmd); *shardStr != "" && !ok && cmd != "run" {
-		// One-off figures, the derived matrix views, all, merge.
+		// The derived matrix views, all, merge.
 		die(2, "-shard applies to campaign subcommands (%s) and run", campaignList(false))
 	}
 	stopProfiling := startProfiling()
@@ -187,12 +183,11 @@ func main() {
 		if *jsonOut != "" {
 			die(2, "-json names one file; run the campaign that should write it by itself")
 		}
-		runFigures("")
 		for _, c := range exp.Campaigns() {
 			runCampaign(c.Name, campaignParams(), true)
 		}
 	default:
-		if !runFigures(cmd) && !runCampaignCmd(cmd) {
+		if !runCampaignCmd(cmd) {
 			usage()
 			os.Exit(2)
 		}
@@ -207,18 +202,6 @@ func progress() io.Writer {
 		return nil
 	}
 	return os.Stderr
-}
-
-// runFigures renders the named figure of internal/exp's figure table, or
-// every one for the empty name, and reports whether it found any.
-func runFigures(name string) (found bool) {
-	for _, f := range exp.Figures {
-		if name == "" || name == f.Name {
-			f.Render(os.Stdout, campaignParams())
-			found = true
-		}
-	}
-	return found
 }
 
 // writeJSON emits machine-readable results when -json is set.

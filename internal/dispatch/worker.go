@@ -26,6 +26,10 @@ type Worker struct {
 	// process exit; tests substitute a listener teardown.
 	KillAfterTasks int
 	Kill           func()
+	// MaxWait caps how long a status request may hang, whatever its
+	// ?wait= asks: a minute from NewWorker, far above any coordinator's
+	// PollInterval.
+	MaxWait time.Duration
 
 	mux *http.ServeMux
 
@@ -60,7 +64,7 @@ func (w *Worker) update(wt *workerTask, fn func()) {
 
 // NewWorker returns an idle worker.
 func NewWorker() *Worker {
-	w := &Worker{tasks: make(map[string]*workerTask), mux: http.NewServeMux()}
+	w := &Worker{MaxWait: time.Minute, tasks: make(map[string]*workerTask), mux: http.NewServeMux()}
 	w.mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(rw, "ok")
 	})
@@ -226,15 +230,18 @@ func (w *Worker) snapshot(id string) (st TaskStatus, result []byte, changed <-ch
 // failed or has finished more than seen cells, and otherwise answers when
 // wait runs out — so a coordinator learns of completion when it happens,
 // not at its next poll, and an idle heartbeat costs one request per wait.
+// No request hangs longer than MaxWait.
 func (w *Worker) handleStatus(rw http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	q := r.URL.Query()
-	waitMs, _ := strconv.Atoi(q.Get("wait"))
+	waitMs, _ := strconv.ParseInt(q.Get("wait"), 10, 64)
 	seen, _ := strconv.Atoi(q.Get("seen"))
-	hang := waitMs > 0
+	// Capped in milliseconds, before the product can overflow.
+	wait := time.Duration(min(waitMs, w.MaxWait.Milliseconds())) * time.Millisecond
+	hang := wait > 0
 	var expired <-chan time.Time
 	if hang {
-		timer := time.NewTimer(time.Duration(waitMs) * time.Millisecond)
+		timer := time.NewTimer(wait)
 		defer timer.Stop()
 		expired = timer.C
 	}

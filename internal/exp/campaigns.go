@@ -59,6 +59,10 @@ func (p RunParams) scaleT(d sim.Duration) sim.Duration {
 
 // Campaign names: the xmpsim subcommands, and what shard manifests carry.
 const (
+	CampaignFig1       = "fig1"
+	CampaignFig4       = "fig4"
+	CampaignFig6       = "fig6"
+	CampaignFig7       = "fig7"
 	CampaignMatrix     = "matrix"
 	CampaignTable2     = "table2"
 	CampaignAblation   = "ablation"

@@ -29,7 +29,7 @@ func TestRunParamsWithDefaults(t *testing.T) {
 func TestCampaignNamesComplete(t *testing.T) {
 	names := CampaignNames()
 	for _, want := range []string{
-		CampaignMatrix, CampaignTable2, CampaignAblation, CampaignSubflow,
+		CampaignFig1, CampaignFig4, CampaignFig6, CampaignFig7, CampaignMatrix, CampaignTable2, CampaignAblation, CampaignSubflow,
 		CampaignParams, CampaignIncast, CampaignSACK, CampaignVL2, CampaignFCT,
 		CampaignRobustness, CampaignScenario,
 	} {

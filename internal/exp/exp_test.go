@@ -16,7 +16,7 @@ func TestFig1HalvingConvergesFairly(t *testing.T) {
 	// fairness, and the link should stay busy.
 	var total float64
 	for i := 0; i < 4; i++ {
-		v := r.Series[i].AvgRateBps(3*20, 4*20) / float64(r.Capacity)
+		v := r.Rates[3][i]
 		if v < 0.10 || v > 0.45 {
 			t.Fatalf("flow %d share %.2f in all-active epoch", i, v)
 		}
@@ -25,8 +25,8 @@ func TestFig1HalvingConvergesFairly(t *testing.T) {
 	if total < 0.85 {
 		t.Fatalf("aggregate utilization %.2f in all-active epoch", total)
 	}
-	if r.JainPerEpoch[3] < 0.9 {
-		t.Fatalf("Jain %.3f in all-active epoch", r.JainPerEpoch[3])
+	if r.Jain[3] < 0.9 {
+		t.Fatalf("Jain %.3f in all-active epoch", r.Jain[3])
 	}
 	if r.Drops != 0 {
 		t.Fatalf("halving with K=20 dropped %d packets", r.Drops)
@@ -37,7 +37,7 @@ func TestFig1DCTCPRuns(t *testing.T) {
 	r := RunFig1(Fig1Config{Mode: Fig1DCTCP, K: 10, Interval: 400 * sim.Millisecond})
 	var total float64
 	for i := 0; i < 4; i++ {
-		total += r.Series[i].AvgRateBps(3*20, 4*20) / float64(r.Capacity)
+		total += r.Rates[3][i]
 	}
 	if total < 0.75 {
 		t.Fatalf("DCTCP aggregate %.2f in all-active epoch", total)
@@ -92,7 +92,7 @@ func TestFig6FairnessBeta4VsBeta6(t *testing.T) {
 	}
 	// Flow shares in the all-active epoch must be near 1/4 each.
 	for i := 0; i < 4; i++ {
-		v := r4.Flows[i].AvgRateBps(4*20, 5*20) / float64(r4.Capacity)
+		v := r4.Rates[4][i]
 		if v < 0.10 || v > 0.45 {
 			t.Fatalf("beta=4 flow %d share %.2f", i, v)
 		}
@@ -109,10 +109,10 @@ func TestFig7RateCompensationShape(t *testing.T) {
 	// As L3 becomes congested (epochs 5..9), Flow 2-2 and Flow 3-1 (the
 	// subflows on L3) decrease; siblings Flow 2-1 and Flow 3-2 increase.
 	base, loaded := 4, 8
-	f22base, f22load := r.EpochRate(1, 1, base), r.EpochRate(1, 1, loaded)
-	f21base, f21load := r.EpochRate(1, 0, base), r.EpochRate(1, 0, loaded)
-	f31base, f31load := r.EpochRate(2, 0, base), r.EpochRate(2, 0, loaded)
-	f32base, f32load := r.EpochRate(2, 1, base), r.EpochRate(2, 1, loaded)
+	f22base, f22load := r.Rates[base][1][1], r.Rates[loaded][1][1]
+	f21base, f21load := r.Rates[base][1][0], r.Rates[loaded][1][0]
+	f31base, f31load := r.Rates[base][2][0], r.Rates[loaded][2][0]
+	f32base, f32load := r.Rates[base][2][1], r.Rates[loaded][2][1]
 	if !(f22load < f22base && f31load < f31base) {
 		t.Fatalf("L3 subflows did not shed: f2-2 %.2f->%.2f, f3-1 %.2f->%.2f",
 			f22base, f22load, f31base, f31load)
@@ -123,16 +123,16 @@ func TestFig7RateCompensationShape(t *testing.T) {
 	}
 	// After L3 closes (epoch 12) the L3 subflows collapse to ~zero and
 	// the siblings spike.
-	if r.EpochRate(1, 1, 12) > 0.05 || r.EpochRate(2, 0, 12) > 0.05 {
+	if r.Rates[12][1][1] > 0.05 || r.Rates[12][2][0] > 0.05 {
 		t.Fatalf("L3 subflows still moving after closure: %.2f %.2f",
-			r.EpochRate(1, 1, 12), r.EpochRate(2, 0, 12))
+			r.Rates[12][1][1], r.Rates[12][2][0])
 	}
 	// Compare against epoch 11, when the background flows are already
 	// gone and the ring has re-balanced: closing L3 then pushes flow 2
 	// entirely onto L2.
-	if !(r.EpochRate(1, 0, 12) > r.EpochRate(1, 0, 11)) {
+	if !(r.Rates[12][1][0] > r.Rates[11][1][0]) {
 		t.Fatalf("f2-1 did not spike after L3 closure: %.2f -> %.2f",
-			r.EpochRate(1, 0, 11), r.EpochRate(1, 0, 12))
+			r.Rates[11][1][0], r.Rates[12][1][0])
 	}
 	var buf bytes.Buffer
 	r.Render(&buf)

@@ -1,54 +1,83 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"xmp/internal/metrics"
 	"xmp/internal/mptcp"
+	"xmp/internal/netem"
 	"xmp/internal/sim"
+	"xmp/internal/topo"
 	"xmp/internal/transport"
 )
 
-// Figure is one of the paper's testbed figures: a fixed list of panels run
-// one after another, outside the campaign table (no cells to shard). Doc is
-// its line in the xmpsim usage text; Render runs and prints every panel as
-// `xmpsim <name>` does — of the CLI-level params only Timescale applies.
-type Figure struct {
-	Name, Doc string
-	Render    func(w io.Writer, p RunParams)
+// The paper's testbed figures (1, 4, 6, 7) are campaigns whose cells are
+// panels. A panel builds its testbed on an engine of its own, runs
+// infinite flows to its horizon, reduces the series to the numbers it
+// renders, and then drains: every flow stops sending and the run finishes
+// in Cell.Run, so each panel is audited like any other cell.
+
+// figure declares a figure campaign: one cell per panel config, the
+// configs (scaled durations included) as the description, a panel's title
+// as its progress line, and the panels rendered in order, each followed by
+// a blank line. RunAll's Worker carries a fat-tree, which no testbed reuses.
+func figure[C any, R interface{ Render(io.Writer) }](name, doc string, run func(C) R, panels func(RunParams) []C) *campaign {
+	return listOf(descriptor[R, []R]{
+		Name: name,
+		Doc:  doc,
+		Plan: func(p RunParams) Plan[R] {
+			cfgs := panels(p)
+			desc, err := json.Marshal(cfgs)
+			if err != nil {
+				panic("exp: " + err.Error())
+			}
+			return Plan[R]{
+				Desc:  name + " panels=" + string(desc),
+				Cells: len(cfgs),
+				Run:   func(_ *Worker, i int) R { return run(cfgs[i]) },
+				Progress: func(w io.Writer, r R) {
+					var b strings.Builder
+					r.Render(&b)
+					title, _, _ := strings.Cut(b.String(), "\n")
+					fmt.Fprintln(w, title)
+				},
+			}
+		},
+		Render: func(w io.Writer, rs []R) {
+			for _, r := range rs {
+				r.Render(w)
+				fmt.Fprintln(w)
+			}
+		},
+	})
 }
 
-// Figures is the figure table, in `xmpsim all` order: the xmpsim
-// subcommands, `all` and the usage text range over it.
-var Figures = []Figure{
-	{"fig1", "DCTCP vs fixed halving under threshold marking (4-flow bottleneck)", func(w io.Writer, p RunParams) {
-		for _, c := range []Fig1Config{{Mode: Fig1DCTCP, K: 10}, {Mode: Fig1DCTCP, K: 20}, {Mode: Fig1Halving, K: 10}, {Mode: Fig1Halving, K: 20}} {
-			c.Interval = p.scaleT(sim.Second)
-			panel(w, RunFig1(c))
-		}
-	}},
-	{"fig4", "TraSh traffic shifting on the two-DN testbed (beta 4 vs 6)", func(w io.Writer, p RunParams) {
-		for _, beta := range []int{4, 6} {
-			panel(w, RunFig4(Fig4Config{Beta: beta, Phase: p.scaleT(2 * sim.Second)}))
-		}
-	}},
-	{"fig6", "fairness across subflow counts on one bottleneck (beta 4 vs 6)", func(w io.Writer, p RunParams) {
-		for _, beta := range []int{4, 6} {
-			panel(w, RunFig6(Fig6Config{Beta: beta, Unit: p.scaleT(sim.Second)}))
-		}
-	}},
-	{"fig7", "rate compensation on the 5-bottleneck torus (3 beta/K settings)", func(w io.Writer, p RunParams) {
-		for _, setting := range Fig7Settings {
-			panel(w, RunFig7(Fig7Config{Setting: setting, Unit: p.scaleT(sim.Second)}))
-		}
-	}},
+// drain stops every flow of a panel whose horizon has passed and finishes
+// the run through Cell.Run: RunAll until the flows complete, then the
+// drain audit.
+func drain[F interface{ StopSending() }](net *topo.Network, flows ...F) {
+	for _, f := range flows {
+		f.StopSending()
+	}
+	(&Cell{Net: net}).Run()
 }
 
-// panel prints one panel and the blank line that follows it.
-func panel(w io.Writer, r interface{ Render(io.Writer) }) {
-	r.Render(w)
-	fmt.Fprintln(w)
+// xmpFlow builds an XMP flow of the given subflows that sends until
+// stopped.
+func xmpFlow(net *topo.Network, beta int, src, dst *netem.Host, subflows []mptcp.SubflowSpec, obs mptcp.Observer) *mptcp.Flow {
+	return mptcp.New(net.Eng, mptcp.Options{
+		Src: src, Dst: dst,
+		Subflows:   subflows,
+		TotalBytes: -1,
+		Algorithm:  mptcp.AlgXMP,
+		Beta:       beta,
+		Transport:  transport.DefaultConfig(),
+		NextConnID: net.NextConnID,
+		Observer:   obs,
+	})
 }
 
 // The figures plot acknowledged bytes over time; these observers feed a

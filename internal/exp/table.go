@@ -183,6 +183,30 @@ func method[R any](f func(R, io.Writer)) func(io.Writer, R) {
 // duration is the campaign's full-scale run length; it is hashed into the
 // config, so shard files from before and after a change refuse to mix.
 var campaigns = []*campaign{
+	figure(CampaignFig1, "DCTCP vs fixed halving under threshold marking (4-flow bottleneck)", RunFig1,
+		func(p RunParams) (panels []Fig1Config) {
+			for _, mode := range []Fig1Mode{Fig1DCTCP, Fig1Halving} {
+				for _, k := range []int{10, 20} {
+					panels = append(panels, Fig1Config{Mode: mode, K: k, Interval: p.scaleT(sim.Second)})
+				}
+			}
+			return panels
+		}),
+	figure(CampaignFig4, "TraSh traffic shifting on the two-DN testbed (beta 4 vs 6)", RunFig4,
+		func(p RunParams) []Fig4Config {
+			return []Fig4Config{{4, p.scaleT(2 * sim.Second)}, {6, p.scaleT(2 * sim.Second)}}
+		}),
+	figure(CampaignFig6, "fairness across subflow counts on one bottleneck (beta 4 vs 6)", RunFig6,
+		func(p RunParams) []Fig6Config {
+			return []Fig6Config{{4, p.scaleT(sim.Second)}, {6, p.scaleT(sim.Second)}}
+		}),
+	figure(CampaignFig7, "rate compensation on the 5-bottleneck torus (3 beta/K settings)", RunFig7,
+		func(p RunParams) (panels []Fig7Config) {
+			for _, setting := range Fig7Settings {
+				panels = append(panels, Fig7Config{Setting: setting, Unit: p.scaleT(sim.Second)})
+			}
+			return panels
+		}),
 	declare(descriptor[*FatTreeResult, *Matrix]{
 		Name:     CampaignMatrix,
 		Doc:      "run the full pattern x scheme matrix once; print tables 1,3 + figs 8-11",

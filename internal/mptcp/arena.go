@@ -117,8 +117,12 @@ func (a *Arena) Quarantined() int {
 // built is back in quarantine with no packet in flight, or failed (a
 // failed flow never completes, so it is never released). That is
 // Fresh() == Quarantined() + the failed flows; anything else is a flow
-// leaked by its owner or released before the network let go of it.
+// leaked by its owner or released before the network let go of it. A nil
+// arena built nothing.
 func (a *Arena) Audit() {
+	if a == nil {
+		return
+	}
 	var failed int64
 	a.flows.Each(func(f *Flow) {
 		switch {

@@ -62,6 +62,10 @@ type Link struct {
 	// Counters for utilization accounting (Figure 11).
 	txBytes   int64
 	txPackets int64
+	// Packets released because the link was down: offered to Send,
+	// flushed from the queue by SetDown, serialized into the dead link.
+	// Only the link-down branches count; the drain audit balances them.
+	downOffered, downFlushed, downSerialized int64
 	// openedAt..(closedAt) bounds the interval the link has been up, so
 	// utilization of links closed mid-run (Figure 7's L3) stays correct.
 	openedAt sim.Time
@@ -108,6 +112,7 @@ func (l *Link) TxTime(n int) sim.Duration {
 // as in a real network.
 func (l *Link) Send(p *Packet) {
 	if l.down {
+		l.downOffered++
 		p.Release()
 		return
 	}
@@ -187,6 +192,7 @@ func (l *Link) finishTransmit(p *Packet, wireBytes int) {
 	l.txPackets++
 	switch {
 	case l.down:
+		l.downSerialized++
 		p.Release() // serialized into a dead link
 	case l.extraDelay == 0:
 		l.prop.Schedule(l, opDeliver, p)
@@ -210,6 +216,7 @@ func (l *Link) SetDown(down bool) {
 	if down && !l.down {
 		l.upTime += now.Sub(l.openedAt)
 		for p := l.queue.Dequeue(now); p != nil; p = l.queue.Dequeue(now) {
+			l.downFlushed++
 			p.Release()
 		}
 	}
@@ -248,6 +255,13 @@ func (l *Link) TxBytes() int64 { return l.txBytes }
 
 // TxPackets returns the packets fully serialized onto the wire so far.
 func (l *Link) TxPackets() int64 { return l.txPackets }
+
+// DownLosses returns the packets the link released because it was down:
+// offered to Send while down, flushed from its queue by SetDown, and
+// serialized into it while down (counted in TxPackets too).
+func (l *Link) DownLosses() (offered, flushed, serialized int64) {
+	return l.downOffered, l.downFlushed, l.downSerialized
+}
 
 // Utilization returns transmitted bits divided by capacity×uptime over
 // [0, now] — the paper's "transferred/capacity" metric for Figure 11.

@@ -70,6 +70,10 @@ type Network struct {
 	// netem.BuildArena).
 	Build *netem.BuildArena
 
+	// gotAtReset is the pool's packet count (fresh + recycled) when the
+	// network was last Reset: the drain audit's baseline.
+	gotAtReset int64
+
 	addrHost map[netem.Addr]*netem.Host
 	nextAddr netem.Addr
 	nextConn netem.ConnID
@@ -93,6 +97,7 @@ func NewNetwork(eng *sim.Engine) *Network {
 // time zero, idle empty links, no connections, counters zero. Switch tables
 // and resolved paths (routing is static) and the warm pools carry over.
 func (n *Network) Reset() {
+	n.gotAtReset = n.Pool.Allocs() + n.Pool.Recycles()
 	n.Eng.Reset()
 	for _, li := range n.links {
 		li.Reset()
@@ -204,6 +209,12 @@ func (n *Network) LinksByLayer(layer string) []*netem.Link {
 // no packet arrived for a connection its host did not know — and every
 // connection still registered passes its own audit (netem.Auditor), and
 // then so does each of also (a cell passes its flow arena).
+//
+// Packets are conserved: every packet a link's queue took was serialized
+// or flushed by SetDown, and summed over the fabric, the packets offered
+// to links (enqueued, dropped by a queue, refused while down) are those
+// hosts took from the pool since Reset plus those links forwarded to
+// another link. No per-hop counter pays for this.
 func (n *Network) CheckDrained(also ...netem.Auditor) {
 	if p := n.Eng.Pending(); p != 0 {
 		panic(fmt.Sprintf("topo: %d events pending after the run", p))
@@ -227,5 +238,22 @@ func (n *Network) CheckDrained(also ...netem.Auditor) {
 	}
 	for _, a := range also {
 		a.Audit()
+	}
+	var offered, forwarded int64
+	for _, li := range n.links {
+		st := li.Queue().Stats()
+		downOffered, flushed, serializedDown := li.DownLosses()
+		if st.EnqueuedPackets != li.TxPackets()+flushed {
+			panic(fmt.Sprintf("topo: %s enqueued %d packets but serialized %d and flushed %d",
+				li.Name, st.EnqueuedPackets, li.TxPackets(), flushed))
+		}
+		offered += st.EnqueuedPackets + st.DroppedPackets + downOffered
+		if _, toHost := li.Dst().(*netem.Host); !toHost {
+			forwarded += li.TxPackets() - serializedDown
+		}
+	}
+	if sent := n.Pool.Allocs() + n.Pool.Recycles() - n.gotAtReset; offered != sent+forwarded {
+		panic(fmt.Sprintf("topo: links were offered %d packets, but hosts sent %d and links forwarded %d",
+			offered, sent, forwarded))
 	}
 }

@@ -345,6 +345,16 @@ func TestCheckDrained(t *testing.T) {
 		h.Receive(ft.Pool.Ack(1, ft.Host(0).PrimaryAddr(), h.PrimaryAddr(), 0)) // no connection 1 here
 	})
 	wantPanic("endpoint audit failed", func(ft *topo.FatTree) { ft.Host(6).Register(1, failingAuditor{}) })
+	wantPanic("h0.0.0->edge0.0 enqueued 1 packets but serialized 0 and flushed 0", func(ft *topo.FatTree) {
+		h := ft.Host(0)
+		p := ft.Pool.Ack(1, h.PrimaryAddr(), ft.Host(5).PrimaryAddr(), 0)
+		h.Send(p)
+		ft.Eng.Reset() // the packet vanishes mid-serialization
+		p.Release()
+	})
+	wantPanic("links were offered 0 packets, but hosts sent 1 and links forwarded 0", func(ft *topo.FatTree) {
+		ft.Pool.Ack(1, 1, 2, 0).Release() // taken from the pool, never sent
+	})
 
 	// Auditors handed in (a cell's flow arena) run too.
 	defer func() {
