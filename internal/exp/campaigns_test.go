@@ -86,8 +86,8 @@ func TestCampaignProbeMatchesRun(t *testing.T) {
 // ablation campaign in four shards through the table and the JSON encoding
 // renders what its one unsharded shard file renders straight from memory.
 // The plumbing is the same for every campaign, so these tests use the
-// cheapest one (5 dumbbell cells); TestSubflowSweep and
-// TestSweepShardMergeByteIdentical still run the k=8 sweep itself.
+// cheapest one (5 dumbbell cells); TestGoldens/sweep runs the k=8 sweep
+// itself through a 2-shard merge.
 func TestCampaignShardMatchesDirectRunner(t *testing.T) {
 	whole, err := RunCampaign(CampaignAblation, RunParams{}, Unsharded, nil)
 	if err != nil {

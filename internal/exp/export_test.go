@@ -45,13 +45,14 @@ func TestMatrixWriteJSON(t *testing.T) {
 }
 
 func TestTable2WriteJSON(t *testing.T) {
-	r := table2Variant(Table2Config{
+	cfg := Table2Config{
 		KAry:        4,
 		Duration:    30 * sim.Millisecond,
 		SizeScale:   256,
 		QueueLimits: []int{100},
 		Others:      []workload.Scheme{SchemeTCP},
-	})
+	}
+	r := &Table2Result{Config: cfg, Cells: []Table2Cell{Table2Plan(cfg).Run(nil, 0)}}
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

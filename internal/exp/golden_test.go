@@ -12,12 +12,15 @@ import (
 // -q` outputs (stdout plus the stderr timing trailer). TestGoldens
 // regenerates every one through the sharded path — run in shards through
 // the campaign table, exported through the real JSON encoding, merged —
-// and fails with a line-level diff on drift. matrix, fct and robustness
-// exist only as the specs in scenarios/, which register_test.go links into
-// this test binary. TestFigureGoldens does the same for the four figure
-// campaigns. The four slowest (matrix 35 s, fig7 26 s, params 23 s, table2
-// 18 s on a 2-core box) only run when XMP_GOLDEN=1 is set; CI's golden and
-// merge jobs cover the same contract from the CLI.
+// and fails with a line-level diff on drift. It then evaluates the
+// campaign's claims (claims_test.go) on the same merged result, so the
+// conclusions EXPERIMENTS.md draws are checked on the run its numbers come
+// from. matrix, fct and robustness exist only as the specs in scenarios/,
+// which register_test.go links into this test binary. TestFigureGoldens
+// does the same for the four figure campaigns. The four slowest (matrix
+// 35 s, fig7 26 s, params 23 s, table2 18 s on a 2-core box) only run when
+// XMP_GOLDEN=1 is set, as CI's slow-goldens job sets it; CI's golden and
+// merge jobs cover the byte contract from the CLI.
 
 // stripTrailer drops the stderr timing trailer — the final blank line and
 // "[<cmd> completed in <dur>]" — which is not reproducible.
@@ -91,8 +94,9 @@ func TestFigureGoldens(t *testing.T) {
 	}
 }
 
-// checkGolden runs campaign name in two shards, merges them and diffs the
-// rendered result against results_<name>.txt.
+// checkGolden runs campaign name in two shards, merges them, diffs the
+// rendered result against results_<name>.txt and checks the campaign's
+// claims on the merged result.
 func checkGolden(t *testing.T, name string) {
 	t.Helper()
 	goldenName := "results_" + name + ".txt"
@@ -119,4 +123,5 @@ func checkGolden(t *testing.T, name string) {
 	var got bytes.Buffer
 	res.Render(&got)
 	diffLines(t, goldenName, stripTrailer(string(golden)), stripTrailer(got.String()))
+	checkClaims(t, name, res.value)
 }

@@ -261,10 +261,3 @@ func (m *Matrix) RenderFig11(w io.Writer) {
 		fmt.Fprintln(w)
 	}
 }
-
-// UtilSpread returns max-min utilization for (pattern, scheme, layer):
-// the balance metric Figure 11's vertical lines visualize.
-func (m *Matrix) UtilSpread(p Pattern, s workload.Scheme, layer string) float64 {
-	d := m.Get(p, s).UtilByLayer[layer]
-	return d.Max() - d.Min()
-}

@@ -250,11 +250,13 @@ func MergeShardCells[T any](files []*ShardFile[T]) ([]T, error) {
 	return out, nil
 }
 
-// MergeResult is a reassembled campaign. The assembled value (a *Matrix,
-// a point list) stays behind the closures its descriptor bound: nothing
-// above this package needs its type, only to render or export it.
+// MergeResult is a reassembled campaign. Nothing above this package needs
+// the assembled value's type, only to render or export it, so the value (a
+// *Matrix, a point list) stays unexported; this package's tests check the
+// claims of EXPERIMENTS.md on it.
 type MergeResult struct {
 	Campaign string
+	value    any
 	render   func(w io.Writer)
 	plot     func(w io.Writer) error
 }

@@ -333,30 +333,6 @@ func TestTable2ShardMergeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepShardMergeByteIdentical covers the list-shaped campaigns through
-// the same export/merge path using the fast subflow sweep.
-func TestSweepShardMergeByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fat-tree runs are slow")
-	}
-	plan := SubflowSweepPlan([]int{1, 2}, 20*sim.Millisecond)
-	want := rendered(t, RunPlan(CampaignSubflow, plan, Unsharded, 2, nil))
-
-	files := []*ShardFile[SubflowSweepResult]{
-		RunPlan(CampaignSubflow, plan, ShardSpec{0, 2}, 1, nil),
-		RunPlan(CampaignSubflow, plan, ShardSpec{1, 2}, 1, nil),
-	}
-	res, err := MergeShardBlobs(encodeBlobs(t, files))
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	var got bytes.Buffer
-	res.Render(&got)
-	if got.String() != want {
-		t.Errorf("merged sweep diverges:\n--- unsharded ---\n%s\n--- merged ---\n%s", want, got.String())
-	}
-}
-
 // TestMergeRejectsForeignCampaign pins the decode-side check that blobs
 // from different campaigns refuse to merge.
 func TestMergeRejectsForeignCampaign(t *testing.T) {

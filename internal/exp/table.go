@@ -158,6 +158,7 @@ func declare[T, R any](d descriptor[T, R]) *campaign {
 		metrics := scenarioMetrics(typed[0].Manifest.Config)
 		res := &MergeResult{
 			Campaign: d.Name,
+			value:    r,
 			render:   func(w io.Writer) { d.render(w, r, metrics) },
 		}
 		if d.Plot != nil {
