@@ -68,9 +68,14 @@ dispatch, -json receives the campaign's plot export (%s have one).
 
 matrix, fct and robustness are the specs scenarios/<name>.json, embedded
 in the binary: "xmpsim matrix" is "xmpsim run scenarios/matrix.json" with
--timescale, -sizescale, -seed and -k overlaid (fct and robustness take
--timescale only), and at default flags their shard files merge with the
-spec file's.
+the scale flags overlaid, and at default flags their shard files merge
+with the spec file's.
+
+Scale flags: -timescale reaches every campaign; -seed, -k and -sizescale
+reach the fabric campaigns, but not the figures or ablation, vl2 takes no
+-k, and fct and robustness no -sizescale (their sizes are bytes). A run
+refuses a flag it does not read (exit 2); run and dispatch FILE.json refuse
+all four (the spec's scale block sets them); all names who ignores one.
 
 Flags (after the subcommand):
 `, campaignList(false), campaignList(true))
@@ -183,6 +188,7 @@ func main() {
 		if *jsonOut != "" {
 			die(2, "-json names one file; run the campaign that should write it by itself")
 		}
+		warnIgnoredKnobs()
 		for _, c := range exp.Campaigns() {
 			runCampaign(c.Name, campaignParams(), true)
 		}
@@ -238,6 +244,9 @@ func shardSpec() (exp.ShardSpec, bool) {
 // remote workers, so a local run and a dispatched one execute identical
 // configurations.
 func campaignParams() exp.RunParams {
+	if *timescale < 0 || *sizescale < 0 || *kary != 0 && (*kary < 4 || *kary%2 != 0) {
+		die(2, "-timescale and -sizescale must not be negative, -k must be even and at least 4")
+	}
 	return exp.RunParams{
 		Timescale: *timescale,
 		SizeScale: *sizescale,
@@ -245,6 +254,45 @@ func campaignParams() exp.RunParams {
 		K:         *kary,
 		Jobs:      *jobs,
 	}
+}
+
+// refuseIgnoredKnobs exits 2 when campaign name, run under p, does not
+// read one of -timescale, -sizescale, -seed and -k that the command line
+// sets. A spec run (the scenario runner) reads none of them.
+func refuseIgnoredKnobs(name string, p exp.RunParams) {
+	ignored, err := exp.IgnoredKnobs(name, p, flagsSet())
+	check(err)
+	what := "campaign " + name + " does not read"
+	if name == exp.CampaignScenario {
+		what = "a spec sets its scale in its scale block, not with"
+	}
+	if len(ignored) > 0 {
+		die(2, "%s -%s", what, strings.Join(ignored, ", -"))
+	}
+}
+
+// warnIgnoredKnobs prints, for `all`, one line per scale flag set on the
+// command line that some campaign does not read, naming those campaigns.
+func warnIgnoredKnobs() {
+	by := map[string][]string{}
+	for _, c := range exp.Campaigns() {
+		ignored, err := exp.IgnoredKnobs(c.Name, campaignParams(), flagsSet())
+		check(err)
+		for _, knob := range ignored {
+			by[knob] = append(by[knob], c.Name)
+		}
+	}
+	for _, knob := range flagsSet() {
+		if names := by[knob]; names != nil {
+			fmt.Fprintf(os.Stderr, "xmpsim all: -%s is not read by %s\n", knob, strings.Join(names, ", "))
+		}
+	}
+}
+
+// flagsSet names the flags the command line sets, in lexical order.
+func flagsSet() (names []string) {
+	flag.Visit(func(f *flag.Flag) { names = append(names, f.Name) })
+	return names
 }
 
 // requirePlot refuses -json up front for a campaign without a plot
@@ -303,6 +351,7 @@ func runDispatch() {
 		name, family = exp.CampaignScenario, c.Campaign
 		params.Scenario = c.JSON
 	}
+	refuseIgnoredKnobs(name, params)
 	if *jsonOut != "" {
 		requirePlot(family)
 	}

@@ -35,7 +35,9 @@ func runRun() {
 		renderCompiled(c)
 		return
 	}
-	runCampaign(exp.CampaignScenario, exp.RunParams{Jobs: *jobs, Scenario: c.JSON}, false)
+	p := exp.RunParams{Jobs: *jobs, Scenario: c.JSON}
+	refuseIgnoredKnobs(exp.CampaignScenario, p)
+	runCampaign(exp.CampaignScenario, p, false)
 }
 
 // runCampaignCmd runs cmd if it names a campaign or one of the matrix
@@ -44,6 +46,7 @@ func runRun() {
 func runCampaignCmd(cmd string) bool {
 	p := campaignParams()
 	if _, ok := exp.LookupCampaign(cmd); ok {
+		refuseIgnoredKnobs(cmd, p)
 		runCampaign(cmd, p, true)
 		return true
 	}
@@ -51,6 +54,7 @@ func runCampaignCmd(cmd string) bool {
 	if !slices.Contains(matrix.Tables, cmd) {
 		return false
 	}
+	refuseIgnoredKnobs(matrix.Name, p)
 	c, err := scenario.CompileCampaign(matrix.Name, p)
 	check(err)
 	view := *c.Spec

@@ -74,13 +74,14 @@ func (o *Options) withDefaults(cellsPerShard int, p exp.RunParams) Options {
 // deriveTimeouts scales the attempt and stall budgets with the campaign:
 // a k=8 matrix cell runs in about a second at the default reduced scale,
 // and cost grows linearly with -timescale and with the flow-size factor
-// 16/sizescale, so a generous per-cell minute covers CI-class hardware
-// with an order of magnitude to spare at any configured scale.
+// (default sizescale)/sizescale, so a generous per-cell minute covers
+// CI-class hardware with an order of magnitude to spare at any configured
+// scale.
 func deriveTimeouts(cellsPerShard int, p exp.RunParams) (task, stall time.Duration) {
 	p = p.WithDefaults()
 	work := p.Timescale
-	if p.SizeScale > 0 && p.SizeScale < 16 {
-		work *= 16 / float64(p.SizeScale)
+	if def := (exp.RunParams{}).WithDefaults().SizeScale; p.SizeScale > 0 && p.SizeScale < def {
+		work *= float64(def) / float64(p.SizeScale)
 	}
 	if work < 1 {
 		work = 1

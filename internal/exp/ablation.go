@@ -10,7 +10,6 @@ import (
 	"xmp/internal/sim"
 	"xmp/internal/topo"
 	"xmp/internal/transport"
-	"xmp/internal/workload"
 )
 
 // AblationResult is one ablation variant's steady-state behaviour on the
@@ -26,9 +25,10 @@ type AblationResult struct {
 	Timeouts    int64
 }
 
-// ablationRun drives four long-lived BOS flows (beta 4) over a dumbbell
-// whose bottleneck queue and receiver echo mode the variant selects.
-func ablationRun(variant string, q func(*sim.RNG) netem.Queue, echo cc.EchoMode, disableGuard bool) AblationResult {
+// ablationRun drives four long-lived BOS flows (beta 4) until horizon over
+// a dumbbell whose bottleneck queue and receiver echo mode the variant
+// selects.
+func ablationRun(variant string, horizon sim.Duration, q func(*sim.RNG) netem.Queue, echo cc.EchoMode, disableGuard bool) AblationResult {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(11)
 	d := topo.NewDumbbell(eng, topo.DumbbellConfig{
@@ -54,7 +54,7 @@ func ablationRun(variant string, q func(*sim.RNG) netem.Queue, echo cc.EchoMode,
 		})
 		conns[i].Start()
 	}
-	eng.Run(sim.Time(time500ms))
+	eng.Run(sim.Time(horizon))
 	for _, c := range conns {
 		timeouts += c.Stats().Timeouts
 	}
@@ -70,16 +70,18 @@ func ablationRun(variant string, q func(*sim.RNG) netem.Queue, echo cc.EchoMode,
 	}
 }
 
-const time500ms = 500 * sim.Millisecond
-
 // AblationPlan plans the DESIGN.md §4 ablations, one cell per variant:
 //
 //   - marking rule: instantaneous threshold vs degenerate RED (Wq=1,
 //     MinTh=MaxTh=K — must match) vs conventional EWMA RED (must not);
 //   - CE feedback: the two-bit counter echo vs latched standard ECN;
 //   - the once-per-round reduction guard on vs off.
-func AblationPlan(k int) Plan[AblationResult] {
-	const limit = 250
+//
+// Every variant runs for 500 ms scaled by the timescale, at K=10 with
+// 250-packet buffers.
+func AblationPlan(p RunParams) Plan[AblationResult] {
+	const k, limit = 10, 250
+	horizon := p.scaleT(500 * sim.Millisecond)
 	type variant struct {
 		name         string
 		q            func(*sim.RNG) netem.Queue
@@ -108,11 +110,11 @@ func AblationPlan(k int) Plan[AblationResult] {
 			cc.EchoCounter, true},
 	}
 	return Plan[AblationResult]{
-		Desc:  fmt.Sprintf("ablation K=%d limit=%d variants=%d", k, limit, len(variants)),
+		Desc:  describe(CampaignAblation, map[string]any{"horizon": horizon, "K": k, "limit": limit, "variants": len(variants)}),
 		Cells: len(variants),
 		Run: func(_ *Worker, i int) AblationResult {
 			v := variants[i]
-			return ablationRun(v.name, v.q, v.echo, v.disableGuard)
+			return ablationRun(v.name, horizon, v.q, v.echo, v.disableGuard)
 		},
 		Progress: func(w io.Writer, r AblationResult) {
 			fmt.Fprintf(w, "ablation %-44s util=%.2f drops=%d marks=%d\n",
@@ -141,23 +143,22 @@ type SubflowSweepResult struct {
 	Flows      int
 }
 
+// sweepSubflows is the subflow-count axis of the sweep.
+var sweepSubflows = []int{1, 2, 4, 8}
+
 // SubflowSweepPlan plans permutation-pattern goodput as the number of XMP
-// subflows grows; cell i is counts[i].
-func SubflowSweepPlan(counts []int, duration sim.Duration) Plan[SubflowSweepResult] {
-	if len(counts) == 0 {
-		counts = []int{1, 2, 4, 8}
-	}
+// subflows grows; cell i is sweepSubflows[i].
+func SubflowSweepPlan(p RunParams) Plan[SubflowSweepResult] {
+	cell := patternCell(p.cell(50*sim.Millisecond), Permutation)
 	return Plan[SubflowSweepResult]{
-		Desc:  fmt.Sprintf("sweep counts=%v duration=%d", counts, int64(duration)),
-		Cells: len(counts),
+		Desc:  describe(CampaignSubflow, map[string]any{"cell": cell, "subflows": sweepSubflows}),
+		Cells: len(sweepSubflows),
 		Run: func(w *Worker, i int) SubflowSweepResult {
-			r := RunFatTree(w, FatTreeConfig{
-				Pattern:  Permutation,
-				Scheme:   schemeXMPn(counts[i]),
-				Duration: duration,
-			})
+			scheme := SchemeXMP2
+			scheme.Subflows = sweepSubflows[i]
+			r := RunFatTree(w, cell, Permutation, scheme)
 			return SubflowSweepResult{
-				Subflows:   counts[i],
+				Subflows:   sweepSubflows[i],
 				AvgGoodput: r.Collector.Goodput.Mean(),
 				Flows:      r.Collector.FlowsCompleted,
 			}
@@ -167,12 +168,6 @@ func SubflowSweepPlan(counts []int, duration sim.Duration) Plan[SubflowSweepResu
 				r.Subflows, r.AvgGoodput, r.Flows)
 		},
 	}
-}
-
-func schemeXMPn(n int) workload.Scheme {
-	s := SchemeXMP2
-	s.Subflows = n
-	return s
 }
 
 // RenderSubflowSweep prints the sweep.

@@ -18,8 +18,8 @@ import (
 
 // RunParams carries the CLI-level knobs that shape a campaign's
 // results, in a JSON-serializable form a coordinator can ship to workers.
-// Zero fields mean the xmpsim defaults (Timescale 1, SizeScale 16, Seed 1,
-// K 8). Jobs caps the per-process worker pool and does not shape results.
+// Zero fields mean the defaults: Timescale 1, and CellConfig's for the
+// rest. Jobs caps the per-process worker pool and does not shape results.
 type RunParams struct {
 	Timescale float64 `json:"timescale,omitempty"`
 	SizeScale int64   `json:"sizescale,omitempty"`
@@ -36,25 +36,24 @@ type RunParams struct {
 	Scenario json.RawMessage `json:"scenario,omitempty"`
 }
 
-// WithDefaults resolves zero fields to the xmpsim flag defaults.
+// WithDefaults resolves zero fields to the defaults.
 func (p RunParams) WithDefaults() RunParams {
 	if p.Timescale == 0 {
 		p.Timescale = 1
 	}
-	if p.SizeScale == 0 {
-		p.SizeScale = 16
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	if p.K == 0 {
-		p.K = 8
-	}
+	c := p.cell(0).WithDefaults()
+	p.SizeScale, p.Seed, p.K = c.SizeScale, c.Seed, c.K
 	return p
 }
 
 func (p RunParams) scaleT(d sim.Duration) sim.Duration {
 	return sim.Duration(float64(d) * p.Timescale)
+}
+
+// cell is the fabric cell a Go plan starts from: the params' arity, seed
+// and size scale, and a horizon of d scaled by the timescale.
+func (p RunParams) cell(d sim.Duration) CellConfig {
+	return CellConfig{K: p.K, Seed: p.Seed, SizeScale: p.SizeScale, Duration: p.scaleT(d)}
 }
 
 // Campaign names: the xmpsim subcommands, and what shard manifests carry.
@@ -178,6 +177,38 @@ func ProbeManifest(name string, p RunParams) (ShardManifest, error) {
 func CampaignProbe(name string, p RunParams) (desc, hash string, cells int, err error) {
 	m, err := ProbeManifest(name, p)
 	return m.Config, m.ConfigHash, m.TotalCells, err
+}
+
+// IgnoredKnobs returns the knobs among names — "timescale", "sizescale",
+// "seed" and "k", the RunParams fields the xmpsim flags of those names set;
+// other names are skipped — that the named campaign does not read under p:
+// changing that knob alone leaves the config hash where it is. A knob whose
+// change makes the probe fail is read.
+func IgnoredKnobs(name string, p RunParams, names []string) ([]string, error) {
+	_, hash, _, err := CampaignProbe(name, p)
+	if err != nil {
+		return nil, err
+	}
+	var ignored []string
+	for _, knob := range names {
+		q := p.WithDefaults()
+		switch knob {
+		case "timescale":
+			q.Timescale *= 2
+		case "sizescale":
+			q.SizeScale *= 2
+		case "seed":
+			q.Seed++
+		case "k":
+			q.K += 2
+		default:
+			continue
+		}
+		if _, h, _, err := CampaignProbe(name, q); err == nil && h == hash {
+			ignored = append(ignored, knob)
+		}
+	}
+	return ignored, nil
 }
 
 // RunCampaign executes one shard of the named campaign. progress, if

@@ -26,6 +26,28 @@ func TestRunParamsWithDefaults(t *testing.T) {
 	}
 }
 
+// TestIgnoredKnobs pins which scale knobs each campaign reads: the
+// testbed figures and ablation read only the timescale, the VL2 Clos has no
+// arity, fct and robustness size their flows in bytes, and every other
+// campaign reads all four.
+func TestIgnoredKnobs(t *testing.T) {
+	knobs := []string{"timescale", "sizescale", "seed", "k"}
+	testbed := []string{"sizescale", "seed", "k"}
+	want := map[string][]string{
+		CampaignFig1: testbed, CampaignFig4: testbed, CampaignFig6: testbed, CampaignFig7: testbed, CampaignAblation: testbed,
+		CampaignVL2: {"k"}, CampaignFCT: {"sizescale"}, CampaignRobustness: {"sizescale"},
+	}
+	for _, c := range Campaigns() {
+		got, err := IgnoredKnobs(c.Name, RunParams{}, append(knobs, "jobs"))
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		if !slices.Equal(got, want[c.Name]) {
+			t.Errorf("%s ignores %v, want %v", c.Name, got, want[c.Name])
+		}
+	}
+}
+
 func TestCampaignNamesComplete(t *testing.T) {
 	names := CampaignNames()
 	for _, want := range []string{

@@ -26,37 +26,45 @@ import (
 // duration_ms only when a spec sets it).
 const ShortFlowHorizon = 40 * sim.Millisecond
 
-// CellConfig describes a cell's fabric and run. Zero fields mean the
-// paper's Section 5.2 set-up: a k=8 fat-tree, 100-packet queues marking at
-// 10, seed 1.
+// CellConfig describes a cell's fabric and run: everything a fabric cell
+// is a function of besides its scheme and generators. Zero fields mean the
+// paper's Section 5.2 set-up, which WithDefaults writes down.
 type CellConfig struct {
 	// VL2 selects the VL2 Clos instead of the K-ary fat-tree.
-	VL2 bool
-	K   int
+	VL2 bool `json:",omitempty"`
+	K   int  `json:",omitempty"`
 	// QueueLimit and MarkThreshold configure every queue of the fabric.
 	QueueLimit, MarkThreshold int
 	// StrictNonECT drops non-ECT packets above MarkThreshold, as a RED
 	// switch does, instead of letting them fill the buffer.
-	StrictNonECT bool
+	StrictNonECT bool `json:",omitempty"`
 	// Lossy wraps every queue in a netem.Lossy, inert until a loss-burst
 	// event of Chaos arms it.
-	Lossy bool
+	Lossy bool `json:",omitempty"`
 	Seed  int64
+	// SizeScale divides the paper's flow sizes for the generators whose
+	// sizes derive from them (the Section 5.2 patterns).
+	SizeScale int64
 	// Duration is how long generators keep starting flows; the run then
 	// drains. 0 means ShortFlowHorizon.
 	Duration sim.Duration
-	// RTTStride subsamples the collector's RTT measurements (default 16).
+	// RTTStride subsamples the collector's RTT measurements.
 	RTTStride int
 	// SACK enables selective acknowledgments on every connection.
-	SACK bool
+	SACK bool `json:",omitempty"`
 	// Chaos, when non-nil, is installed by Run. Its targets must resolve
 	// against the fabric: callers taking untrusted schedules
 	// (internal/scenario) check that first, so a failure in Run is a bug.
-	Chaos *chaos.Schedule
+	Chaos *chaos.Schedule `json:",omitempty"`
 }
 
-func (c *CellConfig) defaults() {
-	if c.K == 0 {
+// WithDefaults returns c with its zero fields resolved: a k=8 fat-tree
+// (VL2 has no arity), 100-packet queues marking at 10, flow sizes divided
+// by 16, seed 1, the short-flow horizon and every 16th RTT sampled. This
+// is the one place the Section 5.2 defaults are written; the CLI params
+// and scenario specs resolve theirs from it.
+func (c CellConfig) WithDefaults() CellConfig {
+	if c.K == 0 && !c.VL2 {
 		c.K = 8
 	}
 	if c.QueueLimit == 0 {
@@ -64,6 +72,9 @@ func (c *CellConfig) defaults() {
 	}
 	if c.MarkThreshold == 0 {
 		c.MarkThreshold = 10
+	}
+	if c.SizeScale == 0 {
+		c.SizeScale = 16
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -74,6 +85,7 @@ func (c *CellConfig) defaults() {
 	if c.RTTStride == 0 {
 		c.RTTStride = 16
 	}
+	return c
 }
 
 // Cell is one built cell.
@@ -90,7 +102,8 @@ type Cell struct {
 	Events uint64
 	Faults int
 
-	chaos *chaos.Schedule
+	// cfg is the config the cell was built from, defaults resolved.
+	cfg CellConfig
 }
 
 // Worker is what one RunAll goroutine carries from cell to cell: the last
@@ -112,7 +125,7 @@ type Worker struct {
 // static and a run leaves the fabric drained (Run audits that), so the
 // recycled cell is the fresh one, event for event.
 func NewCell(w *Worker, cfg CellConfig, scheme workload.Scheme) *Cell {
-	cfg.defaults()
+	cfg = cfg.WithDefaults()
 	key := CellConfig{VL2: cfg.VL2, K: cfg.K, QueueLimit: cfg.QueueLimit,
 		MarkThreshold: cfg.MarkThreshold, StrictNonECT: cfg.StrictNonECT, Lossy: cfg.Lossy}
 	if w == nil || w.lent {
@@ -152,8 +165,8 @@ func NewCell(w *Worker, cfg CellConfig, scheme workload.Scheme) *Cell {
 	tc := transport.DefaultConfig()
 	tc.EnableSACK = cfg.SACK
 	return &Cell{
-		Net:   w.net,
-		chaos: cfg.Chaos,
+		Net: w.net,
+		cfg: cfg,
 		Base: workload.Config{
 			Net:       w.fab,
 			RNG:       rng,
@@ -172,9 +185,9 @@ func NewCell(w *Worker, cfg CellConfig, scheme workload.Scheme) *Cell {
 // been started.
 func (c *Cell) Run() {
 	var inj *chaos.Injector
-	if c.chaos != nil {
+	if c.cfg.Chaos != nil {
 		var err error
-		if inj, err = chaos.New(c.Net, *c.chaos); err != nil {
+		if inj, err = chaos.New(c.Net, *c.cfg.Chaos); err != nil {
 			panic(fmt.Sprintf("exp: chaos schedule does not resolve: %v", err))
 		}
 		inj.Install()

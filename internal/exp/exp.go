@@ -1,9 +1,12 @@
-// Package exp contains one runner per table and figure of the paper's
+// Package exp contains one campaign per table and figure of the paper's
 // evaluation (Section 4 experiments and Section 5 simulations), plus the
-// ablations called out in DESIGN.md. Each runner takes a Config whose
-// defaults reproduce the paper's setup at a reduced scale (flow sizes and
-// durations divided down; see EXPERIMENTS.md), returns a typed Result, and
-// can render itself as the text rows/series the paper reports.
+// ablations called out in DESIGN.md. Each campaign is one row of the
+// campaign table (table.go): its plan is a function of RunParams alone,
+// and every fabric cell it runs is a function of a CellConfig, whose
+// defaults (CellConfig.WithDefaults) reproduce the paper's Section 5.2
+// set-up at a reduced scale (flow sizes and durations divided down; see
+// EXPERIMENTS.md). A campaign's cells merge into a typed result that
+// renders the text rows/series the paper reports.
 package exp
 
 import (

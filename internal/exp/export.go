@@ -65,8 +65,8 @@ type CellJSON struct {
 func cellJSON(r *FatTreeResult) CellJSON {
 	col := r.Collector
 	out := CellJSON{
-		Pattern:       string(r.Config.Pattern),
-		Scheme:        r.Config.Scheme.Label(),
+		Pattern:       string(r.Pattern),
+		Scheme:        r.Scheme.Label(),
 		Flows:         col.FlowsCompleted,
 		BytesMoved:    col.BytesMoved,
 		SimSeconds:    r.SimDuration.Seconds(),

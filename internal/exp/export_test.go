@@ -11,7 +11,7 @@ import (
 )
 
 func TestMatrixWriteJSON(t *testing.T) {
-	base := FatTreeConfig{K: 4, Duration: 30 * sim.Millisecond, SizeScale: 256}
+	base := CellConfig{K: 4, Duration: 30 * sim.Millisecond, SizeScale: 256}
 	m := miniMatrix(t, base, []Pattern{Permutation}, []workload.Scheme{SchemeXMP2}, 1, nil)
 	var buf bytes.Buffer
 	if err := m.WriteJSON(&buf); err != nil {
@@ -45,14 +45,8 @@ func TestMatrixWriteJSON(t *testing.T) {
 }
 
 func TestTable2WriteJSON(t *testing.T) {
-	cfg := Table2Config{
-		KAry:        4,
-		Duration:    30 * sim.Millisecond,
-		SizeScale:   256,
-		QueueLimits: []int{100},
-		Others:      []workload.Scheme{SchemeTCP},
-	}
-	r := &Table2Result{Config: cfg, Cells: []Table2Cell{Table2Plan(cfg).Run(nil, 0)}}
+	cell := runCoexist(nil, CellConfig{K: 4, Duration: 30 * sim.Millisecond, SizeScale: 256}, SchemeTCP)
+	r := &Table2Result{Queues: []int{cell.QueueLimit}, Others: []workload.Scheme{cell.Other}, Cells: []Table2Cell{cell}}
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"xmp/internal/chaos"
 	"xmp/internal/metrics"
 	"xmp/internal/sim"
 	"xmp/internal/topo"
@@ -21,72 +20,34 @@ const (
 	Incast      Pattern = "Incast"
 )
 
-// FatTreeConfig configures one Fat-Tree run: one scheme under one pattern.
-type FatTreeConfig struct {
-	Pattern Pattern
-	Scheme  workload.Scheme
-	// K is the fat-tree arity (default 8, the paper's topology).
-	K int
-	// MarkThreshold and QueueLimit configure every switch queue
-	// (defaults 10 and 100).
-	MarkThreshold, QueueLimit int
-	// Duration is how long generators keep starting flows; in-flight
-	// flows then drain. Default 400 ms (scaled down from the paper's
-	// multi-minute runs; see EXPERIMENTS.md).
-	Duration sim.Duration
-	// SizeScale divides the paper's flow sizes (default 64: permutation
-	// flows become 1-8 MB instead of 64-512 MB).
-	SizeScale int64
-	Seed      int64
-	// RTTStride subsamples RTT measurements (default 4).
-	RTTStride int
-	// Chaos is the cell's fault schedule (CellConfig.Chaos; declarative
-	// scenarios route it here). omitempty keeps a nil schedule out of the
-	// serialized cell config, whose bytes shard files pin. The matrix cell
-	// is not lossy, so loss-burst events do not resolve.
-	Chaos *chaos.Schedule `json:"Chaos,omitempty"`
+// patternHorizon is each pattern's generator horizon in a cell that names
+// none, at the reduced scale (see EXPERIMENTS.md): one permutation round of
+// 4-32 MB flows, and longer horizons for the open-loop patterns so Random
+// regenerates flows and Incast accumulates enough jobs for stable
+// completion-time statistics.
+var patternHorizon = map[Pattern]sim.Duration{
+	Permutation: 50 * sim.Millisecond,
+	Random:      200 * sim.Millisecond,
+	Incast:      300 * sim.Millisecond,
 }
 
-func (c *FatTreeConfig) defaults() {
-	if c.K == 0 {
-		c.K = 8
+// patternCell is the cell a Section 5.2 pattern runs on: cfg with a zero
+// horizon replaced by the pattern's and, unless cfg names a stride, every
+// 4th RTT sampled, defaults resolved.
+func patternCell(cfg CellConfig, p Pattern) CellConfig {
+	if cfg.Duration == 0 {
+		cfg.Duration = patternHorizon[p]
 	}
-	if c.MarkThreshold == 0 {
-		c.MarkThreshold = 10
+	if cfg.RTTStride == 0 {
+		cfg.RTTStride = 4
 	}
-	if c.QueueLimit == 0 {
-		c.QueueLimit = 100
-	}
-	if c.Duration == 0 {
-		// Reduced-scale defaults (see EXPERIMENTS.md): one permutation
-		// round of 4-32 MB flows; longer horizons for the open-loop
-		// patterns so the Random pattern regenerates flows and Incast
-		// accumulates enough jobs for stable completion-time statistics.
-		switch c.Pattern {
-		case Permutation:
-			c.Duration = 50 * sim.Millisecond
-		case Random:
-			c.Duration = 200 * sim.Millisecond
-		case Incast:
-			c.Duration = 300 * sim.Millisecond
-		default:
-			c.Duration = 200 * sim.Millisecond
-		}
-	}
-	if c.SizeScale == 0 {
-		c.SizeScale = 16
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.RTTStride == 0 {
-		c.RTTStride = 4
-	}
+	return cfg.WithDefaults()
 }
 
 // FatTreeResult is the outcome of one run.
 type FatTreeResult struct {
-	Config    FatTreeConfig
+	Pattern   Pattern
+	Scheme    workload.Scheme
 	Collector *workload.Collector
 	// UtilByLayer holds one utilization sample per link direction,
 	// measured over the whole run (Figure 11).
@@ -99,21 +60,14 @@ type FatTreeResult struct {
 	Events      uint64
 }
 
-// RunFatTree executes one pattern x scheme run and collects everything
-// the fat-tree tables and figures need.
-func RunFatTree(w *Worker, cfg FatTreeConfig) *FatTreeResult {
-	cfg.defaults()
-	c := NewCell(w, CellConfig{
-		K:             cfg.K,
-		QueueLimit:    cfg.QueueLimit,
-		MarkThreshold: cfg.MarkThreshold,
-		Seed:          cfg.Seed,
-		Duration:      cfg.Duration,
-		RTTStride:     cfg.RTTStride,
-		Chaos:         cfg.Chaos,
-	}, cfg.Scheme)
+// RunFatTree runs one pattern under one scheme on the cell cfg describes
+// (patternCell) and collects everything the fat-tree tables and figures
+// need.
+func RunFatTree(w *Worker, cfg CellConfig, pattern Pattern, scheme workload.Scheme) *FatTreeResult {
+	cfg = patternCell(cfg, pattern)
+	c := NewCell(w, cfg, scheme)
 
-	switch cfg.Pattern {
+	switch pattern {
 	case Permutation:
 		workload.StartPermutation(workload.PermutationConfig{
 			Config:   c.Base,
@@ -129,13 +83,14 @@ func RunFatTree(w *Worker, cfg FatTreeConfig) *FatTreeResult {
 			BackgroundConfig: randomCfg(c.Base, cfg.SizeScale),
 		})
 	default:
-		panic(fmt.Sprintf("exp: unknown pattern %q", cfg.Pattern))
+		panic(fmt.Sprintf("exp: unknown pattern %q", pattern))
 	}
 	c.Run()
 
 	now := c.Net.Eng.Now()
 	res := &FatTreeResult{
-		Config:      cfg,
+		Pattern:     pattern,
+		Scheme:      scheme,
 		Collector:   c.Base.Collector,
 		UtilByLayer: make(map[string]*metrics.Dist),
 		Drops:       c.Drops(),
@@ -154,8 +109,7 @@ func RunFatTree(w *Worker, cfg FatTreeConfig) *FatTreeResult {
 }
 
 // randomCfg is the Random pattern with the paper's flow sizes divided by
-// sizeScale; at 16, what the campaigns without a -sizescale knob run, a
-// 12 MB mean capped at 48 MB.
+// sizeScale; at the default 16, a 12 MB mean capped at 48 MB.
 func randomCfg(base workload.Config, sizeScale int64) workload.RandomConfig {
 	return workload.RandomConfig{
 		Config:          base,
@@ -168,6 +122,6 @@ func randomCfg(base workload.Config, sizeScale int64) workload.RandomConfig {
 // RenderFatTreeRun prints a one-line summary of a run.
 func RenderFatTreeRun(w io.Writer, r *FatTreeResult) {
 	fmt.Fprintf(w, "%-12s %-12s flows=%-5d goodput=%7.1f Mbps  jct(avg)=%6.1f ms  drops=%-6d marks=%-8d sim=%.2fs\n",
-		r.Config.Pattern, r.Config.Scheme.Label(), r.Collector.FlowsCompleted,
+		r.Pattern, r.Scheme.Label(), r.Collector.FlowsCompleted,
 		r.Collector.Goodput.Mean(), r.Collector.JCT.Mean(), r.Drops, r.Marks, r.SimDuration.Seconds())
 }

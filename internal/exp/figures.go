@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -30,12 +29,8 @@ func figure[C any, R interface{ Render(io.Writer) }](name, doc string, run func(
 		Doc:  doc,
 		Plan: func(p RunParams) Plan[R] {
 			cfgs := panels(p)
-			desc, err := json.Marshal(cfgs)
-			if err != nil {
-				panic("exp: " + err.Error())
-			}
 			return Plan[R]{
-				Desc:  name + " panels=" + string(desc),
+				Desc:  describe(name, map[string]any{"panels": cfgs}),
 				Cells: len(cfgs),
 				Run:   func(_ *Worker, i int) R { return run(cfgs[i]) },
 				Progress: func(w io.Writer, r R) {

@@ -1,9 +1,9 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"xmp/internal/topo"
 	"xmp/internal/workload"
@@ -19,66 +19,48 @@ type Matrix struct {
 	Results map[Pattern]map[string]*FatTreeResult
 }
 
-// matrixHeader carries the campaign axes in each shard file so merge can
-// rebuild the Matrix without re-deriving them from cells.
-type matrixHeader struct {
-	Patterns []Pattern         `json:"patterns"`
-	Schemes  []workload.Scheme `json:"schemes"`
-}
-
-// MatrixPlan plans the (pattern, scheme) grid. Cell i is
+// MatrixPlan plans the (pattern, scheme) grid on the base cell. Cell i is
 // (patterns[i/len(schemes)], schemes[i%len(schemes)]): the row-major
 // indexing the campaign has always used. desc is the canonical description
 // of every knob that shapes the cells; the caller owns it (internal/scenario
 // passes the resolved spec), so the grid has one definition and one
 // description.
-func MatrixPlan(desc string, base FatTreeConfig, patterns []Pattern, schemes []workload.Scheme) Plan[*FatTreeResult] {
+func MatrixPlan(desc string, base CellConfig, patterns []Pattern, schemes []workload.Scheme) Plan[*FatTreeResult] {
 	return Plan[*FatTreeResult]{
-		Desc:   desc,
-		Header: matrixHeader{Patterns: patterns, Schemes: schemes},
-		Cells:  len(patterns) * len(schemes),
+		Desc:  desc,
+		Cells: len(patterns) * len(schemes),
 		Run: func(w *Worker, i int) *FatTreeResult {
 			pi, si := gridRC(i, len(schemes))
-			cfg := base
-			cfg.Pattern = patterns[pi]
-			cfg.Scheme = schemes[si]
-			return RunFatTree(w, cfg)
+			return RunFatTree(w, base, patterns[pi], schemes[si])
 		},
 		Progress: RenderFatTreeRun,
 	}
 }
 
-// assembleMatrix rebuilds the Matrix from a shard set's cells and header.
-// Coming from JSON, each cell's distributions are restored
-// sample-for-sample (with the exact insertion-order sum), so every
-// rendered table is byte-identical to the unsharded run's.
-func assembleMatrix(results []*FatTreeResult, rawHeader json.RawMessage) (*Matrix, error) {
-	var header matrixHeader
-	if err := json.Unmarshal(rawHeader, &header); err != nil {
-		return nil, fmt.Errorf("matrix shard header: %v", err)
+// assembleMatrix rebuilds the Matrix from a shard set's cells, its axes
+// read off the cells themselves. Coming from JSON, each cell's
+// distributions are restored sample-for-sample (with the exact
+// insertion-order sum), so every rendered table is byte-identical to the
+// unsharded run's.
+func assembleMatrix(results []*FatTreeResult) (*Matrix, error) {
+	if i := slices.Index(results, nil); i >= 0 {
+		return nil, fmt.Errorf("matrix: cell %d is null", i)
 	}
-	if len(header.Patterns)*len(header.Schemes) != len(results) {
-		return nil, fmt.Errorf("matrix header declares %dx%d cells, shard set carries %d",
-			len(header.Patterns), len(header.Schemes), len(results))
+	patterns, labels, err := gridAxes(len(results), func(i int) (Pattern, string) {
+		return results[i].Pattern, results[i].Scheme.Label()
+	})
+	if err != nil {
+		return nil, fmt.Errorf("matrix: %v", err)
 	}
-	m := &Matrix{
-		Patterns: header.Patterns,
-		Schemes:  header.Schemes,
-		Results:  make(map[Pattern]map[string]*FatTreeResult),
+	m := &Matrix{Patterns: patterns, Results: make(map[Pattern]map[string]*FatTreeResult)}
+	for _, r := range results[:len(labels)] {
+		m.Schemes = append(m.Schemes, r.Scheme)
 	}
-	for _, p := range header.Patterns {
+	for _, p := range patterns {
 		m.Results[p] = make(map[string]*FatTreeResult)
 	}
-	for i, r := range results {
-		pi, si := gridRC(i, len(header.Schemes))
-		want, got := header.Patterns[pi], r.Config.Pattern
-		if want != got {
-			return nil, fmt.Errorf("cell %d: pattern %q where the campaign grid expects %q", i, got, want)
-		}
-		if wantS, gotS := header.Schemes[si].Label(), r.Config.Scheme.Label(); wantS != gotS {
-			return nil, fmt.Errorf("cell %d: scheme %q where the campaign grid expects %q", i, gotS, wantS)
-		}
-		m.Results[header.Patterns[pi]][header.Schemes[si].Label()] = r
+	for _, r := range results {
+		m.Results[r.Pattern][r.Scheme.Label()] = r
 	}
 	return m, nil
 }

@@ -19,13 +19,12 @@ import (
 // rendered tables are byte-identical to an unsharded run (pinned by
 // TestMatrixShardMergeByteIdentical and, at full scale, TestGoldens).
 
-// ShardFile is one shard's export: the manifest, an optional
-// campaign-specific header (matrix axes, table2 config), and the owned
-// cells with their campaign cell indices.
+// ShardFile is one shard's export: the manifest and the owned cells with
+// their campaign cell indices. A campaign whose result has axes (matrix,
+// table2) reads them off the cells.
 type ShardFile[T any] struct {
-	Manifest ShardManifest   `json:"manifest"`
-	Header   json.RawMessage `json:"header,omitempty"`
-	Cells    []ShardCell[T]  `json:"cells"`
+	Manifest ShardManifest  `json:"manifest"`
+	Cells    []ShardCell[T] `json:"cells"`
 }
 
 // ShardManifest returns the file's manifest; with Encode it forms the

@@ -79,7 +79,7 @@ func TestMatrixParallelDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix runs are slow")
 	}
-	base := FatTreeConfig{K: 4, Duration: 40 * sim.Millisecond, SizeScale: 256}
+	base := CellConfig{K: 4, Duration: 40 * sim.Millisecond, SizeScale: 256}
 	patterns := []Pattern{Permutation, Incast}
 	schemes := []workload.Scheme{SchemeDCTCP, SchemeXMP2}
 
@@ -113,19 +113,13 @@ func TestMatrixParallelDeterministic(t *testing.T) {
 
 // TestTable2ParallelDeterministic does the same for the coexistence
 // campaign, whose cells run two workload generators per engine: one shard
-// of it — four cells spanning both switch variants — must encode to the
+// of it — six cells spanning both switch variants — must encode to the
 // same shard file and log the same progress at any worker count.
 func TestTable2ParallelDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table2 runs are slow")
 	}
-	plan := Table2Plan(Table2Config{
-		KAry:        4,
-		Duration:    40 * sim.Millisecond,
-		SizeScale:   256,
-		QueueLimits: []int{50, 100},
-		Others:      []workload.Scheme{SchemeTCP, SchemeDCTCP},
-	})
+	plan := Table2Plan(RunParams{K: 4, Timescale: 0.1, SizeScale: 256})
 	run := func(jobs int) (string, string) {
 		var prog, file bytes.Buffer
 		if err := RunPlan(CampaignTable2, plan, ShardSpec{Index: 0, Count: 2}, jobs, &prog).Encode(&file); err != nil {

@@ -72,9 +72,9 @@ func recycleCells(t *testing.T) []recycleCell {
 		if a.Multipath() {
 			scheme.Subflows = 2 + int(a)%3
 		}
-		cfg := FatTreeConfig{K: 4, Pattern: patterns[int(a)%len(patterns)], Scheme: scheme,
-			Duration: dur, SizeScale: 256, Seed: 1 + int64(a)}
-		add("k4", "matrix/"+string(cfg.Pattern)+"/"+scheme.Label(), func(w *Worker) any { return RunFatTree(w, cfg) })
+		cfg := CellConfig{K: 4, Duration: dur, SizeScale: 256, Seed: 1 + int64(a)}
+		pattern := patterns[int(a)%len(patterns)]
+		add("k4", "matrix/"+string(pattern)+"/"+scheme.Label(), func(w *Worker) any { return RunFatTree(w, cfg, pattern, scheme) })
 	}
 
 	flap := mustSchedule(t, "../../scenarios/permutation-flap.json", "chaos")
@@ -83,8 +83,7 @@ func recycleCells(t *testing.T) []recycleCell {
 		flap.Events[i].Dur /= 5
 	}
 	add("k4", "matrix/flap", func(w *Worker) any {
-		return RunFatTree(w, FatTreeConfig{K: 4, Pattern: Permutation, Scheme: SchemeXMP4,
-			Duration: dur, SizeScale: 256, Chaos: &flap})
+		return RunFatTree(w, CellConfig{K: 4, Duration: dur, SizeScale: 256, Chaos: &flap}, Permutation, SchemeXMP4)
 	})
 
 	k4 := CellConfig{K: 4, Duration: dur}
@@ -135,31 +134,29 @@ func recycleCells(t *testing.T) []recycleCell {
 		})
 	}
 
-	coexist := Table2Config{KAry: 4, Duration: dur, SizeScale: 256}
-	coexist.defaults()
 	for _, strict := range []bool{false, true} {
-		for _, q := range coexist.QueueLimits {
-			cfg := coexist
-			cfg.StrictNonECT = strict
+		for _, q := range table2Queues {
+			cfg := CellConfig{K: 4, Duration: dur, SizeScale: 256, QueueLimit: q, StrictNonECT: strict}
 			for _, other := range []workload.Scheme{SchemeTCP, SchemeLIA2} {
 				group := fmt.Sprintf("k4-q%d-strict=%v", q, strict)
 				if q == 100 && !strict {
 					group = "k4" // the default fabric
 				}
 				add(group, fmt.Sprintf("table2/q%d/strict=%v/%s", q, strict, other.Label()),
-					func(w *Worker) any { return runCoexist(w, cfg, other, q) })
+					func(w *Worker) any { return runCoexist(w, cfg, other) })
 			}
 		}
 	}
 
-	vl2 := VL2Plan(nil, dur)
+	vl2 := VL2Plan(RunParams{Timescale: 0.1})
 	for i := 0; i < 3; i++ {
 		add("vl2", fmt.Sprintf("vl2/%d", i), func(w *Worker) any { return vl2.Run(w, i) })
 	}
-	// The closures that build the default k=8 cell. A sack cell is two
-	// cells in one run(i): the second finds the fabric lent and builds.
-	incast := IncastSweepPlan([]int{4, 8}, dur)
-	sack := SACKAblationPlan(dur, SchemeTCP)
+	// The closures that build the default k=8 cell, 10 ms long: incastsweep
+	// cells 0 and 1 (fan-in 4 and 8) and sack cell 0 (TCP). A sack cell is
+	// two cells in one run(i): the second finds the fabric lent and builds.
+	incast := IncastSweepPlan(RunParams{Timescale: 0.05})
+	sack := SACKAblationPlan(RunParams{Timescale: 0.1})
 	add("k8", "incastsweep/4", func(w *Worker) any { return incast.Run(w, 0) })
 	add("k8", "sack/TCP", func(w *Worker) any { return sack.Run(w, 0) })
 	add("k8", "incastsweep/8", func(w *Worker) any { return incast.Run(w, 1) })

@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -104,3 +106,38 @@ func RunAll[T any](n, jobs int, run func(w *Worker, i int) T, done func(i int, r
 // grid with the given column count — campaigns over two axes use it to
 // keep the historic nested-loop cell order.
 func gridRC(i, cols int) (row, col int) { return i / cols, i % cols }
+
+// gridAxes reads the axes of n cells laid out as gridRC lays them out —
+// cell i is (rows[i/len(cols)], cols[i%len(cols)]) — off the cells' own
+// keys: the columns are the keys of the first row, which ends where the
+// row key first changes. A set that is not such a grid of distinct rows and
+// columns is refused with an error naming the first cell out of place.
+func gridAxes[R, C comparable](n int, key func(i int) (R, C)) (rows []R, cols []C, err error) {
+	if n == 0 {
+		return nil, nil, fmt.Errorf("no cells")
+	}
+	r0, _ := key(0)
+	for i := 0; i < n; i++ {
+		r, c := key(i)
+		if r != r0 || slices.Contains(cols, c) {
+			break
+		}
+		cols = append(cols, c)
+	}
+	for i := 0; i < n; i++ {
+		r, c := key(i)
+		if i%len(cols) == 0 {
+			if slices.Contains(rows, r) {
+				return nil, nil, fmt.Errorf("cell %d starts row %v a second time", i, r)
+			}
+			rows = append(rows, r)
+		}
+		if wr, wc := rows[len(rows)-1], cols[i%len(cols)]; r != wr || c != wc {
+			return nil, nil, fmt.Errorf("cell %d is %v/%v where the grid expects %v/%v", i, r, c, wr, wc)
+		}
+	}
+	if n%len(cols) != 0 {
+		return nil, nil, fmt.Errorf("cell %d ends a row of %d where the grid has %d columns", n-1, n%len(cols), len(cols))
+	}
+	return rows, cols, nil
+}

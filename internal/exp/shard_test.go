@@ -204,19 +204,19 @@ func rendered(t *testing.T, files ...ShardEncoder) string {
 // description from its caller — the scenario compiler in production — so
 // each test describes its own grid; one constant suffices because no test
 // merges shards of different grids.
-func miniMatrixPlan(base FatTreeConfig, patterns []Pattern, schemes []workload.Scheme) Plan[*FatTreeResult] {
+func miniMatrixPlan(base CellConfig, patterns []Pattern, schemes []workload.Scheme) Plan[*FatTreeResult] {
 	return MatrixPlan("exp test mini-matrix", base, patterns, schemes)
 }
 
 // miniMatrix runs a small grid unsharded and assembles the Matrix.
-func miniMatrix(t *testing.T, base FatTreeConfig, patterns []Pattern, schemes []workload.Scheme, jobs int, progress io.Writer) *Matrix {
+func miniMatrix(t *testing.T, base CellConfig, patterns []Pattern, schemes []workload.Scheme, jobs int, progress io.Writer) *Matrix {
 	t.Helper()
 	f := RunPlan(CampaignMatrix, miniMatrixPlan(base, patterns, schemes), Unsharded, jobs, progress)
 	cells, err := MergeShardCells([]*ShardFile[*FatTreeResult]{f})
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	m, err := assembleMatrix(cells, f.Header)
+	m, err := assembleMatrix(cells)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
@@ -231,7 +231,7 @@ func TestMatrixShardMergeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix runs are slow")
 	}
-	plan := miniMatrixPlan(FatTreeConfig{K: 4, Duration: 40 * sim.Millisecond, SizeScale: 256},
+	plan := miniMatrixPlan(CellConfig{K: 4, Duration: 40 * sim.Millisecond, SizeScale: 256},
 		[]Pattern{Permutation, Incast}, []workload.Scheme{SchemeDCTCP, SchemeXMP2})
 	whole := RunPlan(CampaignMatrix, plan, Unsharded, 4, nil)
 	want := rendered(t, whole)
@@ -268,14 +268,7 @@ func TestTable2ShardMergeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table2 runs are slow")
 	}
-	cfg := Table2Config{
-		KAry:        4,
-		Duration:    40 * sim.Millisecond,
-		SizeScale:   256,
-		QueueLimits: []int{50, 100},
-		Others:      []workload.Scheme{SchemeTCP, SchemeDCTCP},
-	}
-	plan := Table2Plan(cfg)
+	plan := Table2Plan(RunParams{K: 4, Timescale: 0.1, SizeScale: 256})
 	whole := RunPlan(CampaignTable2, plan, Unsharded, 4, nil)
 	inMemory, err := MergeShards([]ShardEncoder{whole})
 	if err != nil {
@@ -287,14 +280,12 @@ func TestTable2ShardMergeByteIdentical(t *testing.T) {
 		t.Fatalf("plot export: %v", err)
 	}
 
-	// The campaign is its variants back to back: cells [0,4) under
-	// non-strict switches, [4,8) under RED-strict ones.
+	// The campaign is its variants back to back: cells [0,6) under
+	// non-strict switches, [6,12) under RED-strict ones.
 	var variants bytes.Buffer
 	for v, strict := range []bool{false, true} {
-		c := cfg
-		c.StrictNonECT = strict
-		r := &Table2Result{Config: c}
-		for _, cell := range whole.Cells[v*4 : (v+1)*4] {
+		r := &Table2Result{StrictNonECT: strict, Queues: table2Queues, Others: table2Others}
+		for _, cell := range whole.Cells[v*6 : (v+1)*6] {
 			r.Cells = append(r.Cells, cell.Data)
 		}
 		fmt.Fprintln(&variants)
@@ -368,6 +359,62 @@ func TestMergeRejectsCellManifestDisagreement(t *testing.T) {
 	}
 }
 
+// TestMergeRefusesBadGrid pins that merge reads the matrix and table2 axes
+// off the cells and refuses, naming the cell, a shard set whose cells do
+// not form the pattern × scheme grid, or the variant × queue × other grid:
+// transposed, short, with a repeated row or column, or with variants that
+// differ.
+func TestMergeRefusesBadGrid(t *testing.T) {
+	mx := func(cells ...string) ShardEncoder {
+		f := &ShardFile[*FatTreeResult]{Manifest: newManifest(CampaignMatrix, "grid", Unsharded, len(cells))}
+		for i, c := range cells {
+			p, s, _ := strings.Cut(c, "/")
+			sch, err := workload.ParseScheme(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Cells = append(f.Cells, ShardCell[*FatTreeResult]{i, &FatTreeResult{Pattern: Pattern(p), Scheme: sch}})
+		}
+		return f
+	}
+	t2 := func(cells ...Table2Cell) ShardEncoder {
+		f := &ShardFile[Table2Cell]{Manifest: newManifest(CampaignTable2, "grid", Unsharded, len(cells))}
+		for i, c := range cells {
+			f.Cells = append(f.Cells, ShardCell[Table2Cell]{i, c})
+		}
+		return f
+	}
+	q := func(limit int, other workload.Scheme) Table2Cell { return Table2Cell{Other: other, QueueLimit: limit} }
+	for _, tc := range []struct {
+		name string
+		set  ShardEncoder
+		want string // "" for a grid
+	}{
+		{"matrix grid", mx("Permutation/DCTCP", "Permutation/XMP-2", "Incast/DCTCP", "Incast/XMP-2"), ""},
+		{"matrix transposed", mx("Permutation/DCTCP", "Incast/DCTCP", "Permutation/XMP-2", "Incast/XMP-2"), "cell 2 "},
+		{"matrix column out of place", mx("Permutation/DCTCP", "Permutation/XMP-2", "Incast/XMP-2", "Incast/DCTCP"), "cell 2 "},
+		{"matrix repeated column", mx("Permutation/DCTCP", "Permutation/DCTCP"), "cell 1 "},
+		{"matrix short row", mx("Permutation/DCTCP", "Permutation/XMP-2", "Incast/DCTCP"), "cell 2 "},
+		{"matrix null cell", &ShardFile[*FatTreeResult]{Manifest: newManifest(CampaignMatrix, "grid", Unsharded, 1),
+			Cells: []ShardCell[*FatTreeResult]{{0, nil}}}, "cell 0 is null"},
+		{"table2 grid", t2(q(50, SchemeTCP), q(50, SchemeDCTCP), q(100, SchemeTCP), q(100, SchemeDCTCP),
+			q(50, SchemeTCP), q(50, SchemeDCTCP), q(100, SchemeTCP), q(100, SchemeDCTCP)), ""},
+		{"table2 transposed", t2(q(50, SchemeTCP), q(100, SchemeTCP), q(50, SchemeDCTCP), q(100, SchemeDCTCP),
+			q(50, SchemeTCP), q(100, SchemeTCP), q(50, SchemeDCTCP), q(100, SchemeDCTCP)), "cell 2 "},
+		{"table2 variants differ", t2(q(50, SchemeTCP), q(50, SchemeDCTCP), q(100, SchemeTCP), q(100, SchemeDCTCP),
+			q(50, SchemeTCP), q(50, SchemeDCTCP), q(100, SchemeDCTCP), q(100, SchemeTCP)), "cell 6 "},
+		{"table2 one variant", t2(q(50, SchemeTCP), q(50, SchemeDCTCP), q(100, SchemeTCP)), "two switch variants"},
+	} {
+		_, err := MergeShards([]ShardEncoder{tc.set})
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: merged with error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestShardFileWirePin pins the bytes of a small fixed shard file — a
 // manifest, and cells carrying Dists with and without samples, in fields
 // and map values — by SHA-256, and checks that decoding and re-encoding it
@@ -376,7 +423,7 @@ func TestMergeRejectsCellManifestDisagreement(t *testing.T) {
 // depend on word size. A deliberate wire change re-pins the hash and bumps
 // ShardSchemaVersion.
 func TestShardFileWirePin(t *testing.T) {
-	const want = "f6f29ad66fd2b904d999258be44e0fe4f7699abe0b80c8e35a28a40d694edf04"
+	const want = "294edaec16d0121e0a041b16a8111baf78eff270f5deb259506d60d1abbd722e"
 	type cell struct {
 		Label string
 		D     *metrics.Dist
@@ -417,7 +464,7 @@ func TestShardFileWirePin(t *testing.T) {
 // files decoded one at a time, concurrently and out of order, then handed
 // to MergeShards, render the same bytes as MergeShardBlobs over the set.
 func TestDecodeOnArrivalMatchesMergeShardBlobs(t *testing.T) {
-	plan := miniMatrixPlan(FatTreeConfig{K: 4, Duration: 10 * sim.Millisecond, SizeScale: 1024},
+	plan := miniMatrixPlan(CellConfig{K: 4, Duration: 10 * sim.Millisecond, SizeScale: 1024},
 		[]Pattern{Permutation}, []workload.Scheme{SchemeDCTCP, SchemeXMP2})
 	const count = 2
 	files := make([]*ShardFile[*FatTreeResult], count)

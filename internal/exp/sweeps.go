@@ -24,34 +24,31 @@ type ParamPoint struct {
 	Flows int
 }
 
-// ParamSweepPlan plans XMP-2 on the Random pattern across a (β, K) grid;
-// cell i is (betas[i/len(ks)], ks[i%len(ks)]). The paper fixes (β=4, K=10)
-// for 1 Gbps DCNs and defers the parameter-impact study to future work;
-// this harness is that study.
-func ParamSweepPlan(betas, ks []int, duration sim.Duration) Plan[ParamPoint] {
-	if len(betas) == 0 {
-		betas = []int{2, 3, 4, 5, 6}
-	}
-	if len(ks) == 0 {
-		ks = []int{5, 10, 20, 40}
-	}
+// The (β, K) grid of the sensitivity study.
+var (
+	paramBetas = []int{2, 3, 4, 5, 6}
+	paramKs    = []int{5, 10, 20, 40}
+)
+
+// ParamSweepPlan plans XMP-2 on the Random pattern across the (β, K) grid;
+// cell i is (paramBetas[i/len(paramKs)], paramKs[i%len(paramKs)]). The
+// paper fixes (β=4, K=10) for 1 Gbps DCNs and defers the parameter-impact
+// study to future work; this harness is that study.
+func ParamSweepPlan(p RunParams) Plan[ParamPoint] {
+	cell := patternCell(p.cell(100*sim.Millisecond), Random)
 	return Plan[ParamPoint]{
-		Desc:  fmt.Sprintf("params betas=%v ks=%v duration=%d", betas, ks, int64(duration)),
-		Cells: len(betas) * len(ks),
+		Desc:  describe(CampaignParams, map[string]any{"cell": cell, "betas": paramBetas, "ks": paramKs}),
+		Cells: len(paramBetas) * len(paramKs),
 		Run: func(w *Worker, i int) ParamPoint {
-			bi, ki := gridRC(i, len(ks))
-			beta, k := betas[bi], ks[ki]
+			bi, ki := gridRC(i, len(paramKs))
 			scheme := SchemeXMP2
-			scheme.Beta = beta
-			r := RunFatTree(w, FatTreeConfig{
-				Pattern:       Random,
-				Scheme:        scheme,
-				MarkThreshold: k,
-				Duration:      duration,
-			})
+			scheme.Beta = paramBetas[bi]
+			c := cell
+			c.MarkThreshold = paramKs[ki]
+			r := RunFatTree(w, c, Random, scheme)
 			return ParamPoint{
-				Beta:        beta,
-				K:           k,
+				Beta:        scheme.Beta,
+				K:           c.MarkThreshold,
 				GoodputMbps: r.Collector.Goodput.Mean(),
 				RTTMs:       r.Collector.RTT[topo.InterPod].Mean(),
 				Drops:       r.Drops,
@@ -68,42 +65,26 @@ func ParamSweepPlan(betas, ks []int, duration sim.Duration) Plan[ParamPoint] {
 // RenderParamSweep prints the grid with goodput and RTT per cell.
 func RenderParamSweep(w io.Writer, pts []ParamPoint) {
 	fmt.Fprintln(w, "Parameter sensitivity: XMP-2, Random pattern (goodput Mbps / inter-pod RTT ms)")
-	// Collect axes.
-	var betas, ks []int
-	seenB, seenK := map[int]bool{}, map[int]bool{}
-	for _, p := range pts {
-		if !seenB[p.Beta] {
-			seenB[p.Beta] = true
-			betas = append(betas, p.Beta)
-		}
-		if !seenK[p.K] {
-			seenK[p.K] = true
-			ks = append(ks, p.K)
-		}
-	}
 	widths := []int{8}
 	header := []string{"beta\\K"}
-	for _, k := range ks {
+	for _, k := range paramKs {
 		widths = append(widths, 16)
 		header = append(header, fmt.Sprintf("K=%d", k))
 	}
 	tb := newTable(w, widths...)
 	tb.row(header...)
 	tb.rule()
-	for _, b := range betas {
+	for _, b := range paramBetas {
 		cells := []string{fmt.Sprintf("%d", b)}
-		for _, k := range ks {
-			found := false
+		for _, k := range paramKs {
+			cell := "-"
 			for _, p := range pts {
 				if p.Beta == b && p.K == k {
-					cells = append(cells, fmt.Sprintf("%.0f / %.2f", p.GoodputMbps, p.RTTMs))
-					found = true
+					cell = fmt.Sprintf("%.0f / %.2f", p.GoodputMbps, p.RTTMs)
 					break
 				}
 			}
-			if !found {
-				cells = append(cells, "-")
-			}
+			cells = append(cells, cell)
 		}
 		tb.row(cells...)
 	}
@@ -119,29 +100,32 @@ type IncastSweepPoint struct {
 	BGGoodput float64
 }
 
+// incastServers is the fan-in axis of the Incast sweep.
+var incastServers = []int{4, 8, 16, 32}
+
 // IncastSweepPlan plans the Incast pattern with growing fan-in (the
 // response burst per job) under an XMP-2 background — the regime where the
 // paper argues free buffer headroom absorbs burstiness. Cell i is
-// servers[i].
-func IncastSweepPlan(servers []int, duration sim.Duration) Plan[IncastSweepPoint] {
-	if len(servers) == 0 {
-		servers = []int{4, 8, 16, 32}
-	}
+// incastServers[i], capped at all hosts but the client on a smaller
+// fabric.
+func IncastSweepPlan(p RunParams) Plan[IncastSweepPoint] {
+	cell := p.cell(200 * sim.Millisecond)
 	return Plan[IncastSweepPoint]{
-		Desc:  fmt.Sprintf("incastsweep servers=%v duration=%d", servers, int64(duration)),
-		Cells: len(servers),
+		Desc:  describe(CampaignIncast, map[string]any{"cell": cell.WithDefaults(), "servers": incastServers}),
+		Cells: len(incastServers),
 		Run: func(w *Worker, i int) IncastSweepPoint {
-			c := NewCell(w, CellConfig{Duration: duration}, SchemeXMP2)
+			c := NewCell(w, cell, SchemeXMP2)
+			servers := min(incastServers[i], c.Base.Net.NumHosts()-1)
 			workload.StartIncast(workload.IncastConfig{
 				Config:           c.Base,
-				Servers:          servers[i],
+				Servers:          servers,
 				Background:       true,
-				BackgroundConfig: randomCfg(c.Base, 16),
+				BackgroundConfig: randomCfg(c.Base, c.cfg.SizeScale),
 			})
 			c.Run()
 			col := c.Base.Collector
 			return IncastSweepPoint{
-				Servers:   servers[i],
+				Servers:   servers,
 				JobsDone:  col.JCT.N(),
 				P50Ms:     col.JCT.Percentile(50),
 				P99Ms:     col.JCT.Percentile(99),
@@ -177,28 +161,32 @@ type SACKAblationResult struct {
 	PlainRTOs    bool
 }
 
+// sackSchemes are the loss-based schemes the SACK ablation runs.
+var sackSchemes = []workload.Scheme{SchemeTCP, SchemeLIA2, SchemeLIA4}
+
 // SACKAblationPlan plans what RFC 2018-style SACK buys the loss-based
 // baselines — part of explaining the residual gap between this simulator's
-// NewReno recovery and the paper's Linux stack. Cell i is schemes[i] (plain
-// and SACK runs stay within one cell — they share nothing across schemes).
-func SACKAblationPlan(duration sim.Duration, schemes ...workload.Scheme) Plan[SACKAblationResult] {
-	if len(schemes) == 0 {
-		schemes = []workload.Scheme{SchemeTCP, SchemeLIA2, SchemeLIA4}
-	}
+// NewReno recovery and the paper's Linux stack. Cell i is sackSchemes[i]
+// (plain and SACK runs stay within one cell — they share nothing across
+// schemes).
+func SACKAblationPlan(p RunParams) Plan[SACKAblationResult] {
+	cell := p.cell(100 * sim.Millisecond)
 	goodput := func(w *Worker, scheme workload.Scheme, sack bool) float64 {
-		c := NewCell(w, CellConfig{Duration: duration, SACK: sack}, scheme)
-		workload.StartRandom(randomCfg(c.Base, 16))
+		cfg := cell
+		cfg.SACK = sack
+		c := NewCell(w, cfg, scheme)
+		workload.StartRandom(randomCfg(c.Base, c.cfg.SizeScale))
 		c.Run()
 		return c.Base.Collector.Goodput.Mean()
 	}
 	return Plan[SACKAblationResult]{
-		Desc:  fmt.Sprintf("sack schemes=%v duration=%d", schemeLabels(schemes), int64(duration)),
-		Cells: len(schemes),
+		Desc:  describe(CampaignSACK, map[string]any{"cell": cell.WithDefaults(), "schemes": schemeLabels(sackSchemes)}),
+		Cells: len(sackSchemes),
 		Run: func(w *Worker, i int) SACKAblationResult {
 			return SACKAblationResult{
-				Scheme:       schemes[i].Label(),
-				PlainGoodput: goodput(w, schemes[i], false),
-				SACKGoodput:  goodput(w, schemes[i], true),
+				Scheme:       sackSchemes[i].Label(),
+				PlainGoodput: goodput(w, sackSchemes[i], false),
+				SACKGoodput:  goodput(w, sackSchemes[i], true),
 			}
 		},
 		Progress: func(w io.Writer, r SACKAblationResult) {

@@ -20,9 +20,6 @@ type Plan[T any] struct {
 	// Desc canonically describes every knob that shapes cell results; its
 	// hash gates merging.
 	Desc string
-	// Header, when non-nil, is marshalled into every shard file for the
-	// assemble step (matrix axes, table2 config).
-	Header any
 	// Run executes cell i of Cells, self-contained as RunAll requires.
 	Cells int
 	Run   func(w *Worker, i int) T
@@ -39,18 +36,21 @@ func RunPlan[T any](campaign string, pl Plan[T], shard ShardSpec, jobs int, prog
 	if progress != nil && pl.Progress != nil {
 		done = func(_ int, r T) { pl.Progress(progress, r) }
 	}
-	f := &ShardFile[T]{
+	return &ShardFile[T]{
 		Manifest: newManifest(campaign, pl.Desc, shard, pl.Cells),
 		Cells:    RunShard(pl.Cells, jobs, shard, pl.Run, done),
 	}
-	if pl.Header != nil {
-		header, err := json.Marshal(pl.Header)
-		if err != nil {
-			panic("exp: " + err.Error())
-		}
-		f.Header = header
+}
+
+// describe is the config description of a Go plan: the campaign's name
+// and, as JSON, the knobs that shape its cells — for a fabric campaign the
+// cell its runs start from, defaults resolved, and the axes its cells vary.
+func describe(name string, knobs map[string]any) string {
+	desc, err := json.Marshal(knobs)
+	if err != nil {
+		panic("exp: " + err.Error())
 	}
-	return f
+	return name + " " + string(desc)
 }
 
 // view is one table a scenario spec's "metrics" list can select by name.
@@ -67,8 +67,9 @@ type descriptor[T, R any] struct {
 	// Plan resolves the campaign against the CLI-level params; nil for the
 	// spec-backed campaigns, whose runner internal/scenario attaches.
 	Plan func(p RunParams) Plan[T]
-	// Assemble rebuilds the result from the cells in campaign order.
-	Assemble func(cells []T, header json.RawMessage) (R, error)
+	// Assemble rebuilds the result from the cells in campaign order,
+	// refusing cells that do not form the campaign's grid.
+	Assemble func(cells []T) (R, error)
 	// Render prints the campaign as `xmpsim <name>` does. Families with
 	// selectable tables list Tables instead: the whole campaign is every
 	// table in order, blank lines between — and before, with BlankFirst.
@@ -151,7 +152,7 @@ func declare[T, R any](d descriptor[T, R]) *campaign {
 		if err != nil {
 			return nil, err
 		}
-		r, err := d.Assemble(cells, typed[0].Header)
+		r, err := d.Assemble(cells)
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +172,7 @@ func declare[T, R any](d descriptor[T, R]) *campaign {
 
 // listOf declares a campaign whose result is its cells in cell order.
 func listOf[T any](d descriptor[T, []T]) *campaign {
-	d.Assemble = func(cells []T, _ json.RawMessage) ([]T, error) { return cells, nil }
+	d.Assemble = func(cells []T) ([]T, error) { return cells, nil }
 	return declare(d)
 }
 
@@ -224,11 +225,9 @@ var campaigns = []*campaign{
 		Plot:       func(w io.Writer, m *Matrix) error { return m.WriteJSON(w) },
 	}),
 	declare(descriptor[Table2Cell, []*Table2Result]{
-		Name: CampaignTable2,
-		Doc:  "coexistence goodput: XMP vs LIA/TCP/DCTCP at queue 50/100, both switch models",
-		Plan: func(p RunParams) Plan[Table2Cell] {
-			return Table2Plan(Table2Config{KAry: p.K, SizeScale: p.SizeScale, Seed: p.Seed, Duration: p.scaleT(200 * sim.Millisecond)})
-		},
+		Name:     CampaignTable2,
+		Doc:      "coexistence goodput: XMP vs LIA/TCP/DCTCP at queue 50/100, both switch models",
+		Plan:     Table2Plan,
 		Assemble: assembleTable2,
 		Render:   renderTable2,
 		// The plot export is the RED-strict variant, as it always was.
@@ -237,47 +236,37 @@ var campaigns = []*campaign{
 	listOf(descriptor[AblationResult, []AblationResult]{
 		Name:   CampaignAblation,
 		Doc:    "marking-rule / echo-mode / cwr-guard ablations",
-		Plan:   func(RunParams) Plan[AblationResult] { return AblationPlan(10) },
+		Plan:   AblationPlan,
 		Render: RenderAblations,
 	}),
 	listOf(descriptor[SubflowSweepResult, []SubflowSweepResult]{
-		Name: CampaignSubflow,
-		Doc:  "XMP goodput vs subflow count (1,2,4,8)",
-		Plan: func(p RunParams) Plan[SubflowSweepResult] {
-			return SubflowSweepPlan(nil, p.scaleT(50*sim.Millisecond))
-		},
+		Name:   CampaignSubflow,
+		Doc:    "XMP goodput vs subflow count (1,2,4,8)",
+		Plan:   SubflowSweepPlan,
 		Render: RenderSubflowSweep,
 	}),
 	listOf(descriptor[ParamPoint, []ParamPoint]{
-		Name: CampaignParams,
-		Doc:  "(beta, K) sensitivity grid (the paper's future-work study)",
-		Plan: func(p RunParams) Plan[ParamPoint] {
-			return ParamSweepPlan(nil, nil, p.scaleT(100*sim.Millisecond))
-		},
+		Name:   CampaignParams,
+		Doc:    "(beta, K) sensitivity grid (the paper's future-work study)",
+		Plan:   ParamSweepPlan,
 		Render: RenderParamSweep,
 	}),
 	listOf(descriptor[IncastSweepPoint, []IncastSweepPoint]{
-		Name: CampaignIncast,
-		Doc:  "job completion vs fan-in (4..32 servers)",
-		Plan: func(p RunParams) Plan[IncastSweepPoint] {
-			return IncastSweepPlan(nil, p.scaleT(200*sim.Millisecond))
-		},
+		Name:   CampaignIncast,
+		Doc:    "job completion vs fan-in (4..32 servers)",
+		Plan:   IncastSweepPlan,
 		Render: RenderIncastSweep,
 	}),
 	listOf(descriptor[SACKAblationResult, []SACKAblationResult]{
-		Name: CampaignSACK,
-		Doc:  "SACK vs NewReno ablation for the loss-based schemes",
-		Plan: func(p RunParams) Plan[SACKAblationResult] {
-			return SACKAblationPlan(p.scaleT(100 * sim.Millisecond))
-		},
+		Name:   CampaignSACK,
+		Doc:    "SACK vs NewReno ablation for the loss-based schemes",
+		Plan:   SACKAblationPlan,
 		Render: RenderSACKAblation,
 	}),
 	listOf(descriptor[VL2Point, []VL2Point]{
-		Name: CampaignVL2,
-		Doc:  "scheme comparison on a VL2 Clos fabric (generalization)",
-		Plan: func(p RunParams) Plan[VL2Point] {
-			return VL2Plan(nil, p.scaleT(100*sim.Millisecond))
-		},
+		Name:   CampaignVL2,
+		Doc:    "scheme comparison on a VL2 Clos fabric (generalization)",
+		Plan:   VL2Plan,
 		Render: RenderVL2,
 	}),
 	listOf(descriptor[FCTPoint, []FCTPoint]{

@@ -21,21 +21,21 @@ type VL2Point struct {
 // VL2Plan plans the Random pattern over a VL2 Clos (the other multi-rooted
 // architecture the paper cites) for each Table 1 scheme — the
 // generalization experiment showing XMP's behaviour is not an artifact of
-// the Fat-Tree. Cell i is schemes[i].
-func VL2Plan(schemes []workload.Scheme, duration sim.Duration) Plan[VL2Point] {
-	if len(schemes) == 0 {
-		schemes = Table1Schemes
-	}
+// the Fat-Tree. Cell i is Table1Schemes[i]. The Clos has no arity, so -k
+// does not reach it.
+func VL2Plan(p RunParams) Plan[VL2Point] {
+	cell := p.cell(100 * sim.Millisecond)
+	cell.VL2, cell.K, cell.RTTStride = true, 0, 8
 	return Plan[VL2Point]{
-		Desc:  fmt.Sprintf("vl2 schemes=%v duration=%d", schemeLabels(schemes), int64(duration)),
-		Cells: len(schemes),
+		Desc:  describe(CampaignVL2, map[string]any{"cell": cell.WithDefaults(), "schemes": schemeLabels(Table1Schemes)}),
+		Cells: len(Table1Schemes),
 		Run: func(w *Worker, i int) VL2Point {
-			c := NewCell(w, CellConfig{VL2: true, Duration: duration, RTTStride: 8}, schemes[i])
-			workload.StartRandom(randomCfg(c.Base, 16))
+			c := NewCell(w, cell, Table1Schemes[i])
+			workload.StartRandom(randomCfg(c.Base, c.cfg.SizeScale))
 			c.Run()
 			col := c.Base.Collector
 			return VL2Point{
-				Scheme:      schemes[i].Label(),
+				Scheme:      Table1Schemes[i].Label(),
 				GoodputMbps: col.Goodput.Mean(),
 				RTTMs:       col.RTT[topo.InterPod].Mean(),
 				Flows:       col.FlowsCompleted,

@@ -124,8 +124,8 @@ func robustnessLabel(scheme string, seed int64, nseeds int) string {
 	return scheme
 }
 
-// cell lowers the spec's topology, horizon and fault schedule onto the
-// cell every family runs. A zero duration keeps the family's default.
+// cell lowers the spec's topology, scale, horizon and fault schedule onto
+// the cell every family runs. A zero duration keeps the family's default.
 func (c *Compiled) cell(seed int64) exp.CellConfig {
 	t := c.Spec.Topology
 	cfg := exp.CellConfig{
@@ -135,6 +135,7 @@ func (c *Compiled) cell(seed int64) exp.CellConfig {
 		MarkThreshold: t.MarkThreshold,
 		Lossy:         t.Lossy,
 		Seed:          seed,
+		SizeScale:     c.Spec.Scale.SizeScale,
 		Duration:      sim.Duration(c.Spec.DurationMS * float64(sim.Millisecond)),
 	}
 	if c.Spec.Chaos != nil {
@@ -171,21 +172,11 @@ func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (
 	r := c.Spec
 	switch r.Family {
 	case FamilyMatrix:
-		cell := c.cell(r.Scale.Seed)
-		base := exp.FatTreeConfig{
-			K:             cell.K,
-			MarkThreshold: cell.MarkThreshold,
-			QueueLimit:    cell.QueueLimit,
-			Duration:      cell.Duration, // 0 keeps the per-pattern defaults
-			SizeScale:     r.Scale.SizeScale,
-			Seed:          cell.Seed,
-			Chaos:         cell.Chaos,
-		}
 		patterns := make([]exp.Pattern, len(r.Workloads))
 		for i, w := range r.Workloads {
 			patterns[i] = matrixPattern(w.Kind)
 		}
-		return exp.RunPlan(c.Campaign, exp.MatrixPlan(c.Desc, base, patterns, c.schemes), shard, jobs, progress), nil
+		return exp.RunPlan(c.Campaign, exp.MatrixPlan(c.Desc, c.cell(r.Scale.Seed), patterns, c.schemes), shard, jobs, progress), nil
 
 	case FamilyRobustness:
 		var random *workload.RandomConfig

@@ -38,12 +38,12 @@ func init() {
 // task. Under a family name the spec must be of that family.
 //
 // Otherwise name is a family and the embedded scenarios/<name>.json runs,
-// with the scalar params overlaid exactly where the xmpsim flags have
-// always applied: -timescale everywhere, -sizescale/-seed/-k on matrix
-// only (fct and robustness never honoured them). With all-default params
-// the result is CompileFile("scenarios/<name>.json") — same canonical
-// JSON, same hash — which is why `xmpsim matrix -shard 0/2` and `xmpsim
-// run -shard 1/2 scenarios/matrix.json` shard files merge.
+// with the scalar params overlaid: -timescale, -seed and -k on every
+// family, -sizescale on matrix alone, the one family whose flow sizes
+// derive from it (fct and robustness size theirs in bytes). With
+// all-default params the result is CompileFile("scenarios/<name>.json") —
+// same canonical JSON, same hash — which is why `xmpsim matrix -shard 0/2`
+// and `xmpsim run -shard 1/2 scenarios/matrix.json` shard files merge.
 func CompileCampaign(name string, p exp.RunParams) (*Compiled, error) {
 	if len(p.Scenario) > 0 {
 		s, err := Parse(p.Scenario)
@@ -73,13 +73,12 @@ func CompileCampaign(name string, p exp.RunParams) (*Compiled, error) {
 	if s.Scale == nil {
 		s.Scale = &ScaleSpec{}
 	}
-	s.Scale.Timescale = p.Timescale
+	if s.Topology == nil {
+		s.Topology = &TopologySpec{}
+	}
+	s.Scale.Timescale, s.Scale.Seed, s.Topology.K = p.Timescale, p.Seed, p.K
 	if name == FamilyMatrix {
-		s.Scale.SizeScale, s.Scale.Seed = p.SizeScale, p.Seed
-		if s.Topology == nil {
-			s.Topology = &TopologySpec{}
-		}
-		s.Topology.K = p.K
+		s.Scale.SizeScale = p.SizeScale
 	}
 	r, err := resolve(s, scenarios.FS.ReadFile)
 	if err != nil {

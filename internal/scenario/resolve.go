@@ -52,7 +52,8 @@ func resolve(s *Spec, readFile func(path string) ([]byte, error)) (*Spec, error)
 		return nil, fmt.Errorf("scenario %s: unknown family %q (want matrix, robustness or fct)", r.Name, r.Family)
 	}
 
-	// Topology.
+	// Topology and scale default to the Section 5.2 cell.
+	def := exp.CellConfig{}.WithDefaults()
 	t := TopologySpec{}
 	if r.Topology != nil {
 		t = *r.Topology
@@ -63,7 +64,7 @@ func resolve(s *Spec, readFile func(path string) ([]byte, error)) (*Spec, error)
 	switch t.Kind {
 	case "fattree":
 		if t.K == 0 {
-			t.K = 8
+			t.K = def.K
 		}
 		if t.K < 4 || t.K%2 != 0 {
 			return nil, fmt.Errorf("scenario %s: fat-tree k=%d (want even, >= 4)", r.Name, t.K)
@@ -79,10 +80,10 @@ func resolve(s *Spec, readFile func(path string) ([]byte, error)) (*Spec, error)
 		return nil, fmt.Errorf("scenario %s: unknown topology kind %q (want fattree or vl2)", r.Name, t.Kind)
 	}
 	if t.QueueLimit == 0 {
-		t.QueueLimit = 100
+		t.QueueLimit = def.QueueLimit
 	}
 	if t.MarkThreshold == 0 {
-		t.MarkThreshold = 10
+		t.MarkThreshold = def.MarkThreshold
 	}
 	if t.MarkThreshold >= t.QueueLimit {
 		return nil, fmt.Errorf("scenario %s: mark_threshold %d >= queue_limit %d", r.Name, t.MarkThreshold, t.QueueLimit)
@@ -104,13 +105,16 @@ func resolve(s *Spec, readFile func(path string) ([]byte, error)) (*Spec, error)
 		return nil, fmt.Errorf("scenario %s: negative timescale %v", r.Name, sc.Timescale)
 	}
 	if sc.SizeScale == 0 {
-		sc.SizeScale = 16
+		sc.SizeScale = def.SizeScale
 	}
 	if sc.SizeScale < 1 {
 		return nil, fmt.Errorf("scenario %s: sizescale %d < 1", r.Name, sc.SizeScale)
 	}
+	if sc.SizeScale != def.SizeScale && r.Family != FamilyMatrix {
+		return nil, fmt.Errorf("scenario %s: the %s family sizes its flows in bytes; sizescale %d does not apply", r.Name, r.Family, sc.SizeScale)
+	}
 	if sc.Seed == 0 {
-		sc.Seed = 1
+		sc.Seed = def.Seed
 	}
 	if r.DurationMS < 0 {
 		return nil, fmt.Errorf("scenario %s: negative duration_ms %v", r.Name, r.DurationMS)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -89,7 +90,6 @@ func TestHashSensitivity(t *testing.T) {
 		"queue_limit":     func(s *Spec) { s.Topology.QueueLimit = 200 },
 		"mark_threshold":  func(s *Spec) { s.Topology.MarkThreshold = 20 },
 		"lossy":           func(s *Spec) { s.Topology.Lossy = false; s.Chaos.Events = s.Chaos.Events[:1] },
-		"sizescale":       func(s *Spec) { s.Scale = &ScaleSpec{SizeScale: 32} },
 		"seed":            func(s *Spec) { s.Scale = &ScaleSpec{Seed: 2} },
 		"timescale":       func(s *Spec) { s.Scale = &ScaleSpec{Timescale: 2} },
 		"schemes order":   func(s *Spec) { s.Schemes = []string{"XMP-2", "DCTCP"} },
@@ -230,6 +230,11 @@ func TestShippedScenarios(t *testing.T) {
 			t.Errorf("%s: registry probe disagrees: hash %s cells %d, compiled %s / %d",
 				name, hash, cells, c.Hash, c.Cells())
 		}
+		// A spec carries its own scale: run inline, it reads no scale knob.
+		knobs := []string{"timescale", "sizescale", "seed", "k"}
+		if ignored, err := exp.IgnoredKnobs(exp.CampaignScenario, exp.RunParams{Scenario: c.JSON}, knobs); err != nil || !slices.Equal(ignored, knobs) {
+			t.Errorf("%s inline ignores %v (%v), want every knob", name, ignored, err)
+		}
 	}
 }
 
@@ -313,21 +318,24 @@ func TestSpecBackedCampaignsAreTheShippedSpecs(t *testing.T) {
 	}
 }
 
-// The scale flags overlay the embedded spec exactly where the xmpsim
-// subcommands have always honoured them: all four on matrix, -timescale
-// alone on fct and robustness.
+// The scale flags overlay the embedded spec: -timescale, -seed and -k on
+// every family, -sizescale on matrix alone (fct and robustness size their
+// flows in bytes).
 func TestRunParamsOverlayEmbeddedSpec(t *testing.T) {
 	p := exp.RunParams{Timescale: 10, SizeScale: 1, Seed: 3, K: 4}
 	for _, name := range specBacked {
 		want := *shippedSpec(t, name).Spec
-		if name == FamilyMatrix {
+		topo := *want.Topology
+		topo.K = 4
+		want.Topology = &topo
+		want.Scale = &ScaleSpec{Timescale: 1, SizeScale: 16, Seed: 3}
+		want.DurationMS = 400
+		switch name {
+		case FamilyMatrix:
 			want.DurationMS = 2000
-			want.Scale = &ScaleSpec{Timescale: 1, SizeScale: 1, Seed: 3}
-			topo := *want.Topology
-			topo.K = 4
-			want.Topology = &topo
-		} else {
-			want.DurationMS = 400
+			want.Scale.SizeScale = 1
+		case FamilyRobustness:
+			want.Seeds = []int64{3}
 		}
 		c, err := CompileCampaign(name, p)
 		if err != nil {
@@ -363,6 +371,10 @@ func TestResolveRejects(t *testing.T) {
 		"fct schemes":    {&Spec{Name: "x", Family: FamilyFCT, Schemes: []string{"DCTCP"}}, "per workload"},
 		"seeds matrix":   {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"}, Seeds: []int64{1}}, "seeds axis"},
 		"seed zero":      {&Spec{Name: "x", Family: FamilyRobustness, Schemes: []string{"DCTCP"}, Seeds: []int64{0}}, "seed 0"},
+		// Their sizes are bytes: a sizescale would be hashed and ignored.
+		"sizescale on robustness": {&Spec{Name: "x", Family: FamilyRobustness, Schemes: []string{"DCTCP"}, Scale: &ScaleSpec{SizeScale: 8}}, "sizescale 8 does not apply"},
+		"sizescale on fct": {&Spec{Name: "x", Family: FamilyFCT, Scale: &ScaleSpec{SizeScale: 32},
+			Workloads: []WorkloadSpec{{Name: "a", Kind: "shortflows"}}}, "sizescale 32 does not apply"},
 		"chaos in fct": {&Spec{Name: "x", Family: FamilyFCT,
 			Workloads: []WorkloadSpec{{Name: "a", Kind: "shortflows"}},
 			Chaos:     &ChaosSpec{Events: []chaos.Event{{Kind: chaos.LinkDown, Target: "a"}}}}, "chaos"},

@@ -2,15 +2,18 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"regexp"
+	"strings"
 	"testing"
 
 	"xmp/internal/exp"
 )
 
-// smallShard runs the shipped permutation-flap spec, shrunk to two schemes
-// on a k=4 fabric for 1 ms, as one 0/1 shard and returns its file.
+// smallShard runs the shipped permutation-flap spec, shrunk to two patterns
+// and two schemes on a k=4 fabric for 1 ms, as one 0/1 shard and returns
+// its file.
 func smallShard(tb testing.TB) []byte {
 	tb.Helper()
 	data, err := os.ReadFile("../../scenarios/permutation-flap.json")
@@ -23,6 +26,7 @@ func smallShard(tb testing.TB) []byte {
 	}
 	s.Topology = &TopologySpec{K: 4}
 	s.Scale = &ScaleSpec{Timescale: 0.005, SizeScale: 4096}
+	s.Workloads = []WorkloadSpec{{Kind: "permutation"}, {Kind: "random"}}
 	s.Schemes = []string{"DCTCP", "XMP-2"}
 	c, err := Compile(s, "../../scenarios")
 	if err != nil {
@@ -43,7 +47,8 @@ func smallShard(tb testing.TB) []byte {
 // and `xmpsim merge` take: DecodeShard and MergeShardBlobs never panic, and
 // a decoded file re-encodes to a fixed point. The corpus is seeded with a
 // real shard file of a shipped spec and mutations of it, among them a cell
-// whose Dist is null, which DecodeShard refuses.
+// whose Dist is null, which DecodeShard refuses, and the matrix grid
+// transposed, which merge refuses.
 func FuzzDecodeShard(f *testing.F) {
 	real := smallShard(f)
 	f.Add(real)
@@ -52,9 +57,30 @@ func FuzzDecodeShard(f *testing.F) {
 		f.Fatal("a shard cell with a null Dist decodes")
 	}
 	f.Add(nullDist)
-	f.Add(bytes.Replace(real, []byte(`"schema_version":3`), []byte(`"schema_version":2`), 1))
+	f.Add(bytes.Replace(real, []byte(`"schema_version":4`), []byte(`"schema_version":3`), 1))
 	f.Add(bytes.Replace(real, []byte(`"samples":"`), []byte(`"samples":"!`), 1))
-	f.Add([]byte(`{"manifest":{"schema_version":3,"campaign":"matrix"}}`))
+	f.Add([]byte(`{"manifest":{"schema_version":4,"campaign":"matrix"}}`))
+	// Cells 1 and 2 swapped: (Permutation, Random) x (DCTCP, XMP-2)
+	// scheme-major, a grid whose axes the cells no longer spell.
+	var file struct {
+		Manifest json.RawMessage `json:"manifest"`
+		Cells    []struct {
+			Cell int             `json:"cell"`
+			Data json.RawMessage `json:"data"`
+		} `json:"cells"`
+	}
+	if err := json.Unmarshal(real, &file); err != nil {
+		f.Fatal(err)
+	}
+	file.Cells[1].Data, file.Cells[2].Data = file.Cells[2].Data, file.Cells[1].Data
+	transposed, err := json.Marshal(file)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := exp.MergeShardBlobs([]exp.ShardBlob{{Name: "transposed.json", Data: transposed}}); err == nil || !strings.Contains(err.Error(), "cell 2") {
+		f.Fatalf("a transposed matrix grid merges: %v", err)
+	}
+	f.Add(transposed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		blob := exp.ShardBlob{Name: "fuzz.json", Data: data}
