@@ -1,8 +1,10 @@
 package arena
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
+	"unsafe"
 )
 
 func TestSlabZeroValue(t *testing.T) {
@@ -73,10 +75,9 @@ func TestRunsChunksGrowToACap(t *testing.T) {
 	var r Runs[[64]byte] // 64 B: the cap is 256 objects
 	var lens []int
 	for i := 0; i < 2000; i++ {
-		if len(r.chunk) == 0 {
-			lens = append(lens, nextChunk[[64]byte](0, r.carved))
+		if r.Carve(1); r.cur > len(lens) {
+			lens = append(lens, cap(r.chunks[r.cur-1]))
 		}
-		r.Carve(1)
 	}
 	want := []int{64, 64, 128, 256, 256, 256, 256, 256, 256, 256}
 	if fmt.Sprint(lens) != fmt.Sprint(want) {
@@ -130,5 +131,148 @@ func TestCarveKeepsOneAllocatorPerType(t *testing.T) {
 	}
 	if p := Carve[int](nil); p == nil || *p != 0 {
 		t.Fatal("Carve from nil Slabs did not allocate a zero value")
+	}
+}
+
+// rewindObj is what the rewind tests carve: a value and a pointer, so a
+// Reset that failed to zero either would show.
+type rewindObj struct {
+	id  int
+	ptr *int
+	_   [3]byte
+}
+
+var rewindMark int
+
+// span is the address range of a run handed out since the last Reset.
+type span struct{ lo, hi uintptr }
+
+func spanOf(run []rewindObj) span {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(run)))
+	return span{lo, lo + uintptr(len(run))*unsafe.Sizeof(rewindObj{})}
+}
+
+// FuzzArenaRewind runs a random program of Slab.Get, Runs.Carve(n),
+// Carve[T] on two types and Reset of each allocator against a model that
+// remembers what was handed out since each allocator's last Reset. Every
+// object handed out must be zero (each is then written, so a Reset that
+// zeroes too little shows on the next carve of that memory); runs must not
+// overlap, and each run's capacity must equal its length; Each must visit
+// exactly the objects handed out since the Slab's last Reset, in order;
+// Allocated must count them.
+func FuzzArenaRewind(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 3, 1, 70, 2, 0, 3, 0, 4, 0, 0, 0, 5, 0, 1, 2, 6, 0, 2, 0})
+	f.Add(bytes.Repeat([]byte{0, 0, 1, 9, 2, 0, 3, 0}, 40))
+	f.Add(append(bytes.Repeat([]byte{1, 200, 0, 0, 2, 0}, 30), bytes.Repeat([]byte{7, 0, 1, 40, 0, 0, 3, 0}, 30)...))
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		var (
+			slab  = NewSlab[rewindObj](8)
+			runs  Runs[rewindObj]
+			slabs Slabs
+			// Live spans since the last Reset, per allocator.
+			slabSpans, runSpans, slabsSpans []span
+			handed                          []*rewindObj // Slab objects, in order
+			next                            = 1
+		)
+		take := func(spans *[]span, run []rewindObj) {
+			t.Helper()
+			if cap(run) != len(run) {
+				t.Fatalf("run of %d has capacity %d", len(run), cap(run))
+			}
+			for i := range run {
+				if run[i] != (rewindObj{}) {
+					t.Fatalf("carved object %d of a run of %d is not zero: %+v", i, len(run), run[i])
+				}
+				run[i] = rewindObj{id: next, ptr: &rewindMark}
+				next++
+			}
+			if len(run) == 0 {
+				return
+			}
+			s := spanOf(run)
+			for _, o := range *spans {
+				if s.lo < o.hi && o.lo < s.hi {
+					t.Fatalf("run [%#x, %#x) overlaps [%#x, %#x)", s.lo, s.hi, o.lo, o.hi)
+				}
+			}
+			*spans = append(*spans, s)
+		}
+		for len(prog) >= 2 {
+			op, arg := prog[0]%8, int(prog[1])
+			prog = prog[2:]
+			switch op {
+			case 0:
+				p := slab.Get()
+				take(&slabSpans, unsafe.Slice(p, 1))
+				handed = append(handed, p)
+			case 1:
+				take(&runSpans, runs.Carve(arg%150))
+			case 2:
+				take(&slabsSpans, unsafe.Slice(Carve[rewindObj](&slabs), 1))
+			case 3:
+				p := Carve[int64](&slabs)
+				if *p != 0 {
+					t.Fatalf("carved int64 is %d", *p)
+				}
+				*p = int64(next)
+				next++
+			case 4:
+				slab.Reset()
+				slabSpans, handed = nil, nil
+			case 5:
+				runs.Reset()
+				runSpans = nil
+			case 6:
+				slabs.Reset()
+				slabsSpans = nil
+			case 7:
+				slab.Reset()
+				runs.Reset()
+				slabs.Reset()
+				slabSpans, handed, runSpans, slabsSpans = nil, nil, nil, nil
+			}
+			if slab.Allocated() != len(handed) {
+				t.Fatalf("Allocated = %d, %d handed out since the last Reset", slab.Allocated(), len(handed))
+			}
+		}
+		i := 0
+		slab.Each(func(p *rewindObj) {
+			if i >= len(handed) || p != handed[i] {
+				t.Fatalf("Each visited %p as object %d of %d handed out", p, i, len(handed))
+			}
+			i++
+		})
+		if i != len(handed) {
+			t.Fatalf("Each visited %d objects, %d handed out since the last Reset", i, len(handed))
+		}
+	})
+}
+
+// TestRewindCarvesWithoutAllocating: after a Reset, carving again up to
+// the previous high-water mark — single objects, runs longer than a chunk,
+// objects of two types — reuses the chunks and allocates nothing.
+func TestRewindCarvesWithoutAllocating(t *testing.T) {
+	var (
+		slab  Slab[rewindObj]
+		runs  Runs[rewindObj]
+		slabs Slabs
+	)
+	cycle := func() {
+		for i := 0; i < 300; i++ {
+			slab.Get()
+			runs.Carve(1 + i%5)
+			Carve[rewindObj](&slabs)
+			Carve[int64](&slabs)
+			if i%100 == 0 {
+				runs.Carve(2 * GrowBytes / int(unsafe.Sizeof(rewindObj{})))
+			}
+		}
+		slab.Reset()
+		runs.Reset()
+		slabs.Reset()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Fatalf("carving to the high-water mark after Reset allocated %.1f times", allocs)
 	}
 }

@@ -94,8 +94,9 @@ type Cell struct {
 	// targets, queue counters, per-layer utilization.
 	Net *topo.Network
 	// Base is what the caller's generators embed: the fabric, the cell RNG,
-	// the scheme, the transport, a collector, the horizon and a flow arena
-	// (no campaign retains a *Flow past completion).
+	// the scheme, the transport, a collector, the horizon and the worker's
+	// flow arena, rewound for this cell (no campaign retains a *Flow past
+	// completion, and none reads one after the cell's reducer returns).
 	Base workload.Config
 	// Events counts engine events executed and Faults chaos events
 	// applied; Run sets both.
@@ -107,9 +108,10 @@ type Cell struct {
 }
 
 // Worker is what one RunAll goroutine carries from cell to cell: the last
-// fabric NewCell built on it. It is lent to that cell until RunAll sees the
-// cell's run(i) — generators, Run, reducer — return, and is dropped with
-// the Worker when the campaign run ends. A nil Worker holds nothing.
+// fabric NewCell built on it and the flow arena its cells carve their flows
+// from. It is lent to that cell until RunAll sees the cell's run(i) —
+// generators, Run, reducer — return, and is dropped with the Worker when
+// the campaign run ends. A nil Worker holds nothing.
 type Worker struct {
 	// key holds the CellConfig fields that shape the fabric, the rest zero.
 	key CellConfig
@@ -117,13 +119,17 @@ type Worker struct {
 	net *topo.Network
 	// lossRNG is the stream every Lossy queue of the fabric draws from.
 	lossRNG *sim.RNG
-	lent    bool
+	// arena outlives fabrics: a rewound arena refers to no fabric.
+	arena *mptcp.Arena
+	lent  bool
 }
 
 // NewCell builds the cell's RNG, fabric and base workload config. When w
 // holds a fabric of the same shape it is Reset instead of built: routing is
 // static and a run leaves the fabric drained (Run audits that), so the
-// recycled cell is the fresh one, event for event.
+// recycled cell is the fresh one, event for event. Likewise w's flow arena
+// is rewound (mptcp.Arena.Reset) rather than built: the last cell's Run
+// audited it, and its flows are zeroed memory the new cell carves from.
 func NewCell(w *Worker, cfg CellConfig, scheme workload.Scheme) *Cell {
 	cfg = cfg.WithDefaults()
 	key := CellConfig{VL2: cfg.VL2, K: cfg.K, QueueLimit: cfg.QueueLimit,
@@ -135,7 +141,7 @@ func NewCell(w *Worker, cfg CellConfig, scheme workload.Scheme) *Cell {
 		w.net.Reset()
 	} else {
 		// The old fabric becomes garbage before the new one is built.
-		*w = Worker{key: key, lossRNG: new(sim.RNG)}
+		*w = Worker{key: key, lossRNG: new(sim.RNG), arena: w.arena}
 		qm := func(ba *netem.BuildArena) netem.Queue {
 			q := ba.NewThresholdECN(key.QueueLimit, key.MarkThreshold)
 			q.DropNonECT = key.StrictNonECT
@@ -154,6 +160,11 @@ func NewCell(w *Worker, cfg CellConfig, scheme workload.Scheme) *Cell {
 			ft := topo.NewFatTree(eng, tc)
 			w.fab, w.net = ft, ft.Network
 		}
+	}
+	if w.arena == nil {
+		w.arena = mptcp.NewArena()
+	} else {
+		w.arena.Reset()
 	}
 	w.lent = true
 	rng := sim.NewRNG(cfg.Seed)
@@ -174,7 +185,7 @@ func NewCell(w *Worker, cfg CellConfig, scheme workload.Scheme) *Cell {
 			Transport: tc,
 			Collector: workload.NewCollector(cfg.RTTStride),
 			Stop:      sim.Time(cfg.Duration),
-			Arena:     mptcp.NewArena(),
+			Arena:     w.arena,
 		},
 	}
 }

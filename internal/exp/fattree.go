@@ -64,9 +64,13 @@ type FatTreeResult struct {
 // (patternCell) and collects everything the fat-tree tables and figures
 // need.
 func RunFatTree(w *Worker, cfg CellConfig, pattern Pattern, scheme workload.Scheme) *FatTreeResult {
-	cfg = patternCell(cfg, pattern)
-	c := NewCell(w, cfg, scheme)
+	return runPattern(NewCell(w, patternCell(cfg, pattern), scheme), pattern)
+}
 
+// runPattern starts pattern on c, a cell built on its patternCell, runs
+// the cell and reduces it.
+func runPattern(c *Cell, pattern Pattern) *FatTreeResult {
+	cfg := c.cfg
 	switch pattern {
 	case Permutation:
 		workload.StartPermutation(workload.PermutationConfig{
@@ -90,7 +94,7 @@ func RunFatTree(w *Worker, cfg CellConfig, pattern Pattern, scheme workload.Sche
 	now := c.Net.Eng.Now()
 	res := &FatTreeResult{
 		Pattern:     pattern,
-		Scheme:      scheme,
+		Scheme:      c.Base.Scheme,
 		Collector:   c.Base.Collector,
 		UtilByLayer: make(map[string]*metrics.Dist),
 		Drops:       c.Drops(),

@@ -78,7 +78,12 @@ type FCTCellConfig struct {
 
 // RunFCTCell runs one parameterized short-flow cell.
 func RunFCTCell(w *Worker, cfg FCTCellConfig) FCTPoint {
-	c := NewCell(w, cfg.Cell, cfg.Scheme)
+	return runFCT(NewCell(w, cfg.Cell, cfg.Scheme), cfg)
+}
+
+// runFCT starts cfg's generator on c, the cell built for it, runs the cell
+// and reduces it.
+func runFCT(c *Cell, cfg FCTCellConfig) FCTPoint {
 	// launched is read only after the run, when the generator's closed
 	// loops have stopped relaunching.
 	var launched *int

@@ -17,10 +17,11 @@ import (
 	"xmp/internal/workload"
 )
 
-// This file is the fence around fabric recycling (ROADMAP item 5's cell
-// differential): whatever cells a worker ran before, a cell on its recycled
-// fabric must be the cell on a fresh build — the same encoded payload and
-// the same fabric state at the end of the run, counter for counter.
+// This file is the fence around fabric and arena recycling (ROADMAP item
+// 5's cell differential): whatever cells a worker ran before, a cell on its
+// recycled fabric and rewound flow arena must be the cell on a fresh build
+// — the same encoded payload, the same fabric state at the end of the run,
+// counter for counter, and the same arena counts.
 
 // recycleCell is one cell of the differential: a name, the fabric group it
 // shares a key with (named for the key), and the real reducer on a worker.
@@ -185,6 +186,11 @@ func fabricDigest(n *topo.Network) string {
 	return b.String()
 }
 
+// arenaDigest renders a finished cell's flow-arena counts.
+func arenaDigest(a *mptcp.Arena) string {
+	return fmt.Sprintf("fresh=%d recycled=%d quarantined=%d", a.Fresh(), a.Recycled(), a.Quarantined())
+}
+
 func mustJSON(t *testing.T, v any) string {
 	t.Helper()
 	data, err := json.Marshal(v)
@@ -195,16 +201,18 @@ func mustJSON(t *testing.T, v any) string {
 }
 
 // TestRecycledCellsMatchFresh runs the cell set in shuffled orders on
-// recycled fabrics — one test-owned worker, then RunAll at jobs 1 and 4 —
-// and demands every cell's payload and end-of-run fabric state equal those
-// of the same cell on a fresh build.
+// recycled fabrics and rewound arenas — one test-owned worker, then RunAll
+// at jobs 1 and 4 — and demands every cell's payload, end-of-run fabric
+// state and arena counts equal those of the same cell on a fresh build.
+// The second order's worker poisons released flows (mptcp.Arena.Poison),
+// so a rewind that left a poisoned flow reachable would show.
 func TestRecycledCellsMatchFresh(t *testing.T) {
 	cells := recycleCells(t)
-	type outcome struct{ payload, fabric string }
+	type outcome struct{ payload, fabric, arena string }
 	fresh := make([]outcome, len(cells))
 	for i, c := range cells {
 		w := new(Worker)
-		fresh[i] = outcome{mustJSON(t, c.run(w)), fabricDigest(w.net)}
+		fresh[i] = outcome{mustJSON(t, c.run(w)), fabricDigest(w.net), arenaDigest(w.arena)}
 	}
 	check := func(how string, i int, got outcome) {
 		t.Helper()
@@ -213,6 +221,9 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 		}
 		if got.fabric != fresh[i].fabric {
 			t.Errorf("%s: %s: fabric state after the run differs from the fresh build's:\n%s", how, cells[i].name, firstDiff(fresh[i].fabric, got.fabric))
+		}
+		if got.arena != fresh[i].arena {
+			t.Errorf("%s: %s: arena after the run holds %s, the fresh build's %s", how, cells[i].name, got.arena, fresh[i].arena)
 		}
 	}
 
@@ -250,7 +261,11 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 		}
 
 		how := fmt.Sprintf("order %d, one worker", seed)
-		w := new(Worker)
+		w := &Worker{arena: mptcp.NewArena()}
+		if seed == 2 {
+			how += ", poison"
+			w.arena.Poison = true
+		}
 		recycled := 0
 		var prev any
 		var prevJSON string
@@ -260,7 +275,7 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 			if w.net == before {
 				recycled++
 			}
-			check(how, i, outcome{mustJSON(t, v), fabricDigest(w.net)})
+			check(how, i, outcome{mustJSON(t, v), fabricDigest(w.net), arenaDigest(w.arena)})
 			w.lent = false // what RunAll does when run(i) returns
 			// The previous cell's result must not alias the fabric this
 			// cell has just reset and run on.
@@ -285,7 +300,7 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 				if err != nil {
 					panic(err)
 				}
-				return outcome{string(data), fabricDigest(w.net)}
+				return outcome{string(data), fabricDigest(w.net), arenaDigest(w.arena)}
 			}, nil)
 			for j, o := range got {
 				check(how, order[j], o)
@@ -307,4 +322,56 @@ func firstDiff(a, b string) string {
 		}
 	}
 	return fmt.Sprintf("recycled digest has %d extra lines", len(bl)-len(al))
+}
+
+// TestArenaNilEqualsArenaSet is the metamorphic relation "Arena nil equals
+// Arena set": a cell whose flows are each built on their own and never
+// recycled (Cell.Base.Arena nil) and the same cell on a worker whose arena
+// has already run another scheme's cell — so it rewinds, recycles within
+// the cell and carves from memory another shape used — must encode to the
+// same bytes and leave the same fabric. A difference would make recycling
+// visible in results.
+func TestArenaNilEqualsArenaSet(t *testing.T) {
+	// The horizon lets the second round start: the first loses packets at
+	// the client's port and ends on 200 ms retransmission timeouts.
+	burst := FCTCellConfig{Name: "burst", Cell: CellConfig{K: 4, Duration: 300 * sim.Millisecond}, Scheme: SchemeXMP2,
+		Incast: &workload.IncastBurstConfig{Senders: 96, ResponseBytes: 16 << 10, Rounds: 2, UseScheme: true}}
+	perm := patternCell(CellConfig{K: 4, SizeScale: 1024}, Permutation)
+	for _, tc := range []struct {
+		name   string
+		cfg    CellConfig
+		scheme workload.Scheme
+		run    func(c *Cell) any
+		before func(w *Worker)
+	}{
+		{"fct/incast-burst/XMP-2", burst.Cell, burst.Scheme,
+			func(c *Cell) any { return runFCT(c, burst) },
+			func(w *Worker) { RunFatTree(w, perm, Permutation, SchemeTCP) }},
+		{"matrix/permutation/XMP-2", perm, SchemeXMP2,
+			func(c *Cell) any { return runPattern(c, Permutation) },
+			func(w *Worker) {
+				b := burst
+				b.Scheme = SchemeDCTCP
+				RunFCTCell(w, b)
+			}},
+	} {
+		c := NewCell(nil, tc.cfg, tc.scheme)
+		c.Base.Arena = nil
+		bare, bareFabric := mustJSON(t, tc.run(c)), fabricDigest(c.Net)
+
+		w := new(Worker)
+		tc.before(w)
+		w.lent = false
+		c = NewCell(w, tc.cfg, tc.scheme)
+		set, setFabric := mustJSON(t, tc.run(c)), fabricDigest(c.Net)
+		if w.arena.Recycled() == 0 {
+			t.Fatalf("%s: no flow recycled in the cell, so the arena is not under test", tc.name)
+		}
+		if set != bare {
+			t.Errorf("%s: payload with the worker's arena differs from the one without\nno arena: %.300s\narena:    %.300s", tc.name, bare, set)
+		}
+		if setFabric != bareFabric {
+			t.Errorf("%s: fabric state with the worker's arena differs from the one without:\n%s", tc.name, firstDiff(bareFabric, setFabric))
+		}
+	}
 }

@@ -11,8 +11,9 @@ import (
 // This file is the parallel experiment fan-out every campaign runner
 // (matrix, coexistence, sweeps, ablations) is built on. The paper's
 // evaluation is a grid of independent simulations: each cell owns its own
-// RNG, collector and flow arena, and each worker goroutine its own fabric
-// (engine, topology, packet pool), so cells are embarrassingly parallel.
+// RNG and collector, and each worker goroutine its own fabric (engine,
+// topology, packet pool) and flow arena, which its cells reset and rewind
+// in turn, so cells are embarrassingly parallel.
 // The runner exploits exactly that — and nothing more: inside a cell the
 // simulator stays strictly single-threaded.
 //
@@ -42,7 +43,8 @@ func DefaultJobs(jobs int) int {
 //
 // run must be self-contained per index: own RNG, no shared mutable state
 // but the Worker it is handed, which is its goroutine's alone and holds
-// the fabric NewCell recycles from one cell to the next (cell.go).
+// the fabric and flow arena NewCell recycles from one cell to the next
+// (cell.go).
 //
 // RunAll and RunShard (shard.go) share this pool: RunAll is the
 // whole-cell-space case, RunShard the subset a -shard spec owns.

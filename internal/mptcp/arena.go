@@ -63,10 +63,13 @@ func shapeOf(opts *Options) shapeKey {
 // to the packet trace. NewFlow rebinds the first drained quarantined flow
 // of the requested shape, or falls back to a fresh New.
 //
-// Like the packet pool and the event engine it is strictly single-threaded:
-// one arena per experiment run.
+// Between cells its owner rewinds it with Reset: the chunks it carved from
+// and the quarantine's shapes are kept, every object is zeroed, and the
+// next cell carves its flows from the same memory. An exp.Worker owns one
+// for the cells it runs; tests and the benchmark's rigs build their own.
+// Like the packet pool and the event engine it is strictly single-threaded.
 type Arena struct {
-	quarantine map[shapeKey][]*Flow
+	quarantine quarantine
 
 	// Fresh flows are carved: the Flow structs, their subflow blocks
 	// (connections included), the member lists of their coupling groups
@@ -84,6 +87,9 @@ type Arena struct {
 
 	fresh    int64
 	recycled int64
+	// audited: Audit has passed since the last flow was built or released,
+	// so Reset may rewind.
+	audited bool
 }
 
 // arenaPoisonFromEnv is read once at startup, mirroring netem's pool.
@@ -91,10 +97,7 @@ var arenaPoisonFromEnv = os.Getenv("XMPSIM_POISON") != ""
 
 // NewArena returns an empty flow arena.
 func NewArena() *Arena {
-	return &Arena{
-		quarantine: make(map[shapeKey][]*Flow),
-		Poison:     arenaPoisonFromEnv,
-	}
+	return &Arena{Poison: arenaPoisonFromEnv}
 }
 
 // Fresh returns how many flows the arena built from scratch.
@@ -107,8 +110,8 @@ func (a *Arena) Recycled() int64 { return a.recycled }
 // drain or be reused.
 func (a *Arena) Quarantined() int {
 	n := 0
-	for _, q := range a.quarantine {
-		n += len(q)
+	for _, sq := range a.quarantine {
+		n += len(sq.flows)
 	}
 	return n
 }
@@ -138,25 +141,40 @@ func (a *Arena) Audit() {
 	if q := int64(a.Quarantined()); q+failed != a.fresh {
 		panic(fmt.Sprintf("mptcp: arena built %d flows but holds %d in quarantine and %d failed", a.fresh, q, failed))
 	}
+	a.audited = true
+}
+
+// Reset rewinds the arena to empty for the next cell, keeping its memory:
+// every flow, subflow block, member list and controller it carved is
+// zeroed and its chunks are carved again from the first, each shape's
+// quarantine is emptied with its capacity kept, and Fresh and Recycled
+// restart from zero. The arena must have passed Audit since its last flow
+// was built or released, and the network its flows ran on must have been
+// Reset (or dropped), so that nothing — no host demux slot, pending timer
+// or packet — still refers to them; Reset panics on an arena not audited.
+func (a *Arena) Reset() {
+	if a.fresh != 0 && !a.audited {
+		panic("mptcp: Reset of a flow arena that has not passed Audit since its last flow")
+	}
+	for i := range a.quarantine {
+		sq := &a.quarantine[i]
+		clear(sq.flows)
+		sq.flows = sq.flows[:0]
+	}
+	a.flows.Reset()
+	a.subs.Reset()
+	a.members.Reset()
+	a.ctrls.Reset()
+	a.fresh, a.recycled = 0, 0
 }
 
 // NewFlow builds or recycles a flow for opts (idle until Start). The
 // returned flow must eventually be handed back with Release once Done;
 // flows that fail instead simply stay out of the pool.
 func (a *Arena) NewFlow(eng *sim.Engine, opts Options) *Flow {
+	a.audited = false
 	key := shapeOf(&opts)
-	q := a.quarantine[key]
-	for i, f := range q {
-		if !f.drained() {
-			continue
-		}
-		// Swap-remove: order within the quarantine carries no behavioural
-		// meaning (all entries of a shape are interchangeable), and the
-		// selection is deterministic for a deterministic event sequence.
-		last := len(q) - 1
-		q[i] = q[last]
-		q[last] = nil
-		a.quarantine[key] = q[:last]
+	if f := a.quarantine.take(key); f != nil {
 		a.recycled++
 		f.released = false
 		f.gen++
@@ -184,10 +202,67 @@ func (a *Arena) Release(f *Flow) {
 	}
 	f.released = true
 	f.gen++
+	a.audited = false
 	if a.Poison {
 		poisonFlow(f)
 	}
-	a.quarantine[f.shape] = append(a.quarantine[f.shape], f)
+	a.quarantine.put(f)
+}
+
+// quarantine holds released flows by shape until they drain and are
+// reused. A worker sees a few shapes (the schemes of its cells, plus plain
+// TCP for incast requests), so it is a list scanned in the order each
+// shape was first released: a take and a put cost 55–80 ns against about
+// 145 ns for a map, whose every access hashes the 104-byte key
+// (BenchmarkQuarantine at 1, 3 and 8 shapes; DESIGN.md).
+type quarantine []shapeQueue
+
+// shapeQueue is one shape's released flows.
+type shapeQueue struct {
+	key   shapeKey
+	flows []*Flow
+}
+
+// of returns key's queue, or nil.
+func (q quarantine) of(key shapeKey) *shapeQueue {
+	for i := range q {
+		if q[i].key == key {
+			return &q[i]
+		}
+	}
+	return nil
+}
+
+// take removes and returns the first drained flow of shape key, or nil.
+func (q quarantine) take(key shapeKey) *Flow {
+	sq := q.of(key)
+	if sq == nil {
+		return nil
+	}
+	for i, f := range sq.flows {
+		if !f.drained() {
+			continue
+		}
+		// Swap-remove: order within the quarantine carries no behavioural
+		// meaning (all entries of a shape are interchangeable), and the
+		// selection is deterministic for a deterministic event sequence.
+		last := len(sq.flows) - 1
+		sq.flows[i] = sq.flows[last]
+		sq.flows[last] = nil
+		sq.flows = sq.flows[:last]
+		return f
+	}
+	return nil
+}
+
+// put adds a released flow under its shape.
+func (q *quarantine) put(f *Flow) {
+	sq := q.of(f.shape)
+	if sq == nil {
+		*q = append(*q, shapeQueue{key: f.shape})
+		sq = &(*q)[len(*q)-1]
+	}
+	sq.flows = append(sq.flows, f)
 }
 
 // poisonTime is the sentinel written into released flows' timestamps: far

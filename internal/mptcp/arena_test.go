@@ -200,3 +200,32 @@ func TestArenaAuditBalance(t *testing.T) {
 		t.Fatalf("fresh=%d quarantined=%d, want 2/1", a.Fresh(), a.Quarantined())
 	}
 }
+
+// TestArenaReset: Reset refuses an arena that has not passed Audit since
+// its last flow; after one it starts from zero, with an empty quarantine,
+// and carves its next flow where it carved its first — a zeroed flow that
+// runs its transfer like a new one.
+func TestArenaReset(t *testing.T) {
+	eng := sim.NewEngine()
+	tb := testbedA(eng)
+	a := mptcp.NewArena()
+	a.Reset() // an empty arena rewinds
+	f := completeArenaFlow(t, a, tb)
+	acked, dur := f.AckedBytes(), f.CompletionTime().Sub(f.StartTime())
+	a.Release(f)
+	expectPanic(t, "not passed Audit", a.Reset)
+	a.Audit()
+	tb.Reset()
+	a.Reset()
+	if a.Fresh() != 0 || a.Recycled() != 0 || a.Quarantined() != 0 {
+		t.Fatalf("after Reset: fresh=%d recycled=%d quarantined=%d, want 0/0/0", a.Fresh(), a.Recycled(), a.Quarantined())
+	}
+	g := completeArenaFlow(t, a, tb)
+	if g != f || a.Fresh() != 1 {
+		t.Fatalf("the first flow after Reset is %p (fresh=%d), want a fresh carve at %p", g, a.Fresh(), f)
+	}
+	if g.AckedBytes() != acked || g.CompletionTime().Sub(g.StartTime()) != dur {
+		t.Errorf("rewound flow acked %d in %v, the first run %d in %v",
+			g.AckedBytes(), g.CompletionTime().Sub(g.StartTime()), acked, dur)
+	}
+}

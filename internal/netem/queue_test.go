@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -321,5 +322,91 @@ func TestREDConfigValidation(t *testing.T) {
 			}()
 			NewRED(cfg, 0, sim.NewRNG(1))
 		}()
+	}
+}
+
+// TestREDMarkingCurve measures RED's marking from outside against its
+// definition. With Wq = 1 the average is the instantaneous occupancy, so a
+// queue held at L packets (each arrival enqueued, then one packet dequeued)
+// shows every arrival the ramp's pb(L): 0 below MinTh,
+// MaxP·(L−MinTh)/(MaxTh−MinTh) up to MaxTh, with Gentle
+// MaxP + (1−MaxP)·(L−MaxTh)/MaxTh up to 2·MaxTh, and 1 from there.
+//
+// Enqueue uniformizes the gaps between marks as Floyd and Jacobson's RED
+// does (pa = pb/(1−count·pb)), so marks are not Bernoulli(pb): the gap G
+// from one mark to the next (the marked packet included) is k with
+// probability pb for k = 1…n, n = ⌊1/pb⌋, and n+1 with the remaining
+// 1−n·pb. Closed form: E[G] = pb·n(n+1)/2 + (1−n·pb)(n+1), and
+// E[G²] = pb·n(n+1)(2n+1)/6 + (1−n·pb)(n+1)²; when 1/pb is an integer,
+// G is uniform on 1…1/pb and the marked fraction is 2·pb/(1+pb). At each
+// level the mean of the gaps after the first mark must lie within 5
+// standard errors, 5·σ_G/√gaps, of E[G]. Wherever pb ≤ 0.25 that interval
+// excludes 1/pb, Bernoulli marking's mean gap, which the test also checks
+// of itself.
+func TestREDMarkingCurve(t *testing.T) {
+	cfg := REDConfig{Limit: 100, MinTh: 5, MaxTh: 15, MaxP: 0.1, Wq: 1, Mark: true, Gentle: true}
+	ramp := func(l float64) float64 {
+		switch {
+		case l < cfg.MinTh:
+			return 0
+		case l < cfg.MaxTh:
+			return cfg.MaxP * (l - cfg.MinTh) / (cfg.MaxTh - cfg.MinTh)
+		case l < 2*cfg.MaxTh:
+			return cfg.MaxP + (1-cfg.MaxP)*(l-cfg.MaxTh)/cfg.MaxTh
+		}
+		return 1
+	}
+	const arrivals = 30000
+	for level := 0; level <= 2*int(cfg.MaxTh)+2; level++ {
+		q := NewRED(cfg, 12*sim.Microsecond, sim.NewRNG(int64(7+level)))
+		for q.Len() < level {
+			q.Enqueue(0, dataPkt(true))
+		}
+		marks, last := 0, -1
+		var gaps []float64
+		for i := 0; i < arrivals; i++ {
+			p := dataPkt(true)
+			if !q.Enqueue(0, p) {
+				t.Fatalf("level %d: arrival %d dropped", level, i)
+			}
+			q.Dequeue(0)
+			if !p.CE {
+				continue
+			}
+			marks++
+			if last >= 0 {
+				gaps = append(gaps, float64(i-last))
+			}
+			last = i
+		}
+		pb := ramp(float64(level))
+		switch {
+		case pb == 0:
+			if marks != 0 {
+				t.Errorf("level %d (pb 0): %d of %d arrivals marked", level, marks, arrivals)
+			}
+			continue
+		case pb == 1:
+			if marks != arrivals {
+				t.Errorf("level %d (pb 1): %d of %d arrivals marked", level, marks, arrivals)
+			}
+			continue
+		}
+		n := math.Floor(1/pb + 1e-9)
+		mean := pb*n*(n+1)/2 + (1-n*pb)*(n+1)
+		sq := pb*n*(n+1)*(2*n+1)/6 + (1-n*pb)*(n+1)*(n+1)
+		tol := 5 * math.Sqrt((sq-mean*mean)/float64(len(gaps)))
+		var sum float64
+		for _, g := range gaps {
+			sum += g
+		}
+		if got := sum / float64(len(gaps)); math.Abs(got-mean) > tol {
+			t.Errorf("level %d (pb %.3f): mean gap %.3f over %d gaps, uniformized RED gives %.3f ± %.3f",
+				level, pb, got, len(gaps), mean, tol)
+		}
+		if pb <= 0.25 && math.Abs(1/pb-mean) <= tol {
+			t.Errorf("level %d (pb %.3f): the interval %.3f ± %.3f cannot tell uniformized from Bernoulli marking (%.3f)",
+				level, pb, mean, tol, 1/pb)
+		}
 	}
 }

@@ -164,7 +164,10 @@ type Config struct {
 	// flows are released back automatically after their callbacks run, and
 	// steady-state launches allocate nothing. Leave nil when the caller
 	// retains *Flow pointers past completion (or hold mptcp.FlowHandles,
-	// which panic on stale access instead of reading a recycled flow).
+	// which panic on stale access instead of reading a recycled flow). An
+	// experiment cell's arena belongs to the worker running it and is
+	// rewound (mptcp.Arena.Reset) for the next cell, which zeroes every flow
+	// it built, failed ones included: none may be read after its cell.
 	Arena *mptcp.Arena
 
 	// Pooled launch plumbing (see launchRec): launch records carved from a
