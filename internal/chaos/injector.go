@@ -13,16 +13,23 @@ import (
 // carry a Lossy queue. Resolution happens up front so a typo'd schedule
 // fails at construction, not two simulated minutes into a campaign cell.
 type Injector struct {
-	eng   *sim.Engine
-	rng   *sim.RNG
-	sched Schedule
-
-	links       map[string]*netem.Link
-	lossy       map[string]*netem.Lossy
-	switchLinks map[string][]*netem.Link
+	eng     *sim.Engine
+	rng     *sim.RNG
+	actions []action
 
 	applied   int
 	installed bool
+}
+
+// action is one schedule event bound to the network: the link or the
+// switch's links it acts on, and the state its heal restores.
+type action struct {
+	Event
+	link  *netem.Link   // link kinds
+	links []*netem.Link // switch kinds: every link attached to the switch
+	lossy *netem.Lossy  // loss-burst: the link's queue
+	prevP float64       // loss-burst: the probability the burst displaced
+	end   sim.Time      // jitter: when the window closes
 }
 
 // New resolves sched against net. The injector draws any randomness it
@@ -34,34 +41,35 @@ func New(net *topo.Network, sched Schedule) (*Injector, error) {
 		return nil, err
 	}
 	inj := &Injector{
-		eng:         net.Eng,
-		rng:         sim.NewRNG(sched.Seed),
-		sched:       sched,
-		links:       make(map[string]*netem.Link),
-		lossy:       make(map[string]*netem.Lossy),
-		switchLinks: make(map[string][]*netem.Link),
+		eng:     net.Eng,
+		rng:     sim.NewRNG(sched.Seed),
+		actions: make([]action, len(sched.Events)),
 	}
 	byName := make(map[string]*netem.Link, len(net.Links()))
 	for _, li := range net.Links() {
 		byName[li.Name] = li.Link
 	}
+	switchLinks := make(map[string][]*netem.Link)
 	for i, e := range sched.Events {
+		a := &inj.actions[i]
+		a.Event = e
 		if e.Kind.targetsLink() {
 			l, ok := byName[e.Target]
 			if !ok {
 				return nil, fmt.Errorf("chaos: event %d: unknown link %q", i, e.Target)
 			}
-			inj.links[e.Target] = l
+			a.link = l
 			if e.Kind == LossBurst {
 				q, ok := l.Queue().(*netem.Lossy)
 				if !ok {
 					return nil, fmt.Errorf("chaos: event %d: link %q queue is not Lossy-wrapped", i, e.Target)
 				}
-				inj.lossy[e.Target] = q
+				a.lossy = q
 			}
 			continue
 		}
-		if _, done := inj.switchLinks[e.Target]; done {
+		if links, done := switchLinks[e.Target]; done {
+			a.links = links
 			continue
 		}
 		var sw *netem.Switch
@@ -82,7 +90,8 @@ func New(net *topo.Network, sched Schedule) (*Injector, error) {
 				attached = append(attached, li.Link)
 			}
 		}
-		inj.switchLinks[e.Target] = attached
+		switchLinks[e.Target] = attached
+		a.links = attached
 	}
 	return inj, nil
 }
@@ -94,9 +103,8 @@ func (inj *Injector) Install() {
 		panic("chaos: injector installed twice")
 	}
 	inj.installed = true
-	for i := range inj.sched.Events {
-		e := inj.sched.Events[i]
-		inj.eng.Schedule(e.At, func() { inj.apply(e) })
+	for i := range inj.actions {
+		inj.eng.ScheduleTarget(inj.actions[i].At, inj, opApply, &inj.actions[i])
 	}
 }
 
@@ -104,64 +112,85 @@ func (inj *Injector) Install() {
 // and jitter ticks are part of their event, not counted separately).
 func (inj *Injector) Applied() int { return inj.applied }
 
-func (inj *Injector) apply(e Event) {
-	inj.applied++
-	switch e.Kind {
-	case LinkDown:
-		l := inj.links[e.Target]
-		l.SetDown(true)
-		if e.Dur > 0 {
-			inj.eng.Schedule(e.Dur, func() { l.SetDown(false) })
-		}
-	case LinkUp:
-		inj.links[e.Target].SetDown(false)
-	case SwitchDown:
-		links := inj.switchLinks[e.Target]
-		for _, l := range links {
-			l.SetDown(true)
-		}
-		if e.Dur > 0 {
-			inj.eng.Schedule(e.Dur, func() {
-				for _, l := range links {
-					l.SetDown(false)
-				}
-			})
-		}
-	case SwitchUp:
-		for _, l := range inj.switchLinks[e.Target] {
-			l.SetDown(false)
-		}
-	case LossBurst:
-		q := inj.lossy[e.Target]
-		prev := q.P()
-		q.SetP(e.P)
-		inj.eng.Schedule(e.Dur, func() { q.SetP(prev) })
-	case ExtraDelay:
-		l := inj.links[e.Target]
-		l.SetExtraDelay(e.Extra)
-		if e.Dur > 0 {
-			inj.eng.Schedule(e.Dur, func() { l.SetExtraDelay(0) })
-		}
-	case Jitter:
-		inj.startJitter(e)
+// Injector event ops: a schedule event fires, its window closes, or its
+// jitter resamples. The arg of each is the *action.
+const (
+	opApply sim.Op = iota
+	opHeal
+	opJitter
+)
+
+// OnEvent implements sim.Target, dispatching the injector's typed events.
+// Not for direct use.
+func (inj *Injector) OnEvent(op sim.Op, arg any) {
+	a := arg.(*action)
+	switch op {
+	case opApply:
+		inj.apply(a)
+	case opHeal:
+		a.heal()
+	default:
+		inj.tick(a)
 	}
 }
 
-// startJitter resamples the link's extra delay every Period until the
+func (inj *Injector) apply(a *action) {
+	inj.applied++
+	switch a.Kind {
+	case LinkUp:
+		a.link.SetDown(false)
+		return
+	case SwitchUp:
+		for _, l := range a.links {
+			l.SetDown(false)
+		}
+		return
+	case Jitter:
+		a.end = inj.eng.Now().Add(a.Dur)
+		inj.tick(a)
+		return
+	case LinkDown:
+		a.link.SetDown(true)
+	case SwitchDown:
+		for _, l := range a.links {
+			l.SetDown(true)
+		}
+	case LossBurst:
+		a.prevP = a.lossy.P()
+		a.lossy.SetP(a.P)
+	case ExtraDelay:
+		a.link.SetExtraDelay(a.Extra)
+	}
+	if a.Dur > 0 {
+		inj.eng.ScheduleTarget(a.Dur, inj, opHeal, a)
+	}
+}
+
+// heal undoes a's fault when its window closes.
+func (a *action) heal() {
+	switch a.Kind {
+	case LinkDown:
+		a.link.SetDown(false)
+	case SwitchDown:
+		for _, l := range a.links {
+			l.SetDown(false)
+		}
+	case LossBurst:
+		a.lossy.SetP(a.prevP)
+	case ExtraDelay:
+		a.link.SetExtraDelay(0)
+	}
+}
+
+// tick resamples a jitter link's extra delay, and every Period until the
 // window closes, then clears it. The resample draws come from the
 // injector's seeded RNG in calendar order, so two runs with the same
 // schedule see the same delay trajectory.
-func (inj *Injector) startJitter(e Event) {
-	l := inj.links[e.Target]
-	end := inj.eng.Now().Add(e.Dur)
-	var tick func()
-	tick = func() {
-		if inj.eng.Now() >= end {
-			l.SetExtraDelay(0)
-			return
-		}
-		l.SetExtraDelay(inj.rng.UniformDuration(0, e.Extra))
-		inj.eng.Schedule(e.Period, tick)
+func (inj *Injector) tick(a *action) {
+	if inj.eng.Now() >= a.end {
+		a.link.SetExtraDelay(0)
+		return
 	}
-	tick()
+	a.link.SetExtraDelay(inj.rng.UniformDuration(0, a.Extra))
+	inj.eng.ScheduleTarget(a.Period, inj, opJitter, a)
 }

@@ -27,7 +27,8 @@ type AblationResult struct {
 
 // ablationRun drives four long-lived BOS flows (beta 4) until horizon over
 // a dumbbell whose bottleneck queue and receiver echo mode the variant
-// selects.
+// selects, reads the variant's numbers, and then drains through Cell.Run
+// like a figure panel.
 func ablationRun(variant string, horizon sim.Duration, q func(*sim.RNG) netem.Queue, echo cc.EchoMode, disableGuard bool) AblationResult {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(11)
@@ -59,7 +60,7 @@ func ablationRun(variant string, horizon sim.Duration, q func(*sim.RNG) netem.Qu
 		timeouts += c.Stats().Timeouts
 	}
 	st := d.Forward.Queue().Stats()
-	return AblationResult{
+	res := AblationResult{
 		Variant:     variant,
 		Utilization: d.Forward.Utilization(eng.Now()),
 		AvgQueue:    st.AvgLen(eng.Now()),
@@ -68,6 +69,8 @@ func ablationRun(variant string, horizon sim.Duration, q func(*sim.RNG) netem.Qu
 		Marks:       st.MarkedPackets,
 		Timeouts:    timeouts,
 	}
+	drain(d.Network, conns...)
+	return res
 }
 
 // AblationPlan plans the DESIGN.md §4 ablations, one cell per variant:

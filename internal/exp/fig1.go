@@ -59,6 +59,7 @@ func RunFig1(cfg Fig1Config) Fig1Result {
 	var series [4]*metrics.RateSeries
 	tcfg := transport.DefaultConfig()
 	conns := make([]*transport.Conn, 4)
+	var sched phases
 	for i := range conns {
 		series[i] = metrics.NewRateSeries(cfg.Interval / 20)
 		var ctrl cc.Controller
@@ -80,9 +81,11 @@ func RunFig1(cfg Fig1Config) Fig1Result {
 			Owner:      connSeries{series[i]},
 		})
 		// Flow i starts at i*T and stops at (4+i)*T.
-		eng.Schedule(sim.Duration(i)*cfg.Interval, conns[i].Start)
-		eng.Schedule(sim.Duration(4+i)*cfg.Interval, conns[i].StopSending)
+		sched = append(sched,
+			phase{at: sim.Duration(i) * cfg.Interval, op: phaseStart, flow: conns[i]},
+			phase{at: sim.Duration(4+i) * cfg.Interval, op: phaseStop, flow: conns[i]})
 	}
+	sched.install(eng)
 	eng.Run(sim.Time(8 * cfg.Interval))
 
 	res := Fig1Result{Config: cfg}

@@ -64,12 +64,15 @@ func RunFig4(cfg Fig4Config) Fig4Result {
 		f.Start()
 	}
 	// Background flows: DN1 during [P, 2P), DN2 during [2P, 3P).
+	var sched phases
 	for p := 0; p < 2; p++ {
 		bg := mkFlow(tb.BG[p][0].Src, tb.BG[p][0].Dst, []int{p}, nil)
-		eng.Schedule(sim.Duration(p+1)*cfg.Phase, bg.Start)
-		eng.Schedule(sim.Duration(p+2)*cfg.Phase, bg.StopSending)
+		sched = append(sched,
+			phase{at: sim.Duration(p+1) * cfg.Phase, op: phaseStart, flow: bg},
+			phase{at: sim.Duration(p+2) * cfg.Phase, op: phaseStop, flow: bg})
 		flows = append(flows, bg)
 	}
+	sched.install(eng)
 	eng.Run(sim.Time(4 * cfg.Phase))
 
 	// Every bin recorded by the horizon is rendered, so the bin count is

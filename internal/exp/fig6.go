@@ -57,6 +57,7 @@ func RunFig6(cfg Fig6Config) Fig6Result {
 
 	var series [4]*metrics.RateSeries
 	flows := make([]*mptcp.Flow, 4)
+	var sched phases
 	for i := range flows {
 		series[i] = metrics.NewRateSeries(u / 20)
 		specs := make([]mptcp.SubflowSpec, len(subOffsets[i]))
@@ -64,11 +65,13 @@ func RunFig6(cfg Fig6Config) Fig6Result {
 			specs[s] = mptcp.SubflowSpec{StartOffset: off}
 		}
 		flows[i] = xmpFlow(tb.Network, cfg.Beta, tb.S[i], tb.D[i], specs, flowSeries{series[i]})
-		eng.Schedule(startAt[i], flows[i].Start)
+		sched = append(sched, phase{at: startAt[i], op: phaseStart, flow: flows[i]})
 	}
 	// Flows 3 and 4 shut down at 5u.
-	eng.Schedule(5*u, flows[2].StopSending)
-	eng.Schedule(5*u, flows[3].StopSending)
+	sched = append(sched,
+		phase{at: 5 * u, op: phaseStop, flow: flows[2]},
+		phase{at: 5 * u, op: phaseStop, flow: flows[3]})
+	sched.install(eng)
 	eng.Run(sim.Time(6 * u))
 
 	res := Fig6Result{Config: cfg}

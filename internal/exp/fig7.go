@@ -59,24 +59,27 @@ func RunFig7(cfg Fig7Config) Fig7Result {
 	u := cfg.Unit
 	var series [5]subflowSeries
 	var flows []*mptcp.Flow
+	var sched phases
 	for i := range series {
 		series[i] = subflowSeries{metrics.NewRateSeries(u / 20), metrics.NewRateSeries(u / 20)}
 		f := xmpFlow(tr.Network, cfg.Setting.Beta, tr.S[i], tr.D[i], []mptcp.SubflowSpec{
 			{SrcAddr: tr.PathAddr(tr.S[i], 0), DstAddr: tr.PathAddr(tr.D[i], 0)},
 			{SrcAddr: tr.PathAddr(tr.S[i], 1), DstAddr: tr.PathAddr(tr.D[i], 1)},
 		}, &series[i])
-		eng.Schedule(sim.Duration(i)*u, f.Start)
+		sched = append(sched, phase{at: sim.Duration(i) * u, op: phaseStart, flow: f})
 		flows = append(flows, f)
 	}
 	// Background flows on L3.
 	for j := 0; j < 4; j++ {
 		bg := xmpFlow(tr.Network, cfg.Setting.Beta, tr.BG[j].Src, tr.BG[j].Dst, []mptcp.SubflowSpec{{}}, nil)
-		eng.Schedule(sim.Duration(5+j)*u, bg.Start)
-		eng.Schedule(sim.Duration(9+j)*u, bg.StopSending)
+		sched = append(sched,
+			phase{at: sim.Duration(5+j) * u, op: phaseStart, flow: bg},
+			phase{at: sim.Duration(9+j) * u, op: phaseStop, flow: bg})
 		flows = append(flows, bg)
 	}
 	// L3 (index 2) closes at 12u.
-	eng.Schedule(12*u, func() { tr.SetBottleneckDown(2, true) })
+	sched = append(sched, phase{at: 12 * u, op: phaseDown, down: &tr.Bottlenecks[2]})
+	sched.install(eng)
 	eng.Run(sim.Time(13 * u))
 
 	res := Fig7Result{Config: cfg}
@@ -88,7 +91,7 @@ func RunFig7(cfg Fig7Config) Fig7Result {
 		}
 	}
 	// The subflows on L3 cannot drain into a closed link.
-	tr.SetBottleneckDown(2, false)
+	tr.Bottlenecks[2].SetDown(false)
 	drain(tr.Network, flows...)
 	return res
 }

@@ -60,6 +60,49 @@ func drain[F interface{ StopSending() }](net *topo.Network, flows ...F) {
 	(&Cell{Net: net}).Run()
 }
 
+// phases is a panel's schedule: rows of (at, action, flow) that start or
+// stop the panel's flows, or close a bottleneck, at fixed offsets.
+type phases []phase
+
+// phase is one row. Its flow is an mptcp.Flow, or Figure 1's single
+// transport.Conn.
+type phase struct {
+	at   sim.Duration
+	op   sim.Op // phaseStart, phaseStop or phaseDown
+	flow interface {
+		Start()
+		StopSending()
+	}
+	down *topo.Bottleneck // phaseDown: closed in both directions
+}
+
+// The actions a phase row takes.
+const (
+	phaseStart sim.Op = iota
+	phaseStop
+	phaseDown
+)
+
+// install puts every row on the calendar in row order, each as a typed
+// event at its offset from now. The rows must not move afterwards.
+func (ps phases) install(eng *sim.Engine) {
+	for i := range ps {
+		eng.ScheduleTarget(ps[i].at, &ps[i], ps[i].op, nil)
+	}
+}
+
+// OnEvent implements sim.Target: the row's time has come.
+func (p *phase) OnEvent(op sim.Op, _ any) {
+	switch op {
+	case phaseStart:
+		p.flow.Start()
+	case phaseStop:
+		p.flow.StopSending()
+	default:
+		p.down.SetDown(true)
+	}
+}
+
 // xmpFlow builds an XMP flow of the given subflows that sends until
 // stopped.
 func xmpFlow(net *topo.Network, beta int, src, dst *netem.Host, subflows []mptcp.SubflowSpec, obs mptcp.Observer) *mptcp.Flow {

@@ -158,7 +158,6 @@ type SACKAblationResult struct {
 	Scheme       string
 	PlainGoodput float64
 	SACKGoodput  float64
-	PlainRTOs    bool
 }
 
 // sackSchemes are the loss-based schemes the SACK ablation runs.

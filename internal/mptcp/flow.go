@@ -116,6 +116,10 @@ type subflow struct {
 	conn   transport.Conn
 }
 
+// OnEvent implements sim.Target: a subflow with a start offset starts.
+// Not for direct use.
+func (s *subflow) OnEvent(sim.Op, any) { s.conn.Start() }
+
 // Progress implements transport.Owner.
 func (s *subflow) Progress(now sim.Time, ackedBytes int) {
 	if obs := s.flow.obs; obs != nil {
@@ -297,11 +301,10 @@ func (f *Flow) Start() {
 	f.started = true
 	f.startAt = f.eng.Now()
 	for i := range f.subs {
-		c := &f.subs[i].conn
-		if off := f.subs[i].offset; off > 0 {
-			f.eng.Schedule(off, func() { c.Start() })
+		if s := &f.subs[i]; s.offset > 0 {
+			f.eng.ScheduleTarget(s.offset, s, 0, nil)
 		} else {
-			c.Start()
+			s.conn.Start()
 		}
 	}
 }

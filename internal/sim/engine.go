@@ -24,9 +24,9 @@ type Target interface {
 
 // funcTarget adapts a closure to Target, so the calendar carries one event
 // representation. A func value is pointer-shaped: storing it in the Target
-// interface does not allocate. Closure events are the cold path (experiment
-// phases, chaos actions — 0 to 145 of 13–22 M inserts per benchmark
-// workload), so the extra indirect call is never on a per-packet path.
+// interface does not allocate. Closure events serve tests and the
+// benchmark's rigs only; product code schedules typed targets, so the extra
+// indirect call is never on a simulation path.
 type funcTarget func()
 
 func (f funcTarget) OnEvent(Op, any) { f() }
@@ -321,7 +321,8 @@ func panicNegativeDelay(d Duration) {
 
 // Schedule runs fn after delay d (>= 0). It returns a Handle, which may be
 // passed to Cancel. Scheduling in the past panics: it always indicates a
-// logic error in the caller.
+// logic error in the caller. The closure form is for tests and the
+// benchmark's rigs; product code schedules typed targets.
 func (e *Engine) Schedule(d Duration, fn func()) Handle {
 	if fn == nil {
 		panic("sim: nil event function")

@@ -254,11 +254,11 @@ func TestTorusBottleneckShutdown(t *testing.T) {
 		HopDelay:        35 * sim.Microsecond,
 		BottleneckQueue: topo.ECNMaker(100, 20),
 	})
-	tr.SetBottleneckDown(0, true)
+	tr.Bottlenecks[0].SetDown(true)
 	if !tr.Bottlenecks[0].Fwd.Down() || !tr.Bottlenecks[0].Rev.Down() {
 		t.Fatal("shutdown did not close both directions")
 	}
-	tr.SetBottleneckDown(0, false)
+	tr.Bottlenecks[0].SetDown(false)
 	if tr.Bottlenecks[0].Fwd.Down() {
 		t.Fatal("reopen failed")
 	}

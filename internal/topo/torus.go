@@ -55,11 +55,11 @@ func (tr *Torus) PathAddr(h *netem.Host, path int) netem.Addr {
 	return h.Addrs()[path]
 }
 
-// SetBottleneckDown opens or closes both directions of bottleneck i
-// (Figure 7 closes L3 at t=60 s).
-func (tr *Torus) SetBottleneckDown(i int, down bool) {
-	tr.Bottlenecks[i].Fwd.SetDown(down)
-	tr.Bottlenecks[i].Rev.SetDown(down)
+// SetDown opens or closes both directions of the bottleneck (Figure 7
+// closes L3 at t=60 s).
+func (b *Bottleneck) SetDown(down bool) {
+	b.Fwd.SetDown(down)
+	b.Rev.SetDown(down)
 }
 
 // NewTorus builds the topology.

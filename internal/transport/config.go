@@ -48,13 +48,6 @@ type Config struct {
 	// Off by default to match the paper's NS-3.14 stack; the SACK
 	// ablation bench quantifies what it buys the loss-based schemes.
 	EnableSACK bool
-
-	// MaxBurst caps the segments released by one ACK event (0 = default
-	// 8). Without it, a large SACK block collapsing the pipe estimate
-	// lets the sender blast a whole window back-to-back into a shallow
-	// NIC queue — the classic SACK burst problem real stacks bound the
-	// same way.
-	MaxBurst int
 }
 
 // DefaultConfig returns the paper's transport settings.

@@ -588,15 +588,18 @@ func (c *Conn) payloadOf(seq int64) int {
 	return netem.MSS
 }
 
+// maxBurst caps the segments released by one ACK event. Without it, a
+// large SACK block collapsing the pipe estimate lets the sender blast a
+// whole window back-to-back into a shallow NIC queue — the classic SACK
+// burst problem real stacks bound the same way.
+const maxBurst = 8
+
 func (c *Conn) trySend() {
 	if c.state != StateEstablished {
 		return
 	}
 	cwnd := int64(c.ctrl.Window())
-	burst := c.cfg.MaxBurst
-	if burst <= 0 {
-		burst = 8
-	}
+	burst := maxBurst
 	for c.pipe() < cwnd && burst > 0 {
 		payload, ok := c.nextPayload()
 		if !ok {

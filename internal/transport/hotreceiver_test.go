@@ -12,7 +12,7 @@ import (
 
 // TestIsolateHotReceiver is the SACK burst-storm regression: 16 senders
 // converge on one 1 Gbps receiver downlink behind shallow (100-packet)
-// queues. Before the MaxBurst cap, SACK-block ingestion let senders blast
+// queues. Before the maxBurst cap, SACK-block ingestion let senders blast
 // whole windows into their NICs, multiplying drops ~100x.
 func TestIsolateHotReceiver(t *testing.T) {
 	results := map[bool]struct {

@@ -177,22 +177,17 @@ func NewFlow(eng *Engine, opts FlowOptions) *Flow { return mptcp.New(eng, opts) 
 // (RTOmin 200 ms, delayed ACKs of 2).
 func DefaultTransportConfig() TransportConfig { return transport.DefaultConfig() }
 
-// Core algorithm access for users embedding BOS/TraSh directly.
+// Core algorithm access for users embedding BOS directly.
 type (
 	// BOS is the Buffer Occupancy Suppression controller (Section 2.1).
 	BOS = core.BOS
-	// TraSh is the Traffic Shifting coupler (Section 2.2).
-	TraSh = core.TraSh
 	// FlowGroup couples the subflows of one flow.
 	FlowGroup = cc.FlowGroup
 )
 
 // NewBOS returns a standalone BOS controller (the single-path δ=1; XMP's
-// coupled subflows come from XMPSubflows).
+// coupled subflows come from NewFlow with AlgXMP).
 func NewBOS(initialCwnd, beta int) *BOS { return core.NewBOS(initialCwnd, beta) }
-
-// XMPSubflows builds the coupled controllers of an n-subflow XMP flow.
-func XMPSubflows(n, initialCwnd, beta int) []core.Subflow { return core.XMP(n, initialCwnd, beta) }
 
 // MinMarkingThreshold is Equation 1: the smallest K that keeps a link
 // busy under a 1/β cut.

@@ -61,6 +61,43 @@ func ExampleNewFlow_amp() {
 	// Output: AMP 2 true 8388608
 }
 
+// ExampleDumbbell_queue is the paper's central claim in two rows: on the
+// same 1 Gbps dumbbell (100-packet buffer marking above K=10), one XMP
+// sender — a single subflow is plain BOS — keeps the bottleneck queue
+// at about K or below once out of slow start and never overflows it, while one
+// TCP-Reno sender, deaf to marks, saws against the buffer limit and drops.
+func ExampleDumbbell_queue() {
+	for _, alg := range []xmp.Algorithm{xmp.AlgXMP, xmp.AlgReno} {
+		eng := xmp.NewEngine()
+		// Fast edges: the queue forms at the bottleneck switch, not at
+		// the sender's NIC.
+		d := xmp.NewDumbbell(eng, xmp.DumbbellConfig{
+			Pairs:              1,
+			BottleneckCapacity: xmp.Gbps,
+			EdgeCapacity:       10 * xmp.Gbps,
+			HopDelay:           75 * xmp.Microsecond / 2, // ~225 µs base RTT
+			BottleneckQueue:    xmp.ECNQueue(100, 10),
+		})
+		xmp.NewFlow(eng, xmp.FlowOptions{
+			Src: d.Senders[0], Dst: d.Receivers[0],
+			Subflows:    []xmp.SubflowSpec{{}},
+			TotalBytes:  -1,
+			Algorithm:   alg,
+			Beta:        4,
+			InitialCwnd: 2,
+			Transport:   xmp.DefaultTransportConfig(),
+			NextConnID:  d.NextConnID,
+		}).Start()
+		eng.Run(xmp.Time(200 * xmp.Millisecond))
+		st := d.Forward.Queue().Stats()
+		fmt.Printf("%-5s avg queue %5.1f pkts, peak %3d, drops %d\n",
+			alg, st.AvgLen(eng.Now()), st.MaxLen, st.DroppedPackets)
+	}
+	// Output:
+	// XMP   avg queue   5.0 pkts, peak  31, drops 0
+	// TCP   avg queue  35.8 pkts, peak 100, drops 128
+}
+
 // ExampleMinMarkingThreshold evaluates Equation 1 for the paper's running
 // example: a 1 Gbps link at 225 µs RTT has a BDP of ~19 packets, so
 // halving (β=2) needs K ≥ 19 while β=4 tolerates K ≥ 7.
