@@ -172,10 +172,10 @@ func recycleCells(t *testing.T) []recycleCell {
 		// rounds relaunch as flows complete; Permutation, the table2
 		// coexistence pairs and VL2's cells run long flows that a 10 ms
 		// cell seldom completes.
-		cells[i].recycles = cells[i].name == "sack"
-		for _, p := range []string{"matrix/Random/", "matrix/Incast/", "fct/", "robustness/", "incastsweep/"} {
-			cells[i].recycles = cells[i].recycles || strings.HasPrefix(cells[i].name, p)
-		}
+		name := cells[i].name
+		cells[i].recycles = name == "sack" || slices.ContainsFunc(
+			[]string{"matrix/Random/", "matrix/Incast/", "fct/", "robustness/", "incastsweep/"},
+			func(p string) bool { return strings.HasPrefix(name, p) })
 	}
 	return cells
 }

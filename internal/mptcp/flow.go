@@ -31,7 +31,7 @@ type SubflowSpec struct {
 
 // Options configures a Flow.
 type Options struct {
-	// Name labels the flow in traces and examples. Hot launch paths should
+	// Name labels the flow in audit panics and tests. Hot launch paths should
 	// prefer NameFn, which defers the formatting to the first Name() call —
 	// campaigns that never read flow names then pay nothing for them.
 	Name string

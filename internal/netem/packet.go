@@ -141,8 +141,8 @@ func NewControlPacket(conn ConnID, src, dst Addr, syn bool, ect bool) *Packet {
 	return (*PacketPool)(nil).Control(conn, src, dst, syn, ect)
 }
 
-// String renders a compact human-readable description, used by the tracer
-// and test failure messages.
+// String renders a compact human-readable description, used by test
+// failure messages.
 func (p *Packet) String() string {
 	kind := "data"
 	switch {
