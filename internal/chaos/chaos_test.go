@@ -48,14 +48,19 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 
 func TestScheduleValidation(t *testing.T) {
 	cases := map[string]chaos.Event{
-		"unknown kind":     {Kind: "link-wobble", Target: "l"},
-		"negative at":      {At: -ms, Kind: chaos.LinkDown, Target: "l"},
-		"negative dur":     {Kind: chaos.LinkDown, Target: "l", Dur: -ms},
-		"empty target":     {Kind: chaos.LinkDown},
-		"loss p too big":   {Kind: chaos.LossBurst, Target: "l", P: 1, Dur: ms},
-		"loss without dur": {Kind: chaos.LossBurst, Target: "l", P: 0.1},
-		"negative extra":   {Kind: chaos.ExtraDelay, Target: "l", Extra: -ms},
-		"jitter no period": {Kind: chaos.Jitter, Target: "l", Extra: ms, Dur: ms},
+		"unknown kind":            {Kind: "link-wobble", Target: "l", Dur: ms},
+		"removed link-up":         {Kind: "link-up", Target: "l", Dur: ms},
+		"removed switch-up":       {Kind: "switch-up", Target: "s", Dur: ms},
+		"negative at":             {At: -ms, Kind: chaos.LinkDown, Target: "l", Dur: ms},
+		"negative dur":            {Kind: chaos.LinkDown, Target: "l", Dur: -ms},
+		"link-down without dur":   {Kind: chaos.LinkDown, Target: "l"},
+		"switch-down without dur": {Kind: chaos.SwitchDown, Target: "s"},
+		"extra-delay without dur": {Kind: chaos.ExtraDelay, Target: "l", Extra: ms},
+		"empty target":            {Kind: chaos.LinkDown, Dur: ms},
+		"loss p too big":          {Kind: chaos.LossBurst, Target: "l", P: 1, Dur: ms},
+		"loss without dur":        {Kind: chaos.LossBurst, Target: "l", P: 0.1},
+		"negative extra":          {Kind: chaos.ExtraDelay, Target: "l", Extra: -ms, Dur: ms},
+		"jitter no period":        {Kind: chaos.Jitter, Target: "l", Extra: ms, Dur: ms},
 	}
 	for name, e := range cases {
 		if err := (chaos.Schedule{Events: []chaos.Event{e}}).Validate(); err == nil {
@@ -83,9 +88,9 @@ func TestInjectorTargetResolution(t *testing.T) {
 	ft := lossyFatTree(eng, 4, sim.NewRNG(1))
 	for name, s := range map[string]chaos.Schedule{
 		"unknown link": {Events: []chaos.Event{
-			{Kind: chaos.LinkDown, Target: "edge9.9->agg9.9"}}},
+			{Kind: chaos.LinkDown, Target: "edge9.9->agg9.9", Dur: ms}}},
 		"unknown switch": {Events: []chaos.Event{
-			{Kind: chaos.SwitchDown, Target: "agg9.9"}}},
+			{Kind: chaos.SwitchDown, Target: "agg9.9", Dur: ms}}},
 	} {
 		if _, err := chaos.New(ft.Network, s); err == nil {
 			t.Errorf("%s: New did not fail", name)

@@ -26,7 +26,7 @@ type Injector struct {
 type action struct {
 	Event
 	link  *netem.Link   // link kinds
-	links []*netem.Link // switch kinds: every link attached to the switch
+	links []*netem.Link // switch-down: every link attached to the switch
 	lossy *netem.Lossy  // loss-burst: the link's queue
 	prevP float64       // loss-burst: the probability the burst displaced
 	end   sim.Time      // jitter: when the window closes
@@ -53,7 +53,7 @@ func New(net *topo.Network, sched Schedule) (*Injector, error) {
 	for i, e := range sched.Events {
 		a := &inj.actions[i]
 		a.Event = e
-		if e.Kind.targetsLink() {
+		if e.Kind != SwitchDown {
 			l, ok := byName[e.Target]
 			if !ok {
 				return nil, fmt.Errorf("chaos: event %d: unknown link %q", i, e.Target)
@@ -137,14 +137,6 @@ func (inj *Injector) OnEvent(op sim.Op, arg any) {
 func (inj *Injector) apply(a *action) {
 	inj.applied++
 	switch a.Kind {
-	case LinkUp:
-		a.link.SetDown(false)
-		return
-	case SwitchUp:
-		for _, l := range a.links {
-			l.SetDown(false)
-		}
-		return
 	case Jitter:
 		a.end = inj.eng.Now().Add(a.Dur)
 		inj.tick(a)
@@ -161,9 +153,7 @@ func (inj *Injector) apply(a *action) {
 	case ExtraDelay:
 		a.link.SetExtraDelay(a.Extra)
 	}
-	if a.Dur > 0 {
-		inj.eng.ScheduleTarget(a.Dur, inj, opHeal, a)
-	}
+	inj.eng.ScheduleTarget(a.Dur, inj, opHeal, a)
 }
 
 // heal undoes a's fault when its window closes.

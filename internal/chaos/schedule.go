@@ -19,31 +19,26 @@ import (
 // chosen to read well in declarative scenario files (ROADMAP item 4).
 type Kind string
 
-// Supported fault kinds.
+// Supported fault kinds. Every event lasts Dur (> 0) and heals itself when
+// its window closes, so a schedule can never leave a fault standing.
 const (
-	// LinkDown administratively downs one link (netem.Link.SetDown): the
-	// queue drains, in-flight serializations die, sends are discarded. With
-	// Dur > 0 the link heals itself Dur later (a flap); with Dur == 0 it
-	// stays down until a matching LinkUp.
+	// LinkDown administratively downs one link (netem.Link.SetDown) for
+	// Dur — a flap: the queue drains, in-flight serializations die, sends
+	// are discarded, and the link re-opens when the window closes.
 	LinkDown Kind = "link-down"
-	// LinkUp re-opens a downed link.
-	LinkUp Kind = "link-up"
-	// SwitchDown fails a whole switch by downing every link attached to it,
-	// ingress and egress. Dur > 0 auto-heals like LinkDown.
+	// SwitchDown fails a whole switch for Dur by downing every link
+	// attached to it, ingress and egress.
 	SwitchDown Kind = "switch-down"
-	// SwitchUp re-opens every link attached to the switch.
-	SwitchUp Kind = "switch-up"
 	// LossBurst re-arms the drop probability of the link's netem.Lossy
 	// queue wrapper to P for Dur, then restores the previous probability.
 	// The target link's queue must be (or wrap to) a *netem.Lossy.
 	LossBurst Kind = "loss-burst"
-	// ExtraDelay adds Extra to the link's propagation delay for Dur (0 =
-	// until further notice) — the asymmetric-path fault: applied to one
-	// direction of a pair, it skews RTT and reordering on that path only.
+	// ExtraDelay adds Extra to the link's propagation delay for Dur — the
+	// asymmetric-path fault: applied to one direction of a pair, it skews
+	// RTT and reordering on that path only.
 	ExtraDelay Kind = "extra-delay"
 	// Jitter resamples the link's extra delay uniformly in [0, Extra] every
-	// Period for Dur, from the schedule-seeded RNG. Requires Period > 0 and
-	// Dur > 0.
+	// Period for Dur, from the schedule-seeded RNG. Requires Period > 0.
 	Jitter Kind = "jitter"
 )
 
@@ -67,12 +62,11 @@ type Schedule struct {
 	Events []Event `json:"events"`
 }
 
-// targetsLink reports whether the kind targets a link (vs a switch).
-func (k Kind) targetsLink() bool { return k != SwitchDown && k != SwitchUp }
-
 // Validate checks every event for structural problems: unknown kinds,
-// negative times, out-of-range probabilities, jitter without a period, and
-// an end past the simulation clock's int64 nanoseconds — at + dur, and for
+// negative times, a window that is not positive (every fault heals after
+// its dur, so one without dur would stand for the rest of the run and a
+// flow crossing it could never finish), out-of-range probabilities,
+// jitter without a period, and an end past the simulation clock's int64 nanoseconds — at + dur, and for
 // jitter at + dur + period, which bounds its last resample — where the
 // calendar would wrap into the past. Target names are resolved later,
 // against a concrete network, by New.
@@ -81,28 +75,25 @@ func (s Schedule) Validate() error {
 		if e.At < 0 {
 			return fmt.Errorf("chaos: event %d: negative at %v", i, e.At)
 		}
-		if e.Dur < 0 {
-			return fmt.Errorf("chaos: event %d: negative dur %v", i, e.Dur)
+		if e.Dur <= 0 {
+			return fmt.Errorf("chaos: event %d (%s %s): dur %v, want > 0", i, e.Kind, e.Target, e.Dur)
 		}
 		if e.Target == "" {
 			return fmt.Errorf("chaos: event %d: empty target", i)
 		}
 		switch e.Kind {
-		case LinkDown, LinkUp, SwitchDown, SwitchUp:
+		case LinkDown, SwitchDown:
 		case LossBurst:
 			if e.P < 0 || e.P >= 1 {
 				return fmt.Errorf("chaos: event %d: loss probability %v out of [0,1)", i, e.P)
-			}
-			if e.Dur <= 0 {
-				return fmt.Errorf("chaos: event %d: loss-burst needs dur > 0", i)
 			}
 		case ExtraDelay:
 			if e.Extra < 0 {
 				return fmt.Errorf("chaos: event %d: negative extra %v", i, e.Extra)
 			}
 		case Jitter:
-			if e.Extra <= 0 || e.Period <= 0 || e.Dur <= 0 {
-				return fmt.Errorf("chaos: event %d: jitter needs extra, period and dur > 0", i)
+			if e.Extra <= 0 || e.Period <= 0 {
+				return fmt.Errorf("chaos: event %d: jitter needs extra and period > 0", i)
 			}
 		default:
 			return fmt.Errorf("chaos: event %d: unknown kind %q", i, e.Kind)

@@ -18,6 +18,23 @@ import (
 // the past.
 const overflowing = `{"seed":11,"events":[{"at":9000000000000000000,"kind":"link-down","target":"core0.0->agg0.0","dur":9000000000000000000}]}`
 
+// durless is a fault with no window: a link that would stay down for the
+// rest of the run, so no flow with a subflow across it could ever finish.
+// linkUp names a kind that no longer exists: every fault heals by its own
+// dur.
+const (
+	durless = `{"seed":11,"events":[{"at":1000000,"kind":"link-down","target":"edge0.0->agg0.0"}]}`
+	linkUp  = `{"seed":11,"events":[{"at":1000000,"kind":"link-up","target":"edge0.0->agg0.0","dur":1000000}]}`
+)
+
+func TestValidateRefusesStandingFaults(t *testing.T) {
+	for _, doc := range []string{durless, linkUp} {
+		if _, err := chaos.ParseSchedule([]byte(doc)); err == nil || !strings.Contains(err.Error(), "event 0") {
+			t.Errorf("ParseSchedule(%s) = %v, want an error naming event 0", doc, err)
+		}
+	}
+}
+
 func TestValidateRefusesClockOverflow(t *testing.T) {
 	_, err := chaos.ParseSchedule([]byte(overflowing))
 	if err == nil || !strings.Contains(err.Error(), "event 0") {
@@ -39,10 +56,11 @@ func TestValidateRefusesClockOverflow(t *testing.T) {
 // FuzzParseSchedule feeds arbitrary documents to ParseSchedule, which reads
 // chaos files and inline chaos blocks of user specs. It must never panic;
 // an accepted schedule round-trips MarshalJSON → ParseSchedule to an equal
-// value, and every accepted event ends inside the simulation clock. The
-// corpus is seeded with the chaos files and inline chaos blocks of
-// scenarios/, the robustness benchmark workload's chaos file and the
-// overflowing schedule.
+// value, and every accepted event has a window (dur > 0) that ends inside
+// the simulation clock. The corpus is seeded with the chaos files and
+// inline chaos blocks of scenarios/, the robustness benchmark workload's
+// chaos file, the overflowing schedule, the dur-less link-down and a
+// link-up.
 func FuzzParseSchedule(f *testing.F) {
 	entries, err := scenarios.FS.ReadDir(".")
 	if err != nil {
@@ -68,6 +86,8 @@ func FuzzParseSchedule(f *testing.F) {
 	}
 	f.Add(bench)
 	f.Add([]byte(overflowing))
+	f.Add([]byte(durless))
+	f.Add([]byte(linkUp))
 
 	maxClock := big.NewInt(math.MaxInt64)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -87,6 +107,9 @@ func FuzzParseSchedule(f *testing.F) {
 			t.Fatalf("round trip changed the schedule:\n  in:  %+v\n  out: %+v", s, back)
 		}
 		for i, e := range s.Events {
+			if e.Dur <= 0 {
+				t.Fatalf("event %d accepted with dur %v: the fault would never heal", i, e.Dur)
+			}
 			end := new(big.Int).Add(big.NewInt(int64(e.At)), big.NewInt(int64(e.Dur)))
 			if e.Kind == chaos.Jitter {
 				end.Add(end, big.NewInt(int64(e.Period)))

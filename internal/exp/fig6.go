@@ -11,8 +11,8 @@ import (
 	"xmp/internal/topo"
 )
 
-// Fig6Config parameterizes the fairness experiment on testbed 3(b): four
-// flows with 3/2/1/1 subflows share one 300 Mbps bottleneck (K=15, 100
+// Fig6Config parameterizes the fairness experiment on testbed 3(b), the
+// dumbbell with four host pairs on 1 Gbps edges: four flows with 3/2/1/1 subflows share one 300 Mbps bottleneck (K=15, 100
 // packets, as in the paper); subflows arrive and flows leave on a
 // schedule, and a fair scheme holds every flow at an equal share
 // regardless of its subflow count.
@@ -40,11 +40,13 @@ type Fig6Result struct {
 func RunFig6(cfg Fig6Config) Fig6Result {
 	const capacity = 300 * netem.Mbps
 	eng := sim.NewEngine()
-	tb := topo.NewTestbedB(eng, topo.TestbedBConfig{
+	tb := topo.NewDumbbell(eng, topo.DumbbellConfig{
+		Pairs:              4,
 		BottleneckCapacity: capacity,
 		EdgeCapacity:       netem.Gbps,
 		HopDelay:           225 * sim.Microsecond,
 		BottleneckQueue:    topo.ECNMaker(100, 15),
+		EdgeQueue:          topo.DropTailMaker(topo.DefaultHostQueue),
 	})
 	u := cfg.Unit
 	subOffsets := [4][]sim.Duration{
@@ -64,7 +66,7 @@ func RunFig6(cfg Fig6Config) Fig6Result {
 		for s, off := range subOffsets[i] {
 			specs[s] = mptcp.SubflowSpec{StartOffset: off}
 		}
-		flows[i] = xmpFlow(tb.Network, cfg.Beta, tb.S[i], tb.D[i], specs, flowSeries{series[i]})
+		flows[i] = xmpFlow(tb.Network, cfg.Beta, tb.Senders[i], tb.Receivers[i], specs, flowSeries{series[i]})
 		sched = append(sched, phase{at: startAt[i], op: phaseStart, flow: flows[i]})
 	}
 	// Flows 3 and 4 shut down at 5u.

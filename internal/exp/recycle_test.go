@@ -28,8 +28,6 @@ import (
 type recycleCell struct {
 	name, group string
 	run         func(w *Worker) any
-	// heavy cells (seconds each) run in the first one-worker order only.
-	heavy bool
 	// recycles marks a cell whose generator launches flows as others
 	// complete, so its flow arena must recycle inside the cell.
 	recycles bool
@@ -60,9 +58,9 @@ func mustSchedule(t *testing.T, path, key string) chaos.Schedule {
 // recycleCells is the heterogeneous cell set: every scheme row of mptcp's
 // algorithm table over the three matrix patterns, the short-flow and
 // incast-burst generators, a flapping link, the robustness fault schedule
-// extended so that links stay down, extra delay stays set and a loss
-// probability stays armed when the run ends, SACK, RED-strict switches,
-// queue limits 50 and 100, VL2, and the k=8 sweep closures.
+// extended so that a loss probability stays armed when the run ends and
+// followed by a link left down and extra delay left set, SACK, RED-strict
+// switches, queue limits 50 and 100, VL2, and the sweep closures.
 func recycleCells(t *testing.T) []recycleCell {
 	const dur = 10 * sim.Millisecond
 	var cells []recycleCell
@@ -110,10 +108,9 @@ func recycleCells(t *testing.T) []recycleCell {
 		return c.Base.Collector
 	})
 
-	// The fault schedule the robustness campaign and chaos-k8 run, then
-	// three faults that outlive the traffic: the second loss burst restores
-	// the first's probability after the first has restored zero, and a link
-	// goes down and another gains delay for good once the flows have drained.
+	// The fault schedule the robustness campaign and chaos-k8 run, then two
+	// loss bursts whose arming outlives the traffic: the second restores the
+	// first's probability after the first has restored zero.
 	faults := mustSchedule(t, "../../bench/workloads/robustness.chaos.json", "")
 	for i := range faults.Events { // written for a 40 ms run
 		faults.Events[i].At /= 4
@@ -123,20 +120,29 @@ func recycleCells(t *testing.T) []recycleCell {
 	faults.Events = append(faults.Events,
 		chaos.Event{At: 1500 * sim.Microsecond, Kind: chaos.LossBurst, Target: "edge1.0->agg1.0", Dur: 500 * sim.Microsecond, P: 0.03},
 		chaos.Event{At: 1800 * sim.Microsecond, Kind: chaos.LossBurst, Target: "edge1.0->agg1.0", Dur: sim.Millisecond, P: 0.05},
-		chaos.Event{At: 2 * sim.Second, Kind: chaos.LinkDown, Target: "agg0.1->core1.0"},
-		chaos.Event{At: 2 * sim.Second, Kind: chaos.ExtraDelay, Target: "edge2.1->agg2.1", Extra: 70 * sim.Microsecond},
 	)
 	lossy := CellConfig{K: 4, Duration: dur, Lossy: true, Chaos: &faults}
 	for i, scheme := range []workload.Scheme{SchemeXMP2, SchemeTCP, {Algorithm: mptcp.AlgOLIA, Subflows: 2}, {Algorithm: mptcp.AlgAMP, Subflows: 2}} {
 		cfg := lossy
 		cfg.Seed = int64(1 + i%2) // two cells share a seed: the loss stream must restart, not continue
 		add("k4-lossy", "robustness/"+scheme.Label(), func(w *Worker) any {
-			return RunChaosCell(w, ChaosCellConfig{
+			res := RunChaosCell(w, ChaosCellConfig{
 				Cell:   cfg,
 				Scheme: scheme,
 				Random: &workload.RandomConfig{ParetoMeanBytes: 256 << 10, ParetoMaxBytes: 1 << 20, MaxFlowsPerDst: 4},
 				Short:  short,
 			})
+			// Every fault heals by its own dur, so the fault state the next
+			// cell's Reset must clear is put on the drained fabric here.
+			for _, li := range w.net.Links() {
+				switch li.Name {
+				case "agg0.1->core1.0":
+					li.SetDown(true)
+				case "edge2.1->agg2.1":
+					li.SetExtraDelay(70 * sim.Microsecond)
+				}
+			}
+			return res
 		})
 	}
 
@@ -158,16 +164,16 @@ func recycleCells(t *testing.T) []recycleCell {
 	for i := 0; i < 3; i++ {
 		add("vl2", fmt.Sprintf("vl2/%d", i), func(w *Worker) any { return vl2.Run(w, i) })
 	}
-	// The closures that build the default k=8 cell, 10 ms long: incastsweep
-	// cells 0 and 1 (fan-in 4 and 8) and sack cell 0 (TCP). A sack cell is
-	// two cells in one run(i): the second finds the fabric lent and builds.
-	incast := IncastSweepPlan(RunParams{Timescale: 0.05})
-	sack := SACKAblationPlan(RunParams{Timescale: 0.1})
-	add("k8", "incastsweep/4", func(w *Worker) any { return incast.Run(w, 0) })
-	add("k8", "sack/TCP", func(w *Worker) any { return sack.Run(w, 0) })
-	add("k8", "incastsweep/8", func(w *Worker) any { return incast.Run(w, 1) })
+	// The sweep closures on the default fabric at k=4, 10 ms long:
+	// incastsweep cells 0 and 1 (fan-in 4 and 8) and sack cell 0 (TCP). A
+	// sack cell is two cells in one run(i): the second finds the fabric lent
+	// and builds.
+	incast := IncastSweepPlan(RunParams{K: 4, Timescale: 0.05})
+	sack := SACKAblationPlan(RunParams{K: 4, Timescale: 0.1})
+	add("k4", "incastsweep/4", func(w *Worker) any { return incast.Run(w, 0) })
+	add("k4", "sack/TCP", func(w *Worker) any { return sack.Run(w, 0) })
+	add("k4", "incastsweep/8", func(w *Worker) any { return incast.Run(w, 1) })
 	for i := range cells {
-		cells[i].heavy = cells[i].group == "k8"
 		// Random, Incast, the short-flow loops and the incast burst's
 		// rounds relaunch as flows complete; Permutation, the table2
 		// coexistence pairs and VL2's cells run long flows that a 10 ms
@@ -243,7 +249,7 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 		}
 	}
 
-	// The faults that must outlive their cell did: otherwise the reset of
+	// The fault state that must outlive its cell did: otherwise the reset of
 	// that state is not under test.
 	for i, c := range cells {
 		if c.group == "k4-lossy" {
@@ -260,12 +266,7 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 		// so all but the first cell of a group recycle; order 3 shuffles
 		// everything, so fabrics are also dropped and rebuilt mid-sequence.
 		rng := rand.New(rand.NewSource(seed))
-		var order []int
-		for _, i := range rng.Perm(len(cells)) {
-			if seed == 1 || !cells[i].heavy {
-				order = append(order, i)
-			}
-		}
+		order := rng.Perm(len(cells))
 		rank := map[string]int{} // groups by first appearance
 		for _, i := range order {
 			if _, ok := rank[cells[i].group]; !ok {
@@ -308,7 +309,6 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 			t.Errorf("%s: no cell recycled a fabric", how)
 		}
 
-		order = slices.DeleteFunc(order, func(i int) bool { return cells[i].heavy })
 		for _, jobs := range []int{1, 4} {
 			how := fmt.Sprintf("order %d, RunAll jobs=%d", seed, jobs)
 			got := RunAll(len(order), jobs, func(w *Worker, j int) outcome {

@@ -19,12 +19,11 @@ type shapeKey struct {
 	alg  Algorithm
 	nsub int
 	beta int
-	icw  int
 	tc   transport.Config
 }
 
-// shapeOf applies the defaults of Options — β, initial window, the echo
-// mode the algorithm's row names — once, for New to build from and for
+// shapeOf applies the defaults of Options — β and the echo mode the
+// algorithm's row names — once, for New to build from and for
 // NewFlow and Release to index the quarantine by, so equivalent Options
 // collide.
 func shapeOf(opts *Options) shapeKey {
@@ -32,17 +31,12 @@ func shapeOf(opts *Options) shapeKey {
 	if beta == 0 {
 		beta = core.DefaultBeta
 	}
-	icw := opts.InitialCwnd
-	if icw == 0 {
-		icw = cc.DefaultInitialWindow
-	}
 	tc := opts.Transport
 	tc.EchoMode = opts.Algorithm.EchoMode()
 	return shapeKey{
 		alg:  opts.Algorithm,
 		nsub: len(opts.Subflows),
 		beta: beta,
-		icw:  icw,
 		tc:   tc,
 	}
 }
@@ -130,12 +124,12 @@ func (a *Arena) Audit() {
 	a.flows.Each(func(f *Flow) {
 		switch {
 		case !f.drained():
-			panic(fmt.Sprintf("mptcp: flow %q has packets in flight after the run", f.Name()))
+			panic(fmt.Sprintf("mptcp: flow %v has packets in flight after the run", f))
 		case f.released:
 		case f.failed():
 			failed++
 		default:
-			panic(fmt.Sprintf("mptcp: flow %q was neither released nor failed", f.Name()))
+			panic(fmt.Sprintf("mptcp: flow %v was neither released nor failed", f))
 		}
 	})
 	if q := int64(a.Quarantined()); q+failed != a.fresh {
@@ -195,10 +189,10 @@ func (a *Arena) Release(f *Flow) {
 		panic("mptcp: releasing a flow into an arena that did not create it")
 	}
 	if f.released {
-		panic(fmt.Sprintf("mptcp: double release of flow %q", f.Name()))
+		panic(fmt.Sprintf("mptcp: double release of flow %v", f))
 	}
 	if !f.done {
-		panic(fmt.Sprintf("mptcp: releasing unfinished flow %q", f.Name()))
+		panic(fmt.Sprintf("mptcp: releasing unfinished flow %v", f))
 	}
 	f.released = true
 	f.gen++
@@ -273,11 +267,10 @@ const poisonTime = sim.Time(1 << 62)
 // poisonFlow scribbles sentinel values over the measurement state a late
 // reader might consult, so use-after-release yields obviously-wrong numbers
 // (negative durations, a flagged name) rather than stale-but-plausible
-// ones. Connection state is left alone: a quarantined flow's Done conns
-// still re-ACK stale duplicates, which never reads Flow fields.
+// ones; String reads POISONED. Connection state is left alone: a
+// quarantined flow's Done conns still re-ACK stale duplicates, which never
+// reads Flow fields.
 func poisonFlow(f *Flow) {
-	f.name = "POISONED(released flow)"
-	f.nameFn = nil
 	f.startAt, f.doneAt = poisonTime, poisonTime
 	f.remaining = 0
 }

@@ -13,7 +13,7 @@ import (
 // arenaFlow builds a small finite two-subflow XMP flow through the arena
 // on testbed A.
 func arenaFlow(a *mptcp.Arena, tb *topo.TestbedA, bytes int64) *mptcp.Flow {
-	opts := flowOpts(tb, "arena", mptcp.AlgXMP)
+	opts := flowOpts(tb, mptcp.AlgXMP)
 	opts.Src, opts.Dst = tb.S[1], tb.D[1]
 	opts.TotalBytes = bytes
 	opts.Subflows = []mptcp.SubflowSpec{
@@ -118,7 +118,7 @@ func TestArenaPoisonMode(t *testing.T) {
 		t.Fatal("live flow has nonpositive completion time")
 	}
 	a.Release(f)
-	if name := f.Name(); !strings.Contains(name, "POISONED") {
+	if name := f.String(); !strings.Contains(name, "POISONED") {
 		t.Errorf("released flow name %q not poisoned", name)
 	}
 	if d := f.CompletionTime().Sub(f.StartTime()); d != 0 {
@@ -133,7 +133,7 @@ func TestArenaPoisonMode(t *testing.T) {
 	if g.AckedBytes() != 256<<10 {
 		t.Errorf("recycled flow acked %d bytes, want %d", g.AckedBytes(), 256<<10)
 	}
-	if strings.Contains(g.Name(), "POISONED") {
+	if strings.Contains(g.String(), "POISONED") {
 		t.Error("recycled flow still carries the poison name")
 	}
 }
@@ -181,7 +181,7 @@ func TestArenaAuditBalance(t *testing.T) {
 
 	// A flow whose handshake never gets through gives up and is counted
 	// as failed, not leaked.
-	opts := flowOpts(tb, "doomed", mptcp.AlgReno)
+	opts := flowOpts(tb, mptcp.AlgReno)
 	opts.Src, opts.Dst = tb.S[0], tb.D[0]
 	opts.TotalBytes = 1 << 10
 	opts.Subflows = []mptcp.SubflowSpec{{}}

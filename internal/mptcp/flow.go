@@ -29,15 +29,9 @@ type SubflowSpec struct {
 	StartOffset sim.Duration
 }
 
-// Options configures a Flow.
+// Options configures a Flow. Every subflow starts at
+// cc.DefaultInitialWindow segments.
 type Options struct {
-	// Name labels the flow in audit panics and tests. Hot launch paths should
-	// prefer NameFn, which defers the formatting to the first Name() call —
-	// campaigns that never read flow names then pay nothing for them.
-	Name string
-	// NameFn lazily produces the name when Name is empty; invoked at most
-	// once, on the first Name() call.
-	NameFn   func() string
 	Src, Dst *netem.Host
 	Subflows []SubflowSpec
 	// TotalBytes is the transfer size; negative means unbounded (the
@@ -46,8 +40,6 @@ type Options struct {
 	Algorithm  Algorithm
 	// Beta is the XMP/BOS window-reduction divisor (default core.DefaultBeta).
 	Beta int
-	// InitialCwnd per subflow in segments (default cc.DefaultInitialWindow).
-	InitialCwnd int
 	// Transport carries timer and delayed-ACK settings; its EchoMode is
 	// overridden to match the algorithm.
 	Transport transport.Config
@@ -72,9 +64,7 @@ type Observer interface {
 
 // Flow is one (possibly multipath) data transfer.
 type Flow struct {
-	name   string
-	nameFn func() string
-	eng    *sim.Engine
+	eng *sim.Engine
 	// group couples the subflows of a multipath flow; its members live in
 	// subs. Single-path controllers never read it, so it stays empty.
 	group cc.FlowGroup
@@ -93,8 +83,8 @@ type Flow struct {
 	obs Observer
 
 	// Construction shape, captured for arena recycling: a recycled flow is
-	// rebound with the same subflow count, algorithm, β, initial window and
-	// transport config, so controllers and coupling state reset in place.
+	// rebound with the same subflow count, algorithm, β and transport
+	// config, so controllers and coupling state reset in place.
 	shape shapeKey
 
 	// Arena bookkeeping: gen invalidates FlowHandles when the flow is
@@ -176,8 +166,6 @@ func initFlow(f *Flow, eng *sim.Engine, opts Options, shape shapeKey, a *Arena) 
 	}
 	n := len(opts.Subflows)
 	*f = Flow{
-		name:      opts.Name,
-		nameFn:    opts.NameFn,
 		eng:       eng,
 		subs:      subs.Carve(n),
 		remaining: opts.TotalBytes,
@@ -196,7 +184,7 @@ func initFlow(f *Flow, eng *sim.Engine, opts Options, shape shapeKey, a *Arena) 
 		if alg.multipath {
 			f.group.Add(&s.member)
 		}
-		ctrl := alg.controller(shape.icw, shape.beta, &f.group, &s.member)
+		ctrl := alg.controller(cc.DefaultInitialWindow, shape.beta, &f.group, &s.member)
 		transport.InitConn(&s.conn, eng, f.connOptions(&opts, s, ctrl))
 	}
 }
@@ -223,14 +211,12 @@ func (f *Flow) connOptions(opts *Options, s *subflow, ctrl cc.Controller) transp
 // rebind recycles a completed flow into the transfer described by opts, in
 // place: same block, conns, controllers and coupling group — fresh
 // identity, supply and state. Only the arena calls it, and only for opts
-// matching the flow's shape key (same algorithm, subflow count, β, initial
-// window and transport config) on a drained, released flow.
+// matching the flow's shape key (same algorithm, subflow count, β and
+// transport config) on a drained, released flow.
 func (f *Flow) rebind(opts Options) {
 	if len(opts.Subflows) != len(f.subs) {
 		panic("mptcp: rebind with mismatched subflow count")
 	}
-	f.name = opts.Name
-	f.nameFn = opts.NameFn
 	f.remaining = opts.TotalBytes
 	f.infinite = opts.TotalBytes < 0
 	f.obs = opts.Observer
@@ -246,7 +232,7 @@ func (f *Flow) rebind(opts Options) {
 		// controller below).
 		s.member.Cwnd, s.member.SRTT, s.member.Active = 0, 0, false
 		s.conn.Rebind(f.connOptions(&opts, s, ctrl))
-		ctrl.Reset(f.shape.icw) // after Rebind, whose audit reads the old window
+		ctrl.Reset(cc.DefaultInitialWindow) // after Rebind, whose audit reads the old window
 	}
 }
 
@@ -334,14 +320,16 @@ func (f *Flow) subflowDone() {
 	}
 }
 
-// Name returns the flow's label, rendering and caching it on first use
-// when the flow was built with Options.NameFn.
-func (f *Flow) Name() string {
-	if f.name == "" && f.nameFn != nil {
-		f.name = f.nameFn()
-		f.nameFn = nil
+// String names the flow in audit panics and tests: its algorithm, subflow
+// count, endpoints and first connection ID, formatted only when called. A
+// released flow of a poisoning arena reads POISONED.
+func (f *Flow) String() string {
+	if f.released && f.arena.Poison {
+		return "POISONED(released flow)"
 	}
-	return f.name
+	c := &f.subs[0].conn
+	src, dst := c.Hosts()
+	return fmt.Sprintf("%v-%d %s->%s conn %d", f.shape.alg, len(f.subs), src.Name, dst.Name, c.ID())
 }
 
 // Algorithm returns the flow's scheme.

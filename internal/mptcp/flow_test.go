@@ -20,9 +20,21 @@ func testbedA(eng *sim.Engine) *topo.TestbedA {
 	})
 }
 
-func flowOpts(tb *topo.TestbedA, name string, alg mptcp.Algorithm) mptcp.Options {
+// fairnessTestbed is the Figure 3(b) testbed: four sender/receiver pairs
+// on 1 Gbps edges across one 300 Mbps bottleneck (K=15, 100 packets).
+func fairnessTestbed(eng *sim.Engine) *topo.Dumbbell {
+	return topo.NewDumbbell(eng, topo.DumbbellConfig{
+		Pairs:              4,
+		BottleneckCapacity: 300 * netem.Mbps,
+		EdgeCapacity:       netem.Gbps,
+		HopDelay:           225 * sim.Microsecond,
+		BottleneckQueue:    topo.ECNMaker(100, 15),
+		EdgeQueue:          topo.DropTailMaker(topo.DefaultHostQueue),
+	})
+}
+
+func flowOpts(tb *topo.TestbedA, alg mptcp.Algorithm) mptcp.Options {
 	return mptcp.Options{
-		Name:       name,
 		Transport:  transport.DefaultConfig(),
 		Algorithm:  alg,
 		TotalBytes: -1,
@@ -33,7 +45,7 @@ func flowOpts(tb *topo.TestbedA, name string, alg mptcp.Algorithm) mptcp.Options
 
 // xmpFlow2 builds the paper's Flow 2: two subflows, one per DN.
 func xmpFlow2(tb *topo.TestbedA, alg mptcp.Algorithm) *mptcp.Flow {
-	opts := flowOpts(tb, "flow2", alg)
+	opts := flowOpts(tb, alg)
 	opts.Src, opts.Dst = tb.S[1], tb.D[1]
 	opts.Subflows = []mptcp.SubflowSpec{
 		{SrcAddr: tb.PathAddr(tb.S[1], 0), DstAddr: tb.PathAddr(tb.D[1], 0)},
@@ -44,7 +56,7 @@ func xmpFlow2(tb *topo.TestbedA, alg mptcp.Algorithm) *mptcp.Flow {
 
 // singlePath builds a one-subflow flow between pair index i via DN path p.
 func singlePath(tb *topo.TestbedA, i, p int, alg mptcp.Algorithm, bytes int64) *mptcp.Flow {
-	opts := flowOpts(tb, "single", alg)
+	opts := flowOpts(tb, alg)
 	opts.Src, opts.Dst = tb.S[i], tb.D[i]
 	opts.TotalBytes = bytes
 	opts.Subflows = []mptcp.SubflowSpec{
@@ -88,7 +100,7 @@ func TestTraShShiftsTrafficAwayFromCongestion(t *testing.T) {
 	f3.Start()
 
 	// Background flow loads DN1 from t=3s.
-	bgOpts := flowOpts(tb, "bg", mptcp.AlgXMP)
+	bgOpts := flowOpts(tb, mptcp.AlgXMP)
 	bgOpts.Src, bgOpts.Dst = tb.BG[0][0].Src, tb.BG[0][0].Dst
 	bgOpts.Subflows = []mptcp.SubflowSpec{
 		{SrcAddr: tb.PathAddr(tb.BG[0][0].Src, 0), DstAddr: tb.PathAddr(tb.BG[0][0].Dst, 0)},
@@ -127,20 +139,14 @@ func TestTraShShiftsTrafficAwayFromCongestion(t *testing.T) {
 
 func TestXMPFairnessIrrespectiveOfSubflowCount(t *testing.T) {
 	eng := sim.NewEngine()
-	tb := topo.NewTestbedB(eng, topo.TestbedBConfig{
-		BottleneckCapacity: 300 * netem.Mbps,
-		EdgeCapacity:       netem.Gbps,
-		HopDelay:           225 * sim.Microsecond,
-		BottleneckQueue:    topo.ECNMaker(100, 15),
-	})
+	tb := fairnessTestbed(eng)
 	counts := []int{3, 2, 1, 1}
 	flows := make([]*mptcp.Flow, 4)
 	for i, nsub := range counts {
 		specs := make([]mptcp.SubflowSpec, nsub)
 		flows[i] = mptcp.New(eng, mptcp.Options{
-			Name:       "f",
-			Src:        tb.S[i],
-			Dst:        tb.D[i],
+			Src:        tb.Senders[i],
+			Dst:        tb.Receivers[i],
 			Subflows:   specs, // all subflows share the single bottleneck path
 			TotalBytes: -1,
 			Algorithm:  mptcp.AlgXMP,
@@ -179,19 +185,13 @@ func TestUncoupledBOSIsUnfair(t *testing.T) {
 	// The ablation: without TraSh the 3-subflow flow takes roughly 3
 	// shares, which is exactly what coupling is meant to prevent.
 	eng := sim.NewEngine()
-	tb := topo.NewTestbedB(eng, topo.TestbedBConfig{
-		BottleneckCapacity: 300 * netem.Mbps,
-		EdgeCapacity:       netem.Gbps,
-		HopDelay:           225 * sim.Microsecond,
-		BottleneckQueue:    topo.ECNMaker(100, 15),
-	})
+	tb := fairnessTestbed(eng)
 	counts := []int{3, 1}
 	flows := make([]*mptcp.Flow, 2)
 	for i, nsub := range counts {
 		flows[i] = mptcp.New(eng, mptcp.Options{
-			Name:       "f",
-			Src:        tb.S[i],
-			Dst:        tb.D[i],
+			Src:        tb.Senders[i],
+			Dst:        tb.Receivers[i],
 			Subflows:   make([]mptcp.SubflowSpec, nsub),
 			TotalBytes: -1,
 			Algorithm:  mptcp.AlgUncoupledBOS,
@@ -213,7 +213,7 @@ func TestFiniteMPTCPFlowDeliversExactly(t *testing.T) {
 	tb := testbedA(eng)
 	const size = 16 << 20
 	var obs recorder
-	opts := flowOpts(tb, "finite", mptcp.AlgXMP)
+	opts := flowOpts(tb, mptcp.AlgXMP)
 	opts.Src, opts.Dst = tb.S[1], tb.D[1]
 	opts.TotalBytes = size
 	opts.Subflows = []mptcp.SubflowSpec{
@@ -244,7 +244,7 @@ func TestFiniteMPTCPFlowDeliversExactly(t *testing.T) {
 func TestStaggeredSubflowStart(t *testing.T) {
 	eng := sim.NewEngine()
 	tb := testbedA(eng)
-	opts := flowOpts(tb, "staggered", mptcp.AlgXMP)
+	opts := flowOpts(tb, mptcp.AlgXMP)
 	opts.Src, opts.Dst = tb.S[1], tb.D[1]
 	opts.Subflows = []mptcp.SubflowSpec{
 		{SrcAddr: tb.PathAddr(tb.S[1], 0), DstAddr: tb.PathAddr(tb.D[1], 0)},
@@ -439,7 +439,7 @@ func TestObserverSeesEachSubflow(t *testing.T) {
 	a := mptcp.NewArena()
 	for round := 0; round < 2; round++ {
 		var obs recorder
-		opts := flowOpts(tb, "observed", mptcp.AlgXMP)
+		opts := flowOpts(tb, mptcp.AlgXMP)
 		opts.Src, opts.Dst = tb.S[1], tb.D[1]
 		opts.TotalBytes = 4 << 20
 		opts.Subflows = []mptcp.SubflowSpec{

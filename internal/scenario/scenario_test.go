@@ -40,8 +40,8 @@ func TestUnknownFieldsRejected(t *testing.T) {
 func TestUnknownFieldsRejectedInChaosFile(t *testing.T) {
 	dir := t.TempDir()
 	for name, content := range map[string]string{
-		"top":   `{"seed":1,"events":[{"at":0,"kind":"link-down","target":"core0.0->agg0.0"}],"bogus":1}`,
-		"event": `{"seed":1,"events":[{"at":0,"kind":"link-down","target":"core0.0->agg0.0","bogus":1}]}`,
+		"top":   `{"seed":1,"events":[{"at":0,"kind":"link-down","target":"core0.0->agg0.0","dur":1}],"bogus":1}`,
+		"event": `{"seed":1,"events":[{"at":0,"kind":"link-down","target":"core0.0->agg0.0","dur":1,"bogus":1}]}`,
 	} {
 		path := filepath.Join(dir, name+".json")
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
@@ -377,7 +377,7 @@ func TestResolveRejects(t *testing.T) {
 			Workloads: []WorkloadSpec{{Name: "a", Kind: "shortflows"}}}, "sizescale 32 does not apply"},
 		"chaos in fct": {&Spec{Name: "x", Family: FamilyFCT,
 			Workloads: []WorkloadSpec{{Name: "a", Kind: "shortflows"}},
-			Chaos:     &ChaosSpec{Events: []chaos.Event{{Kind: chaos.LinkDown, Target: "a"}}}}, "chaos"},
+			Chaos:     &ChaosSpec{Events: []chaos.Event{{Kind: chaos.LinkDown, Target: "a", Dur: 1}}}}, "does not take a chaos"},
 		"loss-burst in matrix": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"},
 			Chaos: &ChaosSpec{Events: []chaos.Event{{Kind: chaos.LossBurst, Target: "a", P: 0.1, Dur: 1}}}}, "loss-burst"},
 		"empty chaos":     {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"}, Chaos: &ChaosSpec{Seed: 1}}, "no events"},
@@ -418,6 +418,31 @@ func TestResolveRejects(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", name, err, tc.want)
+		}
+	}
+}
+
+// standingFault is a robustness spec whose only fault has no dur: the link
+// would stay down for the rest of the run, flows across it would back off
+// on RTO timers forever, and the cell would never finish.
+const standingFault = `{"name":"standing","family":"robustness","topology":{"kind":"fattree","k":4},
+	"duration_ms":5,"schemes":["TCP"],
+	"chaos":{"events":[{"at":1000000,"kind":"link-down","target":"edge0.0->agg0.0"}]}}`
+
+// A fault that never heals is refused at Compile, naming the event, before
+// any cell is built.
+func TestCompileRefusesStandingFault(t *testing.T) {
+	s, err := Parse([]byte(standingFault))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	_, err = Compile(s, "")
+	if err == nil {
+		t.Fatal("a link-down with no dur compiled")
+	}
+	for _, want := range []string{"event 0", "link-down", "edge0.0->agg0.0", "dur"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Compile error %q does not mention %q", err, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package topo builds the simulated networks of the paper's evaluation:
-// the single-bottleneck dumbbell of Figure 1, the two DummyNet testbeds of
-// Figure 3, the five-bottleneck torus of Figure 5, and the k-ary Fat-Tree
+// the single-bottleneck dumbbell of Figure 1 (with four host pairs, also
+// the Figure 3(b) fairness testbed), the two-bottleneck DummyNet testbed of
+// Figure 3(a), the five-bottleneck torus of Figure 5, and the k-ary Fat-Tree
 // with two-level routing and multi-address hosts of Section 5.2.
 package topo
 

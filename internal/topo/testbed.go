@@ -129,47 +129,3 @@ func NewTestbedA(eng *sim.Engine, cfg TestbedAConfig) *TestbedA {
 	}
 	return tb
 }
-
-// TestbedBConfig parameterizes the fairness testbed of Figure 3(b): four
-// sender/receiver pairs competing for a single bottleneck, with flows
-// differing only in subflow count.
-type TestbedBConfig struct {
-	BottleneckCapacity netem.Bps
-	EdgeCapacity       netem.Bps
-	HopDelay           sim.Duration
-	BottleneckQueue    QueueMaker
-}
-
-// TestbedB is the constructed Figure 3(b) topology. Subflows of one flow
-// all share the single bottleneck (they are separate connections between
-// the same address pair).
-type TestbedB struct {
-	*Network
-	S, D     [4]*netem.Host
-	Fwd, Rev *netem.Link
-}
-
-// NewTestbedB builds the topology.
-func NewTestbedB(eng *sim.Engine, cfg TestbedBConfig) *TestbedB {
-	if cfg.BottleneckQueue == nil {
-		panic("topo: testbed B needs a bottleneck queue maker")
-	}
-	if cfg.EdgeCapacity == 0 {
-		cfg.EdgeCapacity = netem.Gbps
-	}
-	n := NewNetwork(eng)
-	tb := &TestbedB{Network: n}
-	in := n.NewSwitch("in", LayerEdge)
-	out := n.NewSwitch("out", LayerEdge)
-	tb.Fwd = n.AddLink("in->out", cfg.BottleneckCapacity, cfg.HopDelay, cfg.BottleneckQueue(n.Build), out, LayerBottleneck)
-	tb.Rev = n.AddLink("out->in", cfg.BottleneckCapacity, cfg.HopDelay, cfg.BottleneckQueue(n.Build), in, LayerBottleneck)
-	for i := 0; i < 4; i++ {
-		tb.S[i] = n.NewHost(fmt.Sprintf("s%d", i+1))
-		tb.D[i] = n.NewHost(fmt.Sprintf("d%d", i+1))
-		n.AttachHost(tb.S[i], in, cfg.EdgeCapacity, cfg.HopDelay, DropTailMaker(DefaultHostQueue), LayerEdge)
-		n.AttachHost(tb.D[i], out, cfg.EdgeCapacity, cfg.HopDelay, DropTailMaker(DefaultHostQueue), LayerEdge)
-		RouteHostAddrs(in, tb.D[i], tb.Fwd)
-		RouteHostAddrs(out, tb.S[i], tb.Rev)
-	}
-	return tb
-}

@@ -26,9 +26,6 @@ type TorusConfig struct {
 	// Background is the number of background pairs provisioned on the
 	// middle link (L3 in the paper: index 2).
 	Background int
-	// BackgroundLink selects which bottleneck the background pairs cross
-	// (default 2, i.e. L3).
-	BackgroundLink int
 }
 
 // Bottleneck is one ring link with both directions.
@@ -43,8 +40,8 @@ type Torus struct {
 	// S[i]/D[i] are flow i's endpoints; each owns 2 aliases: alias 0
 	// routes via bottleneck i, alias 1 via bottleneck i+1 (mod N).
 	S, D []*netem.Host
-	// BG are the background pairs on the configured bottleneck (single
-	// alias each).
+	// BG are the background pairs on L3, bottleneck 2 (single alias
+	// each).
 	BG          []HostPair
 	Bottlenecks []Bottleneck
 }
@@ -73,9 +70,6 @@ func NewTorus(eng *sim.Engine, cfg TorusConfig) *Torus {
 	}
 	if cfg.EdgeCapacity == 0 {
 		cfg.EdgeCapacity = 10 * netem.Gbps
-	}
-	if cfg.BackgroundLink == 0 {
-		cfg.BackgroundLink = 2
 	}
 	n := NewNetwork(eng)
 	tr := &Torus{Network: n}
@@ -129,8 +123,8 @@ func NewTorus(eng *sim.Engine, cfg TorusConfig) *Torus {
 		tr.D = append(tr.D, d)
 	}
 
-	// Background pairs crossing the configured bottleneck.
-	b := cfg.BackgroundLink
+	// Background pairs crossing L3.
+	const b = 2
 	if cfg.Background > 0 {
 		bin := n.NewSwitch("bg-in", LayerEdge)
 		bout := n.NewSwitch("bg-out", LayerEdge)

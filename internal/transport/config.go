@@ -20,20 +20,14 @@ import (
 type Config struct {
 	// RTOMin is the minimum retransmission timeout. The paper attributes
 	// LIA's poor small-flow behaviour and the Figure 9 CDF jumps to the
-	// Linux default of 200 ms.
+	// Linux default of 200 ms, which is also the initial RTO it may not
+	// exceed.
 	RTOMin sim.Duration
-	// RTOInit is the timeout used before the first RTT sample (applies to
-	// SYNs too).
-	RTOInit sim.Duration
-	// RTOMax caps exponential backoff.
-	RTOMax sim.Duration
 
 	// DelAckCount is the number of in-order segments that trigger an
-	// immediate cumulative ACK (2 = standard delayed ACKs; 1 disables
-	// delaying).
+	// immediate cumulative ACK (2 = standard delayed ACKs, each withheld
+	// at most 1 ms; 1 disables delaying).
 	DelAckCount int
-	// DelAckTimeout bounds how long an ACK may be withheld.
-	DelAckTimeout sim.Duration
 
 	// EchoMode selects the receiver's congestion-feedback behaviour; it
 	// must agree with the controller (e.g. BOS needs EchoCounter).
@@ -50,16 +44,24 @@ type Config struct {
 	EnableSACK bool
 }
 
+// The timers no configuration varies.
+const (
+	// rtoInit is the timeout used before the first RTT sample (applies to
+	// SYNs too).
+	rtoInit = 200 * sim.Millisecond
+	// rtoMax caps exponential backoff.
+	rtoMax = 4 * sim.Second
+	// delAckTimeout bounds how long an ACK may be withheld.
+	delAckTimeout = sim.Millisecond
+)
+
 // DefaultConfig returns the paper's transport settings.
 func DefaultConfig() Config {
 	return Config{
-		RTOMin:        200 * sim.Millisecond,
-		RTOInit:       200 * sim.Millisecond,
-		RTOMax:        4 * sim.Second,
-		DelAckCount:   2,
-		DelAckTimeout: sim.Millisecond,
-		EchoMode:      cc.EchoNone,
-		MaxRetries:    0,
+		RTOMin:      200 * sim.Millisecond,
+		DelAckCount: 2,
+		EchoMode:    cc.EchoNone,
+		MaxRetries:  0,
 	}
 }
 
@@ -68,14 +70,10 @@ func (c Config) Validate() error {
 	switch {
 	case c.RTOMin <= 0:
 		return errConfig("RTOMin must be positive")
-	case c.RTOInit < c.RTOMin:
-		return errConfig("RTOInit below RTOMin")
-	case c.RTOMax < c.RTOInit:
-		return errConfig("RTOMax below RTOInit")
+	case c.RTOMin > rtoInit:
+		return errConfig("RTOMin above the initial RTO")
 	case c.DelAckCount < 1:
 		return errConfig("DelAckCount must be >= 1")
-	case c.DelAckCount > 1 && c.DelAckTimeout <= 0:
-		return errConfig("DelAckTimeout must be positive with delayed ACKs")
 	}
 	return nil
 }

@@ -124,13 +124,10 @@ type Conn struct {
 	sndUna, sndNxt int64
 	suppliedEnd    int64
 	exhausted      bool
-	// Short (sub-MSS) segment lengths by sequence number. At most one is
-	// normally outstanding — the supply returns MSS until the final
-	// partial segment — so a single inline entry covers the common case
-	// and the overflow map stays nil for the life of most connections.
-	shortSeq   int64 // -1 = none
+	// The one short (sub-MSS) segment a supply may hand out, its last:
+	// sequence number (-1 = none yet) and length.
+	shortSeq   int64
 	shortLen   int
-	shortSegs  map[int64]int
 	dupAcks    int
 	inRecovery bool
 	recoverSeq int64
@@ -274,7 +271,6 @@ func (c *Conn) Rebind(opts Options) {
 	c.sndUna, c.sndNxt, c.suppliedEnd = 0, 0, 0
 	c.exhausted = false
 	c.shortSeq, c.shortLen = -1, 0
-	clear(c.shortSegs)
 	c.dupAcks = 0
 	c.inRecovery = false
 	c.recoverSeq = 0
@@ -360,6 +356,9 @@ func (c *Conn) StartTime() sim.Time { return c.startTime }
 // CompletionTime returns when the transfer finished (valid in StateDone).
 func (c *Conn) CompletionTime() sim.Time { return c.doneAt }
 
+// Hosts returns the connection's sending and receiving hosts.
+func (c *Conn) Hosts() (src, dst *netem.Host) { return c.src, c.dst }
+
 // SrcAddr returns the sender-side address.
 func (c *Conn) SrcAddr() netem.Addr { return c.srcAddr }
 
@@ -424,11 +423,6 @@ func (c *Conn) senderDeliver(p *netem.Packet) {
 		var newlyBytes int64
 		for s := c.sndUna; s < p.Ack; s++ {
 			newlyBytes += int64(c.payloadOf(s))
-			if s == c.shortSeq {
-				c.shortSeq = -1
-			} else {
-				delete(c.shortSegs, s)
-			}
 		}
 		c.sndUna = p.Ack
 		if c.sndNxt < c.sndUna {
@@ -582,9 +576,6 @@ func (c *Conn) payloadOf(seq int64) int {
 	if seq == c.shortSeq {
 		return c.shortLen
 	}
-	if b, ok := c.shortSegs[seq]; ok {
-		return b
-	}
 	return netem.MSS
 }
 
@@ -632,14 +623,10 @@ func (c *Conn) nextPayload() (int, bool) {
 		panic(fmt.Sprintf("transport: supply returned payload %d", payload))
 	}
 	if payload != netem.MSS {
-		if c.shortSeq < 0 || c.shortSeq == c.suppliedEnd {
-			c.shortSeq, c.shortLen = c.suppliedEnd, payload
-		} else {
-			if c.shortSegs == nil {
-				c.shortSegs = make(map[int64]int)
-			}
-			c.shortSegs[c.suppliedEnd] = payload
+		if c.shortSeq >= 0 {
+			panic(fmt.Sprintf("transport: supply returned a second short segment (%d bytes after %d)", payload, c.shortLen))
 		}
+		c.shortSeq, c.shortLen = c.suppliedEnd, payload
 	}
 	c.suppliedEnd++
 	return payload, true
@@ -854,7 +841,7 @@ func (c *Conn) receiverDeliver(p *netem.Packet) {
 		if jumped || c.delayCount >= c.cfg.DelAckCount || c.pendingCE > 0 {
 			c.sendAck()
 		} else if !c.delAckArmed {
-			c.armDelAck(c.cfg.DelAckTimeout)
+			c.armDelAck(delAckTimeout)
 		}
 	case p.Seq > c.rcvNxt:
 		if !c.ooo.Contains(p.Seq) {

@@ -1,6 +1,8 @@
 package transport_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"xmp/internal/cc"
@@ -191,6 +193,34 @@ func TestBadSupplyPayloadPanics(t *testing.T) {
 type badSupply struct{}
 
 func (badSupply) Next() (int, bool) { return netem.MSS + 1, true }
+
+// A supply hands out at most one short segment, its last; a second one
+// panics like an oversized one.
+func TestSecondShortSegmentPanics(t *testing.T) {
+	eng := sim.NewEngine()
+	d := buildDumbbell(eng, topo.DropTailMaker(100))
+	o := validOpts(d)
+	o.Supply = &shortSupply{n: 3}
+	conn := transport.NewConn(eng, o)
+	conn.Start()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "second short segment") {
+			t.Fatalf("second short segment: recovered %v, want a panic naming it", r)
+		}
+	}()
+	eng.Run(sim.Time(sim.Second))
+}
+
+// shortSupply hands out n segments of 100 bytes.
+type shortSupply struct{ n int }
+
+func (s *shortSupply) Next() (int, bool) {
+	if s.n == 0 {
+		return 0, false
+	}
+	s.n--
+	return 100, true
+}
 
 func TestAckJumpBeyondSndNxtAfterRTO(t *testing.T) {
 	// Regression: kill the reverse (ACK) path mid-transfer for longer

@@ -389,10 +389,8 @@ func TestIncastManyToOne(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	bad := []transport.Config{
 		{},
-		{RTOMin: sim.Millisecond, RTOInit: 0, RTOMax: sim.Second, DelAckCount: 1},
-		{RTOMin: sim.Millisecond, RTOInit: sim.Millisecond, RTOMax: 0, DelAckCount: 1},
-		{RTOMin: sim.Millisecond, RTOInit: sim.Millisecond, RTOMax: sim.Second, DelAckCount: 0},
-		{RTOMin: sim.Millisecond, RTOInit: sim.Millisecond, RTOMax: sim.Second, DelAckCount: 2},
+		{RTOMin: sim.Millisecond, DelAckCount: 0},
+		{RTOMin: 200*sim.Millisecond + 1, DelAckCount: 2}, // above the initial RTO
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

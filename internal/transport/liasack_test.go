@@ -15,18 +15,20 @@ import (
 func TestIsolateLIASack(t *testing.T) {
 	for _, sack := range []bool{false, true} {
 		eng := sim.NewEngine()
-		tb := topo.NewTestbedB(eng, topo.TestbedBConfig{
+		tb := topo.NewDumbbell(eng, topo.DumbbellConfig{
+			Pairs:              4,
 			BottleneckCapacity: 300 * netem.Mbps,
 			EdgeCapacity:       netem.Gbps,
 			HopDelay:           225 * sim.Microsecond,
 			BottleneckQueue:    topo.DropTailMaker(100),
+			EdgeQueue:          topo.DropTailMaker(topo.DefaultHostQueue),
 		})
 		cfg := transport.DefaultConfig()
 		cfg.EnableSACK = sack
 		var flows []*mptcp.Flow
 		for i := 0; i < 4; i++ {
 			f := mptcp.New(eng, mptcp.Options{
-				Src: tb.S[i], Dst: tb.D[i],
+				Src: tb.Senders[i], Dst: tb.Receivers[i],
 				Subflows:   make([]mptcp.SubflowSpec, 4),
 				TotalBytes: 12 << 20,
 				Algorithm:  mptcp.AlgLIA,

@@ -13,12 +13,11 @@ type rttEstimator struct {
 	rttvar  sim.Duration
 	rto     sim.Duration
 	rtoMin  sim.Duration
-	rtoMax  sim.Duration
 	sampled bool
 }
 
 func newRTTEstimator(cfg Config) rttEstimator {
-	return rttEstimator{rto: cfg.RTOInit, rtoMin: cfg.RTOMin, rtoMax: cfg.RTOMax}
+	return rttEstimator{rto: rtoInit, rtoMin: cfg.RTOMin}
 }
 
 // addSample folds one RTT measurement into the estimator.
@@ -43,8 +42,8 @@ func (e *rttEstimator) addSample(rtt sim.Duration) {
 	if rto < e.rtoMin {
 		rto = e.rtoMin
 	}
-	if rto > e.rtoMax {
-		rto = e.rtoMax
+	if rto > rtoMax {
+		rto = rtoMax
 	}
 	e.rto = rto
 }
@@ -52,8 +51,8 @@ func (e *rttEstimator) addSample(rtt sim.Duration) {
 // backoff doubles the RTO after a timeout, capped at the maximum.
 func (e *rttEstimator) backoff() {
 	e.rto *= 2
-	if e.rto > e.rtoMax {
-		e.rto = e.rtoMax
+	if e.rto > rtoMax {
+		e.rto = rtoMax
 	}
 }
 

@@ -63,7 +63,7 @@ func TestRTOBackoffCapped(t *testing.T) {
 		e.backoff()
 	}
 	if e.RTO() != 4*sim.Second {
-		t.Fatalf("RTO %v, want capped at RTOMax 4s", e.RTO())
+		t.Fatalf("RTO %v, want capped at rtoMax 4s", e.RTO())
 	}
 }
 

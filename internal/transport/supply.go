@@ -14,7 +14,8 @@ import (
 // window simply pulls more segments).
 type Supply interface {
 	// Next returns the payload size in bytes of the next segment (1..MSS)
-	// and whether a segment was available.
+	// and whether a segment was available. Only the last segment may be
+	// short: a connection panics on a second one.
 	Next() (int, bool)
 }
 

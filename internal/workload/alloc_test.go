@@ -146,8 +146,8 @@ func TestLaunchFlowColdAllocs(t *testing.T) {
 }
 
 // TestShortFlowsPattern exercises the bounded-Pareto generator end to end:
-// closed loops relaunch until Stop, completions land in the FCT
-// distribution, and MaxLaunches caps the total.
+// closed loops relaunch until Stop and completions land in the FCT
+// distribution.
 func TestShortFlowsPattern(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := arenaConfig(eng)
@@ -170,25 +170,12 @@ func TestShortFlowsPattern(t *testing.T) {
 	if got := cfg.Collector.FCT.N(); got != sf.Completed {
 		t.Errorf("FCT recorded %d samples, want one per completion (%d)", got, sf.Completed)
 	}
-
-	eng2 := sim.NewEngine()
-	cfg2 := arenaConfig(eng2)
-	cfg2.Stop = sim.Time(5 * sim.Millisecond)
-	capped := StartShortFlows(ShortFlowsConfig{
-		Config:      cfg2,
-		MeanBytes:   16 << 10,
-		MaxBytes:    256 << 10,
-		MaxLaunches: 10,
-	})
-	eng2.RunAll(1 << 62)
-	if capped.Launched > 10 {
-		t.Errorf("MaxLaunches=10 but %d flows launched", capped.Launched)
-	}
 }
 
 // TestIncastBurstPattern exercises the scaled fan-in generator: more
-// senders than hosts (worker processes per machine), one synchronized
-// round, one JCT sample, every flow's FCT recorded.
+// senders than hosts (worker processes per machine) spread round-robin
+// over every host but the client, host 0; one JCT sample per synchronized
+// round, every flow's FCT recorded.
 func TestIncastBurstPattern(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := arenaConfig(eng)
@@ -199,9 +186,13 @@ func TestIncastBurstPattern(t *testing.T) {
 		Config:        cfg,
 		Senders:       senders,
 		ResponseBytes: 4 << 10,
-		Client:        5,
 		Rounds:        2,
 	})
+	for i, s := range b.senders {
+		if want := 1 + i%15; s.src != want {
+			t.Fatalf("sender %d on host %d, want %d", i, s.src, want)
+		}
+	}
 	eng.RunAll(1 << 62)
 	if b.Launched != 2*senders {
 		t.Errorf("2 rounds x %d senders: launched %d", senders, b.Launched)

@@ -334,8 +334,6 @@ type ShortFlowsConfig struct {
 	MinBytes, MaxBytes int64 // bounds (MinBytes defaults to 1)
 	// PerHost is the number of concurrent closed loops per host (default 1).
 	PerHost int
-	// MaxLaunches, when nonzero, caps total launches in addition to Stop.
-	MaxLaunches int
 }
 
 // ShortFlows is a running short-flow generator.
@@ -355,13 +353,11 @@ type shortLoop struct {
 	src int
 }
 
-// flowDone relaunches the loop until Stop or MaxLaunches.
+// flowDone relaunches the loop until Stop.
 func (l *shortLoop) flowDone(*mptcp.Flow) {
 	sf := l.sf
 	sf.Completed++
-	cfg := &sf.cfg
-	if cfg.Net.Engine().Now() < cfg.Stop &&
-		(cfg.MaxLaunches == 0 || sf.Launched < cfg.MaxLaunches) {
+	if sf.cfg.Net.Engine().Now() < sf.cfg.Stop {
 		sf.launch(l)
 	}
 }
@@ -387,9 +383,6 @@ func StartShortFlows(cfg ShortFlowsConfig) *ShortFlows {
 		sf.loops[i] = shortLoop{sf: sf, src: i % n}
 	}
 	for i := range sf.loops {
-		if cfg.MaxLaunches > 0 && sf.Launched >= cfg.MaxLaunches {
-			break
-		}
 		sf.launch(&sf.loops[i])
 	}
 	return sf
@@ -413,7 +406,7 @@ func (sf *ShortFlows) launch(l *shortLoop) {
 
 // IncastBurstConfig parameterizes the IncastBurst pattern: Senders
 // concurrent plain-TCP senders, spread round-robin over every host except
-// the client, all transmit ResponseBytes to the single client at once —
+// the client, host 0, all transmit ResponseBytes to it at once —
 // the barrier-synchronized fan-in of a partition/aggregate job. With
 // Senders far above the host count the pattern models many worker
 // processes per machine, which is how a k=8 fabric of 128 hosts mounts a
@@ -423,8 +416,6 @@ type IncastBurstConfig struct {
 	Config
 	Senders       int
 	ResponseBytes int64
-	// Client receives the burst (default host 0).
-	Client int
 	// Rounds of bursts to run back-to-back (default 1); a new round starts
 	// only when the previous one fully completes and Now < Stop.
 	Rounds int
@@ -479,17 +470,10 @@ func StartIncastBurst(cfg IncastBurstConfig) *IncastBurst {
 	if cfg.Senders < 1 || cfg.ResponseBytes < 1 {
 		panic("workload: bad incast-burst parameters")
 	}
-	if cfg.Client < 0 || cfg.Client >= n {
-		panic("workload: incast-burst client outside the host range")
-	}
 	b := &IncastBurst{cfg: cfg}
 	b.senders = make([]burstSender, cfg.Senders)
 	for i := range b.senders {
-		src := i % (n - 1)
-		if src >= cfg.Client {
-			src++
-		}
-		b.senders[i] = burstSender{b: b, src: src}
+		b.senders[i] = burstSender{b: b, src: 1 + i%(n-1)}
 	}
 	b.round()
 	return b
@@ -504,9 +488,9 @@ func (b *IncastBurst) round() {
 		s := &b.senders[i]
 		b.Launched++
 		if cfg.UseScheme {
-			launchLarge(&cfg.Config, s.src, cfg.Client, cfg.ResponseBytes, s)
+			launchLarge(&cfg.Config, s.src, 0, cfg.ResponseBytes, s)
 		} else {
-			launchSmallTCP(&cfg.Config, s.src, cfg.Client, cfg.ResponseBytes, s)
+			launchSmallTCP(&cfg.Config, s.src, 0, cfg.ResponseBytes, s)
 		}
 	}
 }

@@ -154,11 +154,6 @@ type Config struct {
 	// Stop: generators launch no new flows after this time; in-flight
 	// flows run to completion.
 	Stop sim.Time
-	// TraceNames labels every flow with "scheme:src->dst" for trace
-	// output. Off by default: a fat-tree campaign launches tens of
-	// thousands of flows whose names are never read, and formatting them
-	// eagerly was a measurable share of launch-path allocations.
-	TraceNames bool
 	// Arena recycles the entire flow graph — Flow, connections,
 	// controllers — across launches (see mptcp.Arena): completed
 	// flows are released back automatically after their callbacks run, and
@@ -303,8 +298,7 @@ func launchSmallTCP(cfg *Config, src, dst int, bytes int64, done doneHandler) *m
 }
 
 // launch is the one launch body. large selects what separates the two
-// kinds of flow besides their scheme: large flows record goodput and are
-// named after the scheme, small ones are named "tcp".
+// kinds of flow besides their scheme: large flows record goodput.
 func launch(cfg *Config, s Scheme, large bool, src, dst int, bytes int64, done doneHandler) *mptcp.Flow {
 	net := cfg.Net
 
@@ -319,22 +313,11 @@ func launch(cfg *Config, s Scheme, large bool, src, dst int, bytes int64, done d
 			DstAddr: net.AliasOf(dst, i),
 		}
 	}
-	var nameFn func() string
-	if cfg.TraceNames {
-		nameFn = func() string {
-			label := "tcp"
-			if large {
-				label = s.Label()
-			}
-			return fmt.Sprintf("%s:%d->%d", label, src, dst)
-		}
-	}
 	rec := cfg.getRec()
 	rec.cat = net.Categorize(src, dst)
 	rec.done = done
 	rec.recordGoodput = large
 	f := cfg.newFlow(mptcp.Options{
-		NameFn:     nameFn,
 		Src:        net.Host(src),
 		Dst:        net.Host(dst),
 		Subflows:   specs,

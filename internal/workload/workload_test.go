@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"xmp/internal/mptcp"
@@ -271,30 +273,24 @@ func TestLaunchKinds(t *testing.T) {
 	}
 }
 
-func TestFlowNamesLazyAndGated(t *testing.T) {
-	// Names are formatted only when TraceNames asks for them, and then
-	// lazily: the launch path itself never pays for Sprintf.
+// An arena audit panic names the flow it caught by the flow's own fields:
+// algorithm, subflow count, endpoints and first connection ID.
+func TestAuditPanicNamesWorkloadFlow(t *testing.T) {
 	eng := sim.NewEngine()
-	ft := smallFatTree(eng)
-	cfg := baseConfig(ft, Scheme{Algorithm: mptcp.AlgXMP, Subflows: 2}, sim.MaxTime)
-
-	unnamed := LaunchFlow(&cfg, 0, 15, 64<<10, nil)
-	if unnamed.Name() != "" {
-		t.Fatalf("TraceNames off: flow named %q", unnamed.Name())
-	}
-
-	cfg.TraceNames = true
-	named := LaunchFlow(&cfg, 1, 14, 64<<10, nil)
-	small := launchSmallTCP(&cfg, 2, 13, 2048, nil)
-	if got := named.Name(); got != "XMP-2:1->14" {
-		t.Fatalf("large flow name %q", got)
-	}
-	if got := small.Name(); got != "tcp:2->13" {
-		t.Fatalf("small flow name %q", got)
-	}
-	// Cached: the second call returns the same string.
-	if named.Name() != "XMP-2:1->14" {
-		t.Fatal("name not cached")
+	cfg := arenaConfig(eng)
+	f := LaunchFlow(&cfg, 1, 14, 64<<10, nil)
+	// The SYNs are on the wire: the audit must refuse the run.
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		cfg.Arena.Audit()
+		return ""
+	}()
+	src, dst := f.Subflow(0).Hosts()
+	for _, want := range []string{"XMP-2 ", src.Name + "->" + dst.Name, fmt.Sprintf("conn %d", f.Subflow(0).ID()), "packets in flight"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("audit panic %q does not name %q", msg, want)
+		}
 	}
 	drain(t, eng)
+	cfg.Arena.Audit()
 }

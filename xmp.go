@@ -19,8 +19,9 @@
 //	internal/sim        event engine (clock, calendar, timers, RNG)
 //	internal/netem      packets, queues (drop-tail / threshold-ECN / RED),
 //	                    links, switches, hosts
-//	internal/topo       topology builders (dumbbell, Figure 3 testbeds,
-//	                    Figure 5 torus, k-ary Fat-Tree w/ two-level routing)
+//	internal/topo       topology builders (dumbbell of Figures 1 and 3(b),
+//	                    Figure 3(a) testbed, Figure 5 torus, k-ary Fat-Tree
+//	                    w/ two-level routing)
 //	internal/transport  packet-granularity TCP with ECN feedback modes
 //	internal/cc         controller interface, the shared Reno window,
 //	                    Reno / DCTCP / AMP
@@ -94,7 +95,8 @@ const (
 type (
 	// Network is a constructed topology with its identifier spaces.
 	Network = topo.Network
-	// Dumbbell is the Figure 1 single-bottleneck topology.
+	// Dumbbell is the Figure 1 single-bottleneck topology; with four host
+	// pairs on 1 Gbps edges it is also the Figure 3(b) fairness testbed.
 	Dumbbell = topo.Dumbbell
 	// DumbbellConfig parameterizes NewDumbbell.
 	DumbbellConfig = topo.DumbbellConfig
@@ -106,10 +108,6 @@ type (
 	TestbedA = topo.TestbedA
 	// TestbedAConfig parameterizes NewTestbedA.
 	TestbedAConfig = topo.TestbedAConfig
-	// TestbedB is the Figure 3(b) fairness testbed.
-	TestbedB = topo.TestbedB
-	// TestbedBConfig parameterizes NewTestbedB.
-	TestbedBConfig = topo.TestbedBConfig
 	// Torus is the Figure 5 ring of bottlenecks.
 	Torus = topo.Torus
 	// TorusConfig parameterizes NewTorus.
@@ -120,9 +118,6 @@ type (
 
 // NewTestbedA builds the Figure 3(a) two-bottleneck testbed.
 func NewTestbedA(eng *Engine, cfg TestbedAConfig) *TestbedA { return topo.NewTestbedA(eng, cfg) }
-
-// NewTestbedB builds the Figure 3(b) single-bottleneck testbed.
-func NewTestbedB(eng *Engine, cfg TestbedBConfig) *TestbedB { return topo.NewTestbedB(eng, cfg) }
 
 // NewTorus builds the Figure 5 ring of bottlenecks.
 func NewTorus(eng *Engine, cfg TorusConfig) *Torus { return topo.NewTorus(eng, cfg) }

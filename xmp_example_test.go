@@ -80,13 +80,12 @@ func ExampleDumbbell_queue() {
 		})
 		xmp.NewFlow(eng, xmp.FlowOptions{
 			Src: d.Senders[0], Dst: d.Receivers[0],
-			Subflows:    []xmp.SubflowSpec{{}},
-			TotalBytes:  -1,
-			Algorithm:   alg,
-			Beta:        4,
-			InitialCwnd: 2,
-			Transport:   xmp.DefaultTransportConfig(),
-			NextConnID:  d.NextConnID,
+			Subflows:   []xmp.SubflowSpec{{}},
+			TotalBytes: -1,
+			Algorithm:  alg,
+			Beta:       4,
+			Transport:  xmp.DefaultTransportConfig(),
+			NextConnID: d.NextConnID,
 		}).Start()
 		eng.Run(xmp.Time(200 * xmp.Millisecond))
 		st := d.Forward.Queue().Stats()
