@@ -66,10 +66,10 @@ type Schedule struct {
 // negative times, a window that is not positive (every fault heals after
 // its dur, so one without dur would stand for the rest of the run and a
 // flow crossing it could never finish), out-of-range probabilities,
-// jitter without a period, and an end past the simulation clock's int64 nanoseconds — at + dur, and for
-// jitter at + dur + period, which bounds its last resample — where the
-// calendar would wrap into the past. Target names are resolved later,
-// against a concrete network, by New.
+// jitter without a period, and an end past the simulation clock's int64
+// nanoseconds — at + dur, and for jitter at + dur + period, which bounds
+// its last resample — where the calendar would wrap into the past. Target
+// names are resolved later, against a concrete network, by New.
 func (s Schedule) Validate() error {
 	for i, e := range s.Events {
 		if e.At < 0 {

@@ -12,10 +12,10 @@ import (
 )
 
 // Fig6Config parameterizes the fairness experiment on testbed 3(b), the
-// dumbbell with four host pairs on 1 Gbps edges: four flows with 3/2/1/1 subflows share one 300 Mbps bottleneck (K=15, 100
-// packets, as in the paper); subflows arrive and flows leave on a
-// schedule, and a fair scheme holds every flow at an equal share
-// regardless of its subflow count.
+// dumbbell with four host pairs on 1 Gbps edges: four flows with 3/2/1/1
+// subflows share one 300 Mbps bottleneck (K=15, 100 packets, as in the
+// paper); subflows arrive and flows leave on a schedule, and a fair scheme
+// holds every flow at an equal share regardless of its subflow count.
 type Fig6Config struct {
 	// Beta is XMP's reduction divisor (the paper contrasts 4 and 6).
 	Beta int
