@@ -215,13 +215,37 @@ func TestSwitchEgressLinks(t *testing.T) {
 	sw := NewSwitch(1, "sw", "rack")
 	a := NewLink(eng, "a", Gbps, 0, NewDropTail(1), s)
 	b := NewLink(eng, "b", Gbps, 0, NewDropTail(1), s)
-	sw.AddRoute(1, a)
 	sw.AddRoute(2, b)
+	sw.AddRoute(1, a)
 	sw.AddRoute(3, a) // same link twice: must dedupe
+	// Ordered by the lowest address routed to each link, not by install.
 	links := sw.EgressLinks()
 	if len(links) != 2 || links[0] != a || links[1] != b {
 		t.Fatalf("EgressLinks = %v, want [a b]", links)
 	}
+	if sw.Route(1) != a || sw.Route(2) != b || sw.Route(3) != a || sw.Route(0) != nil || sw.Route(4) != nil {
+		t.Fatal("routes do not map back to their links")
+	}
+}
+
+// TestSwitchPortLimit: a table entry is a 16-bit port index, so a switch
+// takes 65,535 distinct egress links and panics on the next one; a route
+// to a link it already has still installs. The first 65,534 ports are set
+// directly: installing them one by one scans quadratically.
+func TestSwitchPortLimit(t *testing.T) {
+	sw := NewSwitch(1, "sw", "rack")
+	links := make([]Link, maxPorts+1)
+	for i := range maxPorts - 1 {
+		sw.ports = append(sw.ports, &links[i])
+	}
+	sw.AddRoute(1, &links[maxPorts-1])
+	sw.AddRoute(2, &links[0])
+	if sw.Route(1) != &links[maxPorts-1] || sw.Route(2) != &links[0] {
+		t.Fatal("routes at the port limit do not map back to their links")
+	}
+	mustPanic(t, "65,536th egress link", "sw has 65535 egress links", func() {
+		sw.AddRoute(3, &links[maxPorts])
+	})
 }
 
 func TestLinkUtilization(t *testing.T) {

@@ -63,8 +63,9 @@ type Network struct {
 	// topology, so parallel experiment runs (one network each) need no
 	// locking.
 	Pool *netem.PacketPool
-	// Paths arena-allocates resolved forwarding paths for all hosts of
-	// this network (see netem.PathStore).
+	// Paths resolves and caches the forwarding paths of every host of this
+	// network, one entry per (NIC, destination) pair the run resolves (see
+	// netem.PathStore).
 	Paths *netem.PathStore
 	// Build batches the construction-time allocations — device structs and
 	// queue rings — of everything created through this network (see
@@ -135,7 +136,6 @@ func (n *Network) AddAddr(h *netem.Host) netem.Addr {
 	n.nextAddr++
 	h.AddAddr(a)
 	n.addrHost[a] = h
-	n.Paths.GrowAddrSpace(a)
 	return a
 }
 
