@@ -148,6 +148,31 @@ func TestEngineRunAllGuard(t *testing.T) {
 	eng.RunAll(100)
 }
 
+// TestEngineDrainStopsAtDeadline: Drain runs the events up to its deadline
+// and leaves the clock at the last one it ran, not at the deadline; the
+// rest stay pending, and a zero-delay loop trips the event guard.
+func TestEngineDrainStopsAtDeadline(t *testing.T) {
+	eng := NewEngine()
+	for _, at := range []Duration{1, 5, 10} {
+		eng.Schedule(at*Millisecond, func() {})
+	}
+	if n := eng.Drain(Time(7*Millisecond), 100); n != 2 || eng.Now() != Time(5*Millisecond) || eng.Pending() != 1 {
+		t.Fatalf("Drain to 7 ms ran %d events, clock %v, %d pending; want 2, 5 ms, 1", n, eng.Now(), eng.Pending())
+	}
+	if n := eng.Drain(MaxTime, 100); n != 1 || eng.Now() != Time(10*Millisecond) || eng.Pending() != 0 {
+		t.Fatalf("Drain to the end ran %d events, clock %v, %d pending; want 1, 10 ms, 0", n, eng.Now(), eng.Pending())
+	}
+	var loop func()
+	loop = func() { eng.Schedule(0, loop) }
+	loop()
+	defer func() {
+		if recover() == nil {
+			t.Error("a zero-delay loop did not trip the Drain guard")
+		}
+	}()
+	eng.Drain(MaxTime, 100)
+}
+
 func TestEventsFireAtScheduledTimesProperty(t *testing.T) {
 	// Property: for arbitrary delay sets, each event observes exactly its
 	// scheduled time and the engine visits times in nondecreasing order.
