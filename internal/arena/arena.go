@@ -114,9 +114,9 @@ func (s *Slab[T]) Get() *T {
 // nextChunk is the length of the next chunk of T for an allocator with
 // base chunk length size (0 = DefaultChunk) that lets its chunks grow to
 // as many objects as it has carved so far (0 for a fixed chunk length), up
-// to GrowBytes of them. A chunk larger than the runtime's biggest size
-// class (32 KB) occupies whole 8 KB pages, so its length is rounded up to
-// fill them.
+// to GrowBytes of them. A chunk of more than GrowBytes — DefaultChunk
+// objects of over 256 B — is rounded up to fill what the runtime gives it:
+// the biggest size class (32 KB), or whole 8 KB pages past it.
 func nextChunk[T any](size, carved int) int {
 	if size == 0 {
 		size = DefaultChunk
@@ -125,8 +125,11 @@ func nextChunk[T any](size, carved int) int {
 	sz := max(int(unsafe.Sizeof(t)), 1)
 	n := max(size, min(carved, GrowBytes/sz))
 	const maxSmall, page = 32 << 10, 8 << 10
-	if b := n * sz; b > maxSmall {
+	switch b := n * sz; {
+	case b > maxSmall:
 		n = (b + page - 1) / page * page / sz
+	case b > GrowBytes:
+		n = maxSmall / sz
 	}
 	return n
 }

@@ -86,10 +86,14 @@ func TestRunsChunksGrowToACap(t *testing.T) {
 }
 
 // TestChunkFillsItsPages: a chunk past the largest size class is rounded
-// up to whole 8 KB pages by the runtime, so its length fills them.
+// up to whole 8 KB pages by the runtime, and one past GrowBytes up to that
+// 32 KB class, so its length fills them.
 func TestChunkFillsItsPages(t *testing.T) {
 	if n := nextChunk[[656]byte](0, 0); n != 74 { // 64 × 656 B = 41 KB → 48 KB
 		t.Fatalf("chunk of 656 B objects holds %d, want 74", n)
+	}
+	if n := nextChunk[[472]byte](0, 0); n != 69 { // 64 × 472 B = 29.5 KB → 32 KB
+		t.Fatalf("chunk of 472 B objects holds %d, want 69", n)
 	}
 	if n := nextChunk[[8]byte](0, 0); n != DefaultChunk {
 		t.Fatalf("chunk of 8 B objects holds %d, want %d", n, DefaultChunk)

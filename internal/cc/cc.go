@@ -67,8 +67,9 @@ type Controller interface {
 	Reset(initialCwnd int)
 }
 
-// EchoMode selects the receiver's congestion-feedback behaviour.
-type EchoMode int
+// EchoMode selects the receiver's congestion-feedback behaviour. It is a
+// byte so a connection packs it with its flags.
+type EchoMode uint8
 
 const (
 	// EchoNone disables ECN feedback (plain TCP).

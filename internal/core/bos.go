@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"xmp/internal/cc"
 )
@@ -36,12 +37,14 @@ const DefaultBeta = 4
 // snd_una passing beg_seq, Figure 2), per-ack slow start, and the
 // REDUCED/NORMAL state machine keyed on cwr_seq that limits window
 // reductions to one per round.
+//
+// Every sender of an XMP incast burst holds one per subflow, so the record
+// is packed (TestBOSLayout): the window, ssthresh and β are int32 — β is
+// checked at construction, and the window only grows through grow, which
+// panics at 2^31-1 segments rather than wrap — and the flags share a word.
 type BOS struct {
-	cwnd     int
-	ssthresh int
-	beta     int
-	delta    float64
-	adder    float64
+	delta float64
+	adder float64
 
 	// group and member couple the subflow to its flow: once per round δ
 	// is Equation 9 evaluated from them (TraSh). Nil for standalone BOS,
@@ -49,16 +52,20 @@ type BOS struct {
 	group  *cc.FlowGroup
 	member *cc.Member
 
-	begSeq  int64
-	reduced bool
-	cwrSeq  int64
-
-	// DisableCwrGuard removes the once-per-round reduction guard; only for
-	// the ablation showing the over-reduction pathology (DESIGN.md §4).
-	DisableCwrGuard bool
+	begSeq int64
+	cwrSeq int64
 
 	rounds     int64
 	reductions int64
+
+	cwnd     int32
+	ssthresh int32
+	beta     int32
+
+	reduced bool
+	// DisableCwrGuard removes the once-per-round reduction guard; only for
+	// the ablation showing the over-reduction pathology (DESIGN.md §4).
+	DisableCwrGuard bool
 }
 
 // NewBOS returns a standalone BOS controller with reduction factor 1/beta
@@ -70,10 +77,10 @@ func NewBOS(initialCwnd, beta int) *BOS { return InitBOS(new(BOS), initialCwnd, 
 // subflow publishing through member, a member of group: TraSh retunes its
 // δ every round. With a nil group δ stays 1.
 func InitBOS(b *BOS, initialCwnd, beta int, group *cc.FlowGroup, member *cc.Member) *BOS {
-	if beta < 2 {
-		panic(fmt.Sprintf("core: beta must be >= 2, got %d", beta))
+	if beta < 2 || beta > math.MaxInt32 {
+		panic(fmt.Sprintf("core: beta must be in [2, 2^31-1], got %d", beta))
 	}
-	*b = BOS{beta: beta, group: group, member: member}
+	*b = BOS{beta: int32(beta), group: group, member: member}
 	b.Reset(initialCwnd)
 	return b
 }
@@ -85,10 +92,10 @@ func (b *BOS) Name() string { return "bos" }
 func (b *BOS) ECNCapable() bool { return true }
 
 // Window implements cc.Controller.
-func (b *BOS) Window() int { return b.cwnd }
+func (b *BOS) Window() int { return int(b.cwnd) }
 
 // Beta returns the reduction divisor β.
-func (b *BOS) Beta() int { return b.beta }
+func (b *BOS) Beta() int { return int(b.beta) }
 
 // Delta returns the current additive-increase parameter δ.
 func (b *BOS) Delta() float64 { return b.delta }
@@ -117,8 +124,8 @@ func (b *BOS) OnAck(a cc.Ack) {
 			// Congestion avoidance: cwnd += δ once per round, carrying the
 			// fractional remainder in adder (packet granularity).
 			b.adder += b.delta
-			inc := int(b.adder)
-			b.cwnd += inc
+			inc := int64(b.adder)
+			b.grow(inc)
 			b.adder -= float64(inc)
 		}
 		b.begSeq = a.SndNxt
@@ -134,8 +141,18 @@ func (b *BOS) OnAck(a cc.Ack) {
 	if !b.reduced && b.cwnd <= b.ssthresh {
 		// Slow start: +1 per clean ACK; a marked ACK both reduces and
 		// leaves slow start via the ssthresh update in reduce.
-		b.cwnd += int(a.NewlyAcked)
+		b.grow(a.NewlyAcked)
 	}
+}
+
+// grow adds n segments to the window, panicking at the int32 limit rather
+// than wrapping.
+func (b *BOS) grow(n int64) {
+	w := int64(b.cwnd) + n
+	if w > math.MaxInt32 {
+		panic(fmt.Sprintf("core: BOS window of %d segments grows past 2^31-1 by %d", b.cwnd, n))
+	}
+	b.cwnd = int32(w)
 }
 
 // reduce cuts cwnd by 1/β, at most once per round (state REDUCED until
@@ -194,8 +211,11 @@ func (b *BOS) Reset(initialCwnd int) {
 	if initialCwnd < MinCwnd {
 		initialCwnd = MinCwnd
 	}
+	if initialCwnd > math.MaxInt32 {
+		panic(fmt.Sprintf("core: BOS initial window %d past 2^31-1", initialCwnd))
+	}
 	*b = BOS{
-		cwnd:            initialCwnd,
+		cwnd:            int32(initialCwnd),
 		ssthresh:        cc.DefaultSsthresh,
 		beta:            b.beta,
 		delta:           1,

@@ -14,11 +14,13 @@ import (
 // shapeKey identifies the recyclable shape of a flow: two flows with equal
 // keys are structurally interchangeable — same controller types, subflow
 // count and transport configuration — so one can be rebound into a transfer
-// meant for the other.
+// meant for the other. Every flow carries its key, so its counts are
+// int32: shapeOf checks β, and a subflow count is at most the int32
+// ConnIDs its subflows take.
 type shapeKey struct {
 	alg  Algorithm
-	nsub int
-	beta int
+	nsub int32
+	beta int32
 	tc   transport.Config
 }
 
@@ -31,12 +33,15 @@ func shapeOf(opts *Options) shapeKey {
 	if beta == 0 {
 		beta = core.DefaultBeta
 	}
+	if beta != int(int32(beta)) {
+		panic(fmt.Sprintf("mptcp: β %d outside int32", beta))
+	}
 	tc := opts.Transport
 	tc.EchoMode = opts.Algorithm.EchoMode()
 	return shapeKey{
 		alg:  opts.Algorithm,
-		nsub: len(opts.Subflows),
-		beta: beta,
+		nsub: int32(len(opts.Subflows)),
+		beta: int32(beta),
 		tc:   tc,
 	}
 }
@@ -227,7 +232,7 @@ func (a *Arena) Release(f *Flow) {
 // reused. A worker sees a few shapes (the schemes of its cells, plus plain
 // TCP for incast requests), so it is a list scanned in the order each
 // shape was first released: a take and a put cost 55–80 ns against about
-// 145 ns for a map, whose every access hashes the 104-byte key
+// 145 ns for a map, whose every access hashed the key, then 104 bytes
 // (BenchmarkQuarantine at 1, 3 and 8 shapes; DESIGN.md).
 type quarantine []shapeQueue
 

@@ -62,7 +62,8 @@ type Observer interface {
 	Complete(f *Flow)
 }
 
-// Flow is one (possibly multipath) data transfer.
+// Flow is one (possibly multipath) data transfer. Its fields are ordered
+// by width, so the record packs (TestFlowLayout).
 type Flow struct {
 	eng *sim.Engine
 	// group couples the subflows of a multipath flow; its members live in
@@ -72,37 +73,38 @@ type Flow struct {
 	// subflow count and kept across arena rebinds.
 	subs      []subflow
 	remaining int64
-	infinite  bool
-
-	started   bool
 	startAt   sim.Time
 	doneAt    sim.Time
-	completed int
-	done      bool
-
-	obs Observer
+	obs       Observer
+	arena     *Arena
 
 	// Construction shape, captured for arena recycling: a recycled flow is
 	// rebound with the same subflow count, algorithm, β and transport
 	// config, so controllers and coupling state reset in place.
 	shape shapeKey
 
+	// completed counts finished subflows, at most shape.nsub.
+	completed int32
 	// Arena bookkeeping: gen invalidates FlowHandles when the flow is
 	// released or recycled; released guards use-after-release.
 	gen      uint32
 	released bool
-	arena    *Arena
+
+	infinite bool
+	started  bool
+	done     bool
 }
 
 // subflow is one subflow's record in its flow's block: the connection
 // itself, the coupling-group member it publishes through, its start offset
-// and index. It is the connection's transport.Owner, forwarding to the
-// flow. Records never move, so the connection is built in place.
+// and index (below the flow's int32 subflow count). It is the connection's
+// transport.Owner, forwarding to the flow. Records never move, so the
+// connection is built in place.
 type subflow struct {
 	flow   *Flow
 	member cc.Member
 	offset sim.Duration
-	idx    int
+	idx    int32
 	conn   transport.Conn
 }
 
@@ -113,14 +115,14 @@ func (s *subflow) OnEvent(sim.Op, any) { s.conn.Start() }
 // Progress implements transport.Owner.
 func (s *subflow) Progress(now sim.Time, ackedBytes int) {
 	if obs := s.flow.obs; obs != nil {
-		obs.Progress(s.idx, now, ackedBytes)
+		obs.Progress(int(s.idx), now, ackedBytes)
 	}
 }
 
 // RTTSample implements transport.Owner.
 func (s *subflow) RTTSample(rtt sim.Duration) {
 	if obs := s.flow.obs; obs != nil {
-		obs.RTTSample(s.idx, rtt)
+		obs.RTTSample(int(s.idx), rtt)
 	}
 }
 
@@ -180,11 +182,11 @@ func initFlow(f *Flow, eng *sim.Engine, opts Options, shape shapeKey, a *Arena) 
 	}
 	for i := range f.subs {
 		s := &f.subs[i]
-		s.flow, s.idx = f, i
+		s.flow, s.idx = f, int32(i)
 		if alg.multipath {
 			f.group.Add(&s.member)
 		}
-		ctrl := alg.controller(cc.DefaultInitialWindow, shape.beta, &f.group, &s.member)
+		ctrl := alg.controller(cc.DefaultInitialWindow, int(shape.beta), &f.group, &s.member)
 		transport.InitConn(&s.conn, eng, f.connOptions(&opts, s, ctrl))
 	}
 }
@@ -311,7 +313,7 @@ func (f *Flow) StopSending() {
 
 func (f *Flow) subflowDone() {
 	f.completed++
-	if f.completed == len(f.subs) && !f.done {
+	if int(f.completed) == len(f.subs) && !f.done {
 		f.done = true
 		f.doneAt = f.eng.Now()
 		if f.obs != nil {

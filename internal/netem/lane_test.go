@@ -24,7 +24,7 @@ func seqs(s *sink) []int64 {
 // sized builds a packet of exactly wire bytes on the wire, numbered seq.
 func sized(seq int64, wire int) *Packet {
 	p := NewDataPacket(1, 0, 1, seq, wire-HeaderBytes, false)
-	if p.WireBytes != wire {
+	if int(p.WireBytes) != wire {
 		panic("sized: wrong wire size")
 	}
 	return p

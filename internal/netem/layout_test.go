@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -9,8 +11,9 @@ import (
 
 // TestPacketLayout pins the struct layout the per-hop path is tuned for:
 // every field a link, queue, switch, pool release or host demux touches
-// sits in the first cache line, and the size is a whole number of lines so
-// the elements of a slab chunk stay line-aligned.
+// sits in the first cache line, and the size is two whole lines, so the
+// elements of a slab chunk stay line-aligned and the packets a burst holds
+// in flight stay small.
 func TestPacketLayout(t *testing.T) {
 	var p Packet
 	hot := map[string]uintptr{
@@ -38,8 +41,49 @@ func TestPacketLayout(t *testing.T) {
 	}
 	// The pad is sized for 8-byte pointers; on a 32-bit CPU the struct
 	// shrinks and only the hot-field bound above still applies.
-	if size := unsafe.Sizeof(p); unsafe.Sizeof(uintptr(0)) == 8 && size%64 != 0 {
-		t.Errorf("Packet is %d bytes, not a multiple of 64", size)
+	if size := unsafe.Sizeof(p); unsafe.Sizeof(uintptr(0)) == 8 && size != 128 {
+		t.Errorf("Packet is %d bytes, want 128: two cache lines", size)
+	}
+}
+
+// TestSACKOffsetAtLimit: a SACK block is stored as int32 offsets above the
+// ACK. The farthest block that fits round-trips exactly; one segment
+// farther, or a block below the ACK, panics rather than wrap.
+func TestSACKOffsetAtLimit(t *testing.T) {
+	const ack = int64(1) << 40
+	p := NewAckPacket(1, 0, 1, ack)
+	p.SetSACK(2, ack+1, ack+math.MaxInt32)
+	if start, end := p.SACKBlock(2); start != ack+1 || end != ack+math.MaxInt32 {
+		t.Fatalf("SACK block read back as [%d, %d)", start, end)
+	}
+	for _, b := range [][2]int64{{ack + 1, ack + math.MaxInt32 + 1}, {ack - 1, ack + 1}, {ack + 5, ack + 4}} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "SACK block") {
+					t.Errorf("SACK block [%d, %d) above ack %d: panic %q", b[0], b[1], ack, msg)
+				}
+			}()
+			p.SetSACK(0, b[0], b[1])
+		}()
+	}
+}
+
+// TestDataPayloadAtLimit: a data segment's sizes are int32 fields bounded
+// by MaxPacketBytes. A full segment builds; a payload past MSS, or
+// negative, panics.
+func TestDataPayloadAtLimit(t *testing.T) {
+	if p := NewDataPacket(1, 0, 1, 0, MSS, false); p.WireBytes != MaxPacketBytes || p.PayloadBytes != MSS {
+		t.Fatalf("full segment: wire %d, payload %d", p.WireBytes, p.PayloadBytes)
+	}
+	for _, payload := range []int{MSS + 1, -1} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "outside 0..MSS") {
+					t.Errorf("payload %d: panic %q", payload, msg)
+				}
+			}()
+			NewDataPacket(1, 0, 1, 0, payload, false)
+		}()
 	}
 }
 

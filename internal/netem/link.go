@@ -150,7 +150,7 @@ func (l *Link) OnEvent(op sim.Op, arg any) {
 		l.finishTransmit(p, HeaderBytes)
 		return
 	case opTxDone:
-		l.finishTransmit(p, p.WireBytes)
+		l.finishTransmit(p, int(p.WireBytes))
 		return
 	}
 	// Propagation done. The packet advances along its resolved path
@@ -183,7 +183,7 @@ func (l *Link) startTransmit() {
 	case HeaderBytes:
 		l.txHeader.Schedule(l, opTxDoneHeader, p)
 	default:
-		l.eng.ScheduleTarget(l.TxTime(p.WireBytes), l, opTxDone, p)
+		l.eng.ScheduleTarget(l.TxTime(int(p.WireBytes)), l, opTxDone, p)
 	}
 }
 

@@ -6,7 +6,10 @@
 // played in the paper's evaluation.
 package netem
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Addr identifies a host interface address. A physical host may own several
 // addresses ("aliases"); in the Fat-Tree topology each alias routes through
@@ -44,6 +47,12 @@ const initialTTL = 64
 // numbering keeps receiver bookkeeping exact. PayloadBytes carries the true
 // byte count of this segment (the final segment of a flow may be short), so
 // goodput accounting remains byte-accurate.
+//
+// A packet is two cache lines on 64-bit (TestPacketLayout): sizes and
+// counts are as wide as their bounds need — a wire size is at most
+// MaxPacketBytes, an echo count at most the receiver's int8 CE backlog,
+// a SACK block an int32 offset above Ack that SetSACK checks — and
+// sequence numbers and timestamps stay 64-bit.
 type Packet struct {
 	// Everything a hop reads — forwarding, queueing, marking, release, demux
 	// — sits in the first 64 bytes, one cache line (see TestPacketLayout).
@@ -65,7 +74,7 @@ type Packet struct {
 	pool *PacketPool
 	// WireBytes is the total on-the-wire size used for serialization delay
 	// and utilization accounting.
-	WireBytes int
+	WireBytes int32
 	hop       int32
 	// Slot is the destination host's demux slot for this packet's
 	// connection, stamped by the transport at send time; 0 means unstamped,
@@ -86,25 +95,46 @@ type Packet struct {
 	// TCP-level fields.
 	SYN, FIN, IsAck bool
 	inPool          bool
-	Seq             int64 // segment index of this data packet (data packets)
-	PayloadBytes    int   // bytes of application data in this segment
-	Ack             int64 // cumulative ack: next expected segment index
 	// ECNEcho is the number of CE marks the receiver reports in this ACK,
 	// 0..3, encoded on the wire in the ECE+CWR bits (the BOS two-bit echo).
 	// For standard-ECN flows it is 0 or 1 (1 = ECE set).
-	ECNEcho int
+	ECNEcho int8
+	// SACKCount is the number of SACK blocks set (0..3).
+	SACKCount    int8
+	PayloadBytes int32 // bytes of application data in this segment
+
+	Seq int64 // segment index of this data packet (data packets)
+	Ack int64 // cumulative ack: next expected segment index
 	// EchoTime carries the sender timestamp being echoed for RTT
 	// measurement (TCP timestamp option); <0 when absent.
 	SendTime int64
 	EchoTime int64
 
-	// SACK blocks: up to 3 half-open segment ranges the receiver holds
-	// above the cumulative ACK (RFC 2018, in segment units). Only
-	// populated when the connection negotiated SACK.
-	SACK      [3][2]int64
-	SACKCount int
+	// sack holds up to 3 half-open segment ranges the receiver holds above
+	// the cumulative ACK (RFC 2018, in segment units), as offsets above
+	// Ack; SetSACK and SACKBlock convert. Only populated when the
+	// connection negotiated SACK.
+	sack [3][2]int32
 
-	_ [24]byte // to a multiple of 64: slab elements stay line-aligned
+	_ [8]byte // to a multiple of 64: slab elements stay line-aligned
+}
+
+// SetSACK sets SACK block i to the segment range [start, end), which must
+// lie above the packet's Ack by less than 2^31 segments: a block is stored
+// as two int32 offsets, and one out of range panics rather than wrap. Set
+// Ack first.
+func (p *Packet) SetSACK(i int, start, end int64) {
+	lo, hi := start-p.Ack, end-p.Ack
+	if lo < 0 || hi < lo || hi > math.MaxInt32 {
+		panic(fmt.Sprintf("netem: SACK block [%d, %d) is not within 2^31-1 segments above ack %d", start, end, p.Ack))
+	}
+	p.sack[i] = [2]int32{int32(lo), int32(hi)}
+}
+
+// SACKBlock returns SACK block i as the segment range [start, end).
+func (p *Packet) SACKBlock(i int) (start, end int64) {
+	b := p.sack[i]
+	return p.Ack + int64(b[0]), p.Ack + int64(b[1])
 }
 
 // dropOwner decrements the in-flight counter stamped on the packet, once.

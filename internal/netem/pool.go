@@ -75,15 +75,18 @@ func (pl *PacketPool) get() *Packet {
 	return p
 }
 
-// Data builds a data segment of payload bytes from src to dst, recycling a
-// released packet when one is available.
+// Data builds a data segment of payload bytes, 0..MSS, from src to dst,
+// recycling a released packet when one is available.
 func (pl *PacketPool) Data(conn ConnID, src, dst Addr, seq int64, payload int, ect bool) *Packet {
+	if uint(payload) > MSS {
+		panic(fmt.Sprintf("netem: data segment of %d bytes, outside 0..MSS", payload))
+	}
 	p := pl.get()
 	p.Src, p.Dst, p.Conn = src, dst, conn
-	p.WireBytes = HeaderBytes + payload
+	p.WireBytes = int32(HeaderBytes + payload)
 	p.ECT = ect
 	p.Seq = seq
-	p.PayloadBytes = payload
+	p.PayloadBytes = int32(payload)
 	p.SendTime, p.EchoTime = -1, -1
 	return p
 }

@@ -87,7 +87,7 @@ func (f *fifo) push(now sim.Time, p *Packet) {
 	}
 	f.buf[(f.head+f.count)&(len(f.buf)-1)] = p
 	f.count++
-	f.bytes += p.WireBytes
+	f.bytes += int(p.WireBytes)
 	f.stats.EnqueuedPackets++
 	if f.count > f.stats.MaxLen {
 		f.stats.MaxLen = f.count
@@ -103,7 +103,7 @@ func (f *fifo) pop(now sim.Time) *Packet {
 	f.buf[f.head] = nil
 	f.head = (f.head + 1) & (len(f.buf) - 1)
 	f.count--
-	f.bytes -= p.WireBytes
+	f.bytes -= int(p.WireBytes)
 	return p
 }
 

@@ -16,7 +16,9 @@ import (
 )
 
 // Config carries the transport parameters of one connection. The zero
-// value is not valid; start from DefaultConfig.
+// value is not valid; start from DefaultConfig. Its counts are int32 and
+// its echo mode a byte, the widths a connection keeps them at, so the
+// Config that a flow's recycling key carries is 24 bytes on 64-bit.
 type Config struct {
 	// RTOMin is the minimum retransmission timeout. The paper attributes
 	// LIA's poor small-flow behaviour and the Figure 9 CDF jumps to the
@@ -27,7 +29,7 @@ type Config struct {
 	// DelAckCount is the number of in-order segments that trigger an
 	// immediate cumulative ACK (2 = standard delayed ACKs, each withheld
 	// at most 1 ms; 1 disables delaying).
-	DelAckCount int
+	DelAckCount int32
 
 	// EchoMode selects the receiver's congestion-feedback behaviour; it
 	// must agree with the controller (e.g. BOS needs EchoCounter).
@@ -35,7 +37,7 @@ type Config struct {
 
 	// MaxRetries bounds retransmissions of a single segment before the
 	// connection is declared failed (0 = unlimited).
-	MaxRetries int
+	MaxRetries int32
 
 	// EnableSACK turns on selective acknowledgments (RFC 2018-style, up
 	// to 3 blocks per ACK) with scoreboard-driven hole retransmission.

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 
 	"xmp/internal/cc"
 	"xmp/internal/netem"
@@ -9,7 +10,7 @@ import (
 )
 
 // State is the lifecycle state of a connection.
-type State int
+type State uint8
 
 // Connection lifecycle states.
 const (
@@ -79,34 +80,35 @@ type Stats struct {
 	DupAcksSeen     int64
 }
 
+// segCounts are the segment counts of Stats as a connection keeps them,
+// int32 (its byte counts stay 64-bit). Every increment goes through
+// Conn.bump, which panics at 2^31-1 — 2^31 segments are 3 TB on one
+// connection — instead of wrapping.
+type segCounts struct {
+	sent, retrans, timeouts, fastRetrans, dupAcksSeen int32
+}
+
 // Conn is one unidirectional TCP data transfer from Src to Dst. A single
 // Conn object holds both endpoint state machines (the simulation is
 // single-threaded); each host's demux delivers into the proper half.
+//
+// A burst of senders holds one Conn per subflow, all alive at once, so the
+// record is laid out by width (DESIGN.md, "Per-connection records"):
+// pointers, then 64-bit sequence numbers, times and byte counts, then
+// 32-bit fields, then bytes and flags. Every field narrower than the value
+// it once held has a stated bound: a configuration check at bind, an
+// invariant of the code that writes it, or a guard that panics at the
+// limit (bump) rather than wrap. TestConnLayout pins the size.
 type Conn struct {
-	id   netem.ConnID
-	eng  *sim.Engine
-	cfg  Config
-	ctrl cc.Controller
-	src  *netem.Host
-	dst  *netem.Host
-
-	srcAddr, dstAddr netem.Addr
-	supply           Supply
-	member           *cc.Member
-
-	// Resolved once at setup so the per-packet path is lookup-free:
-	// srcSlot/dstSlot are the hosts' demux slots for this connection and
-	// fwdPath/revPath the link sequences each direction follows, stamped on
-	// every packet sent.
-	srcSlot, dstSlot int32
+	eng    *sim.Engine
+	ctrl   cc.Controller
+	src    *netem.Host
+	dst    *netem.Host
+	supply Supply
+	member *cc.Member
+	// fwdPath/revPath are the link sequences each direction follows,
+	// resolved once at setup and stamped on every packet sent.
 	fwdPath, revPath *netem.Path
-
-	// inflight counts packets of this connection currently inside the
-	// network: every send stamps p.Owner at it, and the network decrements
-	// it at the packet's exit point (host delivery or drop). The flow arena
-	// recycles a finished connection only once this reaches zero, so a slot
-	// or ID reuse can never receive a stale packet.
-	inflight int32
 
 	// sender and receiver are the pre-boxed demux endpoints, so Register
 	// never allocates an interface box per registration.
@@ -115,7 +117,6 @@ type Conn struct {
 
 	owner Owner
 
-	state       State
 	startTime   sim.Time
 	establishAt sim.Time
 	doneAt      sim.Time
@@ -123,34 +124,84 @@ type Conn struct {
 	// Sender half.
 	sndUna, sndNxt int64
 	suppliedEnd    int64
-	exhausted      bool
 	// The one short (sub-MSS) segment a supply may hand out, its last:
-	// sequence number (-1 = none yet) and length.
+	// sequence number (-1 = none yet); its length is shortLen.
 	shortSeq   int64
-	shortLen   int
-	dupAcks    int
-	inRecovery bool
 	recoverSeq int64
-	pendingCWR bool
 	rtt        rttEstimator
 	rtoH       sim.Handle
-	rtoArmed   bool
-	retries    int
-	stats      Stats
 	// SACK scoreboard: segments above snd_una the receiver reported
 	// holding, and the recovery cursor for hole retransmission.
 	sacked     rangeSet
 	holeCursor int64
+	ackedBytes int64
 
 	// Receiver half.
 	rcvNxt        int64
 	ooo           rangeSet // received segments above rcvNxt
-	pendingCE     int      // CE marks not yet echoed (EchoCounter, EchoDCTCP)
-	eceLatched    bool     // EchoStandard latch
-	delayCount    int
+	rcvdBytes     int64
 	delAckH       sim.Handle
-	delAckArmed   bool
 	lastTriggerTS int64
+
+	id               netem.ConnID
+	srcAddr, dstAddr netem.Addr
+	// srcSlot/dstSlot are the hosts' demux slots for this connection,
+	// resolved once at setup so the per-packet path is lookup-free.
+	srcSlot, dstSlot int32
+	// inflight counts packets of this connection currently inside the
+	// network: every send stamps p.Owner at it, and the network decrements
+	// it at the packet's exit point (host delivery or drop). The flow arena
+	// recycles a finished connection only once this reaches zero, so a slot
+	// or ID reuse can never receive a stale packet.
+	inflight int32
+	segs     segCounts
+
+	// Config, as the connection reads it after bind (RTOMin lives in rtt).
+	maxRetries  int32
+	delAckCount int32
+
+	// dupAcks <= segs.dupAcksSeen: both count the same duplicate ACKs,
+	// and only dupAcks is reset mid-transfer, so that counter's guard
+	// bounds it.
+	dupAcks int32
+	retries int32 // guarded by bump
+	// delayCount <= delAckCount: reaching it sends the ACK that zeroes it.
+	delayCount int32
+
+	// shortLen <= netem.MSS: nextPayload refuses a longer payload.
+	shortLen uint16
+	state    State
+	// pendingCE counts CE marks not yet echoed (EchoCounter, EchoDCTCP).
+	// Every CE arrival sends an ACK that echoes at least one, so it stays
+	// at 0 or 1; receiverDeliver guards its int8 limit all the same, which
+	// also bounds the echo count an ACK carries (netem.Packet.ECNEcho).
+	pendingCE  int8
+	echoMode   cc.EchoMode
+	enableSACK bool
+
+	exhausted   bool
+	inRecovery  bool
+	pendingCWR  bool
+	rtoArmed    bool
+	eceLatched  bool // EchoStandard latch
+	delAckArmed bool
+}
+
+// bump increments a narrowed counter of connection c, panicking at its
+// int32 limit rather than wrapping.
+func (c *Conn) bump(n *int32, what string) {
+	if *n == math.MaxInt32 {
+		c.overflow(what)
+	}
+	*n++
+}
+
+// overflow panics naming the connection and the counter that reached its
+// limit; kept out of line so bump inlines.
+//
+//go:noinline
+func (c *Conn) overflow(what string) {
+	panic(fmt.Sprintf("transport: connection %d: %s reached its limit", c.id, what))
 }
 
 // senderHalf and receiverHalf adapt the two ends of a Conn to the host
@@ -208,7 +259,10 @@ func (c *Conn) bind(opts Options) {
 		panic("transport: loopback connections are not modelled")
 	}
 	c.id = opts.ID
-	c.cfg = opts.Config
+	c.maxRetries = opts.Config.MaxRetries
+	c.delAckCount = opts.Config.DelAckCount
+	c.echoMode = opts.Config.EchoMode
+	c.enableSACK = opts.Config.EnableSACK
 	c.ctrl = opts.Controller
 	c.src = opts.Src
 	c.dst = opts.Dst
@@ -276,13 +330,15 @@ func (c *Conn) Rebind(opts Options) {
 	c.recoverSeq = 0
 	c.pendingCWR = false
 	c.retries = 0
-	c.stats = Stats{}
+	c.segs = segCounts{}
+	c.ackedBytes = 0
 	c.sacked.Clear()
 	c.holeCursor = 0
 
 	// Receiver half back to zero.
 	c.rcvNxt = 0
 	c.ooo.Clear()
+	c.rcvdBytes = 0
 	c.pendingCE = 0
 	c.eceLatched = false
 	c.delayCount = 0
@@ -339,7 +395,17 @@ func (c *Conn) ID() netem.ConnID { return c.id }
 func (c *Conn) State() State { return c.state }
 
 // Stats returns a snapshot of the connection counters.
-func (c *Conn) Stats() Stats { return c.stats }
+func (c *Conn) Stats() Stats {
+	return Stats{
+		SentSegments:    int64(c.segs.sent),
+		RetransSegments: int64(c.segs.retrans),
+		Timeouts:        int64(c.segs.timeouts),
+		FastRetransmits: int64(c.segs.fastRetrans),
+		AckedBytes:      c.ackedBytes,
+		RcvdBytes:       c.rcvdBytes,
+		DupAcksSeen:     int64(c.segs.dupAcksSeen),
+	}
+}
 
 // Controller exposes the congestion controller (for experiment probes).
 func (c *Conn) Controller() cc.Controller { return c.ctrl }
@@ -348,7 +414,7 @@ func (c *Conn) Controller() cc.Controller { return c.ctrl }
 func (c *Conn) SRTT() sim.Duration { return c.rtt.SRTT() }
 
 // AckedBytes returns the application bytes acknowledged so far.
-func (c *Conn) AckedBytes() int64 { return c.stats.AckedBytes }
+func (c *Conn) AckedBytes() int64 { return c.ackedBytes }
 
 // StartTime returns when Start was called.
 func (c *Conn) StartTime() sim.Time { return c.startTime }
@@ -443,7 +509,7 @@ func (c *Conn) senderDeliver(p *netem.Packet) {
 				c.inRecovery = false
 			} else if c.retransmitHole() {
 				retransmitted = true
-			} else if !c.cfg.EnableSACK || c.sndUna >= c.holeCursor {
+			} else if !c.enableSACK || c.sndUna >= c.holeCursor {
 				// NewReno partial ack: retransmit the next hole — unless
 				// the SACK cursor already retransmitted it and it is
 				// still in flight (the RTO remains the backstop).
@@ -452,7 +518,7 @@ func (c *Conn) senderDeliver(p *netem.Packet) {
 				retransmitted = true
 			}
 		}
-		if c.cfg.EchoMode == cc.EchoStandard && p.ECNEcho > 0 {
+		if c.echoMode == cc.EchoStandard && p.ECNEcho > 0 {
 			c.pendingCWR = true
 		}
 		c.ctrl.OnAck(cc.Ack{
@@ -460,10 +526,10 @@ func (c *Conn) senderDeliver(p *netem.Packet) {
 			NewlyAcked: newly,
 			SndUna:     c.sndUna,
 			SndNxt:     c.sndNxt,
-			ECNEcho:    p.ECNEcho,
+			ECNEcho:    int(p.ECNEcho),
 			SRTT:       c.rtt.SRTT(),
 		})
-		c.stats.AckedBytes += newlyBytes
+		c.ackedBytes += newlyBytes
 		c.publishMember()
 		if c.owner != nil && newlyBytes > 0 {
 			c.owner.Progress(now, int(newlyBytes))
@@ -483,9 +549,9 @@ func (c *Conn) senderDeliver(p *netem.Packet) {
 		}
 
 	case p.Ack == c.sndUna && c.sndNxt > c.sndUna:
-		c.stats.DupAcksSeen++
+		c.bump(&c.segs.dupAcksSeen, "duplicate ACK count")
 		c.dupAcks++
-		if c.cfg.EchoMode == cc.EchoStandard && p.ECNEcho > 0 {
+		if c.echoMode == cc.EchoStandard && p.ECNEcho > 0 {
 			c.pendingCWR = true
 		}
 		// Congestion feedback can ride duplicate ACKs; deliver it with
@@ -494,7 +560,7 @@ func (c *Conn) senderDeliver(p *netem.Packet) {
 			Now:     now,
 			SndUna:  c.sndUna,
 			SndNxt:  c.sndNxt,
-			ECNEcho: p.ECNEcho,
+			ECNEcho: int(p.ECNEcho),
 			SRTT:    c.rtt.SRTT(),
 		})
 		retransmitted := false
@@ -502,7 +568,7 @@ func (c *Conn) senderDeliver(p *netem.Packet) {
 			c.inRecovery = true
 			c.recoverSeq = c.sndNxt - 1
 			c.holeCursor = c.sndUna
-			c.stats.FastRetransmits++
+			c.bump(&c.segs.fastRetrans, "fast retransmit count")
 			c.ctrl.OnFastRetransmit()
 			if !c.retransmitHole() {
 				c.resend(c.sndUna)
@@ -524,11 +590,11 @@ func (c *Conn) senderDeliver(p *netem.Packet) {
 
 // ingestSACK folds an ACK's SACK blocks into the scoreboard.
 func (c *Conn) ingestSACK(p *netem.Packet) {
-	if !c.cfg.EnableSACK || p.SACKCount == 0 {
+	if !c.enableSACK || p.SACKCount <= 0 {
 		return
 	}
-	for i := 0; i < p.SACKCount; i++ {
-		c.sacked.Add(p.SACK[i][0], p.SACK[i][1])
+	for i := range int(p.SACKCount) {
+		c.sacked.Add(p.SACKBlock(i))
 	}
 	c.sacked.TrimBelow(c.sndUna)
 }
@@ -545,7 +611,7 @@ func (c *Conn) pipe() int64 {
 // scoreboard offers no actionable hole (non-SACK connections always
 // return false and fall back to NewReno behaviour).
 func (c *Conn) retransmitHole() bool {
-	if !c.cfg.EnableSACK || c.sacked.Empty() {
+	if !c.enableSACK || c.sacked.Empty() {
 		return false
 	}
 	from := c.holeCursor
@@ -574,7 +640,7 @@ func (c *Conn) sampleRTT(rtt sim.Duration) {
 // payloadOf returns the application bytes carried by segment seq.
 func (c *Conn) payloadOf(seq int64) int {
 	if seq == c.shortSeq {
-		return c.shortLen
+		return int(c.shortLen)
 	}
 	return netem.MSS
 }
@@ -626,7 +692,7 @@ func (c *Conn) nextPayload() (int, bool) {
 		if c.shortSeq >= 0 {
 			panic(fmt.Sprintf("transport: supply returned a second short segment (%d bytes after %d)", payload, c.shortLen))
 		}
-		c.shortSeq, c.shortLen = c.suppliedEnd, payload
+		c.shortSeq, c.shortLen = c.suppliedEnd, uint16(payload)
 	}
 	c.suppliedEnd++
 	return payload, true
@@ -640,9 +706,9 @@ func (c *Conn) sendSegment(seq int64, payload int, retrans bool) {
 		c.pendingCWR = false
 	}
 	if retrans {
-		c.stats.RetransSegments++
+		c.bump(&c.segs.retrans, "retransmitted segment count")
 	} else {
-		c.stats.SentSegments++
+		c.bump(&c.segs.sent, "sent segment count")
 	}
 	c.sendFwd(p)
 }
@@ -712,8 +778,8 @@ func (c *Conn) stopDelAck() {
 func (c *Conn) onRTO() {
 	switch c.state {
 	case StateSynSent:
-		c.retries++
-		if c.cfg.MaxRetries > 0 && c.retries > c.cfg.MaxRetries {
+		c.bump(&c.retries, "retry count")
+		if c.maxRetries > 0 && c.retries > c.maxRetries {
 			c.fail()
 			return
 		}
@@ -723,12 +789,12 @@ func (c *Conn) onRTO() {
 		if c.sndNxt == c.sndUna {
 			return // nothing outstanding; stale timer
 		}
-		c.retries++
-		if c.cfg.MaxRetries > 0 && c.retries > c.cfg.MaxRetries {
+		c.bump(&c.retries, "retry count")
+		if c.maxRetries > 0 && c.retries > c.maxRetries {
 			c.fail()
 			return
 		}
-		c.stats.Timeouts++
+		c.bump(&c.segs.timeouts, "timeout count")
 		c.ctrl.OnRetransmitTimeout()
 		c.publishMember()
 		c.inRecovery = false
@@ -809,21 +875,24 @@ func (c *Conn) receiverDeliver(p *netem.Packet) {
 	// Congestion-feedback bookkeeping happens on every arrival, in-order
 	// or not: a mark is a statement about the path, not about ordering.
 	if p.CE {
-		switch c.cfg.EchoMode {
+		switch c.echoMode {
 		case cc.EchoCounter, cc.EchoDCTCP:
+			if c.pendingCE == math.MaxInt8 {
+				c.overflow("pending CE count")
+			}
 			c.pendingCE++
 		case cc.EchoStandard:
 			c.eceLatched = true
 		}
 	}
-	if p.CWR && c.cfg.EchoMode == cc.EchoStandard && !p.CE {
+	if p.CWR && c.echoMode == cc.EchoStandard && !p.CE {
 		c.eceLatched = false
 	}
 	c.lastTriggerTS = p.SendTime
 
 	switch {
 	case p.Seq == c.rcvNxt:
-		c.stats.RcvdBytes += int64(p.PayloadBytes)
+		c.rcvdBytes += int64(p.PayloadBytes)
 		c.rcvNxt++
 		// Drain any out-of-order run now contiguous with rcv_nxt.
 		jumped := false
@@ -838,7 +907,7 @@ func (c *Conn) receiverDeliver(p *netem.Packet) {
 		c.delayCount++
 		// An ACK is not withheld while it would delay congestion feedback
 		// the sender is waiting for.
-		if jumped || c.delayCount >= c.cfg.DelAckCount || c.pendingCE > 0 {
+		if jumped || c.delayCount >= c.delAckCount || c.pendingCE > 0 {
 			c.sendAck()
 		} else if !c.delAckArmed {
 			c.armDelAck(delAckTimeout)
@@ -846,7 +915,7 @@ func (c *Conn) receiverDeliver(p *netem.Packet) {
 	case p.Seq > c.rcvNxt:
 		if !c.ooo.Contains(p.Seq) {
 			c.ooo.Add(p.Seq, p.Seq+1)
-			c.stats.RcvdBytes += int64(p.PayloadBytes)
+			c.rcvdBytes += int64(p.PayloadBytes)
 		}
 		c.sendAck() // immediate duplicate ACK
 	default:
@@ -861,16 +930,17 @@ func (c *Conn) sendAck() {
 	} else if c.pendingCE > 0 {
 		// As many pending marks as the mode's encoding carries per ACK; the
 		// rest ride on the following ACKs.
-		ack.ECNEcho = min(c.pendingCE, c.cfg.EchoMode.EchoCap())
+		// pendingCE <= math.MaxInt8, so the echo fits the packet's int8.
+		ack.ECNEcho = int8(min(int(c.pendingCE), c.echoMode.EchoCap()))
 		c.pendingCE -= ack.ECNEcho
 	}
-	if c.cfg.EnableSACK && !c.ooo.Empty() {
+	if c.enableSACK && !c.ooo.Empty() {
 		var blocks [3]segRange
 		n := c.ooo.Blocks(blocks[:], 3)
-		for i := 0; i < n; i++ {
-			ack.SACK[i] = [2]int64{blocks[i].start, blocks[i].end}
+		for i := range n {
+			ack.SetSACK(i, blocks[i].start, blocks[i].end)
 		}
-		ack.SACKCount = n
+		ack.SACKCount = int8(n)
 	}
 	ack.EchoTime = c.lastTriggerTS
 	c.delayCount = 0

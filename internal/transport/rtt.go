@@ -8,12 +8,15 @@ import (
 // with a configurable minimum RTO. Samples come from TCP timestamp echoes
 // (the kernel's TCP_CONG_RTT_STAMP microsecond-granularity path the XMP
 // module enables), so Karn's ambiguity problem does not arise.
+//
+// srtt doubles as the "sampled" flag: it is 0 until the first sample and at
+// least 1 ns after it (a sample is at least 1 ns, and (7·srtt+rtt)/8 >= 1
+// for srtt, rtt >= 1), so a connection carries no separate bool for it.
 type rttEstimator struct {
-	srtt    sim.Duration
-	rttvar  sim.Duration
-	rto     sim.Duration
-	rtoMin  sim.Duration
-	sampled bool
+	srtt   sim.Duration
+	rttvar sim.Duration
+	rto    sim.Duration
+	rtoMin sim.Duration
 }
 
 func newRTTEstimator(cfg Config) rttEstimator {
@@ -25,10 +28,9 @@ func (e *rttEstimator) addSample(rtt sim.Duration) {
 	if rtt <= 0 {
 		return
 	}
-	if !e.sampled {
+	if e.srtt == 0 {
 		e.srtt = rtt
 		e.rttvar = rtt / 2
-		e.sampled = true
 	} else {
 		// RFC 6298: beta=1/4, alpha=1/8.
 		dev := e.srtt - rtt

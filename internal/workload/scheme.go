@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -43,8 +44,8 @@ func ParseScheme(label string) (Scheme, error) {
 	s.Algorithm = alg
 	if hasBeta {
 		b, err := strconv.Atoi(suffix)
-		if err != nil || b < 2 { // core.NewBOS panics below 2
-			return Scheme{}, fmt.Errorf("scheme %q: bad beta suffix %q (want /bN, N >= 2)", label, "/b"+suffix)
+		if err != nil || b < 2 || b > math.MaxInt32 { // core.NewBOS panics outside these
+			return Scheme{}, fmt.Errorf("scheme %q: bad beta suffix %q (want /bN, 2 <= N < 2^31)", label, "/b"+suffix)
 		}
 		if !alg.TakesBeta() {
 			return Scheme{}, fmt.Errorf("scheme %q: bad beta suffix: %v has no beta parameter", label, alg)

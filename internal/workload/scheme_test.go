@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -49,7 +50,7 @@ func TestParseSchemeRejects(t *testing.T) {
 	for _, label := range []string{
 		"", "TCP-2", "DCTCP-2", "XMP", "XMP-0", "XMP-x", "QUIC-2",
 		"XMP-2/b0", "XMP-2/bx", "xmp-2",
-		"XMP-2/b1", "XMP-65", "XMP-4000000000",
+		"XMP-2/b1", "XMP-65", "XMP-4000000000", "XMP-2/b2147483648",
 		// Only XMP and BOS-uncoupled read beta: elsewhere it would be hashed
 		// and then ignored.
 		"LIA-2/b6", "LIA-4/b4", "OLIA-2/b4", "AMP-2/b4", "DCTCP/b9", "TCP-ECN/b2", "TCP/b2",
@@ -105,7 +106,7 @@ func FuzzParseScheme(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if s.Beta != 0 && (s.Beta < 2 || !s.Algorithm.TakesBeta()) {
+		if s.Beta != 0 && (s.Beta < 2 || s.Beta > math.MaxInt32 || !s.Algorithm.TakesBeta()) {
 			t.Errorf("%q: accepted beta %d on %v", label, s.Beta, s.Algorithm)
 		}
 		if s.Subflows < 1 || s.Subflows > MaxSubflows {
