@@ -66,10 +66,11 @@ shard-*.json" rebuilds tables byte-identical to an unsharded run. merge also acc
 *.json inside, e.g. the dispatch -outdir). Unsharded, and on merge and
 dispatch, -json receives the campaign's plot export (%s have one).
 
-matrix, fct and robustness are the specs scenarios/<name>.json, embedded
-in the binary: "xmpsim matrix" is "xmpsim run scenarios/matrix.json" with
-the scale flags overlaid, and at default flags their shard files merge
-with the spec file's.
+matrix, sweep, params, incastsweep, sack, vl2, fct and robustness are the
+specs scenarios/<name>.json, embedded in the binary: "xmpsim vl2" is
+"xmpsim run scenarios/vl2.json" with the scale flags overlaid, and at
+default flags their shard files merge with the spec file's. The first six
+are matrix specs: their shard files are matrix files.
 
 Scale flags: -timescale reaches every campaign; -seed, -k and -sizescale
 reach the fabric campaigns, but not the figures or ablation, vl2 takes no

@@ -203,10 +203,18 @@ func Dispatch(campaign string, p exp.RunParams, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %v", err)
 	}
-	// Tasks name the campaign shard files will carry: for the "scenario"
-	// registry name that is the inline spec's family, so the worker's
-	// probe and verifyManifest compare one name everywhere.
-	campaign = m.Campaign
+	// Tasks name the campaign shard files will carry, so the worker's probe
+	// and verifyManifest compare one name everywhere. For the "scenario"
+	// registry name and a spec campaign (vl2, ...) that is the spec's
+	// family, whose name alone stands for the family's own embedded spec,
+	// so the task carries the resolved spec inline.
+	if m.Campaign != campaign {
+		spec, ok := strings.CutPrefix(m.Config, "scenario ")
+		if !ok {
+			return nil, fmt.Errorf("dispatch: campaign %s runs as %s, but its config is not a scenario spec", campaign, m.Campaign)
+		}
+		campaign, p.Scenario = m.Campaign, json.RawMessage(spec)
+	}
 	desc, hash, cells := m.Config, m.ConfigHash, m.TotalCells
 	shards := opts.Shards
 	if shards == 0 {

@@ -108,6 +108,40 @@ func TestDispatchMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestDispatchSpecCampaignShipsSpec dispatches a spec campaign whose shard
+// files carry its family's name: vl2, a matrix-family spec. Its tasks name
+// "matrix", which alone would stand for the embedded matrix spec, so they
+// must carry the vl2 spec inline or every worker refuses them as a config
+// hash mismatch. The merge must equal the serial run's.
+func TestDispatchSpecCampaignShipsSpec(t *testing.T) {
+	p := exp.RunParams{Jobs: 1, Timescale: 0.05, SizeScale: 256}
+	data, _, err := exp.RunCampaignShard(exp.CampaignVL2, p, exp.Unsharded, nil)
+	if err != nil {
+		t.Fatalf("serial run: %v", err)
+	}
+	serial, err := exp.MergeShardBlobs([]exp.ShardBlob{{Name: "serial.json", Data: data}})
+	if err != nil {
+		t.Fatalf("serial merge: %v", err)
+	}
+	var want bytes.Buffer
+	serial.Render(&want)
+
+	a := startWorker(t, NewWorker())
+	b := startWorker(t, NewWorker())
+	opts := fastOpts([]string{addrOf(a), addrOf(b)})
+	opts.Shards, opts.MaxAttempts = 3, 1
+	res, err := Dispatch(exp.CampaignVL2, p, opts)
+	if err != nil {
+		t.Fatalf("dispatch: %v", err)
+	}
+	if got := renderResult(t, res); got != want.String() || !strings.Contains(got, "VL2 Clos") {
+		t.Errorf("dispatched vl2 diverges from serial:\n--- serial ---\n%s\n--- dispatched ---\n%s", want.String(), got)
+	}
+	if res.Merged.Campaign != exp.CampaignMatrix {
+		t.Errorf("merged campaign %q, want %q", res.Merged.Campaign, exp.CampaignMatrix)
+	}
+}
+
 // crashable simulates a worker process crash: once killed, every connection
 // is severed and new requests die without a response.
 type crashable struct {

@@ -137,49 +137,3 @@ func RenderAblations(w io.Writer, rs []AblationResult) {
 			fmt.Sprintf("%d", r.MaxQueue), fmt.Sprintf("%d", r.Drops), fmt.Sprintf("%d", r.Marks))
 	}
 }
-
-// SubflowSweepResult is one point of the subflow-count sweep (the paper's
-// "XMP doesn't need 8 subflows" observation).
-type SubflowSweepResult struct {
-	Subflows   int
-	AvgGoodput float64
-	Flows      int
-}
-
-// sweepSubflows is the subflow-count axis of the sweep.
-var sweepSubflows = []int{1, 2, 4, 8}
-
-// SubflowSweepPlan plans permutation-pattern goodput as the number of XMP
-// subflows grows; cell i is sweepSubflows[i].
-func SubflowSweepPlan(p RunParams) Plan[SubflowSweepResult] {
-	cell := patternCell(p.cell(50*sim.Millisecond), Permutation)
-	return Plan[SubflowSweepResult]{
-		Desc:  describe(CampaignSubflow, map[string]any{"cell": cell, "subflows": sweepSubflows}),
-		Cells: len(sweepSubflows),
-		Run: func(w *Worker, i int) SubflowSweepResult {
-			scheme := SchemeXMP2
-			scheme.Subflows = sweepSubflows[i]
-			r := RunFatTree(w, cell, Permutation, scheme)
-			return SubflowSweepResult{
-				Subflows:   sweepSubflows[i],
-				AvgGoodput: r.Collector.Goodput.Mean(),
-				Flows:      r.Collector.FlowsCompleted,
-			}
-		},
-		Progress: func(w io.Writer, r SubflowSweepResult) {
-			fmt.Fprintf(w, "sweep subflows=%d goodput=%6.1f Mbps flows=%d\n",
-				r.Subflows, r.AvgGoodput, r.Flows)
-		},
-	}
-}
-
-// RenderSubflowSweep prints the sweep.
-func RenderSubflowSweep(w io.Writer, rs []SubflowSweepResult) {
-	fmt.Fprintln(w, "Subflow sweep: XMP on Permutation")
-	tb := newTable(w, 10, 16, 10)
-	tb.row("subflows", "goodput(Mbps)", "flows")
-	tb.rule()
-	for _, r := range rs {
-		tb.row(fmt.Sprintf("%d", r.Subflows), f1(r.AvgGoodput), fmt.Sprintf("%d", r.Flows))
-	}
-}

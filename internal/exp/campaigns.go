@@ -101,7 +101,7 @@ type ShardEncoder interface {
 type CampaignRunner func(p RunParams, shard ShardSpec, progress io.Writer) (ShardEncoder, error)
 
 // RegisterCampaign attaches a runner to a declared campaign that has none:
-// matrix, robustness, fct and scenario, whose cells internal/scenario
+// the spec-backed campaigns and scenario, whose cells internal/scenario
 // compiles from specs. An undeclared name or a second runner panics: two
 // runners answering to one name would hash different configs under the
 // same key and poison every manifest check downstream.
@@ -122,8 +122,8 @@ func RegisterCampaign(name string, run CampaignRunner) {
 func Campaigns() []CampaignInfo {
 	var out []CampaignInfo
 	for _, c := range campaigns {
-		if c.merge != nil {
-			out = append(out, c.CampaignInfo)
+		if c.Name != CampaignScenario {
+			out = append(out, c.info())
 		}
 	}
 	return out
@@ -131,8 +131,8 @@ func Campaigns() []CampaignInfo {
 
 // LookupCampaign returns the named entry of Campaigns.
 func LookupCampaign(name string) (CampaignInfo, bool) {
-	if c := lookup(name); c != nil && c.merge != nil {
-		return c.CampaignInfo, true
+	if c := lookup(name); c != nil && c.Name != CampaignScenario {
+		return c.info(), true
 	}
 	return CampaignInfo{}, false
 }

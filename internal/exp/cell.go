@@ -49,14 +49,16 @@ type CellConfig struct {
 	// Duration is how long generators keep starting flows; the run then
 	// drains. 0 means ShortFlowHorizon.
 	Duration sim.Duration
-	// RTTStride subsamples the collector's RTT measurements.
-	RTTStride int
 	// SACK enables selective acknowledgments on every connection.
 	SACK bool `json:",omitempty"`
 	// Chaos, when non-nil, is installed by Run. Its targets must resolve
 	// against the fabric: callers taking untrusted schedules
 	// (internal/scenario) check that first, so a failure in Run is a bug.
 	Chaos *chaos.Schedule `json:",omitempty"`
+
+	// rttStride subsamples the collector's RTT measurements: patternCell
+	// sets it for a matrix cell, and every other cell keeps every 16th.
+	rttStride int
 }
 
 // WithDefaults returns c with its zero fields resolved: a k=8 fat-tree
@@ -83,8 +85,8 @@ func (c CellConfig) WithDefaults() CellConfig {
 	if c.Duration == 0 {
 		c.Duration = ShortFlowHorizon
 	}
-	if c.RTTStride == 0 {
-		c.RTTStride = 16
+	if c.rttStride == 0 {
+		c.rttStride = 16
 	}
 	return c
 }
@@ -184,7 +186,7 @@ func NewCell(w *Worker, cfg CellConfig, scheme workload.Scheme) *Cell {
 			RNG:       rng,
 			Scheme:    scheme,
 			Transport: tc,
-			Collector: workload.NewCollector(cfg.RTTStride),
+			Collector: workload.NewCollector(cfg.rttStride),
 			Stop:      sim.Time(cfg.Duration),
 			Arena:     w.arena,
 		},

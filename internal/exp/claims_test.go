@@ -305,18 +305,18 @@ func TestClaimEvaluator(t *testing.T) {
 }
 
 // stat reduces one distribution of a matrix cell to a number; mx reads it
-// off the cell of each scheme under each pattern, pattern-major.
+// off the cell of each scheme on each row, row-major.
 type stat struct {
 	name string
 	d    func(*FatTreeResult) *metrics.Dist
 	f    func(*metrics.Dist) float64
 }
 
-func mx(k stat, ps []Pattern, ss ...workload.Scheme) vec {
+func mx(k stat, rows []Row, ss ...workload.Scheme) vec {
 	return on(func(m *Matrix) (out []num) {
-		for _, p := range ps {
+		for _, row := range rows {
 			for _, s := range ss {
-				out = append(out, num{fmt.Sprintf("%s %s %s", s.Label(), p, k.name), k.f(k.d(m.Get(p, s)))})
+				out = append(out, num{fmt.Sprintf("%s %s %s", workload.SchemeString(s), row, k.name), k.f(k.d(m.Get(row, s)))})
 			}
 		}
 		return out
@@ -343,14 +343,17 @@ func util(layer, q string, f func(*metrics.Dist) float64) stat {
 }
 
 var (
-	dctcp, lia2, lia4, xmp2, xmp4 = SchemeDCTCP, SchemeLIA2, SchemeLIA4, SchemeXMP2, SchemeXMP4
+	dctcp, lia2, lia4, xmp2, xmp4, tcp = SchemeDCTCP, SchemeLIA2, SchemeLIA4, SchemeXMP2, SchemeXMP4, SchemeTCP
 
 	lias, xmps, ecns = []workload.Scheme{lia2, lia4}, []workload.Scheme{xmp2, xmp4}, []workload.Scheme{dctcp, xmp2, xmp4}
 	five             = []workload.Scheme{dctcp, lia2, lia4, xmp2, xmp4}
-	pats, perm, inc  = []Pattern{Permutation, Random, Incast}, []Pattern{Permutation}, []Pattern{Incast}
+	pats             = []Row{{Pattern: Permutation}, {Pattern: Random}, {Pattern: Incast}}
+	perm, rnd, inc   = pats[:1], pats[1:2], pats[2:]
 	cats             = []topo.Category{topo.InterPod, topo.InterRack, topo.InnerRack}
 	mean, median     = (*metrics.Dist).Mean, quantile(50)
 	goodput, jct     = stat{"goodput", goodputs, mean}, stat{"JCT", jcts, mean}
+	jctP50, jctP99   = stat{"JCT p50", jcts, median}, stat{"JCT p99", jcts, quantile(99)}
+	podRTT           = rtt(topo.InterPod, "mean", mean)
 	p5, p95          = stat{"goodput p5", goodputs, quantile(5)}, stat{"goodput p95", goodputs, quantile(95)}
 	spread           = stat{"goodput p95-p5", goodputs, func(d *metrics.Dist) float64 { return d.Percentile(95) - d.Percentile(5) }}
 	above300         = stat{"JCT >300ms", jcts, func(d *metrics.Dist) float64 { return d.FractionAbove(300) }}
@@ -376,17 +379,29 @@ func coexist(variant int, queues []int, others ...string) (xmp, other vec) {
 	return read("XMP", func(c Table2Cell) float64 { return c.XMPGoodput }), read("", func(c Table2Cell) float64 { return c.OtherGoodput })
 }
 
-// grid reads field f of the params point (beta, K) at each K, for each beta.
-func grid(f string, ks []int, betas ...int) vec {
-	return on(func(ps []ParamPoint) (out []num) {
-		for _, k := range ks {
-			for _, b := range betas {
-				p := ps[slices.IndexFunc(ps, func(p ParamPoint) bool { return p.Beta == b && p.K == k })]
-				out = append(out, num{fmt.Sprintf("beta=%d K=%d %s", b, k, f), walk(reflect.ValueOf(p), f)[0]})
-			}
-		}
-		return out
-	})
+// grid reads stat k of the params matrix at each (beta, K): XMP-2/b<beta>
+// on the Random row marking at K, K-major.
+func grid(k stat, ks []int, betas ...int) vec {
+	var rows []Row
+	for _, K := range ks {
+		rows = append(rows, Row{Pattern: Random, MarkThreshold: K})
+	}
+	var schemes []workload.Scheme
+	for _, b := range betas {
+		s := xmp2
+		s.Beta = b
+		schemes = append(schemes, s)
+	}
+	return mx(k, rows, schemes...)
+}
+
+// fanin reads stat k of the incastsweep matrix's XMP-2 cell at each fan-in.
+func fanin(k stat, servers ...int) vec {
+	var rows []Row
+	for _, n := range servers {
+		rows = append(rows, Row{Pattern: Incast, Servers: n})
+	}
+	return mx(k, rows, xmp2)
 }
 
 const (
@@ -402,10 +417,16 @@ var (
 	allFaulty             = []string{"DCTCP", "LIA-2", "OLIA-2", "AMP-2", "XMP-2"}
 )
 
-// step is the subflow sweep's goodput at a subflows over that at b;
-// sackGain a scheme's goodput with SACK over that without.
-func step(a, b string) vec     { return quot(col("AvgGoodput", a), col("AvgGoodput", b)) }
-func sackGain(s ...string) vec { return quot(col("SACKGoodput", s...), col("PlainGoodput", s...)) }
+// sub is the subflow sweep's XMP goodput at n subflows, step that at a
+// subflows over that at b; sackGain a scheme's goodput with SACK over that
+// without.
+func sub(n int) vec {
+	return mx(goodput, perm, workload.Scheme{Algorithm: xmp2.Algorithm, Subflows: n})
+}
+func step(a, b int) vec { return quot(sub(a), sub(b)) }
+func sackGain(s ...workload.Scheme) vec {
+	return quot(mx(goodput, []Row{{Pattern: Random, SACK: true}}, s...), mx(goodput, rnd, s...))
+}
 
 // move is Figure 7's subflow s of flow f: its change in rate from epoch 4
 // to epoch 8, as L3 loads up.
@@ -505,14 +526,14 @@ var claims = []claim{
 		order(mx(cdf(25), inc, dctcp), mx(cdf(25), inc, xmp2))},
 
 	{"fig10/lia-inflates", CampaignMatrix, "", all(
-		forEach(pats, func(p Pattern) check {
+		forEach(pats, func(p Row) check {
 			pod, rack := rtt(topo.InterPod, "mean", mean), rtt(topo.InterRack, "mean", mean)
-			ps := []Pattern{p}
+			ps := []Row{p}
 			return all(ratios(mx(pod, ps, lias...), mx(pod, ps, ecns...), 2, 3.3), ratios(mx(rack, ps, lias...), mx(rack, ps, ecns...), 2, 3.3))
 		}),
 		within(mx(rtt(topo.InterPod, "p95", quantile(95)), pats, lias...), 1.9, 2.3),
-		forEach(pats[:2], func(p Pattern) check {
-			inner, ps := rtt(topo.InnerRack, "mean", mean), []Pattern{p}
+		forEach(pats[:2], func(p Row) check {
+			inner, ps := rtt(topo.InnerRack, "mean", mean), []Row{p}
 			return ratios(mx(inner, ps, lias...), mx(inner, ps, ecns...), 3.4, 5.5)
 		}),
 		order(mx(rtt(topo.InnerRack, "mean", mean), inc, dctcp), mx(rtt(topo.InnerRack, "mean", mean), inc, lia2)))},
@@ -543,35 +564,35 @@ var claims = []claim{
 	{"ablation/guard-costs-25pc", CampaignAblation, "", within(quot(col("Utilization", abGuard), col("Utilization", abBase)), 0.7, 0.8)},
 
 	{"sweep/diminishing", CampaignSubflow, "", all(
-		order(col("AvgGoodput", "8"), col("AvgGoodput", "4"), col("AvgGoodput", "2"), col("AvgGoodput", "1")),
-		order(step("2", "1"), step("4", "2"), step("8", "4")),
-		within(step("2", "1"), 1.15, 1.25), within(step("4", "2"), 1.04, 1.08), within(step("8", "4"), 1.01, 1.05))},
+		order(sub(8), sub(4), sub(2), sub(1)),
+		order(step(2, 1), step(4, 2), step(8, 4)),
+		within(step(2, 1), 1.15, 1.25), within(step(4, 2), 1.04, 1.08), within(step(8, 4), 1.01, 1.05))},
 
-	{"params/k5-loses", CampaignParams, "", within(quot(grid("GoodputMbps", []int{10}, betas...), grid("GoodputMbps", []int{5}, betas...)), 1, inf)},
-	{"params/beta-recovers", CampaignParams, "", order(grid("GoodputMbps", k5and10, 6), grid("GoodputMbps", k5and10, 5),
-		grid("GoodputMbps", k5and10, 4), grid("GoodputMbps", k5and10, 3), grid("GoodputMbps", k5and10, 2))},
+	{"params/k5-loses", CampaignParams, "", within(quot(grid(goodput, []int{10}, betas...), grid(goodput, []int{5}, betas...)), 1, inf)},
+	{"params/beta-recovers", CampaignParams, "", order(grid(goodput, k5and10, 6), grid(goodput, k5and10, 5),
+		grid(goodput, k5and10, 4), grid(goodput, k5and10, 3), grid(goodput, k5and10, 2))},
 	{"params/k20-saturates", CampaignParams, "", all(
-		within(quot(grid("GoodputMbps", []int{20}, betas...), grid("GoodputMbps", []int{10}, betas...)), 1, inf),
-		within(quot(grid("GoodputMbps", []int{20}, betas...), grid("GoodputMbps", []int{40}, betas...)), 1, inf))},
+		within(quot(grid(goodput, []int{20}, betas...), grid(goodput, []int{10}, betas...)), 1, inf),
+		within(quot(grid(goodput, []int{20}, betas...), grid(goodput, []int{40}, betas...)), 1, inf))},
 	// 8-16 us per packet of K from 20 to 40 is 0.16-0.32 ms.
 	{"params/rtt-per-packet", CampaignParams, "", all(
-		order(grid("RTTMs", []int{40}, betas...), grid("RTTMs", []int{20}, betas...), grid("RTTMs", []int{10}, betas...), grid("RTTMs", []int{5}, betas...)),
-		within(diff(grid("RTTMs", []int{40}, betas...), grid("RTTMs", []int{20}, betas...)), 0.16, 0.32))},
+		order(grid(podRTT, []int{40}, betas...), grid(podRTT, []int{20}, betas...), grid(podRTT, []int{10}, betas...), grid(podRTT, []int{5}, betas...)),
+		within(diff(grid(podRTT, []int{40}, betas...), grid(podRTT, []int{20}, betas...)), 0.16, 0.32))},
 
-	{"incastsweep/p99-wall-at-8", CampaignIncast, "", all(within(col("P99Ms", "4"), 0, 200), within(col("P99Ms", "8"), 200, inf))},
+	{"incastsweep/p99-wall-at-8", CampaignIncast, "", all(within(fanin(jctP99, 4), 0, 200), within(fanin(jctP99, 8), 200, inf))},
 	{"incastsweep/p50-wall-at-32", CampaignIncast, "", all(
-		order(col("P50Ms", "32"), col("P50Ms", "16"), col("P50Ms", "8"), col("P50Ms", "4")),
-		within(col("P50Ms", "32"), 200, inf), within(col("P50Ms", "16"), 0, 200))},
+		order(fanin(jctP50, 32), fanin(jctP50, 16), fanin(jctP50, 8), fanin(jctP50, 4)),
+		within(fanin(jctP50, 32), 200, inf), within(fanin(jctP50, 16), 0, 200))},
 
 	{"sack/fleet-goodput-drops", CampaignSACK, "",
-		all(order(sackGain("TCP"), sackGain("LIA-2"), sackGain("LIA-4")), within(sackGain("TCP", "LIA-2", "LIA-4"), 0.75, 0.99))},
+		all(order(sackGain(tcp), sackGain(lia2), sackGain(lia4)), within(sackGain(tcp, lia2, lia4), 0.75, 0.99))},
 
 	{"vl2/xmp~dctcp", CampaignVL2, "", all(
-		within(quot(col("GoodputMbps", "XMP-2", "XMP-4"), col("GoodputMbps", "DCTCP")), 0.95, 1.05),
-		within(diff(col("RTTMs", "XMP-2", "XMP-4"), col("RTTMs", "DCTCP")), -0.03, 0.03))},
+		within(quot(mx(goodput, rnd, xmp2, xmp4), mx(goodput, rnd, dctcp)), 0.95, 1.05),
+		within(diff(mx(podRTT, rnd, xmp2, xmp4), mx(podRTT, rnd, dctcp)), -0.03, 0.03))},
 	{"vl2/lia-trails", CampaignVL2, "", all(
-		order(least(col("GoodputMbps", "DCTCP", "XMP-2", "XMP-4")), most(col("GoodputMbps", "LIA-2", "LIA-4"))),
-		within(quot(col("RTTMs", "LIA-2", "LIA-4"), col("RTTMs", "DCTCP")), 2, 2.6))},
+		order(least(mx(goodput, rnd, dctcp, xmp2, xmp4)), most(mx(goodput, rnd, lias...))),
+		within(quot(mx(podRTT, rnd, lias...), mx(podRTT, rnd, dctcp)), 2, 2.6))},
 
 	{"fct/incast-10k", CampaignFCT, "", all(
 		within(col("Launched", incasts...), 10000, inf), within(diff(col("Launched", incasts...), col("Flows", incasts...)), 0, 0),

@@ -1,12 +1,12 @@
 // Package exp contains one campaign per table and figure of the paper's
 // evaluation (Section 4 experiments and Section 5 simulations), plus the
 // ablations called out in DESIGN.md. Each campaign is one row of the
-// campaign table (table.go): its plan is a function of RunParams alone,
-// and every fabric cell it runs is a function of a CellConfig, whose
-// defaults (CellConfig.WithDefaults) reproduce the paper's Section 5.2
-// set-up at a reduced scale (flow sizes and durations divided down; see
-// EXPERIMENTS.md). A campaign's cells merge into a typed result that
-// renders the text rows/series the paper reports.
+// campaign table (table.go): a spec embedded from scenarios/, or a plan
+// that is a function of RunParams alone. Every fabric cell is a function
+// of a CellConfig, whose defaults (CellConfig.WithDefaults) reproduce the
+// paper's Section 5.2 set-up at a reduced scale (flow sizes and durations
+// divided down; see EXPERIMENTS.md). A campaign's cells merge into a typed
+// result that renders the text rows/series the paper reports.
 package exp
 
 import (
@@ -27,9 +27,6 @@ var (
 	SchemeXMP4  = workload.Scheme{Algorithm: mptcp.AlgXMP, Subflows: 4}
 	SchemeTCP   = workload.Scheme{Algorithm: mptcp.AlgReno, Subflows: 1}
 )
-
-// Table1Schemes is the scheme column of Tables 1 and 3.
-var Table1Schemes = []workload.Scheme{SchemeDCTCP, SchemeLIA2, SchemeLIA4, SchemeXMP2, SchemeXMP4}
 
 // table renders fixed-width rows.
 type table struct {

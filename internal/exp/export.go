@@ -6,6 +6,7 @@ import (
 
 	"xmp/internal/metrics"
 	"xmp/internal/topo"
+	"xmp/internal/workload"
 )
 
 // This file exports experiment results as JSON so external tooling can
@@ -65,8 +66,8 @@ type CellJSON struct {
 func cellJSON(r *FatTreeResult) CellJSON {
 	col := r.Collector
 	out := CellJSON{
-		Pattern:       string(r.Pattern),
-		Scheme:        r.Scheme.Label(),
+		Pattern:       r.Row.String(),
+		Scheme:        workload.SchemeString(r.Scheme),
 		Flows:         col.FlowsCompleted,
 		BytesMoved:    col.BytesMoved,
 		SimSeconds:    r.SimDuration.Seconds(),
@@ -93,9 +94,9 @@ func cellJSON(r *FatTreeResult) CellJSON {
 // data) as indented JSON.
 func (m *Matrix) WriteJSON(w io.Writer) error {
 	var cells []CellJSON
-	for _, p := range m.Patterns {
+	for _, row := range m.Rows {
 		for _, s := range m.Schemes {
-			if r := m.Get(p, s); r != nil {
+			if r := m.Get(row, s); r != nil {
 				cells = append(cells, cellJSON(r))
 			}
 		}

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"xmp/internal/metrics"
 	"xmp/internal/sim"
@@ -31,24 +32,67 @@ var patternHorizon = map[Pattern]sim.Duration{
 	Incast:      300 * sim.Millisecond,
 }
 
-// patternCell is the cell a Section 5.2 pattern runs on: cfg with a zero
-// horizon replaced by the pattern's and, unless cfg names a stride, every
-// 4th RTT sampled, defaults resolved.
-func patternCell(cfg CellConfig, p Pattern) CellConfig {
-	if cfg.Duration == 0 {
-		cfg.Duration = patternHorizon[p]
+// Row is one row of a matrix: a Section 5.2 pattern and what the row
+// changes of the campaign's cell. Zero fields change nothing, so a row that
+// sets none is its pattern alone.
+type Row struct {
+	Pattern Pattern
+	// MarkThreshold and SACK override the cell's marking threshold and turn
+	// on selective acknowledgments.
+	MarkThreshold int  `json:",omitempty"`
+	SACK          bool `json:",omitempty"`
+	// Servers is an Incast row's fan-in: the servers each job asks, capped
+	// at all hosts but the client.
+	Servers int `json:",omitempty"`
+}
+
+// String names the row as tables and cell labels do: the pattern, then
+// what the row sets, as in "Random(K=5,sack)".
+func (r Row) String() string {
+	var set []string
+	if r.MarkThreshold != 0 {
+		set = append(set, fmt.Sprintf("K=%d", r.MarkThreshold))
 	}
-	if cfg.RTTStride == 0 {
-		cfg.RTTStride = 4
+	if r.SACK {
+		set = append(set, "sack")
+	}
+	if r.Servers != 0 {
+		set = append(set, fmt.Sprintf("servers=%d", r.Servers))
+	}
+	if len(set) == 0 {
+		return string(r.Pattern)
+	}
+	return fmt.Sprintf("%s(%s)", r.Pattern, strings.Join(set, ","))
+}
+
+// patternCell is the cell a matrix row runs on: cfg with the row's
+// overrides, a zero horizon replaced by the pattern's, every 4th RTT
+// sampled (every 8th on the VL2 Clos) and defaults resolved.
+func patternCell(cfg CellConfig, row Row) CellConfig {
+	if row.MarkThreshold != 0 {
+		cfg.MarkThreshold = row.MarkThreshold
+	}
+	cfg.SACK = cfg.SACK || row.SACK
+	if cfg.Duration == 0 {
+		cfg.Duration = patternHorizon[row.Pattern]
+	}
+	cfg.rttStride = 4
+	if cfg.VL2 {
+		cfg.rttStride = 8
 	}
 	return cfg.WithDefaults()
 }
 
 // FatTreeResult is the outcome of one run.
 type FatTreeResult struct {
-	Pattern   Pattern
+	// Row keys the cell in its matrix; its fields encode inline, and those
+	// a row does not set not at all.
+	Row
 	Scheme    workload.Scheme
 	Collector *workload.Collector
+	// IncastServers is the fan-in an Incast row's jobs ran: its Servers
+	// capped at all hosts but the client; 0 when the row sets none.
+	IncastServers int `json:",omitempty"`
 	// UtilByLayer holds one utilization sample per link direction,
 	// measured over the whole run (Figure 11).
 	UtilByLayer map[string]*metrics.Dist
@@ -60,18 +104,24 @@ type FatTreeResult struct {
 	Events      uint64
 }
 
-// RunFatTree runs one pattern under one scheme on the cell cfg describes
-// (patternCell) and collects everything the fat-tree tables and figures
-// need.
-func RunFatTree(w *Worker, cfg CellConfig, pattern Pattern, scheme workload.Scheme) *FatTreeResult {
-	return runPattern(NewCell(w, patternCell(cfg, pattern), scheme), pattern)
+// RunFatTree runs one matrix row under one scheme on the cell cfg
+// describes (patternCell) and collects everything the fat-tree tables and
+// figures need.
+func RunFatTree(w *Worker, cfg CellConfig, row Row, scheme workload.Scheme) *FatTreeResult {
+	return runPattern(NewCell(w, patternCell(cfg, row), scheme), row)
 }
 
-// runPattern starts pattern on c, a cell built on its patternCell, runs
-// the cell and reduces it.
-func runPattern(c *Cell, pattern Pattern) *FatTreeResult {
+// runPattern starts the row's pattern on c, a cell built on its
+// patternCell, runs the cell and reduces it.
+func runPattern(c *Cell, row Row) *FatTreeResult {
 	cfg := c.cfg
-	switch pattern {
+	res := &FatTreeResult{
+		Row:         row,
+		Scheme:      c.Base.Scheme,
+		Collector:   c.Base.Collector,
+		UtilByLayer: make(map[string]*metrics.Dist),
+	}
+	switch row.Pattern {
 	case Permutation:
 		workload.StartPermutation(workload.PermutationConfig{
 			Config:   c.Base,
@@ -81,27 +131,23 @@ func runPattern(c *Cell, pattern Pattern) *FatTreeResult {
 	case Random:
 		workload.StartRandom(randomCfg(c.Base, cfg.SizeScale))
 	case Incast:
+		if row.Servers != 0 {
+			res.IncastServers = min(row.Servers, c.Base.Net.NumHosts()-1)
+		}
 		workload.StartIncast(workload.IncastConfig{
 			Config:           c.Base,
+			Servers:          res.IncastServers,
 			Background:       true,
 			BackgroundConfig: randomCfg(c.Base, cfg.SizeScale),
 		})
 	default:
-		panic(fmt.Sprintf("exp: unknown pattern %q", pattern))
+		panic(fmt.Sprintf("exp: unknown pattern %q", row.Pattern))
 	}
 	c.Run()
 
 	now := c.Net.Eng.Now()
-	res := &FatTreeResult{
-		Pattern:     pattern,
-		Scheme:      c.Base.Scheme,
-		Collector:   c.Base.Collector,
-		UtilByLayer: make(map[string]*metrics.Dist),
-		Drops:       c.Drops(),
-		Marks:       c.Marks(),
-		SimDuration: sim.Duration(now),
-		Events:      c.Events,
-	}
+	res.Drops, res.Marks = c.Drops(), c.Marks()
+	res.SimDuration, res.Events = sim.Duration(now), c.Events
 	for _, layer := range []string{topo.LayerCore, topo.LayerAggregation, topo.LayerRack} {
 		d := &metrics.Dist{}
 		for _, l := range c.Net.LinksByLayer(layer) {
@@ -126,6 +172,6 @@ func randomCfg(base workload.Config, sizeScale int64) workload.RandomConfig {
 // RenderFatTreeRun prints a one-line summary of a run.
 func RenderFatTreeRun(w io.Writer, r *FatTreeResult) {
 	fmt.Fprintf(w, "%-12s %-12s flows=%-5d goodput=%7.1f Mbps  jct(avg)=%6.1f ms  drops=%-6d marks=%-8d sim=%.2fs\n",
-		r.Pattern, r.Scheme.Label(), r.Collector.FlowsCompleted,
+		r.Row, workload.SchemeString(r.Scheme), r.Collector.FlowsCompleted,
 		r.Collector.Goodput.Mean(), r.Collector.JCT.Mean(), r.Drops, r.Marks, r.SimDuration.Seconds())
 }

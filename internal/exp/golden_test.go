@@ -15,7 +15,7 @@ import (
 // and fails with a line-level diff on drift. It then evaluates the
 // campaign's claims (claims_test.go) on the same merged result, so the
 // conclusions EXPERIMENTS.md draws are checked on the run its numbers come
-// from. matrix, fct and robustness exist only as the specs in scenarios/,
+// from. The spec-backed campaigns exist only as the specs in scenarios/,
 // which register_test.go links into this test binary. TestFigureGoldens
 // does the same for the four figure campaigns. The four slowest (matrix
 // 35 s, fig7 26 s, params 23 s, table2 18 s on a 2-core box) only run when

@@ -93,7 +93,7 @@ func TestMatrixParallelDeterministic(t *testing.T) {
 		// Per-cell stats beyond the rendered tables: drops and flow counts.
 		for _, p := range patterns {
 			for _, s := range schemes {
-				r := m.Get(p, s)
+				r := m.Get(Row{Pattern: p}, s)
 				fmt.Fprintf(&buf, "%s/%s drops=%d flows=%d goodput=%.6f\n",
 					p, s.Label(), r.Drops, r.Collector.FlowsCompleted, r.Collector.Goodput.Mean())
 			}

@@ -60,7 +60,8 @@ func mustSchedule(t *testing.T, path, key string) chaos.Schedule {
 // incast-burst generators, a flapping link, the robustness fault schedule
 // extended so that a loss probability stays armed when the run ends and
 // followed by a link left down and extra delay left set, SACK, RED-strict
-// switches, queue limits 50 and 100, VL2, and the sweep closures.
+// switches, queue limits 50 and 100, VL2, the sweep rows, and two cells
+// sharing one run.
 func recycleCells(t *testing.T) []recycleCell {
 	const dur = 10 * sim.Millisecond
 	var cells []recycleCell
@@ -76,7 +77,7 @@ func recycleCells(t *testing.T) []recycleCell {
 		}
 		cfg := CellConfig{K: 4, Duration: dur, SizeScale: 256, Seed: 1 + int64(a)}
 		pattern := patterns[int(a)%len(patterns)]
-		add("k4", "matrix/"+string(pattern)+"/"+scheme.Label(), func(w *Worker) any { return RunFatTree(w, cfg, pattern, scheme) })
+		add("k4", "matrix/"+string(pattern)+"/"+scheme.Label(), func(w *Worker) any { return RunFatTree(w, cfg, Row{Pattern: pattern}, scheme) })
 	}
 
 	flap := mustSchedule(t, "../../scenarios/permutation-flap.json", "chaos")
@@ -85,7 +86,7 @@ func recycleCells(t *testing.T) []recycleCell {
 		flap.Events[i].Dur /= 5
 	}
 	add("k4", "matrix/flap", func(w *Worker) any {
-		return RunFatTree(w, CellConfig{K: 4, Duration: dur, SizeScale: 256, Chaos: &flap}, Permutation, SchemeXMP4)
+		return RunFatTree(w, CellConfig{K: 4, Duration: dur, SizeScale: 256, Chaos: &flap}, Row{Pattern: Permutation}, SchemeXMP4)
 	})
 
 	k4 := CellConfig{K: 4, Duration: dur}
@@ -160,19 +161,26 @@ func recycleCells(t *testing.T) []recycleCell {
 		}
 	}
 
-	vl2 := VL2Plan(RunParams{Timescale: 0.1})
-	for i := 0; i < 3; i++ {
-		add("vl2", fmt.Sprintf("vl2/%d", i), func(w *Worker) any { return vl2.Run(w, i) })
+	// The sweep rows at 10 ms: three cells of the vl2 spec on its Clos, and
+	// on the default fabric at k=4 the incastsweep fan-ins 4 and 8 and the
+	// sack spec's TCP row pair. That pair runs as two cells in one run(i),
+	// as no campaign does: the second finds the worker lent and builds a
+	// fabric and arena of its own.
+	for i, scheme := range five[:3] {
+		add("vl2", fmt.Sprintf("vl2/%d", i), func(w *Worker) any {
+			return RunFatTree(w, CellConfig{VL2: true, Duration: dur}, Row{Pattern: Random}, scheme)
+		})
 	}
-	// The sweep closures on the default fabric at k=4, 10 ms long:
-	// incastsweep cells 0 and 1 (fan-in 4 and 8) and sack cell 0 (TCP). A
-	// sack cell is two cells in one run(i): the second finds the fabric lent
-	// and builds.
-	incast := IncastSweepPlan(RunParams{K: 4, Timescale: 0.05})
-	sack := SACKAblationPlan(RunParams{K: 4, Timescale: 0.1})
-	add("k4", "incastsweep/4", func(w *Worker) any { return incast.Run(w, 0) })
-	add("k4", "sack/TCP", func(w *Worker) any { return sack.Run(w, 0) })
-	add("k4", "incastsweep/8", func(w *Worker) any { return incast.Run(w, 1) })
+	k4sweep := CellConfig{K: 4, Duration: dur}
+	for _, servers := range []int{4, 8} {
+		add("k4", fmt.Sprintf("incastsweep/%d", servers), func(w *Worker) any {
+			return RunFatTree(w, k4sweep, Row{Pattern: Incast, Servers: servers}, SchemeXMP2)
+		})
+	}
+	add("k4", "sack/TCP", func(w *Worker) any {
+		plain := RunFatTree(w, k4sweep, Row{Pattern: Random}, SchemeTCP)
+		return []*FatTreeResult{plain, RunFatTree(w, k4sweep, Row{Pattern: Random, SACK: true}, SchemeTCP)}
+	})
 	for i := range cells {
 		// Random, Incast, the short-flow loops and the incast burst's
 		// rounds relaunch as flows complete; Permutation, the table2
@@ -352,7 +360,7 @@ func TestArenaNilEqualsArenaSet(t *testing.T) {
 	// the client's port and ends on 200 ms retransmission timeouts.
 	burst := FCTCellConfig{Name: "burst", Cell: CellConfig{K: 4, Duration: 300 * sim.Millisecond}, Scheme: SchemeXMP2,
 		Incast: &workload.IncastBurstConfig{Senders: 96, ResponseBytes: 16 << 10, Rounds: 2, UseScheme: true}}
-	perm := patternCell(CellConfig{K: 4, SizeScale: 1024}, Permutation)
+	perm := patternCell(CellConfig{K: 4, SizeScale: 1024}, Row{Pattern: Permutation})
 	for _, tc := range []struct {
 		name   string
 		cfg    CellConfig
@@ -362,9 +370,9 @@ func TestArenaNilEqualsArenaSet(t *testing.T) {
 	}{
 		{"fct/incast-burst/XMP-2", burst.Cell, burst.Scheme,
 			func(c *Cell) any { return runFCT(c, burst) },
-			func(w *Worker) { RunFatTree(w, perm, Permutation, SchemeTCP) }},
+			func(w *Worker) { RunFatTree(w, perm, Row{Pattern: Permutation}, SchemeTCP) }},
 		{"matrix/permutation/XMP-2", perm, SchemeXMP2,
-			func(c *Cell) any { return runPattern(c, Permutation) },
+			func(c *Cell) any { return runPattern(c, Row{Pattern: Permutation}) },
 			func(w *Worker) {
 				b := burst
 				b.Scheme = SchemeDCTCP

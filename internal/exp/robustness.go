@@ -69,7 +69,7 @@ func RunChaosCell(w *Worker, cfg ChaosCellConfig) RobustnessPoint {
 	c.Run()
 	col := c.Base.Collector
 	return RobustnessPoint{
-		Scheme:      cfg.Scheme.Label(),
+		Scheme:      workload.SchemeString(cfg.Scheme),
 		GoodputMbps: col.Goodput.Mean(),
 		Flows:       col.FlowsCompleted,
 		Faults:      c.Faults,

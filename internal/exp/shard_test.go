@@ -206,7 +206,11 @@ func rendered(t *testing.T, files ...ShardEncoder) string {
 // each test describes its own grid; one constant suffices because no test
 // merges shards of different grids.
 func miniMatrixPlan(base CellConfig, patterns []Pattern, schemes []workload.Scheme) Plan[*FatTreeResult] {
-	return MatrixPlan("exp test mini-matrix", base, patterns, schemes)
+	rows := make([]Row, len(patterns))
+	for i, p := range patterns {
+		rows[i] = Row{Pattern: p}
+	}
+	return MatrixPlan("exp test mini-matrix", base, rows, schemes)
 }
 
 // miniMatrix runs a small grid unsharded and assembles the Matrix.
@@ -328,16 +332,16 @@ func TestTable2ShardMergeByteIdentical(t *testing.T) {
 // TestMergeRejectsForeignCampaign pins the decode-side check that blobs
 // from different campaigns refuse to merge.
 func TestMergeRejectsForeignCampaign(t *testing.T) {
-	sweep := &ShardFile[SubflowSweepResult]{
-		Manifest: newManifest(CampaignSubflow, "sweep", ShardSpec{0, 2}, 2),
-		Cells:    []ShardCell[SubflowSweepResult]{{Cell: 0}},
+	ablation := &ShardFile[AblationResult]{
+		Manifest: newManifest(CampaignAblation, "ablation", ShardSpec{0, 2}, 2),
+		Cells:    []ShardCell[AblationResult]{{Cell: 0}},
 	}
-	params := &ShardFile[ParamPoint]{
-		Manifest: newManifest(CampaignParams, "params", ShardSpec{1, 2}, 2),
-		Cells:    []ShardCell[ParamPoint]{{Cell: 1}},
+	table2 := &ShardFile[Table2Cell]{
+		Manifest: newManifest(CampaignTable2, "table2", ShardSpec{1, 2}, 2),
+		Cells:    []ShardCell[Table2Cell]{{Cell: 1}},
 	}
-	blobs := append(encodeBlobs(t, []*ShardFile[SubflowSweepResult]{sweep}),
-		encodeBlobs(t, []*ShardFile[ParamPoint]{params})...)
+	blobs := append(encodeBlobs(t, []*ShardFile[AblationResult]{ablation}),
+		encodeBlobs(t, []*ShardFile[Table2Cell]{table2})...)
 	if _, err := MergeShardBlobs(blobs); err == nil || !strings.Contains(err.Error(), "campaign mismatch") {
 		t.Fatalf("foreign campaign accepted: %v", err)
 	}
@@ -346,25 +350,25 @@ func TestMergeRejectsForeignCampaign(t *testing.T) {
 // TestMergeRejectsCellManifestDisagreement pins the file-level check that
 // carried cells must match the manifest's claimed indices.
 func TestMergeRejectsCellManifestDisagreement(t *testing.T) {
-	f := &ShardFile[SubflowSweepResult]{
-		Manifest: newManifest(CampaignSubflow, "sweep", Unsharded, 2),
-		Cells:    []ShardCell[SubflowSweepResult]{{Cell: 0}},
+	f := &ShardFile[AblationResult]{
+		Manifest: newManifest(CampaignAblation, "ablation", Unsharded, 2),
+		Cells:    []ShardCell[AblationResult]{{Cell: 0}},
 	}
-	if _, err := MergeShardCells([]*ShardFile[SubflowSweepResult]{f}); err == nil ||
+	if _, err := MergeShardCells([]*ShardFile[AblationResult]{f}); err == nil ||
 		!strings.Contains(err.Error(), "manifest lists") {
 		t.Fatalf("short cell list accepted: %v", err)
 	}
-	f.Cells = []ShardCell[SubflowSweepResult]{{Cell: 1}, {Cell: 0}}
-	if _, err := MergeShardCells([]*ShardFile[SubflowSweepResult]{f}); err == nil {
+	f.Cells = []ShardCell[AblationResult]{{Cell: 1}, {Cell: 0}}
+	if _, err := MergeShardCells([]*ShardFile[AblationResult]{f}); err == nil {
 		t.Fatal("misordered cell list accepted")
 	}
 }
 
 // TestMergeRefusesBadGrid pins that merge reads the matrix and table2 axes
 // off the cells and refuses, naming the cell, a shard set whose cells do
-// not form the pattern × scheme grid, or the variant × queue × other grid:
+// not form the row × scheme grid, or the variant × queue × other grid:
 // transposed, short, with a repeated row or column, or with variants that
-// differ.
+// differ. Two β variants of one scheme are two columns.
 func TestMergeRefusesBadGrid(t *testing.T) {
 	mx := func(cells ...string) ShardEncoder {
 		f := &ShardFile[*FatTreeResult]{Manifest: newManifest(CampaignMatrix, "grid", Unsharded, len(cells))}
@@ -374,7 +378,7 @@ func TestMergeRefusesBadGrid(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.Cells = append(f.Cells, ShardCell[*FatTreeResult]{i, &FatTreeResult{Pattern: Pattern(p), Scheme: sch}})
+			f.Cells = append(f.Cells, ShardCell[*FatTreeResult]{i, &FatTreeResult{Row: Row{Pattern: Pattern(p)}, Scheme: sch}})
 		}
 		return f
 	}
@@ -395,6 +399,7 @@ func TestMergeRefusesBadGrid(t *testing.T) {
 		{"matrix transposed", mx("Permutation/DCTCP", "Incast/DCTCP", "Permutation/XMP-2", "Incast/XMP-2"), "cell 2 "},
 		{"matrix column out of place", mx("Permutation/DCTCP", "Permutation/XMP-2", "Incast/XMP-2", "Incast/DCTCP"), "cell 2 "},
 		{"matrix repeated column", mx("Permutation/DCTCP", "Permutation/DCTCP"), "cell 1 "},
+		{"matrix beta variants", mx("Permutation/XMP-2", "Permutation/XMP-2/b6", "Incast/XMP-2", "Incast/XMP-2/b6"), ""},
 		{"matrix short row", mx("Permutation/DCTCP", "Permutation/XMP-2", "Incast/DCTCP"), "cell 2 "},
 		{"matrix null cell", &ShardFile[*FatTreeResult]{Manifest: newManifest(CampaignMatrix, "grid", Unsharded, 1),
 			Cells: []ShardCell[*FatTreeResult]{{0, nil}}}, "cell 0 is null"},

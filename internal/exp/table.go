@@ -73,8 +73,11 @@ type descriptor[T, R any] struct {
 	// Render prints the campaign as `xmpsim <name>` does. Families with
 	// selectable tables list Tables instead: the whole campaign is every
 	// table in order, blank lines between — and before, with BlankFirst.
+	// Views are more tables a spec can select, never part of the whole
+	// campaign and never preceded by BlankFirst's line.
 	Render     func(io.Writer, R)
 	Tables     []view[R]
+	Views      []view[R]
 	BlankFirst bool
 	// Plot, if non-nil, writes the -json plot export.
 	Plot func(io.Writer, R) error
@@ -93,20 +96,32 @@ func (d *descriptor[T, R]) render(w io.Writer, r R, metrics []string) {
 		}
 	}
 	for i, m := range metrics {
-		if i > 0 || d.BlankFirst {
-			fmt.Fprintln(w)
-		}
 		for _, t := range d.Tables {
 			if t.Name == m {
+				if i > 0 || d.BlankFirst {
+					fmt.Fprintln(w)
+				}
 				t.Render(w, r)
+			}
+		}
+		for _, v := range d.Views {
+			if v.Name == m {
+				if i > 0 {
+					fmt.Fprintln(w)
+				}
+				v.Render(w, r)
 			}
 		}
 	}
 }
 
-// campaign is a table row: a descriptor with its types erased.
+// campaign is a table row: a descriptor with its types erased, or a spec
+// of a family declared by spec.
 type campaign struct {
 	CampaignInfo
+	// family, for a campaign declared by spec, names the campaign whose
+	// shard files, merge and render its own are.
+	family string
 	run    CampaignRunner
 	decode func(data []byte) (ShardEncoder, error)
 	merge  func(files []ShardEncoder) (*MergeResult, error)
@@ -116,15 +131,19 @@ type campaign struct {
 type CampaignInfo struct {
 	Name, Doc string
 	// Tables names the tables a scenario spec of this family can select,
-	// in render order; nil when the campaign renders as one piece.
-	Tables []string
-	Plot   bool // has a -json plot export
+	// in render order — all of them when it selects none; nil when the
+	// campaign renders as one piece. Views names the more it can select.
+	Tables, Views []string
+	Plot          bool // has a -json plot export
 }
 
 func declare[T, R any](d descriptor[T, R]) *campaign {
 	c := &campaign{CampaignInfo: CampaignInfo{Name: d.Name, Doc: d.Doc, Plot: d.Plot != nil}}
 	for _, t := range d.Tables {
 		c.Tables = append(c.Tables, t.Name)
+	}
+	for _, v := range d.Views {
+		c.Views = append(c.Views, v.Name)
 	}
 	if d.Plan != nil {
 		c.run = func(p RunParams, shard ShardSpec, progress io.Writer) (ShardEncoder, error) {
@@ -168,6 +187,22 @@ func declare[T, R any](d descriptor[T, R]) *campaign {
 		return res, nil
 	}
 	return c
+}
+
+// spec declares a campaign that is a spec of family's: internal/scenario
+// attaches its runner, and its shard files carry the family's name, so they
+// decode, merge and render as that family's — the -json plot export too.
+func spec(name, doc, family string) *campaign {
+	return &campaign{CampaignInfo: CampaignInfo{Name: name, Doc: doc}, family: family}
+}
+
+// info is the row's CampaignInfo, a spec's plot export its family's.
+func (c *campaign) info() CampaignInfo {
+	info := c.CampaignInfo
+	if c.family != "" {
+		info.Plot = lookup(c.family).Plot
+	}
+	return info
 }
 
 // listOf declares a campaign whose result is its cells in cell order.
@@ -221,6 +256,13 @@ var campaigns = []*campaign{
 			{"fig10", method((*Matrix).RenderFig10)},
 			{"fig11", method((*Matrix).RenderFig11)},
 		},
+		Views: []view[*Matrix]{
+			{CampaignSubflow, method((*Matrix).RenderSweep)},
+			{CampaignParams, method((*Matrix).RenderParams)},
+			{CampaignIncast, method((*Matrix).RenderIncastSweep)},
+			{CampaignSACK, method((*Matrix).RenderSACK)},
+			{CampaignVL2, method((*Matrix).RenderVL2)},
+		},
 		BlankFirst: true,
 		Plot:       func(w io.Writer, m *Matrix) error { return m.WriteJSON(w) },
 	}),
@@ -239,36 +281,11 @@ var campaigns = []*campaign{
 		Plan:   AblationPlan,
 		Render: RenderAblations,
 	}),
-	listOf(descriptor[SubflowSweepResult, []SubflowSweepResult]{
-		Name:   CampaignSubflow,
-		Doc:    "XMP goodput vs subflow count (1,2,4,8)",
-		Plan:   SubflowSweepPlan,
-		Render: RenderSubflowSweep,
-	}),
-	listOf(descriptor[ParamPoint, []ParamPoint]{
-		Name:   CampaignParams,
-		Doc:    "(beta, K) sensitivity grid (the paper's future-work study)",
-		Plan:   ParamSweepPlan,
-		Render: RenderParamSweep,
-	}),
-	listOf(descriptor[IncastSweepPoint, []IncastSweepPoint]{
-		Name:   CampaignIncast,
-		Doc:    "job completion vs fan-in (4..32 servers)",
-		Plan:   IncastSweepPlan,
-		Render: RenderIncastSweep,
-	}),
-	listOf(descriptor[SACKAblationResult, []SACKAblationResult]{
-		Name:   CampaignSACK,
-		Doc:    "SACK vs NewReno ablation for the loss-based schemes",
-		Plan:   SACKAblationPlan,
-		Render: RenderSACKAblation,
-	}),
-	listOf(descriptor[VL2Point, []VL2Point]{
-		Name:   CampaignVL2,
-		Doc:    "scheme comparison on a VL2 Clos fabric (generalization)",
-		Plan:   VL2Plan,
-		Render: RenderVL2,
-	}),
+	spec(CampaignSubflow, "XMP goodput vs subflow count (1,2,4,8)", CampaignMatrix),
+	spec(CampaignParams, "(beta, K) sensitivity grid (the paper's future-work study)", CampaignMatrix),
+	spec(CampaignIncast, "job completion vs fan-in (4..32 servers)", CampaignMatrix),
+	spec(CampaignSACK, "SACK vs NewReno ablation for the loss-based schemes", CampaignMatrix),
+	spec(CampaignVL2, "scheme comparison on a VL2 Clos fabric (generalization)", CampaignMatrix),
 	listOf(descriptor[FCTPoint, []FCTPoint]{
 		Name:   CampaignFCT,
 		Doc:    "short-flow FCT percentiles: Pareto loops + a 10,240-sender incast burst (TCP/DCTCP/XMP-2)",

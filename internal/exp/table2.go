@@ -64,6 +64,15 @@ func Table2Plan(p RunParams) Plan[Table2Cell] {
 	}
 }
 
+// schemeLabels is how the scheme axis appears in a config description.
+func schemeLabels(schemes []workload.Scheme) []string {
+	labels := make([]string, len(schemes))
+	for i, s := range schemes {
+		labels[i] = s.Label()
+	}
+	return labels
+}
+
 // assembleTable2 rebuilds the two variant results in render order —
 // non-strict, then RED-strict — reading the (queue, other) grid off the
 // cells and refusing a set whose variants are not that same grid twice.

@@ -73,7 +73,7 @@ func lower(r *Spec) (*Compiled, error) {
 	case FamilyMatrix:
 		for _, w := range r.Workloads {
 			for _, sl := range r.Schemes {
-				c.Labels = append(c.Labels, string(matrixPattern(w.Kind))+"/"+sl)
+				c.Labels = append(c.Labels, matrixRow(w).String()+"/"+sl)
 			}
 		}
 	case FamilyRobustness:
@@ -102,16 +102,20 @@ func CompileFile(path string) (*Compiled, error) {
 // Cells returns the campaign-wide cell count.
 func (c *Compiled) Cells() int { return len(c.Labels) }
 
-func matrixPattern(kind string) exp.Pattern {
-	switch kind {
+// matrixRow is the matrix row a resolved workload describes.
+func matrixRow(w WorkloadSpec) exp.Row {
+	row := exp.Row{MarkThreshold: w.MarkThreshold, SACK: w.SACK, Servers: w.Servers}
+	switch w.Kind {
 	case "permutation":
-		return exp.Permutation
+		row.Pattern = exp.Permutation
 	case "random":
-		return exp.Random
+		row.Pattern = exp.Random
 	case "incast":
-		return exp.Incast
+		row.Pattern = exp.Incast
+	default:
+		panic(fmt.Sprintf("scenario: unvalidated matrix pattern %q", w.Kind))
 	}
-	panic(fmt.Sprintf("scenario: unvalidated matrix pattern %q", kind))
+	return row
 }
 
 // robustnessLabel suffixes the seed only when the seeds axis is real, so
@@ -172,11 +176,11 @@ func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (
 	r := c.Spec
 	switch r.Family {
 	case FamilyMatrix:
-		patterns := make([]exp.Pattern, len(r.Workloads))
+		rows := make([]exp.Row, len(r.Workloads))
 		for i, w := range r.Workloads {
-			patterns[i] = matrixPattern(w.Kind)
+			rows[i] = matrixRow(w)
 		}
-		return exp.RunPlan(c.Campaign, exp.MatrixPlan(c.Desc, c.cell(r.Scale.Seed), patterns, c.schemes), shard, jobs, progress), nil
+		return exp.RunPlan(c.Campaign, exp.MatrixPlan(c.Desc, c.cell(r.Scale.Seed), rows, c.schemes), shard, jobs, progress), nil
 
 	case FamilyRobustness:
 		var random *workload.RandomConfig

@@ -109,6 +109,25 @@ func TestHashSensitivity(t *testing.T) {
 			t.Errorf("%s change did not flip the config hash", field)
 		}
 	}
+
+	// What a matrix row sets, and the VL2 Clos, on a matrix spec.
+	rows := func() *Spec {
+		return &Spec{Name: "rows", Family: FamilyMatrix, Schemes: []string{"XMP-2"},
+			Workloads: []WorkloadSpec{{Kind: "random"}, {Kind: "incast"}}}
+	}
+	base = mustCompile(t, rows()).Hash
+	for field, mutate := range map[string]func(*Spec){
+		"row mark_threshold": func(s *Spec) { s.Workloads[0].MarkThreshold = 5 },
+		"row sack":           func(s *Spec) { s.Workloads[0].SACK = true },
+		"row servers":        func(s *Spec) { s.Workloads[1].Servers = 16 },
+		"topology vl2":       func(s *Spec) { s.Topology = &TopologySpec{Kind: "vl2"} },
+	} {
+		s := rows()
+		mutate(s)
+		if got := mustCompile(t, s).Hash; got == base {
+			t.Errorf("%s change did not flip the config hash", field)
+		}
+	}
 }
 
 // A one-byte edit to a referenced chaos file must flip the hash even
@@ -272,10 +291,7 @@ func TestScenarioCampaignNeedsSpec(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// One representation: the registry's matrix, robustness and fct are the
-// shipped specs.
-
-var specBacked = []string{FamilyMatrix, FamilyRobustness, FamilyFCT}
+// One representation: the registry's spec campaigns are the shipped specs.
 
 func shippedSpec(t *testing.T, name string) *Compiled {
 	t.Helper()
@@ -287,12 +303,12 @@ func shippedSpec(t *testing.T, name string) *Compiled {
 }
 
 // With default params the registry campaign and the spec file resolve to
-// the same canonical JSON under the same campaign name — which is what
-// lets `xmpsim matrix -shard 0/2` and `xmpsim run -shard 1/2
-// scenarios/matrix.json` shard files merge — and the "scenario" registry
+// the same canonical JSON under the same campaign name, the spec's family —
+// which is what lets `xmpsim vl2 -shard 0/2` and `xmpsim run -shard 1/2
+// scenarios/vl2.json` shard files merge — and the "scenario" registry
 // name, given that spec inline, resolves to the same family.
 func TestSpecBackedCampaignsAreTheShippedSpecs(t *testing.T) {
-	for _, name := range specBacked {
+	for _, name := range specCampaigns {
 		c := shippedSpec(t, name)
 		for _, probe := range []struct {
 			registry string
@@ -306,37 +322,48 @@ func TestSpecBackedCampaignsAreTheShippedSpecs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s as %q: %v", name, probe.registry, err)
 			}
-			if m.Campaign != name || m.Config != c.Desc || m.ConfigHash != c.Hash || m.TotalCells != c.Cells() {
+			if m.Campaign != c.Campaign || m.Config != c.Desc || m.ConfigHash != c.Hash || m.TotalCells != c.Cells() {
 				t.Errorf("%s as %q: manifest (%s, %.12s, %d cells), spec file (%s, %.12s, %d cells)",
-					name, probe.registry, m.Campaign, m.ConfigHash, m.TotalCells, name, c.Hash, c.Cells())
+					name, probe.registry, m.Campaign, m.ConfigHash, m.TotalCells, c.Campaign, c.Hash, c.Cells())
 			}
 		}
 	}
-	// A family name refuses a spec of another family.
+	// A spec campaign refuses a spec of another family.
 	if _, err := exp.ProbeManifest(FamilyFCT, exp.RunParams{Scenario: shippedSpec(t, FamilyMatrix).JSON}); err == nil {
 		t.Error("campaign fct accepted a matrix-family inline spec")
 	}
+	if _, err := exp.ProbeManifest(exp.CampaignVL2, exp.RunParams{Scenario: shippedSpec(t, FamilyFCT).JSON}); err == nil {
+		t.Error("campaign vl2 accepted an fct-family inline spec")
+	}
 }
 
-// The scale flags overlay the embedded spec: -timescale, -seed and -k on
-// every family, -sizescale on matrix alone (fct and robustness size their
-// flows in bytes).
+// The scale flags overlay the embedded spec: -timescale and -seed on
+// every spec, -k on every fat-tree (vl2's Clos has no arity), -sizescale on
+// the matrix family alone (fct and robustness size their flows in bytes).
 func TestRunParamsOverlayEmbeddedSpec(t *testing.T) {
 	p := exp.RunParams{Timescale: 10, SizeScale: 1, Seed: 3, K: 4}
-	for _, name := range specBacked {
+	for _, name := range specCampaigns {
 		want := *shippedSpec(t, name).Spec
 		topo := *want.Topology
-		topo.K = 4
+		if topo.Kind != "vl2" {
+			topo.K = 4
+		}
 		want.Topology = &topo
 		want.Scale = &ScaleSpec{Timescale: 1, SizeScale: 16, Seed: 3}
-		want.DurationMS = 400
-		switch name {
+		horizon := want.DurationMS
+		switch want.Family {
 		case FamilyMatrix:
-			want.DurationMS = 2000
 			want.Scale.SizeScale = 1
+			if horizon == 0 {
+				horizon = 200
+			}
 		case FamilyRobustness:
 			want.Seeds = []int64{3}
 		}
+		if horizon == 0 {
+			horizon = 40
+		}
+		want.DurationMS = 10 * horizon
 		c, err := CompileCampaign(name, p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -362,15 +389,17 @@ func TestResolveRejects(t *testing.T) {
 		"missing family": {&Spec{Name: "x"}, "family is required"},
 		"bad family":     {&Spec{Name: "x", Family: "grid"}, "unknown family"},
 		"odd k":          {&Spec{Name: "x", Family: FamilyMatrix, Topology: &TopologySpec{K: 7}, Schemes: []string{"DCTCP"}}, "fat-tree k"},
-		"vl2 in matrix":  {&Spec{Name: "x", Family: FamilyMatrix, Topology: &TopologySpec{Kind: "vl2"}, Schemes: []string{"DCTCP"}}, "vl2"},
-		"lossy matrix":   {&Spec{Name: "x", Family: FamilyMatrix, Topology: &TopologySpec{Lossy: true}, Schemes: []string{"DCTCP"}}, "lossy"},
-		"mark >= queue":  {&Spec{Name: "x", Family: FamilyMatrix, Topology: &TopologySpec{QueueLimit: 10, MarkThreshold: 10}, Schemes: []string{"DCTCP"}}, "mark_threshold"},
-		"no schemes":     {&Spec{Name: "x", Family: FamilyMatrix}, "schemes list is required"},
-		"dup scheme":     {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"XMP-2", "XMP-2"}}, "listed twice"},
-		"bad scheme":     {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"QUIC-2"}}, "unknown algorithm"},
-		"fct schemes":    {&Spec{Name: "x", Family: FamilyFCT, Schemes: []string{"DCTCP"}}, "per workload"},
-		"seeds matrix":   {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"}, Seeds: []int64{1}}, "seeds axis"},
-		"seed zero":      {&Spec{Name: "x", Family: FamilyRobustness, Schemes: []string{"DCTCP"}, Seeds: []int64{0}}, "seed 0"},
+		"vl2 in fct": {&Spec{Name: "x", Family: FamilyFCT, Topology: &TopologySpec{Kind: "vl2"},
+			Workloads: []WorkloadSpec{{Name: "a", Kind: "shortflows"}}}, "vl2"},
+		"k on vl2":      {&Spec{Name: "x", Family: FamilyMatrix, Topology: &TopologySpec{Kind: "vl2", K: 4}, Schemes: []string{"DCTCP"}}, "k does not apply"},
+		"lossy matrix":  {&Spec{Name: "x", Family: FamilyMatrix, Topology: &TopologySpec{Lossy: true}, Schemes: []string{"DCTCP"}}, "lossy"},
+		"mark >= queue": {&Spec{Name: "x", Family: FamilyMatrix, Topology: &TopologySpec{QueueLimit: 10, MarkThreshold: 10}, Schemes: []string{"DCTCP"}}, "mark_threshold"},
+		"no schemes":    {&Spec{Name: "x", Family: FamilyMatrix}, "schemes list is required"},
+		"dup scheme":    {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"XMP-2", "XMP-2"}}, "listed twice"},
+		"bad scheme":    {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"QUIC-2"}}, "unknown algorithm"},
+		"fct schemes":   {&Spec{Name: "x", Family: FamilyFCT, Schemes: []string{"DCTCP"}}, "per workload"},
+		"seeds matrix":  {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"}, Seeds: []int64{1}}, "seeds axis"},
+		"seed zero":     {&Spec{Name: "x", Family: FamilyRobustness, Schemes: []string{"DCTCP"}, Seeds: []int64{0}}, "seed 0"},
 		// Their sizes are bytes: a sizescale would be hashed and ignored.
 		"sizescale on robustness": {&Spec{Name: "x", Family: FamilyRobustness, Schemes: []string{"DCTCP"}, Scale: &ScaleSpec{SizeScale: 8}}, "sizescale 8 does not apply"},
 		"sizescale on fct": {&Spec{Name: "x", Family: FamilyFCT, Scale: &ScaleSpec{SizeScale: 32},
@@ -383,7 +412,19 @@ func TestResolveRejects(t *testing.T) {
 		"empty chaos":     {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"}, Chaos: &ChaosSpec{Seed: 1}}, "no events"},
 		"file and inline": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"}, Chaos: &ChaosSpec{File: "f.json", Seed: 1}}, "excludes inline"},
 		"matrix pattern params": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"},
-			Workloads: []WorkloadSpec{{Kind: "permutation", PerHost: 2}}}, "takes no parameters"},
+			Workloads: []WorkloadSpec{{Kind: "permutation", PerHost: 2}}}, "takes only mark_threshold, sack and servers"},
+		"row mark >= queue": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"},
+			Workloads: []WorkloadSpec{{Kind: "random", MarkThreshold: 100}}}, "mark_threshold 100"},
+		"row mark < 0": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"},
+			Workloads: []WorkloadSpec{{Kind: "random", MarkThreshold: -1}}}, "mark_threshold -1"},
+		"servers off incast": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"},
+			Workloads: []WorkloadSpec{{Kind: "random", Servers: 4}}}, "on incast only"},
+		"servers < 0": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"},
+			Workloads: []WorkloadSpec{{Kind: "incast", Servers: -4}}}, "servers -4"},
+		"dup row": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"},
+			Workloads: []WorkloadSpec{{Kind: "random", SACK: true}, {Kind: "random"}, {Kind: "random", SACK: true}}}, "row Random(sack) listed twice"},
+		"row field off matrix": {&Spec{Name: "x", Family: FamilyRobustness, Schemes: []string{"DCTCP"},
+			Workloads: []WorkloadSpec{{Kind: "random", SACK: true}}}, "set matrix rows"},
 		"unnamed fct cell": {&Spec{Name: "x", Family: FamilyFCT,
 			Workloads: []WorkloadSpec{{Kind: "shortflows"}}}, "need a name"},
 		"foreign field": {&Spec{Name: "x", Family: FamilyRobustness, Schemes: []string{"DCTCP"},
@@ -514,7 +555,8 @@ func TestRobustnessSeedsAxis(t *testing.T) {
 }
 
 // Metrics filtering: listing every family table renders byte-identically
-// to listing none, and a subset renders only the selected tables.
+// to listing none, which renders no view, and a subset renders only the
+// selected tables.
 func TestMetricsFiltering(t *testing.T) {
 	run := func(metrics []string) string {
 		s := &Spec{Name: "mini", Family: FamilyMatrix, DurationMS: 5,
@@ -527,7 +569,8 @@ func TestMetricsFiltering(t *testing.T) {
 		return renderBlob(t, "m", enc)
 	}
 	full := run(nil)
-	all := run(FamilyTables(FamilyMatrix))
+	matrix, _ := exp.LookupCampaign(FamilyMatrix)
+	all := run(matrix.Tables)
 	if full != all {
 		t.Errorf("explicit all-tables render differs from default:\n--- default\n%s\n--- all\n%s", full, all)
 	}
@@ -537,5 +580,38 @@ func TestMetricsFiltering(t *testing.T) {
 	}
 	if !strings.HasPrefix(full, one[:len(one)-1]) {
 		t.Errorf("table1-only render is not a prefix of the full render:\n%s", one)
+	}
+}
+
+// Two β variants of one scheme are two schemes: a matrix keys and labels
+// its columns, and robustness its rows, by the canonical scheme string, so
+// XMP-2 and XMP-2/b6 run, merge and render side by side.
+func TestBetaVariantsAreDistinctSchemes(t *testing.T) {
+	schemes := []string{"XMP-2", "XMP-2/b6"}
+	m := mustCompile(t, &Spec{Name: "betas", Family: FamilyMatrix, Topology: &TopologySpec{K: 4},
+		Scale: &ScaleSpec{SizeScale: 4096}, DurationMS: 2, Workloads: []WorkloadSpec{{Kind: "permutation"}}, Schemes: schemes})
+	if want := []string{"Permutation/XMP-2", "Permutation/XMP-2/b6"}; !reflect.DeepEqual(m.Labels, want) {
+		t.Fatalf("matrix cells %v, want %v", m.Labels, want)
+	}
+	enc, err := m.RunShard(exp.Unsharded, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := renderBlob(t, "betas.json", enc)
+	for _, want := range []string{"\nXMP-2 ", "\nXMP-2/b6 "} {
+		if !strings.Contains(table, want) {
+			t.Errorf("matrix render has no row %q:\n%s", strings.TrimSpace(want), table)
+		}
+	}
+
+	r := mustCompile(t, &Spec{Name: "betas", Family: FamilyRobustness, Topology: &TopologySpec{K: 4}, DurationMS: 2, Schemes: schemes})
+	enc, err = r.RunShard(exp.Unsharded, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range shardPoints[exp.RobustnessPoint](t, enc) {
+		if c.Data.Scheme != schemes[i] {
+			t.Errorf("robustness row %d labelled %q, want %q", i, c.Data.Scheme, schemes[i])
+		}
 	}
 }

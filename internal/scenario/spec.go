@@ -69,15 +69,16 @@ type Spec struct {
 	Seeds []int64 `json:"seeds,omitempty"`
 	// Chaos is an optional fault schedule, inline or by file reference.
 	Chaos *ChaosSpec `json:"chaos,omitempty"`
-	// Metrics selects which result tables render; empty means all of the
-	// family's tables. Table names per family: matrix — table1, table3,
-	// fig8, fig9, fig10, fig11; robustness/fct — summary, by-size.
+	// Metrics selects which result tables render; empty means the family's
+	// tables. Table names per family: matrix — table1, table3, fig8, fig9,
+	// fig10, fig11, and the views sweep, params, incastsweep, sack and vl2,
+	// which only a selection renders; robustness/fct — summary, by-size.
 	Metrics []string `json:"metrics,omitempty"`
 }
 
 // TopologySpec shapes the fabric.
 type TopologySpec struct {
-	// Kind is "fattree" (default) or "vl2" (robustness family only).
+	// Kind is "fattree" (default) or "vl2" (matrix and robustness).
 	Kind string `json:"kind,omitempty"`
 	// K is the fat-tree arity (default 8). Ignored for vl2.
 	K int `json:"k,omitempty"`
@@ -108,7 +109,7 @@ type WorkloadSpec struct {
 	// elsewhere — matrix and robustness workloads are labelled by kind).
 	Name string `json:"name,omitempty"`
 	// Kind: matrix — permutation | random | incast (the Section 5.2
-	// patterns, parameterized by sizescale alone); robustness — random |
+	// patterns, sized by sizescale, one row each); robustness — random |
 	// shortflows; fct — shortflows | incast-burst.
 	Kind string `json:"kind"`
 	// Bounded-Pareto size parameters (random, shortflows).
@@ -129,6 +130,12 @@ type WorkloadSpec struct {
 	// plain-TCP baseline, set means every sender uses it (the mitigation
 	// axis). shortflows loops are always plain TCP and reject it.
 	Scheme string `json:"scheme,omitempty"`
+	// What a matrix row changes of the cell (exp.Row): its marking
+	// threshold, SACK on every connection and, on incast, the servers each
+	// job asks (default 8, capped at all hosts but the client).
+	MarkThreshold int  `json:"mark_threshold,omitempty"`
+	SACK          bool `json:"sack,omitempty"`
+	Servers       int  `json:"servers,omitempty"`
 }
 
 // ChaosSpec is a fault schedule, by reference or inline. Exactly one form
