@@ -281,15 +281,15 @@ func nullDist(v reflect.Value, path string) string {
 	case reflect.Struct:
 		t := v.Type()
 		for i := 0; i < v.NumField(); i++ {
-			if t.Field(i).IsExported() {
-				if p := nullDist(v.Field(i), path+"."+t.Field(i).Name); p != "" {
+			if f := t.Field(i); f.IsExported() && !scalar(f.Type) {
+				if p := nullDist(v.Field(i), path+"."+f.Name); p != "" {
 					return p
 				}
 			}
 		}
 	case reflect.Slice, reflect.Array:
-		if k := v.Type().Elem().Kind(); k <= reflect.Complex128 || k == reflect.String {
-			return "" // scalars: nothing below
+		if scalar(v.Type().Elem()) {
+			return ""
 		}
 		for i := 0; i < v.Len(); i++ {
 			if p := nullDist(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); p != "" {
@@ -306,6 +306,11 @@ func nullDist(v reflect.Value, path string) string {
 		}
 	}
 	return ""
+}
+
+// scalar reports whether t is a number, bool or string: nothing below it.
+func scalar(t reflect.Type) bool {
+	return t.Kind() <= reflect.Complex128 || t.Kind() == reflect.String
 }
 
 // ValidateShardSet checks that a set of manifests describes an exact
