@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"xmp/internal/metrics"
 	"xmp/internal/topo"
 	"xmp/internal/workload"
 )
@@ -281,6 +280,14 @@ func TestClaimEvaluator(t *testing.T) {
 	a := on(func(xs []float64) []num { return []num{{"a", xs[0]}} })
 	b := on(func(xs []float64) []num { return []num{{"b", xs[1]}} })
 	holds, deviates := claim{"t/a>b", "t", "", order(a, b)}, claim{"t/dev", "t", "b wins here", order(a, b)}
+	// A matrix whose campaign shipped goodput means alone, and a claim on
+	// its goodput p5.
+	shipped, err := assembleMatrix([]*MatrixCell{{Row: perm[0], Scheme: xmp2, Metrics: map[metricName]float64{"goodput.mean": 500}}},
+		[]string{"goodput.mean"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unshipped := claim{"t/p5", CampaignMatrix, "", within(mx(p5, perm, xmp2), 0, inf)}
 	for _, tc := range []struct {
 		c      claim
 		result any
@@ -291,6 +298,7 @@ func TestClaimEvaluator(t *testing.T) {
 		{deviates, []float64{1, 2}, nil},
 		{deviates, []float64{2, 1}, []string{"[t/dev]", "b wins here", "now holds", "a=2 > b=1", "EXPERIMENTS.md needs updating"}},
 		{holds, "a string", []string{"[t/a>b]", "cannot read"}},
+		{unshipped, shipped, []string{"[t/p5]", "cannot read", `"goodput.p5"`}},
 	} {
 		msg := tc.c.evaluate(tc.result)
 		for _, w := range tc.want {
@@ -304,43 +312,40 @@ func TestClaimEvaluator(t *testing.T) {
 	}
 }
 
-// stat reduces one distribution of a matrix cell to a number; mx reads it
-// off the cell of each scheme on each row, row-major.
+// stat reads one number off a matrix cell by metric name; mx reads it off
+// the cell of each scheme on each row, row-major.
 type stat struct {
 	name string
-	d    func(*FatTreeResult) *metrics.Dist
-	f    func(*metrics.Dist) float64
+	f    func(*MatrixCell) float64
 }
 
 func mx(k stat, rows []Row, ss ...workload.Scheme) vec {
 	return on(func(m *Matrix) (out []num) {
 		for _, row := range rows {
 			for _, s := range ss {
-				out = append(out, num{fmt.Sprintf("%s %s %s", workload.SchemeString(s), row, k.name), k.f(k.d(m.Get(row, s)))})
+				out = append(out, num{fmt.Sprintf("%s %s %s", workload.SchemeString(s), row, k.name), k.f(m.Get(row, s))})
 			}
 		}
 		return out
 	})
 }
 
-func goodputs(r *FatTreeResult) *metrics.Dist { return r.Collector.Goodput }
-func jcts(r *FatTreeResult) *metrics.Dist     { return r.Collector.JCT }
-func width(d *metrics.Dist) float64           { return d.Max() - d.Min() }
-func quantile(q float64) func(*metrics.Dist) float64 {
-	return func(d *metrics.Dist) float64 { return d.Percentile(q) }
+// of is statistic q of distribution dist, as in of("JCT p99", "jct",
+// "p99"); q "max-min" is the width of its range.
+func of(name, dist, q string) stat {
+	if q == "max-min" {
+		return stat{name, func(c *MatrixCell) float64 { return c.Metric(dist+".max") - c.Metric(dist+".min") }}
+	}
+	return stat{name, func(c *MatrixCell) float64 { return c.Metric(dist + "." + q) }}
 }
 func cdf(ms float64) stat {
-	return stat{fmt.Sprintf("JCT CDF(%gms)", ms), jcts, func(d *metrics.Dist) float64 { return d.CDFAt(ms) }}
+	return of(fmt.Sprintf("JCT CDF(%gms)", ms), "jct", fmt.Sprintf("cdf@%gms", ms))
 }
-func byCat(c topo.Category, q string, f func(*metrics.Dist) float64) stat {
-	return stat{c.String() + " goodput " + q, func(r *FatTreeResult) *metrics.Dist { return r.Collector.GoodputByCat[c] }, f}
+func byCat(c topo.Category, q string) stat {
+	return of(c.String()+" goodput "+q, "goodput."+catName(c), q)
 }
-func rtt(c topo.Category, q string, f func(*metrics.Dist) float64) stat {
-	return stat{c.String() + " RTT " + q, func(r *FatTreeResult) *metrics.Dist { return r.Collector.RTT[c] }, f}
-}
-func util(layer, q string, f func(*metrics.Dist) float64) stat {
-	return stat{layer + " util " + q, func(r *FatTreeResult) *metrics.Dist { return r.UtilByLayer[layer] }, f}
-}
+func rtt(c topo.Category, q string) stat { return of(c.String()+" RTT "+q, "rtt."+catName(c), q) }
+func util(layer, q string) stat          { return of(layer+" util "+q, "util."+layer, q) }
 
 var (
 	dctcp, lia2, lia4, xmp2, xmp4, tcp = SchemeDCTCP, SchemeLIA2, SchemeLIA4, SchemeXMP2, SchemeXMP4, SchemeTCP
@@ -349,15 +354,13 @@ var (
 	five             = []workload.Scheme{dctcp, lia2, lia4, xmp2, xmp4}
 	pats             = []Row{{Pattern: Permutation}, {Pattern: Random}, {Pattern: Incast}}
 	perm, rnd, inc   = pats[:1], pats[1:2], pats[2:]
-	cats             = []topo.Category{topo.InterPod, topo.InterRack, topo.InnerRack}
-	mean, median     = (*metrics.Dist).Mean, quantile(50)
-	goodput, jct     = stat{"goodput", goodputs, mean}, stat{"JCT", jcts, mean}
-	jctP50, jctP99   = stat{"JCT p50", jcts, median}, stat{"JCT p99", jcts, quantile(99)}
-	podRTT           = rtt(topo.InterPod, "mean", mean)
-	p5, p95          = stat{"goodput p5", goodputs, quantile(5)}, stat{"goodput p95", goodputs, quantile(95)}
-	spread           = stat{"goodput p95-p5", goodputs, func(d *metrics.Dist) float64 { return d.Percentile(95) - d.Percentile(5) }}
-	above300         = stat{"JCT >300ms", jcts, func(d *metrics.Dist) float64 { return d.FractionAbove(300) }}
-	coreMed, coreMax = util(topo.LayerCore, "p50", median), util(topo.LayerCore, "max-min", width)
+	goodput, jct     = of("goodput", "goodput", "mean"), of("JCT", "jct", "mean")
+	jctP50, jctP99   = of("JCT p50", "jct", "p50"), of("JCT p99", "jct", "p99")
+	podRTT           = rtt(topo.InterPod, "mean")
+	p5, p95          = of("goodput p5", "goodput", "p5"), of("goodput p95", "goodput", "p95")
+	spread           = stat{"goodput p95-p5", func(c *MatrixCell) float64 { return c.Metric("goodput.p95") - c.Metric("goodput.p5") }}
+	above300         = of("JCT >300ms", "jct", "above300")
+	coreMed, coreMax = util(topo.LayerCore, "p50"), util(topo.LayerCore, "max-min")
 	inf              = math.Inf(1)
 )
 
@@ -509,10 +512,10 @@ var claims = []claim{
 		order(least(mx(spread, perm, dctcp, lia2, lia4)), most(mx(spread, perm, xmps...))))},
 	{"fig8/dctcp-top-tail", CampaignMatrix, "", order(mx(p95, perm, dctcp), most(mx(p95, perm, lia2, lia4, xmp2, xmp4)))},
 	{"fig8/locality", CampaignMatrix, "", all(
-		order(mx(byCat(topo.InnerRack, "p50", median), perm, dctcp), most(mx(byCat(topo.InnerRack, "p50", median), perm, lia2, lia4, xmp2, xmp4))),
-		order(least(mx(byCat(topo.InterPod, "p50", median), perm, xmps...)), mx(byCat(topo.InterPod, "p50", median), perm, dctcp)))},
-	{"fig8/lia-lowest-widest", CampaignMatrix, "", forEach(cats, func(c topo.Category) check {
-		med, span := byCat(c, "p50", median), byCat(c, "max-min", width)
+		order(mx(byCat(topo.InnerRack, "p50"), perm, dctcp), most(mx(byCat(topo.InnerRack, "p50"), perm, lia2, lia4, xmp2, xmp4))),
+		order(least(mx(byCat(topo.InterPod, "p50"), perm, xmps...)), mx(byCat(topo.InterPod, "p50"), perm, dctcp)))},
+	{"fig8/lia-lowest-widest", CampaignMatrix, "", forEach(categories, func(c topo.Category) check {
+		med, span := byCat(c, "p50"), byCat(c, "max-min")
 		return all(order(least(mx(med, perm, ecns...)), least(mx(med, perm, lias...))),
 			order(most(mx(span, perm, lias...)), most(mx(span, perm, ecns...))))
 	})},
@@ -527,18 +530,18 @@ var claims = []claim{
 
 	{"fig10/lia-inflates", CampaignMatrix, "", all(
 		forEach(pats, func(p Row) check {
-			pod, rack := rtt(topo.InterPod, "mean", mean), rtt(topo.InterRack, "mean", mean)
+			pod, rack := rtt(topo.InterPod, "mean"), rtt(topo.InterRack, "mean")
 			ps := []Row{p}
 			return all(ratios(mx(pod, ps, lias...), mx(pod, ps, ecns...), 2, 3.3), ratios(mx(rack, ps, lias...), mx(rack, ps, ecns...), 2, 3.3))
 		}),
-		within(mx(rtt(topo.InterPod, "p95", quantile(95)), pats, lias...), 1.9, 2.3),
+		within(mx(rtt(topo.InterPod, "p95"), pats, lias...), 1.9, 2.3),
 		forEach(pats[:2], func(p Row) check {
-			inner, ps := rtt(topo.InnerRack, "mean", mean), []Row{p}
+			inner, ps := rtt(topo.InnerRack, "mean"), []Row{p}
 			return ratios(mx(inner, ps, lias...), mx(inner, ps, ecns...), 3.4, 5.5)
 		}),
-		order(mx(rtt(topo.InnerRack, "mean", mean), inc, dctcp), mx(rtt(topo.InnerRack, "mean", mean), inc, lia2)))},
-	{"fig10/xmp~dctcp", CampaignMatrix, "", forEach(cats, func(c topo.Category) check {
-		m := rtt(c, "mean", mean)
+		order(mx(rtt(topo.InnerRack, "mean"), inc, dctcp), mx(rtt(topo.InnerRack, "mean"), inc, lia2)))},
+	{"fig10/xmp~dctcp", CampaignMatrix, "", forEach(categories, func(c topo.Category) check {
+		m := rtt(c, "mean")
 		return all(within(diff(mx(m, pats, xmp2), mx(m, pats, dctcp)), -0.07, 0.07),
 			within(diff(mx(m, pats, xmp4), mx(m, pats, dctcp)), -0.07, 0.07),
 			within(diff(mx(m, pats, xmp4), mx(m, pats, xmp2)), -0.08, 0.08))
@@ -548,8 +551,8 @@ var claims = []claim{
 	{"fig11/xmp-shorter-lines", CampaignMatrix, "", all(
 		order(mx(coreMax, perm, dctcp), mx(coreMax, perm, xmp2), mx(coreMax, perm, xmp4)),
 		order(mx(coreMax, perm, dctcp), most(mx(coreMax, perm, lias...))))},
-	{"fig11/lia-below-xmp", CampaignMatrix, "", forEach([]string{topo.LayerCore, topo.LayerAggregation, topo.LayerRack}, func(layer string) check {
-		u := util(layer, "p50", median)
+	{"fig11/lia-below-xmp", CampaignMatrix, "", forEach(layers, func(layer string) check {
+		u := util(layer, "p50")
 		return all(order(mx(u, pats[:2], xmp2, xmp4), mx(u, pats[:2], lia2, lia4)), order(mx(u, inc, xmp2), mx(u, inc, lia2)))
 	})},
 

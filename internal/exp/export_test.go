@@ -10,6 +10,10 @@ import (
 	"xmp/internal/workload"
 )
 
+// TestMatrixWriteJSON pins the matrix plot export: a cell per (row,
+// scheme), each with exactly the merged metrics — for an empty selection
+// the six tables' names, Figure 8's quantiles and Figure 9's points among
+// them.
 func TestMatrixWriteJSON(t *testing.T) {
 	base := CellConfig{K: 4, Duration: 30 * sim.Millisecond, SizeScale: 256}
 	m := miniMatrix(t, base, []Pattern{Permutation}, []workload.Scheme{SchemeXMP2}, 1, nil)
@@ -18,9 +22,15 @@ func TestMatrixWriteJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var decoded struct {
-		Cells []CellJSON `json:"cells"`
+		Cells []struct {
+			Pattern string             `json:"pattern"`
+			Scheme  string             `json:"scheme"`
+			Metrics map[string]float64 `json:"metrics"`
+		} `json:"cells"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+	dec := json.NewDecoder(&buf)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&decoded); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
 	if len(decoded.Cells) != 1 {
@@ -30,17 +40,22 @@ func TestMatrixWriteJSON(t *testing.T) {
 	if c.Scheme != "XMP-2" || c.Pattern != "Permutation" {
 		t.Fatalf("cell identity %+v", c)
 	}
-	if c.Flows == 0 || c.GoodputMbps.N == 0 || c.GoodputMbps.Mean <= 0 {
-		t.Fatalf("empty stats %+v", c)
+	want := matrixFamily.reads(nil)
+	if len(c.Metrics) != len(want) {
+		t.Errorf("%d metrics, want the six tables' %d", len(c.Metrics), len(want))
 	}
-	if len(c.GoodputMbps.CDFX) == 0 || len(c.GoodputMbps.CDFX) != len(c.GoodputMbps.CDFY) {
-		t.Fatal("missing CDF points")
+	for _, n := range want {
+		if _, ok := c.Metrics[n]; !ok {
+			t.Errorf("missing metric %q", n)
+		}
 	}
-	if _, ok := c.UtilByLayer["core"]; !ok {
-		t.Fatal("missing core layer utilization")
+	for _, n := range []string{"goodput.mean", "goodput.p5", "goodput.p95", "rtt.inter-pod.mean", "util.core.p50"} {
+		if c.Metrics[n] <= 0 {
+			t.Errorf("%s = %v, want a positive reading", n, c.Metrics[n])
+		}
 	}
-	if _, ok := c.RTTMsByCat["Inter-Pod"]; !ok {
-		t.Fatal("missing inter-pod RTT")
+	if _, ok := c.Metrics["jct.cdf@25ms"]; !ok {
+		t.Error("missing Figure 9's 25 ms point")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"xmp/internal/metrics"
 	"xmp/internal/sim"
-	"xmp/internal/topo"
 	"xmp/internal/workload"
 )
 
@@ -83,16 +82,17 @@ func patternCell(cfg CellConfig, row Row) CellConfig {
 	return cfg.WithDefaults()
 }
 
-// FatTreeResult is the outcome of one run.
+// FatTreeResult is the outcome of one run, every sample kept. It stays
+// in its worker: a matrix cell travels as the metrics reduceCell takes of
+// it.
 type FatTreeResult struct {
-	// Row keys the cell in its matrix; its fields encode inline, and those
-	// a row does not set not at all.
+	// Row keys the cell in its matrix.
 	Row
 	Scheme    workload.Scheme
 	Collector *workload.Collector
 	// IncastServers is the fan-in an Incast row's jobs ran: its Servers
 	// capped at all hosts but the client; 0 when the row sets none.
-	IncastServers int `json:",omitempty"`
+	IncastServers int
 	// UtilByLayer holds one utilization sample per link direction,
 	// measured over the whole run (Figure 11).
 	UtilByLayer map[string]*metrics.Dist
@@ -148,7 +148,7 @@ func runPattern(c *Cell, row Row) *FatTreeResult {
 	now := c.Net.Eng.Now()
 	res.Drops, res.Marks = c.Drops(), c.Marks()
 	res.SimDuration, res.Events = sim.Duration(now), c.Events
-	for _, layer := range []string{topo.LayerCore, topo.LayerAggregation, topo.LayerRack} {
+	for _, layer := range layers {
 		d := &metrics.Dist{}
 		for _, l := range c.Net.LinksByLayer(layer) {
 			d.Add(l.Utilization(now))

@@ -5,20 +5,20 @@ import (
 	"io"
 	"slices"
 
-	"xmp/internal/topo"
 	"xmp/internal/workload"
 )
 
-// Matrix holds the row x scheme fabric results that Tables 1 and 3 and
+// Matrix holds the row x scheme fabric cells that Tables 1 and 3 and
 // Figures 8-11 are all derived from, so the full evaluation reuses 15 runs
 // instead of re-simulating per table. A row is a pattern and what it
 // changes of the cell (Row); the sweeps beyond the paper are matrices too,
-// read through the views at the bottom of this file.
+// read through the views at the bottom of this file. Every table and view
+// reads its cells' metrics by name (metric.go).
 type Matrix struct {
 	Rows    []Row
 	Schemes []workload.Scheme
 	// Results[row][workload.SchemeString(scheme)].
-	Results map[Row]map[string]*FatTreeResult
+	Results map[Row]map[string]*MatrixCell
 }
 
 // MatrixPlan plans the (row, scheme) grid on the base cell. Cell i is
@@ -26,53 +26,82 @@ type Matrix struct {
 // the campaign has always used. desc is the canonical description of every
 // knob that shapes the cells; the caller owns it (internal/scenario passes
 // the resolved spec), so the grid has one definition and one description.
-func MatrixPlan(desc string, base CellConfig, rows []Row, schemes []workload.Scheme) Plan[*FatTreeResult] {
-	return Plan[*FatTreeResult]{
+// Each cell is reduced to the metrics of the tables and views desc selects,
+// read as merge reads them off the manifest.
+func MatrixPlan(desc string, base CellConfig, rows []Row, schemes []workload.Scheme) Plan[*MatrixCell] {
+	reads := matrixFamily.reads(scenarioMetrics(desc))
+	return Plan[*MatrixCell]{
 		Desc:  desc,
 		Cells: len(rows) * len(schemes),
-		Run: func(w *Worker, i int) *FatTreeResult {
+		Run: func(w *Worker, i int) *MatrixCell {
 			ri, si := gridRC(i, len(schemes))
-			return RunFatTree(w, base, rows[ri], schemes[si])
+			return reduceCell(RunFatTree(w, base, rows[ri], schemes[si]), reads)
 		},
-		Progress: RenderFatTreeRun,
+		Progress: func(w io.Writer, c *MatrixCell) { io.WriteString(w, c.line) },
 	}
 }
 
 // assembleMatrix rebuilds the Matrix from a shard set's cells, its axes
-// read off the cells themselves. Coming from JSON, each cell's
-// distributions are restored sample-for-sample (with the exact
-// insertion-order sum), so every rendered table is byte-identical to the
-// unsharded run's.
-func assembleMatrix(results []*FatTreeResult) (*Matrix, error) {
-	if i := slices.Index(results, nil); i >= 0 {
-		return nil, fmt.Errorf("matrix: cell %d is null", i)
+// read off the cells themselves, refusing a cell that does not carry
+// exactly the metrics reads names.
+func assembleMatrix(cells []*MatrixCell, reads []string) (*Matrix, error) {
+	for i, c := range cells {
+		if c == nil {
+			return nil, fmt.Errorf("matrix: cell %d is null", i)
+		}
+		if err := c.carries(reads); err != nil {
+			return nil, fmt.Errorf("matrix: cell %d (%v)", i, err)
+		}
 	}
-	rows, labels, err := gridAxes(len(results), func(i int) (Row, string) {
-		return results[i].Row, workload.SchemeString(results[i].Scheme)
+	rows, labels, err := gridAxes(len(cells), func(i int) (Row, string) {
+		return cells[i].Row, workload.SchemeString(cells[i].Scheme)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("matrix: %v", err)
 	}
-	m := &Matrix{Rows: rows, Results: make(map[Row]map[string]*FatTreeResult)}
-	for _, r := range results[:len(labels)] {
-		m.Schemes = append(m.Schemes, r.Scheme)
+	m := &Matrix{Rows: rows, Results: make(map[Row]map[string]*MatrixCell)}
+	for _, c := range cells[:len(labels)] {
+		m.Schemes = append(m.Schemes, c.Scheme)
 	}
 	for _, row := range rows {
-		m.Results[row] = make(map[string]*FatTreeResult)
+		m.Results[row] = make(map[string]*MatrixCell)
 	}
-	for _, r := range results {
-		m.Results[r.Row][workload.SchemeString(r.Scheme)] = r
+	for _, c := range cells {
+		m.Results[c.Row][workload.SchemeString(c.Scheme)] = c
 	}
 	return m, nil
 }
 
-// Get returns the result for (row, scheme), nil if the matrix has none.
-func (m *Matrix) Get(row Row, s workload.Scheme) *FatTreeResult {
+// Get returns the cell (row, scheme), nil if the matrix has none.
+func (m *Matrix) Get(row Row, s workload.Scheme) *MatrixCell {
 	return m.Results[row][workload.SchemeString(s)]
 }
 
 // has reports whether the matrix has the plain row of pattern p.
 func (m *Matrix) has(p Pattern) bool { return m.Results[Row{Pattern: p}] != nil }
+
+// The names the tables read per locality or layer, and per column.
+var (
+	goodputByCat = each("goodput", catNames, localStats)
+	rttByCat     = each("rtt", catNames, rttStats)
+	utilByLayer  = each("util", layers, utilStats)
+	fig8Quantile = names("goodput", quantiles(fig8Quantiles...)...)
+)
+
+// What each table and view reads off a cell; matrixFamily declares them.
+var (
+	table1Reads      = []string{"goodput.mean"}
+	table3Reads      = names("jct", statMean, statAbove300, statN)
+	fig8Reads        = slices.Concat(fig8Quantile, values(goodputByCat))
+	fig9Reads        = names("jct", cdfPoints(fig9Points...)...)
+	fig10Reads       = values(rttByCat)
+	fig11Reads       = values(utilByLayer)
+	sweepReads       = []string{"goodput.mean", "flows"}
+	paramsReads      = []string{"goodput.mean", "rtt.inter-pod.mean"}
+	incastSweepReads = []string{"servers", "jct.n", "jct.p50", "jct.p99", "jct.above300", "goodput.mean"}
+	sackReads        = []string{"goodput.mean"}
+	vl2Reads         = []string{"goodput.mean", "rtt.inter-pod.mean", "flows", "drops"}
+)
 
 // RenderTable1 prints average goodput (Mbps) per scheme per pattern —
 // the paper's Table 1.
@@ -90,7 +119,7 @@ func (m *Matrix) RenderTable1(w io.Writer) {
 	for _, s := range m.Schemes {
 		cells := []string{workload.SchemeString(s)}
 		for _, row := range m.Rows {
-			cells = append(cells, f1(m.Get(row, s).Collector.Goodput.Mean()))
+			cells = append(cells, f1(m.Get(row, s).Metric("goodput.mean")))
 		}
 		tb.row(cells...)
 	}
@@ -104,12 +133,11 @@ func (m *Matrix) RenderTable3(w io.Writer) {
 	tb.row("scheme", "time(ms)", ">300ms", "jobs")
 	tb.rule()
 	for _, s := range m.Schemes {
-		r := m.Get(Row{Pattern: Incast}, s)
-		if r == nil {
+		c := m.Get(Row{Pattern: Incast}, s)
+		if c == nil {
 			continue
 		}
-		jct := r.Collector.JCT
-		tb.row(workload.SchemeString(s), f1(jct.Mean()), pct(jct.FractionAbove(300)), fmt.Sprintf("%d", jct.N()))
+		tb.row(workload.SchemeString(s), f1(c.Metric("jct.mean")), pct(c.Metric("jct.above300")), fmt.Sprintf("%.0f", c.Metric("jct.n")))
 	}
 }
 
@@ -136,8 +164,8 @@ func (m *Matrix) RenderFig8(w io.Writer) {
 		tb.rule()
 		for _, s := range m.Schemes {
 			cells := []string{workload.SchemeString(s)}
-			for _, q := range fig8Quantiles {
-				cells = append(cells, f1(m.Get(Row{Pattern: p}, s).Collector.Goodput.Percentile(q)))
+			for _, name := range fig8Quantile {
+				cells = append(cells, f1(m.Get(Row{Pattern: p}, s).Metric(name)))
 			}
 			tb.row(cells...)
 		}
@@ -149,21 +177,19 @@ func (m *Matrix) RenderFig8(w io.Writer) {
 		}
 		fmt.Fprintf(w, "Figure 8(%s): goodput by locality (Mbps, p10/p50/p90 [min,max]), %s pattern\n",
 			map[Pattern]string{Permutation: "c", Incast: "d"}[p], p)
-		cats := []topo.Category{topo.InterPod, topo.InterRack, topo.InnerRack}
-		widths := []int{10, 28, 28, 28}
-		tb := newTable(w, widths...)
+		tb := newTable(w, 10, 28, 28, 28)
 		tb.row("scheme", "Inter-Pod", "Inter-Rack", "Inner-Rack")
 		tb.rule()
 		for _, s := range m.Schemes {
+			c := m.Get(Row{Pattern: p}, s)
 			cells := []string{workload.SchemeString(s)}
-			for _, cat := range cats {
-				d := m.Get(Row{Pattern: p}, s).Collector.GoodputByCat[cat]
-				if d.N() == 0 {
+			for _, d := range goodputByCat {
+				if c.Metric(d["n"]) == 0 {
 					cells = append(cells, "-")
 					continue
 				}
 				cells = append(cells, fmt.Sprintf("%s/%s/%s [%s,%s]",
-					f1(d.Percentile(10)), f1(d.Percentile(50)), f1(d.Percentile(90)), f1(d.Min()), f1(d.Max())))
+					f1(c.Metric(d["p10"])), f1(c.Metric(d["p50"])), f1(c.Metric(d["p90"])), f1(c.Metric(d["min"])), f1(c.Metric(d["max"]))))
 			}
 			tb.row(cells...)
 		}
@@ -188,13 +214,13 @@ func (m *Matrix) RenderFig9(w io.Writer) {
 	tb.row(header...)
 	tb.rule()
 	for _, s := range m.Schemes {
-		r := m.Get(Row{Pattern: Incast}, s)
-		if r == nil {
+		c := m.Get(Row{Pattern: Incast}, s)
+		if c == nil {
 			continue
 		}
 		cells := []string{workload.SchemeString(s)}
-		for _, t := range fig9Points {
-			cells = append(cells, f2(r.Collector.JCT.CDFAt(t)))
+		for _, name := range fig9Reads {
+			cells = append(cells, f2(c.Metric(name)))
 		}
 		tb.row(cells...)
 	}
@@ -209,15 +235,14 @@ func (m *Matrix) RenderFig10(w io.Writer) {
 		tb.row("scheme", "Inter-Pod", "Inter-Rack", "Inner-Rack")
 		tb.rule()
 		for _, s := range m.Schemes {
-			r := m.Get(row, s)
+			c := m.Get(row, s)
 			cells := []string{workload.SchemeString(s)}
-			for _, cat := range []topo.Category{topo.InterPod, topo.InterRack, topo.InnerRack} {
-				d := r.Collector.RTT[cat]
-				if d.N() == 0 {
+			for _, d := range rttByCat {
+				if c.Metric(d["n"]) == 0 {
 					cells = append(cells, "-")
 					continue
 				}
-				cells = append(cells, fmt.Sprintf("%s/%s/%s", f2(d.Mean()), f2(d.Percentile(50)), f2(d.Percentile(95))))
+				cells = append(cells, fmt.Sprintf("%s/%s/%s", f2(c.Metric(d["mean"])), f2(c.Metric(d["p50"])), f2(c.Metric(d["p95"]))))
 			}
 			tb.row(cells...)
 		}
@@ -236,11 +261,10 @@ func (m *Matrix) RenderFig11(w io.Writer) {
 		tb.row("scheme", "Core", "Aggregation", "Rack")
 		tb.rule()
 		for _, s := range m.Schemes {
-			r := m.Get(row, s)
+			c := m.Get(row, s)
 			cells := []string{workload.SchemeString(s)}
-			for _, layer := range []string{topo.LayerCore, topo.LayerAggregation, topo.LayerRack} {
-				d := r.UtilByLayer[layer]
-				cells = append(cells, fmt.Sprintf("%s [%s,%s]", f2(d.Percentile(50)), f2(d.Min()), f2(d.Max())))
+			for _, d := range utilByLayer {
+				cells = append(cells, fmt.Sprintf("%s [%s,%s]", f2(c.Metric(d["p50"])), f2(c.Metric(d["min"])), f2(c.Metric(d["max"]))))
 			}
 			tb.row(cells...)
 		}
@@ -265,8 +289,8 @@ func (m *Matrix) RenderSweep(w io.Writer) {
 		tb.row("subflows", "goodput(Mbps)", "flows")
 		tb.rule()
 		for _, s := range m.Schemes {
-			col := m.Get(row, s).Collector
-			tb.row(fmt.Sprintf("%d", s.Subflows), f1(col.Goodput.Mean()), fmt.Sprintf("%d", col.FlowsCompleted))
+			c := m.Get(row, s)
+			tb.row(fmt.Sprintf("%d", s.Subflows), f1(c.Metric("goodput.mean")), fmt.Sprintf("%.0f", c.Metric("flows")))
 		}
 	}
 }
@@ -288,8 +312,8 @@ func (m *Matrix) RenderParams(w io.Writer) {
 	for _, s := range m.Schemes {
 		cells := []string{fmt.Sprintf("%d", s.Beta)}
 		for _, row := range m.Rows {
-			col := m.Get(row, s).Collector
-			cells = append(cells, fmt.Sprintf("%.0f / %.2f", col.Goodput.Mean(), col.RTT[topo.InterPod].Mean()))
+			c := m.Get(row, s)
+			cells = append(cells, fmt.Sprintf("%.0f / %.2f", c.Metric("goodput.mean"), c.Metric("rtt.inter-pod.mean")))
 		}
 		tb.row(cells...)
 	}
@@ -307,10 +331,9 @@ func (m *Matrix) RenderIncastSweep(w io.Writer) {
 		tb.row("servers", "jobs", "jct p50", "jct p99", ">300ms", "bg Mbps")
 		tb.rule()
 		for _, row := range m.Rows {
-			r := m.Get(row, s)
-			jct := r.Collector.JCT
-			tb.row(fmt.Sprintf("%d", r.IncastServers), fmt.Sprintf("%d", jct.N()),
-				f1(jct.Percentile(50)), f1(jct.Percentile(99)), pct(jct.FractionAbove(300)), f1(r.Collector.Goodput.Mean()))
+			c := m.Get(row, s)
+			tb.row(fmt.Sprintf("%.0f", c.Metric("servers")), fmt.Sprintf("%.0f", c.Metric("jct.n")),
+				f1(c.Metric("jct.p50")), f1(c.Metric("jct.p99")), pct(c.Metric("jct.above300")), f1(c.Metric("goodput.mean")))
 		}
 	}
 }
@@ -333,7 +356,7 @@ func (m *Matrix) RenderSACK(w io.Writer) {
 		tb.row("scheme", "NewReno", "with SACK", "gain")
 		tb.rule()
 		for _, s := range m.Schemes {
-			p, g := m.Get(plain, s).Collector.Goodput.Mean(), m.Get(with, s).Collector.Goodput.Mean()
+			p, g := m.Get(plain, s).Metric("goodput.mean"), m.Get(with, s).Metric("goodput.mean")
 			gain := "-"
 			if p > 0 {
 				gain = fmt.Sprintf("%+.0f%%", 100*(g-p)/p)
@@ -355,10 +378,9 @@ func (m *Matrix) RenderVL2(w io.Writer) {
 		tb.row("scheme", "goodput(Mbps)", "rtt(ms)", "flows", "drops")
 		tb.rule()
 		for _, s := range m.Schemes {
-			r := m.Get(row, s)
-			col := r.Collector
-			tb.row(workload.SchemeString(s), f1(col.Goodput.Mean()), f2(col.RTT[topo.InterPod].Mean()),
-				fmt.Sprintf("%d", col.FlowsCompleted), fmt.Sprintf("%d", r.Drops))
+			c := m.Get(row, s)
+			tb.row(workload.SchemeString(s), f1(c.Metric("goodput.mean")), f2(c.Metric("rtt.inter-pod.mean")),
+				fmt.Sprintf("%.0f", c.Metric("flows")), fmt.Sprintf("%.0f", c.Metric("drops")))
 		}
 	}
 }

@@ -5,12 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"reflect"
 	"sort"
 	"strings"
-	"sync"
-
-	"xmp/internal/metrics"
 )
 
 // This file reassembles sharded campaigns. A ShardFile is what one
@@ -90,227 +86,20 @@ func DecodeShard(b ShardBlob) (ShardEncoder, error) {
 	return f, nil
 }
 
-// decodeStrict decodes data into v as json.Unmarshal does — which refuses
-// anything but white space after the value — and then refuses a key that
-// no field of the struct it lands in answers to: a shard file whose result
-// field was renamed or retyped would otherwise merge with that field at
-// its zero value. The key check scans the bytes Unmarshal already
-// validated instead of decoding through a json.Decoder, which copies the
-// whole file (Dist samples included) into buffers of its own.
+// decodeStrict decodes data into v, refusing a key that no field of the
+// struct it lands in answers to — a shard file whose result field was
+// renamed or retyped would otherwise merge with that field at its zero
+// value — and anything but white space after the value.
 func decodeStrict(data []byte, v any) error {
-	if err := json.Unmarshal(data, v); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	sc := keyScan{data: data}
-	_, err := sc.value(sc.space(0), reflect.TypeOf(v))
-	return err
-}
-
-// keyScan walks a valid JSON value alongside the Go type it decoded into.
-type keyScan struct{ data []byte }
-
-var jsonUnmarshaler = reflect.TypeOf((*json.Unmarshaler)(nil)).Elem()
-
-// value checks the value at i against t (nil: anything goes) and returns
-// where it ends. A type with its own UnmarshalJSON (metrics.Dist) is not
-// looked into. A string is never looked into, so neither is a type that
-// decodes from text: Unmarshal refused anything else for it.
-func (sc keyScan) value(i int, t reflect.Type) (int, error) {
-	for t != nil && t.Kind() == reflect.Pointer {
-		if t.Implements(jsonUnmarshaler) {
-			t = nil
-		} else {
-			t = t.Elem()
-		}
-	}
-	if t != nil && reflect.PointerTo(t).Implements(jsonUnmarshaler) {
-		t = nil
-	}
-	d := sc.data
-	switch d[i] {
-	case '{':
-		for i = sc.space(i + 1); d[i] != '}'; i = sc.space(i + 1) {
-			end := sc.str(i)
-			var elem reflect.Type
-			switch {
-			case t == nil:
-			case t.Kind() == reflect.Struct:
-				f, ok := jsonFields(t).lookup(d[i+1 : end-1])
-				if !ok {
-					var key string
-					_ = json.Unmarshal(d[i:end], &key) // a valid JSON string
-					return 0, fmt.Errorf("json: unknown field %q", key)
-				}
-				elem = f
-			case t.Kind() == reflect.Map:
-				elem = t.Elem()
-			}
-			var err error
-			if i, err = sc.value(sc.space(sc.space(end)+1), elem); err != nil {
-				return 0, err
-			}
-			if i = sc.space(i); d[i] == '}' {
-				break
-			}
-		}
-		return i + 1, nil
-	case '[':
-		var elem reflect.Type
-		if t != nil && (t.Kind() == reflect.Slice || t.Kind() == reflect.Array) {
-			elem = t.Elem()
-		}
-		for i = sc.space(i + 1); d[i] != ']'; i = sc.space(i + 1) {
-			var err error
-			if i, err = sc.value(i, elem); err != nil {
-				return 0, err
-			}
-			if i = sc.space(i); d[i] == ']' {
-				break
-			}
-		}
-		return i + 1, nil
-	case '"':
-		return sc.str(i), nil
-	}
-	for i < len(d) && !strings.ContainsRune(",}] \t\n\r", rune(d[i])) {
-		i++ // a number, true, false or null
-	}
-	return i, nil
-}
-
-// space returns the first index at or after i that is not JSON white space.
-func (sc keyScan) space(i int) int {
-	for i < len(sc.data) && strings.ContainsRune(" \t\n\r", rune(sc.data[i])) {
-		i++
-	}
-	return i
-}
-
-// str returns where the string opening at i ends, past its closing quote.
-func (sc keyScan) str(i int) int {
-	for i++; sc.data[i] != '"'; i++ {
-		if sc.data[i] == '\\' {
-			i++
-		}
-	}
-	return i + 1
-}
-
-// fieldSet is a struct type's JSON keys, as encoding/json names them.
-type fieldSet map[string]reflect.Type
-
-var fieldSets sync.Map // reflect.Type → fieldSet
-
-// jsonFields returns t's fields by JSON key: exported fields under their
-// tag name or Go name, the fields of untagged embedded structs promoted.
-func jsonFields(t reflect.Type) fieldSet {
-	if fs, ok := fieldSets.Load(t); ok {
-		return fs.(fieldSet)
-	}
-	fs := fieldSet{}
-	for _, f := range reflect.VisibleFields(t) {
-		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
-		ft := f.Type
-		if ft.Kind() == reflect.Pointer {
-			ft = ft.Elem()
-		}
-		switch {
-		case name == "-" || !f.IsExported() && !f.Anonymous:
-		case f.Anonymous && name == "" && ft.Kind() == reflect.Struct:
-			// Promoted: VisibleFields lists its fields too.
-		case name == "":
-			fs[f.Name] = f.Type
-		default:
-			fs[name] = f.Type
-		}
-	}
-	fieldSets.Store(t, fs)
-	return fs
-}
-
-// lookup finds key's field as encoding/json does: the exact name, else a
-// case-insensitive match. A key with escapes is compared unescaped.
-func (fs fieldSet) lookup(key []byte) (reflect.Type, bool) {
-	if t, ok := fs[string(key)]; ok {
-		return t, true
-	}
-	name := string(key)
-	if bytes.IndexByte(key, '\\') >= 0 {
-		if json.Unmarshal(append(append([]byte{'"'}, key...), '"'), &name) != nil {
-			return nil, false
-		}
-	}
-	for k, t := range fs {
-		if strings.EqualFold(k, name) {
-			return t, true
-		}
-	}
-	return nil, false
-}
-
-// refuseNullDists returns an error naming the first cell and field whose
-// *metrics.Dist decoded from a JSON null. Unmarshal takes null for any
-// pointer, but a campaign's cells always carry their Dists (an empty one
-// encodes as an object), and rendering one that is nil would panic.
-func (f *ShardFile[T]) refuseNullDists() error {
-	for i := range f.Cells {
-		c := &f.Cells[i]
-		if path := nullDist(reflect.ValueOf(&c.Data).Elem(), "data"); path != "" {
-			return fmt.Errorf("cell %d: %s is null, want a Dist", c.Cell, path)
-		}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("json: data after the shard file")
 	}
 	return nil
-}
-
-var distType = reflect.TypeOf((*metrics.Dist)(nil))
-
-// nullDist returns the path below path of the first nil *metrics.Dist in v,
-// walking exported struct fields, non-nil pointers, slices, arrays and maps
-// (in key order), or "" if there is none.
-func nullDist(v reflect.Value, path string) string {
-	switch v.Kind() {
-	case reflect.Pointer:
-		switch {
-		case v.Type() == distType:
-			if v.IsNil() {
-				return path
-			}
-		case !v.IsNil():
-			return nullDist(v.Elem(), path)
-		}
-	case reflect.Struct:
-		t := v.Type()
-		for i := 0; i < v.NumField(); i++ {
-			if f := t.Field(i); f.IsExported() && !scalar(f.Type) {
-				if p := nullDist(v.Field(i), path+"."+f.Name); p != "" {
-					return p
-				}
-			}
-		}
-	case reflect.Slice, reflect.Array:
-		if scalar(v.Type().Elem()) {
-			return ""
-		}
-		for i := 0; i < v.Len(); i++ {
-			if p := nullDist(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); p != "" {
-				return p
-			}
-		}
-	case reflect.Map:
-		keys := v.MapKeys()
-		sort.Slice(keys, func(i, j int) bool { return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j]) })
-		for _, k := range keys {
-			if p := nullDist(v.MapIndex(k), fmt.Sprintf("%s[%v]", path, k)); p != "" {
-				return p
-			}
-		}
-	}
-	return ""
-}
-
-// scalar reports whether t is a number, bool or string: nothing below it.
-func scalar(t reflect.Type) bool {
-	return t.Kind() <= reflect.Complex128 || t.Kind() == reflect.String
 }
 
 // ValidateShardSet checks that a set of manifests describes an exact

@@ -90,12 +90,10 @@ func TestMatrixParallelDeterministic(t *testing.T) {
 		m.RenderTable1(&buf)
 		m.RenderTable3(&buf)
 		m.RenderFig8(&buf)
-		// Per-cell stats beyond the rendered tables: drops and flow counts.
+		// Every metric of every cell, beyond what the tables round.
 		for _, p := range patterns {
 			for _, s := range schemes {
-				r := m.Get(Row{Pattern: p}, s)
-				fmt.Fprintf(&buf, "%s/%s drops=%d flows=%d goodput=%.6f\n",
-					p, s.Label(), r.Drops, r.Collector.FlowsCompleted, r.Collector.Goodput.Mean())
+				fmt.Fprintf(&buf, "%s/%s %v\n", p, s.Label(), m.Get(Row{Pattern: p}, s).Metrics)
 			}
 		}
 		return buf.String(), prog.String()

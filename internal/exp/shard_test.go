@@ -3,16 +3,15 @@ package exp
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"regexp"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
-	"xmp/internal/metrics"
 	"xmp/internal/sim"
 	"xmp/internal/workload"
 )
@@ -205,7 +204,7 @@ func rendered(t *testing.T, files ...ShardEncoder) string {
 // description from its caller — the scenario compiler in production — so
 // each test describes its own grid; one constant suffices because no test
 // merges shards of different grids.
-func miniMatrixPlan(base CellConfig, patterns []Pattern, schemes []workload.Scheme) Plan[*FatTreeResult] {
+func miniMatrixPlan(base CellConfig, patterns []Pattern, schemes []workload.Scheme) Plan[*MatrixCell] {
 	rows := make([]Row, len(patterns))
 	for i, p := range patterns {
 		rows[i] = Row{Pattern: p}
@@ -217,11 +216,11 @@ func miniMatrixPlan(base CellConfig, patterns []Pattern, schemes []workload.Sche
 func miniMatrix(t *testing.T, base CellConfig, patterns []Pattern, schemes []workload.Scheme, jobs int, progress io.Writer) *Matrix {
 	t.Helper()
 	f := RunPlan(CampaignMatrix, miniMatrixPlan(base, patterns, schemes), Unsharded, jobs, progress)
-	cells, err := MergeShardCells([]*ShardFile[*FatTreeResult]{f})
+	cells, err := MergeShardCells([]*ShardFile[*MatrixCell]{f})
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	m, err := assembleMatrix(cells)
+	m, err := assembleMatrix(cells, matrixFamily.reads(nil))
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
@@ -242,9 +241,9 @@ func TestMatrixShardMergeByteIdentical(t *testing.T) {
 	want := rendered(t, whole)
 
 	for _, count := range []int{1, 4} {
-		files := []*ShardFile[*FatTreeResult]{whole}
+		files := []*ShardFile[*MatrixCell]{whole}
 		if count > 1 {
-			files = make([]*ShardFile[*FatTreeResult], count)
+			files = make([]*ShardFile[*MatrixCell], count)
 			for i := range files {
 				files[i] = RunPlan(CampaignMatrix, plan, ShardSpec{i, count}, 2, nil)
 			}
@@ -368,20 +367,30 @@ func TestMergeRejectsCellManifestDisagreement(t *testing.T) {
 // off the cells and refuses, naming the cell, a shard set whose cells do
 // not form the row × scheme grid, or the variant × queue × other grid:
 // transposed, short, with a repeated row or column, or with variants that
-// differ. Two β variants of one scheme are two columns.
+// differ. Two β variants of one scheme are two columns. A matrix cell that
+// lacks a selected metric, or carries one no selected table reads, is
+// refused naming the cell and the metric.
 func TestMergeRefusesBadGrid(t *testing.T) {
-	mx := func(cells ...string) ShardEncoder {
-		f := &ShardFile[*FatTreeResult]{Manifest: newManifest(CampaignMatrix, "grid", Unsharded, len(cells))}
+	mxWith := func(edit func(map[metricName]float64), cells ...string) ShardEncoder {
+		f := &ShardFile[*MatrixCell]{Manifest: newManifest(CampaignMatrix, "grid", Unsharded, len(cells))}
 		for i, c := range cells {
 			p, s, _ := strings.Cut(c, "/")
 			sch, err := workload.ParseScheme(s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.Cells = append(f.Cells, ShardCell[*FatTreeResult]{i, &FatTreeResult{Row: Row{Pattern: Pattern(p)}, Scheme: sch}})
+			metrics := map[metricName]float64{}
+			for _, n := range matrixFamily.reads(nil) {
+				metrics[metricName(n)] = 1
+			}
+			if i == len(cells)-1 {
+				edit(metrics)
+			}
+			f.Cells = append(f.Cells, ShardCell[*MatrixCell]{i, &MatrixCell{Row: Row{Pattern: Pattern(p)}, Scheme: sch, Metrics: metrics}})
 		}
 		return f
 	}
+	mx := func(cells ...string) ShardEncoder { return mxWith(func(map[metricName]float64) {}, cells...) }
 	t2 := func(cells ...Table2Cell) ShardEncoder {
 		f := &ShardFile[Table2Cell]{Manifest: newManifest(CampaignTable2, "grid", Unsharded, len(cells))}
 		for i, c := range cells {
@@ -401,8 +410,14 @@ func TestMergeRefusesBadGrid(t *testing.T) {
 		{"matrix repeated column", mx("Permutation/DCTCP", "Permutation/DCTCP"), "cell 1 "},
 		{"matrix beta variants", mx("Permutation/XMP-2", "Permutation/XMP-2/b6", "Incast/XMP-2", "Incast/XMP-2/b6"), ""},
 		{"matrix short row", mx("Permutation/DCTCP", "Permutation/XMP-2", "Incast/DCTCP"), "cell 2 "},
-		{"matrix null cell", &ShardFile[*FatTreeResult]{Manifest: newManifest(CampaignMatrix, "grid", Unsharded, 1),
-			Cells: []ShardCell[*FatTreeResult]{{0, nil}}}, "cell 0 is null"},
+		{"matrix null cell", &ShardFile[*MatrixCell]{Manifest: newManifest(CampaignMatrix, "grid", Unsharded, 1),
+			Cells: []ShardCell[*MatrixCell]{{0, nil}}}, "cell 0 is null"},
+		{"matrix cell lacks a metric", mxWith(func(m map[metricName]float64) { delete(m, "jct.cdf@25ms") }, "Permutation/DCTCP", "Permutation/XMP-2"),
+			`cell 1 (Permutation XMP-2 lacks metric "jct.cdf@25ms")`},
+		{"matrix cell carries an unknown metric", mxWith(func(m map[metricName]float64) { m["goodput.p1"] = 0 }, "Permutation/DCTCP"),
+			`cell 0 (Permutation DCTCP carries metric "goodput.p1", which no selected table reads)`},
+		{"matrix cell carries an unselected metric", mxWith(func(m map[metricName]float64) { m["drops"] = 0 }, "Permutation/DCTCP"),
+			`metric "drops"`},
 		{"table2 grid", t2(q(50, SchemeTCP), q(50, SchemeDCTCP), q(100, SchemeTCP), q(100, SchemeDCTCP),
 			q(50, SchemeTCP), q(50, SchemeDCTCP), q(100, SchemeTCP), q(100, SchemeDCTCP)), ""},
 		{"table2 transposed", t2(q(50, SchemeTCP), q(100, SchemeTCP), q(50, SchemeDCTCP), q(100, SchemeDCTCP),
@@ -421,47 +436,38 @@ func TestMergeRefusesBadGrid(t *testing.T) {
 	}
 }
 
-// TestShardFileWirePin pins the bytes of a small fixed shard file — a
-// manifest, and cells carrying Dists with and without samples, in fields
-// and map values — by SHA-256, and checks that decoding and re-encoding it
-// changes nothing. The samples travel as their IEEE-754 bits, so the hash
-// is the same on any CPU: run under GOARCH=386 it proves the wire does not
-// depend on word size. A deliberate wire change re-pins the hash and bumps
-// ShardSchemaVersion.
+// TestShardFileWirePin pins the bytes of a small fixed matrix shard file —
+// a manifest and two cells of named metrics, among them the smallest
+// subnormal, 1e21 and -0 — by SHA-256, and checks that decoding it and
+// re-encoding changes nothing. A metric travels as encoding/json spells a
+// float64, so the hash is the same on any CPU: run under GOARCH=386 it
+// proves the wire does not depend on word size. A deliberate wire change
+// re-pins the hash and bumps ShardSchemaVersion.
 func TestShardFileWirePin(t *testing.T) {
-	const want = "294edaec16d0121e0a041b16a8111baf78eff270f5deb259506d60d1abbd722e"
-	type cell struct {
-		Label string
-		D     *metrics.Dist
-		ByCat map[string]*metrics.Dist
-	}
-	samples := [][]float64{
-		{0.25, 1e-7, 3, 1e21, 0.1 + 0.2, 123456.789e-3, 5e-324},
-		{42},
-		nil,
-	}
-	dist := func(vs []float64) *metrics.Dist {
-		d := &metrics.Dist{}
-		for _, v := range vs {
-			d.Add(v)
+	const want = "4601f7b8360adfb29b16fdcf924899659137c7165db2019f29d6e77a6873929e"
+	f := &ShardFile[*MatrixCell]{Manifest: newManifest(CampaignMatrix, `scenario {"metrics":["vl2"]}`, Unsharded, 2)}
+	for i, vs := range [][]float64{{5e-324, 1e21, math.Copysign(0, -1), 0.1 + 0.2}, {0.25, 1e-7, 123456.789e-3, 3}} {
+		c := &MatrixCell{Row: Row{Pattern: Random, SACK: i == 1}, Scheme: SchemeLIA2, Metrics: map[metricName]float64{}}
+		for j, n := range vl2Reads {
+			c.Metrics[metricName(n)] = vs[j]
 		}
-		return d
+		f.Cells = append(f.Cells, ShardCell[*MatrixCell]{i, c})
 	}
-	f := &ShardFile[cell]{Manifest: newManifest(CampaignSubflow, "codec pin", Unsharded, len(samples))}
-	for i, vs := range samples {
-		f.Cells = append(f.Cells, ShardCell[cell]{i, cell{"c", dist(vs), map[string]*metrics.Dist{"inter-pod": dist(samples[0][:i])}}})
-	}
-	data := encodeBlobs(t, []*ShardFile[cell]{f})[0].Data
+	data := encodeBlobs(t, []*ShardFile[*MatrixCell]{f})[0].Data
 	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
 		t.Errorf("shard file hashes to %s, pinned %s:\n%s", got, want, data)
 	}
 
-	var back ShardFile[cell]
-	if err := json.Unmarshal(data, &back); err != nil {
+	back, err := DecodeShard(ShardBlob{Name: "pin.json", Data: data})
+	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if again := encodeBlobs(t, []*ShardFile[cell]{&back})[0].Data; !bytes.Equal(again, data) {
-		t.Errorf("decode + re-encode changed the shard file:\n--- first ---\n%s\n--- second ---\n%s", data, again)
+	var again bytes.Buffer
+	if err := back.Encode(&again); err != nil || !bytes.Equal(again.Bytes(), data) {
+		t.Errorf("decode + re-encode changed the shard file (%v):\n--- first ---\n%s\n--- second ---\n%s", err, data, again.Bytes())
+	}
+	if _, err := MergeShards([]ShardEncoder{back}); err != nil {
+		t.Errorf("the pinned file does not merge: %v", err)
 	}
 }
 
@@ -473,7 +479,7 @@ func TestDecodeOnArrivalMatchesMergeShardBlobs(t *testing.T) {
 	plan := miniMatrixPlan(CellConfig{K: 4, Duration: 10 * sim.Millisecond, SizeScale: 1024},
 		[]Pattern{Permutation}, []workload.Scheme{SchemeDCTCP, SchemeXMP2})
 	const count = 2
-	files := make([]*ShardFile[*FatTreeResult], count)
+	files := make([]*ShardFile[*MatrixCell], count)
 	for i := range files {
 		files[i] = RunPlan(CampaignMatrix, plan, ShardSpec{i, count}, 1, nil)
 	}
@@ -514,8 +520,8 @@ func TestDecodeOnArrivalMatchesMergeShardBlobs(t *testing.T) {
 	}
 
 	// What DecodeShard refuses, and how it names the file — and, for a
-	// cell's content, the cell and the field.
-	nullJCT := regexp.MustCompile(`"JCT":\{[^}]*\}`)
+	// cell's content, the field.
+	mean := regexp.MustCompile(`"goodput\.mean":[^,}]*`)
 	for _, bad := range []struct {
 		blob ShardBlob
 		want string
@@ -523,8 +529,8 @@ func TestDecodeOnArrivalMatchesMergeShardBlobs(t *testing.T) {
 		{ShardBlob{Name: "array.json", Data: []byte(`[]`)}, ""},
 		{ShardBlob{Name: "truncated.json", Data: blobs[0].Data[:len(blobs[0].Data)/2]}, ""},
 		{ShardBlob{Name: "nameless.json", Data: []byte(`{"cells": [], "manifest": {"campaign": "nope"}}`)}, ""},
-		{ShardBlob{Name: "null-dist.json", Data: nullJCT.ReplaceAll(blobs[1].Data, []byte(`"JCT":null`))},
-			"cell 1: data.Collector.JCT is null"},
+		{ShardBlob{Name: "string-metric.json", Data: mean.ReplaceAll(blobs[1].Data, []byte(`"goodput.mean":"fast"`))},
+			"Metrics"},
 	} {
 		_, err := DecodeShard(bad.blob)
 		if err == nil || !strings.Contains(err.Error(), bad.blob.Name) || !strings.Contains(err.Error(), bad.want) {
@@ -562,5 +568,24 @@ func TestDecodeShardRefusesUnknownField(t *testing.T) {
 	}
 	if _, err := DecodeShard(ShardBlob{Name: "space.json", Data: append(slices.Clip(data), " \n"...)}); err != nil {
 		t.Fatalf("trailing white space refused: %v", err)
+	}
+}
+
+// TestMergeAllocs bounds what merging a 4-cell k=4 matrix shard allocates:
+// decoding each cell's named metrics, the grid and the metric check. At
+// shard schema v4, whose cells carried every sample, the same merge
+// allocated 658 times; at v5 it allocates 389.
+func TestMergeAllocs(t *testing.T) {
+	plan := miniMatrixPlan(CellConfig{K: 4, Duration: 10 * sim.Millisecond, SizeScale: 1024},
+		[]Pattern{Permutation, Incast}, []workload.Scheme{SchemeDCTCP, SchemeXMP2})
+	blobs := encodeBlobs(t, []*ShardFile[*MatrixCell]{RunPlan(CampaignMatrix, plan, Unsharded, 1, nil)})
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := MergeShardBlobs(blobs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const bound = 450
+	if allocs > bound {
+		t.Errorf("merging a 4-cell matrix shard allocates %v times, bound %d", allocs, bound)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"xmp/internal/sim"
 )
@@ -54,9 +55,12 @@ func describe(name string, knobs map[string]any) string {
 }
 
 // view is one table a scenario spec's "metrics" list can select by name.
+// Reads lists the metrics it reads off a cell, for a family whose cells
+// travel as named metrics (MatrixCell).
 type view[R any] struct {
 	Name   string
 	Render func(io.Writer, R)
+	Reads  []string
 }
 
 // descriptor declares a campaign whose cells are T and whose reassembled
@@ -68,8 +72,10 @@ type descriptor[T, R any] struct {
 	// spec-backed campaigns, whose runner internal/scenario attaches.
 	Plan func(p RunParams) Plan[T]
 	// Assemble rebuilds the result from the cells in campaign order,
-	// refusing cells that do not form the campaign's grid.
-	Assemble func(cells []T) (R, error)
+	// refusing cells that do not form the campaign's grid or, for a family
+	// whose tables declare Reads, that do not carry exactly the metrics
+	// reads names.
+	Assemble func(cells []T, reads []string) (R, error)
 	// Render prints the campaign as `xmpsim <name>` does. Families with
 	// selectable tables list Tables instead: the whole campaign is every
 	// table in order, blank lines between — and before, with BlankFirst.
@@ -115,6 +121,27 @@ func (d *descriptor[T, R]) render(w io.Writer, r R, metrics []string) {
 	}
 }
 
+// reads is the union of the metrics the selected tables and views read,
+// each once: what a cell of the selection carries. An empty selection is
+// every table.
+func (d *descriptor[T, R]) reads(selection []string) (names []string) {
+	pick := func(vs []view[R], all bool) {
+		for _, v := range vs {
+			if !all && !slices.Contains(selection, v.Name) {
+				continue
+			}
+			for _, n := range v.Reads {
+				if !slices.Contains(names, n) {
+					names = append(names, n)
+				}
+			}
+		}
+	}
+	pick(d.Tables, len(selection) == 0)
+	pick(d.Views, false)
+	return names
+}
+
 // campaign is a table row: a descriptor with its types erased, or a spec
 // of a family declared by spec.
 type campaign struct {
@@ -155,7 +182,7 @@ func declare[T, R any](d descriptor[T, R]) *campaign {
 		if err := decodeStrict(data, f); err != nil {
 			return nil, err
 		}
-		return f, f.refuseNullDists()
+		return f, nil
 	}
 	c.merge = func(files []ShardEncoder) (*MergeResult, error) {
 		typed := make([]*ShardFile[T], len(files))
@@ -171,11 +198,11 @@ func declare[T, R any](d descriptor[T, R]) *campaign {
 		if err != nil {
 			return nil, err
 		}
-		r, err := d.Assemble(cells)
+		metrics := scenarioMetrics(typed[0].Manifest.Config)
+		r, err := d.Assemble(cells, d.reads(metrics))
 		if err != nil {
 			return nil, err
 		}
-		metrics := scenarioMetrics(typed[0].Manifest.Config)
 		res := &MergeResult{
 			Campaign: d.Name,
 			value:    r,
@@ -207,13 +234,39 @@ func (c *campaign) info() CampaignInfo {
 
 // listOf declares a campaign whose result is its cells in cell order.
 func listOf[T any](d descriptor[T, []T]) *campaign {
-	d.Assemble = func(cells []T) ([]T, error) { return cells, nil }
+	d.Assemble = func(cells []T, _ []string) ([]T, error) { return cells, nil }
 	return declare(d)
 }
 
 // method adapts a result type's render method to a descriptor field.
 func method[R any](f func(R, io.Writer)) func(io.Writer, R) {
 	return func(w io.Writer, r R) { f(r, w) }
+}
+
+// matrixFamily is the fabric matrix: the paper's six tables over one
+// row x scheme grid, and the sweeps' views of the same grid. Its cells
+// carry the metrics the selected tables and views read.
+var matrixFamily = descriptor[*MatrixCell, *Matrix]{
+	Name:     CampaignMatrix,
+	Doc:      "run the full pattern x scheme matrix once; print tables 1,3 + figs 8-11",
+	Assemble: assembleMatrix,
+	Tables: []view[*Matrix]{
+		{"table1", method((*Matrix).RenderTable1), table1Reads},
+		{"table3", method((*Matrix).RenderTable3), table3Reads},
+		{"fig8", method((*Matrix).RenderFig8), fig8Reads},
+		{"fig9", method((*Matrix).RenderFig9), fig9Reads},
+		{"fig10", method((*Matrix).RenderFig10), fig10Reads},
+		{"fig11", method((*Matrix).RenderFig11), fig11Reads},
+	},
+	Views: []view[*Matrix]{
+		{CampaignSubflow, method((*Matrix).RenderSweep), sweepReads},
+		{CampaignParams, method((*Matrix).RenderParams), paramsReads},
+		{CampaignIncast, method((*Matrix).RenderIncastSweep), incastSweepReads},
+		{CampaignSACK, method((*Matrix).RenderSACK), sackReads},
+		{CampaignVL2, method((*Matrix).RenderVL2), vl2Reads},
+	},
+	BlankFirst: true,
+	Plot:       func(w io.Writer, m *Matrix) error { return m.WriteJSON(w) },
 }
 
 // campaigns is the table, in the order `xmpsim all` runs it. Each scaled
@@ -244,28 +297,7 @@ var campaigns = []*campaign{
 			}
 			return panels
 		}),
-	declare(descriptor[*FatTreeResult, *Matrix]{
-		Name:     CampaignMatrix,
-		Doc:      "run the full pattern x scheme matrix once; print tables 1,3 + figs 8-11",
-		Assemble: assembleMatrix,
-		Tables: []view[*Matrix]{
-			{"table1", method((*Matrix).RenderTable1)},
-			{"table3", method((*Matrix).RenderTable3)},
-			{"fig8", method((*Matrix).RenderFig8)},
-			{"fig9", method((*Matrix).RenderFig9)},
-			{"fig10", method((*Matrix).RenderFig10)},
-			{"fig11", method((*Matrix).RenderFig11)},
-		},
-		Views: []view[*Matrix]{
-			{CampaignSubflow, method((*Matrix).RenderSweep)},
-			{CampaignParams, method((*Matrix).RenderParams)},
-			{CampaignIncast, method((*Matrix).RenderIncastSweep)},
-			{CampaignSACK, method((*Matrix).RenderSACK)},
-			{CampaignVL2, method((*Matrix).RenderVL2)},
-		},
-		BlankFirst: true,
-		Plot:       func(w io.Writer, m *Matrix) error { return m.WriteJSON(w) },
-	}),
+	declare(matrixFamily),
 	declare(descriptor[Table2Cell, []*Table2Result]{
 		Name:     CampaignTable2,
 		Doc:      "coexistence goodput: XMP vs LIA/TCP/DCTCP at queue 50/100, both switch models",
@@ -289,12 +321,12 @@ var campaigns = []*campaign{
 	listOf(descriptor[FCTPoint, []FCTPoint]{
 		Name:   CampaignFCT,
 		Doc:    "short-flow FCT percentiles: Pareto loops + a 10,240-sender incast burst (TCP/DCTCP/XMP-2)",
-		Tables: []view[[]FCTPoint]{{"summary", RenderFCTSummary}, {"by-size", RenderFCTBySize}},
+		Tables: []view[[]FCTPoint]{{"summary", RenderFCTSummary, nil}, {"by-size", RenderFCTBySize, nil}},
 	}),
 	listOf(descriptor[RobustnessPoint, []RobustnessPoint]{
 		Name:   CampaignRobustness,
 		Doc:    "schemes under one fault schedule: link flap, switch failure, loss burst, delay, jitter",
-		Tables: []view[[]RobustnessPoint]{{"summary", RenderRobustnessSummary}, {"by-size", RenderRobustnessBySize}},
+		Tables: []view[[]RobustnessPoint]{{"summary", RenderRobustnessSummary, nil}, {"by-size", RenderRobustnessBySize, nil}},
 	}),
 	{CampaignInfo: CampaignInfo{Name: CampaignScenario}},
 }

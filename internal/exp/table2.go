@@ -76,7 +76,7 @@ func schemeLabels(schemes []workload.Scheme) []string {
 // assembleTable2 rebuilds the two variant results in render order —
 // non-strict, then RED-strict — reading the (queue, other) grid off the
 // cells and refusing a set whose variants are not that same grid twice.
-func assembleTable2(cells []Table2Cell) ([]*Table2Result, error) {
+func assembleTable2(cells []Table2Cell, _ []string) ([]*Table2Result, error) {
 	n := len(cells)
 	if n == 0 || n%2 != 0 {
 		return nil, fmt.Errorf("table2: %d cells do not split into two switch variants", n)

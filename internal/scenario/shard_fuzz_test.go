@@ -46,20 +46,27 @@ func smallShard(tb testing.TB) []byte {
 // FuzzDecodeShard feeds arbitrary bytes to the merge path a coordinator
 // and `xmpsim merge` take: DecodeShard and MergeShardBlobs never panic, and
 // a decoded file re-encodes to a fixed point. The corpus is seeded with a
-// real shard file of a shipped spec and mutations of it, among them a cell
-// whose Dist is null, which DecodeShard refuses, and the matrix grid
-// transposed, which merge refuses.
+// real shard file of a shipped spec and mutations of it, among them cells
+// that lack a metric the spec selects and cells that carry a metric no
+// selected table reads, which merge refuses naming the metric, and the
+// matrix grid transposed, which merge refuses.
 func FuzzDecodeShard(f *testing.F) {
 	real := smallShard(f)
 	f.Add(real)
-	nullDist := regexp.MustCompile(`"JCT":\{[^}]*\}`).ReplaceAll(real, []byte(`"JCT":null`))
-	if _, err := exp.DecodeShard(exp.ShardBlob{Name: "null-dist.json", Data: nullDist}); err == nil {
-		f.Fatal("a shard cell with a null Dist decodes")
+	for _, bad := range []struct {
+		data   []byte
+		metric string
+	}{
+		{regexp.MustCompile(`"goodput\.mean":[^,}]*,`).ReplaceAll(real, nil), "goodput.mean"},
+		{bytes.Replace(real, []byte(`"Metrics":{`), []byte(`"Metrics":{"goodput.p1":0,`), 1), "goodput.p1"},
+	} {
+		if _, err := exp.MergeShardBlobs([]exp.ShardBlob{{Name: "bad.json", Data: bad.data}}); err == nil || !strings.Contains(err.Error(), `"`+bad.metric+`"`) {
+			f.Fatalf("a shard cell lacking or adding metric %q merges, or the error does not name it: %v", bad.metric, err)
+		}
+		f.Add(bad.data)
 	}
-	f.Add(nullDist)
-	f.Add(bytes.Replace(real, []byte(`"schema_version":4`), []byte(`"schema_version":3`), 1))
-	f.Add(bytes.Replace(real, []byte(`"samples":"`), []byte(`"samples":"!`), 1))
-	f.Add([]byte(`{"manifest":{"schema_version":4,"campaign":"matrix"}}`))
+	f.Add(bytes.Replace(real, []byte(`"schema_version":5`), []byte(`"schema_version":4`), 1))
+	f.Add([]byte(`{"manifest":{"schema_version":5,"campaign":"matrix"}}`))
 	// Cells 1 and 2 swapped: (Permutation, Random) x (DCTCP, XMP-2)
 	// scheme-major, a grid whose axes the cells no longer spell.
 	var file struct {

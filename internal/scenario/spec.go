@@ -28,7 +28,8 @@ import (
 // hand-written campaigns.
 const (
 	// FamilyMatrix is the patterns x schemes goodput grid (the paper's
-	// Tables 1/3 and Figures 8-11); cells are full FatTreeResults.
+	// Tables 1/3 and Figures 8-11); cells are MatrixCells, each carrying
+	// the metrics its selected tables read.
 	FamilyMatrix = "matrix"
 	// FamilyRobustness is schemes x seeds under an optional fault
 	// schedule; cells are RobustnessPoints.
@@ -70,7 +71,7 @@ type Spec struct {
 	// Chaos is an optional fault schedule, inline or by file reference.
 	Chaos *ChaosSpec `json:"chaos,omitempty"`
 	// Metrics selects which result tables render; empty means the family's
-	// tables. Table names per family: matrix — table1, table3, fig8, fig9,
+	// tables. A matrix cell carries only the metrics its selection reads. Table names per family: matrix — table1, table3, fig8, fig9,
 	// fig10, fig11, and the views sweep, params, incastsweep, sack and vl2,
 	// which only a selection renders; robustness/fct — summary, by-size.
 	Metrics []string `json:"metrics,omitempty"`
