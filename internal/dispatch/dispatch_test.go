@@ -498,7 +498,8 @@ func miniScenario(t *testing.T) *scenario.Compiled {
 
 // TestDispatchRejectsMismatchedResult gives the first worker a forged
 // result the coordinator must refuse to merge, retiring the worker and
-// recovering on the healthy one. Two forgeries: a manifest carrying a
+// recovering on the healthy one. Two forgeries of this schema version, so
+// that decoding reads past the manifest: a manifest carrying a
 // foreign config hash (a stale binary's output), and — for a dispatched
 // scenario, whose tasks and manifests carry the spec's family name — a
 // manifest with the right config under the wrong campaign name.
@@ -516,7 +517,7 @@ func TestDispatchRejectsMismatchedResult(t *testing.T) {
 			forge: func(task Task) exp.ShardManifest {
 				// Internally consistent (hash matches desc) but not the
 				// config the coordinator asked for.
-				return exp.ShardManifest{Campaign: task.Campaign, Config: "evil config", ConfigHash: exp.HashConfig("evil config"), ShardCount: 1}
+				return exp.ShardManifest{SchemaVersion: exp.ShardSchemaVersion, Campaign: task.Campaign, Config: "evil config", ConfigHash: exp.HashConfig("evil config"), ShardCount: 1}
 			},
 			wantLog: "config hash mismatch",
 		},
@@ -524,7 +525,7 @@ func TestDispatchRejectsMismatchedResult(t *testing.T) {
 			name: "scenario under a foreign campaign name", campaign: exp.CampaignScenario,
 			params: exp.RunParams{Jobs: 2, Scenario: mini.JSON}, taskCampaign: exp.CampaignMatrix,
 			forge: func(task Task) exp.ShardManifest {
-				return exp.ShardManifest{Campaign: exp.CampaignFCT, Config: task.Config, ConfigHash: task.ConfigHash, ShardCount: 1}
+				return exp.ShardManifest{SchemaVersion: exp.ShardSchemaVersion, Campaign: exp.CampaignFCT, Config: task.Config, ConfigHash: task.ConfigHash, ShardCount: 1}
 			},
 			wantLog: `result for campaign "fct"`,
 		},

@@ -282,7 +282,7 @@ func TestClaimEvaluator(t *testing.T) {
 	holds, deviates := claim{"t/a>b", "t", "", order(a, b)}, claim{"t/dev", "t", "b wins here", order(a, b)}
 	// A matrix whose campaign shipped goodput means alone, and a claim on
 	// its goodput p5.
-	shipped, err := assembleMatrix([]*MatrixCell{{Row: perm[0], Scheme: xmp2, Metrics: map[metricName]float64{"goodput.mean": 500}}},
+	shipped, err := assembleMatrix([]*MatrixCell{{Row: perm[0], Scheme: xmp2, Metrics: map[string]float64{"goodput.mean": 500}}},
 		[]string{"goodput.mean"})
 	if err != nil {
 		t.Fatal(err)

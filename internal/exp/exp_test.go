@@ -12,7 +12,11 @@ import (
 // small cell of each, run twice under equal params, encodes to the same
 // bytes, and under seed 2 to other bytes — the seed reaches the cells, not
 // only the config hash. The cell is run through the campaign table as a
-// shard owning it alone, spec-backed campaigns and Go plans alike.
+// shard owning it alone, spec-backed campaigns and Go plans alike. A
+// matrix-family shard holds only the metrics its view reads; the full
+// results of these cells, every sample, are compared run against run by
+// TestRecycledCellsMatchFresh (the sweep, params, incastsweep, sack and
+// vl2 rows of recycleCells).
 func TestRunsAreDeterministic(t *testing.T) {
 	for _, tc := range []struct {
 		campaign string

@@ -16,9 +16,9 @@ import (
 // the paper's matrix the source data of Tables 1/3 and Figures 8-11.
 func (m *Matrix) WriteJSON(w io.Writer) error {
 	type cell struct {
-		Pattern string                 `json:"pattern"`
-		Scheme  string                 `json:"scheme"`
-		Metrics map[metricName]float64 `json:"metrics"`
+		Pattern string             `json:"pattern"`
+		Scheme  string             `json:"scheme"`
+		Metrics map[string]float64 `json:"metrics"`
 	}
 	var cells []cell
 	for _, row := range m.Rows {

@@ -69,11 +69,15 @@ func PeekManifest(data []byte) (ShardManifest, error) {
 // DecodeShard decodes one shard file into its campaign's cell type — the
 // expensive half of a merge, and independent per file, so a caller that
 // receives files one at a time (the dispatch coordinator) decodes each on
-// arrival and hands the set to MergeShards.
+// arrival and hands the set to MergeShards. A file of another schema
+// version is refused by its manifest before its cells are read.
 func DecodeShard(b ShardBlob) (ShardEncoder, error) {
 	m, err := PeekManifest(b.Data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %v", b.Name, err)
+	}
+	if m.SchemaVersion != ShardSchemaVersion {
+		return nil, fmt.Errorf("%s: schema version %d, this binary reads %d", b.Name, m.SchemaVersion, ShardSchemaVersion)
 	}
 	c := lookup(m.Campaign)
 	if c == nil || c.decode == nil {

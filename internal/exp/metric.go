@@ -22,7 +22,7 @@ import (
 type MatrixCell struct {
 	Row
 	Scheme  workload.Scheme
-	Metrics map[metricName]float64
+	Metrics map[string]float64
 	// line is the cell's progress line, written where the full result is
 	// at hand. It does not travel.
 	line string
@@ -32,7 +32,7 @@ type MatrixCell struct {
 // if the cell does not carry it. Merge refuses a cell that lacks a
 // selected metric, so only a reader of an undeclared name gets here.
 func (c *MatrixCell) Metric(name string) float64 {
-	v, ok := c.Metrics[metricName(name)]
+	v, ok := c.Metrics[name]
 	if !ok {
 		panic(fmt.Sprintf("exp: cell %s %s carries no metric %q", c.Row, workload.SchemeString(c.Scheme), name))
 	}
@@ -43,7 +43,7 @@ func (c *MatrixCell) Metric(name string) float64 {
 // metrics, naming one it lacks or, failing that, one it holds beyond them.
 func (c *MatrixCell) carries(names []string) error {
 	for _, n := range names {
-		if _, ok := c.Metrics[metricName(n)]; !ok {
+		if _, ok := c.Metrics[n]; !ok {
 			return fmt.Errorf("%s %s lacks metric %q", c.Row, workload.SchemeString(c.Scheme), n)
 		}
 	}
@@ -52,8 +52,8 @@ func (c *MatrixCell) carries(names []string) error {
 	}
 	var extra []string
 	for n := range c.Metrics {
-		if !slices.Contains(names, string(n)) {
-			extra = append(extra, string(n))
+		if !slices.Contains(names, n) {
+			extra = append(extra, n)
 		}
 	}
 	return fmt.Errorf("%s %s carries metric %q, which no selected table reads",
@@ -62,42 +62,19 @@ func (c *MatrixCell) carries(names []string) error {
 
 // reduceCell reduces a cell's full result to the named metrics.
 func reduceCell(r *FatTreeResult, names []string) *MatrixCell {
-	c := &MatrixCell{Row: r.Row, Scheme: r.Scheme, Metrics: make(map[metricName]float64, len(names))}
+	c := &MatrixCell{Row: r.Row, Scheme: r.Scheme, Metrics: make(map[string]float64, len(names))}
 	for _, n := range names {
 		of, ok := cellMetrics[n]
 		if !ok {
 			panic(fmt.Sprintf("exp: no metric %q in the metric table", n))
 		}
-		c.Metrics[metricName(n)] = of(r)
+		c.Metrics[n] = of(r)
 	}
 	var line strings.Builder
 	RenderFatTreeRun(&line, r)
 	c.line = line.String()
 	return c
 }
-
-// metricName is a metric's name as a cell's key. Decoding one takes the
-// metric table's copy of the name, so that a merge does not allocate every
-// cell's names anew.
-type metricName string
-
-func (n *metricName) UnmarshalText(b []byte) error {
-	if name, ok := metricNames[string(b)]; ok {
-		*n = name
-	} else {
-		*n = metricName(b)
-	}
-	return nil
-}
-
-// metricNames holds the metric table's names, for decoding to share.
-var metricNames = func() map[string]metricName {
-	m := make(map[string]metricName, len(cellMetrics))
-	for n := range cellMetrics {
-		m[n] = metricName(n)
-	}
-	return m
-}()
 
 // distStat is a statistic of a distribution, named as a metric's suffix.
 type distStat struct {

@@ -25,9 +25,9 @@ func TestMatrixViewsDeclareReads(t *testing.T) {
 		var cells []*MatrixCell
 		for _, row := range rows {
 			for _, s := range schemes {
-				c := &MatrixCell{Row: row, Scheme: s, Metrics: map[metricName]float64{}}
+				c := &MatrixCell{Row: row, Scheme: s, Metrics: map[string]float64{}}
 				for _, n := range names {
-					c.Metrics[metricName(n)] = 1
+					c.Metrics[n] = 1
 				}
 				cells = append(cells, c)
 			}

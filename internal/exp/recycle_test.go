@@ -162,16 +162,20 @@ func recycleCells(t *testing.T) []recycleCell {
 	}
 
 	// The sweep rows at 10 ms: three cells of the vl2 spec on its Clos, and
-	// on the default fabric at k=4 the incastsweep fan-ins 4 and 8 and the
-	// sack spec's TCP row pair. That pair runs as two cells in one run(i),
-	// as no campaign does: the second finds the worker lent and builds a
-	// fabric and arena of its own.
+	// on the default fabric at k=4 the params spec's K=10, beta=4 cell, the
+	// incastsweep fan-ins 4 and 8 and the sack spec's TCP row pair. That
+	// pair runs as two cells in one run(i), as no campaign does: the second
+	// finds the worker lent and builds a fabric and arena of its own.
 	for i, scheme := range five[:3] {
 		add("vl2", fmt.Sprintf("vl2/%d", i), func(w *Worker) any {
 			return RunFatTree(w, CellConfig{VL2: true, Duration: dur}, Row{Pattern: Random}, scheme)
 		})
 	}
 	k4sweep := CellConfig{K: 4, Duration: dur}
+	add("k4", "params/K=10/b4", func(w *Worker) any {
+		return RunFatTree(w, CellConfig{K: 4, Duration: dur, SizeScale: 256}, Row{Pattern: Random, MarkThreshold: 10},
+			workload.Scheme{Algorithm: mptcp.AlgXMP, Subflows: 2, Beta: 4})
+	})
 	for _, servers := range []int{4, 8} {
 		add("k4", fmt.Sprintf("incastsweep/%d", servers), func(w *Worker) any {
 			return RunFatTree(w, k4sweep, Row{Pattern: Incast, Servers: servers}, SchemeXMP2)
@@ -188,7 +192,7 @@ func recycleCells(t *testing.T) []recycleCell {
 		// cell seldom completes.
 		name := cells[i].name
 		cells[i].recycles = name == "sack" || slices.ContainsFunc(
-			[]string{"matrix/Random/", "matrix/Incast/", "fct/", "robustness/", "incastsweep/"},
+			[]string{"matrix/Random/", "matrix/Incast/", "fct/", "robustness/", "params/", "incastsweep/"},
 			func(p string) bool { return strings.HasPrefix(name, p) })
 	}
 	return cells
