@@ -59,6 +59,9 @@ type CellConfig struct {
 	// rttStride subsamples the collector's RTT measurements: patternCell
 	// sets it for a matrix cell, and every other cell keeps every 16th.
 	rttStride int
+	// skip names the collector series the cell's reducer never reads, so
+	// the cell does not record them (Collector.Skip); zero records all.
+	skip workload.Series
 }
 
 // WithDefaults returns c with its zero fields resolved: a k=8 fat-tree
@@ -108,13 +111,16 @@ type Cell struct {
 
 	// cfg is the config the cell was built from, defaults resolved.
 	cfg CellConfig
+	// w is the worker the cell was built on.
+	w *Worker
 }
 
 // Worker is what one RunAll goroutine carries from cell to cell: the last
-// fabric NewCell built on it and the flow arena its cells carve their flows
-// from. It is lent to that cell until RunAll sees the cell's run(i) —
-// generators, Run, reducer — return, and is dropped with the Worker when
-// the campaign run ends. A nil Worker holds nothing.
+// fabric NewCell built on it, the flow arena its cells carve their flows
+// from and the collector the last cell handed back. It is lent to that
+// cell until RunAll sees the cell's run(i) — generators, Run, reducer —
+// return, and is dropped with the Worker when the campaign run ends. A nil
+// Worker holds nothing.
 type Worker struct {
 	// key holds the CellConfig fields that shape the fabric, the rest zero.
 	key CellConfig
@@ -124,7 +130,10 @@ type Worker struct {
 	lossRNG *sim.RNG
 	// arena outlives fabrics: a rewound arena refers to no fabric.
 	arena *mptcp.Arena
-	lent  bool
+	// col is the collector a cell handed back once its reducer was done
+	// with it (Cell.handBack), nil when none waits; it refers to no fabric.
+	col  *workload.Collector
+	lent bool
 }
 
 // NewCell builds the cell's RNG, fabric and base workload config. When w
@@ -132,7 +141,10 @@ type Worker struct {
 // static and a run leaves the fabric drained (Run audits that), so the
 // recycled cell is the fresh one, event for event. Likewise w's flow arena
 // is rewound (mptcp.Arena.Reset) rather than built: the last cell's Run
-// audited it, and its flows are zeroed memory the new cell carves from.
+// audited it, and its flows are zeroed memory the new cell carves from. A
+// collector the last cell handed back is rewound (Collector.Reset) and
+// becomes this cell's, its sample buffers kept; without one the cell gets a
+// new collector.
 func NewCell(w *Worker, cfg CellConfig, scheme workload.Scheme) *Cell {
 	cfg = cfg.WithDefaults()
 	key := CellConfig{VL2: cfg.VL2, K: cfg.K, QueueLimit: cfg.QueueLimit,
@@ -140,6 +152,14 @@ func NewCell(w *Worker, cfg CellConfig, scheme workload.Scheme) *Cell {
 	if w == nil || w.lent {
 		w = new(Worker)
 	}
+	col := w.col
+	w.col = nil
+	if col == nil {
+		col = workload.NewCollector(cfg.rttStride)
+	} else {
+		col.Reset(cfg.rttStride)
+	}
+	col.Skip(cfg.skip)
 	if w.net != nil && w.key == key {
 		w.net.Reset()
 	} else {
@@ -181,17 +201,26 @@ func NewCell(w *Worker, cfg CellConfig, scheme workload.Scheme) *Cell {
 	return &Cell{
 		Net: w.net,
 		cfg: cfg,
+		w:   w,
 		Base: workload.Config{
 			Net:       w.fab,
 			RNG:       rng,
 			Scheme:    scheme,
 			Transport: tc,
-			Collector: workload.NewCollector(cfg.rttStride),
+			Collector: col,
 			Stop:      sim.Time(cfg.Duration),
 			Arena:     w.arena,
 		},
 	}
 }
+
+// handBack gives the cell's collector to the worker it was built on, for
+// the next cell to rewind and fill. A reducer calls it once it has read
+// everything it reports off the collector, and only if its result keeps no
+// reference to it: a result that holds the collector (FatTreeResult,
+// table2's halves) never hands it back, so no retained result shares a
+// buffer with a later cell.
+func (c *Cell) handBack() { c.w.col = c.Base.Collector }
 
 // drainBound is how long a cell may run past its generators' horizon
 // without a single flow finishing before Run gives up on draining it. A

@@ -2,10 +2,8 @@ package exp
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
-	"xmp/internal/metrics"
 	"xmp/internal/sim"
 	"xmp/internal/workload"
 )
@@ -66,7 +64,8 @@ func (r Row) String() string {
 
 // patternCell is the cell a matrix row runs on: cfg with the row's
 // overrides, a zero horizon replaced by the pattern's, every 4th RTT
-// sampled (every 8th on the VL2 Clos) and defaults resolved.
+// sampled (every 8th on the VL2 Clos), no FCT recorded (no matrix metric
+// reads it) and defaults resolved.
 func patternCell(cfg CellConfig, row Row) CellConfig {
 	if row.MarkThreshold != 0 {
 		cfg.MarkThreshold = row.MarkThreshold
@@ -79,23 +78,22 @@ func patternCell(cfg CellConfig, row Row) CellConfig {
 	if cfg.VL2 {
 		cfg.rttStride = 8
 	}
+	cfg.skip |= workload.SeriesFCT
 	return cfg.WithDefaults()
 }
 
-// FatTreeResult is the outcome of one run, every sample kept. It stays
-// in its worker: a matrix cell travels as the metrics reduceCell takes of
-// it.
+// FatTreeResult is the outcome of one run, every recorded sample kept. It
+// stays in its worker: a matrix cell travels as the metrics reduceCell
+// takes of it.
 type FatTreeResult struct {
 	// Row keys the cell in its matrix.
 	Row
-	Scheme    workload.Scheme
+	Scheme workload.Scheme
+	// Collector holds the run's samples, Collector.UtilByLayer among them.
 	Collector *workload.Collector
 	// IncastServers is the fan-in an Incast row's jobs ran: its Servers
 	// capped at all hosts but the client; 0 when the row sets none.
 	IncastServers int
-	// UtilByLayer holds one utilization sample per link direction,
-	// measured over the whole run (Figure 11).
-	UtilByLayer map[string]*metrics.Dist
 	// Drops/Marks aggregate switch-queue statistics.
 	Drops, Marks int64
 	// SimDuration is the simulated time until the last flow drained;
@@ -106,7 +104,7 @@ type FatTreeResult struct {
 
 // RunFatTree runs one matrix row under one scheme on the cell cfg
 // describes (patternCell) and collects everything the fat-tree tables and
-// figures need.
+// figures need. The result keeps the cell's collector.
 func RunFatTree(w *Worker, cfg CellConfig, row Row, scheme workload.Scheme) *FatTreeResult {
 	return runPattern(NewCell(w, patternCell(cfg, row), scheme), row)
 }
@@ -116,10 +114,9 @@ func RunFatTree(w *Worker, cfg CellConfig, row Row, scheme workload.Scheme) *Fat
 func runPattern(c *Cell, row Row) *FatTreeResult {
 	cfg := c.cfg
 	res := &FatTreeResult{
-		Row:         row,
-		Scheme:      c.Base.Scheme,
-		Collector:   c.Base.Collector,
-		UtilByLayer: make(map[string]*metrics.Dist),
+		Row:       row,
+		Scheme:    c.Base.Scheme,
+		Collector: c.Base.Collector,
 	}
 	switch row.Pattern {
 	case Permutation:
@@ -149,11 +146,10 @@ func runPattern(c *Cell, row Row) *FatTreeResult {
 	res.Drops, res.Marks = c.Drops(), c.Marks()
 	res.SimDuration, res.Events = sim.Duration(now), c.Events
 	for _, layer := range layers {
-		d := &metrics.Dist{}
+		d := res.Collector.UtilByLayer[layer]
 		for _, l := range c.Net.LinksByLayer(layer) {
 			d.Add(l.Utilization(now))
 		}
-		res.UtilByLayer[layer] = d
 	}
 	return res
 }
@@ -167,11 +163,4 @@ func randomCfg(base workload.Config, sizeScale int64) workload.RandomConfig {
 		ParetoMaxBytes:  768 << 20 / sizeScale,
 		MaxFlowsPerDst:  4,
 	}
-}
-
-// RenderFatTreeRun prints a one-line summary of a run.
-func RenderFatTreeRun(w io.Writer, r *FatTreeResult) {
-	fmt.Fprintf(w, "%-12s %-12s flows=%-5d goodput=%7.1f Mbps  jct(avg)=%6.1f ms  drops=%-6d marks=%-8d sim=%.2fs\n",
-		r.Row, workload.SchemeString(r.Scheme), r.Collector.FlowsCompleted,
-		r.Collector.Goodput.Mean(), r.Collector.JCT.Mean(), r.Drops, r.Marks, r.SimDuration.Seconds())
 }

@@ -76,9 +76,14 @@ type FCTCellConfig struct {
 	Incast *workload.IncastBurstConfig
 }
 
-// RunFCTCell runs one parameterized short-flow cell.
+// RunFCTCell runs one parameterized short-flow cell, recording completion
+// times only (FCT and JCT), and hands its collector back to w.
 func RunFCTCell(w *Worker, cfg FCTCellConfig) FCTPoint {
-	return runFCT(NewCell(w, cfg.Cell, cfg.Scheme), cfg)
+	cfg.Cell.skip |= workload.SeriesGoodput | workload.SeriesRTT
+	c := NewCell(w, cfg.Cell, cfg.Scheme)
+	p := runFCT(c, cfg)
+	c.handBack()
+	return p
 }
 
 // runFCT starts cfg's generator on c, the cell built for it, runs the cell

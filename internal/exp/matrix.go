@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 
 	"xmp/internal/workload"
 )
@@ -26,18 +27,26 @@ type Matrix struct {
 // the campaign has always used. desc is the canonical description of every
 // knob that shapes the cells; the caller owns it (internal/scenario passes
 // the resolved spec), so the grid has one definition and one description.
-// Each cell is reduced to the metrics of the tables and views desc selects,
-// read as merge reads them off the manifest.
+// Each cell records only the series those metrics read (no RTT unless one
+// is an rtt.* metric) and is reduced to the metrics of the tables and views
+// desc selects, read as merge reads them off the manifest; the reduced cell
+// hands its collector back to the worker.
 func MatrixPlan(desc string, base CellConfig, rows []Row, schemes []workload.Scheme) Plan[*MatrixCell] {
 	reads := matrixFamily.reads(scenarioMetrics(desc))
+	if !slices.ContainsFunc(reads, func(n string) bool { return strings.HasPrefix(n, "rtt.") }) {
+		base.skip |= workload.SeriesRTT
+	}
 	return Plan[*MatrixCell]{
 		Desc:  desc,
 		Cells: len(rows) * len(schemes),
 		Run: func(w *Worker, i int) *MatrixCell {
 			ri, si := gridRC(i, len(schemes))
-			return reduceCell(RunFatTree(w, base, rows[ri], schemes[si]), reads)
+			c := NewCell(w, patternCell(base, rows[ri]), schemes[si])
+			cell := reduceCell(runPattern(c, rows[ri]), reads)
+			c.handBack()
+			return cell
 		},
-		Progress: func(w io.Writer, c *MatrixCell) { io.WriteString(w, c.line) },
+		Progress: func(w io.Writer, c *MatrixCell) { c.writeLine(w) },
 	}
 }
 

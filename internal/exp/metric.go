@@ -1,11 +1,16 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"slices"
+	"strconv"
 	"strings"
 
 	"xmp/internal/metrics"
+	"xmp/internal/sim"
 	"xmp/internal/topo"
 	"xmp/internal/workload"
 )
@@ -22,10 +27,90 @@ import (
 type MatrixCell struct {
 	Row
 	Scheme  workload.Scheme
-	Metrics map[string]float64
-	// line is the cell's progress line, written where the full result is
-	// at hand. It does not travel.
-	line string
+	Metrics Metrics
+	// run is what the cell's progress line prints of its run, taken where
+	// the full result is at hand. It does not travel.
+	run runSummary
+}
+
+// runSummary is the run a matrix cell's progress line describes.
+type runSummary struct {
+	flows        int
+	goodput, jct float64
+	drops, marks int64
+	sim          sim.Duration
+}
+
+// writeLine prints the cell's one-line progress summary.
+func (c *MatrixCell) writeLine(w io.Writer) {
+	r := &c.run
+	fmt.Fprintf(w, "%-12s %-12s flows=%-5d goodput=%7.1f Mbps  jct(avg)=%6.1f ms  drops=%-6d marks=%-8d sim=%.2fs\n",
+		c.Row, workload.SchemeString(c.Scheme), r.flows, r.goodput, r.jct, r.drops, r.marks, r.sim.Seconds())
+}
+
+// Metrics are a matrix cell's numbers by name.
+type Metrics map[string]float64
+
+// MarshalJSON writes m as encoding/json writes a map[string]float64 —
+// names sorted bytewise and escaped alike, each float spelled as its float
+// encoder spells it, null for a nil map, an error for NaN or ±Inf — but
+// without the two objects per entry that encoding/json's map encoder
+// allocates to read a map through reflection.
+func (m Metrics) MarshalJSON() ([]byte, error) {
+	if m == nil {
+		return []byte("null"), nil
+	}
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	b := make([]byte, 0, 2+32*len(m))
+	b = append(b, '{')
+	for i, n := range names {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, n)
+		b = append(b, ':')
+		v := m[n]
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("exp: metric %q is %v, which JSON cannot carry", n, v)
+		}
+		b = appendJSONFloat(b, v)
+	}
+	return append(b, '}'), nil
+}
+
+// appendJSONString appends s as encoding/json quotes a string, HTML
+// escaping included: metric names are printable ASCII that needs no
+// escape, and anything else goes through encoding/json itself.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJSONFloat appends the finite v as encoding/json spells a float64:
+// the shortest round-trip decimal, in exponent form below 1e-6 and from
+// 1e21 on, with a one-digit negative exponent unpadded ("1e-7").
+func appendJSONFloat(b []byte, v float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // Metric returns the named metric, panicking with the cell and the name
@@ -60,9 +145,10 @@ func (c *MatrixCell) carries(names []string) error {
 		c.Row, workload.SchemeString(c.Scheme), slices.Min(extra))
 }
 
-// reduceCell reduces a cell's full result to the named metrics.
+// reduceCell reduces a cell's full result to the named metrics and what
+// its progress line prints.
 func reduceCell(r *FatTreeResult, names []string) *MatrixCell {
-	c := &MatrixCell{Row: r.Row, Scheme: r.Scheme, Metrics: make(map[string]float64, len(names))}
+	c := &MatrixCell{Row: r.Row, Scheme: r.Scheme, Metrics: make(Metrics, len(names))}
 	for _, n := range names {
 		of, ok := cellMetrics[n]
 		if !ok {
@@ -70,9 +156,8 @@ func reduceCell(r *FatTreeResult, names []string) *MatrixCell {
 		}
 		c.Metrics[n] = of(r)
 	}
-	var line strings.Builder
-	RenderFatTreeRun(&line, r)
-	c.line = line.String()
+	col := r.Collector
+	c.run = runSummary{col.FlowsCompleted, col.Goodput.Mean(), col.JCT.Mean(), r.Drops, r.Marks, r.SimDuration}
 	return c
 }
 
@@ -184,7 +269,7 @@ var cellMetrics = func() map[string]func(*FatTreeResult) float64 {
 		dist("rtt."+catNames[i], func(r *FatTreeResult) *metrics.Dist { return r.Collector.RTT[c] }, rttStats)
 	}
 	for _, l := range layers {
-		dist("util."+l, func(r *FatTreeResult) *metrics.Dist { return r.UtilByLayer[l] }, utilStats)
+		dist("util."+l, func(r *FatTreeResult) *metrics.Dist { return r.Collector.UtilByLayer[l] }, utilStats)
 	}
 	return t
 }()

@@ -1,8 +1,11 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -90,5 +93,34 @@ func TestMatrixViewsDeclareReads(t *testing.T) {
 		if got := matrixFamily.reads(tc.selection); !slices.Equal(union(got), tc.want) || len(got) != len(tc.want) {
 			t.Errorf("selection %q reads %q, want each of %q once", tc.selection, got, tc.want)
 		}
+	}
+}
+
+// FuzzMetricsJSON holds Metrics.MarshalJSON to encoding/json's spelling of
+// the same map[string]float64, byte for byte: two named floats per input,
+// the seeds at every float format boundary and names that need escaping.
+// A value JSON cannot carry must fail both ways.
+func FuzzMetricsJSON(f *testing.F) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 5e-324, 1e-7, 9.999999e-7, 1e-6, 0.1 + 0.2, 3, -123456.789,
+		1e20, 999999999999999999999, 1e21, 1.5e300, math.MaxFloat64, math.NaN(), math.Inf(-1)} {
+		f.Add("goodput.mean", v, "jct.cdf@25ms", -v)
+	}
+	f.Add("a<b>&c", 1.0, "é \x7f", 2.0)
+	f.Add("\xff\"\\\n", 1.0, "", 0.5)
+	f.Fuzz(func(t *testing.T, n1 string, v1 float64, n2 string, v2 float64) {
+		m := Metrics{n1: v1, n2: v2}
+		want, werr := json.Marshal(map[string]float64(m))
+		got, gerr := json.Marshal(m)
+		if (werr == nil) != (gerr == nil) || !bytes.Equal(got, want) {
+			t.Errorf("Metrics encode to %s (%v), encoding/json's map to %s (%v)", got, gerr, want, werr)
+		}
+	})
+}
+
+// TestNilMetricsJSON: a nil Metrics encodes as encoding/json encodes a nil
+// map.
+func TestNilMetricsJSON(t *testing.T) {
+	if got, err := json.Marshal(&MatrixCell{}); err != nil || !strings.Contains(string(got), `"Metrics":null`) {
+		t.Errorf("a cell without metrics encodes to %s (%v)", got, err)
 	}
 }

@@ -53,8 +53,10 @@ type ChaosCellConfig struct {
 }
 
 // RunChaosCell runs one parameterized fault-campaign cell: the scenario
-// compiler's robustness family lowers onto it.
+// compiler's robustness family lowers onto it. It records goodput and
+// completion times, no RTT, and hands its collector back to w.
 func RunChaosCell(w *Worker, cfg ChaosCellConfig) RobustnessPoint {
+	cfg.Cell.skip |= workload.SeriesRTT
 	c := NewCell(w, cfg.Cell, cfg.Scheme)
 	if cfg.Random != nil {
 		r := *cfg.Random
@@ -68,7 +70,7 @@ func RunChaosCell(w *Worker, cfg ChaosCellConfig) RobustnessPoint {
 	}
 	c.Run()
 	col := c.Base.Collector
-	return RobustnessPoint{
+	p := RobustnessPoint{
 		Scheme:      workload.SchemeString(cfg.Scheme),
 		GoodputMbps: col.Goodput.Mean(),
 		Flows:       col.FlowsCompleted,
@@ -80,6 +82,8 @@ func RunChaosCell(w *Worker, cfg ChaosCellConfig) RobustnessPoint {
 		Drops:       c.Drops(),
 		BySize:      fctBySize(col),
 	}
+	c.handBack()
+	return p
 }
 
 // RenderRobustnessSummary prints the headline per-scheme table — the

@@ -11,8 +11,10 @@ import (
 	"strconv"
 )
 
-// This file is Dist's JSON codec. A shard file is mostly Dist samples, so
-// they travel packed rather than as decimal numbers:
+// This file is Dist's JSON codec. Shard files carry no samples (a matrix
+// cell travels as named metrics); the codec serves whatever encodes a full
+// result whole, such as the recycle differential's payload digests. Samples
+// are packed rather than written as decimal numbers:
 //
 //	{"sum":N,"samples":"<base64>"}
 //
@@ -21,7 +23,7 @@ import (
 // eight little-endian bytes each, in the Dist's current order. A Dist with
 // no samples writes "samples":null. The form is canonical: the decoder
 // accepts exactly the bytes the encoder would write for what it decodes, so
-// a shard file re-encodes byte for byte and its hash is a function of the
+// an encoding re-encodes byte for byte and its hash is a function of the
 // numbers alone — on any CPU, whatever its word size or byte order.
 
 // wireB64 is the samples' base64: padded, with non-zero padding bits

@@ -27,6 +27,15 @@ func (d *Dist) Add(v float64) {
 	d.sum += v
 }
 
+// Reset empties d for reuse: no samples, a zero sum, and the sample
+// slice's capacity kept, so refilling it up to its old size allocates
+// nothing.
+func (d *Dist) Reset() {
+	d.samples = d.samples[:0]
+	d.sorted = false
+	d.sum = 0
+}
+
 // AddDuration appends a duration sample in milliseconds (the unit the
 // paper's RTT and completion-time plots use).
 func (d *Dist) AddDuration(v sim.Duration) {

@@ -35,6 +35,34 @@ func TestDistBasics(t *testing.T) {
 	}
 }
 
+// TestDistResetKeepsBuffer: a reset Dist answers as a new one, and
+// refilling it up to its old size allocates nothing.
+func TestDistResetKeepsBuffer(t *testing.T) {
+	var d Dist
+	for v := 1000.0; v > 0; v-- {
+		d.Add(v)
+	}
+	if d.Percentile(50) != 500 {
+		t.Fatalf("p50 %v", d.Percentile(50))
+	}
+	d.Reset()
+	if d.N() != 0 || d.Mean() != 0 || d.Percentile(50) != 0 {
+		t.Fatalf("reset Dist holds n=%d mean=%v p50=%v", d.N(), d.Mean(), d.Percentile(50))
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		d.Reset()
+		for v := 1000.0; v > 0; v-- {
+			d.Add(v + 1000)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("refilling a reset Dist allocated %v times, want 0", allocs)
+	}
+	if d.Min() != 1001 || d.Max() != 2000 || d.Mean() != 1500.5 || d.N() != 1000 {
+		t.Errorf("refilled Dist: min %v max %v mean %v n %d, want 1001 2000 1500.5 1000", d.Min(), d.Max(), d.Mean(), d.N())
+	}
+}
+
 func TestDistEmpty(t *testing.T) {
 	var d Dist
 	if d.Mean() != 0 || d.Percentile(50) != 0 || d.FractionAbove(1) != 0 || d.CDFAt(1) != 0 {

@@ -35,7 +35,8 @@ func (s Scheme) Label() string {
 	return s.Algorithm.String()
 }
 
-// Collector accumulates experiment measurements. Create with NewCollector.
+// Collector accumulates experiment measurements. Create with NewCollector;
+// Reset rewinds one for the next run, its sample buffers kept.
 type Collector struct {
 	// Goodput of completed large flows in Mbps, overall and by locality.
 	Goodput      *metrics.Dist
@@ -54,6 +55,10 @@ type Collector struct {
 	// application bytes at completion, so partially-delivered flows bin by
 	// what they actually moved.
 	FCTBySize [FCTBins]*metrics.Dist
+	// UtilByLayer holds one utilization sample per link direction of each
+	// fat-tree layer (topo.LayerCore, LayerAggregation, LayerRack),
+	// measured over the whole run by whoever ran it (Figure 11).
+	UtilByLayer map[string]*metrics.Dist
 
 	// FlowsCompleted counts finished large flows; BytesMoved their bytes.
 	FlowsCompleted int
@@ -64,7 +69,23 @@ type Collector struct {
 	// that.
 	RTTStride int
 	rttSeen   int
+	// skip holds the series Skip switched off.
+	skip Series
 }
+
+// Series names the sample series a collector can leave unrecorded: the
+// distributions a run's reducer never reads. JCT and the utilization
+// samples are always recorded, and so are the counters.
+type Series uint8
+
+const (
+	// SeriesGoodput is Goodput and GoodputByCat.
+	SeriesGoodput Series = 1 << iota
+	// SeriesRTT is RTT.
+	SeriesRTT
+	// SeriesFCT is FCT and FCTBySize.
+	SeriesFCT
+)
 
 // FCT size-bin boundaries in bytes and bin count (see Collector.FCTBySize).
 const (
@@ -117,24 +138,66 @@ func NewCollector(rttStride int) *Collector {
 		c.GoodputByCat[cat] = &metrics.Dist{}
 		c.RTT[cat] = &metrics.Dist{}
 	}
+	c.UtilByLayer = make(map[string]*metrics.Dist)
+	for _, layer := range []string{topo.LayerCore, topo.LayerAggregation, topo.LayerRack} {
+		c.UtilByLayer[layer] = &metrics.Dist{}
+	}
 	return c
 }
 
+// Reset rewinds c to what NewCollector(rttStride) returns — no samples, the
+// counters and the RTT subsampling restarted, every series recorded — but
+// keeps each distribution's sample buffer for the next run to fill.
+// Nothing may read c's old samples afterwards.
+func (c *Collector) Reset(rttStride int) {
+	c.Goodput.Reset()
+	c.JCT.Reset()
+	c.FCT.Reset()
+	for _, d := range c.FCTBySize {
+		d.Reset()
+	}
+	for _, m := range []map[topo.Category]*metrics.Dist{c.GoodputByCat, c.RTT} {
+		for _, d := range m {
+			d.Reset()
+		}
+	}
+	for _, d := range c.UtilByLayer {
+		d.Reset()
+	}
+	c.FlowsCompleted, c.BytesMoved = 0, 0
+	c.RTTStride = max(rttStride, 1)
+	c.rttSeen = 0
+	c.skip = 0
+}
+
+// Skip stops c recording the series s until the next Reset: their
+// distributions stay empty.
+func (c *Collector) Skip(s Series) { c.skip |= s }
+
 func (c *Collector) recordFlow(f *mptcp.Flow, cat topo.Category, now sim.Time) {
+	c.FlowsCompleted++
+	c.BytesMoved += f.AckedBytes()
+	if c.skip&SeriesGoodput != 0 {
+		return
+	}
 	mbps := metrics.Mbps(f.GoodputBps(now))
 	c.Goodput.Add(mbps)
 	c.GoodputByCat[cat].Add(mbps)
-	c.FlowsCompleted++
-	c.BytesMoved += f.AckedBytes()
 }
 
 func (c *Collector) recordFCT(f *mptcp.Flow) {
+	if c.skip&SeriesFCT != 0 {
+		return
+	}
 	d := f.CompletionTime().Sub(f.StartTime())
 	c.FCT.AddDuration(d)
 	c.FCTBySize[FCTSizeBin(f.AckedBytes())].AddDuration(d)
 }
 
 func (c *Collector) recordRTT(cat topo.Category, rtt sim.Duration) {
+	if c.skip&SeriesRTT != 0 {
+		return
+	}
 	c.rttSeen++
 	if c.rttSeen%c.RTTStride != 0 {
 		return

@@ -294,3 +294,72 @@ func TestAuditPanicNamesWorkloadFlow(t *testing.T) {
 	drain(t, eng)
 	cfg.Arena.Audit()
 }
+
+// TestCollectorResetIsNew: a collector with samples, counters, a
+// subsampling phase and switched-off series, once Reset, records as a new
+// collector of the given stride: every series on, nothing left over.
+func TestCollectorResetIsNew(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := baseConfig(smallFatTree(eng), Scheme{Algorithm: mptcp.AlgXMP, Subflows: 2}, 0)
+	run := func() {
+		LaunchFlow(&cfg, 0, 15, 64<<10, nil)
+		eng.RunAll(500_000_000)
+	}
+	col := cfg.Collector
+	for i := 0; i < 3; i++ {
+		col.recordRTT(topo.InterPod, sim.Millisecond)
+	}
+	col.Skip(SeriesRTT) // the RTT phase stays at 3
+	run()
+	col.UtilByLayer[topo.LayerCore].Add(0.5)
+	col.JCT.Add(1)
+	if col.Goodput.N() != 1 || col.FCT.N() != 1 || col.RTT[topo.InterPod].N() != 3 {
+		t.Fatalf("before Reset: goodput %d, fct %d, rtt %d samples, want 1, 1, 3", col.Goodput.N(), col.FCT.N(), col.RTT[topo.InterPod].N())
+	}
+	col.Skip(SeriesGoodput | SeriesRTT | SeriesFCT)
+	col.Reset(4)
+
+	n := col.FlowsCompleted + int(col.BytesMoved) + col.Goodput.N() + col.JCT.N() + col.FCT.N()
+	for _, d := range col.FCTBySize {
+		n += d.N()
+	}
+	for _, cat := range []topo.Category{topo.InnerRack, topo.InterRack, topo.InterPod} {
+		n += col.GoodputByCat[cat].N() + col.RTT[cat].N()
+	}
+	for _, d := range col.UtilByLayer {
+		n += d.N()
+	}
+	if n != 0 || col.RTTStride != 4 {
+		t.Errorf("after Reset the collector holds %d samples and counts, stride %d", n, col.RTTStride)
+	}
+	for i := 0; i < 6; i++ {
+		col.recordRTT(topo.InterPod, sim.Millisecond)
+	}
+	if got := col.RTT[topo.InterPod].N(); got != 1 {
+		t.Errorf("after Reset(4), 6 RTT samples kept %d, want 1: the subsampling did not restart", got)
+	}
+	col.RTT[topo.InterPod].Reset()
+	run()
+	if col.FlowsCompleted != 1 || col.Goodput.N() != 1 || col.GoodputByCat[topo.InterPod].N() != 1 ||
+		col.FCT.N() != 1 || col.RTT[topo.InterPod].N() == 0 {
+		t.Errorf("after Reset one flow recorded flows=%d goodput=%d inter-pod=%d fct=%d rtt=%d, want every series",
+			col.FlowsCompleted, col.Goodput.N(), col.GoodputByCat[topo.InterPod].N(), col.FCT.N(), col.RTT[topo.InterPod].N())
+	}
+}
+
+// TestCollectorSkip: a skipped series stays empty while the others and
+// the counters record.
+func TestCollectorSkip(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := baseConfig(smallFatTree(eng), Scheme{Algorithm: mptcp.AlgXMP, Subflows: 2}, 0)
+	cfg.Collector.Skip(SeriesGoodput | SeriesRTT)
+	LaunchFlow(&cfg, 0, 15, 64<<10, nil)
+	eng.RunAll(500_000_000)
+	col := cfg.Collector
+	if col.Goodput.N() != 0 || col.GoodputByCat[topo.InterPod].N() != 0 || col.RTT[topo.InterPod].N() != 0 {
+		t.Errorf("skipped series recorded: goodput %d, inter-pod %d, rtt %d", col.Goodput.N(), col.GoodputByCat[topo.InterPod].N(), col.RTT[topo.InterPod].N())
+	}
+	if col.FCT.N() != 1 || col.FlowsCompleted != 1 || col.BytesMoved != 64<<10 {
+		t.Errorf("fct %d flows %d bytes %d, want 1, 1, %d", col.FCT.N(), col.FlowsCompleted, col.BytesMoved, 64<<10)
+	}
+}
