@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"xmp/internal/metrics"
@@ -29,19 +31,15 @@ func matrixCell(pattern Pattern, views string) collectorCell {
 }
 
 var (
-	// matrixNoRTT selects Table 1, which reads no rtt.* metric; matrixRTT
-	// selects Figure 10, which reads nothing else.
-	matrixNoRTT = matrixCell(Random, `"table1"`)
-	matrixRTT   = matrixCell(Random, `"fig10"`)
-	fctCell     = collectorCell{"fct/shortflows", func(w *Worker) any {
-		return RunFCTCell(w, FCTCellConfig{Name: "short", Cell: CellConfig{K: 4, Duration: 10 * sim.Millisecond},
-			Short: &workload.ShortFlowsConfig{Alpha: 1.1, MeanBytes: 48 << 10, MinBytes: 1 << 10, MaxBytes: 2 << 20, PerHost: 2}})
-	}}
-	chaosCell = collectorCell{"robustness/XMP-2", func(w *Worker) any {
-		return RunChaosCell(w, ChaosCellConfig{Cell: CellConfig{K: 4, Duration: 10 * sim.Millisecond}, Scheme: SchemeXMP2,
-			Random: &workload.RandomConfig{ParetoMeanBytes: 256 << 10, ParetoMaxBytes: 1 << 20, MaxFlowsPerDst: 4},
-			Short:  &workload.ShortFlowsConfig{Alpha: 1.1, MeanBytes: 48 << 10, MinBytes: 1 << 10, MaxBytes: 2 << 20, PerHost: 1}})
-	}}
+	matrixPerm = matrixCell(Permutation, `"table1"`)
+	matrixRand = matrixCell(Random, `"fig10"`)
+	fctCfg     = FCTCellConfig{Name: "short", Cell: CellConfig{K: 4, Duration: 10 * sim.Millisecond},
+		Short: &workload.ShortFlowsConfig{Alpha: 1.1, MeanBytes: 48 << 10, MinBytes: 1 << 10, MaxBytes: 2 << 20, PerHost: 2}}
+	fctCell  = collectorCell{"fct/shortflows", func(w *Worker) any { return RunFCTCell(w, fctCfg) }}
+	chaosCfg = ChaosCellConfig{Cell: CellConfig{K: 4, Duration: 10 * sim.Millisecond}, Scheme: SchemeXMP2,
+		Random: &workload.RandomConfig{ParetoMeanBytes: 256 << 10, ParetoMaxBytes: 1 << 20, MaxFlowsPerDst: 4},
+		Short:  &workload.ShortFlowsConfig{Alpha: 1.1, MeanBytes: 48 << 10, MinBytes: 1 << 10, MaxBytes: 2 << 20, PerHost: 1}}
+	chaosCell = collectorCell{"robustness/XMP-2", func(w *Worker) any { return RunChaosCell(w, chaosCfg) }}
 )
 
 // seriesN counts the samples of each switchable series of col.
@@ -67,7 +65,7 @@ func seriesN(col *workload.Collector) (goodput, rtt, fct int) {
 // collector — buffers and all — rewound to empty. A cell whose result keeps
 // its collector (RunFatTree) hands nothing back.
 func TestWorkerKeepsHandedBackCollector(t *testing.T) {
-	for _, c := range []collectorCell{matrixNoRTT, fctCell, chaosCell} {
+	for _, c := range []collectorCell{matrixPerm, fctCell, chaosCell} {
 		w := new(Worker)
 		c.run(w)
 		w.lent = false
@@ -100,16 +98,14 @@ func TestWorkerKeepsHandedBackCollector(t *testing.T) {
 }
 
 // TestCellsRecordOnlyWhatTheyRead: an fct cell records no RTT or goodput
-// samples, a robustness cell no RTT, and a matrix cell never FCT, and RTT
-// only when its selection reads an rtt.* metric. Each records what it does
-// read.
+// samples, a robustness cell no RTT, and a matrix cell no FCT. Each
+// records what it does read.
 func TestCellsRecordOnlyWhatTheyRead(t *testing.T) {
 	for _, tc := range []struct {
 		cell              collectorCell
 		goodput, rtt, fct bool
 	}{
-		{matrixNoRTT, true, false, false},
-		{matrixRTT, true, true, false},
+		{matrixRand, true, true, false},
 		{fctCell, false, false, true},
 		{chaosCell, true, false, true},
 	} {
@@ -133,7 +129,7 @@ func TestCellsRecordOnlyWhatTheyRead(t *testing.T) {
 // handed back, and demands each payload equal the same cell's on a fresh
 // worker: a series one cell switched off stays off for that cell only.
 func TestSeriesSwitchesDoNotCarryOver(t *testing.T) {
-	order := []collectorCell{matrixNoRTT, fctCell, matrixRTT, chaosCell, fctCell, matrixRTT}
+	order := []collectorCell{matrixPerm, fctCell, matrixRand, chaosCell, fctCell, matrixRand}
 	fresh := map[string]any{}
 	for _, c := range order {
 		fresh[c.name] = c.run(new(Worker))
@@ -145,5 +141,35 @@ func TestSeriesSwitchesDoNotCarryOver(t *testing.T) {
 		if !reflect.DeepEqual(got, fresh[c.name]) {
 			t.Errorf("cell %d, %s after %s: payload differs from a fresh worker's\nfresh:  %+v\nworker: %+v", i, c.name, order[max(i-1, 0)].name, fresh[c.name], got)
 		}
+	}
+}
+
+// TestSkippedSeriesAreUnread: each reducer reports the same with every
+// series recorded as with its cell's skips, so none reads a series its
+// cell leaves empty. The matrix cells are reduced to every metric of the
+// metric table, whatever a selection names.
+func TestSkippedSeriesAreUnread(t *testing.T) {
+	var all []string
+	for n := range cellMetrics {
+		all = append(all, n)
+	}
+	slices.Sort(all)
+	for _, p := range []Pattern{Permutation, Random, Incast} {
+		row := Row{Pattern: p}
+		cfg := patternCell(CellConfig{K: 4, Duration: 10 * sim.Millisecond, SizeScale: 256}, row)
+		skipped := reduceCell(runPattern(NewCell(nil, cfg, SchemeXMP2), row), all)
+		cfg.skip = 0
+		recorded := reduceCell(runPattern(NewCell(nil, cfg, SchemeXMP2), row), all)
+		for _, n := range all {
+			if math.Float64bits(skipped.Metrics[n]) != math.Float64bits(recorded.Metrics[n]) {
+				t.Errorf("matrix/%s: %s reads %v with the cell's skips, %v with every series recorded", p, n, skipped.Metrics[n], recorded.Metrics[n])
+			}
+		}
+	}
+	if got, want := RunFCTCell(nil, fctCfg), runFCT(NewCell(nil, fctCfg.Cell, fctCfg.Scheme), fctCfg); !reflect.DeepEqual(got, want) {
+		t.Errorf("fct: payload with the cell's skips differs from every series recorded\nskips:    %+v\nrecorded: %+v", got, want)
+	}
+	if got, want := RunChaosCell(nil, chaosCfg), runChaos(NewCell(nil, chaosCfg.Cell, chaosCfg.Scheme), chaosCfg); !reflect.DeepEqual(got, want) {
+		t.Errorf("robustness: payload with the cell's skips differs from every series recorded\nskips:    %+v\nrecorded: %+v", got, want)
 	}
 }

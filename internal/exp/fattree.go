@@ -145,11 +145,10 @@ func runPattern(c *Cell, row Row) *FatTreeResult {
 	now := c.Net.Eng.Now()
 	res.Drops, res.Marks = c.Drops(), c.Marks()
 	res.SimDuration, res.Events = sim.Duration(now), c.Events
-	for _, layer := range layers {
-		d := res.Collector.UtilByLayer[layer]
-		for _, l := range c.Net.LinksByLayer(layer) {
-			d.Add(l.Utilization(now))
-		}
+	// Every fat-tree and VL2 link is labelled with one of layers, each a
+	// key of UtilByLayer, and one pass keeps each layer's link order.
+	for _, li := range c.Net.Links() {
+		res.Collector.UtilByLayer[li.Layer].Add(li.Utilization(now))
 	}
 	return res
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strings"
 
 	"xmp/internal/workload"
 )
@@ -27,15 +26,11 @@ type Matrix struct {
 // the campaign has always used. desc is the canonical description of every
 // knob that shapes the cells; the caller owns it (internal/scenario passes
 // the resolved spec), so the grid has one definition and one description.
-// Each cell records only the series those metrics read (no RTT unless one
-// is an rtt.* metric) and is reduced to the metrics of the tables and views
-// desc selects, read as merge reads them off the manifest; the reduced cell
-// hands its collector back to the worker.
+// Each cell is reduced to the metrics of the tables and views desc
+// selects, read as merge reads them off the manifest, and then hands its
+// collector back to the worker.
 func MatrixPlan(desc string, base CellConfig, rows []Row, schemes []workload.Scheme) Plan[*MatrixCell] {
 	reads := matrixFamily.reads(scenarioMetrics(desc))
-	if !slices.ContainsFunc(reads, func(n string) bool { return strings.HasPrefix(n, "rtt.") }) {
-		base.skip |= workload.SeriesRTT
-	}
 	return Plan[*MatrixCell]{
 		Desc:  desc,
 		Cells: len(rows) * len(schemes),

@@ -58,6 +58,14 @@ type ChaosCellConfig struct {
 func RunChaosCell(w *Worker, cfg ChaosCellConfig) RobustnessPoint {
 	cfg.Cell.skip |= workload.SeriesRTT
 	c := NewCell(w, cfg.Cell, cfg.Scheme)
+	p := runChaos(c, cfg)
+	c.handBack()
+	return p
+}
+
+// runChaos starts cfg's generators on c, the cell built for it, runs the
+// cell and reduces it.
+func runChaos(c *Cell, cfg ChaosCellConfig) RobustnessPoint {
 	if cfg.Random != nil {
 		r := *cfg.Random
 		r.Config = c.Base
@@ -70,7 +78,7 @@ func RunChaosCell(w *Worker, cfg ChaosCellConfig) RobustnessPoint {
 	}
 	c.Run()
 	col := c.Base.Collector
-	p := RobustnessPoint{
+	return RobustnessPoint{
 		Scheme:      workload.SchemeString(cfg.Scheme),
 		GoodputMbps: col.Goodput.Mean(),
 		Flows:       col.FlowsCompleted,
@@ -82,8 +90,6 @@ func RunChaosCell(w *Worker, cfg ChaosCellConfig) RobustnessPoint {
 		Drops:       c.Drops(),
 		BySize:      fctBySize(col),
 	}
-	c.handBack()
-	return p
 }
 
 // RenderRobustnessSummary prints the headline per-scheme table — the

@@ -7,7 +7,6 @@ package topo
 
 import (
 	"fmt"
-	"slices"
 
 	"xmp/internal/netem"
 	"xmp/internal/sim"
@@ -58,8 +57,6 @@ type Network struct {
 	Hosts    []*netem.Host
 	Switches []*netem.Switch
 	links    []LinkInfo
-	// byLayer lists the links of each layer label, in the order added.
-	byLayer map[string][]*netem.Link
 
 	// Pool recycles packets across all hosts of this network. It is as
 	// single-threaded as the engine: pooled packets never leave this
@@ -92,7 +89,6 @@ func NewNetwork(eng *sim.Engine) *Network {
 		Pool:     netem.NewPacketPool(),
 		Paths:    &netem.PathStore{},
 		Build:    &netem.BuildArena{},
-		byLayer:  make(map[string][]*netem.Link),
 		addrHost: make(map[netem.Addr]*netem.Host),
 		nextAddr: 1, // 0 is reserved as "unset"
 		nextConn: 1,
@@ -167,7 +163,6 @@ func (n *Network) NextConnID() netem.ConnID {
 func (n *Network) AddLink(name string, capacity netem.Bps, delay sim.Duration, q netem.Queue, dst netem.Receiver, layer string) *netem.Link {
 	l := n.Build.NewLink(n.Eng, name, capacity, delay, q, dst)
 	n.links = append(n.links, LinkInfo{Link: l, Layer: layer})
-	n.byLayer[layer] = append(n.byLayer[layer], l)
 	return l
 }
 
@@ -198,10 +193,15 @@ func RouteHostAddrs(sw *netem.Switch, h *netem.Host, out *netem.Link) {
 // Links returns every link with its layer label.
 func (n *Network) Links() []LinkInfo { return n.links }
 
-// LinksByLayer returns the links labelled with layer, in the order added.
-// The slice is the network's own list: read it, do not write it.
+// LinksByLayer returns the links labelled with layer.
 func (n *Network) LinksByLayer(layer string) []*netem.Link {
-	return slices.Clip(n.byLayer[layer])
+	var out []*netem.Link
+	for _, li := range n.links {
+		if li.Layer == layer {
+			out = append(out, li.Link)
+		}
+	}
+	return out
 }
 
 // CheckDrained panics unless the network is empty, as a finished cell must
