@@ -66,17 +66,19 @@ shard-*.json" rebuilds tables byte-identical to an unsharded run. merge also acc
 *.json inside, e.g. the dispatch -outdir). Unsharded, and on merge and
 dispatch, -json receives the campaign's plot export (%s have one).
 
-matrix, sweep, params, incastsweep, sack, vl2, fct and robustness are the
-specs scenarios/<name>.json, embedded in the binary: "xmpsim vl2" is
-"xmpsim run scenarios/vl2.json" with the scale flags overlaid, and at
-default flags their shard files merge with the spec file's. The first six
-are matrix specs: their shard files are matrix files.
+Every fabric campaign (matrix, table2, sweep, params, incastsweep, sack,
+vl2, fct and robustness) is the spec scenarios/<name>.json, embedded in the
+binary: "xmpsim vl2" is "xmpsim run scenarios/vl2.json" with the scale
+flags overlaid, and at default flags their shard files merge with the spec
+file's. The first seven are matrix specs: their shard files are matrix
+files.
 
 Scale flags: -timescale reaches every campaign; -seed, -k and -sizescale
-reach the fabric campaigns, but not the figures or ablation, vl2 takes no
--k, and fct and robustness no -sizescale (their sizes are bytes). A run
-refuses a flag it does not read (exit 2); run and dispatch FILE.json refuse
-all four (the spec's scale block sets them); all names who ignores one.
+reach the fabric campaigns alone (the figures and ablation read only
+-timescale), vl2 takes no -k, and fct and robustness no -sizescale (their
+sizes are bytes). A run refuses a flag it does not read (exit 2); run and
+dispatch FILE.json refuse all four (the spec's scale block sets them); all
+names who ignores one.
 
 Flags (after the subcommand):
 `, campaignList(false), campaignList(true))
@@ -349,6 +351,9 @@ func runDispatch() {
 		// schedule it references).
 		c, err := scenario.CompileFile(name)
 		check(err)
+		// Workers check the chaos targets only when they run a cell: a bad
+		// target fails here, before any task ships.
+		check(c.CheckTargets())
 		name, family = exp.CampaignScenario, c.Campaign
 		params.Scenario = c.JSON
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"xmp/internal/exp"
+	"xmp/internal/scenario"
 )
 
 // Options shapes a dispatch run. Zero values select the documented
@@ -47,9 +48,9 @@ type Options struct {
 	Log io.Writer
 }
 
-func (o *Options) withDefaults(cellsPerShard int, p exp.RunParams) Options {
+func (o *Options) withDefaults(cellsPerShard int, work float64) Options {
 	out := *o
-	taskDefault, stallDefault := deriveTimeouts(cellsPerShard, p)
+	taskDefault, stallDefault := deriveTimeouts(cellsPerShard, work)
 	if out.TaskTimeout == 0 {
 		out.TaskTimeout = taskDefault
 	}
@@ -71,28 +72,32 @@ func (o *Options) withDefaults(cellsPerShard int, p exp.RunParams) Options {
 	return out
 }
 
-// deriveTimeouts scales the attempt and stall budgets with the campaign:
-// a k=8 matrix cell runs in about a second at the default reduced scale,
-// and cost grows linearly with -timescale and with the flow-size factor
-// (default sizescale)/sizescale, so a generous per-cell minute covers
-// CI-class hardware with an order of magnitude to spare at any configured
-// scale.
-func deriveTimeouts(cellsPerShard int, p exp.RunParams) (task, stall time.Duration) {
-	p = p.WithDefaults()
-	work := p.Timescale
-	if def := (exp.RunParams{}).WithDefaults().SizeScale; p.SizeScale > 0 && p.SizeScale < def {
-		work *= float64(def) / float64(p.SizeScale)
-	}
-	if work < 1 {
-		work = 1
-	}
-	perCell := time.Duration(float64(time.Minute) * work)
+// deriveTimeouts scales the attempt and stall budgets with the campaign's
+// scale work (scaleWork): a k=8 matrix cell runs in about a second at the
+// default reduced scale and its cost grows linearly with work, so a
+// generous per-cell minute of work covers CI-class hardware with an order
+// of magnitude to spare at any configured scale.
+func deriveTimeouts(cellsPerShard int, work float64) (task, stall time.Duration) {
+	perCell := time.Duration(float64(time.Minute) * max(work, 1))
 	stall = 2 * perCell
 	task = time.Duration(cellsPerShard+1) * perCell
 	if task < 5*time.Minute {
 		task = 5 * time.Minute
 	}
 	return task, stall
+}
+
+// scaleWork is how many times a default-scale cell's work one cell of the
+// campaign whose manifest config is config does under p. A scenario spec —
+// every fabric campaign's config — states it (scenario.Spec.Work); a Go
+// plan reads only the timescale.
+func scaleWork(config string, p exp.RunParams) float64 {
+	if spec, ok := strings.CutPrefix(config, "scenario "); ok {
+		if s, err := scenario.Parse([]byte(spec)); err == nil {
+			return s.Work()
+		}
+	}
+	return p.WithDefaults().Timescale
 }
 
 // Result is a completed dispatch: the merged campaign plus the per-shard
@@ -226,7 +231,7 @@ func Dispatch(campaign string, p exp.RunParams, opts Options) (*Result, error) {
 	if shards < 1 {
 		shards = 1
 	}
-	o := opts.withDefaults((cells+shards-1)/shards, p)
+	o := opts.withDefaults((cells+shards-1)/shards, scaleWork(desc, p))
 	o.Shards = shards
 
 	c := newCoordinator(o)

@@ -393,7 +393,7 @@ func TestDispatchStalledWorkerTimesOut(t *testing.T) {
 		opts.StallTimeout = time.Minute
 		var log bytes.Buffer
 		opts.Log = &log
-		c := newCoordinator(opts.withDefaults(1, testParams()))
+		c := newCoordinator(opts.withDefaults(1, 1))
 		task := oneCellTask(t, 0)
 		err := c.taskLoop(task)
 		c.linger.Wait()
@@ -760,5 +760,41 @@ func TestDispatchBrokenConnectionMidWait(t *testing.T) {
 	if elapsed > opts.PollInterval/2 {
 		t.Errorf("campaign took %v at PollInterval %v: the torn-down worker was noticed by a poll, not by its broken connection",
 			elapsed, opts.PollInterval)
+	}
+}
+
+// TestDeriveTimeoutsFollowSpecScale: a spec carried inline budgets its
+// cells by its own scale, as the scale flags budget an embedded spec's. At
+// sizescale 1 and ten times the matrix horizon that is 160 minutes a cell,
+// whichever way it is set. Every campaign at default flags keeps a minute
+// a cell: a 5 minute attempt and a 2 minute stall for a one-cell shard.
+func TestDeriveTimeoutsFollowSpecScale(t *testing.T) {
+	budget := func(campaign string, p exp.RunParams) (task, stall time.Duration) {
+		t.Helper()
+		m, err := exp.ProbeManifest(campaign, p)
+		if err != nil {
+			t.Fatalf("%s: %v", campaign, err)
+		}
+		return deriveTimeouts(1, scaleWork(m.Config, p))
+	}
+	knobTask, knobStall := budget(exp.CampaignMatrix, exp.RunParams{SizeScale: 1, Timescale: 10})
+	if knobTask != 320*time.Minute || knobStall != 320*time.Minute {
+		t.Errorf("matrix -sizescale 1 -timescale 10: attempt %v, stall %v; want 160 min a cell", knobTask, knobStall)
+	}
+	s, err := scenario.Parse([]byte(`{"name":"paper-scale","family":"matrix","duration_ms":2000,"scale":{"sizescale":1},"schemes":["XMP-2"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := scenario.Compile(s, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if task, stall := budget(exp.CampaignScenario, exp.RunParams{Scenario: c.JSON}); task != knobTask || stall != knobStall {
+		t.Errorf("inline spec at sizescale 1, 2000 ms: attempt %v, stall %v; the flags give %v, %v", task, stall, knobTask, knobStall)
+	}
+	for _, info := range exp.Campaigns() {
+		if task, stall := budget(info.Name, exp.RunParams{}); task != 5*time.Minute || stall != 2*time.Minute {
+			t.Errorf("%s at default flags: attempt %v, stall %v; want 5m0s, 2m0s", info.Name, task, stall)
+		}
 	}
 }

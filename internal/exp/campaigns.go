@@ -28,8 +28,8 @@ type RunParams struct {
 	Jobs      int     `json:"jobs,omitempty"`
 	// Scenario, when non-empty, is a fully-resolved declarative scenario
 	// spec (internal/scenario) and is the entire configuration of the
-	// spec-backed runners (CampaignScenario, and matrix/robustness/fct in
-	// place of their embedded spec), which then ignore the scalar knobs
+	// spec-backed runners (CampaignScenario, and every spec campaign in
+	// place of its embedded spec), which then ignore the scalar knobs
 	// above except Jobs. Carrying the spec inline is what lets a dispatch
 	// coordinator ship a scenario to workers that have no access to the
 	// spec file.
@@ -41,19 +41,13 @@ func (p RunParams) WithDefaults() RunParams {
 	if p.Timescale == 0 {
 		p.Timescale = 1
 	}
-	c := p.cell(0).WithDefaults()
+	c := CellConfig{K: p.K, Seed: p.Seed, SizeScale: p.SizeScale}.WithDefaults()
 	p.SizeScale, p.Seed, p.K = c.SizeScale, c.Seed, c.K
 	return p
 }
 
 func (p RunParams) scaleT(d sim.Duration) sim.Duration {
 	return sim.Duration(float64(d) * p.Timescale)
-}
-
-// cell is the fabric cell a Go plan starts from: the params' arity, seed
-// and size scale, and a horizon of d scaled by the timescale.
-func (p RunParams) cell(d sim.Duration) CellConfig {
-	return CellConfig{K: p.K, Seed: p.Seed, SizeScale: p.SizeScale, Duration: p.scaleT(d)}
 }
 
 // Campaign names: the xmpsim subcommands, and what shard manifests carry.

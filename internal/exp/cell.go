@@ -217,9 +217,8 @@ func NewCell(w *Worker, cfg CellConfig, scheme workload.Scheme) *Cell {
 // handBack gives the cell's collector to the worker it was built on, for
 // the next cell to rewind and fill. A reducer calls it once it has read
 // everything it reports off the collector, and only if its result keeps no
-// reference to it: a result that holds the collector (FatTreeResult,
-// table2's halves) never hands it back, so no retained result shares a
-// buffer with a later cell.
+// reference to it: a result that holds the collector (FatTreeResult) never
+// hands it back, so no retained result shares a buffer with a later cell.
 func (c *Cell) handBack() { c.w.col = c.Base.Collector }
 
 // drainBound is how long a cell may run past its generators' horizon

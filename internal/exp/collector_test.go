@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"xmp/internal/metrics"
@@ -146,23 +147,27 @@ func TestSeriesSwitchesDoNotCarryOver(t *testing.T) {
 
 // TestSkippedSeriesAreUnread: each reducer reports the same with every
 // series recorded as with its cell's skips, so none reads a series its
-// cell leaves empty. The matrix cells are reduced to every metric of the
-// metric table, whatever a selection names.
+// cell leaves empty. The matrix cells, a coexist cell among them, are
+// reduced to every metric of the metric table their row has, whatever a
+// selection names.
 func TestSkippedSeriesAreUnread(t *testing.T) {
 	var all []string
 	for n := range cellMetrics {
 		all = append(all, n)
 	}
 	slices.Sort(all)
-	for _, p := range []Pattern{Permutation, Random, Incast} {
-		row := Row{Pattern: p}
+	for _, row := range []Row{{Pattern: Permutation}, {Pattern: Random}, {Pattern: Incast}, {Pattern: Random, QueueLimit: 50, Coexist: "XMP-2"}} {
+		names := all
+		if row.Coexist == "" {
+			names = slices.DeleteFunc(slices.Clone(all), func(n string) bool { return strings.HasPrefix(n, "coexist.") })
+		}
 		cfg := patternCell(CellConfig{K: 4, Duration: 10 * sim.Millisecond, SizeScale: 256}, row)
-		skipped := reduceCell(runPattern(NewCell(nil, cfg, SchemeXMP2), row), all)
+		skipped := reduceCell(runPattern(NewCell(nil, cfg, SchemeXMP2), row), names)
 		cfg.skip = 0
-		recorded := reduceCell(runPattern(NewCell(nil, cfg, SchemeXMP2), row), all)
-		for _, n := range all {
+		recorded := reduceCell(runPattern(NewCell(nil, cfg, SchemeXMP2), row), names)
+		for _, n := range names {
 			if math.Float64bits(skipped.Metrics[n]) != math.Float64bits(recorded.Metrics[n]) {
-				t.Errorf("matrix/%s: %s reads %v with the cell's skips, %v with every series recorded", p, n, skipped.Metrics[n], recorded.Metrics[n])
+				t.Errorf("matrix/%s: %s reads %v with the cell's skips, %v with every series recorded", row, n, skipped.Metrics[n], recorded.Metrics[n])
 			}
 		}
 	}

@@ -32,31 +32,3 @@ func (m *Matrix) WriteJSON(w io.Writer) error {
 		Cells []cell `json:"cells"`
 	}{cells})
 }
-
-// WriteJSON serializes the coexistence sweep.
-func (r *Table2Result) WriteJSON(w io.Writer) error {
-	type cell struct {
-		Other        string  `json:"other_scheme"`
-		QueueLimit   int     `json:"queue_limit"`
-		XMPGoodput   float64 `json:"xmp_goodput_mbps"`
-		OtherGoodput float64 `json:"other_goodput_mbps"`
-		XMPFlows     int     `json:"xmp_flows"`
-		OtherFlows   int     `json:"other_flows"`
-	}
-	var cells []cell
-	for _, c := range r.Cells {
-		cells = append(cells, cell{
-			Other:        c.Other.Label(),
-			QueueLimit:   c.QueueLimit,
-			XMPGoodput:   c.XMPGoodput,
-			OtherGoodput: c.OtherGoodput,
-			XMPFlows:     c.XMPFlows,
-			OtherFlows:   c.OtherFlows,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Cells []cell `json:"cells"`
-	}{cells})
-}

@@ -3,7 +3,7 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
+	"fmt"
 	"testing"
 
 	"xmp/internal/sim"
@@ -59,14 +59,45 @@ func TestMatrixWriteJSON(t *testing.T) {
 	}
 }
 
+// TestTable2WriteJSON: table2's plot export is the matrix cell export — a
+// cell per (row, scheme) of its spec, row-major, each carrying exactly the
+// two halves' goodputs the table2 view reads.
 func TestTable2WriteJSON(t *testing.T) {
-	cell := runCoexist(nil, CellConfig{K: 4, Duration: 30 * sim.Millisecond, SizeScale: 256}, SchemeTCP)
-	r := &Table2Result{Queues: []int{cell.QueueLimit}, Others: []workload.Scheme{cell.Other}, Cells: []Table2Cell{cell}}
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	f, err := RunCampaign(CampaignTable2, RunParams{K: 4, Timescale: 0.05, SizeScale: 256}, Unsharded, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !json.Valid(buf.Bytes()) || !strings.Contains(buf.String(), "xmp_goodput_mbps") {
-		t.Fatalf("bad JSON: %s", buf.String())
+	res, err := MergeShards([]ShardEncoder{f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := res.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var decoded struct {
+		Cells []struct {
+			Pattern string             `json:"pattern"`
+			Scheme  string             `json:"scheme"`
+			Metrics map[string]float64 `json:"metrics"`
+		} `json:"cells"`
+	}
+	dec := json.NewDecoder(&buf)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&decoded); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	if len(decoded.Cells) != 12 {
+		t.Fatalf("%d cells, want 12", len(decoded.Cells))
+	}
+	for i, c := range decoded.Cells {
+		want := fmt.Sprintf("%s/%s", []string{"Random(q=50,coexist=XMP-2)", "Random(q=100,coexist=XMP-2)",
+			"Random(q=50,strict,coexist=XMP-2)", "Random(q=100,strict,coexist=XMP-2)"}[i/3], []string{"LIA-2", "TCP", "DCTCP"}[i%3])
+		if got := c.Pattern + "/" + c.Scheme; got != want {
+			t.Errorf("cell %d is %s, want %s", i, got, want)
+		}
+		if len(c.Metrics) != 2 || c.Metrics["goodput.mean"] <= 0 || c.Metrics["coexist.goodput.mean"] <= 0 {
+			t.Errorf("cell %d carries %v, want the two halves' positive goodputs alone", i, c.Metrics)
+		}
 	}
 }

@@ -41,6 +41,13 @@ type Row struct {
 	// Servers is an Incast row's fan-in: the servers each job asks, capped
 	// at all hosts but the client.
 	Servers int `json:",omitempty"`
+	// QueueLimit and StrictNonECT override the cell's queue limit and turn
+	// on RED-strict switches (CellConfig.StrictNonECT).
+	QueueLimit   int  `json:",omitempty"`
+	StrictNonECT bool `json:",omitempty"`
+	// Coexist, on a Random row, is the scheme label the even-indexed hosts
+	// run beside the cell's scheme on the odd-indexed ones (Table 2).
+	Coexist string `json:",omitempty"`
 }
 
 // String names the row as tables and cell labels do: the pattern, then
@@ -56,6 +63,15 @@ func (r Row) String() string {
 	if r.Servers != 0 {
 		set = append(set, fmt.Sprintf("servers=%d", r.Servers))
 	}
+	if r.QueueLimit != 0 {
+		set = append(set, fmt.Sprintf("q=%d", r.QueueLimit))
+	}
+	if r.StrictNonECT {
+		set = append(set, "strict")
+	}
+	if r.Coexist != "" {
+		set = append(set, "coexist="+r.Coexist)
+	}
 	if len(set) == 0 {
 		return string(r.Pattern)
 	}
@@ -70,7 +86,11 @@ func patternCell(cfg CellConfig, row Row) CellConfig {
 	if row.MarkThreshold != 0 {
 		cfg.MarkThreshold = row.MarkThreshold
 	}
+	if row.QueueLimit != 0 {
+		cfg.QueueLimit = row.QueueLimit
+	}
 	cfg.SACK = cfg.SACK || row.SACK
+	cfg.StrictNonECT = cfg.StrictNonECT || row.StrictNonECT
 	if cfg.Duration == 0 {
 		cfg.Duration = patternHorizon[row.Pattern]
 	}
@@ -89,8 +109,10 @@ type FatTreeResult struct {
 	// Row keys the cell in its matrix.
 	Row
 	Scheme workload.Scheme
-	// Collector holds the run's samples, Collector.UtilByLayer among them.
-	Collector *workload.Collector
+	// Collector holds the run's samples, Collector.UtilByLayer among them:
+	// on a Coexist row, those of the cell's scheme's half of the hosts.
+	// Coexist holds the coexisting half's; it is nil on any other row.
+	Collector, Coexist *workload.Collector
 	// IncastServers is the fan-in an Incast row's jobs ran: its Servers
 	// capped at all hosts but the client; 0 when the row sets none.
 	IncastServers int
@@ -126,6 +148,10 @@ func runPattern(c *Cell, row Row) *FatTreeResult {
 			MaxBytes: 512 << 20 / cfg.SizeScale,
 		})
 	case Random:
+		if row.Coexist != "" {
+			res.Coexist = startCoexist(c, row.Coexist)
+			break
+		}
 		workload.StartRandom(randomCfg(c.Base, cfg.SizeScale))
 	case Incast:
 		if row.Servers != 0 {
@@ -151,6 +177,33 @@ func runPattern(c *Cell, row Row) *FatTreeResult {
 		res.Collector.UtilByLayer[li.Layer].Add(li.Utilization(now))
 	}
 	return res
+}
+
+// startCoexist starts the Random pattern on c split by host: the
+// even-indexed hosts source flows of the coexist scheme into a collector of
+// their own, which it returns, and the odd-indexed flows of the cell's
+// scheme into the cell's. Each half draws from its own fork of the cell
+// RNG, and the coexisting half starts first.
+func startCoexist(c *Cell, coexist string) *workload.Collector {
+	scheme, err := workload.ParseScheme(coexist)
+	if err != nil {
+		panic("exp: coexist " + err.Error()) // a spec's label is resolved
+	}
+	col := workload.NewCollector(c.cfg.rttStride)
+	col.Skip(c.cfg.skip)
+	half := func(parity int, base workload.Config) {
+		base.RNG = c.Base.RNG.Fork(int64(1 + parity))
+		r := randomCfg(base, c.cfg.SizeScale)
+		for i := parity; i < base.Net.NumHosts(); i += 2 {
+			r.Hosts = append(r.Hosts, i)
+		}
+		workload.StartRandom(r)
+	}
+	even := c.Base
+	even.Scheme, even.Collector = scheme, col
+	half(0, even)
+	half(1, c.Base)
+	return col
 }
 
 // randomCfg is the Random pattern with the paper's flow sizes divided by

@@ -105,6 +105,7 @@ var (
 	incastSweepReads = []string{"servers", "jct.n", "jct.p50", "jct.p99", "jct.above300", "goodput.mean"}
 	sackReads        = []string{"goodput.mean"}
 	vl2Reads         = []string{"goodput.mean", "rtt.inter-pod.mean", "flows", "drops"}
+	table2Reads      = []string{"coexist.goodput.mean", "goodput.mean"}
 )
 
 // RenderTable1 prints average goodput (Mbps) per scheme per pattern —
@@ -385,6 +386,54 @@ func (m *Matrix) RenderVL2(w io.Writer) {
 			c := m.Get(row, s)
 			tb.row(workload.SchemeString(s), f1(c.Metric("goodput.mean")), f2(c.Metric("rtt.inter-pod.mean")),
 				fmt.Sprintf("%.0f", c.Metric("flows")), fmt.Sprintf("%.0f", c.Metric("drops")))
+		}
+	}
+}
+
+// RenderTable2 prints the paper's Table 2: one table per group of Coexist
+// rows that differ in their queue limit alone — the two switch variants of
+// scenarios/table2.json — each after a blank line, with a column per queue
+// and a line per scheme, each cell the coexisting half's average goodput
+// against the scheme's half's (Mbps): the "table2" view.
+func (m *Matrix) RenderTable2(w io.Writer) {
+	group := func(row Row) Row { row.QueueLimit = 0; return row }
+	var groups []Row
+	for _, row := range m.Rows {
+		if row.Coexist != "" && !slices.Contains(groups, group(row)) {
+			groups = append(groups, group(row))
+		}
+	}
+	for _, g := range groups {
+		coexist, _ := workload.ParseScheme(g.Coexist) // a label the cell ran, so it parses
+		variant := "non-ECT uses full buffer"
+		if g.StrictNonECT {
+			variant = "RED-strict: non-ECT dropped above K"
+		}
+		fmt.Fprintln(w)
+		fmt.Fprintf(w, "Table 2: Average Goodput (Mbps), %s pattern, %s coexisting (%s)\n", g.Pattern, g.Coexist, variant)
+		var cols []Row
+		widths, header := []int{16}, []string{"pairing"}
+		for _, row := range m.Rows {
+			if group(row) != g {
+				continue
+			}
+			cols = append(cols, row)
+			queue := "queue (topology's)"
+			if row.QueueLimit != 0 {
+				queue = fmt.Sprintf("queue %d pkts", row.QueueLimit)
+			}
+			widths, header = append(widths, 18), append(header, queue)
+		}
+		tb := newTable(w, widths...)
+		tb.row(header...)
+		tb.rule()
+		for _, s := range m.Schemes {
+			cells := []string{fmt.Sprintf("%s : %s", coexist.Algorithm, workload.SchemeString(s))}
+			for _, row := range cols {
+				c := m.Get(row, s)
+				cells = append(cells, fmt.Sprintf("%s : %s", f1(c.Metric("coexist.goodput.mean")), f1(c.Metric("goodput.mean"))))
+			}
+			tb.row(cells...)
 		}
 	}
 }

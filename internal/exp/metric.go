@@ -250,7 +250,10 @@ var (
 )
 
 // cellMetrics is the metric table: every number a matrix table, view or
-// claim reads off a cell, by name.
+// claim reads off a cell, by name. The coexist.* names read the coexisting
+// half of a Coexist row's hosts, the others its cell's scheme's half; only
+// a Coexist row has coexist.* (internal/scenario refuses a selection that
+// reads them on any other).
 var cellMetrics = func() map[string]func(*FatTreeResult) float64 {
 	t := map[string]func(*FatTreeResult) float64{
 		"flows":   func(r *FatTreeResult) float64 { return float64(r.Collector.FlowsCompleted) },
@@ -263,6 +266,7 @@ var cellMetrics = func() map[string]func(*FatTreeResult) float64 {
 		}
 	}
 	dist("goodput", func(r *FatTreeResult) *metrics.Dist { return r.Collector.Goodput }, goodputStats)
+	dist("coexist.goodput", func(r *FatTreeResult) *metrics.Dist { return r.Coexist.Goodput }, []distStat{statMean})
 	dist("jct", func(r *FatTreeResult) *metrics.Dist { return r.Collector.JCT }, jctStats)
 	for i, c := range categories {
 		dist("goodput."+catNames[i], func(r *FatTreeResult) *metrics.Dist { return r.Collector.GoodputByCat[c] }, localStats)

@@ -22,7 +22,8 @@ import (
 // read, and a selection reads the union of its tables' names, the six
 // paper tables' for an empty one.
 func TestMatrixViewsDeclareReads(t *testing.T) {
-	rows := []Row{{Pattern: Permutation}, {Pattern: Random}, {Pattern: Incast}, {Pattern: Random, SACK: true}}
+	rows := []Row{{Pattern: Permutation}, {Pattern: Random}, {Pattern: Incast}, {Pattern: Random, SACK: true},
+		{Pattern: Random, QueueLimit: 50, Coexist: "XMP-2"}, {Pattern: Random, QueueLimit: 100, StrictNonECT: true, Coexist: "XMP-2"}}
 	schemes := []workload.Scheme{SchemeDCTCP, SchemeXMP2}
 	matrix := func(names []string) *Matrix {
 		var cells []*MatrixCell

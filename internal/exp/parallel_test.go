@@ -117,13 +117,14 @@ func TestTable2ParallelDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table2 runs are slow")
 	}
-	plan := Table2Plan(RunParams{K: 4, Timescale: 0.1, SizeScale: 256})
 	run := func(jobs int) (string, string) {
-		var prog, file bytes.Buffer
-		if err := RunPlan(CampaignTable2, plan, ShardSpec{Index: 0, Count: 2}, jobs, &prog).Encode(&file); err != nil {
+		var prog bytes.Buffer
+		data, _, err := RunCampaignShard(CampaignTable2, RunParams{K: 4, Timescale: 0.1, SizeScale: 256, Jobs: jobs},
+			ShardSpec{Index: 0, Count: 2}, &prog)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return file.String(), prog.String()
+		return string(data), prog.String()
 	}
 	st, sp := run(1)
 	pt, pp := run(8)

@@ -147,19 +147,25 @@ func recycleCells(t *testing.T) []recycleCell {
 		})
 	}
 
+	coexistCfg := CellConfig{K: 4, Duration: dur, SizeScale: 256}
 	for _, strict := range []bool{false, true} {
-		for _, q := range table2Queues {
-			cfg := CellConfig{K: 4, Duration: dur, SizeScale: 256, QueueLimit: q, StrictNonECT: strict}
+		for _, q := range []int{50, 100} {
+			row := Row{Pattern: Random, QueueLimit: q, StrictNonECT: strict, Coexist: "XMP-2"}
 			for _, other := range []workload.Scheme{SchemeTCP, SchemeLIA2} {
 				group := fmt.Sprintf("k4-q%d-strict=%v", q, strict)
 				if q == 100 && !strict {
 					group = "k4" // the default fabric
 				}
 				add(group, fmt.Sprintf("table2/q%d/strict=%v/%s", q, strict, other.Label()),
-					func(w *Worker) any { return runCoexist(w, cfg, other) })
+					func(w *Worker) any { return RunFatTree(w, coexistCfg, row, other) })
 			}
 		}
 	}
+	// A coexist cell as the table2 campaign runs it, which hands its
+	// collector back for the next cell on the worker to rewind.
+	handBack := MatrixPlan(`scenario {"metrics":["table1","fig8","fig10","fig11","table2"]}`, coexistCfg,
+		[]Row{{Pattern: Random, QueueLimit: 50, Coexist: "XMP-2"}}, []workload.Scheme{SchemeDCTCP})
+	add("k4-q50-strict=false", "table2/q50/DCTCP/hand-back", func(w *Worker) any { return handBack.Run(w, 0) })
 
 	// The sweep rows at 10 ms: three cells of the vl2 spec on its Clos, and
 	// on the default fabric at k=4 the params spec's K=10, beta=4 cell, the

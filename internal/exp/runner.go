@@ -9,11 +9,11 @@ import (
 )
 
 // This file is the parallel experiment fan-out every campaign runner
-// (matrix, coexistence, sweeps, ablations) is built on. The paper's
-// evaluation is a grid of independent simulations: each cell owns its own
-// RNG and collector, and each worker goroutine its own fabric (engine,
-// topology, packet pool) and flow arena, which its cells reset and rewind
-// in turn, so cells are embarrassingly parallel.
+// (the matrix family, fct, robustness, the figures, ablation) is built on.
+// The paper's evaluation is a grid of independent simulations: each cell
+// owns its own RNG and collector, and each worker goroutine its own fabric
+// (engine, topology, packet pool) and flow arena, which its cells reset and
+// rewind in turn, so cells are embarrassingly parallel.
 // The runner exploits exactly that — and nothing more: inside a cell the
 // simulator stays strictly single-threaded.
 //

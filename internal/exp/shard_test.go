@@ -265,15 +265,18 @@ func TestMatrixShardMergeByteIdentical(t *testing.T) {
 }
 
 // TestTable2ShardMergeByteIdentical does the same for the coexistence
-// campaign — tables and the -json plot export alike — and additionally
-// pins that the campaign's two variants are its cells run and rendered
-// back to back.
+// campaign through its spec — tables and the -json plot export alike, for
+// n=1, 3 and 4 — and additionally pins that the rendered campaign is its
+// two switch variants back to back.
 func TestTable2ShardMergeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table2 runs are slow")
 	}
-	plan := Table2Plan(RunParams{K: 4, Timescale: 0.1, SizeScale: 256})
-	whole := RunPlan(CampaignTable2, plan, Unsharded, 4, nil)
+	p := RunParams{K: 4, Timescale: 0.1, SizeScale: 256, Jobs: 4}
+	whole, err := RunCampaign(CampaignTable2, p, Unsharded, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inMemory, err := MergeShards([]ShardEncoder{whole})
 	if err != nil {
 		t.Fatalf("merge: %v", err)
@@ -283,32 +286,22 @@ func TestTable2ShardMergeByteIdentical(t *testing.T) {
 	if err := inMemory.WriteJSON(&wantPlot); err != nil {
 		t.Fatalf("plot export: %v", err)
 	}
-
-	// The campaign is its variants back to back: cells [0,6) under
-	// non-strict switches, [6,12) under RED-strict ones.
-	var variants bytes.Buffer
-	for v, strict := range []bool{false, true} {
-		r := &Table2Result{StrictNonECT: strict, Queues: table2Queues, Others: table2Others}
-		for _, cell := range whole.Cells[v*6 : (v+1)*6] {
-			r.Cells = append(r.Cells, cell.Data)
-		}
-		fmt.Fprintln(&variants)
-		r.Render(&variants)
-	}
-	if variants.String() != want.String() {
-		t.Errorf("campaign render is not its two variants back to back:\n--- variants ---\n%s\n--- campaign ---\n%s",
-			variants.String(), want.String())
+	variants := strings.SplitAfter(want.String(), "\n\n")
+	if len(variants) != 2 || !strings.Contains(variants[0], "(non-ECT uses full buffer)") ||
+		!strings.Contains(variants[1], "(RED-strict: non-ECT dropped above K)") || !strings.HasPrefix(want.String(), "\nTable 2: ") {
+		t.Errorf("campaign render is not its two variants back to back, each after a blank line:\n%s", want.String())
 	}
 
-	for _, count := range []int{1, 3} {
-		files := []*ShardFile[Table2Cell]{whole}
-		if count > 1 {
-			files = make([]*ShardFile[Table2Cell], count)
-			for i := range files {
-				files[i] = RunPlan(CampaignTable2, plan, ShardSpec{i, count}, 4, nil)
+	for _, count := range []int{1, 3, 4} {
+		blobs := make([]ShardBlob, count)
+		for i := range blobs {
+			data, _, err := RunCampaignShard(CampaignTable2, p, ShardSpec{i, count}, nil)
+			if err != nil {
+				t.Fatalf("n=%d: shard %d: %v", count, i, err)
 			}
+			blobs[i] = ShardBlob{Name: fmt.Sprintf("shard-%d.json", i), Data: data}
 		}
-		res, err := MergeShardBlobs(encodeBlobs(t, files))
+		res, err := MergeShardBlobs(blobs)
 		if err != nil {
 			t.Fatalf("n=%d: merge: %v", count, err)
 		}
@@ -335,12 +328,12 @@ func TestMergeRejectsForeignCampaign(t *testing.T) {
 		Manifest: newManifest(CampaignAblation, "ablation", ShardSpec{0, 2}, 2),
 		Cells:    []ShardCell[AblationResult]{{Cell: 0}},
 	}
-	table2 := &ShardFile[Table2Cell]{
-		Manifest: newManifest(CampaignTable2, "table2", ShardSpec{1, 2}, 2),
-		Cells:    []ShardCell[Table2Cell]{{Cell: 1}},
+	matrix := &ShardFile[*MatrixCell]{
+		Manifest: newManifest(CampaignMatrix, "matrix", ShardSpec{1, 2}, 2),
+		Cells:    []ShardCell[*MatrixCell]{{Cell: 1}},
 	}
 	blobs := append(encodeBlobs(t, []*ShardFile[AblationResult]{ablation}),
-		encodeBlobs(t, []*ShardFile[Table2Cell]{table2})...)
+		encodeBlobs(t, []*ShardFile[*MatrixCell]{matrix})...)
 	if _, err := MergeShardBlobs(blobs); err == nil || !strings.Contains(err.Error(), "campaign mismatch") {
 		t.Fatalf("foreign campaign accepted: %v", err)
 	}
@@ -363,11 +356,10 @@ func TestMergeRejectsCellManifestDisagreement(t *testing.T) {
 	}
 }
 
-// TestMergeRefusesBadGrid pins that merge reads the matrix and table2 axes
-// off the cells and refuses, naming the cell, a shard set whose cells do
-// not form the row × scheme grid, or the variant × queue × other grid:
-// transposed, short, with a repeated row or column, or with variants that
-// differ. Two β variants of one scheme are two columns. A matrix cell that
+// TestMergeRefusesBadGrid pins that merge reads the matrix axes off the
+// cells and refuses, naming the cell, a shard set whose cells do not form
+// the row × scheme grid: transposed, short, or with a repeated row or
+// column. Two β variants of one scheme are two columns. A matrix cell that
 // lacks a selected metric, or carries one no selected table reads, is
 // refused naming the cell and the metric.
 func TestMergeRefusesBadGrid(t *testing.T) {
@@ -391,14 +383,6 @@ func TestMergeRefusesBadGrid(t *testing.T) {
 		return f
 	}
 	mx := func(cells ...string) ShardEncoder { return mxWith(func(map[string]float64) {}, cells...) }
-	t2 := func(cells ...Table2Cell) ShardEncoder {
-		f := &ShardFile[Table2Cell]{Manifest: newManifest(CampaignTable2, "grid", Unsharded, len(cells))}
-		for i, c := range cells {
-			f.Cells = append(f.Cells, ShardCell[Table2Cell]{i, c})
-		}
-		return f
-	}
-	q := func(limit int, other workload.Scheme) Table2Cell { return Table2Cell{Other: other, QueueLimit: limit} }
 	for _, tc := range []struct {
 		name string
 		set  ShardEncoder
@@ -418,13 +402,6 @@ func TestMergeRefusesBadGrid(t *testing.T) {
 			`cell 0 (Permutation DCTCP carries metric "goodput.p1", which no selected table reads)`},
 		{"matrix cell carries an unselected metric", mxWith(func(m map[string]float64) { m["drops"] = 0 }, "Permutation/DCTCP"),
 			`metric "drops"`},
-		{"table2 grid", t2(q(50, SchemeTCP), q(50, SchemeDCTCP), q(100, SchemeTCP), q(100, SchemeDCTCP),
-			q(50, SchemeTCP), q(50, SchemeDCTCP), q(100, SchemeTCP), q(100, SchemeDCTCP)), ""},
-		{"table2 transposed", t2(q(50, SchemeTCP), q(100, SchemeTCP), q(50, SchemeDCTCP), q(100, SchemeDCTCP),
-			q(50, SchemeTCP), q(100, SchemeTCP), q(50, SchemeDCTCP), q(100, SchemeDCTCP)), "cell 2 "},
-		{"table2 variants differ", t2(q(50, SchemeTCP), q(50, SchemeDCTCP), q(100, SchemeTCP), q(100, SchemeDCTCP),
-			q(50, SchemeTCP), q(50, SchemeDCTCP), q(100, SchemeDCTCP), q(100, SchemeTCP)), "cell 6 "},
-		{"table2 one variant", t2(q(50, SchemeTCP), q(50, SchemeDCTCP), q(100, SchemeTCP)), "two switch variants"},
 	} {
 		_, err := MergeShards([]ShardEncoder{tc.set})
 		switch {

@@ -44,8 +44,7 @@ func RunPlan[T any](campaign string, pl Plan[T], shard ShardSpec, jobs int, prog
 }
 
 // describe is the config description of a Go plan: the campaign's name
-// and, as JSON, the knobs that shape its cells — for a fabric campaign the
-// cell its runs start from, defaults resolved, and the axes its cells vary.
+// and, as JSON, the knobs that shape its cells.
 func describe(name string, knobs map[string]any) string {
 	desc, err := json.Marshal(knobs)
 	if err != nil {
@@ -264,6 +263,7 @@ var matrixFamily = descriptor[*MatrixCell, *Matrix]{
 		{CampaignIncast, method((*Matrix).RenderIncastSweep), incastSweepReads},
 		{CampaignSACK, method((*Matrix).RenderSACK), sackReads},
 		{CampaignVL2, method((*Matrix).RenderVL2), vl2Reads},
+		{CampaignTable2, method((*Matrix).RenderTable2), table2Reads},
 	},
 	BlankFirst: true,
 	Plot:       func(w io.Writer, m *Matrix) error { return m.WriteJSON(w) },
@@ -298,15 +298,7 @@ var campaigns = []*campaign{
 			return panels
 		}),
 	declare(matrixFamily),
-	declare(descriptor[Table2Cell, []*Table2Result]{
-		Name:     CampaignTable2,
-		Doc:      "coexistence goodput: XMP vs LIA/TCP/DCTCP at queue 50/100, both switch models",
-		Plan:     Table2Plan,
-		Assemble: assembleTable2,
-		Render:   renderTable2,
-		// The plot export is the RED-strict variant, as it always was.
-		Plot: func(w io.Writer, rs []*Table2Result) error { return rs[1].WriteJSON(w) },
-	}),
+	spec(CampaignTable2, "coexistence goodput: XMP vs LIA/TCP/DCTCP at queue 50/100, both switch models", CampaignMatrix),
 	listOf(descriptor[AblationResult, []AblationResult]{
 		Name:   CampaignAblation,
 		Doc:    "marking-rule / echo-mode / cwr-guard ablations",

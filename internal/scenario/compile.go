@@ -104,7 +104,8 @@ func (c *Compiled) Cells() int { return len(c.Labels) }
 
 // matrixRow is the matrix row a resolved workload describes.
 func matrixRow(w WorkloadSpec) exp.Row {
-	row := exp.Row{MarkThreshold: w.MarkThreshold, SACK: w.SACK, Servers: w.Servers}
+	row := exp.Row{MarkThreshold: w.MarkThreshold, SACK: w.SACK, Servers: w.Servers,
+		QueueLimit: w.QueueLimit, StrictNonECT: w.StrictNonECT, Coexist: w.Coexist}
 	switch w.Kind {
 	case "permutation":
 		row.Pattern = exp.Permutation
@@ -151,9 +152,10 @@ func (c *Compiled) cell(seed int64) exp.CellConfig {
 
 // CheckTargets resolves the chaos schedule's fault targets against the
 // scenario's topology without running anything — the dry-run half of
-// `xmpsim run -validate`, and the fail-fast check RunShard performs so a
-// worker rejects a bad spec with an error instead of panicking mid-cell.
-// No-op without a chaos block.
+// `xmpsim run -validate` and `xmpsim dispatch -campaign FILE.json`, and
+// the fail-fast check RunShard performs before it runs a cell, so a worker
+// rejects a bad spec with an error instead of panicking mid-cell. It
+// builds the fabric to do so. No-op without a chaos block.
 func (c *Compiled) CheckTargets() error {
 	cfg := c.cell(1)
 	if cfg.Chaos == nil {
@@ -170,8 +172,11 @@ func (c *Compiled) CheckTargets() error {
 // the scenario's config. The caller validates the shard spec
 // (exp.RunCampaign does).
 func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (exp.ShardEncoder, error) {
-	if err := c.CheckTargets(); err != nil {
-		return nil, err
+	// A probe owns no cell, so it builds no fabric to check targets.
+	if shard.Index < c.Cells() {
+		if err := c.CheckTargets(); err != nil {
+			return nil, err
+		}
 	}
 	r := c.Spec
 	switch r.Family {

@@ -11,7 +11,7 @@ import (
 // specCampaigns are the campaigns whose only definition is the spec of that
 // name embedded from scenarios/.
 var specCampaigns = []string{
-	exp.CampaignMatrix, exp.CampaignSubflow, exp.CampaignParams, exp.CampaignIncast,
+	exp.CampaignMatrix, exp.CampaignTable2, exp.CampaignSubflow, exp.CampaignParams, exp.CampaignIncast,
 	exp.CampaignSACK, exp.CampaignVL2, exp.CampaignFCT, exp.CampaignRobustness,
 }
 

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"os"
@@ -125,12 +126,7 @@ func resolve(s *Spec, readFile func(path string) ([]byte, error)) (*Spec, error)
 			// The family defaults, scaled — mirroring the registry's
 			// -timescale handling (matrix cells lose their per-pattern
 			// defaults and run a uniform scaled horizon).
-			switch r.Family {
-			case FamilyMatrix:
-				r.DurationMS = 200
-			default:
-				r.DurationMS = float64(exp.ShortFlowHorizon / sim.Millisecond)
-			}
+			r.DurationMS = defaultHorizonMS(r.Family)
 		}
 		r.DurationMS *= sc.Timescale
 		sc.Timescale = 1
@@ -248,9 +244,42 @@ func resolve(s *Spec, readFile func(path string) ([]byte, error)) (*Spec, error)
 			}
 			seen[m] = true
 		}
+		// The table2 view reads both halves of every cell.
+		if seen[exp.CampaignTable2] {
+			for i, w := range r.Workloads {
+				if w.Coexist == "" {
+					return nil, fmt.Errorf("scenario %s: metric table table2 reads a coexist half of every row, and workload %d sets no coexist", r.Name, i)
+				}
+			}
+		}
 	}
 
 	return &r, nil
+}
+
+// defaultHorizonMS is the horizon a family's cells run at timescale 1
+// when the spec names none: for the matrix family the Random pattern's,
+// which a timescale scales in place of the per-pattern ones.
+func defaultHorizonMS(family string) float64 {
+	if family == FamilyMatrix {
+		return 200
+	}
+	return float64(exp.ShortFlowHorizon / sim.Millisecond)
+}
+
+// Work is how many times a default-scale cell's work one cell of the
+// resolved spec s does: its horizon against its family's default, times
+// how much larger its flows are than at the default sizescale (smaller
+// flows count as the default's).
+func (s *Spec) Work() float64 {
+	work := 1.0
+	if s.DurationMS != 0 {
+		work = s.DurationMS / defaultHorizonMS(s.Family)
+	}
+	if def := (exp.CellConfig{}).WithDefaults().SizeScale; s.Scale.SizeScale < def {
+		work *= float64(def) / float64(s.Scale.SizeScale)
+	}
+	return work
 }
 
 // FamilyTables returns the metric tables a family can render, in render
@@ -266,8 +295,8 @@ func FamilyTables(family string) []string {
 func resolveWorkloads(r *Spec) ([]WorkloadSpec, error) {
 	if r.Family != FamilyMatrix {
 		for i, w := range r.Workloads {
-			if w.MarkThreshold != 0 || w.SACK || w.Servers != 0 {
-				return nil, fmt.Errorf("scenario %s: workload %d: mark_threshold, sack and servers set matrix rows; the %s family has none", r.Name, i, r.Family)
+			if rowFields(w) != (WorkloadSpec{Kind: w.Kind}) {
+				return nil, fmt.Errorf("scenario %s: workload %d: %s set matrix rows; the %s family has none", r.Name, i, rowFieldNames, r.Family)
 			}
 		}
 	}
@@ -277,6 +306,7 @@ func resolveWorkloads(r *Spec) ([]WorkloadSpec, error) {
 			r.Workloads = []WorkloadSpec{{Kind: "permutation"}, {Kind: "random"}, {Kind: "incast"}}
 		}
 		seen := map[exp.Row]bool{}
+		out := make([]WorkloadSpec, len(r.Workloads))
 		for i, w := range r.Workloads {
 			if w.Name != "" {
 				return nil, fmt.Errorf("scenario %s: workload %d: matrix patterns are labelled by kind; drop the name", r.Name, i)
@@ -286,22 +316,34 @@ func resolveWorkloads(r *Spec) ([]WorkloadSpec, error) {
 			default:
 				return nil, fmt.Errorf("scenario %s: workload %d: unknown matrix pattern %q (want permutation, random or incast)", r.Name, i, w.Kind)
 			}
-			if w != (WorkloadSpec{Kind: w.Kind, MarkThreshold: w.MarkThreshold, SACK: w.SACK, Servers: w.Servers}) {
-				return nil, fmt.Errorf("scenario %s: workload %d: matrix pattern %q takes only mark_threshold, sack and servers (sizes derive from sizescale)", r.Name, i, w.Kind)
+			if w != rowFields(w) {
+				return nil, fmt.Errorf("scenario %s: workload %d: matrix pattern %q takes only %s (sizes derive from sizescale)", r.Name, i, w.Kind, rowFieldNames)
 			}
-			if w.MarkThreshold < 0 || w.MarkThreshold >= r.Topology.QueueLimit {
-				return nil, fmt.Errorf("scenario %s: workload %d: mark_threshold %d (want 1..queue_limit-1, or 0 for the topology's)", r.Name, i, w.MarkThreshold)
+			queue, mark := cmp.Or(w.QueueLimit, r.Topology.QueueLimit), cmp.Or(w.MarkThreshold, r.Topology.MarkThreshold)
+			if w.MarkThreshold < 0 || w.QueueLimit < 0 || mark >= queue {
+				return nil, fmt.Errorf("scenario %s: workload %d: mark_threshold %d, queue_limit %d (want 0 < mark < queue limit, 0 for the topology's)", r.Name, i, w.MarkThreshold, w.QueueLimit)
 			}
 			if w.Servers < 0 || (w.Servers > 0 && w.Kind != "incast") {
 				return nil, fmt.Errorf("scenario %s: workload %d: servers %d (want > 0, on incast only)", r.Name, i, w.Servers)
+			}
+			if w.Coexist != "" {
+				if w.Kind != "random" {
+					return nil, fmt.Errorf("scenario %s: workload %d: coexist %q (on random only)", r.Name, i, w.Coexist)
+				}
+				sch, err := workload.ParseScheme(w.Coexist)
+				if err != nil {
+					return nil, fmt.Errorf("scenario %s: workload %d: coexist: %v", r.Name, i, err)
+				}
+				w.Coexist = workload.SchemeString(sch)
 			}
 			row := matrixRow(w)
 			if seen[row] {
 				return nil, fmt.Errorf("scenario %s: matrix row %s listed twice", r.Name, row)
 			}
 			seen[row] = true
+			out[i] = w
 		}
-		return r.Workloads, nil
+		return out, nil
 
 	case FamilyRobustness:
 		if len(r.Workloads) == 0 {
@@ -402,6 +444,15 @@ func resolveWorkloads(r *Spec) ([]WorkloadSpec, error) {
 		return out, nil
 	}
 	return nil, fmt.Errorf("scenario %s: unknown family %q", r.Name, r.Family)
+}
+
+// rowFieldNames are the fields of a workload that set a matrix row.
+const rowFieldNames = "mark_threshold, queue_limit, strict_non_ect, sack, servers and coexist"
+
+// rowFields is w with only its kind and its rowFieldNames kept.
+func rowFields(w WorkloadSpec) WorkloadSpec {
+	return WorkloadSpec{Kind: w.Kind, MarkThreshold: w.MarkThreshold, QueueLimit: w.QueueLimit, StrictNonECT: w.StrictNonECT,
+		SACK: w.SACK, Servers: w.Servers, Coexist: w.Coexist}
 }
 
 func applyShortFlowDefaults(w *WorkloadSpec) {

@@ -20,7 +20,8 @@ func noFiles(path string) ([]byte, error) {
 // tree; a resolved spec compiles; and CheckTargets, which builds the
 // fabric to resolve chaos targets, never panics. Chaos-file references
 // read the embedded scenarios/, as the spec-backed campaigns do. The
-// corpus is seeded with every file of scenarios/.
+// corpus is seeded with every file of scenarios/ and with Table 2's rows
+// each edited to a refusal.
 func FuzzResolve(f *testing.F) {
 	entries, err := scenarios.FS.ReadDir(".")
 	if err != nil || len(entries) == 0 {
@@ -32,6 +33,12 @@ func FuzzResolve(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(data)
+	}
+	// Table 2's rows with a refused edit each: coexist on incast, a queue
+	// no deeper than its marking threshold, the table2 view over a row
+	// without coexist.
+	for _, row := range []string{`"kind":"incast","coexist":"XMP-2"`, `"kind":"random","queue_limit":10,"coexist":"XMP-2"`, `"kind":"random","strict_non_ect":true`} {
+		f.Add([]byte(`{"name":"t","family":"matrix","workloads":[{` + row + `}],"schemes":["TCP"],"metrics":["table2"]}`))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -120,6 +120,9 @@ func TestHashSensitivity(t *testing.T) {
 		"row mark_threshold": func(s *Spec) { s.Workloads[0].MarkThreshold = 5 },
 		"row sack":           func(s *Spec) { s.Workloads[0].SACK = true },
 		"row servers":        func(s *Spec) { s.Workloads[1].Servers = 16 },
+		"row queue_limit":    func(s *Spec) { s.Workloads[0].QueueLimit = 50 },
+		"row strict_non_ect": func(s *Spec) { s.Workloads[0].StrictNonECT = true },
+		"row coexist":        func(s *Spec) { s.Workloads[0].Coexist = "XMP-2" },
 		"topology vl2":       func(s *Spec) { s.Topology = &TopologySpec{Kind: "vl2"} },
 	} {
 		s := rows()
@@ -222,9 +225,23 @@ func TestShippedScenarios(t *testing.T) {
 		cells    int
 	}{
 		"matrix.json":           {exp.CampaignMatrix, 15},
+		"table2.json":           {exp.CampaignMatrix, 12},
+		"sweep.json":            {exp.CampaignMatrix, 4},
+		"params.json":           {exp.CampaignMatrix, 20},
+		"incastsweep.json":      {exp.CampaignMatrix, 4},
+		"sack.json":             {exp.CampaignMatrix, 6},
+		"vl2.json":              {exp.CampaignMatrix, 5},
 		"robustness.json":       {exp.CampaignRobustness, 5},
 		"fct.json":              {exp.CampaignFCT, 5},
 		"permutation-flap.json": {exp.CampaignMatrix, 4},
+	}
+	// Every spec of scenarios/ is listed: robustness.chaos.json is the
+	// fault schedule robustness.json names, not a spec.
+	files, _ := filepath.Glob("../../scenarios/*.json")
+	for _, path := range files {
+		if name := filepath.Base(path); name != "robustness.chaos.json" && want[name].campaign == "" {
+			t.Errorf("scenarios/%s is not listed", name)
+		}
 	}
 	for name, w := range want {
 		c, err := CompileFile(filepath.Join("../../scenarios", name))
@@ -412,11 +429,21 @@ func TestResolveRejects(t *testing.T) {
 		"empty chaos":     {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"}, Chaos: &ChaosSpec{Seed: 1}}, "no events"},
 		"file and inline": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"}, Chaos: &ChaosSpec{File: "f.json", Seed: 1}}, "excludes inline"},
 		"matrix pattern params": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"},
-			Workloads: []WorkloadSpec{{Kind: "permutation", PerHost: 2}}}, "takes only mark_threshold, sack and servers"},
+			Workloads: []WorkloadSpec{{Kind: "permutation", PerHost: 2}}}, "takes only mark_threshold, queue_limit, strict_non_ect, sack, servers and coexist"},
 		"row mark >= queue": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"},
 			Workloads: []WorkloadSpec{{Kind: "random", MarkThreshold: 100}}}, "mark_threshold 100"},
 		"row mark < 0": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"},
 			Workloads: []WorkloadSpec{{Kind: "random", MarkThreshold: -1}}}, "mark_threshold -1"},
+		"row queue <= mark": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"},
+			Workloads: []WorkloadSpec{{Kind: "random", QueueLimit: 10}}}, "queue_limit 10"},
+		"row queue < 0": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"},
+			Workloads: []WorkloadSpec{{Kind: "random", QueueLimit: -50}}}, "queue_limit -50"},
+		"coexist off random": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"},
+			Workloads: []WorkloadSpec{{Kind: "incast", Coexist: "XMP-2"}}}, "on random only"},
+		"bad coexist": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"},
+			Workloads: []WorkloadSpec{{Kind: "random", Coexist: "QUIC-2"}}}, "unknown algorithm"},
+		"table2 without coexist": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"}, Metrics: []string{"table2"},
+			Workloads: []WorkloadSpec{{Kind: "random", Coexist: "XMP-2"}, {Kind: "random"}}}, "workload 1 sets no coexist"},
 		"servers off incast": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"},
 			Workloads: []WorkloadSpec{{Kind: "random", Servers: 4}}}, "on incast only"},
 		"servers < 0": {&Spec{Name: "x", Family: FamilyMatrix, Schemes: []string{"DCTCP"},
@@ -425,6 +452,8 @@ func TestResolveRejects(t *testing.T) {
 			Workloads: []WorkloadSpec{{Kind: "random", SACK: true}, {Kind: "random"}, {Kind: "random", SACK: true}}}, "row Random(sack) listed twice"},
 		"row field off matrix": {&Spec{Name: "x", Family: FamilyRobustness, Schemes: []string{"DCTCP"},
 			Workloads: []WorkloadSpec{{Kind: "random", SACK: true}}}, "set matrix rows"},
+		"coexist off matrix": {&Spec{Name: "x", Family: FamilyRobustness, Schemes: []string{"DCTCP"},
+			Workloads: []WorkloadSpec{{Kind: "random", Coexist: "XMP-2"}}}, "set matrix rows"},
 		"unnamed fct cell": {&Spec{Name: "x", Family: FamilyFCT,
 			Workloads: []WorkloadSpec{{Kind: "shortflows"}}}, "need a name"},
 		"foreign field": {&Spec{Name: "x", Family: FamilyRobustness, Schemes: []string{"DCTCP"},
@@ -613,5 +642,22 @@ func TestBetaVariantsAreDistinctSchemes(t *testing.T) {
 		if c.Data.Scheme != schemes[i] {
 			t.Errorf("robustness row %d labelled %q, want %q", i, c.Data.Scheme, schemes[i])
 		}
+	}
+}
+
+// TestProbeBuildsNoFabric: a probe owns no cell, so it resolves no chaos
+// target either. Probing the robustness campaign, whose spec has a fault
+// schedule, stays far below the thousands of allocations a throwaway k=8
+// fabric takes.
+func TestProbeBuildsNoFabric(t *testing.T) {
+	var err error
+	allocs := testing.AllocsPerRun(5, func() {
+		_, _, _, err = exp.CampaignProbe(exp.CampaignRobustness, exp.RunParams{})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 500 {
+		t.Errorf("probing robustness allocates %.0f times, want at most 500", allocs)
 	}
 }

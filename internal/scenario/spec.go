@@ -71,9 +71,11 @@ type Spec struct {
 	// Chaos is an optional fault schedule, inline or by file reference.
 	Chaos *ChaosSpec `json:"chaos,omitempty"`
 	// Metrics selects which result tables render; empty means the family's
-	// tables. A matrix cell carries only the metrics its selection reads. Table names per family: matrix — table1, table3, fig8, fig9,
-	// fig10, fig11, and the views sweep, params, incastsweep, sack and vl2,
-	// which only a selection renders; robustness/fct — summary, by-size.
+	// tables. A matrix cell carries only the metrics its selection reads.
+	// Table names per family: matrix — table1, table3, fig8, fig9, fig10,
+	// fig11, and the views sweep, params, incastsweep, sack, vl2 and table2,
+	// which only a selection renders (table2 only over coexist rows);
+	// robustness/fct — summary, by-size.
 	Metrics []string `json:"metrics,omitempty"`
 }
 
@@ -110,8 +112,9 @@ type WorkloadSpec struct {
 	// elsewhere — matrix and robustness workloads are labelled by kind).
 	Name string `json:"name,omitempty"`
 	// Kind: matrix — permutation | random | incast (the Section 5.2
-	// patterns, sized by sizescale, one row each); robustness — random |
-	// shortflows; fct — shortflows | incast-burst.
+	// patterns, sized by sizescale, one row each, with the row fields
+	// below); robustness — random | shortflows; fct — shortflows |
+	// incast-burst.
 	Kind string `json:"kind"`
 	// Bounded-Pareto size parameters (random, shortflows).
 	MeanBytes int64   `json:"mean_bytes,omitempty"`
@@ -132,11 +135,17 @@ type WorkloadSpec struct {
 	// axis). shortflows loops are always plain TCP and reject it.
 	Scheme string `json:"scheme,omitempty"`
 	// What a matrix row changes of the cell (exp.Row): its marking
-	// threshold, SACK on every connection and, on incast, the servers each
-	// job asks (default 8, capped at all hosts but the client).
-	MarkThreshold int  `json:"mark_threshold,omitempty"`
-	SACK          bool `json:"sack,omitempty"`
-	Servers       int  `json:"servers,omitempty"`
+	// threshold and queue limit, RED-strict switches that drop non-ECT
+	// packets above the threshold, SACK on every connection; on incast the
+	// servers each job asks (default 8, capped at all hosts but the
+	// client); on random a coexist scheme, which the even-indexed hosts run
+	// beside the row's scheme on the odd-indexed ones (Table 2).
+	MarkThreshold int    `json:"mark_threshold,omitempty"`
+	QueueLimit    int    `json:"queue_limit,omitempty"`
+	StrictNonECT  bool   `json:"strict_non_ect,omitempty"`
+	SACK          bool   `json:"sack,omitempty"`
+	Servers       int    `json:"servers,omitempty"`
+	Coexist       string `json:"coexist,omitempty"`
 }
 
 // ChaosSpec is a fault schedule, by reference or inline. Exactly one form
