@@ -161,14 +161,14 @@ func TestEleventhCampaign(t *testing.T) {
 			}
 		},
 		Tables: []view[[]square]{
-			{"ns", func(w io.Writer, ss []square) { fmt.Fprintln(w, "n:", len(ss)) }, nil},
+			{"ns", func(w io.Writer, ss []square) { fmt.Fprintln(w, "n:", len(ss)) }, nil, false},
 			{"sum", func(w io.Writer, ss []square) {
 				sum := 0
 				for _, s := range ss {
 					sum += s.Sq
 				}
 				fmt.Fprintln(w, "sum:", sum)
-			}, nil},
+			}, nil, false},
 		},
 		Plot: func(w io.Writer, ss []square) error { return json.NewEncoder(w).Encode(ss[len(ss)-1]) },
 	}))

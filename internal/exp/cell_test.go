@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -62,8 +63,8 @@ func TestCellRun(t *testing.T) {
 	if got, want := NewCell(nil, lossy, SchemeXMP2).Base.RNG.Int63n(1<<62), ref.Int63n(1<<62); got != want {
 		t.Errorf("lossy cell RNG is not NewRNG(seed) after exactly Fork(99): next draw %d, want %d", got, want)
 	}
-	point := func() RobustnessPoint {
-		return RunChaosCell(nil, ChaosCellConfig{
+	point := func() *ListCell {
+		return runChaosCell(nil, ChaosCellConfig{
 			Cell:   lossy,
 			Scheme: SchemeXMP2,
 			Random: &workload.RandomConfig{ParetoMeanBytes: 256 << 10, ParetoMaxBytes: 1 << 20, MaxFlowsPerDst: 4},
@@ -71,11 +72,11 @@ func TestCellRun(t *testing.T) {
 		})
 	}
 	a, b := point(), point()
-	if a != b {
-		t.Errorf("one lossy config, two points:\n%+v\n%+v", a, b)
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("one lossy config, two points:\n%v\n%v", a.Metrics, b.Metrics)
 	}
-	if a.Faults != 1 || a.Flows == 0 || a.Drops == 0 {
-		t.Errorf("loss burst did not bite a running cell: %+v", a)
+	if a.Metric("faults") != 1 || a.Metric("flows") == 0 || a.Metric("drops") == 0 {
+		t.Errorf("loss burst did not bite a running cell: %v", a.Metrics)
 	}
 }
 

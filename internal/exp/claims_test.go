@@ -182,9 +182,9 @@ func walk(v reflect.Value, path string) []float64 {
 	return out
 }
 
-// col reads path off the rows of a point-list result whose first field
-// prints as each key: col("GoodputMbps", "XMP-2"). fig reads it off each
-// panel of a figure campaign, or the listed ones, naming values by config.
+// col reads path off the ablation rows whose first field prints as each
+// key: col("Drops", abRED). fig reads it off each panel of a figure
+// campaign, or the listed ones, naming values by config.
 func col(path string, keys ...string) vec {
 	return func(r any) (out []num) {
 		rows := reflect.ValueOf(r)
@@ -373,6 +373,17 @@ func coexist(variant int, queues []int, others ...workload.Scheme) (xmp, other v
 		rows = append(rows, Row{Pattern: Random, QueueLimit: q, StrictNonECT: variant == 1, Coexist: "XMP-2"})
 	}
 	return mx(of("XMP-2 goodput", "coexist.goodput", "mean"), rows, others...), mx(goodput, rows, others...)
+}
+
+// lc reads the named metric off the fct or robustness cell of each label.
+func lc(name string, labels ...string) vec {
+	return on(func(cells []*ListCell) (out []num) {
+		for _, l := range labels {
+			i := slices.IndexFunc(cells, func(c *ListCell) bool { return c.Label == l })
+			out = append(out, num{l + " " + name, cells[i].Metric(name)})
+		}
+		return out
+	})
 }
 
 // grid reads stat k of the params matrix at each (beta, K): XMP-2/b<beta>
@@ -591,14 +602,14 @@ var claims = []claim{
 		within(quot(mx(podRTT, rnd, lias...), mx(podRTT, rnd, dctcp)), 2, 2.6))},
 
 	{"fct/incast-10k", CampaignFCT, "", all(
-		within(col("Launched", incasts...), 10000, inf), within(diff(col("Launched", incasts...), col("Flows", incasts...)), 0, 0),
-		within(col("Drops", incasts...), 1, inf), order(col("P999Ms", incasts...), col("P50Ms", incasts...)))},
-	{"fct/rto-tail", CampaignFCT, "", all(within(col("P50Ms", shortFlows...), 0, 5), within(col("P99Ms", shortFlows...), 200, 300))},
-	{"fct/incast-xmp2-slowest", CampaignFCT, "", within(quot(col("P50Ms", "incast-xmp2"), col("P50Ms", "incast10k", "incast-dctcp")), 2, 4)},
+		within(lc("launched", incasts...), 10000, inf), within(diff(lc("launched", incasts...), lc("fct.n", incasts...)), 0, 0),
+		within(lc("drops", incasts...), 1, inf), order(lc("fct.p99.9", incasts...), lc("fct.p50", incasts...)))},
+	{"fct/rto-tail", CampaignFCT, "", all(within(lc("fct.p50", shortFlows...), 0, 5), within(lc("fct.p99", shortFlows...), 200, 300))},
+	{"fct/incast-xmp2-slowest", CampaignFCT, "", within(quot(lc("fct.p50", "incast-xmp2"), lc("fct.p50", "incast10k", "incast-dctcp")), 2, 4)},
 
-	{"robustness/faults-bite", CampaignRobustness, "", all(within(col("Faults", allFaulty...), 5, 5), within(col("Flows", allFaulty...), 128, 128))},
+	{"robustness/faults-bite", CampaignRobustness, "", all(within(lc("faults", allFaulty...), 5, 5), within(lc("flows", allFaulty...), 128, 128))},
 	{"robustness/ecn-beats-loss", CampaignRobustness, "", all(
-		ratios(col("GoodputMbps", ecnFaulty...), col("GoodputMbps", lossFaulty...), 1.3, 1.6),
-		order(least(col("P99Ms", lossFaulty...)), most(col("P99Ms", ecnFaulty...))))},
-	{"robustness/xmp-trails-dctcp", CampaignRobustness, "", within(quot(col("GoodputMbps", "XMP-2"), col("GoodputMbps", "DCTCP")), 0.95, 0.999)},
+		ratios(lc("goodput.mean", ecnFaulty...), lc("goodput.mean", lossFaulty...), 1.3, 1.6),
+		order(least(lc("fct.p99", lossFaulty...)), most(lc("fct.p99", ecnFaulty...))))},
+	{"robustness/xmp-trails-dctcp", CampaignRobustness, "", within(quot(lc("goodput.mean", "XMP-2"), lc("goodput.mean", "DCTCP")), 0.95, 0.999)},
 }

@@ -34,14 +34,24 @@ func matrixCell(pattern Pattern, views string) collectorCell {
 var (
 	matrixPerm = matrixCell(Permutation, `"table1"`)
 	matrixRand = matrixCell(Random, `"fig10"`)
-	fctCfg     = FCTCellConfig{Name: "short", Cell: CellConfig{K: 4, Duration: 10 * sim.Millisecond},
+	fctCfg     = FCTCellConfig{Cell: CellConfig{K: 4, Duration: 10 * sim.Millisecond},
 		Short: &workload.ShortFlowsConfig{Alpha: 1.1, MeanBytes: 48 << 10, MinBytes: 1 << 10, MaxBytes: 2 << 20, PerHost: 2}}
-	fctCell  = collectorCell{"fct/shortflows", func(w *Worker) any { return RunFCTCell(w, fctCfg) }}
+	fctCell  = collectorCell{"fct/shortflows", func(w *Worker) any { return runFCTCell(w, fctCfg) }}
 	chaosCfg = ChaosCellConfig{Cell: CellConfig{K: 4, Duration: 10 * sim.Millisecond}, Scheme: SchemeXMP2,
 		Random: &workload.RandomConfig{ParetoMeanBytes: 256 << 10, ParetoMaxBytes: 1 << 20, MaxFlowsPerDst: 4},
 		Short:  &workload.ShortFlowsConfig{Alpha: 1.1, MeanBytes: 48 << 10, MinBytes: 1 << 10, MaxBytes: 2 << 20, PerHost: 1}}
-	chaosCell = collectorCell{"robustness/XMP-2", func(w *Worker) any { return RunChaosCell(w, chaosCfg) }}
+	chaosCell = collectorCell{"robustness/XMP-2", func(w *Worker) any { return runChaosCell(w, chaosCfg) }}
 )
+
+// runFCTCell and runChaosCell run cell 0 of a one-cell fct or robustness
+// plan that selects every table, labelled "cell".
+func runFCTCell(w *Worker, cfg FCTCellConfig) *ListCell {
+	return FCTPlan("exp test fct", []string{"cell"}, []FCTCellConfig{cfg}).Run(w, 0)
+}
+
+func runChaosCell(w *Worker, cfg ChaosCellConfig) *ListCell {
+	return ChaosPlan("exp test robustness", []string{"cell"}, []ChaosCellConfig{cfg}).Run(w, 0)
+}
 
 // seriesN counts the samples of each switchable series of col.
 func seriesN(col *workload.Collector) (goodput, rtt, fct int) {
@@ -148,14 +158,15 @@ func TestSeriesSwitchesDoNotCarryOver(t *testing.T) {
 // TestSkippedSeriesAreUnread: each reducer reports the same with every
 // series recorded as with its cell's skips, so none reads a series its
 // cell leaves empty. The matrix cells, a coexist cell among them, are
-// reduced to every metric of the metric table their row has, whatever a
-// selection names.
+// reduced to every metric a matrix table or view reads that their row has,
+// whatever a selection names; the fct and robustness cells to every metric
+// their family's tables read.
 func TestSkippedSeriesAreUnread(t *testing.T) {
-	var all []string
-	for n := range cellMetrics {
-		all = append(all, n)
+	var views []string
+	for _, v := range append(slices.Clip(matrixFamily.Tables), matrixFamily.Views...) {
+		views = append(views, v.Name)
 	}
-	slices.Sort(all)
+	all := matrixFamily.reads(views)
 	for _, row := range []Row{{Pattern: Permutation}, {Pattern: Random}, {Pattern: Incast}, {Pattern: Random, QueueLimit: 50, Coexist: "XMP-2"}} {
 		names := all
 		if row.Coexist == "" {
@@ -171,10 +182,12 @@ func TestSkippedSeriesAreUnread(t *testing.T) {
 			}
 		}
 	}
-	if got, want := RunFCTCell(nil, fctCfg), runFCT(NewCell(nil, fctCfg.Cell, fctCfg.Scheme), fctCfg); !reflect.DeepEqual(got, want) {
-		t.Errorf("fct: payload with the cell's skips differs from every series recorded\nskips:    %+v\nrecorded: %+v", got, want)
+	fct := reduce(runFCT(NewCell(nil, fctCfg.Cell, fctCfg.Scheme), fctCfg), fctFamily.reads(nil))
+	if got := runFCTCell(nil, fctCfg).Metrics; !reflect.DeepEqual(got, fct) {
+		t.Errorf("fct: metrics with the cell's skips differ from every series recorded\nskips:    %v\nrecorded: %v", got, fct)
 	}
-	if got, want := RunChaosCell(nil, chaosCfg), runChaos(NewCell(nil, chaosCfg.Cell, chaosCfg.Scheme), chaosCfg); !reflect.DeepEqual(got, want) {
-		t.Errorf("robustness: payload with the cell's skips differs from every series recorded\nskips:    %+v\nrecorded: %+v", got, want)
+	chaos := reduce(runChaos(NewCell(nil, chaosCfg.Cell, chaosCfg.Scheme), chaosCfg), robustnessFamily.reads(nil))
+	if got := runChaosCell(nil, chaosCfg).Metrics; !reflect.DeepEqual(got, chaos) {
+		t.Errorf("robustness: metrics with the cell's skips differ from every series recorded\nskips:    %v\nrecorded: %v", got, chaos)
 	}
 }

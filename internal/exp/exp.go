@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 
 	"xmp/internal/mptcp"
 	"xmp/internal/workload"
@@ -28,10 +29,13 @@ var (
 	SchemeTCP   = workload.Scheme{Algorithm: mptcp.AlgReno, Subflows: 1}
 )
 
-// table renders fixed-width rows.
+// table renders fixed-width rows. Its first row is the header: a column
+// is widened to part a header cell from the next by at least a space, and
+// every row below keeps to the widened columns.
 type table struct {
 	w      io.Writer
 	widths []int
+	headed bool
 }
 
 func newTable(w io.Writer, widths ...int) *table { return &table{w: w, widths: widths} }
@@ -41,10 +45,14 @@ func (t *table) row(cells ...string) {
 	for i, c := range cells {
 		width := 12
 		if i < len(t.widths) {
+			if n := utf8.RuneCountInString(c); !t.headed && n >= t.widths[i] {
+				t.widths[i] = n + 1
+			}
 			width = t.widths[i]
 		}
 		fmt.Fprintf(&b, "%-*s", width, c)
 	}
+	t.headed = true
 	fmt.Fprintln(t.w, strings.TrimRight(b.String(), " "))
 }
 

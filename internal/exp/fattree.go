@@ -102,9 +102,10 @@ func patternCell(cfg CellConfig, row Row) CellConfig {
 	return cfg.WithDefaults()
 }
 
-// FatTreeResult is the outcome of one run, every recorded sample kept. It
-// stays in its worker: a matrix cell travels as the metrics reduceCell
-// takes of it.
+// FatTreeResult is the outcome of one fabric cell's run, every recorded
+// sample kept: a matrix cell's, an fct cell's or a robustness cell's. It
+// stays in its worker; a cell travels as the metrics the metric table takes
+// of it.
 type FatTreeResult struct {
 	// Row keys the cell in its matrix.
 	Row
@@ -118,6 +119,9 @@ type FatTreeResult struct {
 	IncastServers int
 	// Drops/Marks aggregate switch-queue statistics.
 	Drops, Marks int64
+	// Launched counts the flows an fct cell's generator started; Faults the
+	// chaos events a cell applied.
+	Launched, Faults int
 	// SimDuration is the simulated time until the last flow drained;
 	// Events the engine events executed.
 	SimDuration sim.Duration

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"xmp/internal/workload"
 )
@@ -23,48 +24,11 @@ import (
 // their cost is fan-in-driven and timescale-independent, like the paper's
 // fixed-size jobs.
 
-// FCTPoint is one FCT cell's outcome.
-type FCTPoint struct {
-	// Cell names the workload ("websearch", "datamining", "incast10k",
-	// "incast-dctcp", "incast-xmp2").
-	Cell string
-	// Launched counts flows started; Flows counts completions measured.
-	Launched int
-	Flows    int
-	// FCT percentiles in milliseconds.
-	P50Ms, P95Ms, P99Ms, P999Ms float64
-	Drops                       int64
-	// BySize slices the same completion times by flow size — the paper's
-	// "small flows p99 vs large flows" cut. Indexed by workload.FCTSizeBin
-	// (0 ≤ 32 KB, 1 in (32 KB, 1 MB], 2 > 1 MB).
-	BySize [workload.FCTBins]FCTBinPoint
-}
-
-// FCTBinPoint is one size bin's completion-time tail inside an FCTPoint.
-type FCTBinPoint struct {
-	Flows                float64
-	P50Ms, P99Ms, P999Ms float64
-}
-
-// fctBySize folds a collector's per-size completion times into bin points.
-func fctBySize(col *workload.Collector) (bins [workload.FCTBins]FCTBinPoint) {
-	for i, d := range col.FCTBySize {
-		bins[i] = FCTBinPoint{
-			Flows:  float64(d.N()),
-			P50Ms:  d.Percentile(50),
-			P99Ms:  d.Percentile(99),
-			P999Ms: d.Percentile(99.9),
-		}
-	}
-	return bins
-}
-
 // FCTCellConfig parameterizes one short-flow cell: a cell, a scheme, and
 // exactly one generator — a bounded-Pareto closed loop (Short) or a
 // synchronized incast burst (Incast). The scenario compiler's fct family
-// lowers onto RunFCTCell.
+// lowers onto FCTPlan.
 type FCTCellConfig struct {
-	Name string
 	Cell CellConfig
 	// Scheme is the incast senders' transfer scheme, used only when
 	// Incast.UseScheme is set (unset is the plain-TCP baseline).
@@ -76,19 +40,38 @@ type FCTCellConfig struct {
 	Incast *workload.IncastBurstConfig
 }
 
-// RunFCTCell runs one parameterized short-flow cell, recording completion
-// times only (FCT and JCT), and hands its collector back to w.
-func RunFCTCell(w *Worker, cfg FCTCellConfig) FCTPoint {
-	cfg.Cell.skip |= workload.SeriesGoodput | workload.SeriesRTT
-	c := NewCell(w, cfg.Cell, cfg.Scheme)
-	p := runFCT(c, cfg)
-	c.handBack()
-	return p
+// FCTPlan plans a cell per config, labelled by labels and described by
+// desc as MatrixPlan's are. Each records completion times only (FCT and
+// JCT), is reduced to the metrics of the tables desc selects and hands its
+// collector back.
+func FCTPlan(desc string, labels []string, cells []FCTCellConfig) Plan[*ListCell] {
+	reads := fctFamily.reads(scenarioMetrics(desc))
+	return Plan[*ListCell]{
+		Desc:  desc,
+		Cells: len(cells),
+		Run: func(w *Worker, i int) *ListCell {
+			cfg := cells[i]
+			cfg.Cell.skip |= workload.SeriesGoodput | workload.SeriesRTT
+			c := NewCell(w, cfg.Cell, cfg.Scheme)
+			r := runFCT(c, cfg)
+			cell := &ListCell{Label: labels[i], Metrics: reduce(r, reads), line: reduce(r, fctLine)}
+			c.handBack()
+			return cell
+		},
+		Progress: func(w io.Writer, c *ListCell) {
+			v := c.line
+			fmt.Fprintf(w, "fct %-10s flows=%-6d p50=%7.3fms p99=%8.3fms p999=%8.3fms drops=%d\n",
+				c.Label, int(v["fct.n"]), v["fct.p50"], v["fct.p99"], v["fct.p99.9"], int64(v["drops"]))
+		},
+	}
 }
 
-// runFCT starts cfg's generator on c, the cell built for it, runs the cell
-// and reduces it.
-func runFCT(c *Cell, cfg FCTCellConfig) FCTPoint {
+// fctLine is what an fct cell's progress line prints.
+var fctLine = []string{"fct.n", "fct.p50", "fct.p99", "fct.p99.9", "drops"}
+
+// runFCT starts cfg's generator on c, the cell built for it, and runs the
+// cell.
+func runFCT(c *Cell, cfg FCTCellConfig) *FatTreeResult {
 	// launched is read only after the run, when the generator's closed
 	// loops have stopped relaunching.
 	var launched *int
@@ -105,60 +88,52 @@ func runFCT(c *Cell, cfg FCTCellConfig) FCTPoint {
 		panic("exp: FCTCellConfig wants exactly one of Short / Incast")
 	}
 	c.Run()
-	col := c.Base.Collector
-	return FCTPoint{
-		Cell:     cfg.Name,
-		Launched: *launched,
-		Flows:    col.FCT.N(),
-		P50Ms:    col.FCT.Percentile(50),
-		P95Ms:    col.FCT.Percentile(95),
-		P99Ms:    col.FCT.Percentile(99),
-		P999Ms:   col.FCT.Percentile(99.9),
-		Drops:    c.Drops(),
-		BySize:   fctBySize(col),
-	}
+	return &FatTreeResult{Scheme: c.Base.Scheme, Collector: c.Base.Collector, Drops: c.Drops(), Launched: *launched}
 }
+
+// What the fct and robustness tables read off a cell.
+var (
+	fctTail                = names("fct", quantiles(50, 95, 99, 99.9)...)
+	fctSummaryReads        = slices.Concat([]string{"launched", "fct.n"}, fctTail, []string{"drops"})
+	robustnessSummaryReads = slices.Concat([]string{"goodput.mean", "flows", "faults"}, fctTail, []string{"drops"})
+	fctByBin               = each("fct", fctBins, binStats)
+	bySizeReads            = values(fctByBin)
+)
 
 // RenderFCTSummary prints the headline per-cell percentile table — the
 // "summary" metric of scenario fct specs.
-func RenderFCTSummary(w io.Writer, pts []FCTPoint) {
+func RenderFCTSummary(w io.Writer, cells []*ListCell) {
 	fmt.Fprintln(w, "Flow completion times: bounded-Pareto short flows and a 10k-sender incast burst under TCP/DCTCP/XMP-2 (k=8 fat-tree)")
 	tb := newTable(w, 14, 9, 9, 11, 11, 11, 11, 9)
 	tb.row("cell", "launched", "flows", "p50 ms", "p95 ms", "p99 ms", "p999 ms", "drops")
 	tb.rule()
-	for _, p := range pts {
-		tb.row(p.Cell, fmt.Sprintf("%d", p.Launched), fmt.Sprintf("%d", p.Flows),
-			f3(p.P50Ms), f3(p.P95Ms), f3(p.P99Ms), f3(p.P999Ms), fmt.Sprintf("%d", p.Drops))
+	for _, c := range cells {
+		tb.row(c.Label, fmt.Sprintf("%.0f", c.Metric("launched")), fmt.Sprintf("%.0f", c.Metric("fct.n")),
+			f3(c.Metric("fct.p50")), f3(c.Metric("fct.p95")), f3(c.Metric("fct.p99")), f3(c.Metric("fct.p99.9")),
+			fmt.Sprintf("%.0f", c.Metric("drops")))
 	}
 }
 
-// RenderFCTBySize prints the per-size-bin slicing of the same
-// distributions (the paper's "small flows p99 vs large flows" comparison) —
-// the "by-size" metric of scenario fct specs. Empty bins render as dashes so
-// the table shape is stable across cells that never produce a size class.
-func RenderFCTBySize(w io.Writer, pts []FCTPoint) {
-	renderBySize(w, "cell", 14, pts, func(p FCTPoint) (string, [workload.FCTBins]FCTBinPoint) {
-		return p.Cell, p.BySize
-	})
-}
-
-// renderBySize is the one by-size table: a row per (point, size bin), the
-// point named in a first column of the given header and width.
-func renderBySize[P any](w io.Writer, header string, width int, pts []P,
-	row func(P) (string, [workload.FCTBins]FCTBinPoint)) {
-	fmt.Fprintln(w, "By flow size (acknowledged bytes at completion)")
-	sb := newTable(w, width, 10, 9, 11, 11, 11)
-	sb.row(header, "size", "flows", "p50 ms", "p99 ms", "p999 ms")
-	sb.rule()
-	for _, p := range pts {
-		name, bins := row(p)
-		for i, b := range bins {
-			if b.Flows == 0 {
-				sb.row(name, workload.FCTBinLabel(i), "0", "-", "-", "-")
-				continue
+// renderBySize is the "by-size" table of fct and robustness specs, headed
+// header over a label column width wide: a row per cell and size bin (the
+// paper's "small flows p99 vs large flows" cut), an empty bin as dashes so
+// the table keeps its shape.
+func renderBySize(header string, width int) func(io.Writer, []*ListCell) {
+	return func(w io.Writer, cells []*ListCell) {
+		fmt.Fprintln(w, "By flow size (acknowledged bytes at completion)")
+		sb := newTable(w, width, 10, 9, 11, 11, 11)
+		sb.row(header, "size", "flows", "p50 ms", "p99 ms", "p999 ms")
+		sb.rule()
+		for _, c := range cells {
+			for i, b := range fctByBin {
+				n := c.Metric(b["n"])
+				if n == 0 {
+					sb.row(c.Label, workload.FCTBinLabel(i), "0", "-", "-", "-")
+					continue
+				}
+				sb.row(c.Label, workload.FCTBinLabel(i), fmt.Sprintf("%.0f", n),
+					f3(c.Metric(b["p50"])), f3(c.Metric(b["p99"])), f3(c.Metric(b["p99.9"])))
 			}
-			sb.row(name, workload.FCTBinLabel(i), fmt.Sprintf("%.0f", b.Flows),
-				f3(b.P50Ms), f3(b.P99Ms), f3(b.P999Ms))
 		}
 	}
 }

@@ -51,17 +51,17 @@ func MatrixPlan(desc string, base CellConfig, rows []Row, schemes []workload.Sch
 func assembleMatrix(cells []*MatrixCell, reads []string) (*Matrix, error) {
 	for i, c := range cells {
 		if c == nil {
-			return nil, fmt.Errorf("matrix: cell %d is null", i)
+			return nil, fmt.Errorf("cell %d is null", i)
 		}
-		if err := c.carries(reads); err != nil {
-			return nil, fmt.Errorf("matrix: cell %d (%v)", i, err)
+		if err := c.Metrics.carries(reads); err != nil {
+			return nil, fmt.Errorf("cell %d (%v %v)", i, c, err)
 		}
 	}
 	rows, labels, err := gridAxes(len(cells), func(i int) (Row, string) {
 		return cells[i].Row, workload.SchemeString(cells[i].Scheme)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("matrix: %v", err)
+		return nil, err
 	}
 	m := &Matrix{Rows: rows, Results: make(map[Row]map[string]*MatrixCell)}
 	for _, c := range cells[:len(labels)] {
@@ -392,7 +392,7 @@ func (m *Matrix) RenderVL2(w io.Writer) {
 
 // RenderTable2 prints the paper's Table 2: one table per group of Coexist
 // rows that differ in their queue limit alone — the two switch variants of
-// scenarios/table2.json — each after a blank line, with a column per queue
+// scenarios/table2.json — a blank line between them, with a column per queue
 // and a line per scheme, each cell the coexisting half's average goodput
 // against the scheme's half's (Mbps): the "table2" view.
 func (m *Matrix) RenderTable2(w io.Writer) {
@@ -403,13 +403,15 @@ func (m *Matrix) RenderTable2(w io.Writer) {
 			groups = append(groups, group(row))
 		}
 	}
-	for _, g := range groups {
+	for i, g := range groups {
 		coexist, _ := workload.ParseScheme(g.Coexist) // a label the cell ran, so it parses
 		variant := "non-ECT uses full buffer"
 		if g.StrictNonECT {
 			variant = "RED-strict: non-ECT dropped above K"
 		}
-		fmt.Fprintln(w)
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
 		fmt.Fprintf(w, "Table 2: Average Goodput (Mbps), %s pattern, %s coexisting (%s)\n", g.Pattern, g.Coexist, variant)
 		var cols []Row
 		widths, header := []int{16}, []string{"pairing"}

@@ -15,12 +15,12 @@ import (
 	"xmp/internal/workload"
 )
 
-// A matrix cell leaves its worker as named numbers. This file is the table
-// that defines each of them once, as a reduction of one cell's full
-// result. Every matrix table and view declares the names it reads
-// (matrixFamily in table.go); a spec's metric selection picks tables and
-// views, and MatrixPlan reduces each cell to the union of their names
-// before it is encoded, so a shard file carries what its tables print.
+// A cell leaves its worker as named numbers. This file is the table that
+// defines each of them once, as a reduction of one cell's full result.
+// Every table and view of the three spec families declares the names it
+// reads (table.go); a spec's metric selection picks tables and views, and
+// the family's plan reduces each cell to the union of their names before
+// it is encoded, so a shard file carries what its tables print.
 
 // MatrixCell is one matrix cell as a shard file carries it: its row, its
 // scheme and its metrics by name.
@@ -32,6 +32,18 @@ type MatrixCell struct {
 	// the full result is at hand. It does not travel.
 	run runSummary
 }
+
+// ListCell is one fct or robustness cell as a shard file carries it: its
+// label and its metrics by name.
+type ListCell struct {
+	Label   string
+	Metrics Metrics
+	// line is the metrics its progress line prints. It does not travel.
+	line Metrics
+}
+
+func (c *MatrixCell) String() string { return c.Row.String() + " " + workload.SchemeString(c.Scheme) }
+func (c *ListCell) String() string   { return c.Label }
 
 // runSummary is the run a matrix cell's progress line describes.
 type runSummary struct {
@@ -48,7 +60,7 @@ func (c *MatrixCell) writeLine(w io.Writer) {
 		c.Row, workload.SchemeString(c.Scheme), r.flows, r.goodput, r.jct, r.drops, r.marks, r.sim.Seconds())
 }
 
-// Metrics are a matrix cell's numbers by name.
+// Metrics are a cell's numbers by name.
 type Metrics map[string]float64
 
 // MarshalJSON writes m as encoding/json writes a map[string]float64 —
@@ -116,49 +128,56 @@ func appendJSONFloat(b []byte, v float64) []byte {
 // Metric returns the named metric, panicking with the cell and the name
 // if the cell does not carry it. Merge refuses a cell that lacks a
 // selected metric, so only a reader of an undeclared name gets here.
-func (c *MatrixCell) Metric(name string) float64 {
-	v, ok := c.Metrics[name]
+func (c *MatrixCell) Metric(name string) float64 { return c.Metrics.get(c, name) }
+func (c *ListCell) Metric(name string) float64   { return c.Metrics.get(c, name) }
+
+func (m Metrics) get(cell fmt.Stringer, name string) float64 {
+	v, ok := m[name]
 	if !ok {
-		panic(fmt.Sprintf("exp: cell %s %s carries no metric %q", c.Row, workload.SchemeString(c.Scheme), name))
+		panic(fmt.Sprintf("exp: cell %v carries no metric %q", cell, name))
 	}
 	return v
 }
 
-// carries returns an error unless the cell holds exactly the named
-// metrics, naming one it lacks or, failing that, one it holds beyond them.
-func (c *MatrixCell) carries(names []string) error {
+// carries returns an error unless m holds exactly the named metrics,
+// naming one it lacks or, failing that, one it holds beyond them.
+func (m Metrics) carries(names []string) error {
 	for _, n := range names {
-		if _, ok := c.Metrics[n]; !ok {
-			return fmt.Errorf("%s %s lacks metric %q", c.Row, workload.SchemeString(c.Scheme), n)
+		if _, ok := m[n]; !ok {
+			return fmt.Errorf("lacks metric %q", n)
 		}
 	}
-	if len(c.Metrics) == len(names) {
+	if len(m) == len(names) {
 		return nil
 	}
 	var extra []string
-	for n := range c.Metrics {
+	for n := range m {
 		if !slices.Contains(names, n) {
 			extra = append(extra, n)
 		}
 	}
-	return fmt.Errorf("%s %s carries metric %q, which no selected table reads",
-		c.Row, workload.SchemeString(c.Scheme), slices.Min(extra))
+	return fmt.Errorf("carries metric %q, which no selected table reads", slices.Min(extra))
 }
 
-// reduceCell reduces a cell's full result to the named metrics and what
-// its progress line prints.
-func reduceCell(r *FatTreeResult, names []string) *MatrixCell {
-	c := &MatrixCell{Row: r.Row, Scheme: r.Scheme, Metrics: make(Metrics, len(names))}
+// reduce reduces a cell's full result to the named metrics.
+func reduce(r *FatTreeResult, names []string) Metrics {
+	m := make(Metrics, len(names))
 	for _, n := range names {
 		of, ok := cellMetrics[n]
 		if !ok {
 			panic(fmt.Sprintf("exp: no metric %q in the metric table", n))
 		}
-		c.Metrics[n] = of(r)
+		m[n] = of(r)
 	}
+	return m
+}
+
+// reduceCell reduces a matrix cell's full result to the named metrics and
+// what its progress line prints.
+func reduceCell(r *FatTreeResult, names []string) *MatrixCell {
 	col := r.Collector
-	c.run = runSummary{col.FlowsCompleted, col.Goodput.Mean(), col.JCT.Mean(), r.Drops, r.Marks, r.SimDuration}
-	return c
+	return &MatrixCell{Row: r.Row, Scheme: r.Scheme, Metrics: reduce(r, names),
+		run: runSummary{col.FlowsCompleted, col.Goodput.Mean(), col.JCT.Mean(), r.Drops, r.Marks, r.SimDuration}}
 }
 
 // distStat is a statistic of a distribution, named as a metric's suffix.
@@ -210,6 +229,9 @@ var (
 		return out
 	}()
 	layers = []string{topo.LayerCore, topo.LayerAggregation, topo.LayerRack}
+	// fctBins name the flow-size bins, indexed by workload.FCTSizeBin:
+	// "fct.small.p99".
+	fctBins = []string{"small", "medium", "large"}
 )
 
 func catName(c topo.Category) string { return strings.ToLower(c.String()) }
@@ -247,18 +269,25 @@ var (
 	rttStats     = append([]distStat{statN, statMean}, quantiles(50, 95)...)
 	jctStats     = append([]distStat{statN, statMean, statAbove300}, append(quantiles(50, 99), cdfPoints(fig9Points...)...)...)
 	utilStats    = append(quantiles(50), statMin, statMax)
+	fctStats     = append([]distStat{statN}, quantiles(50, 95, 99, 99.9)...)
+	binStats     = append([]distStat{statN}, quantiles(50, 99, 99.9)...)
 )
 
-// cellMetrics is the metric table: every number a matrix table, view or
-// claim reads off a cell, by name. The coexist.* names read the coexisting
-// half of a Coexist row's hosts, the others its cell's scheme's half; only
-// a Coexist row has coexist.* (internal/scenario refuses a selection that
+// cellMetrics is the metric table: every number a table, view or claim
+// reads off a cell, by name. The coexist.* names read the coexisting half
+// of a Coexist row's hosts, the others its cell's scheme's half; only a
+// Coexist row has coexist.* (internal/scenario refuses a selection that
 // reads them on any other).
 var cellMetrics = func() map[string]func(*FatTreeResult) float64 {
 	t := map[string]func(*FatTreeResult) float64{
-		"flows":   func(r *FatTreeResult) float64 { return float64(r.Collector.FlowsCompleted) },
-		"drops":   func(r *FatTreeResult) float64 { return float64(r.Drops) },
-		"servers": func(r *FatTreeResult) float64 { return float64(r.IncastServers) },
+		// flows counts the finished large flows, those whose goodput is
+		// recorded (Collector.FlowsCompleted): a robustness cell's Random
+		// flows, not its short-flow probes. fct.n counts every completion.
+		"flows":    func(r *FatTreeResult) float64 { return float64(r.Collector.FlowsCompleted) },
+		"drops":    func(r *FatTreeResult) float64 { return float64(r.Drops) },
+		"servers":  func(r *FatTreeResult) float64 { return float64(r.IncastServers) },
+		"launched": func(r *FatTreeResult) float64 { return float64(r.Launched) },
+		"faults":   func(r *FatTreeResult) float64 { return float64(r.Faults) },
 	}
 	dist := func(name string, d func(*FatTreeResult) *metrics.Dist, stats []distStat) {
 		for _, s := range stats {
@@ -274,6 +303,10 @@ var cellMetrics = func() map[string]func(*FatTreeResult) float64 {
 	}
 	for _, l := range layers {
 		dist("util."+l, func(r *FatTreeResult) *metrics.Dist { return r.Collector.UtilByLayer[l] }, utilStats)
+	}
+	dist("fct", func(r *FatTreeResult) *metrics.Dist { return r.Collector.FCT }, fctStats)
+	for i, b := range fctBins {
+		dist("fct."+b, func(r *FatTreeResult) *metrics.Dist { return r.Collector.FCTBySize[i] }, binStats)
 	}
 	return t
 }()

@@ -92,12 +92,12 @@ func recycleCells(t *testing.T) []recycleCell {
 	k4 := CellConfig{K: 4, Duration: dur}
 	short := &workload.ShortFlowsConfig{Alpha: 1.1, MeanBytes: 48 << 10, MinBytes: 1 << 10, MaxBytes: 2 << 20, PerHost: 2}
 	add("k4", "fct/shortflows", func(w *Worker) any {
-		return RunFCTCell(w, FCTCellConfig{Name: "short", Cell: k4, Short: short})
+		return runFCTCell(w, FCTCellConfig{Cell: k4, Short: short})
 	})
 	// 24 senders of 4 KB fit the client port's 100-packet buffer, so a
 	// round ends without a 200 ms timeout and the next starts in the cell.
 	add("k4", "fct/incast-burst", func(w *Worker) any {
-		return RunFCTCell(w, FCTCellConfig{Name: "burst", Cell: k4, Scheme: SchemeXMP2,
+		return runFCTCell(w, FCTCellConfig{Cell: k4, Scheme: SchemeXMP2,
 			Incast: &workload.IncastBurstConfig{Senders: 24, ResponseBytes: 4 << 10, Rounds: 3, UseScheme: true}})
 	})
 	sackCfg := k4
@@ -127,7 +127,7 @@ func recycleCells(t *testing.T) []recycleCell {
 		cfg := lossy
 		cfg.Seed = int64(1 + i%2) // two cells share a seed: the loss stream must restart, not continue
 		add("k4-lossy", "robustness/"+scheme.Label(), func(w *Worker) any {
-			res := RunChaosCell(w, ChaosCellConfig{
+			res := runChaosCell(w, ChaosCellConfig{
 				Cell:   cfg,
 				Scheme: scheme,
 				Random: &workload.RandomConfig{ParetoMeanBytes: 256 << 10, ParetoMaxBytes: 1 << 20, MaxFlowsPerDst: 4},
@@ -368,7 +368,7 @@ func firstDiff(a, b string) string {
 func TestArenaNilEqualsArenaSet(t *testing.T) {
 	// The horizon lets the second round start: the first loses packets at
 	// the client's port and ends on 200 ms retransmission timeouts.
-	burst := FCTCellConfig{Name: "burst", Cell: CellConfig{K: 4, Duration: 300 * sim.Millisecond}, Scheme: SchemeXMP2,
+	burst := FCTCellConfig{Cell: CellConfig{K: 4, Duration: 300 * sim.Millisecond}, Scheme: SchemeXMP2,
 		Incast: &workload.IncastBurstConfig{Senders: 96, ResponseBytes: 16 << 10, Rounds: 2, UseScheme: true}}
 	perm := patternCell(CellConfig{K: 4, SizeScale: 1024}, Row{Pattern: Permutation})
 	for _, tc := range []struct {
@@ -386,7 +386,7 @@ func TestArenaNilEqualsArenaSet(t *testing.T) {
 			func(w *Worker) {
 				b := burst
 				b.Scheme = SchemeDCTCP
-				RunFCTCell(w, b)
+				runFCTCell(w, b)
 			}},
 	} {
 		c := NewCell(nil, tc.cfg, tc.scheme)

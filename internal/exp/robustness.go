@@ -22,25 +22,6 @@ import (
 // truncated flows; event times do not scale with -timescale (the schedule
 // is part of the hashed config).
 
-// RobustnessPoint is one scheme's outcome under the fault schedule.
-type RobustnessPoint struct {
-	Scheme string
-	// GoodputMbps averages the Random pattern's per-flow goodput — the
-	// large-flow throughput cost of the faults.
-	GoodputMbps float64
-	// Flows counts all completed flows (large + probe).
-	Flows int
-	// Faults counts chaos events applied (sanity: always the full script).
-	Faults int
-	// FCT percentiles over every completion, in milliseconds. Fault-hit
-	// flows recover via RTO, so the tail stretches toward the 200 ms RTOMin.
-	P50Ms, P95Ms, P99Ms, P999Ms float64
-	Drops                       int64
-	// BySize slices the completion times by flow size, indexed by
-	// workload.FCTSizeBin — the "small flows pay the RTO tail" cut.
-	BySize [workload.FCTBins]FCTBinPoint
-}
-
 // ChaosCellConfig parameterizes one fault-campaign cell: the cell (fabric,
 // seed, horizon, fault schedule), a scheme, and the generators to start.
 type ChaosCellConfig struct {
@@ -52,20 +33,38 @@ type ChaosCellConfig struct {
 	Short  *workload.ShortFlowsConfig
 }
 
-// RunChaosCell runs one parameterized fault-campaign cell: the scenario
-// compiler's robustness family lowers onto it. It records goodput and
-// completion times, no RTT, and hands its collector back to w.
-func RunChaosCell(w *Worker, cfg ChaosCellConfig) RobustnessPoint {
-	cfg.Cell.skip |= workload.SeriesRTT
-	c := NewCell(w, cfg.Cell, cfg.Scheme)
-	p := runChaos(c, cfg)
-	c.handBack()
-	return p
+// ChaosPlan plans a cell per config, labelled by labels and described by
+// desc as MatrixPlan's are. Each records goodput and completion times, no
+// RTT, is reduced to the metrics of the tables desc selects and hands its
+// collector back.
+func ChaosPlan(desc string, labels []string, cells []ChaosCellConfig) Plan[*ListCell] {
+	reads := robustnessFamily.reads(scenarioMetrics(desc))
+	return Plan[*ListCell]{
+		Desc:  desc,
+		Cells: len(cells),
+		Run: func(w *Worker, i int) *ListCell {
+			cfg := cells[i]
+			cfg.Cell.skip |= workload.SeriesRTT
+			c := NewCell(w, cfg.Cell, cfg.Scheme)
+			r := runChaos(c, cfg)
+			cell := &ListCell{Label: labels[i], Metrics: reduce(r, reads), line: reduce(r, robustnessLine)}
+			c.handBack()
+			return cell
+		},
+		Progress: func(w io.Writer, c *ListCell) {
+			v := c.line
+			fmt.Fprintf(w, "robustness %-6s goodput=%6.1f Mbps flows=%-5d p99=%8.3fms faults=%d\n",
+				c.Label, v["goodput.mean"], int(v["flows"]), v["fct.p99"], int(v["faults"]))
+		},
+	}
 }
 
-// runChaos starts cfg's generators on c, the cell built for it, runs the
-// cell and reduces it.
-func runChaos(c *Cell, cfg ChaosCellConfig) RobustnessPoint {
+// robustnessLine is what a robustness cell's progress line prints.
+var robustnessLine = []string{"goodput.mean", "flows", "fct.p99", "faults"}
+
+// runChaos starts cfg's generators on c, the cell built for it, and runs
+// the cell.
+func runChaos(c *Cell, cfg ChaosCellConfig) *FatTreeResult {
 	if cfg.Random != nil {
 		r := *cfg.Random
 		r.Config = c.Base
@@ -77,38 +76,19 @@ func runChaos(c *Cell, cfg ChaosCellConfig) RobustnessPoint {
 		workload.StartShortFlows(s)
 	}
 	c.Run()
-	col := c.Base.Collector
-	return RobustnessPoint{
-		Scheme:      workload.SchemeString(cfg.Scheme),
-		GoodputMbps: col.Goodput.Mean(),
-		Flows:       col.FlowsCompleted,
-		Faults:      c.Faults,
-		P50Ms:       col.FCT.Percentile(50),
-		P95Ms:       col.FCT.Percentile(95),
-		P99Ms:       col.FCT.Percentile(99),
-		P999Ms:      col.FCT.Percentile(99.9),
-		Drops:       c.Drops(),
-		BySize:      fctBySize(col),
-	}
+	return &FatTreeResult{Scheme: c.Base.Scheme, Collector: c.Base.Collector, Drops: c.Drops(), Faults: c.Faults}
 }
 
 // RenderRobustnessSummary prints the headline per-scheme table — the
 // "summary" metric of scenario robustness specs.
-func RenderRobustnessSummary(w io.Writer, pts []RobustnessPoint) {
+func RenderRobustnessSummary(w io.Writer, cells []*ListCell) {
 	fmt.Fprintln(w, "Robustness under faults: link flap, switch failure, loss burst, delay and jitter (k=8 fat-tree, identical schedule per scheme)")
 	tb := newTable(w, 10, 16, 8, 8, 11, 11, 11, 11, 9)
 	tb.row("scheme", "goodput(Mbps)", "flows", "faults", "p50 ms", "p95 ms", "p99 ms", "p999 ms", "drops")
 	tb.rule()
-	for _, p := range pts {
-		tb.row(p.Scheme, f1(p.GoodputMbps), fmt.Sprintf("%d", p.Flows), fmt.Sprintf("%d", p.Faults),
-			f3(p.P50Ms), f3(p.P95Ms), f3(p.P99Ms), f3(p.P999Ms), fmt.Sprintf("%d", p.Drops))
+	for _, c := range cells {
+		tb.row(c.Label, f1(c.Metric("goodput.mean")), fmt.Sprintf("%.0f", c.Metric("flows")), fmt.Sprintf("%.0f", c.Metric("faults")),
+			f3(c.Metric("fct.p50")), f3(c.Metric("fct.p95")), f3(c.Metric("fct.p99")), f3(c.Metric("fct.p99.9")),
+			fmt.Sprintf("%.0f", c.Metric("drops")))
 	}
-}
-
-// RenderRobustnessBySize prints the flow-size breakdown — the "by-size"
-// metric of scenario robustness specs.
-func RenderRobustnessBySize(w io.Writer, pts []RobustnessPoint) {
-	renderBySize(w, "scheme", 10, pts, func(p RobustnessPoint) (string, [workload.FCTBins]FCTBinPoint) {
-		return p.Scheme, p.BySize
-	})
 }

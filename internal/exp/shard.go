@@ -79,7 +79,7 @@ func (s ShardSpec) Owned(n int) []int {
 
 // ShardSchemaVersion is bumped whenever the shard file layout or any cell
 // payload changes incompatibly; merge refuses mixed versions.
-const ShardSchemaVersion = 5
+const ShardSchemaVersion = 6
 
 // ShardManifest identifies what a shard file contains, precisely enough
 // for merge to refuse anything that would assemble a silently-wrong

@@ -361,7 +361,8 @@ func TestMergeRejectsCellManifestDisagreement(t *testing.T) {
 // the row × scheme grid: transposed, short, or with a repeated row or
 // column. Two β variants of one scheme are two columns. A matrix cell that
 // lacks a selected metric, or carries one no selected table reads, is
-// refused naming the cell and the metric.
+// refused naming the cell and the metric, and so is an fct or robustness
+// cell.
 func TestMergeRefusesBadGrid(t *testing.T) {
 	mxWith := func(edit func(map[string]float64), cells ...string) ShardEncoder {
 		f := &ShardFile[*MatrixCell]{Manifest: newManifest(CampaignMatrix, "grid", Unsharded, len(cells))}
@@ -383,6 +384,21 @@ func TestMergeRefusesBadGrid(t *testing.T) {
 		return f
 	}
 	mx := func(cells ...string) ShardEncoder { return mxWith(func(map[string]float64) {}, cells...) }
+	// list is a list family's shard of labelled cells, the last edited,
+	// under a config that selects selection.
+	list := func(d descriptor[*ListCell, []*ListCell], selection string, edit func(Metrics), labels ...string) ShardEncoder {
+		f := &ShardFile[*ListCell]{Manifest: newManifest(d.Name, `scenario {"metrics":[`+selection+`]}`, Unsharded, len(labels))}
+		reads := d.reads(scenarioMetrics(f.Manifest.Config))
+		for i, l := range labels {
+			m := carrying(reads)
+			if i == len(labels)-1 {
+				edit(m)
+			}
+			f.Cells = append(f.Cells, ShardCell[*ListCell]{i, &ListCell{Label: l, Metrics: m}})
+		}
+		return f
+	}
+	keep := func(Metrics) {}
 	for _, tc := range []struct {
 		name string
 		set  ShardEncoder
@@ -402,6 +418,18 @@ func TestMergeRefusesBadGrid(t *testing.T) {
 			`cell 0 (Permutation DCTCP carries metric "goodput.p1", which no selected table reads)`},
 		{"matrix cell carries an unselected metric", mxWith(func(m map[string]float64) { m["drops"] = 0 }, "Permutation/DCTCP"),
 			`metric "drops"`},
+		{"fct cells", list(fctFamily, "", keep, "websearch", "incast10k"), ""},
+		{"fct null cell", &ShardFile[*ListCell]{Manifest: newManifest(CampaignFCT, "fct", Unsharded, 1),
+			Cells: []ShardCell[*ListCell]{{0, nil}}}, "fct: cell 0 is null"},
+		{"fct cell lacks a metric", list(fctFamily, "", func(m Metrics) { delete(m, "fct.p99") }, "websearch", "incast10k"),
+			`fct: cell 1 (incast10k lacks metric "fct.p99")`},
+		{"fct cell carries another family's metric", list(fctFamily, "", func(m Metrics) { m["faults"] = 5 }, "websearch"),
+			`fct: cell 0 (websearch carries metric "faults", which no selected table reads)`},
+		{"robustness summary cells", list(robustnessFamily, `"summary"`, keep, "DCTCP", "XMP-2"), ""},
+		{"robustness cell lacks a metric", list(robustnessFamily, `"summary"`, func(m Metrics) { delete(m, "goodput.mean") }, "DCTCP"),
+			`robustness: cell 0 (DCTCP lacks metric "goodput.mean")`},
+		{"robustness cell carries an unselected metric", list(robustnessFamily, `"summary"`, func(m Metrics) { m["fct.small.p99"] = 0 }, "DCTCP", "XMP-2"),
+			`robustness: cell 1 (XMP-2 carries metric "fct.small.p99", which no selected table reads)`},
 	} {
 		_, err := MergeShards([]ShardEncoder{tc.set})
 		switch {
@@ -421,7 +449,7 @@ func TestMergeRefusesBadGrid(t *testing.T) {
 // proves the wire does not depend on word size. A deliberate wire change
 // re-pins the hash and bumps ShardSchemaVersion.
 func TestShardFileWirePin(t *testing.T) {
-	const want = "4601f7b8360adfb29b16fdcf924899659137c7165db2019f29d6e77a6873929e"
+	const want = "d757bcfb32e72fc8344dda51db22ca2166a26fec9a95e529395116c9cb98a7f9"
 	f := &ShardFile[*MatrixCell]{Manifest: newManifest(CampaignMatrix, `scenario {"metrics":["vl2"]}`, Unsharded, 2)}
 	for i, vs := range [][]float64{{5e-324, 1e21, math.Copysign(0, -1), 0.1 + 0.2}, {0.25, 1e-7, 123456.789e-3, 3}} {
 		c := &MatrixCell{Row: Row{Pattern: Random, SACK: i == 1}, Scheme: SchemeLIA2, Metrics: map[string]float64{}}

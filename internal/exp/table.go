@@ -55,11 +55,13 @@ func describe(name string, knobs map[string]any) string {
 
 // view is one table a scenario spec's "metrics" list can select by name.
 // Reads lists the metrics it reads off a cell, for a family whose cells
-// travel as named metrics (MatrixCell).
+// travel as named metrics (MatrixCell, ListCell). A blank line precedes
+// each selected view but the first, and the first too with BlankFirst.
 type view[R any] struct {
-	Name   string
-	Render func(io.Writer, R)
-	Reads  []string
+	Name       string
+	Render     func(io.Writer, R)
+	Reads      []string
+	BlankFirst bool
 }
 
 // descriptor declares a campaign whose cells are T and whose reassembled
@@ -77,13 +79,11 @@ type descriptor[T, R any] struct {
 	Assemble func(cells []T, reads []string) (R, error)
 	// Render prints the campaign as `xmpsim <name>` does. Families with
 	// selectable tables list Tables instead: the whole campaign is every
-	// table in order, blank lines between — and before, with BlankFirst.
-	// Views are more tables a spec can select, never part of the whole
-	// campaign and never preceded by BlankFirst's line.
-	Render     func(io.Writer, R)
-	Tables     []view[R]
-	Views      []view[R]
-	BlankFirst bool
+	// table in order. Views are more tables a spec can select, never part
+	// of the whole campaign.
+	Render func(io.Writer, R)
+	Tables []view[R]
+	Views  []view[R]
 	// Plot, if non-nil, writes the -json plot export.
 	Plot func(io.Writer, R) error
 }
@@ -101,20 +101,14 @@ func (d *descriptor[T, R]) render(w io.Writer, r R, metrics []string) {
 		}
 	}
 	for i, m := range metrics {
-		for _, t := range d.Tables {
-			if t.Name == m {
-				if i > 0 || d.BlankFirst {
-					fmt.Fprintln(w)
+		for _, vs := range [][]view[R]{d.Tables, d.Views} {
+			for _, v := range vs {
+				if v.Name == m {
+					if i > 0 || v.BlankFirst {
+						fmt.Fprintln(w)
+					}
+					v.Render(w, r)
 				}
-				t.Render(w, r)
-			}
-		}
-		for _, v := range d.Views {
-			if v.Name == m {
-				if i > 0 {
-					fmt.Fprintln(w)
-				}
-				v.Render(w, r)
 			}
 		}
 	}
@@ -200,7 +194,7 @@ func declare[T, R any](d descriptor[T, R]) *campaign {
 		metrics := scenarioMetrics(typed[0].Manifest.Config)
 		r, err := d.Assemble(cells, d.reads(metrics))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %v", d.Name, err)
 		}
 		res := &MergeResult{
 			Campaign: d.Name,
@@ -250,23 +244,59 @@ var matrixFamily = descriptor[*MatrixCell, *Matrix]{
 	Doc:      "run the full pattern x scheme matrix once; print tables 1,3 + figs 8-11",
 	Assemble: assembleMatrix,
 	Tables: []view[*Matrix]{
-		{"table1", method((*Matrix).RenderTable1), table1Reads},
-		{"table3", method((*Matrix).RenderTable3), table3Reads},
-		{"fig8", method((*Matrix).RenderFig8), fig8Reads},
-		{"fig9", method((*Matrix).RenderFig9), fig9Reads},
-		{"fig10", method((*Matrix).RenderFig10), fig10Reads},
-		{"fig11", method((*Matrix).RenderFig11), fig11Reads},
+		{"table1", method((*Matrix).RenderTable1), table1Reads, true},
+		{"table3", method((*Matrix).RenderTable3), table3Reads, true},
+		{"fig8", method((*Matrix).RenderFig8), fig8Reads, true},
+		{"fig9", method((*Matrix).RenderFig9), fig9Reads, true},
+		{"fig10", method((*Matrix).RenderFig10), fig10Reads, true},
+		{"fig11", method((*Matrix).RenderFig11), fig11Reads, true},
 	},
 	Views: []view[*Matrix]{
-		{CampaignSubflow, method((*Matrix).RenderSweep), sweepReads},
-		{CampaignParams, method((*Matrix).RenderParams), paramsReads},
-		{CampaignIncast, method((*Matrix).RenderIncastSweep), incastSweepReads},
-		{CampaignSACK, method((*Matrix).RenderSACK), sackReads},
-		{CampaignVL2, method((*Matrix).RenderVL2), vl2Reads},
-		{CampaignTable2, method((*Matrix).RenderTable2), table2Reads},
+		{CampaignSubflow, method((*Matrix).RenderSweep), sweepReads, false},
+		{CampaignParams, method((*Matrix).RenderParams), paramsReads, false},
+		{CampaignIncast, method((*Matrix).RenderIncastSweep), incastSweepReads, false},
+		{CampaignSACK, method((*Matrix).RenderSACK), sackReads, false},
+		{CampaignVL2, method((*Matrix).RenderVL2), vl2Reads, false},
+		{CampaignTable2, method((*Matrix).RenderTable2), table2Reads, true},
 	},
-	BlankFirst: true,
-	Plot:       func(w io.Writer, m *Matrix) error { return m.WriteJSON(w) },
+	Plot: func(w io.Writer, m *Matrix) error { return m.WriteJSON(w) },
+}
+
+// fctFamily and robustnessFamily are lists of labelled cells, each
+// carrying the metrics the selected tables read.
+var (
+	fctFamily = descriptor[*ListCell, []*ListCell]{
+		Name:     CampaignFCT,
+		Doc:      "short-flow FCT percentiles: Pareto loops + a 10,240-sender incast burst (TCP/DCTCP/XMP-2)",
+		Assemble: assembleList,
+		Tables: []view[[]*ListCell]{
+			{"summary", RenderFCTSummary, fctSummaryReads, false},
+			{"by-size", renderBySize("cell", 14), bySizeReads, false},
+		},
+	}
+	robustnessFamily = descriptor[*ListCell, []*ListCell]{
+		Name:     CampaignRobustness,
+		Doc:      "schemes under one fault schedule: link flap, switch failure, loss burst, delay, jitter",
+		Assemble: assembleList,
+		Tables: []view[[]*ListCell]{
+			{"summary", RenderRobustnessSummary, robustnessSummaryReads, false},
+			{"by-size", renderBySize("scheme", 10), bySizeReads, false},
+		},
+	}
+)
+
+// assembleList returns a list family's cells in cell order, refusing a
+// cell that does not carry exactly the metrics reads names.
+func assembleList(cells []*ListCell, reads []string) ([]*ListCell, error) {
+	for i, c := range cells {
+		if c == nil {
+			return nil, fmt.Errorf("cell %d is null", i)
+		}
+		if err := c.Metrics.carries(reads); err != nil {
+			return nil, fmt.Errorf("cell %d (%v %v)", i, c, err)
+		}
+	}
+	return cells, nil
 }
 
 // campaigns is the table, in the order `xmpsim all` runs it. Each scaled
@@ -310,15 +340,7 @@ var campaigns = []*campaign{
 	spec(CampaignIncast, "job completion vs fan-in (4..32 servers)", CampaignMatrix),
 	spec(CampaignSACK, "SACK vs NewReno ablation for the loss-based schemes", CampaignMatrix),
 	spec(CampaignVL2, "scheme comparison on a VL2 Clos fabric (generalization)", CampaignMatrix),
-	listOf(descriptor[FCTPoint, []FCTPoint]{
-		Name:   CampaignFCT,
-		Doc:    "short-flow FCT percentiles: Pareto loops + a 10,240-sender incast burst (TCP/DCTCP/XMP-2)",
-		Tables: []view[[]FCTPoint]{{"summary", RenderFCTSummary, nil}, {"by-size", RenderFCTBySize, nil}},
-	}),
-	listOf(descriptor[RobustnessPoint, []RobustnessPoint]{
-		Name:   CampaignRobustness,
-		Doc:    "schemes under one fault schedule: link flap, switch failure, loss burst, delay, jitter",
-		Tables: []view[[]RobustnessPoint]{{"summary", RenderRobustnessSummary, nil}, {"by-size", RenderRobustnessBySize, nil}},
-	}),
+	declare(fctFamily),
+	declare(robustnessFamily),
 	{CampaignInfo: CampaignInfo{Name: CampaignScenario}},
 }

@@ -77,9 +77,16 @@ func lower(r *Spec) (*Compiled, error) {
 			}
 		}
 	case FamilyRobustness:
+		// The seed is suffixed only when the seeds axis is real, so a
+		// single-seed scenario's rows are labelled by scheme alone (the
+		// results_robustness.txt layout).
 		for _, sl := range r.Schemes {
 			for _, seed := range r.Seeds {
-				c.Labels = append(c.Labels, robustnessLabel(sl, seed, len(r.Seeds)))
+				label := sl
+				if len(r.Seeds) > 1 {
+					label = fmt.Sprintf("%s@s%d", sl, seed)
+				}
+				c.Labels = append(c.Labels, label)
 			}
 		}
 	case FamilyFCT:
@@ -117,16 +124,6 @@ func matrixRow(w WorkloadSpec) exp.Row {
 		panic(fmt.Sprintf("scenario: unvalidated matrix pattern %q", w.Kind))
 	}
 	return row
-}
-
-// robustnessLabel suffixes the seed only when the seeds axis is real, so
-// a single-seed scenario's rows are labelled by scheme alone (the
-// results_robustness.txt layout).
-func robustnessLabel(scheme string, seed int64, nseeds int) string {
-	if nseeds > 1 {
-		return fmt.Sprintf("%s@s%d", scheme, seed)
-	}
-	return scheme
 }
 
 // cell lowers the spec's topology, scale, horizon and fault schedule onto
@@ -202,59 +199,34 @@ func (c *Compiled) RunShard(shard exp.ShardSpec, jobs int, progress io.Writer) (
 				short = shortFlows(w)
 			}
 		}
-		nseeds := len(r.Seeds)
-		return exp.RunPlan(c.Campaign, exp.Plan[exp.RobustnessPoint]{
-			Desc:  c.Desc,
-			Cells: len(c.schemes) * nseeds,
-			Run: func(w *exp.Worker, i int) exp.RobustnessPoint {
-				si, di := i/nseeds, i%nseeds
-				p := exp.RunChaosCell(w, exp.ChaosCellConfig{
-					Cell:   c.cell(r.Seeds[di]),
-					Scheme: c.schemes[si],
-					Random: random,
-					Short:  short,
-				})
-				p.Scheme = robustnessLabel(p.Scheme, r.Seeds[di], nseeds)
-				return p
-			},
-			Progress: func(w io.Writer, p exp.RobustnessPoint) {
-				fmt.Fprintf(w, "robustness %-6s goodput=%6.1f Mbps flows=%-5d p99=%8.3fms faults=%d\n",
-					p.Scheme, p.GoodputMbps, p.Flows, p.P99Ms, p.Faults)
-			},
-		}, shard, jobs, progress), nil
+		cells := make([]exp.ChaosCellConfig, len(c.Labels))
+		for i := range cells {
+			si, di := i/len(r.Seeds), i%len(r.Seeds)
+			cells[i] = exp.ChaosCellConfig{Cell: c.cell(r.Seeds[di]), Scheme: c.schemes[si], Random: random, Short: short}
+		}
+		return exp.RunPlan(c.Campaign, exp.ChaosPlan(c.Desc, c.Labels, cells), shard, jobs, progress), nil
 
 	case FamilyFCT:
-		return exp.RunPlan(c.Campaign, exp.Plan[exp.FCTPoint]{
-			Desc:  c.Desc,
-			Cells: len(r.Workloads),
-			Run: func(wk *exp.Worker, i int) exp.FCTPoint {
-				w := r.Workloads[i]
-				cfg := exp.FCTCellConfig{Name: w.Name, Cell: c.cell(r.Scale.Seed)}
-				if w.Scheme != "" {
-					sch, err := workload.ParseScheme(w.Scheme)
-					if err != nil {
-						panic("scenario: " + err.Error()) // unreachable: Resolve canonicalized
-					}
-					cfg.Scheme = sch
+		cells := make([]exp.FCTCellConfig, len(r.Workloads))
+		for i, w := range r.Workloads {
+			cfg := exp.FCTCellConfig{Cell: c.cell(r.Scale.Seed)}
+			if w.Scheme != "" {
+				cfg.Scheme, _ = workload.ParseScheme(w.Scheme) // Resolve canonicalized it
+			}
+			switch w.Kind {
+			case "shortflows":
+				cfg.Short = shortFlows(w)
+			case "incast-burst":
+				cfg.Incast = &workload.IncastBurstConfig{
+					Senders:       w.Senders,
+					ResponseBytes: w.ResponseBytes,
+					Rounds:        w.Rounds,
+					UseScheme:     w.Scheme != "",
 				}
-				switch w.Kind {
-				case "shortflows":
-					cfg.Short = shortFlows(w)
-				case "incast-burst":
-					cfg.Incast = &workload.IncastBurstConfig{
-						Senders:       w.Senders,
-						ResponseBytes: w.ResponseBytes,
-						Rounds:        w.Rounds,
-						UseScheme:     w.Scheme != "",
-					}
-				}
-				return exp.RunFCTCell(wk, cfg)
-			},
-			Progress: func(w io.Writer, p exp.FCTPoint) {
-				fmt.Fprintf(w, "fct %-10s flows=%-6d p50=%7.3fms p99=%8.3fms p999=%8.3fms drops=%d\n",
-					p.Cell, p.Flows, p.P50Ms, p.P99Ms, p.P999Ms, p.Drops)
-			},
-		}, shard, jobs, progress), nil
+			}
+			cells[i] = cfg
+		}
+		return exp.RunPlan(c.Campaign, exp.FCTPlan(c.Desc, c.Labels, cells), shard, jobs, progress), nil
 	}
 	return nil, fmt.Errorf("scenario %s: unknown family %q", r.Name, r.Family)
 }

@@ -569,17 +569,17 @@ func TestRobustnessSeedsAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := shardPoints[exp.RobustnessPoint](t, enc)
+	cells := shardPoints[*exp.ListCell](t, enc)
 	if len(cells) != 2 {
 		t.Fatalf("got %d cells, want 2", len(cells))
 	}
 	for i, want := range c.Labels {
-		if cells[i].Data.Scheme != want {
-			t.Errorf("cell %d labelled %q, want %q", i, cells[i].Data.Scheme, want)
+		if cells[i].Data.Label != want {
+			t.Errorf("cell %d labelled %q, want %q", i, cells[i].Data.Label, want)
 		}
 	}
-	if reflect.DeepEqual(cells[0].Data.BySize, cells[1].Data.BySize) {
-		t.Error("seeds 1 and 2 produced identical results — the seed axis is not live")
+	if reflect.DeepEqual(cells[0].Data.Metrics, cells[1].Data.Metrics) {
+		t.Errorf("seeds 1 and 2 produced identical metrics — the seed axis is not live: %v", cells[0].Data.Metrics)
 	}
 }
 
@@ -638,9 +638,9 @@ func TestBetaVariantsAreDistinctSchemes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range shardPoints[exp.RobustnessPoint](t, enc) {
-		if c.Data.Scheme != schemes[i] {
-			t.Errorf("robustness row %d labelled %q, want %q", i, c.Data.Scheme, schemes[i])
+	for i, c := range shardPoints[*exp.ListCell](t, enc) {
+		if c.Data.Label != schemes[i] {
+			t.Errorf("robustness row %d labelled %q, want %q", i, c.Data.Label, schemes[i])
 		}
 	}
 }

@@ -23,19 +23,20 @@ import (
 )
 
 // Families: the three cell-space shapes a spec can lower onto. Each maps
-// to an existing campaign's cell payload and render, so scenario shard
-// files merge with the same machinery (and the same goldens) as the
-// hand-written campaigns.
+// to a campaign's tables and render, so scenario shard files merge with
+// the same machinery (and the same goldens) as the built-in campaigns.
+// Every family's cells carry the metrics its selected tables read, by
+// name (exp's metric table).
 const (
 	// FamilyMatrix is the patterns x schemes goodput grid (the paper's
-	// Tables 1/3 and Figures 8-11); cells are MatrixCells, each carrying
-	// the metrics its selected tables read.
+	// Tables 1/3 and Figures 8-11); cells are MatrixCells, keyed by row
+	// and scheme.
 	FamilyMatrix = "matrix"
 	// FamilyRobustness is schemes x seeds under an optional fault
-	// schedule; cells are RobustnessPoints.
+	// schedule; cells are ListCells labelled by scheme (and seed).
 	FamilyRobustness = "robustness"
 	// FamilyFCT is a list of named short-flow / incast-burst cells;
-	// cells are FCTPoints.
+	// cells are ListCells labelled by name.
 	FamilyFCT = "fct"
 )
 
@@ -71,7 +72,7 @@ type Spec struct {
 	// Chaos is an optional fault schedule, inline or by file reference.
 	Chaos *ChaosSpec `json:"chaos,omitempty"`
 	// Metrics selects which result tables render; empty means the family's
-	// tables. A matrix cell carries only the metrics its selection reads.
+	// tables. A cell carries only the metrics its selection reads.
 	// Table names per family: matrix — table1, table3, fig8, fig9, fig10,
 	// fig11, and the views sweep, params, incastsweep, sack, vl2 and table2,
 	// which only a selection renders (table2 only over coexist rows);
